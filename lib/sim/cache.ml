@@ -1,134 +1,3 @@
-type level = {
-  line_bytes : int;
-  sets : int;
-  ways : int;
-  line_shift : int;  (* log2 line_bytes when a power of two, else -1 *)
-  set_mask : int;  (* sets - 1 when sets is a power of two, else -1 *)
-  tags : int array;  (* [set * ways + way] = line id; -1 = invalid;
-                        way order is LRU (most recent first) *)
-}
-
-type t = {
-  cost : Cost.t;
-  l1 : level;
-  l2 : level;
-  l1_miss_penalty : int;
-  l2_miss_penalty : int;
-  sb : Store_buffer.t;  (* completion cycles of outstanding stores *)
-  drain_hit : int;
-  drain_miss : int;
-  mutable l1_hits : int;
-  mutable l1_misses : int;
-  mutable l2_misses : int;
-  mutable stores : int;
-}
-
-let log2_exact n =
-  let rec go s = if 1 lsl s = n then s else if 1 lsl s > n then -1 else go (s + 1) in
-  if n <= 0 then -1 else go 0
-
-let make_level (g : Machine.cache_geometry) =
-  let lines = g.size_bytes / g.line_bytes in
-  if lines mod g.ways <> 0 then invalid_arg "Cache: ways must divide lines";
-  let sets = lines / g.ways in
-  {
-    line_bytes = g.line_bytes;
-    sets;
-    ways = g.ways;
-    line_shift = log2_exact g.line_bytes;
-    set_mask = (if log2_exact sets >= 0 then sets - 1 else -1);
-    tags = Array.make lines (-1);
-  }
-
-let create (m : Machine.t) cost =
-  {
-    cost;
-    l1 = make_level m.l1;
-    l2 = make_level m.l2;
-    l1_miss_penalty = m.l1_miss_penalty;
-    l2_miss_penalty = m.l2_miss_penalty;
-    sb = Store_buffer.create ~depth:m.store_buffer_depth;
-    drain_hit = m.store_drain_hit;
-    drain_miss = m.store_drain_miss;
-    l1_hits = 0;
-    l1_misses = 0;
-    l2_misses = 0;
-    stores = 0;
-  }
-
-(* Line and set arithmetic: both counts are powers of two on every
-   machine we model, so the hot path is a shift and a mask; the
-   division fallback only runs for exotic hand-built geometries. *)
-
-let[@inline] line_id level addr =
-  if level.line_shift >= 0 then addr lsr level.line_shift
-  else addr / level.line_bytes
-
-let[@inline] set_of level line =
-  if level.set_mask >= 0 then line land level.set_mask else line mod level.sets
-
-(* Probe an LRU set; on a hit, promote the way to most-recently-used.
-   Both UltraSparc levels are direct-mapped ([ways = 1]): a probe is
-   then a single load and compare, with no LRU loop and no promotion
-   writes. *)
-let probe level addr =
-  let line = line_id level addr in
-  if level.ways = 1 then level.tags.(set_of level line) = line
-  else begin
-    let base = set_of level line * level.ways in
-    let rec find w =
-      if w = level.ways then -1
-      else if level.tags.(base + w) = line then w
-      else find (w + 1)
-    in
-    match find 0 with
-    | -1 -> false
-    | w ->
-        for k = w downto 1 do
-          level.tags.(base + k) <- level.tags.(base + k - 1)
-        done;
-        level.tags.(base) <- line;
-        true
-  end
-
-(* Insert as most-recently-used, evicting the LRU way. *)
-let fill level addr =
-  let line = line_id level addr in
-  if level.ways = 1 then level.tags.(set_of level line) <- line
-  else begin
-    let base = set_of level line * level.ways in
-    for k = level.ways - 1 downto 1 do
-      level.tags.(base + k) <- level.tags.(base + k - 1)
-    done;
-    level.tags.(base) <- line
-  end
-
-let read t addr =
-  if probe t.l1 addr then t.l1_hits <- t.l1_hits + 1
-  else begin
-    t.l1_misses <- t.l1_misses + 1;
-    Cost.add_read_stall t.cost t.l1_miss_penalty;
-    if not (probe t.l2 addr) then begin
-      t.l2_misses <- t.l2_misses + 1;
-      Cost.add_read_stall t.cost t.l2_miss_penalty;
-      fill t.l2 addr
-    end;
-    fill t.l1 addr
-  end
-
-let write t addr =
-  t.stores <- t.stores + 1;
-  let now = Cost.cycles t.cost in
-  (* L1 is write-through no-allocate: a store only updates an already
-     present line.  Drain latency depends on whether the line is in
-     L2 (the write-through target). *)
-  let hit = probe t.l2 addr in
-  if not hit then fill t.l2 addr;
-  let latency = if hit then t.drain_hit else t.drain_miss in
-  let stall = Store_buffer.push t.sb ~now ~latency in
-  if stall > 0 then Cost.add_write_stall t.cost stall
-
-let l1_hits t = t.l1_hits
-let l1_misses t = t.l1_misses
-let l2_misses t = t.l2_misses
-let stores t = t.stores
+(* The model's code is in [Memory], where every simulated access runs
+   it inline. *)
+include Memory.Cache_impl

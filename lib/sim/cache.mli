@@ -8,9 +8,14 @@
     buffer whose drain latency depends on whether the line hits in L2.
 
     Stall cycles are charged to the {!Cost.t} the cache was created
-    with; the current time is [Cost.cycles]. *)
+    with; the current time is [Cost.cycles].
 
-type t
+    The code is {!Memory.Cache_impl}: {!Memory} runs this same model
+    inline on every access, and this module re-exports it for callers
+    that drive the cache directly.  Set-associative geometries
+    ({!Machine.with_associativity}) use LRU replacement. *)
+
+type t = Memory.Cache_impl.t
 
 val create : Machine.t -> Cost.t -> t
 

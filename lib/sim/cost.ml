@@ -1,6 +1,13 @@
 type context = Base | Alloc | Refcount | Stack_scan | Cleanup
 
+(* [instrs] is the running total over every context; a charge is one
+   add to it.  The per-context fields hold what each context was
+   charged up to [mark], the total when the current context was last
+   entered or left; the current context's share since then is
+   [instrs - mark], folded in by [settle]. *)
 type t = {
+  mutable instrs : int;
+  mutable mark : int;
   mutable base : int;
   mutable alloc : int;
   mutable refcount : int;
@@ -13,6 +20,8 @@ type t = {
 
 let create () =
   {
+    instrs = 0;
+    mark = 0;
     base = 0;
     alloc = 0;
     refcount = 0;
@@ -24,6 +33,8 @@ let create () =
   }
 
 let reset t =
+  t.instrs <- 0;
+  t.mark <- 0;
   t.base <- 0;
   t.alloc <- 0;
   t.refcount <- 0;
@@ -33,7 +44,13 @@ let reset t =
   t.write_stalls <- 0;
   t.context <- Base
 
-let instr t n =
+let instr t n = t.instrs <- t.instrs + n
+
+(* Credit the instructions charged since [mark] to the current
+   context. *)
+let settle t =
+  let n = t.instrs - t.mark in
+  t.mark <- t.instrs;
   match t.context with
   | Base -> t.base <- t.base + n
   | Alloc -> t.alloc <- t.alloc + n
@@ -45,24 +62,30 @@ let context t = t.context
 
 let with_context t c f =
   let saved = t.context in
+  settle t;
   t.context <- c;
   match f () with
   | v ->
+      settle t;
       t.context <- saved;
       v
   | exception e ->
+      settle t;
       t.context <- saved;
       raise e
 
+let account t c settled =
+  if t.context = c then settled + (t.instrs - t.mark) else settled
+
 let add_read_stall t n = t.read_stalls <- t.read_stalls + n
 let add_write_stall t n = t.write_stalls <- t.write_stalls + n
-let base_instrs t = t.base
-let alloc_instrs t = t.alloc
-let refcount_instrs t = t.refcount
-let stack_scan_instrs t = t.stack_scan
-let cleanup_instrs t = t.cleanup
-let memory_instrs t = t.alloc + t.refcount + t.stack_scan + t.cleanup
-let total_instrs t = t.base + memory_instrs t
+let base_instrs t = account t Base t.base
+let alloc_instrs t = account t Alloc t.alloc
+let refcount_instrs t = account t Refcount t.refcount
+let stack_scan_instrs t = account t Stack_scan t.stack_scan
+let cleanup_instrs t = account t Cleanup t.cleanup
+let total_instrs t = t.instrs
+let memory_instrs t = t.instrs - base_instrs t
 let read_stall_cycles t = t.read_stalls
 let write_stall_cycles t = t.write_stalls
-let cycles t = total_instrs t + t.read_stalls + t.write_stalls
+let cycles t = t.instrs + t.read_stalls + t.write_stalls

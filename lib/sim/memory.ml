@@ -1,7 +1,258 @@
+(* The cache and store-buffer model of Figure 10.  Its code lives in
+   this unit, and [Cache] and [Store_buffer] re-export it, because it
+   runs on every simulated access: dune's dev profile compiles with
+   -opaque, so a call into another unit is never inlined.  For the
+   UltraSparc geometry (both levels direct-mapped, power-of-two lines
+   and sets), [load], [store] and the bulk operations below inline the
+   whole model; the set-associative what-if geometries take the
+   generic LRU functions. *)
+
+module Store_buffer_impl = struct
+  type t = {
+    depth : int;
+    buf : int array;  (* circular buffer of completion cycles *)
+    mutable head : int;  (* index of the oldest outstanding store *)
+    mutable len : int;
+    mutable last_completion : int;
+  }
+
+  let create ~depth =
+    if depth <= 0 then invalid_arg "Store_buffer.create: depth must be positive";
+    { depth; buf = Array.make depth 0; head = 0; len = 0; last_completion = 0 }
+
+  let length t = t.len
+  let last_completion t = t.last_completion
+
+  let reset t =
+    t.head <- 0;
+    t.len <- 0;
+    t.last_completion <- 0
+
+  let[@inline] advance t =
+    let h = t.head + 1 in
+    t.head <- (if h = t.depth then 0 else h);
+    t.len <- t.len - 1
+
+  let[@inline] push t ~now ~latency =
+    (* Retire completed stores. *)
+    while t.len > 0 && t.buf.(t.head) <= now do
+      advance t
+    done;
+    let stall =
+      if t.len >= t.depth then begin
+        (* Buffer full: stall until the oldest entry retires. *)
+        let oldest = t.buf.(t.head) in
+        advance t;
+        oldest - now
+      end
+      else 0
+    in
+    (* Stores drain in order: this one starts once the stall (if any)
+       is paid and the previous store has completed.  (Not [max]: that
+       is a call to the polymorphic compare.) *)
+    let start =
+      let ready = now + stall in
+      if ready >= t.last_completion then ready else t.last_completion
+    in
+    let completion = start + latency in
+    t.last_completion <- completion;
+    let tail = t.head + t.len in
+    let tail = if tail >= t.depth then tail - t.depth else tail in
+    t.buf.(tail) <- completion;
+    t.len <- t.len + 1;
+    stall
+end
+
+module Cache_impl = struct
+  type level = {
+    line_bytes : int;
+    sets : int;
+    ways : int;
+    line_shift : int;  (* log2 line_bytes when a power of two, else -1 *)
+    set_mask : int;  (* sets - 1 when sets is a power of two, else -1 *)
+    tags : int array;  (* [set * ways + way] = line id; -1 = invalid;
+                          way order is LRU (most recent first) *)
+  }
+
+  type t = {
+    cost : Cost.t;
+    l1 : level;
+    l2 : level;
+    direct : bool;  (* both levels direct-mapped, power-of-two lines and
+                       sets: the inline path *)
+    l1_miss_penalty : int;
+    l2_miss_penalty : int;
+    sb : Store_buffer_impl.t;  (* completion cycles of outstanding stores *)
+    drain_hit : int;
+    drain_miss : int;
+    mutable l1_hits : int;
+    mutable l1_misses : int;
+    mutable l2_misses : int;
+    mutable stores : int;
+  }
+
+  let log2_exact n =
+    let rec go s =
+      if 1 lsl s = n then s else if 1 lsl s > n then -1 else go (s + 1)
+    in
+    if n <= 0 then -1 else go 0
+
+  let make_level (g : Machine.cache_geometry) =
+    let lines = g.size_bytes / g.line_bytes in
+    if lines mod g.ways <> 0 then invalid_arg "Cache: ways must divide lines";
+    let sets = lines / g.ways in
+    {
+      line_bytes = g.line_bytes;
+      sets;
+      ways = g.ways;
+      line_shift = log2_exact g.line_bytes;
+      set_mask = (if log2_exact sets >= 0 then sets - 1 else -1);
+      tags = Array.make lines (-1);
+    }
+
+  let is_direct l = l.ways = 1 && l.line_shift >= 0 && l.set_mask >= 0
+
+  let create (m : Machine.t) cost =
+    let l1 = make_level m.l1 and l2 = make_level m.l2 in
+    {
+      cost;
+      l1;
+      l2;
+      direct = is_direct l1 && is_direct l2;
+      l1_miss_penalty = m.l1_miss_penalty;
+      l2_miss_penalty = m.l2_miss_penalty;
+      sb = Store_buffer_impl.create ~depth:m.store_buffer_depth;
+      drain_hit = m.store_drain_hit;
+      drain_miss = m.store_drain_miss;
+      l1_hits = 0;
+      l1_misses = 0;
+      l2_misses = 0;
+      stores = 0;
+    }
+
+  (* The direct-mapped path: a probe is one shift, one mask, one load
+     and one compare, and a fill is one store.  [line land set_mask] is
+     within [tags] (one tag per set) for any [addr]. *)
+
+  let[@inline] read_direct t addr =
+    let l1 = t.l1 in
+    let line = addr lsr l1.line_shift in
+    let set = line land l1.set_mask in
+    if Array.unsafe_get l1.tags set = line then t.l1_hits <- t.l1_hits + 1
+    else begin
+      t.l1_misses <- t.l1_misses + 1;
+      let cost = t.cost in
+      let l2 = t.l2 in
+      let line2 = addr lsr l2.line_shift in
+      let set2 = line2 land l2.set_mask in
+      if Array.unsafe_get l2.tags set2 = line2 then
+        cost.Cost.read_stalls <- cost.Cost.read_stalls + t.l1_miss_penalty
+      else begin
+        t.l2_misses <- t.l2_misses + 1;
+        cost.Cost.read_stalls <-
+          cost.Cost.read_stalls + t.l1_miss_penalty + t.l2_miss_penalty;
+        Array.unsafe_set l2.tags set2 line2
+      end;
+      Array.unsafe_set l1.tags set line
+    end
+
+  (* L1 is write-through no-allocate: a store only updates an already
+     present line.  Drain latency depends on whether the line is in L2
+     (the write-through target); the store then enters the buffer at
+     the current cycle. *)
+  let[@inline] enqueue_store t ~l2_hit =
+    let cost = t.cost in
+    let now = cost.Cost.instrs + cost.Cost.read_stalls + cost.Cost.write_stalls in
+    let latency = if l2_hit then t.drain_hit else t.drain_miss in
+    let stall = Store_buffer_impl.push t.sb ~now ~latency in
+    if stall > 0 then cost.Cost.write_stalls <- cost.Cost.write_stalls + stall
+
+  let[@inline] write_direct t addr =
+    t.stores <- t.stores + 1;
+    let l2 = t.l2 in
+    let line = addr lsr l2.line_shift in
+    let set = line land l2.set_mask in
+    let hit = Array.unsafe_get l2.tags set = line in
+    if not hit then Array.unsafe_set l2.tags set line;
+    enqueue_store t ~l2_hit:hit
+
+  (* The generic path: any associativity (LRU), any line and set
+     counts. *)
+
+  let line_id level addr =
+    if level.line_shift >= 0 then addr lsr level.line_shift
+    else addr / level.line_bytes
+
+  let set_of level line =
+    if level.set_mask >= 0 then line land level.set_mask else line mod level.sets
+
+  (* Probe an LRU set; on a hit, promote the way to most-recently-used. *)
+  let probe level addr =
+    let line = line_id level addr in
+    if level.ways = 1 then level.tags.(set_of level line) = line
+    else begin
+      let base = set_of level line * level.ways in
+      let rec find w =
+        if w = level.ways then -1
+        else if level.tags.(base + w) = line then w
+        else find (w + 1)
+      in
+      match find 0 with
+      | -1 -> false
+      | w ->
+          for k = w downto 1 do
+            level.tags.(base + k) <- level.tags.(base + k - 1)
+          done;
+          level.tags.(base) <- line;
+          true
+    end
+
+  (* Insert as most-recently-used, evicting the LRU way. *)
+  let fill level addr =
+    let line = line_id level addr in
+    if level.ways = 1 then level.tags.(set_of level line) <- line
+    else begin
+      let base = set_of level line * level.ways in
+      for k = level.ways - 1 downto 1 do
+        level.tags.(base + k) <- level.tags.(base + k - 1)
+      done;
+      level.tags.(base) <- line
+    end
+
+  let read_lru t addr =
+    if probe t.l1 addr then t.l1_hits <- t.l1_hits + 1
+    else begin
+      t.l1_misses <- t.l1_misses + 1;
+      Cost.add_read_stall t.cost t.l1_miss_penalty;
+      if not (probe t.l2 addr) then begin
+        t.l2_misses <- t.l2_misses + 1;
+        Cost.add_read_stall t.cost t.l2_miss_penalty;
+        fill t.l2 addr
+      end;
+      fill t.l1 addr
+    end
+
+  let write_lru t addr =
+    t.stores <- t.stores + 1;
+    let hit = probe t.l2 addr in
+    if not hit then fill t.l2 addr;
+    enqueue_store t ~l2_hit:hit
+
+  let[@inline] read t addr = if t.direct then read_direct t addr else read_lru t addr
+
+  let[@inline] write t addr =
+    if t.direct then write_direct t addr else write_lru t addr
+
+  let l1_hits t = t.l1_hits
+  let l1_misses t = t.l1_misses
+  let l2_misses t = t.l2_misses
+  let stores t = t.stores
+end
+
 type t = {
   machine : Machine.t;
   cost : Cost.t;
-  cache : Cache.t option;
+  cache : Cache_impl.t option;
   mutable data : Bytes.t;
   mutable limit : int;  (* one past highest mapped byte *)
   mutable os_bytes : int;
@@ -17,7 +268,9 @@ let max_memory = 1 lsl 29 (* 512 MB simulated address space cap *)
 
 let create ?(machine = Machine.ultrasparc_i) ?(with_cache = true) () =
   let cost = Cost.create () in
-  let cache = if with_cache then Some (Cache.create machine cost) else None in
+  let cache =
+    if with_cache then Some (Cache_impl.create machine cost) else None
+  in
   {
     machine;
     cost;
@@ -74,24 +327,32 @@ let map_pages t n =
   (match t.corrupt_hook with Some f -> f () | None -> ());
   addr
 
-let is_mapped t addr = addr >= t.machine.Machine.page_bytes && addr < t.limit
+let[@inline] is_mapped t addr =
+  addr >= t.machine.Machine.page_bytes && addr < t.limit
 
-let check_word t addr =
+let[@inline] check_word t addr =
   if addr land 3 <> 0 then fault "unaligned word access at %#x" addr;
   if not (is_mapped t addr) then fault "word access to unmapped address %#x" addr
 
-let check_byte t addr =
+let[@inline] check_byte t addr =
   if not (is_mapped t addr) then fault "byte access to unmapped address %#x" addr
 
-let touch_read t addr =
-  Cost.instr t.cost 1;
-  match t.cache with Some c -> Cache.read c addr | None -> ()
+(* One instruction, then the cache model: all inlined, so an access
+   makes no call. *)
+let[@inline] charge t n =
+  let cost = t.cost in
+  cost.Cost.instrs <- cost.Cost.instrs + n
 
-let touch_write t addr =
-  Cost.instr t.cost 1;
-  match t.cache with Some c -> Cache.write c addr | None -> ()
+let[@inline] touch_read t addr =
+  charge t 1;
+  match t.cache with Some c -> Cache_impl.read c addr | None -> ()
 
-let raw_load t addr = Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFFFFFF
+let[@inline] touch_write t addr =
+  charge t 1;
+  match t.cache with Some c -> Cache_impl.write c addr | None -> ()
+
+let[@inline] raw_load t addr =
+  Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFFFFFF
 
 let load t addr =
   check_word t addr;
@@ -116,7 +377,7 @@ let load_byte t addr =
 let store_byte t addr v =
   check_byte t addr;
   touch_write t addr;
-  Bytes.set t.data addr (Char.chr (v land 0xFF))
+  Bytes.set t.data addr (Char.unsafe_chr (v land 0xFF))
 
 (* Bulk operations.  A contiguous word range is valid iff its first
    and last words are: mapping is a single [page_bytes, limit) span,
@@ -142,10 +403,10 @@ let clear t addr bytes =
     (match t.cache with
     | Some c ->
         for i = 0 to words - 1 do
-          Cost.instr t.cost 1;
-          Cache.write c (addr + (i * 4))
+          charge t 1;
+          Cache_impl.write c (addr + (i * 4))
         done
-    | None -> Cost.instr t.cost words);
+    | None -> charge t words);
     Bytes.fill t.data addr (words * 4) '\000'
   end
 
@@ -154,14 +415,18 @@ let load_block t addr n =
   if n = 0 then [||]
   else begin
     check_word_range t addr n "block load";
-    Cost.instr t.cost n;
+    charge t n;
     (match t.cache with
     | Some c ->
         for i = 0 to n - 1 do
-          Cache.read c (addr + (i * 4))
+          Cache_impl.read c (addr + (i * 4))
         done
     | None -> ());
-    Array.init n (fun i -> raw_load t (addr + (i * 4)))
+    let out = Array.make n 0 in
+    for i = 0 to n - 1 do
+      out.(i) <- raw_load t (addr + (i * 4))
+    done;
+    out
   end
 
 let store_block t addr words =
@@ -171,12 +436,12 @@ let store_block t addr words =
     match t.cache with
     | Some c ->
         for i = 0 to n - 1 do
-          Cost.instr t.cost 1;
-          Cache.write c (addr + (i * 4));
+          charge t 1;
+          Cache_impl.write c (addr + (i * 4));
           Bytes.set_int32_le t.data (addr + (i * 4)) (Int32.of_int words.(i))
         done
     | None ->
-        Cost.instr t.cost n;
+        charge t n;
         for i = 0 to n - 1 do
           Bytes.set_int32_le t.data (addr + (i * 4)) (Int32.of_int words.(i))
         done
@@ -190,10 +455,10 @@ let store_bytes t addr s =
     (match t.cache with
     | Some c ->
         for i = 0 to n - 1 do
-          Cost.instr t.cost 1;
-          Cache.write c (addr + i)
+          charge t 1;
+          Cache_impl.write c (addr + i)
         done
-    | None -> Cost.instr t.cost n);
+    | None -> charge t n);
     Bytes.blit_string s 0 t.data addr n
   end
 

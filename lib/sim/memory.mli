@@ -8,7 +8,39 @@
 
     Every access charges one instruction to the attached {!Cost.t} and,
     when a cache is attached, simulates the cache hierarchy.  Address 0
-    is never mapped, so 0 serves as NULL. *)
+    is never mapped, so 0 serves as NULL.
+
+    This unit also holds the cache and store-buffer model itself
+    ({!Cache_impl}, {!Store_buffer_impl}; {!Cache} and {!Store_buffer}
+    re-export them).  Dune's dev profile compiles with [-opaque], so no
+    call into another unit is inlined; keeping the model here lets
+    every access on the UltraSparc geometry (both levels direct-mapped)
+    run the instruction charge, both probes, the fills and the store
+    buffer inline, with no call. *)
+
+(** The implementation of {!Store_buffer}; documented there. *)
+module Store_buffer_impl : sig
+  type t
+
+  val create : depth:int -> t
+  val push : t -> now:int -> latency:int -> int
+  val length : t -> int
+  val last_completion : t -> int
+  val reset : t -> unit
+end
+
+(** The implementation of {!Cache}; documented there. *)
+module Cache_impl : sig
+  type t
+
+  val create : Machine.t -> Cost.t -> t
+  val read : t -> int -> unit
+  val write : t -> int -> unit
+  val l1_hits : t -> int
+  val l1_misses : t -> int
+  val l2_misses : t -> int
+  val stores : t -> int
+end
 
 type t
 
@@ -21,7 +53,7 @@ val create : ?machine:Machine.t -> ?with_cache:bool -> unit -> t
 
 val machine : t -> Machine.t
 val cost : t -> Cost.t
-val cache : t -> Cache.t option
+val cache : t -> Cache_impl.t option
 
 val map_pages : t -> int -> int
 (** [map_pages t n] maps [n] fresh contiguous pages and returns the

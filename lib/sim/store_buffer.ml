@@ -1,49 +1,3 @@
-type t = {
-  depth : int;
-  buf : int array;  (* circular buffer of completion cycles *)
-  mutable head : int;  (* index of the oldest outstanding store *)
-  mutable len : int;
-  mutable last_completion : int;
-}
-
-let create ~depth =
-  if depth <= 0 then invalid_arg "Store_buffer.create: depth must be positive";
-  { depth; buf = Array.make depth 0; head = 0; len = 0; last_completion = 0 }
-
-let length t = t.len
-let last_completion t = t.last_completion
-
-let reset t =
-  t.head <- 0;
-  t.len <- 0;
-  t.last_completion <- 0
-
-let[@inline] advance t =
-  let h = t.head + 1 in
-  t.head <- (if h = t.depth then 0 else h);
-  t.len <- t.len - 1
-
-let push t ~now ~latency =
-  (* Retire completed stores. *)
-  while t.len > 0 && t.buf.(t.head) <= now do
-    advance t
-  done;
-  let stall =
-    if t.len >= t.depth then begin
-      (* Buffer full: stall until the oldest entry retires. *)
-      let oldest = t.buf.(t.head) in
-      advance t;
-      oldest - now
-    end
-    else 0
-  in
-  (* Stores drain in order: this one starts once the stall (if any) is
-     paid and the previous store has completed. *)
-  let start = max (now + stall) t.last_completion in
-  let completion = start + latency in
-  t.last_completion <- completion;
-  let tail = t.head + t.len in
-  let tail = if tail >= t.depth then tail - t.depth else tail in
-  t.buf.(tail) <- completion;
-  t.len <- t.len + 1;
-  stall
+(* The model's code is in [Memory], where every simulated store runs it
+   inline. *)
+include Memory.Store_buffer_impl

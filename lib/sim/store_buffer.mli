@@ -6,9 +6,12 @@
     retire silently; pushing into a full buffer stalls the processor
     until the oldest outstanding store completes; stores drain in
     order, each beginning no earlier than its predecessor's
-    completion. *)
+    completion.
 
-type t
+    The code is {!Memory.Store_buffer_impl}, which the cache model in
+    {!Memory} runs inline on every simulated store. *)
+
+type t = Memory.Store_buffer_impl.t
 
 val create : depth:int -> t
 (** [create ~depth] is an empty buffer holding at most [depth]

@@ -63,6 +63,7 @@ type recorder = {
 type t = {
   mode : mode;
   mem : Sim.Memory.t;
+  cost : Sim.Cost.t;  (* [Sim.Memory.cost mem], read by [work] without a call *)
   mut : Regions.Mutator.t;
   alloc : Alloc.Allocator.t option;  (* Direct and Emulated *)
   gc : Gcsim.Boehm.t option;
@@ -139,6 +140,7 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
     {
       mode;
       mem;
+      cost = Sim.Memory.cost mem;
       mut;
       alloc;
       gc;
@@ -198,7 +200,7 @@ let kind t =
 
 let memory t = t.mem
 let mutator t = t.mut
-let cost t = Sim.Memory.cost t.mem
+let cost t = t.cost
 
 (* Recorder dispatch.  [recd] is a single cold branch when recording is
    off; [frame_index] resolves a frame value to its stack depth (the
@@ -218,20 +220,23 @@ let frame_index t fr =
   in
   go (Regions.Mutator.depth t.mut - 1)
 
-let load t = Sim.Memory.load t.mem
-let load_signed t = Sim.Memory.load_signed t.mem
+(* The access wrappers take every argument: [let load t =
+   Sim.Memory.load t.mem] would build a closure per call, since a
+   partial application across units is never inlined. *)
+let load t addr = Sim.Memory.load t.mem addr
+let load_signed t addr = Sim.Memory.load_signed t.mem addr
 
 let store t addr v =
   Sim.Memory.store t.mem addr v;
   match t.recorder with Some r -> r.rec_store ~addr v | None -> ()
 
-let load_byte t = Sim.Memory.load_byte t.mem
+let load_byte t addr = Sim.Memory.load_byte t.mem addr
 
 let store_byte t addr v =
   Sim.Memory.store_byte t.mem addr v;
   match t.recorder with Some r -> r.rec_store_byte ~addr v | None -> ()
 
-let load_block t = Sim.Memory.load_block t.mem
+let load_block t addr n = Sim.Memory.load_block t.mem addr n
 
 let store_block t addr words =
   Sim.Memory.store_block t.mem addr words;
@@ -252,7 +257,8 @@ let store_ptr t ~addr v =
   match t.recorder with Some r -> r.rec_store_ptr ~addr v | None -> ()
 
 let work t n =
-  Sim.Cost.instr (cost t) n;
+  let c = t.cost in
+  c.Sim.Cost.instrs <- c.Sim.Cost.instrs + n;
   Obs.Tracer.tick t.tracer
 
 let with_frame t ~nslots ~ptr_slots f =

@@ -453,7 +453,8 @@ let prop_store_bytes_matches_loop =
     (fun (off, s) ->
       let setup () =
         let m = Sim.Memory.create ~with_cache:true () in
-        (m, Sim.Memory.map_pages m 2 + off)
+        let pages = ((off + String.length s) / 4096) + 1 in
+        (m, Sim.Memory.map_pages m pages + off)
       in
       let m1, base1 = setup () in
       String.iteri (fun i c -> Sim.Memory.store_byte m1 (base1 + i) (Char.code c)) s;
@@ -488,6 +489,233 @@ let prop_clear_matches_store_loop =
       && Array.for_all Fun.id
            (Array.init ((bytes + 3) / 4) (fun i ->
                 Sim.Memory.peek m2 (base2 + (i * 4)) = 0)))
+
+(* Differential check of the cache model.  [Ref] is the cache and
+   store buffer written plainly, as separate pieces with a call per
+   access and a private cost clock.  Random access streams drive it,
+   [Sim.Memory] (the inline path for direct-mapped caches, the LRU
+   path otherwise) and a bare [Sim.Cache] in lockstep; every counter
+   and the cycle count must agree after every operation. *)
+
+module Ref = struct
+  type sb = {
+    depth : int;
+    buf : int array;
+    mutable head : int;
+    mutable len : int;
+    mutable last_completion : int;
+  }
+
+  let advance sb =
+    let h = sb.head + 1 in
+    sb.head <- (if h = sb.depth then 0 else h);
+    sb.len <- sb.len - 1
+
+  let push sb ~now ~latency =
+    while sb.len > 0 && sb.buf.(sb.head) <= now do
+      advance sb
+    done;
+    let stall =
+      if sb.len >= sb.depth then begin
+        let oldest = sb.buf.(sb.head) in
+        advance sb;
+        oldest - now
+      end
+      else 0
+    in
+    let start = max (now + stall) sb.last_completion in
+    let completion = start + latency in
+    sb.last_completion <- completion;
+    let tail = sb.head + sb.len in
+    let tail = if tail >= sb.depth then tail - sb.depth else tail in
+    sb.buf.(tail) <- completion;
+    sb.len <- sb.len + 1;
+    stall
+
+  type level = { line_bytes : int; sets : int; ways : int; tags : int array }
+
+  type t = {
+    l1 : level;
+    l2 : level;
+    m : Sim.Machine.t;
+    sb : sb;
+    mutable instrs : int;
+    mutable read_stalls : int;
+    mutable write_stalls : int;
+    mutable l1_hits : int;
+    mutable l1_misses : int;
+    mutable l2_misses : int;
+    mutable stores : int;
+  }
+
+  let level (g : Sim.Machine.cache_geometry) =
+    let lines = g.size_bytes / g.line_bytes in
+    {
+      line_bytes = g.line_bytes;
+      sets = lines / g.ways;
+      ways = g.ways;
+      tags = Array.make lines (-1);
+    }
+
+  let create (m : Sim.Machine.t) =
+    {
+      l1 = level m.l1;
+      l2 = level m.l2;
+      m;
+      sb =
+        {
+          depth = m.store_buffer_depth;
+          buf = Array.make m.store_buffer_depth 0;
+          head = 0;
+          len = 0;
+          last_completion = 0;
+        };
+      instrs = 0;
+      read_stalls = 0;
+      write_stalls = 0;
+      l1_hits = 0;
+      l1_misses = 0;
+      l2_misses = 0;
+      stores = 0;
+    }
+
+  let probe lv addr =
+    let line = addr / lv.line_bytes in
+    let base = line mod lv.sets * lv.ways in
+    let rec find w =
+      if w = lv.ways then -1
+      else if lv.tags.(base + w) = line then w
+      else find (w + 1)
+    in
+    match find 0 with
+    | -1 -> false
+    | w ->
+        for k = w downto 1 do
+          lv.tags.(base + k) <- lv.tags.(base + k - 1)
+        done;
+        lv.tags.(base) <- line;
+        true
+
+  let fill lv addr =
+    let line = addr / lv.line_bytes in
+    let base = line mod lv.sets * lv.ways in
+    for k = lv.ways - 1 downto 1 do
+      lv.tags.(base + k) <- lv.tags.(base + k - 1)
+    done;
+    lv.tags.(base) <- line
+
+  let read t addr =
+    t.instrs <- t.instrs + 1;
+    if probe t.l1 addr then t.l1_hits <- t.l1_hits + 1
+    else begin
+      t.l1_misses <- t.l1_misses + 1;
+      t.read_stalls <- t.read_stalls + t.m.l1_miss_penalty;
+      if not (probe t.l2 addr) then begin
+        t.l2_misses <- t.l2_misses + 1;
+        t.read_stalls <- t.read_stalls + t.m.l2_miss_penalty;
+        fill t.l2 addr
+      end;
+      fill t.l1 addr
+    end
+
+  let write t addr =
+    t.instrs <- t.instrs + 1;
+    t.stores <- t.stores + 1;
+    let now = t.instrs + t.read_stalls + t.write_stalls in
+    let hit = probe t.l2 addr in
+    if not hit then fill t.l2 addr;
+    let latency = if hit then t.m.store_drain_hit else t.m.store_drain_miss in
+    t.write_stalls <- t.write_stalls + push t.sb ~now ~latency
+
+  let counters t =
+    ( (t.l1_hits, t.l1_misses, t.l2_misses, t.stores),
+      (t.read_stalls, t.write_stalls, t.instrs + t.read_stalls + t.write_stalls) )
+end
+
+type cache_op =
+  | Read of int
+  | Write of int
+  | Clear of int * int
+  | Store_block of int * int
+  | Work of int
+
+(* 160 mapped pages (640 KB) exceed the 512 KB L2, so streams see L2
+   conflicts as well as L1 ones; half the slots fall in one page to
+   get hits too. *)
+let diff_pages = 160
+
+let cache_op_gen =
+  let open QCheck.Gen in
+  let words = diff_pages * 1024 in
+  let slot = oneof [ int_bound 1023; int_bound (words - 65) ] in
+  frequency
+    [
+      (4, map (fun s -> Read s) slot);
+      (4, map (fun s -> Write s) slot);
+      (1, map2 (fun s b -> Clear (s, b)) slot (int_bound 255));
+      (1, map2 (fun s n -> Store_block (s, n)) slot (int_bound 64));
+      (1, map (fun n -> Work n) (int_bound 20));
+    ]
+
+let cache_diff_arb =
+  QCheck.make
+    ~print:(fun (ways, ops) -> Printf.sprintf "ways=%d, %d ops" ways (List.length ops))
+    QCheck.Gen.(pair (oneofl [ 1; 2; 4 ]) (list_size (int_bound 300) cache_op_gen))
+
+let prop_cache_matches_reference =
+  QCheck.Test.make ~name:"cache model matches separate-module reference"
+    ~count:60 cache_diff_arb (fun (ways, ops) ->
+      let machine = Sim.Machine.with_associativity Sim.Machine.ultrasparc_i ~ways in
+      let r = Ref.create machine in
+      let m = Sim.Memory.create ~machine ~with_cache:true () in
+      let base = Sim.Memory.map_pages m diff_pages in
+      let mc = Sim.Memory.cost m in
+      let bc = Sim.Cost.create () in
+      let bare = Sim.Cache.create machine bc in
+      let observed c ca =
+        ( (Sim.Cache.l1_hits ca, Sim.Cache.l1_misses ca, Sim.Cache.l2_misses ca,
+           Sim.Cache.stores ca),
+          (Sim.Cost.read_stall_cycles c, Sim.Cost.write_stall_cycles c,
+           Sim.Cost.cycles c) )
+      in
+      let words n f = for i = 0 to n - 1 do f i done in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Read s ->
+              let a = base + (s * 4) in
+              Ref.read r a;
+              ignore (Sim.Memory.load m a);
+              Sim.Cost.instr bc 1;
+              Sim.Cache.read bare a
+          | Write s ->
+              let a = base + (s * 4) in
+              Ref.write r a;
+              Sim.Memory.store m a s;
+              Sim.Cost.instr bc 1;
+              Sim.Cache.write bare a
+          | Clear (s, bytes) ->
+              let a = base + (s * 4) in
+              words ((bytes + 3) / 4) (fun i ->
+                  Ref.write r (a + (i * 4));
+                  Sim.Cost.instr bc 1;
+                  Sim.Cache.write bare (a + (i * 4)));
+              Sim.Memory.clear m a bytes
+          | Store_block (s, n) ->
+              let a = base + (s * 4) in
+              words n (fun i ->
+                  Ref.write r (a + (i * 4));
+                  Sim.Cost.instr bc 1;
+                  Sim.Cache.write bare (a + (i * 4)));
+              Sim.Memory.store_block m a (Array.make n 7)
+          | Work n ->
+              r.Ref.instrs <- r.Ref.instrs + n;
+              Sim.Cost.instr mc n;
+              Sim.Cost.instr bc n);
+          let want = Ref.counters r in
+          want = observed mc (Option.get (Sim.Memory.cache m))
+          && want = observed bc bare)
+        ops)
 
 (* Fault injection at the page-map level: a denied request raises and
    mutates nothing — the next granted mapping lands exactly where it
@@ -557,6 +785,7 @@ let () =
           qtest prop_block_ops_match_loops;
           qtest prop_store_bytes_matches_loop;
           qtest prop_clear_matches_store_loop;
+          qtest prop_cache_matches_reference;
         ] );
       ( "cache",
         [

@@ -316,6 +316,25 @@ let test_api_emulation_overhead_tracked () =
       check "live after delete" 0
         (Alloc.Stats.live_bytes (Workloads.Api.requested_stats api)))
 
+(* A simulated load allocates nothing on the host: 10 000 loads and 10
+   loads move the minor heap by the same amount (the measurement's own
+   boxed floats).  Fails if [Api.load] goes back to building a closure
+   per call. *)
+let test_api_load_allocates_nothing () =
+  let api =
+    Workloads.Api.create ~with_cache:true (Workloads.Api.Direct Workloads.Api.Sun)
+  in
+  let p = Sim.Memory.map_pages (Workloads.Api.memory api) 1 in
+  let minor_words n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Workloads.Api.load api p)
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) "same minor words" (minor_words 10)
+    (minor_words 10_000)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "workloads"
@@ -367,5 +386,6 @@ let () =
           tc "unsupported ops rejected" `Quick test_api_unsupported_ops;
           tc "gc free is logical" `Quick test_api_gc_free_is_logical;
           tc "emulation overhead tracked" `Quick test_api_emulation_overhead_tracked;
+          tc "load allocates nothing" `Quick test_api_load_allocates_nothing;
         ] );
     ]
