@@ -6,11 +6,11 @@ let min_bucket = 4 (* 16 bytes *)
 let max_bucket = 28
 let in_use_tag = 0x100
 
-let bucket_for size =
-  (* Smallest b with 2^b >= size + 4 (header), at least 16 bytes. *)
-  let need = size + 4 in
-  let rec go b = if 1 lsl b >= need then b else go (b + 1) in
-  go min_bucket
+(* Smallest b >= [b] with 2^b >= [need]. *)
+let rec bucket_from need b = if 1 lsl b >= need then b else bucket_from need (b + 1)
+
+(* Smallest b with 2^b >= size + 4 (header), at least 16 bytes. *)
+let bucket_for size = bucket_from (size + 4) min_bucket
 
 type t = {
   mem : Sim.Memory.t;
@@ -38,38 +38,43 @@ let carve t b =
     Sim.Memory.store t.mem head c
   done
 
+(* As in [Chunks], the bodies run under [Sim.Cost.within] so that no
+   closure is built per call. *)
+
+let malloc_body t size =
+  Sim.Cost.instr (Sim.Memory.cost t.mem) 5;
+  let b = bucket_for size in
+  if b > max_bucket then invalid_arg "Bsd.malloc: size too large";
+  let head = head_addr t b in
+  if Sim.Memory.load t.mem head = 0 then carve t b;
+  let c = Sim.Memory.load t.mem head in
+  Sim.Memory.store t.mem head (Sim.Memory.load t.mem (c + 4));
+  Sim.Memory.store t.mem c (b lor in_use_tag);
+  let user = c + 4 in
+  Stats.on_alloc t.stats ~addr:user ~size;
+  user
+
 let malloc t size =
   Allocator.check_size size;
-  let cost = Sim.Memory.cost t.mem in
-  Sim.Cost.with_context cost Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr cost 5;
-      let b = bucket_for size in
-      if b > max_bucket then invalid_arg "Bsd.malloc: size too large";
-      let head = head_addr t b in
-      if Sim.Memory.load t.mem head = 0 then carve t b;
-      let c = Sim.Memory.load t.mem head in
-      Sim.Memory.store t.mem head (Sim.Memory.load t.mem (c + 4));
-      Sim.Memory.store t.mem c (b lor in_use_tag);
-      let user = c + 4 in
-      Stats.on_alloc t.stats ~addr:user ~size;
-      user)
+  Sim.Cost.within (Sim.Memory.cost t.mem) Sim.Cost.Alloc malloc_body t size
+
+let free_body t user =
+  Sim.Cost.instr (Sim.Memory.cost t.mem) 4;
+  if user land 3 <> 0 || not (Sim.Memory.is_mapped t.mem (user - 4)) then
+    raise (Allocator.Invalid_free user);
+  let c = user - 4 in
+  let h = Sim.Memory.load t.mem c in
+  let b = h land lnot in_use_tag in
+  if h land in_use_tag = 0 || b < min_bucket || b > max_bucket then
+    raise (Allocator.Invalid_free user);
+  Stats.on_free t.stats user;
+  let head = head_addr t b in
+  Sim.Memory.store t.mem c b;
+  Sim.Memory.store t.mem (c + 4) (Sim.Memory.load t.mem head);
+  Sim.Memory.store t.mem head c
 
 let free t user =
-  let cost = Sim.Memory.cost t.mem in
-  Sim.Cost.with_context cost Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr cost 4;
-      if user land 3 <> 0 || not (Sim.Memory.is_mapped t.mem (user - 4)) then
-        raise (Allocator.Invalid_free user);
-      let c = user - 4 in
-      let h = Sim.Memory.load t.mem c in
-      let b = h land lnot in_use_tag in
-      if h land in_use_tag = 0 || b < min_bucket || b > max_bucket then
-        raise (Allocator.Invalid_free user);
-      Stats.on_free t.stats user;
-      let head = head_addr t b in
-      Sim.Memory.store t.mem c b;
-      Sim.Memory.store t.mem (c + 4) (Sim.Memory.load t.mem head);
-      Sim.Memory.store t.mem head c)
+  Sim.Cost.within (Sim.Memory.cost t.mem) Sim.Cost.Alloc free_body t user
 
 (* Introspection, not allocation work: a cost-free peek (the
    [check_invariants] idiom), so tests and the replay timeline's

@@ -2,8 +2,8 @@ type t = {
   mem : Sim.Memory.t;
   stats : Stats.t;
   min_extend_pages : int;
-  mutable policy : policy;
-  mutable static_area : int;
+  policy : policy;
+  static_area : int;
   mutable seg_end : int;  (* one past the end of the last segment; 0 if none *)
   mutable segments : (int * int) list;  (* (start, end), newest first *)
 }
@@ -19,25 +19,18 @@ let pinuse = 2
 let min_chunk = 16
 let round8 n = (n + 7) land lnot 7
 
-let null_policy =
-  { insert = (fun _ _ -> ()); unlink = (fun _ _ -> ()); find = (fun _ _ -> 0) }
-
-let create mem stats ~min_extend_pages policy =
-  let t =
-    {
-      mem;
-      stats;
-      min_extend_pages;
-      policy = null_policy;
-      static_area = 0;
-      seg_end = 0;
-      segments = [];
-    }
-  in
-  t.static_area <- Sim.Memory.map_pages mem 1;
+let create mem stats ~min_extend_pages make_policy =
+  let static_area = Sim.Memory.map_pages mem 1 in
   Stats.on_map stats 4096;
-  t.policy <- policy;
-  t
+  {
+    mem;
+    stats;
+    min_extend_pages;
+    policy = make_policy ~static_area;
+    static_area;
+    seg_end = 0;
+    segments = [];
+  }
 
 let memory t = t.mem
 let stats t = t.stats
@@ -131,52 +124,59 @@ let extend t need =
 (* ------------------------------------------------------------------ *)
 (* malloc / free *)
 
+(* [malloc] and [free] run their body under [Sim.Cost.within], not
+   [with_context]: a closure per call would be the host's biggest
+   per-operation cost. *)
+
+let malloc_body t size =
+  Sim.Cost.instr (Sim.Memory.cost t.mem) 6;
+  let csize = round8 (size + 4) in
+  let csize = if csize < min_chunk then min_chunk else csize in
+  let chunk =
+    let c = t.policy.find t csize in
+    if c <> 0 then c
+    else begin
+      extend t csize;
+      let c = t.policy.find t csize in
+      assert (c <> 0);
+      c
+    end
+  in
+  let fsize = chunk_size t chunk in
+  let pin = hdr t chunk land pinuse in
+  if fsize - csize >= min_chunk then begin
+    (* Split: the remainder stays free. *)
+    let rem = chunk + csize in
+    set_hdr t rem ((fsize - csize) lor pinuse);
+    set_footer t rem (fsize - csize);
+    t.policy.insert t rem;
+    set_hdr t chunk (csize lor cinuse lor pin)
+  end
+  else begin
+    set_hdr t chunk (fsize lor cinuse lor pin);
+    let next = chunk + fsize in
+    set_hdr t next (hdr t next lor pinuse)
+  end;
+  let user = chunk + 4 in
+  Stats.on_alloc t.stats ~addr:user ~size;
+  user
+
 let malloc t size =
   Allocator.check_size size;
-  let cost = Sim.Memory.cost t.mem in
-  Sim.Cost.with_context cost Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr cost 6;
-      let csize = max min_chunk (round8 (size + 4)) in
-      let chunk =
-        let c = t.policy.find t csize in
-        if c <> 0 then c
-        else begin
-          extend t csize;
-          let c = t.policy.find t csize in
-          assert (c <> 0);
-          c
-        end
-      in
-      let fsize = chunk_size t chunk in
-      let pin = hdr t chunk land pinuse in
-      if fsize - csize >= min_chunk then begin
-        (* Split: the remainder stays free. *)
-        let rem = chunk + csize in
-        set_hdr t rem ((fsize - csize) lor pinuse);
-        set_footer t rem (fsize - csize);
-        t.policy.insert t rem;
-        set_hdr t chunk (csize lor cinuse lor pin)
-      end
-      else begin
-        set_hdr t chunk (fsize lor cinuse lor pin);
-        let next = chunk + fsize in
-        set_hdr t next (hdr t next lor pinuse)
-      end;
-      let user = chunk + 4 in
-      Stats.on_alloc t.stats ~addr:user ~size;
-      user)
+  Sim.Cost.within (Sim.Memory.cost t.mem) Sim.Cost.Alloc malloc_body t size
+
+let free_body t user =
+  Sim.Cost.instr (Sim.Memory.cost t.mem) 6;
+  if user land 3 <> 0 || not (Sim.Memory.is_mapped t.mem (user - 4)) then
+    raise (Allocator.Invalid_free user);
+  let c = user - 4 in
+  let h = hdr t c in
+  if h land cinuse = 0 then raise (Allocator.Invalid_free user);
+  Stats.on_free t.stats user;
+  release t c (size_of h) ~prev_free:(h land pinuse = 0)
 
 let free t user =
-  let cost = Sim.Memory.cost t.mem in
-  Sim.Cost.with_context cost Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr cost 6;
-      if user land 3 <> 0 || not (Sim.Memory.is_mapped t.mem (user - 4)) then
-        raise (Allocator.Invalid_free user);
-      let c = user - 4 in
-      let h = hdr t c in
-      if h land cinuse = 0 then raise (Allocator.Invalid_free user);
-      Stats.on_free t.stats user;
-      release t c (size_of h) ~prev_free:(h land pinuse = 0))
+  Sim.Cost.within (Sim.Memory.cost t.mem) Sim.Cost.Alloc free_body t user
 
 (* Introspection, not allocation work: reads the header with a
    cost-free peek (like [check_invariants]) so callers — tests, the

@@ -32,7 +32,13 @@ type policy = {
 }
 
 val create :
-  Sim.Memory.t -> Stats.t -> min_extend_pages:int -> policy -> t
+  Sim.Memory.t ->
+  Stats.t ->
+  min_extend_pages:int ->
+  (static_area:int -> policy) ->
+  t
+(** [create mem stats ~min_extend_pages make_policy] maps the static
+    page and builds the policy once, from the page's address. *)
 
 val memory : t -> Sim.Memory.t
 val stats : t -> Stats.t

@@ -1,0 +1,12 @@
+(** Hash table keyed by simulated addresses and region handles.
+
+    The measurement-side maps of the allocators and the region runtime
+    ([Regions.Rstats], [Regions.Region], [Workloads.Api]) use it instead
+    of the polymorphic [Hashtbl], whose hash is a C call per lookup. *)
+
+val hash : int -> int
+(** A multiplicative mix of the key, in [0, 2^32).  Its high bits are
+    as well mixed as its low ones, so [hash k lsr (32 - b)] is a good
+    [b]-bit index ({!Stats} uses it that way). *)
+
+include Hashtbl.S with type key = int

@@ -6,14 +6,19 @@
     live memory at any time, and the memory mapped from the OS.
 
     Live-size accounting uses an OCaml-side address table; it is pure
-    measurement and charges no simulated cost. *)
+    measurement and charges no simulated cost.  The table is an
+    open-addressing array of packed ints, so recording an allocation
+    or a free allocates nothing on the host. *)
 
 type t
 
 val create : unit -> t
 
 val on_alloc : t -> addr:int -> size:int -> unit
-(** Record an allocation of [size] requested bytes at [addr]. *)
+(** Record an allocation of [size] requested bytes at [addr].  An
+    allocation at an address already recorded replaces its size.
+    @raise Invalid_argument unless [0 < addr < 2^29] (the simulated
+    address space) and the rounded size is below 2^30. *)
 
 val on_free : t -> int -> unit
 (** Record the deallocation of the block at the given address.

@@ -1,22 +1,22 @@
 (* Best-fit over one doubly-linked free list threaded through free
-   chunks; the list head lives in the allocator's static page. *)
+   chunks; the list head is the first word of the static page. *)
 
-let policy ~head_addr : Chunks.policy =
+(* Full best-fit scan; an exact fit stops early. *)
+let rec scan t size c best best_size =
+  if c = 0 then best
+  else begin
+    let csize = Chunks.chunk_size t c in
+    if csize = size then c
+    else if csize > size && (best = 0 || csize < best_size) then
+      scan t size (Chunks.list_next t c) c csize
+    else scan t size (Chunks.list_next t c) best best_size
+  end
+
+let policy ~static_area:head_addr : Chunks.policy =
   let insert t c = Chunks.list_push t ~head_addr c in
   let unlink t c = Chunks.list_remove t ~head_addr c in
   let find t size =
-    (* Full best-fit scan; an exact fit stops early. *)
-    let rec scan c best best_size =
-      if c = 0 then best
-      else begin
-        let csize = Chunks.chunk_size t c in
-        if csize = size then c
-        else if csize > size && (best = 0 || csize < best_size) then
-          scan (Chunks.list_next t c) c csize
-        else scan (Chunks.list_next t c) best best_size
-      end
-    in
-    let c = scan (Chunks.list_head t ~head_addr) 0 0 in
+    let c = scan t size (Chunks.list_head t ~head_addr) 0 0 in
     if c <> 0 then unlink t c;
     c
   in
@@ -24,18 +24,7 @@ let policy ~head_addr : Chunks.policy =
 
 let create_with_heap mem =
   let stats = Stats.create () in
-  (* The head address is the first word of the static page, which is
-     only known after [Chunks.create]; tie the knot with a ref. *)
-  let head = ref 0 in
-  let pol =
-    {
-      Chunks.insert = (fun t c -> (policy ~head_addr:!head).insert t c);
-      unlink = (fun t c -> (policy ~head_addr:!head).unlink t c);
-      find = (fun t size -> (policy ~head_addr:!head).find t size);
-    }
-  in
-  let heap = Chunks.create mem stats ~min_extend_pages:4 pol in
-  head := Chunks.static_area heap;
+  let heap = Chunks.create mem stats ~min_extend_pages:4 policy in
   ( {
       Allocator.name = "sun";
       memory = mem;

@@ -13,20 +13,27 @@ let mem t = t.alloc.Alloc.Allocator.memory
 
 let cost t = Sim.Memory.cost (mem t)
 
-let newregion t =
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      let r = t.alloc.Alloc.Allocator.malloc 4 in
-      Sim.Memory.store (mem t) r 0;
-      t.live <- t.live + 1;
-      r)
+(* Each operation runs under [Sim.Cost.within]: unlike [with_context],
+   no closure per call. *)
+
+let newregion_body t () =
+  let r = t.alloc.Alloc.Allocator.malloc 4 in
+  Sim.Memory.store (mem t) r 0;
+  t.live <- t.live + 1;
+  r
+
+let newregion t = Sim.Cost.within (cost t) Sim.Cost.Alloc newregion_body t ()
+
+(* [r] and [size] travel as one pair: [within] passes two arguments. *)
+let alloc_body t (r, size) =
+  let p = t.alloc.Alloc.Allocator.malloc (size + overhead_per_object) in
+  let m = mem t in
+  Sim.Memory.store m p (Sim.Memory.load m r);
+  Sim.Memory.store m r p;
+  p + overhead_per_object
 
 let alloc_common t r size =
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      let p = t.alloc.Alloc.Allocator.malloc (size + overhead_per_object) in
-      let m = mem t in
-      Sim.Memory.store m p (Sim.Memory.load m r);
-      Sim.Memory.store m r p;
-      p + overhead_per_object)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc alloc_body t (r, size)
 
 let ralloc t r size =
   let user = alloc_common t r size in
@@ -35,18 +42,19 @@ let ralloc t r size =
 
 let rstralloc t r size = alloc_common t r size
 
-let deleteregion t r =
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      let m = mem t in
-      let rec free_all p =
-        if p <> 0 then begin
-          let next = Sim.Memory.load m p in
-          t.alloc.Alloc.Allocator.free p;
-          free_all next
-        end
-      in
-      free_all (Sim.Memory.load m r);
-      t.alloc.Alloc.Allocator.free r;
-      t.live <- t.live - 1)
+let rec free_all t m p =
+  if p <> 0 then begin
+    let next = Sim.Memory.load m p in
+    t.alloc.Alloc.Allocator.free p;
+    free_all t m next
+  end
+
+let delete_body t r =
+  let m = mem t in
+  free_all t m (Sim.Memory.load m r);
+  t.alloc.Alloc.Allocator.free r;
+  t.live <- t.live - 1
+
+let deleteregion t r = Sim.Cost.within (cost t) Sim.Cost.Alloc delete_body t r
 
 let live_regions t = t.live

@@ -77,8 +77,8 @@ type t = {
   mutable pages_mapped : int;
   mutable page_map : int array;  (* page number -> region address *)
   mutable regions_created : int;
-  large : (int, (int * int) list ref) Hashtbl.t;  (* region -> (addr, pages) *)
-  objects : (int, int list ref) Hashtbl.t;  (* region -> live user addrs *)
+  large : (int * int) list ref Alloc.Int_table.t;  (* region -> (addr, pages) *)
+  objects : int list ref Alloc.Int_table.t;  (* region -> live user addrs *)
   mutable bump : bump option;  (* multi-mutator fast path; None = legacy *)
   mutable mutator_id : int;  (* current mutator identity (0 until set) *)
 }
@@ -245,8 +245,8 @@ let create ?(safe = true) ?(offset_regions = true) ?(eager_locals = false)
       pages_mapped = 0;
       page_map = Array.make 1024 0;
       regions_created = 0;
-      large = Hashtbl.create 16;
-      objects = Hashtbl.create 64;
+      large = Alloc.Int_table.create 16;
+      objects = Alloc.Int_table.create 64;
       bump = None;
       mutator_id = 0;
     }
@@ -464,31 +464,36 @@ let sync_ars_peek t =
 (* ------------------------------------------------------------------ *)
 (* Allocation *)
 
+(* The per-operation entry points below run their bodies under
+   [Sim.Cost.within] rather than [with_context]: no closure is built
+   per allocation.  [within] passes two arguments, so a body that needs
+   more takes the rest as one tuple. *)
+
+let newregion_body t () =
+  Sim.Cost.instr (cost t) 8;
+  let p = new_page t in
+  Sim.Memory.store t.mem p 0 (* no previous page *);
+  let gap = if t.offset_regions then 64 * (t.regions_created mod 8) else 0 in
+  t.regions_created <- t.regions_created + 1;
+  let r = p + 4 + gap in
+  let scan_off = r + struct_bytes - p in
+  Sim.Memory.store t.mem (r + off_rc) 0;
+  Sim.Memory.store t.mem (r + off_npage) p;
+  Sim.Memory.store t.mem (r + off_nfrom) scan_off;
+  Sim.Memory.store t.mem (r + off_spage) 0;
+  Sim.Memory.store t.mem (r + off_sfrom) page_bytes;
+  Sim.Memory.store t.mem (r + off_scan) scan_off;
+  (* End-of-objects marker for the region scan. *)
+  Sim.Memory.store t.mem (p + scan_off) 0;
+  set_page_region t p r;
+  Rstats.on_new t.rstats r;
+  Alloc.Int_table.replace t.objects r (ref []);
+  Obs.Tracer.region_create (Sim.Memory.tracer t.mem) r;
+  r
+
 let newregion t =
   install_hooks t;
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr (cost t) 8;
-      let p = new_page t in
-      Sim.Memory.store t.mem p 0 (* no previous page *);
-      let gap =
-        if t.offset_regions then 64 * (t.regions_created mod 8) else 0
-      in
-      t.regions_created <- t.regions_created + 1;
-      let r = p + 4 + gap in
-      let scan_off = r + struct_bytes - p in
-      Sim.Memory.store t.mem (r + off_rc) 0;
-      Sim.Memory.store t.mem (r + off_npage) p;
-      Sim.Memory.store t.mem (r + off_nfrom) scan_off;
-      Sim.Memory.store t.mem (r + off_spage) 0;
-      Sim.Memory.store t.mem (r + off_sfrom) page_bytes;
-      Sim.Memory.store t.mem (r + off_scan) scan_off;
-      (* End-of-objects marker for the region scan. *)
-      Sim.Memory.store t.mem (p + scan_off) 0;
-      set_page_region t p r;
-      Rstats.on_new t.rstats r;
-      Hashtbl.replace t.objects r (ref []);
-      Obs.Tracer.region_create (Sim.Memory.tracer t.mem) r;
-      r)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc newregion_body t ()
 
 let check_region t r =
   if r = 0 then invalid_arg "Region: null region";
@@ -497,9 +502,9 @@ let check_region t r =
 let record_alloc t r user size =
   Alloc.Stats.on_alloc t.stats ~addr:user ~size;
   Rstats.on_alloc t.rstats r (round4 size);
-  match Hashtbl.find_opt t.objects r with
-  | Some l -> l := user :: !l
-  | None -> ()
+  match Alloc.Int_table.find t.objects r with
+  | l -> l := user :: !l
+  | exception Not_found -> ()
 
 (* Bump-allocate [total] bytes from the normal allocator of [r],
    starting a fresh page when the head page is full.  This is the
@@ -561,19 +566,21 @@ let normal_alloc t r total =
 
 let max_normal_data = page_bytes - 4 (* link *) - 8 (* header + marker *)
 
+let ralloc_body t (r, id, size) =
+  Sim.Cost.instr (cost t) 6;
+  let data = round4 size in
+  if data > max_normal_data then
+    invalid_arg "ralloc: objects must fit in one page";
+  let addr = normal_alloc t r (4 + data) in
+  Sim.Memory.store t.mem addr id;
+  Sim.Memory.clear t.mem (addr + 4) data;
+  let user = addr + 4 in
+  record_alloc t r user size;
+  user
+
 let ralloc_with_id t r id size =
   check_region t r;
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr (cost t) 6;
-      let data = round4 size in
-      if data > max_normal_data then
-        invalid_arg "ralloc: objects must fit in one page";
-      let addr = normal_alloc t r (4 + data) in
-      Sim.Memory.store t.mem addr id;
-      Sim.Memory.clear t.mem (addr + 4) data;
-      let user = addr + 4 in
-      record_alloc t r user size;
-      user)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc ralloc_body t (r, id, size)
 
 let ralloc t r layout =
   ralloc_with_id t r
@@ -587,118 +594,125 @@ let ralloc_custom t r id =
   | Cleanup.Array _ ->
       invalid_arg "ralloc_custom: array cleanups need rarrayalloc"
 
+let rarrayalloc_body t (r, n, (layout : Cleanup.layout)) =
+  Sim.Cost.instr (cost t) 8;
+  let stride = Cleanup.stride layout in
+  let data = n * stride in
+  if data + 4 > max_normal_data then
+    invalid_arg "rarrayalloc: arrays must fit in one page";
+  let id = Cleanup.register_array t.cleanups layout in
+  let addr = normal_alloc t r (8 + data) in
+  Sim.Memory.store t.mem addr id;
+  Sim.Memory.store t.mem (addr + 4) n;
+  Sim.Memory.clear t.mem (addr + 8) data;
+  let user = addr + 8 in
+  record_alloc t r user (n * layout.Cleanup.size_bytes);
+  user
+
 let rarrayalloc t r ~n (layout : Cleanup.layout) =
   check_region t r;
   if n <= 0 then invalid_arg "rarrayalloc: n must be positive";
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr (cost t) 8;
-      let stride = Cleanup.stride layout in
-      let data = n * stride in
-      if data + 4 > max_normal_data then
-        invalid_arg "rarrayalloc: arrays must fit in one page";
-      let id = Cleanup.register_array t.cleanups layout in
-      let addr = normal_alloc t r (8 + data) in
-      Sim.Memory.store t.mem addr id;
-      Sim.Memory.store t.mem (addr + 4) n;
-      Sim.Memory.clear t.mem (addr + 8) data;
-      let user = addr + 8 in
-      record_alloc t r user (n * layout.Cleanup.size_bytes);
-      user)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc rarrayalloc_body t (r, n, layout)
+
+let rstralloc_body t (r, size) =
+  Sim.Cost.instr (cost t) 5;
+  let data = round4 size in
+  if data <= page_bytes - 4 then begin
+    (* Small: bump from the string allocator (no header, not
+       cleared, never scanned). *)
+    let from = Sim.Memory.load t.mem (r + off_sfrom) in
+    let page = Sim.Memory.load t.mem (r + off_spage) in
+    let page, from =
+      if page <> 0 && from + data <= page_bytes then (page, from)
+      else begin
+        let p = new_page t in
+        Sim.Memory.store t.mem p page;
+        Sim.Memory.store t.mem (r + off_spage) p;
+        set_page_region t p r;
+        (p, 4)
+      end
+    in
+    let addr = page + from in
+    Sim.Memory.store t.mem (r + off_sfrom) (from + data);
+    record_alloc t r addr size;
+    addr
+  end
+  else begin
+    (* Large object: dedicated pages, reusing a freed extent when
+       one is big enough, mapping fresh from the OS otherwise. *)
+    let pages = (data + page_bytes - 1) / page_bytes in
+    let addr =
+      if pages = 1 then new_page t
+      else
+        match find_block t pages with
+        | Some e -> take_block t pages e
+        | None ->
+            Sim.Cost.instr (cost t) 20;
+            let a = Sim.Memory.map_pages t.mem pages in
+            Alloc.Stats.on_map t.stats (pages * page_bytes);
+            t.pages_mapped <- t.pages_mapped + pages;
+            a
+    in
+    for i = 0 to pages - 1 do
+      set_page_region t (addr + (i * page_bytes)) r
+    done;
+    let l =
+      match Alloc.Int_table.find t.large r with
+      | l -> l
+      | exception Not_found ->
+          let l = ref [] in
+          Alloc.Int_table.replace t.large r l;
+          l
+    in
+    l := (addr, pages) :: !l;
+    record_alloc t r addr size;
+    addr
+  end
 
 let rstralloc t r size =
   check_region t r;
   if size <= 0 then invalid_arg "rstralloc: size must be positive";
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr (cost t) 5;
-      let data = round4 size in
-      if data <= page_bytes - 4 then begin
-        (* Small: bump from the string allocator (no header, not
-           cleared, never scanned). *)
-        let from = Sim.Memory.load t.mem (r + off_sfrom) in
-        let page = Sim.Memory.load t.mem (r + off_spage) in
-        let page, from =
-          if page <> 0 && from + data <= page_bytes then (page, from)
-          else begin
-            let p = new_page t in
-            Sim.Memory.store t.mem p page;
-            Sim.Memory.store t.mem (r + off_spage) p;
-            set_page_region t p r;
-            (p, 4)
-          end
-        in
-        let addr = page + from in
-        Sim.Memory.store t.mem (r + off_sfrom) (from + data);
-        record_alloc t r addr size;
-        addr
-      end
-      else begin
-        (* Large object: dedicated pages, reusing a freed extent when
-           one is big enough, mapping fresh from the OS otherwise. *)
-        let pages = (data + page_bytes - 1) / page_bytes in
-        let addr =
-          if pages = 1 then new_page t
-          else
-            match find_block t pages with
-            | Some e -> take_block t pages e
-            | None ->
-                Sim.Cost.instr (cost t) 20;
-                let a = Sim.Memory.map_pages t.mem pages in
-                Alloc.Stats.on_map t.stats (pages * page_bytes);
-                t.pages_mapped <- t.pages_mapped + pages;
-                a
-        in
-        for i = 0 to pages - 1 do
-          set_page_region t (addr + (i * page_bytes)) r
-        done;
-        let l =
-          match Hashtbl.find_opt t.large r with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.replace t.large r l;
-              l
-        in
-        l := (addr, pages) :: !l;
-        record_alloc t r addr size;
-        addr
-      end)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc rstralloc_body t (r, size)
 
 (* ------------------------------------------------------------------ *)
-(* Write barriers (Figure 5) *)
+(* Write barriers (Figure 5); like the allocation entry points, the
+   barrier runs under [Sim.Cost.within]. *)
 
 let global_write_cost = 16
 let region_write_cost = 23
 let sameregion_hint_cost = 2
 
+let barrier_body t (addr, value) =
+  let c = cost t in
+  let before = Sim.Cost.refcount_instrs c in
+  let container = regionof0 t addr in
+  let old = Sim.Memory.load t.mem addr in
+  let r_old = regionof0 t old in
+  let r_new = regionof0 t value in
+  if r_old <> r_new then begin
+    if r_old <> 0 && r_old <> container then rc_add t r_old (-1);
+    if r_new <> 0 && r_new <> container then rc_add t r_new 1
+  end;
+  let target =
+    if container = 0 then global_write_cost else region_write_cost
+  in
+  let used = Sim.Cost.refcount_instrs c - before in
+  if used < target then Sim.Cost.instr c (target - used)
+
 let write_ptr t ?(same_region_hint = false) ~addr value =
   if not t.safe then Sim.Memory.store t.mem addr value
   else begin
     let c = cost t in
-    Sim.Cost.with_context c Sim.Cost.Refcount (fun () ->
-        let before = Sim.Cost.refcount_instrs c in
-        if same_region_hint then
-          (* The compile-time sameregion optimisation of section 5.6:
-             no lookups, no count updates. *)
-          Sim.Cost.instr c sameregion_hint_cost
-        else begin
-          let container = regionof0 t addr in
-          let old = Sim.Memory.load t.mem addr in
-          let r_old = regionof0 t old in
-          let r_new = regionof0 t value in
-          if r_old <> r_new then begin
-            if r_old <> 0 && r_old <> container then rc_add t r_old (-1);
-            if r_new <> 0 && r_new <> container then rc_add t r_new 1
-          end;
-          let target =
-            if container = 0 then global_write_cost else region_write_cost
-          in
-          let used = Sim.Cost.refcount_instrs c - before in
-          if used < target then Sim.Cost.instr c (target - used)
-        end);
+    if same_region_hint then
+      (* The compile-time sameregion optimisation of section 5.6: no
+         lookups, no count updates. *)
+      Sim.Cost.within c Sim.Cost.Refcount Sim.Cost.instr c
+        sameregion_hint_cost
+    else Sim.Cost.within c Sim.Cost.Refcount barrier_body t (addr, value);
     Obs.Tracer.barrier (Sim.Memory.tracer t.mem) ~addr
-      ~hinted:same_region_hint
-  end;
-  if t.safe then Sim.Memory.store t.mem addr value
+      ~hinted:same_region_hint;
+    Sim.Memory.store t.mem addr value
+  end
 
 let set_local_ptr t fr i v =
   if t.safe && t.eager_locals then begin
@@ -781,15 +795,15 @@ let release_region t r =
       let spages = collect_pages t (Sim.Memory.load t.mem (r + off_spage)) in
       List.iter (release_page t) spages;
       List.iter (release_page t) npages;
-      (match Hashtbl.find_opt t.large r with
+      (match Alloc.Int_table.find_opt t.large r with
       | Some l ->
           List.iter (fun (addr, pages) -> release_block t addr pages) !l;
-          Hashtbl.remove t.large r
+          Alloc.Int_table.remove t.large r
       | None -> ());
-      (match Hashtbl.find_opt t.objects r with
+      (match Alloc.Int_table.find_opt t.objects r with
       | Some l ->
           List.iter (Alloc.Stats.on_free t.stats) !l;
-          Hashtbl.remove t.objects r
+          Alloc.Int_table.remove t.objects r
       | None -> ());
       Rstats.on_delete t.rstats r)
 
@@ -837,7 +851,11 @@ let deleteregion t ptr =
 (* ------------------------------------------------------------------ *)
 (* Test helpers *)
 
-let live_regions t = Hashtbl.fold (fun r _ acc -> r :: acc) t.objects []
+(* Ascending, so that what callers derive from it (the reference
+   listings of [Debug], the order of invariant failures) does not
+   depend on the table's layout. *)
+let live_regions t =
+  List.sort Int.compare (Alloc.Int_table.fold (fun r _ acc -> r :: acc) t.objects [])
 let regionof_peek = regionof0
 
 let collect_pages_peek t head =
@@ -900,7 +918,7 @@ let check_invariants t =
       let spages = collect_pages_peek t (Sim.Memory.peek t.mem (r + off_spage)) in
       List.iter (fun p -> check_page_mapped r p "normal") npages;
       List.iter (fun p -> check_page_mapped r p "string") spages;
-      (match Hashtbl.find_opt t.large r with
+      (match Alloc.Int_table.find_opt t.large r with
       | Some l ->
           List.iter
             (fun (addr, pages) ->

@@ -205,6 +205,7 @@ val pool_pages : t -> int
     cost. *)
 
 val live_regions : t -> region list
+(** Every live region, in ascending order. *)
 
 val regionof_peek : t -> int -> region
 (** As {!regionof} but free of charge. *)

@@ -7,7 +7,7 @@ type t = {
   mutable max_bytes : int;
   mutable all_bytes : int;
   mutable all_allocs : int;
-  per_region : (int, info) Hashtbl.t;
+  per_region : info Alloc.Int_table.t;
 }
 
 let create () =
@@ -18,19 +18,20 @@ let create () =
     max_bytes = 0;
     all_bytes = 0;
     all_allocs = 0;
-    per_region = Hashtbl.create 64;
+    per_region = Alloc.Int_table.create 64;
   }
 
 let on_new t r =
   t.total <- t.total + 1;
   t.live <- t.live + 1;
   if t.live > t.max_live then t.max_live <- t.live;
-  Hashtbl.replace t.per_region r { bytes = 0; allocs = 0 }
+  Alloc.Int_table.replace t.per_region r { bytes = 0; allocs = 0 }
 
+(* [find], not [find_opt]: a hit allocates no option. *)
 let on_alloc t r bytes =
-  match Hashtbl.find_opt t.per_region r with
-  | None -> ()
-  | Some info ->
+  match Alloc.Int_table.find t.per_region r with
+  | exception Not_found -> ()
+  | info ->
       info.bytes <- info.bytes + bytes;
       info.allocs <- info.allocs + 1;
       if info.bytes > t.max_bytes then t.max_bytes <- info.bytes;
@@ -38,10 +39,10 @@ let on_alloc t r bytes =
       t.all_allocs <- t.all_allocs + 1
 
 let on_delete t r =
-  match Hashtbl.find_opt t.per_region r with
+  match Alloc.Int_table.find_opt t.per_region r with
   | None -> ()
   | Some _ ->
-      Hashtbl.remove t.per_region r;
+      Alloc.Int_table.remove t.per_region r;
       t.live <- t.live - 1
 
 let total_regions t = t.total

@@ -25,7 +25,12 @@ type block = Small of small_block | Large of large_block
 type t = {
   mem : Sim.Memory.t;
   stats : Alloc.Stats.t;
-  blocks : (int, block) Hashtbl.t;  (* page number -> block *)
+  blocks : (int, block) Hashtbl.t;
+      (* page number -> block, for the mark-clear and sweep iterations
+         only: its iteration order decides the order in which swept
+         objects are pushed on the free lists, which the golden results
+         pin.  Lookups go through [pages]. *)
+  mutable pages : block option array;  (* page number -> block, flat *)
   freelists : int array;  (* per class; links threaded through the heap *)
   mutable free_large : (int * large_block) list;  (* pages, block *)
   mutable heap_bytes : int;
@@ -51,6 +56,23 @@ let bit_clear b i =
 let cost t = Sim.Memory.cost t.mem
 
 (* ------------------------------------------------------------------ *)
+(* Page map *)
+
+let[@inline] block_at t pageno =
+  if pageno < Array.length t.pages then Array.unsafe_get t.pages pageno
+  else None
+
+let add_block t pageno entry blk =
+  let n = Array.length t.pages in
+  if pageno >= n then begin
+    let bigger = Array.make (max (2 * n) (pageno + 1)) None in
+    Array.blit t.pages 0 bigger 0 n;
+    t.pages <- bigger
+  end;
+  t.pages.(pageno) <- entry;
+  Hashtbl.replace t.blocks pageno blk
+
+(* ------------------------------------------------------------------ *)
 (* Block management *)
 
 let carve_small t cls =
@@ -61,8 +83,17 @@ let carve_small t cls =
   t.heap_bytes <- t.heap_bytes + page_bytes;
   let nobj = page_bytes / csize in
   let bits () = Bytes.make ((nobj + 7) / 8) '\000' in
-  Hashtbl.replace t.blocks (addr lsr 12)
-    (Small { s_addr = addr; s_class = csize; s_nobj = nobj; s_alloc = bits (); s_mark = bits () });
+  let blk =
+    Small
+      {
+        s_addr = addr;
+        s_class = csize;
+        s_nobj = nobj;
+        s_alloc = bits ();
+        s_mark = bits ();
+      }
+  in
+  add_block t (addr lsr 12) (Some blk) blk;
   (* Thread the fresh objects onto the class free list. *)
   for i = nobj - 1 downto 0 do
     let o = addr + (i * csize) in
@@ -109,8 +140,10 @@ let map_large t size pages =
       l_marked = false;
     }
   in
+  let large = Large blk in
+  let entry = Some large in
   for i = 0 to pages - 1 do
-    Hashtbl.replace t.blocks ((addr lsr 12) + i) (Large blk)
+    add_block t ((addr lsr 12) + i) entry large
   done;
   blk
 
@@ -119,6 +152,7 @@ let map_large t size pages =
 
 let collect_into t =
   t.collections <- t.collections + 1;
+  let c = cost t in
   Obs.Tracer.gc_begin (Sim.Memory.tracer t.mem) ~ordinal:t.collections;
   (* Clear marks. *)
   Hashtbl.iter
@@ -129,14 +163,14 @@ let collect_into t =
             Bytes.fill b.s_mark 0 (Bytes.length b.s_mark) '\000'
       | Large b -> if pageno = b.l_addr lsr 12 then b.l_marked <- false)
     t.blocks;
-  Sim.Cost.instr (cost t) (Hashtbl.length t.blocks);
+  Sim.Cost.instr c (Hashtbl.length t.blocks);
   let stack = ref [] in
   (* Conservative pointer test: any word reaching into an allocated
      object (interior pointers included) pins that object. *)
   let try_mark v =
-    Sim.Cost.instr (cost t) 2;
+    Sim.Cost.instr c 2;
     if v land 3 = 0 && v > 0 then
-      match Hashtbl.find_opt t.blocks (v lsr 12) with
+      match block_at t (v lsr 12) with
       | Some (Small b) ->
           let off = v - b.s_addr in
           if off >= 0 && off < b.s_nobj * b.s_class then begin
@@ -174,7 +208,7 @@ let collect_into t =
       | Small b when pageno = b.s_addr lsr 12 ->
           let cls = class_of_size b.s_class in
           for idx = 0 to b.s_nobj - 1 do
-            Sim.Cost.instr (cost t) 1;
+            Sim.Cost.instr c 1;
             if bit_get b.s_alloc idx then
               if bit_get b.s_mark idx then live := !live + b.s_class
               else begin
@@ -187,7 +221,7 @@ let collect_into t =
           done
       | Small _ -> ()
       | Large b when pageno = b.l_addr lsr 12 ->
-          Sim.Cost.instr (cost t) 2;
+          Sim.Cost.instr c 2;
           if b.l_allocated then
             if b.l_marked then live := !live + b.l_bytes
             else begin
@@ -220,66 +254,69 @@ let collect t =
    under that feedback loop. *)
 let maybe_gc t =
   let threshold =
-    max t.trigger_min (int_of_float (t.fraction *. float_of_int t.heap_at_gc))
+    Int.max t.trigger_min (int_of_float (t.fraction *. float_of_int t.heap_at_gc))
   in
   if t.since_gc > threshold then collect_into t
 
+(* The body runs under [Sim.Cost.within], not [with_context], so no
+   closure is built per allocation. *)
+let malloc_body t size =
+  Sim.Cost.instr (cost t) 6;
+  maybe_gc t;
+  (* Collect-before-expand, as in the real collector: a free-list or
+     free-block miss first tries a collection (if enough has been
+     allocated since the last one to plausibly help) and maps fresh
+     pages only if the miss persists.  Expanding directly on a miss
+     lets the heap — and with it the collection threshold — ratchet
+     upward under churn that a collection would have absorbed, so the
+     heap of a high-churn program never stops growing. *)
+  let user =
+    if size <= max_small then begin
+      let cls = class_of_size size in
+      if t.freelists.(cls) = 0 && t.since_gc > t.trigger_min then
+        collect_into t;
+      if t.freelists.(cls) = 0 then carve_small t cls;
+      let o = t.freelists.(cls) in
+      t.freelists.(cls) <- Sim.Memory.load t.mem o;
+      (match block_at t (o lsr 12) with
+      | Some (Small b) -> bit_set b.s_alloc ((o - b.s_addr) / b.s_class)
+      | Some (Large _) | None -> assert false);
+      (* GC_malloc returns zeroed storage. *)
+      Sim.Memory.clear t.mem o (class_bytes cls);
+      t.since_gc <- t.since_gc + class_bytes cls;
+      o
+    end
+    else begin
+      let pages = large_pages size in
+      let blk =
+        match find_large t pages with
+        | Some e -> take_large t size e
+        | None ->
+            if t.since_gc > t.trigger_min then collect_into t;
+            (match find_large t pages with
+            | Some e -> take_large t size e
+            | None -> map_large t size pages)
+      in
+      Sim.Memory.clear t.mem blk.l_addr blk.l_bytes;
+      t.since_gc <- t.since_gc + blk.l_bytes;
+      blk.l_addr
+    end
+  in
+  Alloc.Stats.on_alloc t.stats ~addr:user ~size;
+  user
+
 let malloc t size =
   Alloc.Allocator.check_size size;
-  Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-      Sim.Cost.instr (cost t) 6;
-      maybe_gc t;
-      (* Collect-before-expand, as in the real collector: a free-list
-         or free-block miss first tries a collection (if enough has
-         been allocated since the last one to plausibly help) and maps
-         fresh pages only if the miss persists.  Expanding directly on
-         a miss lets the heap — and with it the collection threshold —
-         ratchet upward under churn that a collection would have
-         absorbed, so the heap of a high-churn program never stops
-         growing. *)
-      let user =
-        if size <= max_small then begin
-          let cls = class_of_size size in
-          if t.freelists.(cls) = 0 && t.since_gc > t.trigger_min then
-            collect_into t;
-          if t.freelists.(cls) = 0 then carve_small t cls;
-          let o = t.freelists.(cls) in
-          t.freelists.(cls) <- Sim.Memory.load t.mem o;
-          (match Hashtbl.find_opt t.blocks (o lsr 12) with
-          | Some (Small b) -> bit_set b.s_alloc ((o - b.s_addr) / b.s_class)
-          | Some (Large _) | None -> assert false);
-          (* GC_malloc returns zeroed storage. *)
-          Sim.Memory.clear t.mem o (class_bytes cls);
-          t.since_gc <- t.since_gc + class_bytes cls;
-          o
-        end
-        else begin
-          let pages = large_pages size in
-          let blk =
-            match find_large t pages with
-            | Some e -> take_large t size e
-            | None ->
-                if t.since_gc > t.trigger_min then collect_into t;
-                (match find_large t pages with
-                | Some e -> take_large t size e
-                | None -> map_large t size pages)
-          in
-          Sim.Memory.clear t.mem blk.l_addr blk.l_bytes;
-          t.since_gc <- t.since_gc + blk.l_bytes;
-          blk.l_addr
-        end
-      in
-      Alloc.Stats.on_alloc t.stats ~addr:user ~size;
-      user)
+  Sim.Cost.within (cost t) Sim.Cost.Alloc malloc_body t size
 
 let usable_size t user =
-  match Hashtbl.find_opt t.blocks (user lsr 12) with
+  match block_at t (user lsr 12) with
   | Some (Small b) -> b.s_class
   | Some (Large b) -> b.l_bytes
   | None -> 0
 
 let is_live t addr =
-  match Hashtbl.find_opt t.blocks (addr lsr 12) with
+  match block_at t (addr lsr 12) with
   | Some (Small b) ->
       let off = addr - b.s_addr in
       off >= 0
@@ -308,7 +345,7 @@ let check_heap t () =
           if Hashtbl.mem seen o then
             fail "gc: class-%d free list cycles at %#x" csize o;
           Hashtbl.add seen o ();
-          (match Hashtbl.find_opt t.blocks (o lsr 12) with
+          (match block_at t (o lsr 12) with
           | Some (Small b) ->
               if b.s_class <> csize then
                 fail "gc: free object %#x of class %d on the class-%d list"
@@ -339,6 +376,7 @@ let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
       mem;
       stats = Alloc.Stats.create ();
       blocks = Hashtbl.create 256;
+      pages = Array.make 256 None;
       freelists = Array.make num_classes 0;
       free_large = [];
       heap_bytes = 0;

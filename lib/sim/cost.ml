@@ -60,19 +60,27 @@ let settle t =
 
 let context t = t.context
 
-let with_context t c f =
+let enter t c =
   let saved = t.context in
   settle t;
   t.context <- c;
-  match f () with
+  saved
+
+let leave t saved =
+  settle t;
+  t.context <- saved
+
+let within t c f a b =
+  let saved = enter t c in
+  match f a b with
   | v ->
-      settle t;
-      t.context <- saved;
+      leave t saved;
       v
   | exception e ->
-      settle t;
-      t.context <- saved;
+      leave t saved;
       raise e
+
+let with_context t c f = within t c (fun f () -> f ()) f ()
 
 let account t c settled =
   if t.context = c then settled + (t.instrs - t.mark) else settled

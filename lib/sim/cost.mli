@@ -46,7 +46,24 @@ val instr : t -> int -> unit
 (** [instr t n] charges [n] instructions to the current context. *)
 
 val context : t -> context
+
+val enter : t -> context -> context
+(** [enter t c] switches the current context to [c] and returns the
+    context it replaced, for {!leave}. *)
+
+val leave : t -> context -> unit
+(** [leave t saved] settles the current context's charges and restores
+    [saved]. *)
+
+val within : t -> context -> ('a -> 'b -> 'r) -> 'a -> 'b -> 'r
+(** [within t c f a b] runs [f a b] between {!enter} and {!leave},
+    also when [f] raises.  For the per-operation sites (malloc, free,
+    ralloc, ...): with [f] a top-level function, the call allocates
+    no closure. *)
+
 val with_context : t -> context -> (unit -> 'a) -> 'a
+(** [with_context t c f] is [within] for a thunk.  For cold paths:
+    the closure [f] is allocated per call. *)
 
 val add_read_stall : t -> int -> unit
 val add_write_stall : t -> int -> unit

@@ -429,6 +429,23 @@ let load_block t addr n =
     out
   end
 
+(* The scan stops at the first nonzero word, and must charge, probe
+   the cache and fault exactly as a {!load} loop that stops there:
+   each word is checked before it is charged, so a scan that reaches
+   an unmapped word faults after charging the words before it.  A
+   [while] loop, not a local recursive function, so no closure is
+   built per call. *)
+let find_nonzero t addr n =
+  if n < 0 then invalid_arg "Memory.find_nonzero: negative length";
+  let i = ref 0 and found = ref false in
+  while (not !found) && !i < n do
+    let a = addr + (!i * 4) in
+    check_word t a;
+    touch_read t a;
+    if raw_load t a <> 0 then found := true else incr i
+  done;
+  !i
+
 let store_block t addr words =
   let n = Array.length words in
   if n > 0 then begin

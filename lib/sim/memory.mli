@@ -134,6 +134,14 @@ val load_block : t -> int -> int -> int array
     calls to {!load} (one instruction and one cache read per word);
     bounds are validated once. *)
 
+val find_nonzero : t -> int -> int -> int
+(** [find_nonzero t addr n] is the index of the first nonzero word
+    among the [n] consecutive words at word-aligned [addr], or [n] if
+    all are zero.  Costs and faults are identical to a {!load} loop
+    that stops after the first nonzero word: one instruction and one
+    cache read per word examined, in address order.  Read the word
+    found with {!peek}: its load is already charged. *)
+
 val store_block : t -> int -> int array -> unit
 (** [store_block t addr words] writes [words] consecutively starting
     at word-aligned [addr].  Costs are identical to a {!store} loop. *)

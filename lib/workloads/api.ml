@@ -70,7 +70,7 @@ type t = {
   emu : Regions.Emulation.t option;
   reg : Regions.Region.t option;
   req : Alloc.Stats.t;  (* program-requested accounting *)
-  region_objects : (int, (int * int) list ref) Hashtbl.t;
+  region_objects : int list ref Alloc.Int_table.t;  (* region -> live objects *)
   mutable emu_overhead : int;  (* current bytes of emulation bookkeeping *)
   mutable emu_overhead_max : int;
   root_providers : ((int -> unit) -> unit) list ref;
@@ -147,7 +147,7 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
       emu;
       reg;
       req = Alloc.Stats.create ();
-      region_objects = Hashtbl.create 64;
+      region_objects = Alloc.Int_table.create 64;
       emu_overhead = 0;
       emu_overhead_max = 0;
       root_providers = providers;
@@ -205,11 +205,11 @@ let cost t = t.cost
 (* Recorder dispatch.  [recd] is a single cold branch when recording is
    off; [frame_index] resolves a frame value to its stack depth (the
    form a trace can name), searching from the top since workloads
-   almost always touch the current frame.  The store-family entry
-   points below match on [t.recorder] inline instead of going through
-   [recd]: passing [recd] a closure would allocate it per store,
-   recording or not, and those calls sit on the workloads' hottest
-   path. *)
+   almost always touch the current frame.  The store-family and
+   allocation entry points below match on [t.recorder] inline instead
+   of going through [recd]: passing [recd] a closure would allocate it
+   per call, recording or not, and those calls sit on the workloads'
+   hottest paths. *)
 let recd t f = match t.recorder with Some r -> f r | None -> ()
 
 let frame_index t fr =
@@ -272,13 +272,17 @@ let with_frame t ~nslots ~ptr_slots f =
 
 let set_local t fr i v =
   Regions.Mutator.set_local t.mut fr i v;
-  recd t (fun r -> r.rec_set_local ~frame:(frame_index t fr) ~slot:i v)
+  match t.recorder with
+  | Some r -> r.rec_set_local ~frame:(frame_index t fr) ~slot:i v
+  | None -> ()
 
 let set_local_ptr t fr i v =
   (match t.reg with
   | Some lib -> Regions.Region.set_local_ptr lib fr i v
   | None -> Regions.Mutator.set_local t.mut fr i v);
-  recd t (fun r -> r.rec_set_local_ptr ~frame:(frame_index t fr) ~slot:i v)
+  match t.recorder with
+  | Some r -> r.rec_set_local_ptr ~frame:(frame_index t fr) ~slot:i v
+  | None -> ()
 
 let get_local = Regions.Mutator.get_local
 
@@ -323,7 +327,7 @@ let malloc t size =
       let p = a.Alloc.Allocator.malloc size in
       Alloc.Stats.on_alloc t.req ~addr:p ~size;
       Obs.Tracer.malloc t.tracer ~addr:p ~bytes:size;
-      recd t (fun r -> r.rec_malloc ~size ~addr:p);
+      (match t.recorder with Some r -> r.rec_malloc ~size ~addr:p | None -> ());
       p
   | _ -> unsupported t "malloc"
 
@@ -334,12 +338,12 @@ let free t addr =
          accounting proceeds. *)
       Alloc.Stats.on_free t.req addr;
       Obs.Tracer.free t.tracer ~addr;
-      recd t (fun r -> r.rec_free ~addr)
+      (match t.recorder with Some r -> r.rec_free ~addr | None -> ())
   | Direct _, Some a ->
       Alloc.Stats.on_free t.req addr;
       a.Alloc.Allocator.free addr;
       Obs.Tracer.free t.tracer ~addr;
-      recd t (fun r -> r.rec_free ~addr)
+      (match t.recorder with Some r -> r.rec_free ~addr | None -> ())
   | _ -> unsupported t "free"
 
 (* ------------------------------------------------------------------ *)
@@ -348,9 +352,9 @@ let free t addr =
 let track_object t r addr size =
   Alloc.Stats.on_alloc t.req ~addr ~size;
   Obs.Tracer.ralloc t.tracer ~addr ~bytes:size;
-  match Hashtbl.find_opt t.region_objects r with
-  | Some l -> l := (addr, size) :: !l
-  | None -> Hashtbl.replace t.region_objects r (ref [ (addr, size) ])
+  match Alloc.Int_table.find t.region_objects r with
+  | l -> l := addr :: !l
+  | exception Not_found -> Alloc.Int_table.replace t.region_objects r (ref [ addr ])
 
 let bump_emu_overhead t bytes =
   t.emu_overhead <- t.emu_overhead + bytes;
@@ -367,7 +371,7 @@ let newregion t =
         r
     | None, None -> unsupported t "newregion"
   in
-  recd t (fun rc -> rc.rec_newregion ~r);
+  (match t.recorder with Some rc -> rc.rec_newregion ~r | None -> ());
   r
 
 let ralloc t r layout =
@@ -386,7 +390,9 @@ let ralloc t r layout =
         p
     | None, None -> unsupported t "ralloc"
   in
-  recd t (fun rc -> rc.rec_ralloc ~r ~layout ~addr:p);
+  (match t.recorder with
+  | Some rc -> rc.rec_ralloc ~r ~layout ~addr:p
+  | None -> ());
   p
 
 let rstralloc t r size =
@@ -403,7 +409,9 @@ let rstralloc t r size =
         p
     | None, None -> unsupported t "rstralloc"
   in
-  recd t (fun rc -> rc.rec_rstralloc ~r ~size ~addr:p);
+  (match t.recorder with
+  | Some rc -> rc.rec_rstralloc ~r ~size ~addr:p
+  | None -> ());
   p
 
 let rarrayalloc t r ~n layout =
@@ -421,20 +429,22 @@ let rarrayalloc t r ~n layout =
         p
     | None, None -> unsupported t "rarrayalloc"
   in
-  recd t (fun rc -> rc.rec_rarrayalloc ~r ~n ~layout ~addr:p);
+  (match t.recorder with
+  | Some rc -> rc.rec_rarrayalloc ~r ~n ~layout ~addr:p
+  | None -> ());
   p
 
 let forget_region t r =
-  match Hashtbl.find_opt t.region_objects r with
+  match Alloc.Int_table.find_opt t.region_objects r with
   | Some l ->
-      List.iter (fun (addr, _) -> Alloc.Stats.on_free t.req addr) !l;
+      List.iter (Alloc.Stats.on_free t.req) !l;
       (match t.emu with
       | Some _ ->
           t.emu_overhead <-
             t.emu_overhead - 12
             - (List.length !l * Regions.Emulation.overhead_per_object)
       | None -> ());
-      Hashtbl.remove t.region_objects r
+      Alloc.Int_table.remove t.region_objects r
   | None -> if t.emu <> None then t.emu_overhead <- t.emu_overhead - 12
 
 let deleteregion t fr slot =
@@ -447,7 +457,9 @@ let deleteregion t fr slot =
       let r = Regions.Mutator.get_local fr slot in
       let ok = Regions.Region.deleteregion lib (Regions.Region.In_frame (fr, slot)) in
       if ok then forget_region t r;
-      recd t (fun rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok);
+      (match t.recorder with
+      | Some rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok
+      | None -> ());
       ok
   | None, Some emu ->
       let r = Regions.Mutator.get_local fr slot in
@@ -455,7 +467,9 @@ let deleteregion t fr slot =
       forget_region t r;
       Regions.Mutator.set_local t.mut fr slot 0;
       Obs.Tracer.region_delete t.tracer ~deleted:true r;
-      recd t (fun rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok:true);
+      (match t.recorder with
+      | Some rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok:true
+      | None -> ());
       true
   | None, None -> unsupported t "deleteregion"
 

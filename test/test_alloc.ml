@@ -392,6 +392,92 @@ let test_stats_total_monotone () =
   check "total counts every allocation" (t1 + 100)
     (Alloc.Stats.total_bytes a.stats)
 
+(* ------------------------------------------------------------------ *)
+(* The Stats address table against a [Hashtbl] model *)
+
+type stats_op =
+  | S_alloc of int * int  (* addr, size *)
+  | S_free of int
+  | S_burst of int * int  (* first addr, count: fresh 16-apart allocations *)
+
+(* Addresses from a few pools: a small set (so re-allocation at a live
+   address and frees of live ones are common), page-aligned ones (the
+   collision case of an identity hash), addresses just below 2^29, and
+   arbitrary word-aligned ones (mostly unknown when freed). *)
+let stats_addr =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> 4096 + (i * 8)) (int_bound 31));
+        (3, map (fun k -> k * 4096) (int_range 1 ((1 lsl 17) - 1)));
+        (2, map (fun k -> (1 lsl 29) - (4 * k)) (int_range 1 64));
+        (1, map (fun w -> w * 4) (int_range 1 ((1 lsl 27) - 1)));
+      ])
+
+let stats_size =
+  QCheck.Gen.(
+    frequency
+      [ (6, int_range 1 600); (1, map (fun k -> (1 lsl 29) - k) (int_bound 8)) ])
+
+let stats_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun a s -> S_alloc (a, s)) stats_addr stats_size);
+        (5, map (fun a -> S_free a) stats_addr);
+        (1, map2 (fun a n -> S_burst (a, n)) stats_addr (int_range 100 2000));
+      ])
+
+let stats_arb =
+  QCheck.make
+    ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+    QCheck.Gen.(list_size (int_bound 120) stats_op_gen)
+
+let prop_stats_matches_hashtbl =
+  QCheck.Test.make ~name:"Stats address table matches a Hashtbl model"
+    ~count:100 stats_arb (fun ops ->
+      let st = Alloc.Stats.create () in
+      let model = Hashtbl.create 16 in
+      let allocs = ref 0 and frees = ref 0 in
+      let live = ref 0 and max_live = ref 0 in
+      let same () =
+        Alloc.Stats.allocs st = !allocs
+        && Alloc.Stats.frees st = !frees
+        && Alloc.Stats.live_bytes st = !live
+        && Alloc.Stats.max_live_bytes st = !max_live
+      in
+      let alloc addr size =
+        Alloc.Stats.on_alloc st ~addr ~size;
+        let size = (size + 3) land lnot 3 in
+        incr allocs;
+        live := !live + size;
+        if !live > !max_live then max_live := !live;
+        Hashtbl.replace model addr size;
+        same ()
+      in
+      let free addr =
+        Alloc.Stats.on_free st addr;
+        (match Hashtbl.find_opt model addr with
+        | Some size ->
+            Hashtbl.remove model addr;
+            incr frees;
+            live := !live - size
+        | None -> ());
+        same ()
+      in
+      let rec burst a n =
+        n = 0 || a >= 1 lsl 29 || (alloc a 8 && burst (a + 16) (n - 1))
+      in
+      List.for_all
+        (function
+          | S_alloc (a, s) -> alloc a s
+          | S_free a -> free a
+          | S_burst (a, n) -> burst a n)
+        ops
+      (* Draining the model frees every live entry: each must still be
+         found after all the moves deletion made. *)
+      && List.for_all free (Hashtbl.fold (fun a _ acc -> a :: acc) model []))
+
 let () =
   let tc = Alcotest.test_case in
   let common impl =
@@ -443,5 +529,6 @@ let () =
             tc "two allocators share one memory" `Quick
               test_interleaved_allocators_share_memory;
             tc "stats total monotone" `Quick test_stats_total_monotone;
+            QCheck_alcotest.to_alcotest prop_stats_matches_hashtbl;
           ] );
       ])

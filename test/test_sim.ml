@@ -74,6 +74,25 @@ let test_cost_context_restored_on_exception () =
    with Failure _ -> ());
   check_bool "context restored" true (Sim.Cost.context c = Sim.Cost.Base)
 
+let test_cost_within () =
+  let c = Sim.Cost.create () in
+  let add a b =
+    Sim.Cost.instr c a;
+    a + b
+  in
+  check "result" 12 (Sim.Cost.within c Sim.Cost.Alloc add 5 7);
+  (try
+     Sim.Cost.within c Sim.Cost.Refcount
+       (fun n () ->
+         Sim.Cost.instr c n;
+         failwith "boom")
+       3 ()
+   with Failure _ -> ());
+  check_bool "context restored" true (Sim.Cost.context c = Sim.Cost.Base);
+  check "alloc" 5 (Sim.Cost.alloc_instrs c);
+  check "refcount charged before the raise" 3 (Sim.Cost.refcount_instrs c);
+  check "base" 0 (Sim.Cost.base_instrs c)
+
 let test_cost_nesting () =
   let c = Sim.Cost.create () in
   Sim.Cost.with_context c Sim.Cost.Alloc (fun () ->
@@ -743,6 +762,75 @@ let test_memory_oom_hook () =
   | _ -> Alcotest.fail "expected Fault once budget exhausted"
   | exception Sim.Memory.Fault _ -> ()
 
+(* [find_nonzero] vs a [load] loop that stops at the first nonzero
+   word: same index, same charges, same cache traffic, and the same
+   fault when the scan runs off the mapped range (or starts
+   unaligned).  [ways = 0] runs with the cache model off. *)
+let scan_arb =
+  QCheck.make
+    ~print:(fun (ways, warm, nz, (off, n)) ->
+      Printf.sprintf "ways=%d warm=%d nonzero=[%s] off=%d n=%d" ways
+        (List.length warm)
+        (String.concat ";" (List.map string_of_int nz))
+        off n)
+    QCheck.Gen.(
+      quad (oneofl [ 0; 1; 2; 4 ])
+        (list_size (int_bound 40) (int_bound 2047))
+        (list_size (int_bound 4) (int_bound 2047))
+        (pair
+           (frequency
+              [ (1, return (-1)); (4, int_bound 2047); (3, int_range 1800 2047) ])
+           (int_bound 300)))
+
+let prop_find_nonzero_matches_loads =
+  QCheck.Test.make ~name:"find_nonzero cost-identical to a load loop"
+    ~count:300 scan_arb (fun (ways, warm, nz, (off, n)) ->
+      let setup () =
+        let machine =
+          Sim.Machine.with_associativity Sim.Machine.ultrasparc_i
+            ~ways:(max ways 1)
+        in
+        let m = Sim.Memory.create ~machine ~with_cache:(ways > 0) () in
+        (* Two pages: a scan from near the end runs off the mapped range. *)
+        let base = Sim.Memory.map_pages m 2 in
+        List.iter (fun w -> Sim.Memory.poke m (base + (w * 4)) (w + 1)) nz;
+        List.iter (fun w -> ignore (Sim.Memory.load m (base + (w * 4)))) warm;
+        (* [off = -1] starts the scan unaligned. *)
+        (m, if off < 0 then base + 2 else base + (off * 4))
+      in
+      let observed m =
+        let c = Sim.Memory.cost m in
+        let cache =
+          match Sim.Memory.cache m with
+          | Some ca ->
+              ( Sim.Cache.l1_hits ca,
+                Sim.Cache.l1_misses ca,
+                Sim.Cache.l2_misses ca,
+                Sim.Cache.stores ca )
+          | None -> (0, 0, 0, 0)
+        in
+        ( cache,
+          ( Sim.Cost.total_instrs c,
+            Sim.Cost.read_stall_cycles c,
+            Sim.Cost.write_stall_cycles c,
+            Sim.Cost.cycles c ) )
+      in
+      let outcome f =
+        match f () with i -> Ok i | exception Sim.Memory.Fault _ -> Error ()
+      in
+      let m1, a1 = setup () in
+      let r1 =
+        outcome (fun () ->
+            let i = ref 0 in
+            while !i < n && Sim.Memory.load m1 (a1 + (!i * 4)) = 0 do
+              incr i
+            done;
+            !i)
+      in
+      let m2, a2 = setup () in
+      let r2 = outcome (fun () -> Sim.Memory.find_nonzero m2 a2 n) in
+      r1 = r2 && observed m1 = observed m2)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "sim"
@@ -759,6 +847,7 @@ let () =
           tc "contexts" `Quick test_cost_contexts;
           tc "context restored on exception" `Quick
             test_cost_context_restored_on_exception;
+          tc "within" `Quick test_cost_within;
           tc "nesting" `Quick test_cost_nesting;
           tc "cycles" `Quick test_cost_cycles;
         ] );
@@ -786,6 +875,7 @@ let () =
           qtest prop_store_bytes_matches_loop;
           qtest prop_clear_matches_store_loop;
           qtest prop_cache_matches_reference;
+          qtest prop_find_nonzero_matches_loads;
         ] );
       ( "cache",
         [

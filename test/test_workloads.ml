@@ -335,6 +335,51 @@ let test_api_load_allocates_nothing () =
   Alcotest.(check (float 0.)) "same minor words" (minor_words 10)
     (minor_words 10_000)
 
+(* Allocator bookkeeping allocates nothing on the host either: after a
+   warm-up that grows every table it touches, 10 000 operations and 10
+   move the minor heap by the same amount.  Fails if the Stats address
+   table, the free-list policies, the cost-context switch or the
+   collector's page lookup go back to allocating per call. *)
+let same_minor_words name op =
+  let minor_words n =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      op ()
+    done;
+    Gc.minor_words () -. before
+  in
+  Alcotest.(check (float 0.)) name (minor_words 10) (minor_words 10_000)
+
+let test_malloc_free_allocates_nothing () =
+  List.iter
+    (fun backend ->
+      let api =
+        Workloads.Api.create ~with_cache:true (Workloads.Api.Direct backend)
+      in
+      let warm =
+        Array.init 2_000 (fun i -> Workloads.Api.malloc api (8 + (i mod 64 * 8)))
+      in
+      Array.iter (Workloads.Api.free api) warm;
+      same_minor_words
+        (Workloads.Api.mode_name (Workloads.Api.Direct backend))
+        (fun () -> Workloads.Api.free api (Workloads.Api.malloc api 24)))
+    Workloads.Api.[ Sun; Bsd; Lea ]
+
+let test_gc_malloc_allocates_nothing () =
+  let mem = Sim.Memory.create () in
+  let a, gc =
+    Gcsim.Boehm.create ~trigger_min_bytes:(1 lsl 28) ~roots:(fun _ -> ()) mem
+  in
+  for _ = 1 to 20_000 do
+    ignore (a.Alloc.Allocator.malloc 24)
+  done;
+  (* Nothing is rooted: the collection frees every object, and the
+     measured mallocs below reuse its free lists without a collection. *)
+  Gcsim.Boehm.collect gc;
+  let collections = Gcsim.Boehm.collections gc in
+  same_minor_words "gc" (fun () -> ignore (a.Alloc.Allocator.malloc 24));
+  check "no collection in the window" collections (Gcsim.Boehm.collections gc)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "workloads"
@@ -387,5 +432,7 @@ let () =
           tc "gc free is logical" `Quick test_api_gc_free_is_logical;
           tc "emulation overhead tracked" `Quick test_api_emulation_overhead_tracked;
           tc "load allocates nothing" `Quick test_api_load_allocates_nothing;
+          tc "malloc/free allocate nothing" `Quick test_malloc_free_allocates_nothing;
+          tc "gc malloc allocates nothing" `Quick test_gc_malloc_allocates_nothing;
         ] );
     ]
