@@ -116,7 +116,7 @@ let with_metrics metrics =
     if metrics then
       prerr_endline
         (Results.Json.to_string ~indent:true
-           (Results.Trend.metrics_json
+           (Results.Json.metrics_json
               (Obs.Metrics.snapshot Obs.Metrics.default)))
 
 let trace_arg =
@@ -1256,13 +1256,13 @@ let results_cmd =
     Arg.(
       required
       & pos 1 (some file) None
-      & info [] ~docv:"A" ~doc:"Left-hand results store or bench JSON.")
+      & info [] ~docv:"A" ~doc:"Left-hand results store.")
   in
   let b_arg =
     Arg.(
       required
       & pos 2 (some file) None
-      & info [] ~docv:"B" ~doc:"Right-hand results store or bench JSON.")
+      & info [] ~docv:"B" ~doc:"Right-hand results store.")
   in
   let sub_arg =
     Arg.(
@@ -1270,149 +1270,37 @@ let results_cmd =
       & pos 0 (some (enum [ ("compare", `Compare) ])) None
       & info [] ~docv:"compare" ~doc:"Subcommand (only $(b,compare)).")
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
   let run `Compare a b =
-    match (Results.Store.load a, Results.Store.load b) with
-    | Ok ea, Ok eb -> (
-        match Results.Store.diff ~expected:ea ~actual:eb with
-        | [] ->
-            Printf.printf
-              "results compare: %s and %s agree on every measurement (%d \
-               cells)\n"
-              a b (Results.Store.length ea)
-        | lines ->
-            Printf.printf "results compare: %d difference(s):\n"
-              (List.length lines);
-            List.iter (fun l -> Printf.printf "  %s\n" l) lines;
-            exit 1)
-    | ra, rb -> (
-        (* Not (both) results stores: fall back to a structural JSON
-           diff, pruning volatile keys — this is how two bench records
-           (BENCH_N.json) are compared. *)
-        let parse path = function
-          | Ok _ -> (
-              match Results.Json.of_string (read_file path) with
-              | Ok j -> j
-              | Error msg ->
-                  Printf.eprintf "results compare: %s: %s\n" path msg;
-                  exit 2)
-          | Error _ -> (
-              match Results.Json.of_string (read_file path) with
-              | Ok j -> j
-              | Error msg ->
-                  Printf.eprintf "results compare: %s: %s\n" path msg;
-                  exit 2)
-        in
-        let ja = parse a ra and jb = parse b rb in
-        match Results.Json.diff ~ignore_keys:Results.Volatile.keys ja jb with
-        | [] ->
-            Printf.printf
-              "results compare: %s and %s agree (volatile keys ignored)\n" a b
-        | diffs ->
-            Printf.printf "results compare: %d difference(s):\n"
-              (List.length diffs);
-            List.iter
-              (fun (path, va, vb) ->
-                Printf.printf "  %s: %s vs %s\n" path va vb)
-              diffs;
-            exit 1)
+    let load path =
+      match Results.Store.load path with
+      | Ok s -> s
+      | Error msg ->
+          Printf.eprintf "results compare: %s: %s\n" path msg;
+          exit 2
+    in
+    let ea = load a and eb = load b in
+    match Results.Store.diff ~expected:ea ~actual:eb with
+    | [] ->
+        Printf.printf
+          "results compare: %s and %s agree on every measurement (%d cells)\n"
+          a b (Results.Store.length ea)
+    | lines ->
+        Printf.printf "results compare: %d difference(s):\n" (List.length lines);
+        List.iter (fun l -> Printf.printf "  %s\n" l) lines;
+        exit 1
   in
   Cmd.v
     (Cmd.info "results"
-       ~doc:"Compare two results stores or bench records"
+       ~doc:"Compare two results stores"
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "$(b,repro results compare A B) diffs two machine-readable \
-              result files.  Results stores (golden-quick.json and \
-              friends) are compared measurement-by-measurement with \
-              provenance ignored; anything else is parsed as JSON (bench \
-              records) and compared structurally with volatile keys — \
-              provenance, timestamps, host wall-clocks — pruned.  Exit \
-              status 0 iff they agree.";
+             "$(b,repro results compare A B) diffs two results stores \
+              (golden-quick.json and friends) measurement-by-measurement \
+              with provenance ignored.  Exit status 0 iff they agree.";
          ])
     Term.(const run $ sub_arg $ a_arg $ b_arg)
-
-let perf_cmd =
-  let check_arg =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Regression gate: exit non-zero if any tracked metric \
-             degraded beyond the threshold between the two newest bench \
-             records carrying it.")
-  in
-  let threshold_arg =
-    Arg.(
-      value & opt float 0.5
-      & info [ "threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Relative degradation that trips $(b,--check) (default 0.5, \
-             i.e. 50%: bench records come from whatever host ran them, \
-             so the default only catches regressions far outside host \
-             noise).")
-  in
-  let dir_arg =
-    Arg.(
-      value & opt dir "."
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Directory holding the BENCH_N.json records (default: .).")
-  in
-  let run check threshold dir =
-    match Results.Trend.load_dir dir with
-    | Error msg ->
-        Printf.eprintf "perf: %s\n" msg;
-        exit 2
-    | Ok [] ->
-        Printf.eprintf "perf: no BENCH_<N>.json records under %s\n" dir;
-        exit 2
-    | Ok points ->
-        if check then (
-          match Results.Trend.check ~threshold points with
-          | [] ->
-              Printf.printf
-                "perf check: %d bench record(s), %d tracked metric(s), no \
-                 regression beyond %.0f%%\n"
-                (List.length points)
-                (List.length Results.Trend.tracked)
-                (threshold *. 100.)
-          | regs ->
-              Printf.printf "perf check: %d regression(s) beyond %.0f%%:\n"
-                (List.length regs) (threshold *. 100.);
-              List.iter
-                (fun (r : Results.Trend.regression) ->
-                  let pv, pf = r.r_prev and lv, lf = r.r_last in
-                  Printf.printf "  %s: %g (%s) -> %g (%s), %+.0f%%\n"
-                    r.r_metric pv pf lv lf (r.r_change *. 100.))
-                regs;
-              exit 1)
-        else print_string (Results.Trend.table points)
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Cross-run performance trend over the committed bench records"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Parses every committed $(b,BENCH_N.json) (all schema \
-              generations) into one timeseries and renders the metric \
-              trend table — the same render that sits behind the \
-              $(b,perftrend) block of EXPERIMENTS.md.  With $(b,--check), \
-              acts as the CI regression gate over the tracked metrics \
-              (quick-report wall clock, replay geomean speedup, gen-replay \
-              peak RSS): for each, the two newest records carrying it are \
-              compared and a degradation beyond $(b,--threshold) fails \
-              the run.";
-         ])
-    Term.(const run $ check_arg $ threshold_arg $ dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / serveload *)
@@ -1646,14 +1534,6 @@ let serveload_cmd =
              denial ramp $(b,ramp=0:0.002)) — fault-plan cells must \
              resolve like any other.")
   in
-  let bench_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "bench" ] ~docv:"PATH"
-          ~doc:
-            "Write the run as a bench-schema-v6 record (the BENCH_5.json \
-             behind the $(b,serveload) docs block).")
-  in
   let workers_arg =
     Arg.(
       value & opt int 4
@@ -1671,8 +1551,8 @@ let serveload_cmd =
           ~doc:"Daemon metrics snapshot file (written on daemon exit).")
   in
   let run socket cache_dir clients requests duration_s seed kills p_garbage
-      p_disconnect budget_s deadline_s workloads_csv modes_csv mix_plan bench
-      workers cache_max_mb metrics_out =
+      p_disconnect budget_s deadline_s workloads_csv modes_csv mix_plan workers
+      cache_max_mb metrics_out =
     let cache_dir =
       match cache_dir with
       | Some d -> d
@@ -1765,28 +1645,6 @@ let serveload_cmd =
       r.Serve.Load.overloaded r.Serve.Load.deadline r.Serve.Load.chaos
       r.Serve.Load.bad r.Serve.Load.failed r.Serve.Load.unresolved
       r.Serve.Load.divergent r.Serve.Load.restarts r.Serve.Load.daemon_exit;
-    Option.iter
-      (fun path ->
-        Harness.Serveload.write ~path
-          {
-            Harness.Serveload.duration_s = r.Serve.Load.wall_s;
-            concurrency = clients;
-            restarts = r.Serve.Load.restarts;
-            total = r.Serve.Load.total;
-            ok_warm = r.Serve.Load.ok_warm;
-            ok_cold = r.Serve.Load.ok_cold;
-            overloaded = r.Serve.Load.overloaded;
-            deadline = r.Serve.Load.deadline;
-            bad = r.Serve.Load.bad;
-            failed = r.Serve.Load.failed;
-            chaos = r.Serve.Load.chaos;
-            unresolved = r.Serve.Load.unresolved;
-            throughput_rps = Serve.Load.throughput_rps r;
-            warm_p50_us = p50;
-            warm_p99_us = p99;
-          };
-        Printf.eprintf "serveload: wrote %s\n%!" path)
-      bench;
     if
       r.Serve.Load.unresolved > 0
       || r.Serve.Load.divergent > 0
@@ -1813,16 +1671,14 @@ let serveload_cmd =
               zero hung clients: every slot must resolve (cell, \
               Overloaded, deadline, or intentional chaos) within its \
               budget, cells served twice must be byte-identical, and \
-              the daemon must drain cleanly at the end.  $(b,--bench) \
-              records throughput and warm-hit latency percentiles in \
-              the bench-v6 schema.";
+              the daemon must drain cleanly at the end.";
          ])
     Term.(
       const run $ socket_arg ~default:"" $ cache_dir_arg $ clients_arg
       $ requests_arg $ duration_arg $ seed_arg $ kill_arg $ p_garbage_arg
       $ p_disconnect_arg $ budget_arg $ deadline_arg $ workloads_mix_arg
-      $ modes_mix_arg $ mix_plan_arg $ bench_arg $ workers_arg
-      $ cache_max_mb_arg $ metrics_out_arg)
+      $ modes_mix_arg $ mix_plan_arg $ workers_arg $ cache_max_mb_arg
+      $ metrics_out_arg)
 
 let server_cmd =
   let mutators_arg =
@@ -1874,100 +1730,66 @@ let server_cmd =
       & info [ "mode" ]
           ~doc:"Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe.")
   in
-  let bench_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "bench" ] ~docv:"PATH"
-          ~doc:
-            "Bench mode: run the scenario twice (bump off, then on), \
-             check address identity, time both legs, and write a \
-             bench-schema-v7 record (the BENCH_6.json behind the \
-             $(b,bumppath) docs block).  Other flags except \
-             $(b,--mutators) and $(b,--requests) are ignored.")
-  in
-  let run mutators requests quantum seed no_bump mode full metrics bench =
+  let run mutators requests quantum seed no_bump mode full metrics =
     let dump_metrics = with_metrics metrics in
-    match bench with
-    | Some path ->
-        let r = Harness.Bumppath.bench ~mutators ?requests () in
-        Harness.Bumppath.write ~path r;
-        Printf.printf
-          "bumppath bench: %d mutators, %d requests, %d allocs\n\
-          \  sim: %.1f -> %.1f alloc instrs/alloc (%.2fx), hit rate \
-           %.1f%%, %d refills (%d contended)\n\
-          \  host: %.1f -> %.1f ns/alloc, %.2fM allocs/s\n\
-           wrote %s\n"
-          r.Harness.Bumppath.mutators r.Harness.Bumppath.requests
-          r.Harness.Bumppath.allocs
-          r.Harness.Bumppath.sim_instrs_per_alloc_legacy
-          r.Harness.Bumppath.sim_instrs_per_alloc_bump
-          r.Harness.Bumppath.sim_speedup
-          (100.0 *. r.Harness.Bumppath.hit_rate)
-          r.Harness.Bumppath.refills r.Harness.Bumppath.contended_refills
-          r.Harness.Bumppath.ns_per_alloc_legacy
-          r.Harness.Bumppath.ns_per_alloc_bump
-          (r.Harness.Bumppath.allocs_per_s /. 1e6)
-          path;
-        dump_metrics ()
-    | None ->
-        let base =
-          Workloads.Workload.server_params mutators (size_of_full full)
-        in
-        let params =
-          {
-            base with
-            Workloads.Server.requests =
-              Option.value ~default:base.Workloads.Server.requests requests;
-            quantum = Option.value ~default:base.Workloads.Server.quantum quantum;
-            seed = Option.value ~default:base.Workloads.Server.seed seed;
-            bump = not no_bump;
-          }
-        in
-        let api = Workloads.Api.create ~with_cache:true mode in
-        let o =
-          Workloads.Server.run
-            ?metrics:(if metrics then Some Obs.Metrics.default else None)
-            api params
-        in
-        let r =
-          Workloads.Results.collect api
-            ~workload:(Printf.sprintf "server-%d" mutators)
-            ~summary:
-              (Printf.sprintf "served=%d checksum=%x" o.Workloads.Server.served
-                 o.Workloads.Server.checksum)
-        in
-        Printf.printf
-          "server: %d mutators, quantum %d, seed %d, %s%s\n\
-           served %d  allocs %d (%d KB)  checksum %x\n\
-           handoffs %d  interleave %08x\n\
-           bump: %d hits, %d opens, %d closes, %d refills (%d contended)\n"
-          params.Workloads.Server.mutators params.Workloads.Server.quantum
-          params.Workloads.Server.seed
-          (Workloads.Api.mode_name mode)
-          (if no_bump then " (bump off)" else "")
-          o.Workloads.Server.served o.Workloads.Server.allocs
-          (o.Workloads.Server.bytes / 1024)
-          o.Workloads.Server.checksum o.Workloads.Server.handoffs
-          (o.Workloads.Server.interleave_hash land 0xffffffff)
-          o.Workloads.Server.bump_stats.Regions.Region.bs_hits
-          o.Workloads.Server.bump_stats.Regions.Region.bs_opens
-          o.Workloads.Server.bump_stats.Regions.Region.bs_closes
-          o.Workloads.Server.bump_stats.Regions.Region.bs_refills
-          o.Workloads.Server.bump_stats.Regions.Region.bs_contended_refills;
-        Printf.printf "per-mutator: served/allocs/steps/quanta/peak-live-KB\n";
-        Array.iteri
-          (fun i ms ->
-            Printf.printf "  m%d: %d / %d / %d / %d / %d\n" i
-              ms.Workloads.Server.ms_served ms.Workloads.Server.ms_allocs
-              ms.Workloads.Server.ms_steps ms.Workloads.Server.ms_quanta
-              (ms.Workloads.Server.ms_peak_live_bytes / 1024))
-          o.Workloads.Server.per_mutator;
-        Fmt.pr "%a@." Workloads.Results.pp r;
-        dump_metrics ()
+    let base =
+      Workloads.Workload.server_params mutators (size_of_full full)
+    in
+    let params =
+      {
+        base with
+        Workloads.Server.requests =
+          Option.value ~default:base.Workloads.Server.requests requests;
+        quantum = Option.value ~default:base.Workloads.Server.quantum quantum;
+        seed = Option.value ~default:base.Workloads.Server.seed seed;
+        bump = not no_bump;
+      }
+    in
+    let api = Workloads.Api.create ~with_cache:true mode in
+    let o =
+      Workloads.Server.run
+        ?metrics:(if metrics then Some Obs.Metrics.default else None)
+        api params
+    in
+    let r =
+      Workloads.Results.collect api
+        ~workload:(Printf.sprintf "server-%d" mutators)
+        ~summary:
+          (Printf.sprintf "served=%d checksum=%x" o.Workloads.Server.served
+             o.Workloads.Server.checksum)
+    in
+    Printf.printf
+      "server: %d mutators, quantum %d, seed %d, %s%s\n\
+       served %d  allocs %d (%d KB)  checksum %x\n\
+       handoffs %d  interleave %08x\n\
+       bump: %d hits, %d opens, %d closes, %d refills (%d contended)\n"
+      params.Workloads.Server.mutators params.Workloads.Server.quantum
+      params.Workloads.Server.seed
+      (Workloads.Api.mode_name mode)
+      (if no_bump then " (bump off)" else "")
+      o.Workloads.Server.served o.Workloads.Server.allocs
+      (o.Workloads.Server.bytes / 1024)
+      o.Workloads.Server.checksum o.Workloads.Server.handoffs
+      (o.Workloads.Server.interleave_hash land 0xffffffff)
+      o.Workloads.Server.bump_stats.Regions.Region.bs_hits
+      o.Workloads.Server.bump_stats.Regions.Region.bs_opens
+      o.Workloads.Server.bump_stats.Regions.Region.bs_closes
+      o.Workloads.Server.bump_stats.Regions.Region.bs_refills
+      o.Workloads.Server.bump_stats.Regions.Region.bs_contended_refills;
+    Printf.printf "per-mutator: served/allocs/steps/quanta/peak-live-KB\n";
+    Array.iteri
+      (fun i ms ->
+        Printf.printf "  m%d: %d / %d / %d / %d / %d\n" i
+          ms.Workloads.Server.ms_served ms.Workloads.Server.ms_allocs
+          ms.Workloads.Server.ms_steps ms.Workloads.Server.ms_quanta
+          (ms.Workloads.Server.ms_peak_live_bytes / 1024))
+      o.Workloads.Server.per_mutator;
+    Fmt.pr "%a@." Workloads.Results.pp r;
+    dump_metrics ()
   in
   Cmd.v
     (Cmd.info "server"
-       ~doc:"Run the multi-mutator server scenario (or its bump-path bench)"
+       ~doc:"Run the multi-mutator server scenario"
        ~man:
          [
            `S Manpage.s_description;
@@ -1978,13 +1800,11 @@ let server_cmd =
               lifecycle.  Region modes allocate through the per-mutator \
               bump-pointer fast path unless $(b,--no-bump); allocation \
               addresses are identical either way, so the flag isolates \
-              the charged-instruction saving.  $(b,--bench) times both \
-              paths on the host and writes the record behind the \
-              $(b,bumppath) docs block.";
+              the charged-instruction saving.";
          ])
     Term.(
       const run $ mutators_arg $ requests_arg $ quantum_arg $ seed_arg
-      $ no_bump_arg $ mode_arg $ full_arg $ metrics_arg $ bench_arg)
+      $ no_bump_arg $ mode_arg $ full_arg $ metrics_arg)
 
 let main =
   Cmd.group
@@ -1994,8 +1814,8 @@ let main =
           Regions' (PLDI 1998)")
     [
       exp_cmd; run_cmd; trace_cmd; list_cmd; creg_cmd; check_cmd; faults_cmd;
-      docs_cmd; record_cmd; replay_cmd; gen_cmd; results_cmd; perf_cmd;
-      serve_cmd; serveload_cmd; server_cmd;
+      docs_cmd; record_cmd; replay_cmd; gen_cmd; results_cmd; serve_cmd;
+      serveload_cmd; server_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -1,172 +1,26 @@
-(* Bump-fast-path records: the BENCH_6.json (bench schema v7)
-   [bumppath] object and the [bumppath] generated block of
-   EXPERIMENTS.md.
+(* The [bumppath] generated block of EXPERIMENTS.md.  Every column is
+   simulated and recomputed live on each docs render, so it is
+   deterministic on any host; host time lives in hostbench. *)
 
-   The charged-instruction columns are simulated and recomputed live
-   on every docs render (deterministic on any host); the ns/alloc and
-   allocs/s columns are host wall-clock and render from the committed
-   BENCH_6.json only, like the serveload block, so `repro docs
-   --check` never times anything. *)
-
-module J = Results.Json
 open Workloads
 
-type record = {
-  mutators : int;
-  requests : int;
-  allocs : int;
-  sim_instrs_per_alloc_legacy : float;
-  sim_instrs_per_alloc_bump : float;
-  sim_speedup : float;  (* legacy alloc instrs / bump alloc instrs *)
-  hits : int;
-  hit_rate : float;
-  refills : int;
-  contended_refills : int;
-  ns_per_alloc_legacy : float;
-  ns_per_alloc_bump : float;
-  allocs_per_s : float;  (* bump path, host wall-clock *)
-}
-
-(* One timed engine run; returns the outcome, the charged allocation
-   instructions, and host seconds. *)
+(* One engine run; returns the outcome and the charged allocation
+   instructions. *)
 let measure ~bump params =
   let api = Api.create ~with_cache:true (Api.Region { safe = true }) in
-  let t0 = Unix.gettimeofday () in
   let o = Server.run api { params with Server.bump } in
-  let dt = Unix.gettimeofday () -. t0 in
   let r = Results.collect api ~workload:"bumppath" ~summary:"bench" in
-  (o, r.Results.alloc_instrs, dt)
-
-let bench ?(mutators = 4) ?(requests = 20_000) () =
-  let params =
-    { (Workload.server_params mutators Workload.Quick) with
-      Server.requests }
-  in
-  let o_legacy, legacy_instrs, legacy_dt = measure ~bump:false params in
-  let o_bump, bump_instrs, bump_dt = measure ~bump:true params in
-  if o_legacy.Server.checksum <> o_bump.Server.checksum then
-    failwith "Bumppath.bench: bump path changed allocation addresses";
-  let allocs = o_bump.Server.allocs in
-  let fa = float_of_int (max 1 allocs) in
-  let bs = o_bump.Server.bump_stats in
-  {
-    mutators;
-    requests;
-    allocs;
-    sim_instrs_per_alloc_legacy = float_of_int legacy_instrs /. fa;
-    sim_instrs_per_alloc_bump = float_of_int bump_instrs /. fa;
-    sim_speedup = float_of_int legacy_instrs /. float_of_int (max 1 bump_instrs);
-    hits = bs.Regions.Region.bs_hits;
-    hit_rate = float_of_int bs.Regions.Region.bs_hits /. fa;
-    refills = bs.Regions.Region.bs_refills;
-    contended_refills = bs.Regions.Region.bs_contended_refills;
-    ns_per_alloc_legacy = legacy_dt *. 1e9 /. fa;
-    ns_per_alloc_bump = bump_dt *. 1e9 /. fa;
-    allocs_per_s = fa /. (if bump_dt > 0.0 then bump_dt else 1e-9);
-  }
-
-let bumppath_json r =
-  J.Obj
-    [
-      ("mutators", J.Int r.mutators);
-      ("requests", J.Int r.requests);
-      ("allocs", J.Int r.allocs);
-      ("sim_instrs_per_alloc_legacy", J.Float r.sim_instrs_per_alloc_legacy);
-      ("sim_instrs_per_alloc_bump", J.Float r.sim_instrs_per_alloc_bump);
-      ("sim_speedup", J.Float r.sim_speedup);
-      ("hits", J.Int r.hits);
-      ("hit_rate", J.Float r.hit_rate);
-      ("refills", J.Int r.refills);
-      ("contended_refills", J.Int r.contended_refills);
-      ("ns_per_alloc_legacy", J.Float r.ns_per_alloc_legacy);
-      ("ns_per_alloc_bump", J.Float r.ns_per_alloc_bump);
-      ("allocs_per_s", J.Float r.allocs_per_s);
-    ]
-
-let bench_json r =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  J.Obj
-    [
-      ("schema", J.String "regions-repro/bench/v7");
-      ( "generated_utc",
-        J.String
-          (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ"
-             (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-             tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec) );
-      ( "host",
-        J.Obj
-          [
-            ("hostname", J.String (Unix.gethostname ()));
-            ("os_type", J.String Sys.os_type);
-            ("ocaml_version", J.String Sys.ocaml_version);
-            ("word_size", J.Int Sys.word_size);
-            ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
-          ] );
-      ("bumppath", bumppath_json r);
-    ]
-
-let write ~path r =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (J.to_string ~indent:true (bench_json r)));
-  Sys.rename tmp path
-
-(* ---- the generated docs block ------------------------------------- *)
-
-let bench_file = "BENCH_6.json"
-
-(* Host columns from the committed record; "—" cells when no record
-   (or no bumppath object) is committed yet. *)
-let host_columns () =
-  let none = ("—", "—", "—", "") in
-  if not (Sys.file_exists bench_file) then none
-  else
-    match
-      let ic = open_in_bin bench_file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error _ -> none
-    | text -> (
-        match
-          Result.bind (J.of_string text) (fun j ->
-              match J.member "bumppath" j with
-              | Some s -> Ok s
-              | None -> Error "no bumppath object")
-        with
-        | Error _ -> none
-        | Ok s ->
-            let num k =
-              match Option.bind (J.member k s) J.to_float with
-              | Some v -> Printf.sprintf "%.1f" v
-              | None -> "—"
-            in
-            let int k =
-              match Option.bind (J.member k s) J.to_int with
-              | Some v -> v
-              | None -> 0
-            in
-            ( num "ns_per_alloc_legacy",
-              num "ns_per_alloc_bump",
-              (match Option.bind (J.member "allocs_per_s" s) J.to_float with
-              | Some v -> Printf.sprintf "%.2fM" (v /. 1e6)
-              | None -> "—"),
-              Printf.sprintf " (committed %s: %d mutators, %d requests)"
-                bench_file (int "mutators") (int "requests") ))
+  (o, r.Results.alloc_instrs)
 
 let md m =
   let params = Workload.server_params 4 (Matrix.size m) in
-  let o_legacy, legacy_instrs, _ = measure ~bump:false params in
-  let o_bump, bump_instrs, _ = measure ~bump:true params in
+  let o_legacy, legacy_instrs = measure ~bump:false params in
+  let o_bump, bump_instrs = measure ~bump:true params in
   if o_legacy.Server.checksum <> o_bump.Server.checksum then
     failwith "bumppath block: bump path changed allocation addresses";
   let allocs = max 1 o_bump.Server.allocs in
   let per instrs = float_of_int instrs /. float_of_int allocs in
   let bs = o_bump.Server.bump_stats in
-  let ns_legacy, ns_bump, aps, committed = host_columns () in
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add
@@ -177,26 +31,22 @@ let md m =
      fills or the mutator switches regions.  Same %d-mutator server \
      scenario, bump path off vs on; allocation addresses are \
      byte-identical (checksum `%x` both ways), only the charged \
-     instruction count changes%s:\n\n"
-    params.Server.mutators o_bump.Server.checksum committed;
+     instruction count changes:\n\n"
+    params.Server.mutators o_bump.Server.checksum;
   add
     "| path | sim alloc instrs/alloc | sim speedup | fast-path hit \
-     rate | refills (contended) | ns/alloc † | allocs/s † |\n";
-  add "|---|---:|---:|---:|---:|---:|---:|\n";
-  add "| legacy | %.1f | 1.00× | — | — | %s | — |\n"
-    (per legacy_instrs) ns_legacy;
-  add "| bump | %.1f | %.2f× | %.1f%% | %d (%d) | %s | %s |\n"
-    (per bump_instrs)
+     rate | refills (contended) |\n";
+  add "|---|---:|---:|---:|---:|\n";
+  add "| legacy | %.1f | 1.00× | — | — |\n" (per legacy_instrs);
+  add "| bump | %.1f | %.2f× | %.1f%% | %d (%d) |\n" (per bump_instrs)
     (float_of_int legacy_instrs /. float_of_int (max 1 bump_instrs))
     (100.0 *. float_of_int bs.Regions.Region.bs_hits /. float_of_int allocs)
-    bs.Regions.Region.bs_refills bs.Regions.Region.bs_contended_refills
-    ns_bump aps;
+    bs.Regions.Region.bs_refills bs.Regions.Region.bs_contended_refills;
   add
     "\nThe speedup is confined to the allocation context — base work, \
      refcount barriers and cleanup are untouched — and the hit rate \
      is what a production allocator would see: every small-object \
-     allocation except the first on each fresh page.  † host \
-     wall-clock from the committed record; trend across records from \
-     one machine only (`repro server --bench %s` refreshes it).\n"
-    bench_file;
+     allocation except the first on each fresh page.  Host time of \
+     the bump path is the `bumppath` workload of `python3 \
+     hostbench/run.py`.\n";
   Buffer.contents b

@@ -1,48 +1,12 @@
-(** Bump-fast-path bench records: the BENCH_6.json (bench schema v7)
-    [bumppath] object and the [bumppath] generated block of
-    EXPERIMENTS.md.
+(** The [bumppath] generated block of EXPERIMENTS.md: the bump
+    allocation fast path against the legacy region path on the same
+    server scenario.
 
-    The block's charged-instruction columns are recomputed live from a
-    deterministic engine run on every render; the host-time columns
-    (ns/alloc, allocs/s) come from the {e committed} BENCH_6.json only
-    — like the serveload block — so [repro docs --check] stays
-    deterministic with no timing in sight. *)
-
-type record = {
-  mutators : int;
-  requests : int;
-  allocs : int;
-  sim_instrs_per_alloc_legacy : float;
-  sim_instrs_per_alloc_bump : float;
-  sim_speedup : float;
-      (** charged alloc-context instructions, legacy / bump *)
-  hits : int;
-  hit_rate : float;  (** fast-path hits per allocation *)
-  refills : int;
-  contended_refills : int;
-      (** refills taken while another mutator also held an open
-          allocation region *)
-  ns_per_alloc_legacy : float;
-  ns_per_alloc_bump : float;
-  allocs_per_s : float;  (** bump path, host wall-clock *)
-}
-
-val bench : ?mutators:int -> ?requests:int -> unit -> record
-(** Run the server scenario twice (bump off, then on) on fresh
-    machines, check address identity via the checksum, and time both
-    legs.  Defaults: 4 mutators, 20k requests. *)
-
-val bench_json : record -> Results.Json.t
-(** A complete bench document: schema [regions-repro/bench/v7],
-    [generated_utc], [host], and the [bumppath] object. *)
-
-val write : path:string -> record -> unit
-(** Atomic write of {!bench_json} (temp + rename). *)
-
-val bench_file : string
-(** ["BENCH_6.json"] — where the committed record lives. *)
+    Every column is a simulated count, recomputed from a deterministic
+    engine run on every render, so [repro docs --check] is the same on
+    any host.  Host time of the bump path is hostbench's [bumppath]
+    workload. *)
 
 val md : Matrix.t -> string
-(** The [bumppath] block body.  A missing or bumppath-less
-    BENCH_6.json renders "—" host cells rather than failing, so docs
-    regeneration works before the first bench is committed. *)
+(** The [bumppath] block body.  Fails if the bump path changed any
+    allocation address. *)

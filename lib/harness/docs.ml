@@ -22,21 +22,8 @@ let blocks : (string * (Matrix.t -> string)) list =
     ("claims", Claims.md);
     ("gentraces", Gentraces.md);
     ("timeline", Timelines.md);
-    (* Like perftrend: rendered from the committed BENCH_5.json only,
-       never from a live daemon, so --check stays deterministic. *)
-    ("serveload", Serveload.md);
     ("mutators", Mutators.md);
-    (* Sim columns recomputed live; host columns from the committed
-       BENCH_6.json only. *)
     ("bumppath", Bumppath.md);
-    ( "perftrend",
-      fun _ ->
-        (* The trend table depends only on the committed BENCH_N.json
-           files, never on the matrix, so it is as deterministic as the
-           simulated blocks and sits behind the same --check gate. *)
-        match Results.Trend.load_dir "." with
-        | Ok points -> Results.Trend.table points
-        | Error msg -> failwith (Printf.sprintf "perftrend: %s" msg) );
   ]
 
 (* Naive substring search — the documents are tens of kilobytes. *)

@@ -8,10 +8,10 @@
    The story the table carries is boundedness: the synthetic traces
    use id recycling and a fixed live set, so a 10x longer trace must
    not grow any column's simulated footprint.  The host-side half of
-   the evidence — wall-clock throughput and child-process peak RSS at
-   up to 50M objects — is machine-dependent and lives in the bench
-   record (`scripts/bench.sh` with GEN=1, "gen_replay" section), not
-   here. *)
+   the evidence — wall-clock throughput and peak RSS — is
+   machine-dependent: hostbench's gen-replay workload measures it, CI's
+   bounded-replay-smoke job caps RSS at 10M objects, and the frozen
+   BENCH_4.json ("gen_replay" section) records 1M-50M objects. *)
 
 open Workloads
 

@@ -43,3 +43,8 @@ val diff :
     values disagree, in field order.  [ignore_keys] prunes object keys
     (at any depth) from the comparison — the golden gate uses it to
     skip provenance, which legitimately differs between builds. *)
+
+val metrics_json : Obs.Metrics.series list -> t
+(** Deterministic encoding of a metrics-registry snapshot
+    ({!Obs.Metrics.snapshot}): what [--metrics] prints and the
+    daemon's [--metrics-out] file holds. *)

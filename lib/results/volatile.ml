@@ -1,23 +1,5 @@
 (* The one definition of "legitimately differs between two honest
-   runs".  Everything that byte-compares JSON records — [repro results
-   compare], the trend parser's noise markers, the golden docs gates —
-   prunes from here rather than growing its own inline list. *)
+   runs": the golden gates and [repro results compare] prune from here
+   rather than growing their own inline list. *)
 
 let provenance = [ "provenance" ]
-
-let keys =
-  [
-    "prov"; "build_id"; "schema"; "timestamp"; "host"; "wall_s";
-    "fill_wall_s"; "seq_wall_s"; "render_wall_s"; "full_wall_s";
-    (* "ns_per_run" is the key bench records actually emit; the old
-       inline list said "ns_per_op" and so never pruned micro
-       timings from a bench diff. *)
-    "replay_wall_s"; "speedup"; "geomean_speedup"; "ns_per_run"; "cache";
-    "generated_utc"; "records_per_s"; "rss_kb";
-    (* serve-daemon load numbers: pure host throughput/latency *)
-    "throughput_rps"; "warm_p50_us"; "warm_p99_us"; "duration_s";
-    (* bump-path bench host timings *)
-    "ns_per_alloc_legacy"; "ns_per_alloc_bump"; "allocs_per_s";
-  ]
-
-let is_volatile k = List.mem k keys

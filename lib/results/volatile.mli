@@ -1,20 +1,11 @@
 (** Volatile JSON keys: fields that legitimately differ between two
     honest runs of the same code.
 
-    Centralised so the byte-diff consumers stay in agreement —
-    [repro results compare] prunes {!keys} from whole-record diffs,
-    the golden gates ({!Store.diff}) prune {!provenance} cell-by-cell,
-    and {!Trend} uses {!is_volatile} to mark host-noisy metrics in the
-    trend table. *)
+    Centralised so the byte-diff consumers stay in agreement: the
+    golden gates and [repro results compare] ({!Store.diff}) prune
+    {!provenance} cell-by-cell. *)
 
 val provenance : string list
 (** Identity keys pruned from per-cell golden diffs: the cell payload
     under these differs between builds but never between honest runs
     of one build. *)
-
-val keys : string list
-(** Host wall-clock and identity keys pruned from whole-record
-    (bench JSON) diffs: wall times, rates, RSS, timestamps,
-    provenance. *)
-
-val is_volatile : string -> bool

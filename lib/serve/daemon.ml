@@ -816,7 +816,7 @@ let run cfg =
         let oc = open_out path in
         output_string oc
           (J.to_string ~indent:true
-             (Results.Trend.metrics_json (Obs.Metrics.snapshot reg)));
+             (Results.Json.metrics_json (Obs.Metrics.snapshot reg)));
         close_out oc
       with Sys_error _ -> ()));
   Sys.set_signal Sys.sigterm prev_term;

@@ -17,7 +17,7 @@ usage: scripts/serve.sh [serveload options]
   scripts/serve.sh                      # fixed-seed smoke (dune @serve)
   scripts/serve.sh --requests 500 --clients 32 --kill 0.2 --seed 9
   scripts/serve.sh --duration-s 60 --clients 64 --kill 10 --kill 30 \
-      --mix-plan 'budget=64,ramp=0:0.002' --bench BENCH_5.json   # soak
+      --mix-plan 'budget=64,ramp=0:0.002'   # soak
 
 With no arguments, runs the fixed-seed `dune build @serve` smoke.
 Otherwise arguments go straight to `repro serveload`.

@@ -892,84 +892,6 @@ let test_emulation_frees_everything () =
   check "everything freed" 0 (Alloc.Stats.live_bytes a.Alloc.Allocator.stats)
 
 (* ------------------------------------------------------------------ *)
-(* Vmalloc (related work, paper section 2) *)
-
-let vm_fresh () =
-  let mem = Sim.Memory.create ~with_cache:false () in
-  (mem, Regions.Vmalloc.create mem)
-
-let test_vmalloc_arena () =
-  let mem, t = vm_fresh () in
-  let r = Regions.Vmalloc.open_region t Regions.Vmalloc.Arena in
-  let a = Regions.Vmalloc.alloc t r 10 in
-  let b = Regions.Vmalloc.alloc t r 10 in
-  check_bool "bump allocation is contiguous" true (b = a + 12);
-  Sim.Memory.store mem a 7;
-  (* free is a no-op for arenas: the block is not recycled *)
-  Regions.Vmalloc.free t r a;
-  let c = Regions.Vmalloc.alloc t r 10 in
-  check_bool "arena free recycles nothing" true (c <> a);
-  check "contents survive a no-op free" 7 (Sim.Memory.load mem a);
-  Regions.Vmalloc.close_region t r;
-  check "all accounted free after close" 0
-    (Alloc.Stats.live_bytes (Regions.Vmalloc.stats t))
-
-let test_vmalloc_pool () =
-  let _mem, t = vm_fresh () in
-  let r = Regions.Vmalloc.open_region t (Regions.Vmalloc.Pool 24) in
-  let a = Regions.Vmalloc.alloc t r 24 in
-  let _b = Regions.Vmalloc.alloc t r 24 in
-  Regions.Vmalloc.free t r a;
-  check "pool recycles the freed element" a (Regions.Vmalloc.alloc t r 24);
-  (match Regions.Vmalloc.alloc t r 16 with
-  | _ -> Alcotest.fail "expected pool size mismatch"
-  | exception Invalid_argument _ -> ());
-  Regions.Vmalloc.close_region t r
-
-let test_vmalloc_best () =
-  let _mem, t = vm_fresh () in
-  let r = Regions.Vmalloc.open_region t Regions.Vmalloc.Best in
-  let a = Regions.Vmalloc.alloc t r 100 in
-  let _b = Regions.Vmalloc.alloc t r 40 in
-  Regions.Vmalloc.free t r a;
-  (* a freed 100-byte block satisfies an 80-byte request *)
-  check "first fit reuses the freed block" a (Regions.Vmalloc.alloc t r 80);
-  (* but not a 200-byte one *)
-  check_bool "too-small blocks are skipped" true
-    (Regions.Vmalloc.alloc t r 200 <> a);
-  Regions.Vmalloc.close_region t r
-
-let test_vmalloc_close_recycles () =
-  let _mem, t = vm_fresh () in
-  let r1 = Regions.Vmalloc.open_region t Regions.Vmalloc.Arena in
-  for _ = 1 to 500 do
-    ignore (Regions.Vmalloc.alloc t r1 64)
-  done;
-  let os = Regions.Vmalloc.os_bytes t in
-  Regions.Vmalloc.close_region t r1;
-  check "closed" 0 (Regions.Vmalloc.live_regions t);
-  let r2 = Regions.Vmalloc.open_region t Regions.Vmalloc.Best in
-  for _ = 1 to 400 do
-    ignore (Regions.Vmalloc.alloc t r2 64)
-  done;
-  check "pages recycled across regions" os (Regions.Vmalloc.os_bytes t);
-  Regions.Vmalloc.close_region t r2
-
-let test_vmalloc_errors () =
-  let _mem, t = vm_fresh () in
-  let r = Regions.Vmalloc.open_region t Regions.Vmalloc.Arena in
-  Regions.Vmalloc.close_region t r;
-  (match Regions.Vmalloc.alloc t r 8 with
-  | _ -> Alcotest.fail "expected closed-region error"
-  | exception Invalid_argument _ -> ());
-  (match Regions.Vmalloc.close_region t r with
-  | _ -> Alcotest.fail "expected double-close error"
-  | exception Invalid_argument _ -> ());
-  match Regions.Vmalloc.open_region t (Regions.Vmalloc.Pool 0) with
-  | _ -> Alcotest.fail "expected bad pool size"
-  | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Local counts (parallel regions, paper section 1) *)
 
 let test_local_counts_basics () =
@@ -1108,14 +1030,6 @@ let () =
         [
           tc "basics" `Quick test_emulation_basics;
           tc "frees everything" `Quick test_emulation_frees_everything;
-        ] );
-      ( "vmalloc",
-        [
-          tc "arena policy" `Quick test_vmalloc_arena;
-          tc "pool policy" `Quick test_vmalloc_pool;
-          tc "best policy" `Quick test_vmalloc_best;
-          tc "close recycles pages" `Quick test_vmalloc_close_recycles;
-          tc "errors" `Quick test_vmalloc_errors;
         ] );
       ( "local counts",
         [

@@ -64,6 +64,24 @@ let test_json_diff () =
     (List.length (diff ~ignore_keys:[ "p" ] a b));
   check_int "equal values: no diff" 0 (List.length (diff a a))
 
+(* The encoding [--metrics] prints and the daemon's [--metrics-out]
+   file holds, pinned byte-for-byte: one series of each kind. *)
+let test_metrics_json () =
+  let reg = Obs.Metrics.create ~enabled:true () in
+  let c = Obs.Metrics.counter reg ~labels:[ ("col", "lea") ] "allocs" in
+  Obs.Metrics.inc c;
+  Obs.Metrics.add c 2;
+  Obs.Metrics.set (Obs.Metrics.gauge reg "rate") 1.5;
+  let h = Obs.Metrics.histogram reg "lat_us" in
+  List.iter (Obs.Metrics.observe h) [ 0; 5; 6 ];
+  check_str "snapshot encoding"
+    ({|{"metrics":[|}
+    ^ {|{"name":"allocs","labels":{"col":"lea"},"type":"counter","value":3},|}
+    ^ {|{"name":"lat_us","labels":{},"type":"histogram","count":3,"sum":11,"buckets":[[0,1],[3,2]]},|}
+    ^ {|{"name":"rate","labels":{},"type":"gauge","value":1.5}]}|})
+    (Results.Json.to_string ~indent:false
+       (Results.Json.metrics_json (Obs.Metrics.snapshot reg)))
+
 (* ------------------------------------------------------------------ *)
 (* Cell schema *)
 
@@ -461,121 +479,6 @@ let test_docs_bad_markers () =
    CI `repro docs --check` gate (see .github/workflows/ci.yml), which
    runs the real binary against the real files. *)
 
-(* ------------------------------------------------------------------ *)
-(* Trend: the cross-run perf observatory *)
-
-(* The committed BENCH_N.json trajectory sits at the repo root; tests
-   run from _build/default/test, so walk upwards until it appears. *)
-let bench_dir () =
-  let rec go dir depth =
-    if depth > 6 then None
-    else if Sys.file_exists (Filename.concat dir "BENCH_1.json") then Some dir
-    else go (Filename.concat dir Filename.parent_dir_name) (depth + 1)
-  in
-  go (Sys.getcwd ()) 0
-
-let test_trend_parses_committed_history () =
-  match bench_dir () with
-  | None -> Alcotest.fail "BENCH_1.json not found above the test cwd"
-  | Some dir -> (
-      match Results.Trend.load_dir dir with
-      | Error e -> Alcotest.failf "load_dir: %s" e
-      | Ok points ->
-          check_bool "whole trajectory ingested" true (List.length points >= 4);
-          let prev = ref 0 in
-          List.iter
-            (fun (p : Results.Trend.point) ->
-              check_bool "sorted by index" true (p.index > !prev);
-              prev := p.index;
-              check_bool
-                (p.file ^ " carries at least one metric")
-                true
-                (p.metrics <> []))
-            points;
-          (* the schema additions show up where they were introduced *)
-          let nth n = List.nth points (n - 1) in
-          (* B1–B4 are bench-harness records: all carry the v1 report
-             metric.  B5 is a serveload (v6) record: serve metrics
-             only — the carrier-aware gate must read report metrics
-             from the newest *bench* record, not choke on B5. *)
-          List.iter
-            (fun n ->
-              check_bool
-                (Printf.sprintf "B%d carries the v1 report metric" n)
-                true
-                (Results.Trend.metric (nth n) "report.total_wall_s" <> None))
-            [ 1; 2; 3; 4 ];
-          check_bool "v1 has no replay section" true
-            (Results.Trend.metric (nth 1) "replay.geomean_speedup" = None);
-          check_bool "v4+ has the replay geomean" true
-            (Results.Trend.metric (nth 3) "replay.geomean_speedup" <> None);
-          check_bool "the serveload record carries throughput" true
-            (List.length points < 5
-            || Results.Trend.metric (nth 5) "serve.throughput_rps" <> None);
-          let contains hay needle =
-            let n = String.length hay and m = String.length needle in
-            let rec go i =
-              i + m <= n && (String.sub hay i m = needle || go (i + 1))
-            in
-            go 0
-          in
-          let t = Results.Trend.table points in
-          check_bool "table renders every record" true
-            (String.length t > 0
-            && List.for_all
-                 (fun (p : Results.Trend.point) ->
-                   contains t (Printf.sprintf " B%d |" p.index))
-                 points))
-
-let test_trend_gate () =
-  let mk file total speedup =
-    match
-      Results.Trend.parse ~file
-        (Printf.sprintf
-           {|{"schema":"bench-v9","report":{"total_wall_s":%f},"replay":{"geomean_speedup":%f}}|}
-           total speedup)
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  (* flat trajectory: no regression *)
-  let a = mk "BENCH_1.json" 10.0 3.0 and b = mk "BENCH_2.json" 11.0 2.9 in
-  check_int "within threshold" 0
-    (List.length (Results.Trend.check ~threshold:0.5 [ a; b ]));
-  (* wall doubles: Lower_better trips *)
-  let c = mk "BENCH_3.json" 25.0 2.9 in
-  (match Results.Trend.check ~threshold:0.5 [ a; b; c ] with
-  | [ r ] ->
-      check_str "metric" "report.total_wall_s" r.Results.Trend.r_metric;
-      check_bool "compares the two newest carriers" true
-        (snd r.r_prev = "BENCH_2.json" && snd r.r_last = "BENCH_3.json");
-      check_bool "signed fraction" true (Float.abs (r.r_change -. (14.0 /. 11.0)) < 1e-9)
-  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l));
-  (* speedup halves: Higher_better trips too *)
-  let d = mk "BENCH_4.json" 25.0 1.2 in
-  check_int "direction-adjusted gate" 1
-    (List.length (Results.Trend.check ~threshold:0.5 [ b; c; d ]));
-  (* a metric missing from the newest record is read from older ones *)
-  let e =
-    match
-      Results.Trend.parse ~file:"BENCH_5.json" {|{"schema":"bench-v9"}|}
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  check_int "newest record without the metric falls back to older carriers" 1
-    (List.length (Results.Trend.check ~threshold:0.5 [ b; c; e ]))
-
-let test_volatile_keys () =
-  check_bool "wall clocks are volatile" true
-    (Results.Volatile.is_volatile "wall_s");
-  check_bool "micro timings are volatile" true
-    (Results.Volatile.is_volatile "ns_per_run");
-  check_bool "simulated counts are not" false
-    (Results.Volatile.is_volatile "os_bytes");
-  check_bool "provenance is in the shared list" true
-    (List.mem "prov" Results.Volatile.keys)
-
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "results"
@@ -585,6 +488,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_compact_roundtrip;
           quick "structural diff with ignored keys" test_json_diff;
+          quick "metrics snapshot encoding" test_metrics_json;
         ] );
       ( "cell",
         [
@@ -606,12 +510,5 @@ let () =
         [
           quick "regenerate + drift detection" test_docs_regenerate_and_drift;
           quick "marker validation" test_docs_bad_markers;
-        ] );
-      ( "trend",
-        [
-          quick "ingests every committed bench record"
-            test_trend_parses_committed_history;
-          quick "regression gate directions and carriers" test_trend_gate;
-          quick "shared volatile-key list" test_volatile_keys;
         ] );
     ]
