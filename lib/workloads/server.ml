@@ -65,9 +65,14 @@ let zero_bump_stats =
 let fnv h v = ((h lxor v) * 0x100000001b3) land max_int
 
 (* Request objects: linked 16-byte nodes (scanned, pointer-carrying)
-   mixed with unscanned string buffers.  Only node fields take the
+   mixed with unscanned string buffers.  A node's word 0 holds an
+   integer payload written with a plain store, so only word 4, the
+   chain link, is a pointer field.  Were word 0 declared one too,
+   cleanup would drop a reference count the plain store never took
+   from whatever region the payload happened to address, and that
+   region's own delete would then fail.  Only node links take the
    write barrier; strings are never stored through. *)
-let node_layout = Regions.Cleanup.layout ~size_bytes:16 ~ptr_offsets:[ 0; 4 ]
+let node_layout = Regions.Cleanup.layout ~size_bytes:16 ~ptr_offsets:[ 4 ]
 
 type mstate = {
   mid : int;

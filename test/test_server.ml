@@ -109,6 +109,24 @@ let test_fairness () =
     (fun m -> check "served its quota" 100 m.Server.ms_served)
     o.Server.per_mutator
 
+(* Long runs tear every request region down: a node's integer payload
+   must never be scanned as a pointer at cleanup.  2 mutators x 20000
+   requests once died with "request region still referenced at
+   teardown", bump path on or off. *)
+let test_long_run_serves_all () =
+  List.iter
+    (fun bump ->
+      let p =
+        {
+          (Workloads.Workload.server_params 2 Workloads.Workload.Quick) with
+          Server.requests = 20_000;
+          bump;
+        }
+      in
+      let _, o = run_with (Api.Region { safe = true }) (fun api -> Server.run api p) in
+      check (Printf.sprintf "served (bump %b)" bump) 20_000 o.Server.served)
+    [ true; false ]
+
 (* Region-level unit test: invariants hold with alloc regions open,
    deletion closes them, and a region handed from one mutator to
    another closes the first mutator's cache before reopening. *)
@@ -232,6 +250,7 @@ let () =
           tc "bump on/off equivalence" `Quick test_bump_equivalence;
           tc "contended refills" `Quick test_contended_refills;
           tc "fairness" `Quick test_fairness;
+          tc "2 mutators x 20000 requests serve all" `Quick test_long_run_serves_all;
         ] );
       ( "bump path",
         [
