@@ -7,8 +7,8 @@
     live set.  Uses the matrix only for its disk cache handle, so the
     multi-megabyte trace artefacts are content-addressed and reused
     across docs runs.  The machine-dependent half of the scaling
-    evidence (wall clock, child-process peak RSS at up to 50M objects)
-    lives in the bench record, not in the document. *)
+    evidence (wall clock, peak RSS) is hostbench's gen-replay workload
+    and CI's 10M-object bounded-replay job, not the document. *)
 
 val columns : (string * Workloads.Api.mode) list
 (** The allocator columns replayed from generated traces, as
