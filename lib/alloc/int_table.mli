@@ -1,8 +1,8 @@
 (** Hash table keyed by simulated addresses and region handles.
 
-    The measurement-side maps of the allocators and the region runtime
-    ([Regions.Rstats], [Regions.Region], [Workloads.Api]) use it instead
-    of the polymorphic [Hashtbl], whose hash is a C call per lookup. *)
+    [Workloads.Api]'s per-region counts of emulated regions use it
+    instead of the polymorphic [Hashtbl], whose hash is a C call per
+    lookup; {!Stats} uses its {!hash}. *)
 
 val hash : int -> int
 (** A multiplicative mix of the key, in [0, 2^32).  Its high bits are

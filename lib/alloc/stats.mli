@@ -8,7 +8,8 @@
     Live-size accounting uses an OCaml-side address table; it is pure
     measurement and charges no simulated cost.  The table is an
     open-addressing array of packed ints, so recording an allocation
-    or a free allocates nothing on the host. *)
+    or a free allocates nothing on the host.  Blocks freed only as a
+    group (region objects) skip the table: see {!on_group_alloc}. *)
 
 type t
 
@@ -23,6 +24,17 @@ val on_alloc : t -> addr:int -> size:int -> unit
 val on_free : t -> int -> unit
 (** Record the deallocation of the block at the given address.
     Unknown addresses are ignored (the caller validates frees). *)
+
+val on_group_alloc : t -> int -> unit
+(** [on_group_alloc t size] records an allocation of [size] requested
+    bytes whose block is never freed on its own: it goes with the rest
+    of its group (a region's objects) in one {!on_group_free}.  No
+    address is kept, so this is a few adds. *)
+
+val on_group_free : t -> count:int -> bytes:int -> unit
+(** Record the deallocation of [count] blocks recorded by
+    {!on_group_alloc} whose word-rounded sizes sum to [bytes]: the
+    readouts move exactly as under one {!on_free} per block. *)
 
 val on_map : t -> int -> unit
 (** Record bytes mapped from the OS. *)

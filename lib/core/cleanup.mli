@@ -40,10 +40,15 @@ type t
 val create : unit -> t
 
 val register_object : t -> layout -> id
-(** Cleanups are hash-consed: registering the same layout twice
-    returns the same id. *)
+(** Cleanups are shared: registering a structurally equal layout
+    again returns the same id.  Ids are 1, 2, 3, ... in the order of
+    first registration, across all three [register_] functions.
+    Registering a layout the table has seen costs no hash and no host
+    allocation. *)
 
 val register_array : t -> layout -> id
+(** As {!register_object}; an array cleanup never shares an id with
+    the object cleanup of the same layout. *)
 
 val register_custom :
   t -> size_bytes:int -> (Sim.Memory.t -> int -> unit) -> id
@@ -52,7 +57,8 @@ val register_custom :
     object is treated as pointer-free. *)
 
 val find : t -> id -> kind
-(** @raise Invalid_argument on an unknown id. *)
+(** An array index.
+    @raise Invalid_argument on an id not returned by this table. *)
 
 val stride : layout -> int
 (** Array element stride: the element size rounded up to a word. *)

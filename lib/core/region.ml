@@ -61,6 +61,17 @@ type bump = {
          region — both are racing the same page pool *)
 }
 
+(* Host-side record of one live region, kept at the index of the
+   region's first page in [hosts] (the region structure lives in that
+   page, so the index is [r lsr 12]).  Its counts are also what
+   deletion releases from [stats], in one step: region objects are
+   never freed one at a time, so [stats] keeps no address of them. *)
+type host = {
+  region : region;
+  counts : Rstats.counts;
+  mutable large : (int * int) list;  (* large-object extents: (addr, pages) *)
+}
+
 type t = {
   mem : Sim.Memory.t;
   mutator : Mutator.t;
@@ -76,9 +87,8 @@ type t = {
   mutable block_pages : int;  (* total pages held in [free_blocks] *)
   mutable pages_mapped : int;
   mutable page_map : int array;  (* page number -> region address *)
+  mutable hosts : host option array;  (* page number -> region starting there *)
   mutable regions_created : int;
-  large : (int * int) list ref Alloc.Int_table.t;  (* region -> (addr, pages) *)
-  objects : int list ref Alloc.Int_table.t;  (* region -> live user addrs *)
   mutable bump : bump option;  (* multi-mutator fast path; None = legacy *)
   mutable mutator_id : int;  (* current mutator identity (0 until set) *)
 }
@@ -108,9 +118,13 @@ let pool_pages t = t.pool_len
 let ensure_page_map t pageno =
   let n = Array.length t.page_map in
   if pageno >= n then begin
-    let bigger = Array.make (max (n * 2) (pageno + 1)) 0 in
+    let n' = max (n * 2) (pageno + 1) in
+    let bigger = Array.make n' 0 in
     Array.blit t.page_map 0 bigger 0 n;
-    t.page_map <- bigger
+    t.page_map <- bigger;
+    let hosts = Array.make n' None in
+    Array.blit t.hosts 0 hosts 0 n;
+    t.hosts <- hosts
   end
 
 let set_page_region t page r =
@@ -244,9 +258,8 @@ let create ?(safe = true) ?(offset_regions = true) ?(eager_locals = false)
       block_pages = 0;
       pages_mapped = 0;
       page_map = Array.make 1024 0;
+      hosts = Array.make 1024 None;
       regions_created = 0;
-      large = Alloc.Int_table.create 16;
-      objects = Alloc.Int_table.create 64;
       bump = None;
       mutator_id = 0;
     }
@@ -486,8 +499,8 @@ let newregion_body t () =
   (* End-of-objects marker for the region scan. *)
   Sim.Memory.store t.mem (p + scan_off) 0;
   set_page_region t p r;
-  Rstats.on_new t.rstats r;
-  Alloc.Int_table.replace t.objects r (ref []);
+  t.hosts.(p lsr 12) <-
+    Some { region = r; counts = Rstats.on_new t.rstats; large = [] };
   Obs.Tracer.region_create (Sim.Memory.tracer t.mem) r;
   r
 
@@ -499,12 +512,18 @@ let check_region t r =
   if r = 0 then invalid_arg "Region: null region";
   if regionof0 t r <> r then invalid_arg "Region: invalid or deleted region"
 
-let record_alloc t r user size =
-  Alloc.Stats.on_alloc t.stats ~addr:user ~size;
-  Rstats.on_alloc t.rstats r (round4 size);
-  match Alloc.Int_table.find t.objects r with
-  | l -> l := user :: !l
-  | exception Not_found -> ()
+(* The host record of live region [r]. *)
+let host t r =
+  match t.hosts.(r lsr 12) with
+  | Some h -> h
+  | None -> invalid_arg "Region: invalid or deleted region"
+
+let counts t r =
+  if r <> 0 && regionof0 t r = r then Some (host t r).counts else None
+
+let record_alloc t h size =
+  Alloc.Stats.on_group_alloc t.stats size;
+  Rstats.on_alloc t.rstats h.counts (round4 size)
 
 (* Bump-allocate [total] bytes from the normal allocator of [r],
    starting a fresh page when the head page is full.  This is the
@@ -574,9 +593,8 @@ let ralloc_body t (r, id, size) =
   let addr = normal_alloc t r (4 + data) in
   Sim.Memory.store t.mem addr id;
   Sim.Memory.clear t.mem (addr + 4) data;
-  let user = addr + 4 in
-  record_alloc t r user size;
-  user
+  record_alloc t (host t r) size;
+  addr + 4
 
 let ralloc_with_id t r id size =
   check_region t r;
@@ -605,9 +623,8 @@ let rarrayalloc_body t (r, n, (layout : Cleanup.layout)) =
   Sim.Memory.store t.mem addr id;
   Sim.Memory.store t.mem (addr + 4) n;
   Sim.Memory.clear t.mem (addr + 8) data;
-  let user = addr + 8 in
-  record_alloc t r user (n * layout.Cleanup.size_bytes);
-  user
+  record_alloc t (host t r) (n * layout.Cleanup.size_bytes);
+  addr + 8
 
 let rarrayalloc t r ~n (layout : Cleanup.layout) =
   check_region t r;
@@ -634,7 +651,7 @@ let rstralloc_body t (r, size) =
     in
     let addr = page + from in
     Sim.Memory.store t.mem (r + off_sfrom) (from + data);
-    record_alloc t r addr size;
+    record_alloc t (host t r) size;
     addr
   end
   else begin
@@ -656,16 +673,9 @@ let rstralloc_body t (r, size) =
     for i = 0 to pages - 1 do
       set_page_region t (addr + (i * page_bytes)) r
     done;
-    let l =
-      match Alloc.Int_table.find t.large r with
-      | l -> l
-      | exception Not_found ->
-          let l = ref [] in
-          Alloc.Int_table.replace t.large r l;
-          l
-    in
-    l := (addr, pages) :: !l;
-    record_alloc t r addr size;
+    let h = host t r in
+    h.large <- (addr, pages) :: h.large;
+    record_alloc t h size;
     addr
   end
 
@@ -742,22 +752,25 @@ let destroy t ~deleting v =
     if r <> 0 && r <> deleting then rc_add t r (-1)
   end
 
+(* [destroy] every pointer field of the object at [obj]: a plain loop
+   over the offsets, so the scan builds no closure per object. *)
+let rec destroy_fields t ~deleting obj = function
+  | [] -> ()
+  | off :: rest ->
+      destroy t ~deleting (Sim.Memory.load t.mem (obj + off));
+      destroy_fields t ~deleting obj rest
+
 let run_cleanup t ~deleting pos id =
   match Cleanup.find t.cleanups id with
   | Cleanup.Object l ->
-      List.iter
-        (fun off -> destroy t ~deleting (Sim.Memory.load t.mem (pos + off)))
-        l.Cleanup.ptr_offsets;
+      destroy_fields t ~deleting pos l.Cleanup.ptr_offsets;
       pos + Cleanup.stride l
   | Cleanup.Array l ->
       let n = Sim.Memory.load t.mem pos in
       let stride = Cleanup.stride l in
       let data = pos + 4 in
       for i = 0 to n - 1 do
-        List.iter
-          (fun off ->
-            destroy t ~deleting (Sim.Memory.load t.mem (data + (i * stride) + off)))
-          l.Cleanup.ptr_offsets
+        destroy_fields t ~deleting (data + (i * stride)) l.Cleanup.ptr_offsets
       done;
       data + (n * stride)
   | Cleanup.Custom { size_bytes; run } ->
@@ -795,17 +808,12 @@ let release_region t r =
       let spages = collect_pages t (Sim.Memory.load t.mem (r + off_spage)) in
       List.iter (release_page t) spages;
       List.iter (release_page t) npages;
-      (match Alloc.Int_table.find_opt t.large r with
-      | Some l ->
-          List.iter (fun (addr, pages) -> release_block t addr pages) !l;
-          Alloc.Int_table.remove t.large r
-      | None -> ());
-      (match Alloc.Int_table.find_opt t.objects r with
-      | Some l ->
-          List.iter (Alloc.Stats.on_free t.stats) !l;
-          Alloc.Int_table.remove t.objects r
-      | None -> ());
-      Rstats.on_delete t.rstats r)
+      let h = host t r in
+      List.iter (fun (addr, pages) -> release_block t addr pages) h.large;
+      Alloc.Stats.on_group_free t.stats ~count:h.counts.allocs
+        ~bytes:h.counts.bytes;
+      Rstats.on_delete t.rstats;
+      t.hosts.(r lsr 12) <- None)
 
 let read_rptr t = function
   | In_frame (fr, i) -> Mutator.get_local fr i
@@ -852,10 +860,13 @@ let deleteregion t ptr =
 (* Test helpers *)
 
 (* Ascending, so that what callers derive from it (the reference
-   listings of [Debug], the order of invariant failures) does not
-   depend on the table's layout. *)
+   listings of [Debug], the order of invariant failures) is fixed: a
+   region's address rises with the page its host record sits at. *)
 let live_regions t =
-  List.sort Int.compare (Alloc.Int_table.fold (fun r _ acc -> r :: acc) t.objects [])
+  Array.fold_right
+    (fun h acc -> match h with Some h -> h.region :: acc | None -> acc)
+    t.hosts []
+
 let regionof_peek = regionof0
 
 let collect_pages_peek t head =
@@ -918,15 +929,12 @@ let check_invariants t =
       let spages = collect_pages_peek t (Sim.Memory.peek t.mem (r + off_spage)) in
       List.iter (fun p -> check_page_mapped r p "normal") npages;
       List.iter (fun p -> check_page_mapped r p "string") spages;
-      (match Alloc.Int_table.find_opt t.large r with
-      | Some l ->
-          List.iter
-            (fun (addr, pages) ->
-              for i = 0 to pages - 1 do
-                check_page_mapped r (addr + (i * page_bytes)) "large"
-              done)
-            !l
-      | None -> ());
+      List.iter
+        (fun (addr, pages) ->
+          for i = 0 to pages - 1 do
+            check_page_mapped r (addr + (i * page_bytes)) "large"
+          done)
+        (host t r).large;
       (* Object headers must parse and stay within their page. *)
       List.iter
         (fun p ->

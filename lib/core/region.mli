@@ -68,6 +68,11 @@ val is_safe : t -> bool
 val stats : t -> Alloc.Stats.t
 val rstats : t -> Rstats.t
 
+val counts : t -> region -> Rstats.counts option
+(** The requested bytes and allocation count of a live region, which
+    its deletion releases from {!stats}; [None] if [r] is not a live
+    region.  Cost-free. *)
+
 val os_bytes : t -> int
 (** Bytes mapped from the OS plus the 8-bytes-per-page cost of the
     page map and page list (paper section 4.1). *)

@@ -1,4 +1,4 @@
-type info = { mutable bytes : int; mutable allocs : int }
+type counts = { mutable bytes : int; mutable allocs : int }
 
 type t = {
   mutable total : int;
@@ -7,7 +7,6 @@ type t = {
   mutable max_bytes : int;
   mutable all_bytes : int;
   mutable all_allocs : int;
-  per_region : info Alloc.Int_table.t;
 }
 
 let create () =
@@ -18,32 +17,22 @@ let create () =
     max_bytes = 0;
     all_bytes = 0;
     all_allocs = 0;
-    per_region = Alloc.Int_table.create 64;
   }
 
-let on_new t r =
+let on_new t =
   t.total <- t.total + 1;
   t.live <- t.live + 1;
   if t.live > t.max_live then t.max_live <- t.live;
-  Alloc.Int_table.replace t.per_region r { bytes = 0; allocs = 0 }
+  { bytes = 0; allocs = 0 }
 
-(* [find], not [find_opt]: a hit allocates no option. *)
-let on_alloc t r bytes =
-  match Alloc.Int_table.find t.per_region r with
-  | exception Not_found -> ()
-  | info ->
-      info.bytes <- info.bytes + bytes;
-      info.allocs <- info.allocs + 1;
-      if info.bytes > t.max_bytes then t.max_bytes <- info.bytes;
-      t.all_bytes <- t.all_bytes + bytes;
-      t.all_allocs <- t.all_allocs + 1
+let on_alloc t c bytes =
+  c.bytes <- c.bytes + bytes;
+  c.allocs <- c.allocs + 1;
+  if c.bytes > t.max_bytes then t.max_bytes <- c.bytes;
+  t.all_bytes <- t.all_bytes + bytes;
+  t.all_allocs <- t.all_allocs + 1
 
-let on_delete t r =
-  match Alloc.Int_table.find_opt t.per_region r with
-  | None -> ()
-  | Some _ ->
-      Alloc.Int_table.remove t.per_region r;
-      t.live <- t.live - 1
+let on_delete t = t.live <- t.live - 1
 
 let total_regions t = t.total
 let live_regions t = t.live

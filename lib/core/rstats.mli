@@ -6,16 +6,21 @@
 
 type t
 
+type counts = private { mutable bytes : int; mutable allocs : int }
+(** One live region's requested bytes (each allocation rounded to a
+    word by the caller) and allocation count. *)
+
 val create : unit -> t
 
-val on_new : t -> int -> unit
-(** [on_new t r] records creation of region [r]. *)
+val on_new : t -> counts
+(** Record the creation of a region; returns its zeroed counts. *)
 
-val on_alloc : t -> int -> int -> unit
-(** [on_alloc t r bytes] records an allocation of [bytes] (rounded to
-    a word by the caller) in region [r]. *)
+val on_alloc : t -> counts -> int -> unit
+(** [on_alloc t c bytes] records an allocation of [bytes] in the region
+    whose counts are [c]. *)
 
-val on_delete : t -> int -> unit
+val on_delete : t -> unit
+(** Record the deletion of a live region. *)
 
 val total_regions : t -> int
 val live_regions : t -> int

@@ -60,6 +60,10 @@ type recorder = {
   rec_set_mutator : mid:int -> bump:bool -> unit;
 }
 
+(* An emulated region's objects: their number and word-rounded bytes,
+   released from [req] in one step when the region is deleted. *)
+type emu_region = { mutable objects : int; mutable bytes : int }
+
 type t = {
   mode : mode;
   mem : Sim.Memory.t;
@@ -70,7 +74,7 @@ type t = {
   emu : Regions.Emulation.t option;
   reg : Regions.Region.t option;
   req : Alloc.Stats.t;  (* program-requested accounting *)
-  region_objects : int list ref Alloc.Int_table.t;  (* region -> live objects *)
+  emu_regions : emu_region Alloc.Int_table.t;  (* Emulated only *)
   mutable emu_overhead : int;  (* current bytes of emulation bookkeeping *)
   mutable emu_overhead_max : int;
   root_providers : ((int -> unit) -> unit) list ref;
@@ -147,7 +151,7 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
       emu;
       reg;
       req = Alloc.Stats.create ();
-      region_objects = Alloc.Int_table.create 64;
+      emu_regions = Alloc.Int_table.create 64;
       emu_overhead = 0;
       emu_overhead_max = 0;
       root_providers = providers;
@@ -349,16 +353,26 @@ let free t addr =
 (* ------------------------------------------------------------------ *)
 (* Regions *)
 
-let track_object t r addr size =
-  Alloc.Stats.on_alloc t.req ~addr ~size;
-  Obs.Tracer.ralloc t.tracer ~addr ~bytes:size;
-  match Alloc.Int_table.find t.region_objects r with
-  | l -> l := addr :: !l
-  | exception Not_found -> Alloc.Int_table.replace t.region_objects r (ref [ addr ])
+(* Region objects are only ever freed with their region, so [req]
+   records them without their addresses (see {!deleteregion}). *)
+let track_object t addr size =
+  Alloc.Stats.on_group_alloc t.req size;
+  Obs.Tracer.ralloc t.tracer ~addr ~bytes:size
 
 let bump_emu_overhead t bytes =
   t.emu_overhead <- t.emu_overhead + bytes;
   if t.emu_overhead > t.emu_overhead_max then t.emu_overhead_max <- t.emu_overhead
+
+let track_emu_object t r addr size =
+  track_object t addr size;
+  let bytes = (size + 3) land lnot 3 in
+  (match Alloc.Int_table.find t.emu_regions r with
+  | e ->
+      e.objects <- e.objects + 1;
+      e.bytes <- e.bytes + bytes
+  | exception Not_found ->
+      Alloc.Int_table.replace t.emu_regions r { objects = 1; bytes });
+  bump_emu_overhead t Regions.Emulation.overhead_per_object
 
 let newregion t =
   let r =
@@ -379,14 +393,13 @@ let ralloc t r layout =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.ralloc lib r layout in
-        track_object t r p layout.Regions.Cleanup.size_bytes;
+        track_object t p layout.Regions.Cleanup.size_bytes;
         p
     | None, Some emu ->
         let p =
           Regions.Emulation.ralloc emu r layout.Regions.Cleanup.size_bytes
         in
-        track_object t r p layout.Regions.Cleanup.size_bytes;
-        bump_emu_overhead t Regions.Emulation.overhead_per_object;
+        track_emu_object t r p layout.Regions.Cleanup.size_bytes;
         p
     | None, None -> unsupported t "ralloc"
   in
@@ -400,12 +413,11 @@ let rstralloc t r size =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.rstralloc lib r size in
-        track_object t r p size;
+        track_object t p size;
         p
     | None, Some emu ->
         let p = Regions.Emulation.rstralloc emu r size in
-        track_object t r p size;
-        bump_emu_overhead t Regions.Emulation.overhead_per_object;
+        track_emu_object t r p size;
         p
     | None, None -> unsupported t "rstralloc"
   in
@@ -419,13 +431,12 @@ let rarrayalloc t r ~n layout =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.rarrayalloc lib r ~n layout in
-        track_object t r p (n * layout.Regions.Cleanup.size_bytes);
+        track_object t p (n * layout.Regions.Cleanup.size_bytes);
         p
     | None, Some emu ->
         let bytes = n * Regions.Cleanup.stride layout in
         let p = Regions.Emulation.ralloc emu r bytes in
-        track_object t r p bytes;
-        bump_emu_overhead t Regions.Emulation.overhead_per_object;
+        track_emu_object t r p bytes;
         p
     | None, None -> unsupported t "rarrayalloc"
   in
@@ -434,19 +445,9 @@ let rarrayalloc t r ~n layout =
   | None -> ());
   p
 
-let forget_region t r =
-  match Alloc.Int_table.find_opt t.region_objects r with
-  | Some l ->
-      List.iter (Alloc.Stats.on_free t.req) !l;
-      (match t.emu with
-      | Some _ ->
-          t.emu_overhead <-
-            t.emu_overhead - 12
-            - (List.length !l * Regions.Emulation.overhead_per_object)
-      | None -> ());
-      Alloc.Int_table.remove t.region_objects r
-  | None -> if t.emu <> None then t.emu_overhead <- t.emu_overhead - 12
-
+(* A deleted region's objects leave [req] in one step: under [Region]
+   with the library's own per-region counts (read before the delete,
+   which drops them), emulated with [emu_regions]. *)
 let deleteregion t fr slot =
   (* The frame index is resolved before the delete: a successful
      delete cannot pop frames, but resolving first keeps the recorded
@@ -455,8 +456,12 @@ let deleteregion t fr slot =
   match (t.reg, t.emu) with
   | Some lib, _ ->
       let r = Regions.Mutator.get_local fr slot in
+      let counts = Regions.Region.counts lib r in
       let ok = Regions.Region.deleteregion lib (Regions.Region.In_frame (fr, slot)) in
-      if ok then forget_region t r;
+      (match counts with
+      | Some c when ok ->
+          Alloc.Stats.on_group_free t.req ~count:c.allocs ~bytes:c.bytes
+      | _ -> ());
       (match t.recorder with
       | Some rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok
       | None -> ());
@@ -464,7 +469,16 @@ let deleteregion t fr slot =
   | None, Some emu ->
       let r = Regions.Mutator.get_local fr slot in
       Regions.Emulation.deleteregion emu r;
-      forget_region t r;
+      let objects =
+        match Alloc.Int_table.find_opt t.emu_regions r with
+        | Some e ->
+            Alloc.Stats.on_group_free t.req ~count:e.objects ~bytes:e.bytes;
+            Alloc.Int_table.remove t.emu_regions r;
+            e.objects
+        | None -> 0
+      in
+      t.emu_overhead <-
+        t.emu_overhead - 12 - (objects * Regions.Emulation.overhead_per_object);
       Regions.Mutator.set_local t.mut fr slot 0;
       Obs.Tracer.region_delete t.tracer ~deleted:true r;
       (match t.recorder with

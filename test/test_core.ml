@@ -107,6 +107,49 @@ let test_cleanup_registry () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* The registry's contract, which object headers depend on: ids are
+   dense from 1 in first-registration order, shared by structurally
+   equal layouts, never shared between an object and an array cleanup,
+   and [find] rejects every id it did not hand out. *)
+let test_cleanup_registry_contract () =
+  let t = Regions.Cleanup.create () in
+  let a = Regions.Cleanup.layout ~size_bytes:12 ~ptr_offsets:[ 8; 0 ] in
+  let a' = Regions.Cleanup.layout ~size_bytes:12 ~ptr_offsets:[ 0; 8 ] in
+  check_bool "physically distinct" true (a != a');
+  let b = Regions.Cleanup.layout ~size_bytes:12 ~ptr_offsets:[ 4 ] in
+  check "first id" 1 (Regions.Cleanup.register_object t a);
+  check "structurally equal layout" 1 (Regions.Cleanup.register_object t a');
+  check "array of the same layout" 2 (Regions.Cleanup.register_array t a');
+  check "array again" 2 (Regions.Cleanup.register_array t a);
+  check "same size, other offsets" 3 (Regions.Cleanup.register_object t b);
+  let custom =
+    Regions.Cleanup.register_custom t ~size_bytes:20 (fun _ _ -> ())
+  in
+  check "custom id" 4 custom;
+  check "big layout" 5
+    (Regions.Cleanup.register_object t (Regions.Cleanup.layout_words 5000));
+  check "big layout again" 5
+    (Regions.Cleanup.register_object t (Regions.Cleanup.layout_words 5000));
+  check "big array" 6
+    (Regions.Cleanup.register_array t (Regions.Cleanup.layout_words 6000));
+  (match Regions.Cleanup.find t 2 with
+  | Regions.Cleanup.Array l ->
+      check "array element size" 12 l.Regions.Cleanup.size_bytes
+  | _ -> Alcotest.fail "expected Array");
+  (match Regions.Cleanup.find t 3 with
+  | Regions.Cleanup.Object l ->
+      check_bool "offsets kept" true (l.Regions.Cleanup.ptr_offsets = [ 4 ])
+  | _ -> Alcotest.fail "expected Object");
+  (match Regions.Cleanup.find t custom with
+  | Regions.Cleanup.Custom { size_bytes; _ } -> check "custom size" 20 size_bytes
+  | _ -> Alcotest.fail "expected Custom");
+  List.iter
+    (fun id ->
+      match Regions.Cleanup.find t id with
+      | _ -> Alcotest.failf "find %d: expected Invalid_argument" id
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; 7 ]
+
 let test_cleanup_layout_validation () =
   let bad f = match f () with
     | _ -> Alcotest.fail "expected Invalid_argument"
@@ -976,6 +1019,7 @@ let () =
       ( "cleanup",
         [
           tc "registry" `Quick test_cleanup_registry;
+          tc "registry contract" `Quick test_cleanup_registry_contract;
           tc "layout validation" `Quick test_cleanup_layout_validation;
         ] );
       ( "alloc",

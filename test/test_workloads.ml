@@ -380,6 +380,307 @@ let test_gc_malloc_allocates_nothing () =
   same_minor_words "gc" (fun () -> ignore (a.Alloc.Allocator.malloc 24));
   check "no collection in the window" collections (Gcsim.Boehm.collections gc)
 
+(* Region bookkeeping allocates a bounded amount per operation: on a
+   region whose pages come from the pool, [Api.ralloc] allocates only
+   the argument tuple of its [Sim.Cost.within] call (4 words), and a
+   safe [deleteregion] allocates per page, not per object. *)
+let pin_layout = Regions.Cleanup.layout ~size_bytes:12 ~ptr_offsets:[ 0; 8 ]
+
+let test_ralloc_allocates_little safe () =
+  let api = quick_api ~mode:(Workloads.Api.Region { safe }) () in
+  Workloads.Api.with_frame api ~nslots:1 ~ptr_slots:[ 0 ] (fun fr ->
+      let fill n =
+        let r = Workloads.Api.newregion api in
+        Workloads.Api.set_local_ptr api fr 0 r;
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Workloads.Api.ralloc api r pin_layout)
+        done;
+        let words = Gc.minor_words () -. before in
+        check_bool "deleted" true (Workloads.Api.deleteregion api fr 0);
+        words
+      in
+      ignore (fill 10_010);
+      let per_call = (fill 10_010 -. fill 10) /. 10_000. in
+      if per_call > 4. then
+        Alcotest.failf "Api.ralloc allocates %.2f words per call (> 4)" per_call)
+
+let test_deleteregion_allocates_per_page () =
+  let api = quick_api () in
+  Workloads.Api.with_frame api ~nslots:2 ~ptr_slots:[ 0; 1 ] (fun fr ->
+      (* Every object points into a second region, so the cleanup scan
+         destroys a counted reference per object. *)
+      let other = Workloads.Api.newregion api in
+      Workloads.Api.set_local_ptr api fr 1 other;
+      let target = Workloads.Api.ralloc api other pin_layout in
+      let delete_words n =
+        let r = Workloads.Api.newregion api in
+        Workloads.Api.set_local_ptr api fr 0 r;
+        for _ = 1 to n do
+          let p = Workloads.Api.ralloc api r pin_layout in
+          Workloads.Api.store_ptr api ~addr:p target
+        done;
+        let before = Gc.minor_words () in
+        check_bool "deleted" true (Workloads.Api.deleteregion api fr 0);
+        Gc.minor_words () -. before
+      in
+      ignore (delete_words 10_010);
+      let per_object = (delete_words 10_010 -. delete_words 10) /. 10_000. in
+      if per_object > 0.5 then
+        Alcotest.failf "deleteregion allocates %.2f words per object (> 0.5)"
+          per_object)
+
+(* ------------------------------------------------------------------ *)
+(* Region accounting against a per-object model *)
+
+(* The facade's region accounting ([requested_stats], the library's
+   [Alloc.Stats] and [Rstats], [emulation_overhead_bytes]) must equal
+   what a model that remembers every object derives, after every
+   operation, under both region columns and two emulated ones.  Picks
+   are resolved modulo what is live when the operation runs. *)
+type rop =
+  | R_new
+  | R_ralloc of int * int  (* region, layout *)
+  | R_rstr of int * int  (* region, size *)
+  | R_array of int * int * int  (* region, n, layout *)
+  | R_store of int * int * int * int
+      (* source object, field, target region, target object; a target
+         object pick divisible by 5 stores null *)
+  | R_delete of int
+
+let model_layouts =
+  Regions.Cleanup.
+    [|
+      layout ~size_bytes:8 ~ptr_offsets:[ 4 ];
+      layout ~size_bytes:16 ~ptr_offsets:[ 0; 8 ];
+      layout ~size_bytes:10 ~ptr_offsets:[ 4 ];
+      layout ~size_bytes:40 ~ptr_offsets:[ 0; 4; 36 ];
+      layout_words 3;
+    |]
+
+let gen_rop =
+  QCheck.Gen.(
+    let pick = int_bound 1000 in
+    let lay = int_bound (Array.length model_layouts - 1) in
+    frequency
+      [
+        (3, return R_new);
+        (8, map2 (fun r l -> R_ralloc (r, l)) pick lay);
+        (3, map2 (fun r n -> R_rstr (r, n)) pick (int_range 1 300));
+        (1, map2 (fun r n -> R_rstr (r, n)) pick (int_range 4093 13000));
+        (2, map3 (fun r n l -> R_array (r, n, l)) pick (int_range 1 20) lay);
+        (6, map4 (fun a b c d -> R_store (a, b, c, d)) pick pick pick pick);
+        (3, map (fun r -> R_delete r) pick);
+      ])
+
+let show_rop = function
+  | R_new -> "new"
+  | R_ralloc (r, l) -> Printf.sprintf "ralloc(%d,L%d)" r l
+  | R_rstr (r, n) -> Printf.sprintf "rstralloc(%d,%d)" r n
+  | R_array (r, n, l) -> Printf.sprintf "rarrayalloc(%d,%d,L%d)" r n l
+  | R_store (a, b, c, d) -> Printf.sprintf "store(%d,%d,%d,%d)" a b c d
+  | R_delete r -> Printf.sprintf "delete(%d)" r
+
+type mobj = {
+  addr : int;
+  fields : int array;  (* pointer-field offsets *)
+  targets : int array;  (* model id of the region each field points into, -1 *)
+}
+
+type mregion = {
+  id : int;
+  slot : int;
+  handle : int;
+  mutable objs : mobj list;
+  mutable count : int;
+  mutable bytes : int;
+}
+
+let model_slots = 8
+let round4 n = (n + 3) land lnot 3
+
+let run_region_model mode ops =
+  let open Workloads in
+  let api = Api.create ~with_cache:false mode in
+  let safe = mode = Api.Region { safe = true } in
+  let emulated = match mode with Api.Emulated _ -> true | _ -> false in
+  let live = ref [] (* newest first *) and next_id = ref 0 in
+  let allocs = ref 0 and frees = ref 0 and total = ref 0 in
+  let live_bytes = ref 0 and max_live = ref 0 in
+  let regions = ref 0 and live_regions = ref 0 and max_regions = ref 0 in
+  let max_region = ref 0 and all_allocs = ref 0 in
+  let emu = ref 0 and emu_max = ref 0 in
+  let emu_add n =
+    if emulated then begin
+      emu := !emu + n;
+      emu_max := max !emu_max !emu
+    end
+  in
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) (Api.mode_name mode) in
+  let nth_mod l k = List.nth l (k mod List.length l) in
+  let record reg ~addr ~size (layout : Regions.Cleanup.layout option) =
+    let b = round4 size in
+    incr allocs;
+    total := !total + b;
+    live_bytes := !live_bytes + b;
+    max_live := max !max_live !live_bytes;
+    reg.count <- reg.count + 1;
+    reg.bytes <- reg.bytes + b;
+    max_region := max !max_region reg.bytes;
+    incr all_allocs;
+    emu_add 8;
+    let fields =
+      match layout with
+      | Some l -> Array.of_list l.Regions.Cleanup.ptr_offsets
+      | None -> [||]
+    in
+    reg.objs <-
+      { addr; fields; targets = Array.make (Array.length fields) (-1) }
+      :: reg.objs
+  in
+  let compare_stats what st =
+    let eq name got want =
+      if got <> want then fail "%s %s: %d, model %d" what name got want
+    in
+    eq "allocs" (Alloc.Stats.allocs st) !allocs;
+    eq "frees" (Alloc.Stats.frees st) !frees;
+    eq "total" (Alloc.Stats.total_bytes st) !total;
+    eq "live" (Alloc.Stats.live_bytes st) !live_bytes;
+    eq "max live" (Alloc.Stats.max_live_bytes st) !max_live
+  in
+  let compare_all () =
+    compare_stats "requested" (Api.requested_stats api);
+    if Api.emulation_overhead_bytes api <> !emu_max then
+      fail "emulation overhead %d, model %d"
+        (Api.emulation_overhead_bytes api)
+        !emu_max;
+    match (Api.region_lib api, Api.region_rstats api) with
+    | Some lib, Some rs ->
+        compare_stats "library" (Regions.Region.stats lib);
+        let eq name got want =
+          if got <> want then fail "rstats %s: %d, model %d" name got want
+        in
+        eq "total" (Regions.Rstats.total_regions rs) !regions;
+        eq "live" (Regions.Rstats.live_regions rs) !live_regions;
+        eq "max live" (Regions.Rstats.max_live_regions rs) !max_regions;
+        eq "max bytes" (Regions.Rstats.max_region_bytes rs) !max_region;
+        let avg n =
+          if !regions = 0 then 0.0
+          else float_of_int n /. float_of_int !regions
+        in
+        if Regions.Rstats.avg_region_bytes rs <> avg !total then
+          fail "rstats avg bytes";
+        if Regions.Rstats.avg_allocs_per_region rs <> avg !all_allocs then
+          fail "rstats avg allocs"
+    | None, None -> if not emulated then fail "no region library"
+    | _ -> fail "region library without rstats"
+  in
+  let all_slots = List.init model_slots Fun.id in
+  Api.with_frame api ~nslots:model_slots ~ptr_slots:all_slots (fun fr ->
+      let step = function
+        | R_new ->
+            let used = List.map (fun g -> g.slot) !live in
+            let free = List.filter (fun i -> not (List.mem i used)) all_slots in
+            (match free with
+            | [] -> ()
+            | slot :: _ ->
+                let handle = Api.newregion api in
+                Api.set_local_ptr api fr slot handle;
+                live :=
+                  { id = !next_id; slot; handle; objs = []; count = 0; bytes = 0 }
+                  :: !live;
+                incr next_id;
+                incr regions;
+                incr live_regions;
+                max_regions := max !max_regions !live_regions;
+                emu_add 12)
+        | R_ralloc (k, l) when !live <> [] ->
+            let reg = nth_mod !live k and layout = model_layouts.(l) in
+            let addr = Api.ralloc api reg.handle layout in
+            record reg ~addr ~size:layout.Regions.Cleanup.size_bytes (Some layout)
+        | R_rstr (k, size) when !live <> [] ->
+            let reg = nth_mod !live k in
+            let addr = Api.rstralloc api reg.handle size in
+            record reg ~addr ~size None
+        | R_array (k, n, l) when !live <> [] ->
+            let reg = nth_mod !live k and layout = model_layouts.(l) in
+            let addr = Api.rarrayalloc api reg.handle ~n layout in
+            let size =
+              n
+              * (if emulated then Regions.Cleanup.stride layout
+                 else layout.Regions.Cleanup.size_bytes)
+            in
+            record reg ~addr ~size None
+        | R_store (a, f, k, o) -> (
+            let sources =
+              List.concat_map
+                (fun g ->
+                  List.filter (fun ob -> Array.length ob.fields > 0) g.objs)
+                !live
+            in
+            match sources with
+            | [] -> ()
+            | _ ->
+                let src = nth_mod sources a in
+                let fi = f mod Array.length src.fields in
+                let dst = nth_mod !live k in
+                let value, target =
+                  if o mod 5 = 0 then (0, -1)
+                  else
+                    match dst.objs with
+                    | [] -> (dst.handle, dst.id)
+                    | objs -> ((nth_mod objs o).addr, dst.id)
+                in
+                Api.store_ptr api ~addr:(src.addr + src.fields.(fi)) value;
+                src.targets.(fi) <- target)
+        | R_delete k when !live <> [] ->
+            let reg = nth_mod !live k in
+            let referenced =
+              List.exists
+                (fun g ->
+                  g.id <> reg.id
+                  && List.exists
+                       (fun ob -> Array.exists (( = ) reg.id) ob.targets)
+                       g.objs)
+                !live
+            in
+            let expect = not (safe && referenced) in
+            let ok = Api.deleteregion api fr reg.slot in
+            if ok <> expect then
+              fail "deleteregion returned %b, model %b" ok expect;
+            if ok then begin
+              live := List.filter (fun g -> g.id <> reg.id) !live;
+              frees := !frees + reg.count;
+              live_bytes := !live_bytes - reg.bytes;
+              decr live_regions;
+              emu_add (-12 - (8 * reg.count))
+            end
+        | R_ralloc _ | R_rstr _ | R_array _ | R_delete _ -> ()
+      in
+      List.iter
+        (fun op ->
+          step op;
+          compare_all ())
+        ops);
+  true
+
+let qcheck_region_accounting_model =
+  let modes =
+    Workloads.Api.
+      [
+        Region { safe = true };
+        Region { safe = false };
+        Emulated Lea;
+        Emulated Bsd;
+      ]
+  in
+  QCheck.Test.make ~count:150 ~name:"region accounting equals a per-object model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat " " (List.map show_rop ops))
+        Gen.(list_size (int_range 1 80) gen_rop))
+    (fun ops -> List.for_all (fun m -> run_region_model m ops) modes)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "workloads"
@@ -434,5 +735,12 @@ let () =
           tc "load allocates nothing" `Quick test_api_load_allocates_nothing;
           tc "malloc/free allocate nothing" `Quick test_malloc_free_allocates_nothing;
           tc "gc malloc allocates nothing" `Quick test_gc_malloc_allocates_nothing;
+          tc "ralloc allocates 4 words (safe)" `Quick
+            (test_ralloc_allocates_little true);
+          tc "ralloc allocates 4 words (unsafe)" `Quick
+            (test_ralloc_allocates_little false);
+          tc "deleteregion allocates per page" `Quick
+            test_deleteregion_allocates_per_page;
+          QCheck_alcotest.to_alcotest qcheck_region_accounting_model;
         ] );
     ]
