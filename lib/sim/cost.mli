@@ -17,27 +17,7 @@ type context =
   | Stack_scan  (** stack scan and unscan (paper section 4.2.3) *)
   | Cleanup  (** region scan with cleanup functions (section 4.2.4) *)
 
-type t = {
-  mutable instrs : int;  (** every instruction charged, all contexts *)
-  mutable mark : int;
-  mutable base : int;
-  mutable alloc : int;
-  mutable refcount : int;
-  mutable stack_scan : int;
-  mutable cleanup : int;
-  mutable read_stalls : int;
-  mutable write_stalls : int;
-  mutable context : context;
-}
-(** The counters are visible so that per-access paths in other units
-    ({!Memory}, [Workloads.Api.work]) charge without a call: charging
-    [n] instructions is [t.instrs <- t.instrs + n], and a stall is an
-    add to [read_stalls] or [write_stalls].  Those three fields are the
-    only ones to write directly.  The per-context fields hold each
-    context's instructions up to [mark], the value of [instrs] when
-    [context] was last entered or left; read them through the
-    functions below, which add the current context's share since
-    [mark]. *)
+type t
 
 val create : unit -> t
 val reset : t -> unit

@@ -1,11 +1,12 @@
 (* The cache and store-buffer model of Figure 10.  Its code lives in
    this unit, and [Cache] and [Store_buffer] re-export it, because it
-   runs on every simulated access: dune's dev profile compiles with
-   -opaque, so a call into another unit is never inlined.  For the
+   runs on every simulated access: here it inlines under any build
+   profile, relying on no cross-unit inlining (DESIGN §5h).  For the
    UltraSparc geometry (both levels direct-mapped, power-of-two lines
    and sets), [load], [store] and the bulk operations below inline the
    whole model; the set-associative what-if geometries take the
-   generic LRU functions. *)
+   generic LRU functions.  Charges go through [Cost]'s functions,
+   which are small enough to inline across units. *)
 
 module Store_buffer_impl = struct
   type t = {
@@ -141,16 +142,14 @@ module Cache_impl = struct
     if Array.unsafe_get l1.tags set = line then t.l1_hits <- t.l1_hits + 1
     else begin
       t.l1_misses <- t.l1_misses + 1;
-      let cost = t.cost in
       let l2 = t.l2 in
       let line2 = addr lsr l2.line_shift in
       let set2 = line2 land l2.set_mask in
       if Array.unsafe_get l2.tags set2 = line2 then
-        cost.Cost.read_stalls <- cost.Cost.read_stalls + t.l1_miss_penalty
+        Cost.add_read_stall t.cost t.l1_miss_penalty
       else begin
         t.l2_misses <- t.l2_misses + 1;
-        cost.Cost.read_stalls <-
-          cost.Cost.read_stalls + t.l1_miss_penalty + t.l2_miss_penalty;
+        Cost.add_read_stall t.cost (t.l1_miss_penalty + t.l2_miss_penalty);
         Array.unsafe_set l2.tags set2 line2
       end;
       Array.unsafe_set l1.tags set line
@@ -161,11 +160,10 @@ module Cache_impl = struct
      (the write-through target); the store then enters the buffer at
      the current cycle. *)
   let[@inline] enqueue_store t ~l2_hit =
-    let cost = t.cost in
-    let now = cost.Cost.instrs + cost.Cost.read_stalls + cost.Cost.write_stalls in
+    let now = Cost.cycles t.cost in
     let latency = if l2_hit then t.drain_hit else t.drain_miss in
     let stall = Store_buffer_impl.push t.sb ~now ~latency in
-    if stall > 0 then cost.Cost.write_stalls <- cost.Cost.write_stalls + stall
+    if stall > 0 then Cost.add_write_stall t.cost stall
 
   let[@inline] write_direct t addr =
     t.stores <- t.stores + 1;
@@ -339,9 +337,7 @@ let[@inline] check_byte t addr =
 
 (* One instruction, then the cache model: all inlined, so an access
    makes no call. *)
-let[@inline] charge t n =
-  let cost = t.cost in
-  cost.Cost.instrs <- cost.Cost.instrs + n
+let[@inline] charge t n = Cost.instr t.cost n
 
 let[@inline] touch_read t addr =
   charge t 1;

@@ -12,11 +12,12 @@
 
     This unit also holds the cache and store-buffer model itself
     ({!Cache_impl}, {!Store_buffer_impl}; {!Cache} and {!Store_buffer}
-    re-export them).  Dune's dev profile compiles with [-opaque], so no
-    call into another unit is inlined; keeping the model here lets
-    every access on the UltraSparc geometry (both levels direct-mapped)
-    run the instruction charge, both probes, the fills and the store
-    buffer inline, with no call. *)
+    re-export them).  Keeping the model here lets every access on the
+    UltraSparc geometry (both levels direct-mapped) run the instruction
+    charge, both probes, the fills and the store buffer inline, with
+    no call, under any build profile; the charges are {!Cost}'s
+    functions, which inline across units in the default (non-opaque)
+    build. *)
 
 (** The implementation of {!Store_buffer}; documented there. *)
 module Store_buffer_impl : sig

@@ -67,7 +67,7 @@ type emu_region = { mutable objects : int; mutable bytes : int }
 type t = {
   mode : mode;
   mem : Sim.Memory.t;
-  cost : Sim.Cost.t;  (* [Sim.Memory.cost mem], read by [work] without a call *)
+  cost : Sim.Cost.t;  (* [Sim.Memory.cost mem] *)
   mut : Regions.Mutator.t;
   alloc : Alloc.Allocator.t option;  (* Direct and Emulated *)
   gc : Gcsim.Boehm.t option;
@@ -226,7 +226,8 @@ let frame_index t fr =
 
 (* The access wrappers take every argument: [let load t =
    Sim.Memory.load t.mem] would build a closure per call, since a
-   partial application across units is never inlined. *)
+   partial application builds a closure even where the function it
+   applies inlines. *)
 let load t addr = Sim.Memory.load t.mem addr
 let load_signed t addr = Sim.Memory.load_signed t.mem addr
 
@@ -261,8 +262,7 @@ let store_ptr t ~addr v =
   match t.recorder with Some r -> r.rec_store_ptr ~addr v | None -> ()
 
 let work t n =
-  let c = t.cost in
-  c.Sim.Cost.instrs <- c.Sim.Cost.instrs + n;
+  Sim.Cost.instr t.cost n;
   Obs.Tracer.tick t.tracer
 
 let with_frame t ~nslots ~ptr_slots f =

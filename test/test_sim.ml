@@ -230,6 +230,26 @@ let test_cache_write_stalls () =
   done;
   check_bool "write stalls occurred" true (Sim.Cost.write_stall_cycles c > 0)
 
+(* The memory charges through [Sim.Cost]'s functions alone: after
+   mixed cached loads and stores, with both kinds of stall charged,
+   the clock is the instruction total plus both stall totals. *)
+let test_cache_cycles_sum () =
+  let m = fresh ~with_cache:true () in
+  let c = Sim.Memory.cost m in
+  let p = Sim.Memory.map_pages m 16 in
+  (* Runs of stores to distinct L2 lines overflow the store buffer;
+     the loads between them miss on 16 KB-strided addresses. *)
+  for i = 0 to 255 do
+    if i mod 8 = 0 then ignore (Sim.Memory.load m (p + (i / 8 * 16384 mod 65536)))
+    else Sim.Memory.store m (p + (i * 64)) i
+  done;
+  check_bool "read stalls" true (Sim.Cost.read_stall_cycles c > 0);
+  check_bool "write stalls" true (Sim.Cost.write_stall_cycles c > 0);
+  check "cycles"
+    (Sim.Cost.total_instrs c + Sim.Cost.read_stall_cycles c
+   + Sim.Cost.write_stall_cycles c)
+    (Sim.Cost.cycles c)
+
 let test_cache_sequential_vs_strided () =
   (* Sequential access has far fewer misses than 16 KB-strided access:
      the locality property the paper exploits with regions. *)
@@ -887,5 +907,6 @@ let () =
           tc "associativity absorbs conflicts" `Quick
             test_cache_associativity_absorbs_conflicts;
           tc "LRU within a set" `Quick test_cache_lru_within_set;
+          tc "cycles sum instructions and stalls" `Quick test_cache_cycles_sum;
         ] );
     ]

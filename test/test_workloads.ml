@@ -316,24 +316,29 @@ let test_api_emulation_overhead_tracked () =
       check "live after delete" 0
         (Alloc.Stats.live_bytes (Workloads.Api.requested_stats api)))
 
-(* A simulated load allocates nothing on the host: 10 000 loads and 10
-   loads move the minor heap by the same amount (the measurement's own
-   boxed floats).  Fails if [Api.load] goes back to building a closure
-   per call. *)
-let test_api_load_allocates_nothing () =
+(* A simulated load, store or unit of work allocates nothing on the
+   host: 10 000 calls and 10 calls move the minor heap by the same
+   amount (the measurement's own boxed floats).  Fails if one of them
+   goes back to building a closure per call, or if the abstract
+   [Sim.Cost.t] their charges go through starts boxing. *)
+let test_api_access_allocates_nothing op () =
   let api =
     Workloads.Api.create ~with_cache:true (Workloads.Api.Direct Workloads.Api.Sun)
   in
   let p = Sim.Memory.map_pages (Workloads.Api.memory api) 1 in
   let minor_words n =
     let before = Gc.minor_words () in
-    for _ = 1 to n do
-      ignore (Workloads.Api.load api p)
+    for i = 1 to n do
+      op api p i
     done;
     Gc.minor_words () -. before
   in
   Alcotest.(check (float 0.)) "same minor words" (minor_words 10)
     (minor_words 10_000)
+
+let api_load api p _ = ignore (Workloads.Api.load api p)
+let api_store api p i = Workloads.Api.store api p i
+let api_work api _ i = Workloads.Api.work api (i land 7)
 
 (* Allocator bookkeeping allocates nothing on the host either: after a
    warm-up that grows every table it touches, 10 000 operations and 10
@@ -732,7 +737,8 @@ let () =
           tc "unsupported ops rejected" `Quick test_api_unsupported_ops;
           tc "gc free is logical" `Quick test_api_gc_free_is_logical;
           tc "emulation overhead tracked" `Quick test_api_emulation_overhead_tracked;
-          tc "load allocates nothing" `Quick test_api_load_allocates_nothing;
+          tc "load allocates nothing" `Quick
+            (test_api_access_allocates_nothing api_load);
           tc "malloc/free allocate nothing" `Quick test_malloc_free_allocates_nothing;
           tc "gc malloc allocates nothing" `Quick test_gc_malloc_allocates_nothing;
           tc "ralloc allocates 4 words (safe)" `Quick
@@ -742,5 +748,9 @@ let () =
           tc "deleteregion allocates per page" `Quick
             test_deleteregion_allocates_per_page;
           QCheck_alcotest.to_alcotest qcheck_region_accounting_model;
+          tc "store allocates nothing" `Quick
+            (test_api_access_allocates_nothing api_store);
+          tc "work allocates nothing" `Quick
+            (test_api_access_allocates_nothing api_work);
         ] );
     ]
