@@ -21,9 +21,9 @@ let jobs_arg =
            (default: the runtime's recommended domain count; 1 = the \
            old sequential path).  Output is byte-identical either way.")
 
-(* Advisory exclusion on shared stores: a batch run and a live [repro
-   serve] daemon over the same cache directory (or journal) must not
-   interleave writes.  Locks are held for the process lifetime; the OS
+(* Advisory exclusion on the cell cache: a batch run and a live [repro
+   serve] daemon over the same cache directory must not interleave
+   writes.  Locks are held for the process lifetime; the OS
    releases them on any exit, including kill -9.  Second acquirers get
    the holder's name instead of silent interleaving. *)
 let held_locks : (string, Results.Lockfile.t) Hashtbl.t = Hashtbl.create 4
@@ -159,50 +159,28 @@ let run_experiment name m () =
       print_endline (f m);
       report_cache_stats m
 
-let run_all m jobs ~show_progress ?trace_dir ?resume ?timeout_s ?(retries = 0)
-    ?quarantine () =
+let run_all m jobs ~show_progress ?timeout_s ?(retries = 0) ?quarantine () =
   let on_cell = if show_progress then Some cell_progress else None in
-  let supervised =
-    resume <> None || timeout_s <> None || retries > 0 || quarantine <> None
+  let supervision =
+    { Harness.Matrix.default_supervision with timeout_s; retries; quarantine }
   in
-  if supervised then begin
-    Option.iter (fun j -> acquire_lock (j ^ ".lock")) resume;
-    let sup =
-      {
-        Harness.Matrix.default_supervision with
-        timeout_s;
-        retries;
-        journal = resume;
+  (match Harness.Matrix.run_all ~domains:jobs ?on_cell ~supervision m with
+  | _ -> ()
+  | exception Harness.Matrix.Cells_failed failures ->
+      (* Structured failure summary instead of a crashed harness: the
+         surviving cells are in the cell cache, so re-running the same
+         command computes only the failed ones. *)
+      Printf.eprintf "experiment all: %d cell(s) FAILED\n"
+        (List.length failures);
+      List.iter
+        (fun f -> Fmt.epr "  %a@." Harness.Matrix.pp_cell_failure f)
+        failures;
+      Option.iter
+        (fun dir -> Printf.eprintf "  triage bundles under %s/\n" dir)
         quarantine;
-      }
-    in
-    let report = Harness.Matrix.run_all_supervised ~domains:jobs ?on_cell sup m in
-    if report.Harness.Matrix.resumed > 0 || report.Harness.Matrix.torn > 0 then
       Printf.eprintf
-        "  resumed %d cells from the journal (%d damaged lines skipped)\n%!"
-        report.Harness.Matrix.resumed report.Harness.Matrix.torn;
-    (match report.Harness.Matrix.failures with
-    | [] -> ()
-    | failures ->
-        (* Structured failure summary instead of a re-raised exception:
-           the harness stays standing, reports, and exits non-zero. *)
-        Printf.eprintf "experiment all: %d cell(s) FAILED\n"
-          (List.length failures);
-        List.iter
-          (fun f -> Fmt.epr "  %a@." Harness.Matrix.pp_cell_failure f)
-          failures;
-        Option.iter
-          (fun dir -> Printf.eprintf "  triage bundles under %s/\n" dir)
-          quarantine;
-        Printf.eprintf
-          "  (report skipped: it would be incomplete; re-run%s after triage)\n%!"
-          (match resume with
-          | Some j -> Printf.sprintf " with --resume %s" j
-          | None -> "");
-        exit 1)
-  end
-  else if jobs > 1 || show_progress || trace_dir <> None then
-    ignore (Harness.Matrix.run_all ~domains:jobs ?on_cell m);
+        "  (report skipped: it would be incomplete; re-run after triage)\n%!";
+      exit 1);
   print_endline (Harness.Table1.render ());
   print_newline ();
   print_endline (Harness.Table23.render_table2 m);
@@ -228,17 +206,6 @@ let exp_cmd =
           ~doc:
             "table1, table2, table3, fig8, fig9, fig10, fig11, ablations, \
              limitation, claims, or all")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "resume" ] ~docv:"JOURNAL"
-          ~doc:
-            "Crash-consistent journal file ('all' only).  Completed cells \
-             are fsync'd to $(docv) as they finish; re-invoking with the \
-             same journal after an interruption runs only the remaining \
-             cells and renders a byte-identical report.")
   in
   let timeout_arg =
     Arg.(
@@ -296,7 +263,7 @@ let exp_cmd =
       value & opt int 0
       & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (with --plan).")
   in
-  let run name full jobs show_progress trace_dir resume timeout_s retries
+  let run name full jobs show_progress trace_dir timeout_s retries
       quarantine no_cache refresh cache_dir replay plan_spec seed metrics =
     let dump_metrics = with_metrics metrics in
     let plan =
@@ -322,8 +289,7 @@ let exp_cmd =
         ~replay full
     in
     if name = "all" then
-      run_all m jobs ~show_progress ?trace_dir ?resume ?timeout_s ~retries
-        ?quarantine ()
+      run_all m jobs ~show_progress ?timeout_s ~retries ?quarantine ()
     else run_experiment name m ();
     dump_metrics ()
   in
@@ -331,7 +297,7 @@ let exp_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
       const run $ name_arg $ full_arg $ jobs_arg $ progress_arg $ trace_arg
-      $ resume_arg $ timeout_arg $ retries_arg $ quarantine_arg $ no_cache_arg
+      $ timeout_arg $ retries_arg $ quarantine_arg $ no_cache_arg
       $ refresh_arg $ cache_dir_arg $ replay_arg $ plan_arg $ seed_arg
       $ metrics_arg)
 
@@ -1437,8 +1403,8 @@ let serve_cmd =
               requests over a length-prefixed framed protocol, dedupes \
               identical in-flight requests, serves warm cells at O(read) \
               from the content-addressed cache, and runs cold cells on a \
-              worker-domain pool under the batch harness's supervision \
-              (watchdog, transient-only retries, fsync'd journal).  \
+              worker-domain pool through the batch driver's attempt loop \
+              (watchdog, transient-only retries), with an fsync'd journal.  \
               kill -9 at any instant loses nothing durable: a restart \
               recovers journaled cells byte-identically.  SIGTERM drains \
               gracefully.  The cache directory and journal are held \

@@ -1,10 +1,4 @@
-type entry = {
-  workload : string;
-  mode : string;
-  result : Workloads.Results.t;
-}
-
-(* FNV-1a over the raw marshalled payload, 64-bit, printed in hex.
+(* FNV-1a over the raw payload, 64-bit, printed in hex.
    Not cryptographic — it only needs to catch torn writes and stray
    editor damage. *)
 let fnv1a s =
@@ -33,50 +27,8 @@ let of_hex s =
      with Failure _ -> ok := false);
     if !ok then Some (Bytes.to_string b) else None
 
-(* The payload is the versioned, field-named [Results.Cell] JSON of
-   the measurements — not [Marshal], whose bytes are only meaningful
-   to the exact build that wrote them.  A journal therefore survives a
-   rebuild: a resumed run either decodes the recorded cells or skips
-   them field-by-field loudly, never misreads them.  "cell1" was the
-   Marshal-era tag; those lines now parse as unknown and degrade to
-   "re-run that cell". *)
-let line_of_entry e =
-  let payload =
-    Results.Json.to_string ~indent:false (Results.Cell.encode_result e.result)
-  in
-  Printf.sprintf "cell2 %s %s %d %Lx %s" e.workload e.mode
-    (String.length payload) (fnv1a payload) (to_hex payload)
-
-let entry_of_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ "cell2"; workload; mode; len; hash; hex ] -> (
-      match (int_of_string_opt len, Int64.of_string_opt ("0x" ^ hash), of_hex hex) with
-      | Some len, Some hash, Some payload
-        when String.length payload = len && Int64.equal (fnv1a payload) hash -> (
-          match
-            Result.bind (Results.Json.of_string payload)
-              Results.Cell.decode_result
-          with
-          | Ok result -> Some { workload; mode; result }
-          | Error _ -> None)
-      | _ -> None)
-  | _ -> None
-
-let append oc e =
-  output_string oc (line_of_entry e);
-  output_char oc '\n';
-  flush oc;
-  (* Durability point: the line is on disk before the cell is reported
-     complete, so a crash can lose at most the line being written —
-     which the checksum then rejects on resume. *)
-  Unix.fsync (Unix.descr_of_out_channel oc)
-
-(* ---- keyed entries (daemon journal) ------------------------------- *)
-
-(* The batch journal above keys a line on (workload, mode) alone —
-   enough for a single matrix run where each pair appears once.  A
-   daemon serves arbitrary (workload, mode, size, seed, plan) requests,
-   so its journal lines must carry the whole request key to be
+(* A daemon serves arbitrary (workload, mode, size, seed, plan)
+   requests, so a journal line carries the whole request key to be
    replayable into the cache on restart — including the build id of
    the binary that measured the cell, because the content-addressed
    cache's invariant is that a rebuild invalidates every entry: a
@@ -84,9 +36,10 @@ let append oc e =
    build would serve stale numbers as warm hits.  Size, plan and
    build id are free-form strings (plans contain ':' and '='; a build
    id is usually an MD5 hex digest but the cache accepts anything), so
-   all three travel hex-encoded like the payload.  "cell3" was the
-   buildless tag; those lines now parse as unknown-version damage and
-   degrade to "re-run that cell". *)
+   all three travel hex-encoded like the payload, which is the
+   versioned [Results.Cell] measurement JSON.  Older tags ("cell3"
+   was buildless, "cell1"/"cell2" the retired batch journal's) parse
+   as unknown-version damage and degrade to "re-run that cell". *)
 
 type keyed = {
   k_build : string;
@@ -153,6 +106,9 @@ let append_keyed oc k =
   output_string oc (line_of_keyed k);
   output_char oc '\n';
   flush oc;
+  (* Durability point: the line is on disk before the cell is reported
+     complete, so a crash can lose at most the line being written —
+     which the checksum then rejects on recovery. *)
   Unix.fsync (Unix.descr_of_out_channel oc)
 
 let load_keyed path =
@@ -168,26 +124,6 @@ let load_keyed path =
              let line = input_line ic in
              if String.trim line <> "" then
                match keyed_of_line line with
-               | Some e -> entries := e :: !entries
-               | None -> incr skipped
-           done
-         with End_of_file -> ());
-        (List.rev !entries, !skipped))
-  end
-
-let load path =
-  if not (Sys.file_exists path) then ([], 0)
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let entries = ref [] and skipped = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match entry_of_line line with
                | Some e -> entries := e :: !entries
                | None -> incr skipped
            done

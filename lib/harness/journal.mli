@@ -1,63 +1,25 @@
-(** Crash-consistent experiment journal.
+(** Crash-consistent journal of the [repro serve] daemon.
 
-    An append-only, line-oriented record of completed matrix cells:
-    one line per (workload, mode) result, flushed {e and} fsync'd
-    before the cell is reported complete, so a run killed at any
-    instant leaves a journal whose complete lines are exactly the
-    cells that finished.  Re-invoking with [--resume] loads the
-    journal, seeds the matrix cache with the recorded results, and
-    runs only the remaining cells — the final report is byte-identical
-    to an uninterrupted run because rendering consumes the same memoised
-    values either way.
+    An append-only, line-oriented record of completed cells: one
+    "cell4" line per served cell, flushed {e and} fsync'd before the
+    cell is reported complete, so a daemon killed at any instant
+    leaves a journal whose complete lines are exactly the cells that
+    finished.  (A batch run needs no journal: the durable
+    {!Results.Cache} is its resume store.)
+
+    A daemon serves arbitrary request tuples, so each line carries the
+    whole (workload, mode, size, seed, plan) key {e plus the build id
+    of the binary that measured the cell}, and replays into the
+    content-addressed cache on restart — recovery must skip entries
+    from other builds, or a rebuild's cache-invalidation invariant
+    would be silently defeated by replaying stale measurements.
 
     Torn writes are expected (the process can die mid-line): every
     line carries its payload length and an FNV-1a checksum, and a line
-    that fails either check is {e skipped}, never trusted.  Unknown
-    line versions are skipped too, so a journal from a newer build
-    degrades to "re-run that cell" instead of corrupting a resume.
-
-    The payload is the versioned [Results.Cell] measurement JSON
-    (line tag "cell2"), not [Marshal]: a journal written by one build
-    resumes under another.  Marshal-era "cell1" lines count as
-    unknown-version damage and are simply re-run. *)
-
-type entry = {
-  workload : string;
-  mode : string;
-  result : Workloads.Results.t;
-}
-
-val append : out_channel -> entry -> unit
-(** Serialise, write one line, flush and [fsync].  The entry is
-    durable when [append] returns. *)
-
-val load : string -> entry list * int
-(** [load path] returns the valid entries in file order and the number
-    of damaged (torn, corrupt or unknown-version) lines skipped.
-    A missing file is an empty journal. *)
-
-val entry_of_line : string -> entry option
-(** Parse and validate one journal line ([None] = damaged); exposed
-    for the torn-write tests. *)
-
-val line_of_entry : entry -> string
-(** The exact line [append] writes, without the trailing newline. *)
-
-(** {1 Keyed entries}
-
-    The daemon's journal ("cell4" lines).  A batch journal keys a cell
-    on (workload, mode) because a matrix run visits each pair once; a
-    daemon serves arbitrary request tuples, so its lines carry the
-    whole (workload, mode, size, seed, plan) key {e plus the build id
-    of the binary that measured the cell} and replay into the
-    content-addressed cache on restart — recovery must skip entries
-    from other builds, or a rebuild's cache-invalidation invariant
-    would be silently defeated by replaying stale measurements.  Same
-    torn-line discipline: length + FNV checksum per line, damage
-    skipped never trusted, and "cell4" lines are unknown-version
-    damage to {!load} (and vice versa), so the two journal kinds
-    cannot contaminate each other.  Buildless "cell3" lines from older
-    builds count as unknown-version damage too and are re-run. *)
+    that fails either check is {e skipped}, never trusted.  Lines with
+    an unknown tag (buildless "cell3" lines from older builds, say)
+    count as damage too and are re-run.  The payload is the versioned
+    [Results.Cell] measurement JSON, not [Marshal]. *)
 
 type keyed = {
   k_build : string;  (** build id of the binary that measured the cell *)
@@ -70,11 +32,16 @@ type keyed = {
 }
 
 val append_keyed : out_channel -> keyed -> unit
-(** Durable (flushed and fsync'd) when it returns, like {!append}. *)
+(** Serialise, write one line, flush and [fsync].  The entry is
+    durable when [append_keyed] returns. *)
 
 val load_keyed : string -> keyed list * int
 (** Valid keyed entries in file order, plus damaged lines skipped.
     Missing file = empty journal. *)
 
 val keyed_of_line : string -> keyed option
+(** Parse and validate one line ([None] = damaged). *)
+
 val line_of_keyed : keyed -> string
+(** The exact line [append_keyed] writes, without the trailing
+    newline. *)

@@ -467,110 +467,16 @@ let store t =
            Results.Store.add s (cell_of_result t r));
   s
 
-let run_all ?domains ?on_cell t =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Domain.recommended_domain_count ()
-  in
-  let cells =
-    List.filter
-      (fun ((spec : Workloads.Workload.spec), mode) ->
-        not (Hashtbl.mem t.cache (spec.Workloads.Workload.name, Workloads.Api.mode_name mode)))
-      (report_cells ())
-  in
-  (* Replay fills run the recording-mode cells first.  Recording is
-     lazy (first demand for a variant's trace), and the report order
-     puts replayed columns (sun) before recording columns (gc): left
-     alone, the recording run — which *is* the recording-mode cell's
-     result — would execute inside the first replayed cell's timed
-     span and be charged to the wrong column.  Memoised results are
-     order-independent, so the report bytes don't change. *)
-  let cells =
-    if not t.replay then cells
-    else
-      let recording, replayed =
-        List.partition (fun (_, m) -> is_recording_mode m) cells
-      in
-      recording @ replayed
-  in
-  let cells = Array.of_list cells in
-  let n = Array.length cells in
-  let results = Array.make n None in
-  (* Completion callbacks run inside worker domains; serialise them so
-     a per-cell progress line is never interleaved mid-write. *)
-  let cell_mutex = Mutex.create () in
-  let notify timing cycles =
-    match on_cell with
-    | None -> ()
-    | Some f ->
-        Mutex.lock cell_mutex;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock cell_mutex)
-          (fun () -> f timing ~cycles)
-  in
-  let run_cell i =
-    let spec, mode = cells.(i) in
-    Obs.Metrics.inc m_cells;
-    let t0 = Unix.gettimeofday () in
-    let r = run_cell_collect t spec mode in
-    let wall = Unix.gettimeofday () -. t0 in
-    Obs.Metrics.observe m_wall_ms (int_of_float (wall *. 1000.));
-    let timing =
-      {
-        workload = spec.Workloads.Workload.name;
-        mode = Workloads.Api.mode_name mode;
-        wall_s = wall;
-      }
-    in
-    results.(i) <- Some (r, timing);
-    notify timing r.Workloads.Results.cycles
-  in
-  if n > 0 then begin
-    let nd = min domains n in
-    if nd <= 1 then begin
-      for i = 0 to n - 1 do
-        let spec, mode = cells.(i) in
-        t.progress
-          (Fmt.str "running %s under %s ..." spec.Workloads.Workload.name
-             (Workloads.Api.mode_name mode));
-        run_cell i
-      done
-    end
-    else begin
-      t.progress (Fmt.str "running %d matrix cells on %d domains ..." n nd);
-      parallel_for ~domains:nd n run_cell
-    end;
-    Array.iteri
-      (fun i (spec, mode) ->
-        match results.(i) with
-        | Some (r, _) ->
-            Hashtbl.replace t.cache
-              (spec.Workloads.Workload.name, Workloads.Api.mode_name mode)
-              r
-        | None -> ())
-      cells
-  end;
-  Array.to_list
-    (Array.map
-       (function Some (_, timing) -> timing | None -> assert false)
-       results)
-
 (* ------------------------------------------------------------------ *)
-(* Supervision.  [run_all] trusts every cell; the supervised variant
-   assumes cells can hang (watchdog), fail transiently (bounded retry
-   with exponential backoff), fail deterministically (triage bundle +
-   structured failure, never a crashed harness) or be interrupted
-   mid-run (crash-consistent journal, resumed with [--resume]). *)
+(* Supervision.  By default the driver trusts every cell and does
+   nothing extra; a [supervision] adds a per-cell watchdog, bounded
+   retry with exponential backoff for transient failures, and triage
+   bundles for cells that still fail.  A cell that fails never brings
+   the other cells down: they finish, are memoised (and stored in the
+   disk cache), and the failures are raised together at the end. *)
 
 exception Cell_timeout of float
 exception Attempt_cancelled
-
-let () =
-  Printexc.register_printer (function
-    | Cell_timeout s -> Some (Fmt.str "cell exceeded its %.1fs watchdog" s)
-    | Attempt_cancelled -> Some "attempt abandoned by its supervisor"
-    | _ -> None)
 
 type cell_failure = {
   workload : string;
@@ -579,23 +485,32 @@ type cell_failure = {
   last_error : string;
 }
 
+exception Cells_failed of cell_failure list
+
+let pp_cell_failure ppf f =
+  Fmt.pf ppf "%-10s %-12s attempts=%d  %s" f.workload f.mode f.attempts
+    f.last_error
+
+let () =
+  Printexc.register_printer (function
+    | Cell_timeout s -> Some (Fmt.str "cell exceeded its %.1fs watchdog" s)
+    | Attempt_cancelled -> Some "attempt abandoned by its supervisor"
+    | Cells_failed fs ->
+        Some
+          (Fmt.str "@[<v>%d matrix cell(s) failed:@,%a@]" (List.length fs)
+             Fmt.(list ~sep:cut pp_cell_failure)
+             fs)
+    | _ -> None)
+
 type supervision = {
   timeout_s : float option;
   retries : int;
   backoff_s : float;
-  journal : string option;
   quarantine : string option;
 }
 
 let default_supervision =
-  { timeout_s = None; retries = 0; backoff_s = 0.25; journal = None; quarantine = None }
-
-type run_report = {
-  timings : cell_timing list;
-  failures : cell_failure list;
-  resumed : int;
-  torn : int;
-}
+  { timeout_s = None; retries = 0; backoff_s = 0.25; quarantine = None }
 
 (* Host failures that a retry can plausibly cure: watchdog expiries
    and OS-level trouble (ENOSPC, EIO, ...).  A simulator exception
@@ -666,170 +581,144 @@ let run_attempt ?timeout_s ?cancelled f =
       in
       wait ()
 
-let run_all_supervised ?domains ?on_cell sup t =
-  if sup.retries < 0 then invalid_arg "Matrix.run_all_supervised: retries < 0";
+let run_attempts ?cancelled ?(on_retry = fun _ _ -> ()) sup f =
+  let is_cancelled () = match cancelled with Some c -> c () | None -> false in
+  let rec attempt k =
+    match run_attempt ?timeout_s:sup.timeout_s ?cancelled f with
+    | v -> Ok v
+    | exception e
+      when k < sup.retries && transient e && not (is_cancelled ()) ->
+        Obs.Metrics.inc m_retries;
+        on_retry (k + 1) e;
+        if sup.backoff_s > 0. then
+          Unix.sleepf (sup.backoff_s *. (2. ** float_of_int k));
+        attempt (k + 1)
+    | exception e -> Error (k + 1, e, Printexc.get_raw_backtrace ())
+  in
+  attempt 0
+
+let run_all ?domains ?on_cell ?(supervision = default_supervision) t =
+  let sup = supervision in
+  if sup.retries < 0 then invalid_arg "Matrix.run_all: retries < 0";
   (match sup.timeout_s with
-  | Some s when s <= 0. ->
-      invalid_arg "Matrix.run_all_supervised: timeout_s <= 0"
+  | Some s when s <= 0. -> invalid_arg "Matrix.run_all: timeout_s <= 0"
   | _ -> ());
   let domains =
     match domains with
     | Some d -> max 1 d
     | None -> Domain.recommended_domain_count ()
   in
-  (* Resume: completed cells recorded by an interrupted run seed the
-     memo cache, so they are filtered out below and the report renders
-     from the recorded results — byte-identical to an uninterrupted
-     run.  Damaged (torn) lines are counted and re-run. *)
-  let resumed, torn =
-    match sup.journal with
-    | None -> (0, 0)
-    | Some path ->
-        let entries, torn = Journal.load path in
-        List.iter
-          (fun (e : Journal.entry) ->
-            if not (Hashtbl.mem t.cache (e.Journal.workload, e.Journal.mode))
-            then
-              Hashtbl.replace t.cache (e.Journal.workload, e.Journal.mode)
-                e.Journal.result)
-          entries;
-        (List.length entries, torn)
+  let cells =
+    List.filter
+      (fun ((spec : Workloads.Workload.spec), mode) ->
+        not (Hashtbl.mem t.cache (spec.Workloads.Workload.name, Workloads.Api.mode_name mode)))
+      (report_cells ())
   in
-  let journal_oc =
-    Option.map
-      (fun path ->
-        Tracefiles.mkdir_p (Filename.dirname path);
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path)
-      sup.journal
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter close_out journal_oc)
-    (fun () ->
-      let cells =
-        Array.of_list
-          (List.filter
-             (fun ((spec : Workloads.Workload.spec), mode) ->
-               not
-                 (Hashtbl.mem t.cache
-                    ( spec.Workloads.Workload.name,
-                      Workloads.Api.mode_name mode )))
-             (report_cells ()))
+  (* Replay fills run the recording-mode cells first.  Recording is
+     lazy (first demand for a variant's trace), and the report order
+     puts replayed columns (sun) before recording columns (gc): left
+     alone, the recording run — which *is* the recording-mode cell's
+     result — would execute inside the first replayed cell's timed
+     span and be charged to the wrong column.  Memoised results are
+     order-independent, so the report bytes don't change. *)
+  let cells =
+    if not t.replay then cells
+    else
+      let recording, replayed =
+        List.partition (fun (_, m) -> is_recording_mode m) cells
       in
-      let n = Array.length cells in
-      let timings = Array.make n None in
-      let failures = Array.make n None in
-      let cell_mutex = Mutex.create () in
-      (* Durability before visibility: the journal line is fsync'd
-         before [on_cell] fires, so any progress the user saw is
-         guaranteed to survive a crash. *)
-      let complete spec mode r timing =
+      recording @ replayed
+  in
+  let cells = Array.of_list cells in
+  let n = Array.length cells in
+  let results = Array.make n None in
+  let failures = Array.make n None in
+  (* Completion callbacks run inside worker domains; serialise them so
+     a per-cell progress line is never interleaved mid-write.  A cell
+     reaches [on_cell] only after its disk-cache entry is durable, so
+     any progress the user saw survives a crash. *)
+  let cell_mutex = Mutex.create () in
+  let notify timing cycles =
+    match on_cell with
+    | None -> ()
+    | Some f ->
         Mutex.lock cell_mutex;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock cell_mutex)
-          (fun () ->
-            Option.iter
-              (fun oc ->
-                Journal.append oc
-                  {
-                    Journal.workload = spec.Workloads.Workload.name;
-                    mode = Workloads.Api.mode_name mode;
-                    result = r;
-                  })
-              journal_oc;
-            match on_cell with
-            | None -> ()
-            | Some f -> f timing ~cycles:r.Workloads.Results.cycles)
-      in
-      let run_cell i =
-        let spec, mode = cells.(i) in
-        let name = spec.Workloads.Workload.name
-        and mode_name = Workloads.Api.mode_name mode in
-        let rec attempt k =
+          (fun () -> f timing ~cycles)
+  in
+  let run_cell i =
+    let spec, mode = cells.(i) in
+    let workload = spec.Workloads.Workload.name
+    and mode_name = Workloads.Api.mode_name mode in
+    let on_retry k e =
+      t.progress
+        (Fmt.str "%s/%s attempt %d failed (%s); retrying ..." workload
+           mode_name k (Printexc.to_string e))
+    in
+    match
+      run_attempts ~on_retry sup (fun guard ->
           Obs.Metrics.inc m_cells;
           let t0 = Unix.gettimeofday () in
-          match
-            run_attempt ?timeout_s:sup.timeout_s (fun guard ->
-                run_cell_collect ~guard t spec mode)
-          with
-          | r ->
-              let wall = Unix.gettimeofday () -. t0 in
-              Obs.Metrics.observe m_wall_ms (int_of_float (wall *. 1000.));
-              Ok (r, wall)
-          | exception e when k < sup.retries && transient e ->
-              Obs.Metrics.inc m_retries;
-              t.progress
-                (Fmt.str "%s/%s attempt %d failed (%s); retrying ..." name
-                   mode_name (k + 1) (Printexc.to_string e));
-              if sup.backoff_s > 0. then
-                Unix.sleepf (sup.backoff_s *. (2. ** float_of_int k));
-              attempt (k + 1)
-          | exception e -> Error (k + 1, e, Printexc.get_raw_backtrace ())
-        in
-        match attempt 0 with
-        | Ok (r, wall) ->
-            let timing = { workload = name; mode = mode_name; wall_s = wall } in
-            timings.(i) <- Some (r, timing);
-            complete spec mode r timing
-        | Error (attempts, e, bt) ->
-            let last_error = Printexc.to_string e in
-            failures.(i) <-
-              Some { workload = name; mode = mode_name; attempts; last_error };
-            Option.iter
-              (fun dir ->
-                (* Re-running a cell that just hung would hang triage
-                   too, so timeouts skip the diagnostic re-trace. *)
-                let retrace =
-                  match e with
-                  | Cell_timeout _ -> None
-                  | _ -> Some (spec, mode, t.size)
-                in
-                ignore
-                  (Triage.write_bundle ~dir ~workload:name ~mode:mode_name
-                     ~attempts ~last_error
-                     ~backtrace:(Printexc.raw_backtrace_to_string bt)
-                     ?retrace ()))
-              sup.quarantine
-      in
-      if n > 0 then begin
-        let nd = min domains n in
-        if nd <= 1 then
-          for i = 0 to n - 1 do
-            let spec, mode = cells.(i) in
-            t.progress
-              (Fmt.str "running %s under %s ..." spec.Workloads.Workload.name
-                 (Workloads.Api.mode_name mode));
-            run_cell i
-          done
-        else begin
-          t.progress
-            (Fmt.str "running %d matrix cells on %d domains ..." n nd);
-          parallel_for ~domains:nd n run_cell
-        end
-      end;
-      (* Cache writes happen here, from the coordinating domain only
-         (after every worker is joined), exactly as in [run_all]: the
-         memo table is never touched concurrently. *)
-      Array.iteri
-        (fun i (spec, mode) ->
-          match timings.(i) with
-          | Some (r, _) ->
-              Hashtbl.replace t.cache
-                (spec.Workloads.Workload.name, Workloads.Api.mode_name mode)
-                r
-          | None -> ())
-        cells;
-      {
-        timings =
-          Array.to_list timings
-          |> List.filter_map (Option.map (fun (_, timing) -> timing));
-        failures = Array.to_list failures |> List.filter_map Fun.id;
-        resumed;
-        torn;
-      })
-
-let pp_cell_failure ppf f =
-  Fmt.pf ppf "%-10s %-12s attempts=%d  %s" f.workload f.mode f.attempts
-    f.last_error
+          let r = run_cell_collect ~guard t spec mode in
+          (r, Unix.gettimeofday () -. t0))
+    with
+    | Ok (r, wall) ->
+        Obs.Metrics.observe m_wall_ms (int_of_float (wall *. 1000.));
+        let timing = { workload; mode = mode_name; wall_s = wall } in
+        results.(i) <- Some (r, timing);
+        notify timing r.Workloads.Results.cycles
+    | Error (attempts, e, bt) ->
+        let last_error = Printexc.to_string e in
+        failures.(i) <-
+          Some { workload; mode = mode_name; attempts; last_error };
+        Option.iter
+          (fun dir ->
+            (* Re-running a cell that just hung would hang triage too,
+               so timeouts skip the diagnostic re-trace. *)
+            let retrace =
+              match e with
+              | Cell_timeout _ -> None
+              | _ -> Some (spec, mode, t.size)
+            in
+            ignore
+              (Triage.write_bundle ~dir ~workload ~mode:mode_name ~attempts
+                 ~last_error
+                 ~backtrace:(Printexc.raw_backtrace_to_string bt)
+                 ?retrace ()))
+          sup.quarantine
+  in
+  if n > 0 then begin
+    let nd = min domains n in
+    if nd <= 1 then begin
+      for i = 0 to n - 1 do
+        let spec, mode = cells.(i) in
+        t.progress
+          (Fmt.str "running %s under %s ..." spec.Workloads.Workload.name
+             (Workloads.Api.mode_name mode));
+        run_cell i
+      done
+    end
+    else begin
+      t.progress (Fmt.str "running %d matrix cells on %d domains ..." n nd);
+      parallel_for ~domains:nd n run_cell
+    end;
+    (* The memo table is written from this domain only, after every
+       worker has joined: it is never touched concurrently. *)
+    Array.iteri
+      (fun i (spec, mode) ->
+        match results.(i) with
+        | Some (r, _) ->
+            Hashtbl.replace t.cache
+              (spec.Workloads.Workload.name, Workloads.Api.mode_name mode)
+              r
+        | None -> ())
+      cells
+  end;
+  (match List.filter_map Fun.id (Array.to_list failures) with
+  | [] -> ()
+  | fs -> raise (Cells_failed fs));
+  Array.to_list results |> List.filter_map (Option.map snd)
 
 let malloc_modes spec =
   List.filter

@@ -85,32 +85,13 @@ val parallel_for : domains:int -> int -> (int -> unit) -> unit
     pool never hangs or leaks a domain on failure.  [domains <= 1]
     degenerates to a plain sequential loop. *)
 
-val run_all :
-  ?domains:int ->
-  ?on_cell:(cell_timing -> cycles:int -> unit) ->
-  t ->
-  cell_timing list
-(** [on_cell] fires once per completed cell (from whichever domain ran
-    it, under a mutex so callbacks never interleave) with the cell's
-    timing and simulated cycle count — the hook behind [--progress].
-    It only observes; cached results and report bytes are unchanged.
+(** {1 Supervision}
 
-    [run_all ?domains t] computes every (workload, mode) cell the full
-    report needs and memoises the results, fanning the independent
-    cells across [domains] OCaml domains ([1] = in this domain, the
-    plain sequential path; default {!Domain.recommended_domain_count}).
-    Every cell owns its simulated machine and deterministic RNG, so
-    the memoised results — and any report rendered from them — are
-    byte-identical to a sequential run.  Returns host wall-clock per
-    cell actually run (cells already cached are skipped). *)
-
-(** {1 Supervised runs}
-
-    [run_all] trusts every cell; {!run_all_supervised} assumes cells
-    can hang, fail or be interrupted, and keeps the harness standing:
-    a per-cell wall-clock watchdog, bounded retry with exponential
-    backoff for transient host failures, a crash-consistent journal
-    for resumable runs, and on-failure {!Triage} bundles. *)
+    The driver's default supervision does nothing: no watchdog, no
+    retries, no triage.  A {!supervision} assumes cells can hang or
+    fail and keeps the harness standing: a per-cell wall-clock
+    watchdog, bounded retry with exponential backoff for transient
+    host failures, and on-failure {!Triage} bundles. *)
 
 exception Cell_timeout of float
 (** Raised (to the supervisor, never the user) when a cell exceeds its
@@ -119,10 +100,80 @@ exception Cell_timeout of float
 exception Attempt_cancelled
 (** Raised by {!run_attempt} when its [cancelled] hook fires: the
     attempt's domain is abandoned and the guard's closers run, exactly
-    as on a watchdog expiry — but cancellation is deliberately {e not}
-    {!transient}, so a supervisor never retries work it just asked to
+    as on a watchdog expiry — but cancellation is deliberately not
+    transient, so a supervisor never retries work it just asked to
     stop (the serve daemon cancels in-flight attempts at its drain
     deadline). *)
+
+type cell_failure = {
+  workload : string;
+  mode : string;
+  attempts : int;  (** attempts actually made, including the last *)
+  last_error : string;
+}
+
+val pp_cell_failure : cell_failure Fmt.t
+
+exception Cells_failed of cell_failure list
+(** Raised by {!run_all} once every cell has been tried, when some
+    cell still failed after its attempts.  The cells that succeeded
+    are memoised (and stored in the disk cache) before it is raised.
+    Its registered printer lists every failure. *)
+
+type supervision = {
+  timeout_s : float option;
+      (** per-cell wall-clock watchdog; [None] = unbounded.  On expiry
+          the cell's runner domain is abandoned (OCaml domains cannot
+          be killed) — a bounded leak that exists only on the timeout
+          path. *)
+  retries : int;
+      (** extra attempts after the first, for {e transient} failures
+          only ([Cell_timeout], [Out_of_memory], [Sys_error],
+          [Unix_error]).  Deterministic failures — simulator faults,
+          heap-check failures — are never retried: the cell would fail
+          identically every time. *)
+  backoff_s : float;  (** base backoff; attempt [k] sleeps [2^k] times it *)
+  quarantine : string option;
+      (** directory for {!Triage} bundles of cells that exhaust their
+          attempts. *)
+}
+
+val default_supervision : supervision
+(** No watchdog, no retries ([backoff_s = 0.25] base), no quarantine:
+    each cell runs once, in the worker's own domain. *)
+
+val run_all :
+  ?domains:int ->
+  ?on_cell:(cell_timing -> cycles:int -> unit) ->
+  ?supervision:supervision ->
+  t ->
+  cell_timing list
+(** [run_all ?domains t] computes every (workload, mode) cell the full
+    report needs that is not memoised yet, and memoises the results,
+    fanning the independent cells across [domains] OCaml domains ([1]
+    = in this domain, the plain sequential path; default
+    {!Domain.recommended_domain_count}).  Every cell owns its simulated
+    machine and deterministic RNG, so the memoised results — and any
+    report rendered from them — are byte-identical to a sequential
+    run.  Returns host wall-clock per cell actually run.
+
+    With a disk cache attached, cells already cached are hits, and
+    every computed cell is stored durably as it completes.  A run
+    killed at any point is therefore resumed by running it again: the
+    stored cells are hits and only the rest are computed.
+
+    [on_cell] fires once per completed cell (from whichever domain ran
+    it, under a mutex so callbacks never interleave), after the cell's
+    cache entry is stored, with the cell's timing and simulated cycle
+    count — the hook behind [--progress].  It only observes; an
+    exception it raises propagates out of [run_all] (the remaining
+    cells are abandoned).
+
+    [supervision] (default {!default_supervision}) governs each cell's
+    attempts.  A cell that fails every attempt gets a triage bundle if
+    [quarantine] is set; the other cells still run and are memoised,
+    and then {!Cells_failed} is raised with every failure in matrix
+    order. *)
 
 (** Ownership tokens for resources opened inside a watchdogged
     attempt.  A timed-out attempt's domain cannot be killed, only
@@ -165,14 +216,22 @@ val run_attempt :
     same ~20ms cadence; when it turns true the attempt is abandoned
     the same way but raises {!Attempt_cancelled} (not transient, never
     retried).  With neither [timeout_s] nor [cancelled] the body runs
-    in this domain (the guard never fires).  This is the building
-    block behind {!run_all_supervised}'s attempts, exposed for the
-    serve daemon's per-request deadlines and drain-deadline abandons. *)
+    in this domain (the guard never fires). *)
 
-val transient : exn -> bool
-(** The supervisor's retry classifier: watchdog expiries and OS-level
-    trouble are transient (a retry may cure them); simulator faults
-    and assertion failures are deterministic and are not. *)
+val run_attempts :
+  ?cancelled:(unit -> bool) ->
+  ?on_retry:(int -> exn -> unit) ->
+  supervision ->
+  (Guard.t -> 'a) ->
+  ('a, int * exn * Printexc.raw_backtrace) result
+(** The per-cell attempt loop: {!run_attempt} under the supervision's
+    watchdog, retrying transient failures (never a cancellation, and
+    not once [cancelled] holds) up to [retries] times with exponential
+    backoff.  [on_retry k e] fires before retry [k] (from 1).  [Error]
+    carries the attempts made, the last exception and its backtrace.
+    {!run_all} runs every cell through it, and so does the serve
+    daemon, with its drain hook as [cancelled].  The [quarantine]
+    field is not used here. *)
 
 val run_cell_collect :
   ?guard:Guard.t -> t -> Workloads.Workload.spec -> Workloads.Api.mode ->
@@ -182,64 +241,6 @@ val run_cell_collect :
     their own scheduling (the serve daemon).  [guard] adopts fds the
     cell opens (see {!Guard}); pass the attempt's guard when running
     under {!run_attempt}. *)
-
-type cell_failure = {
-  workload : string;
-  mode : string;
-  attempts : int;  (** attempts actually made, including the last *)
-  last_error : string;
-}
-
-val pp_cell_failure : cell_failure Fmt.t
-
-type supervision = {
-  timeout_s : float option;
-      (** per-cell wall-clock watchdog; [None] = unbounded.  On expiry
-          the cell's runner domain is abandoned (OCaml domains cannot
-          be killed) — a bounded leak that exists only on the timeout
-          path. *)
-  retries : int;
-      (** extra attempts after the first, for {e transient} failures
-          only ([Cell_timeout], [Out_of_memory], [Sys_error],
-          [Unix_error]).  Deterministic failures — simulator faults,
-          heap-check failures — are never retried: the cell would fail
-          identically every time. *)
-  backoff_s : float;  (** base backoff; attempt [k] sleeps [2^k] times it *)
-  journal : string option;
-      (** append-only journal path; see {!Journal}.  Completed cells
-          are fsync'd before being reported, and on start the journal
-          seeds the cache so only remaining cells run. *)
-  quarantine : string option;
-      (** directory for {!Triage} bundles of cells that exhaust their
-          attempts. *)
-}
-
-val default_supervision : supervision
-(** No watchdog, no retries ([backoff_s = 0.25] base), no journal, no
-    quarantine — supervised plumbing with [run_all] behaviour, except
-    that failures are {e reported}, not raised. *)
-
-type run_report = {
-  timings : cell_timing list;  (** cells actually run, in matrix order *)
-  failures : cell_failure list;
-  resumed : int;  (** cells restored from the journal instead of run *)
-  torn : int;  (** damaged journal lines skipped (and re-run) *)
-}
-
-val run_all_supervised :
-  ?domains:int ->
-  ?on_cell:(cell_timing -> cycles:int -> unit) ->
-  supervision ->
-  t ->
-  run_report
-(** Like {!run_all}, but a failing cell is retried (if transient),
-    triaged into the quarantine directory and reported in
-    [failures] — it never brings the run down, and the surviving
-    cells' results and report bytes are unaffected.  With a journal,
-    every completed cell is durable before [on_cell] observes it, so
-    killing the process at any instant and re-invoking with the same
-    journal completes exactly the remaining cells and renders a
-    byte-identical report. *)
 
 val workloads : Workloads.Workload.spec list
 (** The six benchmarks, in the paper's order. *)

@@ -139,6 +139,36 @@ let find t ~workload ~mode ~size ~seed ~plan =
             end
             else miss None)
 
+(* Write [s] to a fresh [path] and fsync it; the fd is closed on every
+   path, and any failure is re-raised to the caller. *)
+let write_durably path s =
+  let fd =
+    Unix.openfile path
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+      0o644
+  in
+  match
+    let n = String.length s in
+    let rec go off =
+      if off < n then go (off + Unix.write_substring fd s off (n - off))
+    in
+    go 0;
+    Unix.fsync fd
+  with
+  | () -> Unix.close fd
+  | exception e ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      raise e
+
+(* A rename is durable only once its directory entry is: fsync the
+   directory too.  Best effort, like every other cache IO. *)
+let fsync_dir d =
+  match Unix.openfile d [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+      (try Unix.fsync fd with Unix.Unix_error _ -> ());
+      (try Unix.close fd with Unix.Unix_error _ -> ())
+
 let store t (c : Cell.t) =
   mkdir_p t.dir;
   let k =
@@ -146,20 +176,30 @@ let store t (c : Cell.t) =
       ~seed:c.Cell.prov.Cell.seed ~plan:c.Cell.prov.Cell.plan
   in
   let final = path t k in
-  (* Unique temp name per writer so concurrent domains/processes never
-     interleave; rename is atomic, last writer wins (they wrote the
-     same bytes anyway — the address determines the content). *)
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  match open_out_bin tmp with
-  | exception Sys_error _ -> ()  (* unwritable cache is a soft failure *)
-  | oc ->
-      let s = Cell.to_string c in
-      output_string oc s;
-      close_out oc;
-      (try
-         Sys.rename tmp final;
-         Obs.Metrics.add m_stored_bytes (String.length s)
-       with Sys_error _ -> ())
+  (* Unique temp name per writer (process and domain: an abandoned
+     watchdog attempt and its retry can store the same cell at once),
+     so concurrent writers never interleave; rename is atomic, last
+     writer wins (they wrote the same bytes anyway — the address
+     determines the content).  The data is fsync'd before the rename
+     and the directory after it, so an entry that exists after a crash
+     is complete: a killed batch run resumes from exactly the cells it
+     stored. *)
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
+      (Domain.self () :> int)
+  in
+  let s = Cell.to_string c in
+  match
+    write_durably tmp s;
+    Unix.rename tmp final
+  with
+  | () ->
+      fsync_dir t.dir;
+      Obs.Metrics.add m_stored_bytes (String.length s)
+  | exception Unix.Unix_error _ ->
+      (* unwritable cache is a soft failure: no temp file is left
+         behind, and the entry is simply a later miss *)
+      (try Sys.remove tmp with Sys_error _ -> ())
 
 (* ---- size-capped LRU eviction ------------------------------------- *)
 

@@ -5,9 +5,12 @@
     depends on: executable build id, workload, mode, input size, fault
     seed and fault plan.  A hit is therefore byte-equivalent to a
     re-run; a code change rolls the build id and silently invalidates
-    every entry.  Entries are single JSON files written atomically
-    (unique temp + rename), so concurrent writers — matrix worker
-    domains, parallel processes — are safe.
+    every entry.  Entries are single JSON files written atomically and
+    durably (unique temp, fsync, rename, directory fsync), so
+    concurrent writers — matrix worker domains, parallel processes —
+    are safe, and an entry that survives a crash is complete.  This is
+    what resumes a killed batch run: re-running the same command finds
+    the stored cells as hits and computes only the rest.
 
     The default directory is [.repro-cache] under the working
     directory, overridable with the [REPRO_CACHE_DIR] environment
@@ -58,8 +61,10 @@ val find :
     guard) — all of which simply mean "run it". *)
 
 val store : t -> Cell.t -> unit
-(** Atomic; creates the cache directory on first use; IO failure is
-    swallowed (the cell is still in memory, only the cache misses). *)
+(** Atomic and durable (the entry is fsync'd before it is renamed into
+    place, and the directory after); creates the cache directory on
+    first use.  IO failure is swallowed: the temp file is removed, the
+    cell is still in memory, and only a later {!find} misses. *)
 
 val sweep : t -> max_bytes:int -> int
 (** Size-capped LRU eviction: if the cache's entry files ([*.json]

@@ -4,7 +4,7 @@
 
     This is the schema behind everything downstream: the persistent
     results store and golden files ({!Store}), the content-addressed
-    cell cache ({!Cache}), the crash-consistent experiment journal
+    cell cache ({!Cache}), the serve daemon's crash-consistent journal
     ([Harness.Journal]) and the generated blocks of EXPERIMENTS.md.
     Encoding is versioned, field-named JSON — never [Marshal] — so a
     cell written by one build either decodes under another or fails

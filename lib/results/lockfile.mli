@@ -1,6 +1,6 @@
 (** Advisory single-writer locks for shared on-disk state.
 
-    The cell cache and the experiment/serve journals are multi-file
+    The cell cache and the serve journal are multi-file
     stores written with atomic renames and checksummed append-only
     lines — individually crash-safe, but nothing stops a [repro serve]
     daemon and a concurrent [repro experiment] from interleaving whole

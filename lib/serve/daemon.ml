@@ -138,10 +138,10 @@ let validate (r : Protocol.request) =
 
 (* ---- worker ------------------------------------------------------- *)
 
-(* One cold cell, under the batch harness's exact supervision:
-   watchdogged attempt (the request deadline caps the watchdog),
-   transient-only retries with exponential backoff, abandoned-attempt
-   fds reclaimed by the attempt guard.  The cache store happens inside
+(* One cold cell, through the batch driver's own attempt loop
+   ([Matrix.run_attempts]): watchdogged attempt (the request deadline
+   caps the watchdog), transient-only retries with exponential backoff,
+   abandoned-attempt fds reclaimed by the attempt guard.  The cache store happens inside
    [run_cell_collect]; the journal line is appended here, after the
    attempt — never inside the watchdogged body, so an abandoned domain
    can never wedge the journal mutex. *)
@@ -184,25 +184,21 @@ let run_job st (job : job) =
     Harness.Matrix.create ~disk:st.disk ~seed:job.j_seed ?plan:job.j_plan
       job.j_size
   in
-  let rec attempt k =
-    match
-      Harness.Matrix.run_attempt ?timeout_s ~cancelled (fun guard ->
-          Harness.Matrix.run_cell_collect ~guard m job.j_spec job.j_mode)
-    with
-    | r -> Ok r
-    | exception e
-      when k < st.cfg.retries
-           && Harness.Matrix.transient e
-           && not (cancelled ()) ->
-        if st.cfg.backoff_s > 0. then
-          Unix.sleepf (st.cfg.backoff_s *. (2. ** float_of_int k));
-        attempt (k + 1)
-    | exception e -> Error (Printexc.to_string e)
+  let sup =
+    {
+      Harness.Matrix.default_supervision with
+      timeout_s;
+      retries = st.cfg.retries;
+      backoff_s = st.cfg.backoff_s;
+    }
   in
-  match attempt 0 with
-  | Error reason ->
+  match
+    Harness.Matrix.run_attempts ~cancelled sup (fun guard ->
+        Harness.Matrix.run_cell_collect ~guard m job.j_spec job.j_mode)
+  with
+  | Error (_, e, _) ->
       Obs.Metrics.inc m_failures;
-      Fail reason
+      Fail (Printexc.to_string e)
   | Ok r ->
       (* Durability order: the cache entry (atomic rename) landed
          inside the attempt; the journal line commits the request key.

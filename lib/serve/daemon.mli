@@ -4,12 +4,12 @@
     fault-plan) cell requests over the {!Protocol} framing.  Warm
     cells are answered at O(read) from the content-addressed
     {!Results.Cache}; cold cells run on a pool of worker domains
-    through the same supervision the batch harness uses —
-    {!Harness.Matrix.run_attempt} watchdog with attempt {!Guard}s,
-    transient-only retry with exponential backoff, and an fsync'd
-    keyed {!Harness.Journal} — so a [kill -9] at any instant leaves
-    only completed, durable cells, and a restart serves them
-    byte-identically while re-admitting the rest.
+    through the batch driver's own attempt loop,
+    {!Harness.Matrix.run_attempts} (watchdog with attempt guards,
+    transient-only retry with exponential backoff), and are recorded
+    in an fsync'd keyed {!Harness.Journal} — so a [kill -9] at any
+    instant leaves only completed, durable cells, and a restart serves
+    them byte-identically while re-admitting the rest.
 
     Robustness invariants:
     - {b Admission control}: at most [max_queue] distinct cold cells

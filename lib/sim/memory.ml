@@ -1,5 +1,5 @@
 (* The cache and store-buffer model of Figure 10.  Its code lives in
-   this unit, and [Cache] and [Store_buffer] re-export it, because it
+   this unit ([Cache] re-exports the cache half), because it
    runs on every simulated access: here it inlines under any build
    profile, relying on no cross-unit inlining (DESIGN §5h).  For the
    UltraSparc geometry (both levels direct-mapped, power-of-two lines
@@ -18,7 +18,7 @@ module Store_buffer_impl = struct
   }
 
   let create ~depth =
-    if depth <= 0 then invalid_arg "Store_buffer.create: depth must be positive";
+    if depth <= 0 then invalid_arg "Store_buffer_impl.create: depth must be positive";
     { depth; buf = Array.make depth 0; head = 0; len = 0; last_completion = 0 }
 
   let length t = t.len

@@ -11,22 +11,41 @@
     is never mapped, so 0 serves as NULL.
 
     This unit also holds the cache and store-buffer model itself
-    ({!Cache_impl}, {!Store_buffer_impl}; {!Cache} and {!Store_buffer}
-    re-export them).  Keeping the model here lets every access on the
+    ({!Cache_impl}, which {!Cache} re-exports, and
+    {!Store_buffer_impl}).  Keeping the model here lets every access on the
     UltraSparc geometry (both levels direct-mapped) run the instruction
     charge, both probes, the fills and the store buffer inline, with
     no call, under any build profile; the charges are {!Cost}'s
     functions, which inline across units in the default (non-opaque)
     build. *)
 
-(** The implementation of {!Store_buffer}; documented there. *)
+(** Fixed-depth store buffer modelled as a ring of completion cycles;
+    pushing a store allocates nothing.  Semantics are those of the
+    UltraSparc-I model in {!Cache}: completed stores retire silently;
+    pushing into a full buffer stalls the processor until the oldest
+    outstanding store completes; stores drain in order, each beginning
+    no earlier than its predecessor's completion. *)
 module Store_buffer_impl : sig
   type t
 
   val create : depth:int -> t
+  (** [create ~depth] is an empty buffer holding at most [depth]
+      outstanding stores.  [depth] must be positive. *)
+
   val push : t -> now:int -> latency:int -> int
+  (** [push t ~now ~latency] retires every store whose completion
+      cycle is [<= now], then enqueues a new store that drains in
+      [latency] cycles once the drain port is free.  Returns the stall
+      cycles the processor pays when the buffer is full (0 otherwise);
+      the caller charges them, advancing its clock to [now + stall]. *)
+
   val length : t -> int
+  (** Outstanding (not yet retired as of the last [push]) stores. *)
+
   val last_completion : t -> int
+  (** Completion cycle of the most recently pushed store (0 if none
+      ever). *)
+
   val reset : t -> unit
 end
 

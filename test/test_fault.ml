@@ -2,9 +2,9 @@
    purity and parsing, injector semantics on a raw simulated memory,
    neutrality of the empty plan, graceful degradation of every
    workload under page-budget walls, 100% sanitizer detection of
-   injected bit-flips, the crash-consistent journal (including torn
-   lines), and the kill-at-random-cell / --resume byte-identity
-   property. *)
+   injected bit-flips, the daemon's crash-consistent journal
+   (including torn lines), and the kill-at-random-cell / resume-from-
+   the-cell-cache byte-identity property. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -273,78 +273,6 @@ let test_workload_empty_plan_neutral () =
         (run ~plan:(Fault.Plan.none ()) mode))
     [ Workloads.Api.Direct Workloads.Api.Sun; Workloads.Api.Region { safe = true } ]
 
-(* {1 Journal} *)
-
-let sample_entry () =
-  {
-    Harness.Journal.workload = "cfrac";
-    mode = "sun";
-    result = Workloads.Workload.run_collect cfrac (Workloads.Api.Direct Sun) quick;
-  }
-
-let test_journal_line_roundtrip () =
-  let e = sample_entry () in
-  match Harness.Journal.entry_of_line (Harness.Journal.line_of_entry e) with
-  | None -> Alcotest.fail "line should parse"
-  | Some e' ->
-      check_str "workload" e.Harness.Journal.workload e'.Harness.Journal.workload;
-      check_str "mode" e.Harness.Journal.mode e'.Harness.Journal.mode;
-      check_str "result"
-        (Fmt.str "%a" Workloads.Results.pp e.Harness.Journal.result)
-        (Fmt.str "%a" Workloads.Results.pp e'.Harness.Journal.result)
-
-let test_journal_torn_line_rejected () =
-  let line = Harness.Journal.line_of_entry (sample_entry ()) in
-  (* every strict prefix is a torn write: must be rejected, not trusted *)
-  let n = String.length line in
-  List.iter
-    (fun k ->
-      match Harness.Journal.entry_of_line (String.sub line 0 k) with
-      | None -> ()
-      | Some _ -> Alcotest.fail (Fmt.str "torn prefix of %d bytes accepted" k))
-    [ 3; 11; n / 2; n - 8; n - 1 ];
-  (* single-character damage to the payload must be caught by the hash *)
-  let damaged = Bytes.of_string line in
-  Bytes.set damaged (n - 1)
-    (if Bytes.get damaged (n - 1) = '0' then '1' else '0');
-  match Harness.Journal.entry_of_line (Bytes.to_string damaged) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "corrupted payload accepted"
-
-let test_journal_load_skips_torn () =
-  let path = Filename.temp_file "fault_journal" ".j" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let e = sample_entry () in
-  let line = Harness.Journal.line_of_entry e in
-  let oc = open_out_bin path in
-  output_string oc (line ^ "\n");
-  output_string oc "cell1 bogus torn\n";
-  (* a kill mid-write leaves a final line with no newline *)
-  output_string oc (String.sub line 0 (String.length line / 2));
-  close_out oc;
-  let entries, skipped = Harness.Journal.load path in
-  check_int "one valid entry" 1 (List.length entries);
-  check_int "two damaged lines skipped" 2 skipped
-
-let test_journal_append_load () =
-  let path = Filename.temp_file "fault_journal" ".j" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let e = sample_entry () in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  Harness.Journal.append oc e;
-  Harness.Journal.append oc { e with mode = "lea" };
-  close_out oc;
-  let entries, skipped = Harness.Journal.load path in
-  check_int "no damage" 0 skipped;
-  Alcotest.(check (list string))
-    "both cells, in order" [ "sun"; "lea" ]
-    (List.map (fun e -> e.Harness.Journal.mode) entries)
-
-let test_journal_missing_file_empty () =
-  let entries, skipped = Harness.Journal.load "/nonexistent/fault.journal" in
-  check_int "no entries" 0 (List.length entries);
-  check_int "no damage" 0 skipped
-
 (* {1 Keyed (daemon) journal} *)
 
 let sample_keyed () =
@@ -404,27 +332,6 @@ let test_keyed_torn_rejected () =
   | None -> ()
   | Some _ -> Alcotest.fail "corrupted keyed payload accepted"
 
-(* The two journal kinds must not contaminate each other: a "cell2"
-   batch line is unknown-version damage to the keyed loader and vice
-   versa, so pointing the daemon at a batch journal (or the reverse)
-   degrades to "re-run those cells", never to a mis-keyed resume. *)
-let test_keyed_and_batch_lines_disjoint () =
-  let path = Filename.temp_file "fault_keyed" ".j" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let k = sample_keyed () in
-  let e = sample_entry () in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
-  Harness.Journal.append oc e;
-  Harness.Journal.append_keyed oc k;
-  Harness.Journal.append_keyed oc { k with k_seed = 4 };
-  close_out oc;
-  let keyed, k_skipped = Harness.Journal.load_keyed path in
-  check_int "two keyed entries" 2 (List.length keyed);
-  check_int "the batch line is damage to the keyed loader" 1 k_skipped;
-  let entries, e_skipped = Harness.Journal.load path in
-  check_int "one batch entry" 1 (List.length entries);
-  check_int "keyed lines are damage to the batch loader" 2 e_skipped
-
 (* {1 Watchdog fd hygiene}
 
    A timed-out replay cell used to leak its trace-reader fd: the
@@ -461,7 +368,7 @@ let test_timeout_fd_leak () =
     Alcotest.failf "fd leak: %d open fds before, %d after %d timeouts" before
       after trials
 
-(* {1 Supervised matrix: resume and triage} *)
+(* {1 Matrix driver: resume from the cache, supervision} *)
 
 let render m =
   String.concat "\n"
@@ -477,59 +384,79 @@ let render m =
          Harness.Claims.render;
        ])
 
-(* One uninterrupted supervised run: the reference report every
-   resumed run must reproduce byte for byte, plus its journal. *)
+let fresh_cache_dir =
+  let n = ref 0 in
+  fun tag ->
+    incr n;
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "fault_%s_%d_%d" tag (Unix.getpid ()) !n)
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else Sys.remove p
+
+let cell_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+
+let temp_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> contains f ".tmp.")
+
+(* One uninterrupted run into a fresh cell cache: the reference report
+   every resumed run must reproduce byte for byte, plus its cache. *)
 let baseline =
   lazy
-    (let path = Filename.temp_file "fault_baseline" ".journal" in
-     let m = Harness.Matrix.create quick in
-     let sup =
-       { Harness.Matrix.default_supervision with journal = Some path }
-     in
-     let report = Harness.Matrix.run_all_supervised ~domains:4 sup m in
-     (path, render m, report))
+    (let dir = fresh_cache_dir "baseline" in
+     at_exit (fun () -> rm_rf dir);
+     let disk = Results.Cache.create ~dir () in
+     let m = Harness.Matrix.create ~disk quick in
+     let timings = Harness.Matrix.run_all ~domains:4 m in
+     (disk, render m, timings, Harness.Matrix.cache_stats m))
 
 exception Simulated_crash
 
 let test_supervised_uninterrupted () =
-  let _, _, report = Lazy.force baseline in
-  check_int "no failures" 0 (List.length report.Harness.Matrix.failures);
-  check_int "nothing resumed" 0 report.Harness.Matrix.resumed;
-  check_int "no torn lines" 0 report.Harness.Matrix.torn;
-  check_int "all 37 cells run" 37 (List.length report.Harness.Matrix.timings)
+  let disk, _, timings, (hits, misses) = Lazy.force baseline in
+  check_int "all 37 cells run" 37 (List.length timings);
+  check_int "cold cache: no hits" 0 hits;
+  check_int "cold cache: 37 misses" 37 misses;
+  check_int "every cell stored" 37
+    (List.length (cell_files (Results.Cache.dir disk)))
 
-(* Kill the run after [k] journaled cells (the crash channel is an
+(* Kill the run after [k] completed cells (the crash channel is an
    exception from the progress callback, which fires strictly after
-   the journal fsync — exactly the durability order a real kill
-   sees), then resume with a fresh matrix and the same journal: only
-   the remaining cells run and the report is byte-identical. *)
+   the cell's cache entry is durable — exactly the order a real kill
+   sees), then resume with a fresh matrix on the same cache: the
+   stored cells are hits, only the remaining cells run, and the report
+   is byte-identical. *)
 let resume_trial k =
-  let _, expected, _ = Lazy.force baseline in
-  let path = Filename.temp_file "fault_resume" ".journal" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let sup = { Harness.Matrix.default_supervision with journal = Some path } in
+  let _, expected, _, _ = Lazy.force baseline in
+  let dir = fresh_cache_dir "resume" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let disk = Results.Cache.create ~dir () in
   let count = Atomic.make 0 in
   let on_cell _ ~cycles:_ =
     if Atomic.fetch_and_add count 1 + 1 >= k then raise Simulated_crash
   in
   (match
-     Harness.Matrix.run_all_supervised ~domains:4 ~on_cell sup
-       (Harness.Matrix.create quick)
+     Harness.Matrix.run_all ~domains:4 ~on_cell
+       (Harness.Matrix.create ~disk quick)
    with
   | _ -> Alcotest.fail "crash did not propagate"
   | exception Simulated_crash -> ());
-  let journaled, torn = Harness.Journal.load path in
-  let journaled = List.length journaled in
-  check_int "journal has no torn lines" 0 torn;
-  check_bool "the crashed cell was already durable" true (journaled >= k);
-  check_bool "the crash stopped the run" true (journaled < 37);
-  let m = Harness.Matrix.create quick in
-  let report = Harness.Matrix.run_all_supervised ~domains:4 sup m in
-  check_int "resume restored the journaled cells" journaled
-    report.Harness.Matrix.resumed;
-  check_int "resume ran exactly the remaining cells" (37 - journaled)
-    (List.length report.Harness.Matrix.timings);
-  check_int "no failures" 0 (List.length report.Harness.Matrix.failures);
+  let stored = List.length (cell_files dir) in
+  check_bool "the crashed cell was already durable" true (stored >= k);
+  check_bool "the crash stopped the run" true (stored < 37);
+  check_int "no temp file left behind" 0 (List.length (temp_files dir));
+  let m = Harness.Matrix.create ~disk quick in
+  ignore (Harness.Matrix.run_all ~domains:4 m);
+  let hits, misses = Harness.Matrix.cache_stats m in
+  check_int "resume served the stored cells" stored hits;
+  check_int "resume ran exactly the remaining cells" (37 - stored) misses;
   check_str "resumed report is byte-identical" expected (render m)
 
 let test_resume_fixed () = resume_trial 5
@@ -538,69 +465,103 @@ let test_resume_random =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:2 ~name:"kill at a random cell, then resume"
        (* kill point stays clear of the tail: with 4 domains, up to 3
-          in-flight cells still complete (and journal) after the crash,
-          and a k at the very end would leave nothing to resume *)
+          in-flight cells still complete (and are stored) after the
+          crash, and a k at the very end would leave nothing to
+          resume *)
        (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 30))
        (fun k ->
          resume_trial k;
          true))
 
-(* Watchdog + triage: drop one journaled cell, re-run it under an
-   impossible timeout, and check the failure is contained, classified
-   transient (retried), and quarantined — while the report machinery
-   stays standing. *)
+(* Watchdog + triage: drop one cached cell, memoise the other 36 from
+   the cache, re-run the dropped one under an impossible timeout, and
+   check the failure is contained, classified transient (retried),
+   and quarantined. *)
 let test_timeout_triage () =
-  let base_path, _, _ = Lazy.force baseline in
-  let path = Filename.temp_file "fault_timeout" ".journal" in
-  let qdir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "fault_quarantine_%d" (Unix.getpid ()))
-  in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let dropped = ("moss", "region") in
-  let oc = open_out_bin path in
-  let kept = ref 0 in
+  let base, _, _, _ = Lazy.force baseline in
+  let dir = fresh_cache_dir "timeout" in
+  let disk = Results.Cache.create ~dir () in
+  Sys.mkdir dir 0o755;
   List.iter
-    (fun (e : Harness.Journal.entry) ->
-      if (e.workload, e.mode) <> dropped then begin
-        incr kept;
-        Harness.Journal.append oc e
-      end)
-    (fst (Harness.Journal.load base_path));
-  close_out oc;
-  check_int "dropped exactly one cell" 36 !kept;
-  let sup =
+    (fun f ->
+      let s =
+        In_channel.with_open_bin
+          (Filename.concat (Results.Cache.dir base) f)
+          In_channel.input_all
+      in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          output_string oc s))
+    (cell_files (Results.Cache.dir base));
+  Sys.remove
+    (Filename.concat dir
+       (Results.Cache.key disk ~workload:"moss" ~mode:"region" ~size:"quick"
+          ~seed:0 ~plan:"none"
+       ^ ".json"));
+  let qdir = fresh_cache_dir "quarantine" in
+  let m = Harness.Matrix.create ~disk quick in
+  List.iter
+    (fun ((spec : Workloads.Workload.spec), mode) ->
+      if (spec.name, Workloads.Api.mode_name mode) <> ("moss", "region") then
+        ignore (Harness.Matrix.get m spec mode))
+    (Harness.Matrix.report_cells ());
+  check_int "36 cells memoised from the cache" 36
+    (fst (Harness.Matrix.cache_stats m));
+  let supervision =
     {
       Harness.Matrix.timeout_s = Some 1e-4;
       retries = 2;
       backoff_s = 0.01;
-      journal = Some path;
       quarantine = Some qdir;
     }
   in
-  let report =
-    Harness.Matrix.run_all_supervised ~domains:1 sup
-      (Harness.Matrix.create quick)
-  in
-  check_int "36 cells resumed" 36 report.Harness.Matrix.resumed;
-  check_int "no cell succeeded" 0 (List.length report.Harness.Matrix.timings);
-  (match report.Harness.Matrix.failures with
-  | [ f ] ->
+  (match Harness.Matrix.run_all ~domains:1 ~supervision m with
+  | _ -> Alcotest.fail "the timed-out cell was not reported"
+  | exception Harness.Matrix.Cells_failed [ f ] ->
       check_str "failed workload" "moss" f.Harness.Matrix.workload;
       check_str "failed mode" "region" f.Harness.Matrix.mode;
       check_int "watchdog retried: 1 + 2 retries" 3 f.Harness.Matrix.attempts;
       check_bool "error names the watchdog" true
         (contains f.Harness.Matrix.last_error "watchdog")
-  | fs -> Alcotest.fail (Fmt.str "expected one failure, got %d" (List.length fs)));
+  | exception Harness.Matrix.Cells_failed fs ->
+      Alcotest.fail (Fmt.str "expected one failure, got %d" (List.length fs)));
   let error_txt =
-    let ic = open_in (Filename.concat qdir "moss-region/error.txt") in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+    In_channel.with_open_bin
+      (Filename.concat qdir "moss-region/error.txt")
+      In_channel.input_all
   in
   check_bool "bundle records the attempts" true (contains error_txt "attempts   : 3");
   check_bool "timeouts skip the diagnostic re-run" true
     (contains error_txt "skipped (timeout")
+
+(* The default supervision does nothing extra, but it never drops a
+   failure: under a page budget that starves the larger workloads, the
+   driver finishes every other cell, memoises it, and raises one
+   exception naming exactly the cells that failed. *)
+let test_unsupervised_failure_raised () =
+  let m = Harness.Matrix.create ~plan:(budget 64, "budget=64") quick in
+  let failed =
+    match Harness.Matrix.run_all ~domains:2 m with
+    | _ -> Alcotest.fail "a starved cell did not fail"
+    | exception Harness.Matrix.Cells_failed fs ->
+        List.map
+          (fun (f : Harness.Matrix.cell_failure) ->
+            check_int "one attempt each" 1 f.attempts;
+            (f.workload, f.mode))
+          fs
+  in
+  check_bool "moss/region failed" true (List.mem ("moss", "region") failed);
+  let memoised =
+    Results.Store.to_list (Harness.Matrix.store m)
+    |> List.map (fun c -> (Results.Cell.workload c, Results.Cell.mode c))
+  in
+  check_bool "cfrac/sun succeeded and is memoised" true
+    (List.mem ("cfrac", "sun") memoised);
+  check_int "every cell either failed or is memoised" 37
+    (List.length failed + List.length memoised);
+  List.iter
+    (fun cell ->
+      check_bool "a failed cell is not memoised" false (List.mem cell memoised))
+    failed
 
 let () =
   Alcotest.run "fault"
@@ -640,22 +601,12 @@ let () =
         ] );
       ( "journal",
         [
-          Alcotest.test_case "line round-trip" `Quick test_journal_line_roundtrip;
-          Alcotest.test_case "torn lines rejected" `Quick
-            test_journal_torn_line_rejected;
-          Alcotest.test_case "load skips torn lines" `Quick
-            test_journal_load_skips_torn;
-          Alcotest.test_case "append/load" `Quick test_journal_append_load;
-          Alcotest.test_case "missing file is empty" `Quick
-            test_journal_missing_file_empty;
           Alcotest.test_case "keyed line round-trip" `Quick
             test_keyed_line_roundtrip;
           Alcotest.test_case "keyed buildless generation rejected" `Quick
             test_keyed_old_version_rejected;
           Alcotest.test_case "keyed torn lines rejected" `Quick
             test_keyed_torn_rejected;
-          Alcotest.test_case "keyed/batch kinds disjoint" `Quick
-            test_keyed_and_batch_lines_disjoint;
         ] );
       ( "watchdog",
         [
@@ -670,5 +621,7 @@ let () =
           test_resume_random;
           Alcotest.test_case "watchdog + retries + quarantine" `Slow
             test_timeout_triage;
+          Alcotest.test_case "unsupervised failure is raised" `Slow
+            test_unsupervised_failure_raised;
         ] );
     ]

@@ -253,6 +253,28 @@ let test_cache_hit_and_invalidation () =
   close_out oc;
   check_bool "torn entry is a miss" true (find_sample cache () = None)
 
+(* A store that cannot complete is a soft failure that leaves nothing
+   behind: with a directory squatting on the entry's final path the
+   rename fails, and the temp file must go with it. *)
+let test_cache_store_failure_cleans_up () =
+  let dir = fresh_dir () in
+  let cache = Results.Cache.create ~dir ~build_id:"build-A" () in
+  let key =
+    Results.Cache.key cache ~workload:"cfrac" ~mode:"sun" ~size:"quick"
+      ~seed:0 ~plan:"none"
+  in
+  let final = Filename.concat dir (key ^ ".json") in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir final 0o755;
+  Sys.mkdir (Filename.concat final "occupied") 0o755;
+  Results.Cache.store cache (sample_cell ~build_id:"build-A" ());
+  let leftovers =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:(key ^ ".json.tmp."))
+  in
+  Alcotest.(check (list string)) "no temp file left behind" [] leftovers;
+  check_bool "the entry is a miss" true (find_sample cache () = None)
+
 (* Size-capped eviction: oldest-served entries go first, a hot entry
    survives because `find` bumps its mtime, and in-flight temp files
    are never touched. *)
@@ -503,6 +525,8 @@ let () =
           quick "key stability" test_cache_key_is_stable;
           quick "size-capped LRU sweep" test_cache_sweep_lru;
           quick "advisory store lock" test_lockfile_contention;
+          quick "failed store leaves no temp file"
+            test_cache_store_failure_cleans_up;
         ] );
       ( "matrix",
         [ quick "warm cache is byte-identical, 0 runs" test_warm_cache_byte_identical ] );

@@ -407,13 +407,13 @@ let queue_reference depth ops =
   List.rev !stalls
 
 let ring_run depth ops =
-  let sb = Sim.Store_buffer.create ~depth in
+  let sb = Sim.Memory.Store_buffer_impl.create ~depth in
   let now = ref 0 and stalls = ref [] in
   List.iter
     (fun (work, lat0) ->
       let lat = lat0 + 1 in
       now := !now + work + 1;
-      let s = Sim.Store_buffer.push sb ~now:!now ~latency:lat in
+      let s = Sim.Memory.Store_buffer_impl.push sb ~now:!now ~latency:lat in
       now := !now + s;
       stalls := s :: !stalls)
     ops;
@@ -441,15 +441,18 @@ let prop_ring_wraparound_matches_queue =
 let prop_ring_drain_order =
   QCheck.Test.make ~name:"ring drains in order within its depth" ~count:200
     sb_trace_arb (fun (depth, ops) ->
-      let sb = Sim.Store_buffer.create ~depth in
+      let sb = Sim.Memory.Store_buffer_impl.create ~depth in
       let now = ref 0 and last = ref 0 and ok = ref true in
       List.iter
         (fun (work, lat0) ->
           now := !now + work + 1;
-          now := !now + Sim.Store_buffer.push sb ~now:!now ~latency:(lat0 + 1);
-          let c = Sim.Store_buffer.last_completion sb in
+          now :=
+            !now
+            + Sim.Memory.Store_buffer_impl.push sb ~now:!now
+                ~latency:(lat0 + 1);
+          let c = Sim.Memory.Store_buffer_impl.last_completion sb in
           if c <= !last then ok := false;
-          if Sim.Store_buffer.length sb > depth then ok := false;
+          if Sim.Memory.Store_buffer_impl.length sb > depth then ok := false;
           last := c)
         ops;
       !ok)
