@@ -6,6 +6,9 @@ open Cmdliner
 let progress msg =
   Printf.eprintf "  %s\n%!" msg
 
+(* Print to stderr and exit with [code]. *)
+let fail code fmt = Printf.kfprintf (fun _ -> exit code) stderr fmt
+
 let size_of_full full = if full then Workloads.Workload.Full else Workloads.Workload.Quick
 
 let full_arg =
@@ -33,26 +36,12 @@ let acquire_lock path =
     match Results.Lockfile.acquire ~owner:"repro" path with
     | Ok l -> Hashtbl.replace held_locks path l
     | Error msg ->
-        Printf.eprintf
+        fail 2
           "repro: %s\n\
           \  (a `repro serve` daemon or another run owns this store; \
            stop it or pass a different --cache-dir)\n\
            %!"
-          msg;
-        exit 2
-
-let matrix ?trace_dir ?(cache = true) ?(refresh = false) ?cache_dir ?plan
-    ?seed ?replay full =
-  let disk =
-    if cache then begin
-      let d = Results.Cache.create ?dir:cache_dir () in
-      acquire_lock (Filename.concat (Results.Cache.dir d) "LOCK");
-      Some d
-    end
-    else None
-  in
-  Harness.Matrix.create ~progress ?trace_dir ?disk ~refresh ?plan ?seed
-    ?replay (size_of_full full)
+          msg
 
 (* Stats go to stderr: report bytes on stdout stay identical whether
    cells were computed or served from the disk cache. *)
@@ -98,6 +87,65 @@ let progress_arg =
           "Print one line to stderr per completed matrix cell (workload, \
            mode, simulated cycles, host wall ms).  Stdout is unchanged.")
 
+(* The flags [experiment] and [docs] share: which matrix to build and
+   how to fill it. *)
+type matrix_flags = {
+  full : bool;
+  jobs : int;
+  show_progress : bool;
+  no_cache : bool;
+  refresh : bool;
+  cache_dir : string option;
+}
+
+let matrix_flags =
+  let make full jobs show_progress no_cache refresh cache_dir =
+    { full; jobs; show_progress; no_cache; refresh; cache_dir }
+  in
+  Term.(
+    const make $ full_arg $ jobs_arg $ progress_arg $ no_cache_arg
+    $ refresh_arg $ cache_dir_arg)
+
+let cell_progress (t : Harness.Matrix.cell_timing) ~cycles =
+  Printf.eprintf "  done %-16s %-8s %12d cycles %8.1f ms\n%!" t.workload
+    t.mode cycles (t.wall_s *. 1000.)
+
+(* Create the matrix [f] describes and, with [fill], compute every cell
+   under [supervision].  Failed cells end the command [cmd] with a
+   structured summary instead of a crashed harness: the surviving cells
+   are in the cell cache, so re-running the same command computes only
+   the failed ones. *)
+let matrix ?trace_dir ?plan ?seed ?replay
+    ?(supervision = Harness.Matrix.default_supervision) ~fill ~cmd f =
+  let disk =
+    if f.no_cache then None
+    else begin
+      let d = Results.Cache.create ?dir:f.cache_dir () in
+      acquire_lock (Filename.concat (Results.Cache.dir d) "LOCK");
+      Some d
+    end
+  in
+  let m =
+    Harness.Matrix.create ~progress ?trace_dir ?disk ~refresh:f.refresh ?plan
+      ?seed ?replay (size_of_full f.full)
+  in
+  (if fill then
+     let on_cell = if f.show_progress then Some cell_progress else None in
+     match Harness.Matrix.run_all ~domains:f.jobs ?on_cell ~supervision m with
+     | _ -> ()
+     | exception Harness.Matrix.Cells_failed failures ->
+         Printf.eprintf "%s: %d cell(s) FAILED\n" cmd (List.length failures);
+         List.iter
+           (fun c -> Fmt.epr "  %a@." Harness.Matrix.pp_cell_failure c)
+           failures;
+         Option.iter
+           (fun dir -> Printf.eprintf "  triage bundles under %s/\n" dir)
+           supervision.quarantine;
+         Printf.eprintf
+           "  (report skipped: it would be incomplete; re-run after triage)\n%!";
+         exit 1);
+  m
+
 let metrics_arg =
   Arg.(
     value & flag
@@ -130,9 +178,10 @@ let trace_arg =
            stream) under $(docv).  Tracing is pure observation: report \
            output is byte-identical.")
 
-let cell_progress (t : Harness.Matrix.cell_timing) ~cycles =
-  Printf.eprintf "  done %-16s %-8s %12d cycles %8.1f ms\n%!" t.workload
-    t.mode cycles (t.wall_s *. 1000.)
+let parse_plan ~seed s =
+  match Fault.Plan.of_string ~seed s with
+  | Ok p -> p
+  | Error msg -> fail 2 "bad --plan: %s\n" msg
 
 let experiments =
   [
@@ -148,39 +197,7 @@ let experiments =
     ("claims", `Matrix Harness.Claims.render);
   ]
 
-let run_experiment name m () =
-  match List.assoc_opt name experiments with
-  | None ->
-      Printf.eprintf "unknown experiment %s (have: %s, all)\n" name
-        (String.concat ", " (List.map fst experiments));
-      exit 1
-  | Some (`Static f) -> print_endline (f ())
-  | Some (`Matrix f) ->
-      print_endline (f m);
-      report_cache_stats m
-
-let run_all m jobs ~show_progress ?timeout_s ?(retries = 0) ?quarantine () =
-  let on_cell = if show_progress then Some cell_progress else None in
-  let supervision =
-    { Harness.Matrix.default_supervision with timeout_s; retries; quarantine }
-  in
-  (match Harness.Matrix.run_all ~domains:jobs ?on_cell ~supervision m with
-  | _ -> ()
-  | exception Harness.Matrix.Cells_failed failures ->
-      (* Structured failure summary instead of a crashed harness: the
-         surviving cells are in the cell cache, so re-running the same
-         command computes only the failed ones. *)
-      Printf.eprintf "experiment all: %d cell(s) FAILED\n"
-        (List.length failures);
-      List.iter
-        (fun f -> Fmt.epr "  %a@." Harness.Matrix.pp_cell_failure f)
-        failures;
-      Option.iter
-        (fun dir -> Printf.eprintf "  triage bundles under %s/\n" dir)
-        quarantine;
-      Printf.eprintf
-        "  (report skipped: it would be incomplete; re-run after triage)\n%!";
-      exit 1);
+let print_report m =
   print_endline (Harness.Table1.render ());
   print_newline ();
   print_endline (Harness.Table23.render_table2 m);
@@ -263,42 +280,45 @@ let exp_cmd =
       value & opt int 0
       & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (with --plan).")
   in
-  let run name full jobs show_progress trace_dir timeout_s retries
-      quarantine no_cache refresh cache_dir replay plan_spec seed metrics =
+  let run name f trace_dir timeout_s retries quarantine replay plan_spec seed
+      metrics =
+    (* Checked before the cell cache is touched, so a typo is reported
+       as one even while a daemon holds the cache lock. *)
+    let experiment =
+      if name = "all" then None
+      else
+        match List.assoc_opt name experiments with
+        | Some e -> Some e
+        | None ->
+            fail 1 "unknown experiment %s (have: %s, all)\n" name
+              (String.concat ", " (List.map fst experiments))
+    in
     let dump_metrics = with_metrics metrics in
-    let plan =
-      match plan_spec with
-      | None -> None
-      | Some s -> (
-          match Fault.Plan.of_string ~seed s with
-          | Ok p -> Some (p, s)
-          | Error msg ->
-              Printf.eprintf "bad --plan: %s\n" msg;
-              exit 2)
+    let plan = Option.map (fun s -> (parse_plan ~seed s, s)) plan_spec in
+    if replay && plan <> None then
+      fail 2 "experiment: --replay cannot combine with --plan\n";
+    if replay && trace_dir <> None then
+      fail 2 "experiment: --replay cannot combine with --trace\n";
+    let supervision =
+      { Harness.Matrix.default_supervision with timeout_s; retries; quarantine }
     in
-    if replay && plan <> None then begin
-      Printf.eprintf "experiment: --replay cannot combine with --plan\n";
-      exit 2
-    end;
-    if replay && trace_dir <> None then begin
-      Printf.eprintf "experiment: --replay cannot combine with --trace\n";
-      exit 2
-    end;
     let m =
-      matrix ?trace_dir ~cache:(not no_cache) ~refresh ?cache_dir ?plan ~seed
-        ~replay full
+      matrix ?trace_dir ?plan ~seed ~replay ~supervision
+        ~fill:(Option.is_none experiment) ~cmd:"experiment all" f
     in
-    if name = "all" then
-      run_all m jobs ~show_progress ?timeout_s ~retries ?quarantine ()
-    else run_experiment name m ();
+    (match experiment with
+    | None -> print_report m
+    | Some (`Static render) -> print_endline (render ())
+    | Some (`Matrix render) ->
+        print_endline (render m);
+        report_cache_stats m);
     dump_metrics ()
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
-      const run $ name_arg $ full_arg $ jobs_arg $ progress_arg $ trace_arg
-      $ timeout_arg $ retries_arg $ quarantine_arg $ no_cache_arg
-      $ refresh_arg $ cache_dir_arg $ replay_arg $ plan_arg $ seed_arg
+      const run $ name_arg $ matrix_flags $ trace_arg $ timeout_arg
+      $ retries_arg $ quarantine_arg $ replay_arg $ plan_arg $ seed_arg
       $ metrics_arg)
 
 let workload_arg =
@@ -325,13 +345,21 @@ let mode_conv =
   let print ppf m = Fmt.string ppf (Workloads.Api.mode_name m) in
   Arg.conv (parse, print)
 
+let mode_doc = "Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe."
+
+let mode_arg =
+  Arg.(
+    value
+    & opt mode_conv (Workloads.Api.Region { safe = true })
+    & info [ "mode" ] ~doc:mode_doc)
+
+let mode_pos_arg =
+  Arg.(
+    value
+    & pos 1 mode_conv (Workloads.Api.Region { safe = true })
+    & info [] ~docv:"MODE" ~doc:mode_doc)
+
 let run_cmd =
-  let mode_arg =
-    Arg.(
-      value
-      & opt mode_conv (Workloads.Api.Region { safe = true })
-      & info [ "mode" ] ~doc:"Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe.")
-  in
   let run name mode full =
     let spec = Workloads.Workload.find name in
     let r = Workloads.Workload.run_collect spec mode (size_of_full full) in
@@ -342,13 +370,6 @@ let run_cmd =
     Term.(const run $ workload_arg $ mode_arg $ full_arg)
 
 let trace_cmd =
-  let mode_pos_arg =
-    Arg.(
-      value
-      & pos 1 mode_conv (Workloads.Api.Region { safe = true })
-      & info [] ~docv:"MODE"
-          ~doc:"Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe.")
-  in
   let out_arg =
     Arg.(
       value & opt string "traces"
@@ -435,52 +456,30 @@ let creg_cmd =
     let len = in_channel_length ic in
     let src = really_input_string ic len in
     close_in ic;
-    if dump then begin
-      match Creg.Compile.compile src with
-      | prog ->
-          Array.iter (fun f -> Fmt.pr "%a@." Creg.Bytecode.pp_func f) prog.Creg.Bytecode.bp_funcs
-      | exception Creg.Typecheck.Error (msg, pos) ->
-          Printf.eprintf "type error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-          exit 2
-      | exception Creg.Parser.Error (msg, pos) ->
-          Printf.eprintf "syntax error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-          exit 2
-      | exception Creg.Lexer.Error (msg, pos) ->
-          Printf.eprintf "lexical error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-          exit 2
-    end
-    else
-    match Creg.Vm.run_source ~safe:(not unsafe) src with
-    | outcome, lib ->
+    let error kind msg (pos : Creg.Ast.pos) =
+      fail 2 "%s error at %d:%d: %s\n" kind pos.line pos.col msg
+    in
+    match
+      if dump then `Dump (Creg.Compile.compile src)
+      else `Run (Creg.Vm.run_source ~safe:(not unsafe) src)
+    with
+    | `Dump prog ->
+        Array.iter (fun f -> Fmt.pr "%a@." Creg.Bytecode.pp_func f) prog.Creg.Bytecode.bp_funcs
+    | `Run (outcome, lib) ->
         List.iter (fun v -> Printf.printf "%d\n" v) outcome.Creg.Vm.output;
         let c = Sim.Cost.cycles (Sim.Memory.cost (Regions.Region.memory lib)) in
         Printf.eprintf "exit value: %d (%d simulated cycles)\n"
           outcome.Creg.Vm.exit_value c
-    | exception Creg.Vm.Fault msg ->
-        Printf.eprintf "runtime fault: %s\n" msg;
-        exit 2
-    | exception Creg.Typecheck.Error (msg, pos) ->
-        Printf.eprintf "type error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-        exit 2
-    | exception Creg.Parser.Error (msg, pos) ->
-        Printf.eprintf "syntax error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-        exit 2
-    | exception Creg.Lexer.Error (msg, pos) ->
-        Printf.eprintf "lexical error at %d:%d: %s\n" pos.Creg.Ast.line pos.Creg.Ast.col msg;
-        exit 2
+    | exception Creg.Vm.Fault msg -> fail 2 "runtime fault: %s\n" msg
+    | exception Creg.Typecheck.Error (msg, pos) -> error "type" msg pos
+    | exception Creg.Parser.Error (msg, pos) -> error "syntax" msg pos
+    | exception Creg.Lexer.Error (msg, pos) -> error "lexical" msg pos
   in
   Cmd.v
     (Cmd.info "creg" ~doc:"Compile and run a creg (C@-like) program on the safe region runtime")
     Term.(const run $ file_arg $ unsafe_arg $ dump_arg)
 
 let faults_cmd =
-  let mode_pos_arg =
-    Arg.(
-      value
-      & pos 1 mode_conv (Workloads.Api.Region { safe = true })
-      & info [] ~docv:"MODE"
-          ~doc:"Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe.")
-  in
   let plan_arg =
     Arg.(
       required
@@ -515,48 +514,33 @@ let faults_cmd =
   in
   let run name mode all_modes plan_spec seed full quarantine =
     let spec = Workloads.Workload.find name in
-    match Fault.Plan.of_string ~seed plan_spec with
-    | Error msg ->
-        Printf.eprintf "bad --plan: %s\n" msg;
-        exit 2
-    | Ok plan ->
-        let modes =
-          if all_modes then Workloads.Workload.modes_for spec else [ mode ]
-        in
-        let graceful =
-          List.map
-            (fun mode ->
-              let o =
-                Harness.Faultrun.run ~plan spec mode (size_of_full full)
-              in
-              Fmt.pr "%a@.@." Harness.Faultrun.pp_outcome o;
-              let ok = Harness.Faultrun.graceful o in
-              if not ok then
-                Option.iter
-                  (fun dir ->
-                    let last_error =
-                      Fmt.str "%a"
-                        (fun ppf (o : Harness.Faultrun.outcome) ->
-                          match o.Harness.Faultrun.status with
-                          | Harness.Faultrun.Crashed s -> Fmt.pf ppf "crashed: %s" s
-                          | _ -> Fmt.pf ppf "heap check failed after fault plan")
-                        o
-                    in
-                    match
-                      Harness.Triage.write_bundle ~dir
-                        ~workload:spec.Workloads.Workload.name
-                        ~mode:(Workloads.Api.mode_name mode) ~attempts:1
-                        ~last_error ~backtrace:"" ~plan
-                        ~retrace:(spec, mode, size_of_full full) ()
-                    with
-                    | Some bundle ->
-                        Printf.eprintf "  triage bundle: %s\n%!" bundle
-                    | None -> ())
-                  quarantine;
-              ok)
-            modes
-        in
-        if not (List.for_all Fun.id graceful) then exit 1
+    let plan = parse_plan ~seed plan_spec in
+    let graceful mode =
+      let o = Harness.Faultrun.run ~plan spec mode (size_of_full full) in
+      Fmt.pr "%a@.@." Harness.Faultrun.pp_outcome o;
+      let ok = Harness.Faultrun.graceful o in
+      if not ok then
+        Option.iter
+          (fun dir ->
+            let last_error =
+              match o.Harness.Faultrun.status with
+              | Harness.Faultrun.Crashed s -> "crashed: " ^ s
+              | _ -> "heap check failed after fault plan"
+            in
+            Option.iter
+              (Printf.eprintf "  triage bundle: %s\n%!")
+              (Harness.Triage.write_bundle ~dir
+                 ~workload:spec.Workloads.Workload.name
+                 ~mode:(Workloads.Api.mode_name mode) ~attempts:1 ~last_error
+                 ~backtrace:"" ~plan
+                 ~retrace:(spec, mode, size_of_full full) ()))
+          quarantine;
+      ok
+    in
+    let modes =
+      if all_modes then Workloads.Workload.modes_for spec else [ mode ]
+    in
+    if not (List.for_all Fun.id (List.map graceful modes)) then exit 1
   in
   Cmd.v
     (Cmd.info "faults"
@@ -624,12 +608,6 @@ let check_cmd =
          ])
     Term.(const run $ traces_arg $ seed_arg)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let docs_cmd =
   let check_arg =
     Arg.(
@@ -667,117 +645,83 @@ let docs_cmd =
             "On --check failure, also write the regenerated document and \
              results under $(docv) so CI can upload them as an artifact.")
   in
-  let run check doc golden drift_dir jobs show_progress no_cache refresh
-      cache_dir full =
+  let run check doc golden drift_dir f =
     let golden =
       match golden with
       | Some g -> g
       | None ->
-          if full then "results/golden-full.json"
+          if f.full then "results/golden-full.json"
           else "results/golden-quick.json"
     in
-    let m = matrix ~cache:(not no_cache) ~refresh ?cache_dir full in
-    let on_cell = if show_progress then Some cell_progress else None in
-    ignore (Harness.Matrix.run_all ~domains:jobs ?on_cell m);
-    if full then begin
-      (* The document's generated blocks are quick-run renders; at full
-         size only the machine-readable store is gated (the cron CI
-         job).  Rendering the doc from a full matrix would "drift" it
-         by construction. *)
-      let fresh = Harness.Matrix.store m in
-      report_cache_stats m;
-      if check then begin
-        match Results.Store.load golden with
-        | Error msg ->
-            Printf.eprintf "docs: %s: %s\n" golden msg;
-            exit 1
-        | Ok expected -> (
-            match Results.Store.diff ~expected ~actual:fresh with
-            | [] ->
-                Printf.printf "docs: %s (%d cells) is up to date\n" golden
-                  (Results.Store.length fresh)
-            | lines ->
-                Printf.eprintf
-                  "docs: committed full-size golden disagrees with \
-                   regeneration:\n";
-                List.iter (fun l -> Printf.eprintf "%s: %s\n" golden l) lines;
-                Option.iter
-                  (fun dir ->
-                    mkdir_p dir;
-                    let out = Filename.concat dir (Filename.basename golden) in
-                    Results.Store.save fresh out;
-                    Printf.eprintf "docs: regenerated copy under %s/\n" dir)
-                  drift_dir;
-                Printf.eprintf
-                  "docs: run `repro docs --full` and commit the result\n%!";
-                exit 1)
-      end
-      else begin
-        Results.Store.save fresh golden;
-        Printf.printf "docs: wrote %s (%d cells)\n" golden
-          (Results.Store.length fresh)
-      end;
-      exit 0
-    end;
-    let current =
-      try Harness.Docs.read_file doc
-      with Sys_error msg ->
-        Printf.eprintf "docs: cannot read %s: %s\n" doc msg;
-        exit 2
+    let m = matrix ~fill:true ~cmd:"docs" f in
+    (* The document's generated blocks are quick-run renders, so at full
+       size only the golden store is gated (the cron CI job): rendering
+       the doc from a full matrix would "drift" it by construction. *)
+    let document =
+      if f.full then None
+      else
+        let current =
+          try Harness.Docs.read_file doc
+          with Sys_error msg -> fail 2 "docs: cannot read %s: %s\n" doc msg
+        in
+        match Harness.Docs.regenerate m current with
+        | Error msg -> fail 2 "docs: %s: %s\n" doc msg
+        | Ok regenerated -> Some (current, regenerated)
     in
-    match Harness.Docs.regenerate m current with
-    | Error msg ->
-        Printf.eprintf "docs: %s: %s\n" doc msg;
-        exit 2
-    | Ok regenerated ->
-        let fresh = Harness.Matrix.store m in
-        report_cache_stats m;
-        let nblocks = List.length (Harness.Docs.block_ids current) in
-        if check then begin
-          let doc_drift =
+    let fresh = Harness.Matrix.store m in
+    report_cache_stats m;
+    let names =
+      String.concat " and "
+        (Option.to_list
+           (Option.map
+              (fun (current, _) ->
+                Printf.sprintf "%s (%d generated blocks)" doc
+                  (List.length (Harness.Docs.block_ids current)))
+              document)
+        @ [ Printf.sprintf "%s (%d cells)" golden (Results.Store.length fresh) ])
+    in
+    (* Every gated output, in place or (for CI's artifact) under [dir]. *)
+    let write ?dir () =
+      let path p =
+        Option.fold dir ~none:p ~some:(fun d ->
+            Filename.concat d (Filename.basename p))
+      in
+      Option.iter
+        (fun (_, regenerated) -> Harness.Docs.write_file (path doc) regenerated)
+        document;
+      Results.Store.save fresh (path golden)
+    in
+    if not check then begin
+      write ();
+      Printf.printf "docs: wrote %s\n" names
+    end
+    else
+      let doc_drift =
+        match document with
+        | Some (current, regenerated) ->
             Harness.Docs.drift ~label:doc ~current ~regenerated
-          in
-          let golden_drift =
-            match Results.Store.load golden with
-            | Error msg -> [ Printf.sprintf "%s: %s" golden msg ]
-            | Ok expected ->
-                List.map
-                  (fun line -> Printf.sprintf "%s: %s" golden line)
-                  (Results.Store.diff ~expected ~actual:fresh)
-          in
-          match doc_drift @ golden_drift with
-          | [] ->
-              Printf.printf
-                "docs: %s (%d generated blocks) and %s (%d cells) are up to \
-                 date\n"
-                doc nblocks golden (Results.Store.length fresh)
-          | lines ->
-              Printf.eprintf
-                "docs: committed outputs disagree with regeneration:\n";
-              List.iter (fun l -> Printf.eprintf "%s\n" l) lines;
-              Option.iter
-                (fun dir ->
-                  mkdir_p dir;
-                  let doc_out = Filename.concat dir (Filename.basename doc) in
-                  let golden_out =
-                    Filename.concat dir (Filename.basename golden)
-                  in
-                  Harness.Docs.write_file doc_out regenerated;
-                  Results.Store.save fresh golden_out;
-                  Printf.eprintf "docs: regenerated copies under %s/\n" dir)
-                drift_dir;
-              Printf.eprintf
-                "docs: run `repro docs` (or dune exec repro -- docs) and \
-                 commit the result\n%!";
-              exit 1
-        end
-        else begin
-          Harness.Docs.write_file doc regenerated;
-          Results.Store.save fresh golden;
-          Printf.printf "docs: wrote %s (%d generated blocks) and %s (%d \
-                         cells)\n"
-            doc nblocks golden (Results.Store.length fresh)
-        end
+        | None -> []
+      in
+      let golden_drift =
+        match Results.Store.load golden with
+        | Error msg -> [ msg ]
+        | Ok expected -> Results.Store.diff ~expected ~actual:fresh
+      in
+      match doc_drift @ List.map (Printf.sprintf "%s: %s" golden) golden_drift with
+      | [] ->
+          Printf.printf "docs: %s %s up to date\n" names
+            (if document = None then "is" else "are")
+      | lines ->
+          Printf.eprintf "docs: committed outputs disagree with regeneration:\n";
+          List.iter (fun l -> Printf.eprintf "%s\n" l) lines;
+          Option.iter
+            (fun dir ->
+              Harness.Tracefiles.mkdir_p dir;
+              write ~dir ();
+              Printf.eprintf "docs: regenerated copies under %s/\n" dir)
+            drift_dir;
+          fail 1 "docs: run `repro docs%s` and commit the result\n%!"
+            (if f.full then " --full" else "")
   in
   Cmd.v
     (Cmd.info "docs"
@@ -801,8 +745,8 @@ let docs_cmd =
               renders (this is the scheduled full-size CI gate).";
          ])
     Term.(
-      const run $ check_arg $ doc_arg $ golden_arg $ drift_dir_arg $ jobs_arg
-      $ progress_arg $ no_cache_arg $ refresh_arg $ cache_dir_arg $ full_arg)
+      const run $ check_arg $ doc_arg $ golden_arg $ drift_dir_arg
+      $ matrix_flags)
 
 let variant_arg =
   Arg.(
@@ -819,12 +763,26 @@ let default_variant (spec : Workloads.Workload.spec) = function
   | Some v -> v
   | None -> if spec.Workloads.Workload.region_only then "emu" else "malloc"
 
-let print_trace_stats path =
+(* [f] over an open reader of [path].  A trace that fails to open,
+   decodes corrupt, diverges or cannot serve the requested column is bad
+   input: reported against the file as [cmd: path: ...], exit 2. *)
+let with_reader ~cmd path f =
+  let bad msg = fail 2 "%s: %s: %s\n" cmd path msg in
   match Trace.Format.open_file path with
-  | Error msg ->
-      Printf.eprintf "record: wrote an unreadable trace (%s)\n" msg;
-      exit 2
-  | Ok rd ->
+  | Error msg -> bad msg
+  | Ok rd -> (
+      match
+        Fun.protect ~finally:(fun () -> Trace.Format.close rd) (fun () -> f rd)
+      with
+      | v -> v
+      | exception
+          ( Trace.Format.Corrupt msg
+          | Trace.Replay.Divergence msg
+          | Invalid_argument msg ) ->
+          bad msg)
+
+let print_trace_stats ~cmd path =
+  with_reader ~cmd path (fun rd ->
       let hdr = Trace.Format.header rd in
       Printf.printf
         "%s: %s/%s under %s (%s), %d records, %d objects, %d regions, %d \
@@ -832,8 +790,7 @@ let print_trace_stats path =
         path hdr.Trace.Format.workload hdr.Trace.Format.variant
         hdr.Trace.Format.mode hdr.Trace.Format.size (Trace.Format.records rd)
         (Trace.Format.objects rd) (Trace.Format.regions rd)
-        (Unix.stat path).Unix.st_size;
-      Trace.Format.close rd
+        (Unix.stat path).Unix.st_size)
 
 let record_cmd =
   let out_arg =
@@ -858,7 +815,7 @@ let record_cmd =
     Printf.printf "recorded %s under %s: %s\n" name
       (Workloads.Api.mode_name (Trace.Record.recording_mode variant))
       r.Workloads.Results.summary;
-    print_trace_stats out
+    print_trace_stats ~cmd:"record" out
   in
   Cmd.v
     (Cmd.info "record"
@@ -929,32 +886,24 @@ let replay_cmd =
       let checked, diffs =
         Harness.Replaycheck.verify ?workload ~domains:jobs ~progress size
       in
-      if diffs = [] then begin
+      if diffs = [] then
         Printf.printf
           "replay verify: %d cells, every allocator-side measurement \
            count-equivalent\n"
-          checked;
-        dump_metrics ()
-      end
+          checked
       else begin
         Printf.printf "replay verify: %d divergence(s) over %d cells:\n"
           (List.length diffs) checked;
-        List.iter (fun d -> Fmt.pr "  %a@." Harness.Replaycheck.pp_diff d) diffs;
-        dump_metrics ();
-        exit 1
-      end
+        List.iter (fun d -> Fmt.pr "  %a@." Harness.Replaycheck.pp_diff d) diffs
+      end;
+      dump_metrics ();
+      if diffs <> [] then exit 1
     end
     else begin
       (* One replay of [path] against [mode], optionally profiled. *)
       let replay_one ?timeline path mode =
-        match Trace.Format.open_file path with
-        | Error msg ->
-            Printf.eprintf "replay: %s: %s\n" path msg;
-            exit 2
-        | Ok rd ->
-            Fun.protect
-              ~finally:(fun () -> Trace.Format.close rd)
-              (fun () -> Trace.Replay.run ?timeline rd mode)
+        with_reader ~cmd:"replay" path (fun rd ->
+            Trace.Replay.run ?timeline rd mode)
       in
       let write_timeline dir mode tl =
         Harness.Tracefiles.mkdir_p dir;
@@ -976,9 +925,7 @@ let replay_cmd =
                   match workload with
                   | Some w -> w
                   | None ->
-                      Printf.eprintf
-                        "replay: WORKLOAD is required without --trace-file\n";
-                      exit 2
+                      fail 2 "replay: WORKLOAD is required without --trace-file\n"
                 in
                 let spec = Workloads.Workload.find workload in
                 let tmp = Filename.temp_file "repro-replay" ".trace" in
@@ -992,12 +939,10 @@ let replay_cmd =
           in
           Fun.protect ~finally:cleanup (fun () ->
               let timeline =
-                Option.map (fun _ -> Obs.Timeline.create ()) timeline_dir
+                Option.map (fun dir -> (dir, Obs.Timeline.create ())) timeline_dir
               in
-              let r = replay_one ?timeline path mode in
-              (match (timeline_dir, timeline) with
-              | Some dir, Some tl -> write_timeline dir mode tl
-              | _ -> ());
+              let r = replay_one ?timeline:(Option.map snd timeline) path mode in
+              Option.iter (fun (dir, tl) -> write_timeline dir mode tl) timeline;
               Fmt.pr "%a@." Workloads.Results.pp r)
       | None -> (
           (* No MODE: profile every column the trace's variant serves —
@@ -1005,14 +950,8 @@ let replay_cmd =
           match (trace_file, timeline_dir) with
           | Some path, Some dir ->
               let variant =
-                match Trace.Format.open_file path with
-                | Error msg ->
-                    Printf.eprintf "replay: %s: %s\n" path msg;
-                    exit 2
-                | Ok rd ->
-                    Fun.protect
-                      ~finally:(fun () -> Trace.Format.close rd)
-                      (fun () -> (Trace.Format.header rd).Trace.Format.variant)
+                with_reader ~cmd:"replay" path (fun rd ->
+                    (Trace.Format.header rd).Trace.Format.variant)
               in
               let modes =
                 List.filter
@@ -1029,11 +968,10 @@ let replay_cmd =
                   write_timeline dir mode tl)
                 modes
           | _ ->
-              Printf.eprintf
+              fail 2
                 "replay: MODE is required without --verify (pass \
                  --trace-file FILE --timeline DIR to profile every column \
-                 the trace serves)\n";
-              exit 2));
+                 the trace serves)\n"));
       dump_metrics ()
     end
   in
@@ -1069,7 +1007,14 @@ let gen_cmd =
           ~doc:
             "Full generator spec as one comma-separated $(b,key=value) \
              string (the canonical form printed in the trace header).  \
-             Individual knobs below override its fields.")
+             Keys: $(b,n); $(b,variant): $(b,malloc) (serves the heap \
+             columns: sun/bsd/lea/gc) or $(b,region) (safe/unsafe \
+             regions); $(b,size): $(b,table2), $(b,uniform:LO:HI) or \
+             $(b,heavy:LO:CAP); $(b,life): $(b,lifo:BATCH) \
+             (region-friendly), $(b,exp:MEAN) or $(b,long:PCT:MEAN) (PCT% \
+             immortal); $(b,stores) (pointer stores per allocation); \
+             $(b,seed).  Omitted keys default to \
+             n=1000000,variant=malloc,size=table2,life=lifo:256,stores=1,seed=1.")
   in
   let objects_arg =
     Arg.(
@@ -1077,47 +1022,6 @@ let gen_cmd =
       & opt (some int) None
       & info [ "n"; "objects" ] ~docv:"N"
           ~doc:"Total objects allocated over the trace (default 1000000).")
-  in
-  let gvariant_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "variant" ] ~docv:"VARIANT"
-          ~doc:
-            "$(b,malloc) (serves the heap columns: sun/bsd/lea/gc) or \
-             $(b,region) (safe/unsafe regions).  Default: malloc.")
-  in
-  let size_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "size" ] ~docv:"DIST"
-          ~doc:
-            "Object size distribution: $(b,table2), $(b,uniform:LO:HI) or \
-             $(b,heavy:LO:CAP).  Default: table2.")
-  in
-  let life_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "life" ] ~docv:"DIST"
-          ~doc:
-            "Lifetime distribution: $(b,lifo:BATCH) (region-friendly), \
-             $(b,exp:MEAN) or $(b,long:PCT:MEAN) (PCT% immortal).  \
-             Default: lifo:256.")
-  in
-  let stores_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "stores" ] ~docv:"K"
-          ~doc:"Pointer stores emitted per allocation (default 1).")
-  in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed (default 1).")
   in
   let out_arg =
     Arg.(
@@ -1128,60 +1032,18 @@ let gen_cmd =
             "Write the trace here unconditionally.  Default: the \
              content-addressed cache slot, reused if already generated.")
   in
-  let run spec objects variant size life stores seed out cache_dir =
-    let p =
-      match spec with
-      | None -> Trace.Gen.default
-      | Some s -> (
-          match Trace.Gen.of_string s with
-          | Ok p -> p
-          | Error msg ->
-              Printf.eprintf "gen: bad --spec: %s\n" msg;
-              exit 2)
-    in
-    let field name conv v cur =
-      match v with
-      | None -> cur
-      | Some s -> (
-          match conv s with
-          | Ok x -> x
-          | Error msg ->
-              Printf.eprintf "gen: bad --%s: %s\n" name msg;
-              exit 2)
+  let run spec objects out cache_dir =
+    (* [-n N] is the spec key [n=N]; a later key overrides an earlier
+       one, so it wins over an [n=] inside --spec. *)
+    let spec =
+      String.concat ","
+        (Option.to_list spec
+        @ Option.to_list (Option.map (Printf.sprintf "n=%d") objects))
     in
     let p =
-      {
-        Trace.Gen.objects =
-          (match objects with None -> p.Trace.Gen.objects | Some n -> n);
-        variant =
-          (match variant with None -> p.Trace.Gen.variant | Some v -> v);
-        sizes =
-          field "size"
-            (fun s ->
-              Result.map
-                (fun (g : Trace.Gen.t) -> g.Trace.Gen.sizes)
-                (Trace.Gen.of_string ("size=" ^ s)))
-            size p.Trace.Gen.sizes;
-        lifetime =
-          field "life"
-            (fun s ->
-              Result.map
-                (fun (g : Trace.Gen.t) -> g.Trace.Gen.lifetime)
-                (Trace.Gen.of_string ("life=" ^ s)))
-            life p.Trace.Gen.lifetime;
-        stores =
-          (match stores with None -> p.Trace.Gen.stores | Some k -> k);
-        seed = (match seed with None -> p.Trace.Gen.seed | Some s -> s);
-      }
-    in
-    (* Re-validate the assembled params through the canonical parser so
-       knob combinations get the same checks as --spec. *)
-    let p =
-      match Trace.Gen.of_string (Trace.Gen.to_string p) with
+      match Trace.Gen.of_string spec with
       | Ok p -> p
-      | Error msg ->
-          Printf.eprintf "gen: %s\n" msg;
-          exit 2
+      | Error msg -> fail 2 "gen: bad --spec: %s\n" msg
     in
     let path =
       match out with
@@ -1193,7 +1055,7 @@ let gen_cmd =
           let cache = Results.Cache.create ?dir:cache_dir () in
           Trace.Gen.ensure ~cache ~progress p
     in
-    print_trace_stats path
+    print_trace_stats ~cmd:"gen" path
   in
   Cmd.v
     (Cmd.info "gen"
@@ -1214,8 +1076,7 @@ let gen_cmd =
               object count, not the trace length.";
          ])
     Term.(
-      const run $ spec_arg $ objects_arg $ gvariant_arg $ size_arg $ life_arg
-      $ stores_arg $ seed_arg $ out_arg $ cache_dir_arg)
+      const run $ spec_arg $ objects_arg $ out_arg $ cache_dir_arg)
 
 let results_cmd =
   let a_arg =
@@ -1240,9 +1101,7 @@ let results_cmd =
     let load path =
       match Results.Store.load path with
       | Ok s -> s
-      | Error msg ->
-          Printf.eprintf "results compare: %s: %s\n" path msg;
-          exit 2
+      | Error msg -> fail 2 "results compare: %s: %s\n" path msg
     in
     let ea = load a and eb = load b in
     match Results.Store.diff ~expected:ea ~actual:eb with
@@ -1363,12 +1222,10 @@ let serve_cmd =
   let run socket cache_dir journal workers max_clients max_queue timeout_s
       retries write_timeout_s cache_max_mb drain_timeout_s metrics_out =
     let cache_dir =
-      match cache_dir with Some d -> d | None -> Results.Cache.default_dir ()
+      Option.value cache_dir ~default:(Results.Cache.default_dir ())
     in
     let journal =
-      match journal with
-      | Some j -> j
-      | None -> Filename.concat cache_dir "serve.journal"
+      Option.value journal ~default:(Filename.concat cache_dir "serve.journal")
     in
     let cfg =
       {
@@ -1388,9 +1245,7 @@ let serve_cmd =
     in
     match Serve.Daemon.run cfg with
     | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf "serve: %s\n" msg;
-        exit 2
+    | Error msg -> fail 2 "serve: %s\n" msg
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1519,26 +1374,20 @@ let serveload_cmd =
   let run socket cache_dir clients requests duration_s seed kills p_garbage
       p_disconnect budget_s deadline_s workloads_csv modes_csv mix_plan workers
       cache_max_mb metrics_out =
+    (* Defaults are per-process names in the temp directory. *)
+    let scratch =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "repro-serveload-%d" (Unix.getpid ()))
+    in
     let cache_dir =
       match cache_dir with
       | Some d -> d
       | None ->
-          let d =
-            Filename.concat
-              (Filename.get_temp_dir_name ())
-              (Printf.sprintf "repro-serveload-%d" (Unix.getpid ()))
-          in
-          (try Unix.mkdir d 0o755
-           with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          d
+          Harness.Tracefiles.mkdir_p scratch;
+          scratch
     in
-    let socket =
-      if socket <> "" then socket
-      else
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "repro-serveload-%d.sock" (Unix.getpid ()))
-    in
+    let socket = if socket <> "" then socket else scratch ^ ".sock" in
     let split csv =
       String.split_on_char ',' csv
       |> List.map String.trim
@@ -1688,13 +1537,6 @@ let server_cmd =
             "Allocate through the legacy region path instead of the \
              per-mutator bump-pointer fast path (addresses are \
              identical either way; only charged instructions differ).")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt mode_conv (Workloads.Api.Region { safe = true })
-      & info [ "mode" ]
-          ~doc:"Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe.")
   in
   let run mutators requests quantum seed no_bump mode full metrics =
     let dump_metrics = with_metrics metrics in

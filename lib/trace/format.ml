@@ -243,154 +243,13 @@ let wlayout w (l : Regions.Cleanup.layout) =
       wuv w o)
     offs
 
-(* Reservations below are worst cases: 10 bytes covers any varint, 21
-   any [value]; array and string payloads reserve per element. *)
-let emit w r =
-  (match r with
-  | Malloc { size } ->
-      reserve w 11;
-      wbyte w t_malloc;
-      wuv w size;
-      w.nobjects <- w.nobjects + 1
-  | Free { id } ->
-      reserve w 11;
-      wbyte w t_free;
-      wuv w id
-  | Realloc { id; size } ->
-      reserve w 21;
-      wbyte w t_realloc;
-      wuv w id;
-      wuv w size;
-      w.nobjects <- w.nobjects + 1
-  | Newregion ->
-      reserve w 1;
-      wbyte w t_newregion;
-      w.nregions <- w.nregions + 1
-  | Ralloc { rid; layout } ->
-      reserve w 11;
-      wbyte w t_ralloc;
-      wuv w rid;
-      wlayout w layout;
-      w.nobjects <- w.nobjects + 1
-  | Rstralloc { rid; size } ->
-      reserve w 21;
-      wbyte w t_rstralloc;
-      wuv w rid;
-      wuv w size;
-      w.nobjects <- w.nobjects + 1
-  | Rarrayalloc { rid; n; layout } ->
-      reserve w 21;
-      wbyte w t_rarrayalloc;
-      wuv w rid;
-      wuv w n;
-      wlayout w layout;
-      w.nobjects <- w.nobjects + 1
-  | Deleteregion { rid; frame; slot; ok } ->
-      reserve w 41;
-      wbyte w t_deleteregion;
-      wuv w rid;
-      wuv w frame;
-      wuv w slot;
-      wuv w (if ok then 1 else 0)
-  | Frame_push { nslots; ptr_slots } ->
-      reserve w 21;
-      wbyte w t_frame_push;
-      wuv w nslots;
-      wuv w (List.length ptr_slots);
-      List.iter
-        (fun s ->
-          reserve w 10;
-          wuv w s)
-        ptr_slots
-  | Frame_pop ->
-      reserve w 1;
-      wbyte w t_frame_pop
-  | Poke { addr; v } ->
-      reserve w 21;
-      wbyte w t_poke;
-      wuv w addr;
-      wsv w v
-  | Poke_byte { addr; v } ->
-      reserve w 21;
-      wbyte w t_poke_byte;
-      wuv w addr;
-      wuv w (v land 0xFF)
-  | Poke_bytes { addr; s } ->
-      reserve w 11;
-      wbyte w t_poke_bytes;
-      wuv w addr;
-      wstr w s
-  | Poke_block { addr; words } ->
-      reserve w 21;
-      wbyte w t_poke_block;
-      wuv w addr;
-      wuv w (Array.length words);
-      Array.iter
-        (fun v ->
-          reserve w 10;
-          wsv w v)
-        words
-  | Poke_obj { id; word; v } ->
-      reserve w 31;
-      wbyte w t_poke_obj;
-      wuv w id;
-      wuv w word;
-      wsv w v
-  | Clear { addr; bytes } ->
-      reserve w 21;
-      wbyte w t_clear;
-      wuv w addr;
-      wuv w bytes
-  | Store_ptr { addr; v } ->
-      reserve w 43;
-      wbyte w t_store_ptr;
-      wvalue w addr;
-      wvalue w v
-  | Set_local { frame; slot; v } ->
-      reserve w 42;
-      wbyte w t_set_local;
-      wuv w frame;
-      wuv w slot;
-      wvalue w v
-  | Set_local_ptr { frame; slot; v } ->
-      reserve w 42;
-      wbyte w t_set_local_ptr;
-      wuv w frame;
-      wuv w slot;
-      wvalue w v
-  | Gc_roots roots ->
-      reserve w 11;
-      wbyte w t_gc_roots;
-      wuv w (Array.length roots);
-      Array.iter
-        (fun v ->
-          reserve w 10;
-          wsv w v)
-        roots
-  | Mark { name; kind } ->
-      let id = sid w name in
-      reserve w 21;
-      wbyte w t_mark;
-      wuv w id;
-      wuv w
-        (match kind with
-        | Phase_begin -> 0
-        | Phase_end -> 1
-        | Site_begin -> 2
-        | Site_end -> 3)
-  | Set_mutator { mid; bump } ->
-      reserve w 21;
-      wbyte w t_set_mutator;
-      wuv w mid;
-      wuv w (if bump then 1 else 0)
-  | End -> invalid_arg "Trace.Format.emit: End is written by commit");
-  w.nrecords <- w.nrecords + 1
-
-(* Specialised emitters for the recorder's hot path: same bytes as
-   [emit], without constructing the intermediate [record] (and, for
+(* One encoder per record.  The recorder's hot path calls these
+   directly, without constructing the intermediate [record] (and, for
    the array-carrying records, without the defensive copy a [record]
    value would force — the payload is encoded before the callback
-   returns). *)
+   returns); [emit] dispatches to them.  Reservations are worst cases:
+   10 bytes covers any varint, 21 any [value]; array and string
+   payloads reserve per element. *)
 
 let emit_malloc w ~size =
   reserve w 11;
@@ -518,6 +377,74 @@ let emit_gc_roots w roots =
       wsv w v)
     roots;
   w.nrecords <- w.nrecords + 1
+
+let emit w r =
+  match r with
+  | Malloc { size } -> emit_malloc w ~size
+  | Free { id } -> emit_free w ~id
+  | Newregion -> emit_newregion w
+  | Ralloc { rid; layout } -> emit_ralloc w ~rid layout
+  | Rstralloc { rid; size } -> emit_rstralloc w ~rid ~size
+  | Rarrayalloc { rid; n; layout } -> emit_rarrayalloc w ~rid ~n layout
+  | Deleteregion { rid; frame; slot; ok } ->
+      emit_deleteregion w ~rid ~frame ~slot ~ok
+  | Poke { addr; v } -> emit_poke w ~addr ~v
+  | Poke_byte { addr; v } -> emit_poke_byte w ~addr ~v
+  | Poke_bytes { addr; s } -> emit_poke_bytes w ~addr s
+  | Poke_block { addr; words } -> emit_poke_block w ~addr words
+  | Clear { addr; bytes } -> emit_clear w ~addr ~bytes
+  | Store_ptr { addr; v } -> emit_store_ptr w ~addr ~v
+  | Set_local { frame; slot; v } -> emit_set_local w ~frame ~slot ~v
+  | Set_local_ptr { frame; slot; v } -> emit_set_local_ptr w ~frame ~slot ~v
+  | Gc_roots roots -> emit_gc_roots w roots
+  | Realloc { id; size } ->
+      reserve w 21;
+      wbyte w t_realloc;
+      wuv w id;
+      wuv w size;
+      w.nobjects <- w.nobjects + 1;
+      w.nrecords <- w.nrecords + 1
+  | Frame_push { nslots; ptr_slots } ->
+      reserve w 21;
+      wbyte w t_frame_push;
+      wuv w nslots;
+      wuv w (List.length ptr_slots);
+      List.iter
+        (fun s ->
+          reserve w 10;
+          wuv w s)
+        ptr_slots;
+      w.nrecords <- w.nrecords + 1
+  | Frame_pop ->
+      reserve w 1;
+      wbyte w t_frame_pop;
+      w.nrecords <- w.nrecords + 1
+  | Poke_obj { id; word; v } ->
+      reserve w 31;
+      wbyte w t_poke_obj;
+      wuv w id;
+      wuv w word;
+      wsv w v;
+      w.nrecords <- w.nrecords + 1
+  | Mark { name; kind } ->
+      let id = sid w name in
+      reserve w 21;
+      wbyte w t_mark;
+      wuv w id;
+      wuv w
+        (match kind with
+        | Phase_begin -> 0
+        | Phase_end -> 1
+        | Site_begin -> 2
+        | Site_end -> 3);
+      w.nrecords <- w.nrecords + 1
+  | Set_mutator { mid; bump } ->
+      reserve w 21;
+      wbyte w t_set_mutator;
+      wuv w mid;
+      wuv w (if bump then 1 else 0);
+      w.nrecords <- w.nrecords + 1
+  | End -> invalid_arg "Trace.Format.emit: End is written by commit"
 
 let commit w ~summary =
   if w.closed then invalid_arg "Trace.Format.commit: writer closed";
@@ -1083,21 +1010,6 @@ let rec next r =
     end
     else corrupt "unknown record tag %d" tag
   end
-
-(* Fused decode for the replay hot path: plain [Poke] records — the
-   bulk of every trace — are delivered straight to [poke] without
-   materialising a [record]; the first record of any other kind is
-   decoded by [next] and returned. *)
-let rec next_with_pokes r ~poke =
-  if not (more r) then at_end r
-  else if Char.code (Bytes.unsafe_get r.buf r.pos) = t_poke then begin
-    r.pos <- r.pos + 1;
-    let addr = uv r in
-    let v = sv r in
-    poke ~addr ~v;
-    next_with_pokes r ~poke
-  end
-  else next r
 
 (* Decode one classified value without building it: the components go
    straight through [resolve kind a b] (kind 0 = Raw a, 1 = Obj (a, b),

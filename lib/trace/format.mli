@@ -100,9 +100,10 @@ val set_recycled_slots : writer -> objects:int -> regions:int -> unit
 
 (** {2 Hot-path emitters}
 
-    Byte-for-byte equivalent to {!emit} of the corresponding record,
-    minus the intermediate [record] value — the recorder sits on every
-    mutator store, so the common records get dedicated entry points.
+    {!emit} of the corresponding record calls these, so the bytes are
+    the same; called directly, they skip the intermediate [record]
+    value — the recorder sits on every mutator store, so the common
+    records get dedicated entry points.
     [emit_poke_block] and [emit_gc_roots] encode the array before
     returning, so the caller need not defensively copy it. *)
 
@@ -183,20 +184,16 @@ val next : reader -> record
     forever).  String definitions are consumed transparently.
     @raise Corrupt on a malformed record. *)
 
-val next_with_pokes : reader -> poke:(addr:int -> v:int -> unit) -> record
-(** Like {!next}, but any run of plain [Poke] records — the bulk of a
-    workload trace — is delivered through [poke] without materialising
-    [record] values; the first record of any other kind is returned. *)
-
 val next_fused :
   reader ->
   poke:(addr:int -> v:int -> unit) ->
   resolve:(int -> int -> int -> int) ->
   store:(addr:int -> v:int -> unit) ->
   record
-(** Like {!next_with_pokes}, but [Store_ptr] records — the second
-    largest class in pointer-heavy traces — are also consumed in
-    place: each classified value's components go through [resolve kind
-    a b] (kind 0 = [Raw a], 1 = [Obj (a, b)], 2 = [Reg a]), and the
-    two resolved addresses through [store].  Everything stays in
-    immediate ints — no [value] or [record] is built. *)
+(** Like {!next}, but any run of plain [Poke] and [Store_ptr] records
+    — the bulk of a workload trace — is consumed in place: pokes go
+    through [poke]; each classified value's components go through
+    [resolve kind a b] (kind 0 = [Raw a], 1 = [Obj (a, b)], 2 = [Reg
+    a]), and the two resolved addresses through [store].  Everything
+    stays in immediate ints — no [value] or [record] is built.  The
+    first record of any other kind is returned. *)

@@ -1,0 +1,209 @@
+(* The commands the docs show exist.  Every `repro SUB` (or
+   `bin/main.exe -- SUB`) invocation in a code line or code span of the
+   checked documents, and every row of README's command table, must
+   name a real subcommand, and every flag written next to it must be
+   one that the subcommand's --help=plain lists.  Only --help runs. *)
+
+let exe = "../bin/main.exe"
+
+let documents =
+  [
+    "../README.md";
+    "../EXPERIMENTS.md";
+    "../DESIGN.md";
+    "../hostbench/README.md";
+    "../.claude/skills/verify/SKILL.md";
+  ]
+
+let read_file p = In_channel.with_open_bin p In_channel.input_all
+
+let help =
+  let memo = Hashtbl.create 16 in
+  fun args ->
+    match Hashtbl.find_opt memo args with
+    | Some s -> s
+    | None ->
+        let argv = Array.of_list ((exe :: args) @ [ "--help=plain" ]) in
+        let ic = Unix.open_process_args_in exe argv in
+        let s = In_channel.input_all ic in
+        ignore (Unix.close_process_in ic);
+        Hashtbl.replace memo args s;
+        s
+
+let is_letter c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+let is_name_char c = is_letter c || (c >= '0' && c <= '9') || c = '-'
+
+(* The leading run of name characters: "--jobs=N" -> "--jobs". *)
+let name_prefix s =
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && is_name_char s.[!i] do
+    incr i
+  done;
+  String.sub s 0 !i
+
+(* Help entries sit at a 7-space indent under their section heading:
+   subcommand names under COMMANDS, option spellings ("-j N, --jobs=N")
+   under the option sections. *)
+let entries text =
+  let section = ref "" in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun l ->
+         if l <> "" && l.[0] <> ' ' then begin
+           section := l;
+           None
+         end
+         else if
+           String.length l > 7 && String.sub l 0 7 = "       " && l.[7] <> ' '
+         then Some (!section, String.sub l 7 (String.length l - 7))
+         else None)
+
+let subcommands =
+  lazy
+    (entries (help [])
+    |> List.filter_map (fun (section, e) ->
+           if section = "COMMANDS" && name_prefix e <> "" then
+             Some (name_prefix e)
+           else None))
+
+let options sub =
+  entries (help [ sub ])
+  |> List.filter_map (fun (_, e) -> if e.[0] = '-' then Some e else None)
+  |> List.concat_map (String.split_on_char ',')
+  |> List.map (fun o -> name_prefix (String.trim o))
+
+(* A flag as written in prose or a command: "[--check]" -> "--check",
+   "--plan=X" -> "--plan", "-j4" -> "-j"; [None] for anything that is
+   not one. *)
+let flag token =
+  let t = String.trim token in
+  let t =
+    if t <> "" && (t.[0] = '[' || t.[0] = '(') then
+      String.sub t 1 (String.length t - 1)
+    else t
+  in
+  let f = name_prefix t in
+  let letter_at i = String.length f > i && is_letter f.[i] in
+  if f = "" || f.[0] <> '-' then None
+  else if letter_at 1 then Some (String.sub f 0 2)
+  else if f.[1] = '-' && letter_at 2 then Some f
+  else None
+
+let tokens s =
+  String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) s)
+  |> List.filter (fun t -> t <> "")
+
+(* Where the flags of one invocation end. *)
+let is_stop t =
+  List.mem t [ "|"; "||"; "&&"; ";"; "--"; "repro" ]
+  || List.exists
+       (fun prefix -> String.starts_with ~prefix t)
+       [ ">"; "<"; "2>"; "&>"; "#" ]
+
+let is_repro t =
+  t = "repro" || t = "bin/main.exe" || String.ends_with ~suffix:"/bin/main.exe" t
+
+(* Every [(SUB, flags)] invoked in one code text. *)
+let rec invocations = function
+  | [] -> []
+  | t :: rest when is_repro t -> (
+      let rest = match rest with "--" :: r -> r | r -> r in
+      match rest with
+      | sub :: after when sub.[0] >= 'a' && sub.[0] <= 'z' && name_prefix sub = sub
+        ->
+          let rec flags = function
+            | t :: _ when is_stop t -> []
+            | t :: r -> Option.to_list (flag t) @ flags r
+            | [] -> []
+          in
+          (sub, flags after) :: invocations after
+      | _ -> invocations rest)
+  | _ :: rest -> invocations rest
+
+(* Code lines (fenced blocks, backslash continuations joined) and inline
+   code spans (per paragraph, so a span may wrap a line). *)
+let code_texts text =
+  let out = ref [] and para = Buffer.create 256 and cont = Buffer.create 80 in
+  let fenced = ref false in
+  let flush_para () =
+    String.split_on_char '`' (Buffer.contents para)
+    |> List.iteri (fun i s -> if i mod 2 = 1 then out := s :: !out);
+    Buffer.clear para
+  in
+  List.iter
+    (fun line ->
+      let trimmed = String.trim line in
+      if String.starts_with ~prefix:"```" trimmed then begin
+        flush_para ();
+        fenced := not !fenced
+      end
+      else if !fenced then
+        if String.ends_with ~suffix:"\\" trimmed then
+          Buffer.add_string cont
+            (String.sub trimmed 0 (String.length trimmed - 1) ^ " ")
+        else begin
+          out := (Buffer.contents cont ^ line) :: !out;
+          Buffer.clear cont
+        end
+      else if trimmed = "" then flush_para ()
+      else Buffer.add_string para (line ^ " "))
+    (String.split_on_char '\n' text);
+  flush_para ();
+  List.rev !out
+
+(* README's command table: each row's first code span starts with the
+   subcommand, and every flag in the row's code spans belongs to it. *)
+let table_rows text =
+  let in_table = ref false in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         if String.starts_with ~prefix:"| subcommand |" line then
+           in_table := true
+         else if not (String.starts_with ~prefix:"|" line) then
+           in_table := false;
+         let spans =
+           String.split_on_char '`' line
+           |> List.filteri (fun i _ -> i mod 2 = 1)
+           |> List.map tokens
+         in
+         match spans with
+         | (sub :: _) :: _ when !in_table ->
+             Some (sub, List.concat_map (List.filter_map flag) spans)
+         | _ -> None)
+
+let problems (sub, flags) =
+  if not (List.mem sub (Lazy.force subcommands)) then
+    [ Printf.sprintf "`repro %s`: no such subcommand" sub ]
+  else
+    let known = options sub in
+    List.filter_map
+      (fun f ->
+        if List.mem f known then None
+        else Some (Printf.sprintf "`repro %s %s`: %s has no %s" sub f sub f))
+      flags
+
+let check_document path () =
+  let text = read_file path in
+  let rows = if path = "../README.md" then table_rows text else [] in
+  if path = "../README.md" && rows = [] then
+    Alcotest.fail "README.md: command table not found";
+  let found =
+    List.concat_map (fun c -> invocations (tokens c)) (code_texts text) @ rows
+  in
+  if found = [] then Alcotest.failf "%s: no repro invocations found" path;
+  match List.concat_map problems found with
+  | [] -> ()
+  | lines ->
+      Alcotest.failf "%s names commands that do not exist:\n%s" path
+        (String.concat "\n" lines)
+
+let () =
+  Alcotest.run "docs"
+    [
+      ( "commands exist",
+        List.map
+          (fun path ->
+            let name = String.sub path 3 (String.length path - 3) in
+            Alcotest.test_case name `Quick (check_document path))
+          documents );
+    ]

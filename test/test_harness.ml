@@ -280,6 +280,24 @@ let test_region_stats_present_only_for_region_mode () =
     ((get spec (Workloads.Api.Direct Workloads.Api.Sun)).Workloads.Results.regions
     = None)
 
+(* An unknown experiment name is rejected (exit 1) before the cell cache
+   is touched: no cache directory or lock appears, so a daemon holding
+   the lock cannot mask the typo. *)
+let test_unknown_experiment_leaves_no_cache () =
+  let dir = Filename.temp_file "repro-experiment-test" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
+  let code =
+    Sys.command
+      (Printf.sprintf "cd %s && env -u REPRO_CACHE_DIR %s experiment nosuch 2>/dev/null"
+         (Filename.quote dir) (Filename.quote exe))
+  in
+  check "exit status" 1 code;
+  check_bool "no cell cache created" false
+    (Sys.file_exists (Filename.concat dir ".repro-cache"));
+  Unix.rmdir dir
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "harness"
@@ -316,5 +334,10 @@ let () =
             test_parallel_for_exception_propagates;
           tc "4-domain run byte-identical" `Slow
             test_parallel_matrix_byte_identical;
+        ] );
+      ( "cli",
+        [
+          tc "unknown experiment leaves no cache" `Quick
+            test_unknown_experiment_leaves_no_cache;
         ] );
     ]

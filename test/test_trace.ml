@@ -152,37 +152,9 @@ let test_specialized_emitters_byte_equal () =
   Sys.remove generic;
   Sys.remove special
 
-(* [next_with_pokes] fuses plain-poke decoding into a callback; the
-   stream it delivers (pokes via the callback, everything else as
-   records) must match what [next] sees. *)
-let test_next_with_pokes () =
-  let path = tmp_path () in
-  write_sample path;
-  (match Trace.Format.open_file path with
-  | Error e -> Alcotest.failf "open failed: %s" e
-  | Ok r ->
-      let pokes = ref [] in
-      let poke ~addr ~v = pokes := (addr, v) :: !pokes in
-      let rec go acc =
-        match Trace.Format.next_with_pokes r ~poke with
-        | Trace.Format.End -> List.rev acc
-        | rec_ -> go (rec_ :: acc)
-      in
-      let rest = go [] in
-      check_bool "pokes delivered through the callback, in order" true
-        (List.rev !pokes = [ (100, 42); (104, -7) ]);
-      let expected =
-        List.filter
-          (function Trace.Format.Poke _ -> false | _ -> true)
-          sample_records
-      in
-      check_bool "non-poke records unchanged" true (rest = expected);
-      Trace.Format.close r);
-  Sys.remove path
-
-(* [next_fused] additionally consumes [Store_ptr] records through
-   int-only callbacks; the packed components it delivers must agree
-   with the [value]s [next] decodes. *)
+(* [next_fused] consumes [Poke] and [Store_ptr] records through
+   int-only callbacks; the pokes and packed components it delivers must
+   agree with the records and [value]s [next] decodes. *)
 let test_next_fused () =
   let path = tmp_path () in
   write_sample path;
@@ -228,6 +200,39 @@ let test_next_fused () =
       check_bool "other records unchanged" true (rest = expected);
       Trace.Format.close r);
   Sys.remove path
+
+(* Bad trace input to [repro replay] fails closed: a body that decodes
+   corrupt and a variant that cannot serve the requested column are
+   reported against the file with exit 2, like a trace that fails to
+   open. *)
+let test_replay_cli_bad_trace () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
+  let path = tmp_path () and err = tmp_path () in
+  Trace.Gen.generate ~out:path { Trace.Gen.default with objects = 2_000 };
+  let expect_rejected label mode =
+    let code =
+      Sys.command
+        (Printf.sprintf "%s replay --trace-file %s x %s >/dev/null 2>%s"
+           (Filename.quote exe) (Filename.quote path) mode
+           (Filename.quote err))
+    in
+    check_int (label ^ ": exit status") 2 code;
+    check_bool (label ^ ": reported against the file") true
+      (String.starts_with
+         ~prefix:(Printf.sprintf "replay: %s: " path)
+         (read_file err))
+  in
+  expect_rejected "malloc trace under region" "region";
+  (* One flipped body byte: the trace still opens, decoding fails. *)
+  let data = Bytes.of_string (read_file path) in
+  Bytes.set data 1000 (Char.chr (Char.code (Bytes.get data 1000) lxor 0xff));
+  write_file path (Bytes.to_string data);
+  (match Trace.Format.open_file path with
+  | Ok r -> Trace.Format.close r
+  | Error e -> Alcotest.failf "flipped trace should still open: %s" e);
+  expect_rejected "corrupt body" "lea";
+  Sys.remove path;
+  Sys.remove err
 
 let expect_error label = function
   | Error _ -> ()
@@ -700,7 +705,6 @@ let () =
           quick "write/read round-trip" test_roundtrip;
           quick "specialized emitters are byte-equivalent"
             test_specialized_emitters_byte_equal;
-          quick "fused poke decoding" test_next_with_pokes;
           quick "fused store decoding" test_next_fused;
           quick "truncated and torn traces rejected" test_damage_rejected;
           QCheck_alcotest.to_alcotest prop_streaming_equals_in_memory;
@@ -726,4 +730,9 @@ let () =
           quick "mudlle row count-equivalent" (test_replay_equivalence "mudlle");
         ] );
       ("ops", [ QCheck_alcotest.to_alcotest prop_ops_roundtrip ]);
+      ( "cli",
+        [
+          quick "replay rejects bad traces with exit 2"
+            test_replay_cli_bad_trace;
+        ] );
     ]
