@@ -336,26 +336,16 @@ let shrink ?(config = Sanitizer.default) target trace =
   (!current, !failure)
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection: a page budget at the Memory level; the allocator
-   must surface the denial as its documented Fault and leave its heap
-   walkable. *)
+(* Fault injection: a page budget at the Memory level (a one-clause
+   [Fault.Plan], removed again by [with_plan] even if the run raises);
+   the allocator must surface the denial as its documented Fault and
+   leave its heap walkable. *)
 
 let fault_injection target ~page_budget =
   let inst = target.make Sanitizer.default in
-  let budget = ref page_budget in
-  Sim.Memory.set_oom_hook inst.mem
-    (Some
-       (fun n ->
-         budget := !budget - n;
-         !budget >= 0));
-  (* The hook is removed by [Fun.protect]: even an exception escaping
-     between install and removal (a harness bug, an unexpected
-     allocator exception) can never leak a stale budget into whatever
-     runs on this memory next. *)
+  let plan = Fault.Plan.make [ Fault.Plan.Page_budget page_budget ] in
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Sim.Memory.set_oom_hook inst.mem None)
-      (fun () ->
+    Fault.Inject.with_plan ~plan inst.mem (fun _ ->
         try
           for i = 0 to 99_999 do
             ignore (inst.alloc.Alloc.Allocator.malloc (32 + (i * 52 mod 480)))

@@ -16,16 +16,15 @@ let rec mkdir_p dir =
 
 let write_file path contents =
   let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let default_sample_cycles = 50_000
 
 let stem (spec : Workloads.Workload.spec) mode =
   spec.Workloads.Workload.name ^ "-" ^ Workloads.Api.mode_name mode
 
-let run_traced ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
-    mode size =
+let with_tracer ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
+    mode f =
   mkdir_p out;
   let base = Filename.concat out (stem spec mode) in
   let files =
@@ -48,7 +47,9 @@ let run_traced ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
       ~finally:(fun () -> close_out oc)
       (fun () ->
         Obs.Ring.set_sink (Obs.Tracer.ring tracer) (Some (Obs.Spill.sink oc));
-        let r = Workloads.Workload.run_collect ~tracer spec mode size in
+        let r = f tracer in
+        (* Idempotent: [f] may already have finished the run. *)
+        Obs.Tracer.finish tracer;
         Obs.Ring.drain (Obs.Tracer.ring tracer);
         r)
   in
@@ -74,13 +75,6 @@ let run_traced ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
   write_file files.folded (Obs.Export.folded tracer);
   (result, tracer, files)
 
-let write_index ~out entries =
-  mkdir_p out;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "workload,mode,cycles,wall_s\n";
-  List.iter
-    (fun (workload, mode, cycles, wall_s) ->
-      Buffer.add_string buf
-        (Fmt.str "%s,%s,%d,%.3f\n" workload mode cycles wall_s))
-    entries;
-  write_file (Filename.concat out "index.csv") (Buffer.contents buf)
+let run_traced ?sample_cycles ?capacity ~out spec mode size =
+  with_tracer ?sample_cycles ?capacity ~out spec mode (fun tracer ->
+      Workloads.Workload.run_collect ~tracer spec mode size)

@@ -31,6 +31,24 @@ val mkdir_p : string -> unit
 val stem : Workloads.Workload.spec -> Workloads.Api.mode -> string
 (** ["<workload>-<mode>"], the artefact basename for one cell. *)
 
+val write_file : string -> string -> unit
+(** [write_file path contents]; the channel is closed even when the
+    write raises. *)
+
+val with_tracer :
+  ?sample_cycles:int ->
+  ?capacity:int ->
+  out:string ->
+  Workloads.Workload.spec ->
+  Workloads.Api.mode ->
+  (Obs.Tracer.t -> 'a) ->
+  'a * Obs.Tracer.t * files
+(** [with_tracer ~out spec mode f] calls [f] with a fresh tracer that
+    spills every event to the cell's [.events.bin], then finishes and
+    drains the tracer and writes the rest of the artefact family under
+    [out] (created if missing).  [f] runs the cell itself; if it
+    raises, no artefact past [.events.bin] is written. *)
+
 val run_traced :
   ?sample_cycles:int ->
   ?capacity:int ->
@@ -43,9 +61,3 @@ val run_traced :
     under [out] (created if missing).  The returned results carry the
     same simulated counts as an untraced run — observation never
     perturbs the simulation (proved by the test suite). *)
-
-val write_index :
-  out:string -> (string * string * int * float) list -> unit
-(** [write_index ~out entries] writes [index.csv] summarising traced
-    cells as [(workload, mode, simulated cycles, host wall seconds)]
-    rows. *)

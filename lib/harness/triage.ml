@@ -1,7 +1,3 @@
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
 (* The manager-side heap report: every checkable structure of the
    failed cell's memory manager, walked cost-free.  This is what tells
    a triager "the heap survived the failure" (graceful degradation)
@@ -19,16 +15,8 @@ let heap_report api =
    so injected failures reproduce too.  Returns the outcome line for
    error.txt. *)
 let diagnose ?plan bundle (spec, mode, size) =
-  let base = Filename.concat bundle (Tracefiles.stem spec mode) in
-  let tracer =
-    Obs.Tracer.create ~sample_interval:Tracefiles.default_sample_cycles ()
-  in
-  let oc = open_out_bin (base ^ ".events.bin") in
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Obs.Ring.set_sink (Obs.Tracer.ring tracer) (Some (Obs.Spill.sink oc));
+  let outcome, _, _ =
+    Tracefiles.with_tracer ~out:bundle spec mode (fun tracer ->
         let api = Workloads.Api.create ~with_cache:true ~tracer mode in
         let run_workload () =
           match spec.Workloads.Workload.run api size with
@@ -42,18 +30,10 @@ let diagnose ?plan bundle (spec, mode, size) =
               Fault.Inject.with_plan ~plan (Workloads.Api.memory api)
                 (fun _ -> run_workload ())
         in
-        Obs.Tracer.finish tracer;
-        Obs.Ring.drain (Obs.Tracer.ring tracer);
-        write_file (Filename.concat bundle "heap.txt") (heap_report api);
+        Tracefiles.write_file (Filename.concat bundle "heap.txt")
+          (heap_report api);
         outcome)
   in
-  write_file (base ^ ".trace.json")
-    (Obs.Export.chrome_json_of tracer (fun f ->
-         Obs.Spill.read_file (base ^ ".events.bin") f));
-  write_file (base ^ ".heap.csv") (Obs.Export.heap_csv tracer);
-  write_file (base ^ ".sites.txt")
-    (Obs.Export.sites_txt tracer ^ "\n" ^ Obs.Export.site_table tracer);
-  write_file (base ^ ".folded") (Obs.Export.folded tracer);
   outcome
 
 let write_bundle ~dir ~workload ~mode ~attempts ~last_error ~backtrace ?plan
@@ -68,7 +48,7 @@ let write_bundle ~dir ~workload ~mode ~attempts ~last_error ~backtrace ?plan
           try diagnose ?plan bundle cell
           with e -> "diagnostic re-run itself failed: " ^ Printexc.to_string e)
     in
-    write_file
+    Tracefiles.write_file
       (Filename.concat bundle "error.txt")
       (Fmt.str
          "workload   : %s\nmode       : %s\nattempts   : %d\nlast error : \

@@ -3,7 +3,6 @@ type kind =
   | Region_delete
   | Malloc
   | Free
-  | Realloc
   | Ralloc
   | Page_map
   | Barrier
@@ -20,7 +19,6 @@ let all =
     Region_delete;
     Malloc;
     Free;
-    Realloc;
     Ralloc;
     Page_map;
     Barrier;
@@ -37,7 +35,6 @@ let to_int = function
   | Region_delete -> 1
   | Malloc -> 2
   | Free -> 3
-  | Realloc -> 4
   | Ralloc -> 5
   | Page_map -> 6
   | Barrier -> 7
@@ -53,7 +50,6 @@ let of_int = function
   | 1 -> Region_delete
   | 2 -> Malloc
   | 3 -> Free
-  | 4 -> Realloc
   | 5 -> Ralloc
   | 6 -> Page_map
   | 7 -> Barrier
@@ -70,7 +66,6 @@ let name = function
   | Region_delete -> "region_delete"
   | Malloc -> "malloc"
   | Free -> "free"
-  | Realloc -> "realloc"
   | Ralloc -> "ralloc"
   | Page_map -> "page_map"
   | Barrier -> "barrier"

@@ -9,7 +9,7 @@
     - [Region_create]: [a] = region address
     - [Region_delete]: [a] = region address, [b] = 1 if deleted, 0 if
       the reference count blocked deletion
-    - [Malloc] / [Ralloc] / [Realloc]: [a] = block address, [b] = bytes
+    - [Malloc] / [Ralloc]: [a] = block address, [b] = bytes
     - [Free]: [a] = block address
     - [Page_map]: [a] = first mapped address, [b] = page count
     - [Barrier]: [a] = written address, [b] = 1 for the compile-time
@@ -24,7 +24,6 @@ type kind =
   | Region_delete
   | Malloc
   | Free
-  | Realloc
   | Ralloc
   | Page_map
   | Barrier
@@ -39,7 +38,7 @@ val all : kind list
 
 val to_int : kind -> int
 (** Stable small-integer encoding, used by the ring buffer and the
-    binary spill format. *)
+    binary spill format.  Code 4 is unassigned. *)
 
 val of_int : int -> kind
 (** Inverse of {!to_int}; raises [Invalid_argument] on unknown codes. *)

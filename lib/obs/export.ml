@@ -83,7 +83,7 @@ let chrome_json_of ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
       | Event.Site_exit ->
           add_event b ~first ~name:(Tracer.site_name t site) ~cat:"site"
             ~ph:"E" ~ts:time ~args:[]
-      | Event.Malloc | Event.Realloc | Event.Ralloc ->
+      | Event.Malloc | Event.Ralloc ->
           add_event b ~first ~name:(Event.name k) ~cat:"alloc" ~ph:"i" ~ts:time
             ~args:
               ([ ("addr", int_arg a); ("bytes", int_arg pb) ] @ site_arg site)

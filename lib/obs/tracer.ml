@@ -8,7 +8,7 @@ let nacc = 7
 let nsnap = 4
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   ring : Ring.t;
   sampler : Sampler.t;
   ids : (string, int) Hashtbl.t;
@@ -50,8 +50,6 @@ let create ?capacity ?sample_interval ?(enabled = true) () =
    simulated memory by default. *)
 let null () = create ~capacity:1 ~enabled:false ()
 
-let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 let ring t = t.ring
 let sampler t = t.sampler
 let set_clock t f = t.clock <- f
@@ -133,12 +131,6 @@ let malloc t ~addr ~bytes =
 
 let free t ~addr =
   if t.enabled then emit t Event.Free ~site:(current_site t) ~a:addr ~b:0
-
-let realloc t ~addr ~bytes =
-  if t.enabled then begin
-    emit t Event.Realloc ~site:(current_site t) ~a:addr ~b:bytes;
-    bump_alloc t ~bytes
-  end
 
 let ralloc t ~addr ~bytes =
   if t.enabled then begin

@@ -25,9 +25,6 @@ val null : unit -> t
 (** A permanently disabled, minimal-footprint tracer — the default
     attached to every {!Sim.Memory.t}. *)
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
 val ring : t -> Ring.t
 val sampler : t -> Sampler.t
 
@@ -49,7 +46,6 @@ val region_create : t -> int -> unit
 val region_delete : t -> deleted:bool -> int -> unit
 val malloc : t -> addr:int -> bytes:int -> unit
 val free : t -> addr:int -> unit
-val realloc : t -> addr:int -> bytes:int -> unit
 val ralloc : t -> addr:int -> bytes:int -> unit
 val page_map : t -> addr:int -> pages:int -> unit
 val barrier : t -> addr:int -> hinted:bool -> unit

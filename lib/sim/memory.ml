@@ -483,10 +483,6 @@ let poke t addr v =
   check_word t addr;
   Bytes.set_int32_le t.data addr (Int32.of_int v)
 
-let poke_byte t addr v =
-  check_byte t addr;
-  Bytes.set t.data addr (Char.chr (v land 0xFF))
-
 let poke_bytes t addr s =
   let n = String.length s in
   if n > 0 then begin

@@ -178,12 +178,10 @@ val peek : t -> int -> int
 val poke : t -> int -> int -> unit
 (** Cost-free word write for tests and debugging. *)
 
-val poke_byte : t -> int -> int -> unit
-(** Cost-free byte write; the replay engine uses the poke family to
-    reproduce recorded mutator stores without charging mutator cost. *)
-
 val poke_bytes : t -> int -> string -> unit
-(** Cost-free bulk byte write. *)
+(** Cost-free bulk byte write; the replay engine uses the poke family
+    to reproduce recorded mutator stores without charging mutator
+    cost. *)
 
 val poke_fill : t -> int -> int -> unit
 (** [poke_fill t addr bytes] zeroes the word-aligned range cost-free

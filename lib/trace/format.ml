@@ -17,7 +17,6 @@ type mark = Phase_begin | Phase_end | Site_begin | Site_end
 type record =
   | Malloc of { size : int }
   | Free of { id : int }
-  | Realloc of { id : int; size : int }
   | Newregion
   | Ralloc of { rid : int; layout : Regions.Cleanup.layout }
   | Rstralloc of { rid : int; size : int }
@@ -26,10 +25,8 @@ type record =
   | Frame_push of { nslots : int; ptr_slots : int list }
   | Frame_pop
   | Poke of { addr : int; v : int }
-  | Poke_byte of { addr : int; v : int }
   | Poke_bytes of { addr : int; s : string }
   | Poke_block of { addr : int; words : int array }
-  | Poke_obj of { id : int; word : int; v : int }
   | Clear of { addr : int; bytes : int }
   | Store_ptr of { addr : value; v : value }
   | Set_local of { frame : int; slot : int; v : value }
@@ -53,10 +50,10 @@ let end_magic = "RGEN"
 let version = 3
 let min_version = 2
 
-(* Record tags.  0 is the trailer. *)
+(* Record tags.  0 is the trailer; 3, 12 and 15 are unassigned (the
+   reader rejects them as unknown). *)
 let t_malloc = 1
 and t_free = 2
-and t_realloc = 3
 and t_newregion = 4
 and t_ralloc = 5
 and t_rstralloc = 6
@@ -65,10 +62,8 @@ and t_deleteregion = 8
 and t_frame_push = 9
 and t_frame_pop = 10
 and t_poke = 11
-and t_poke_byte = 12
 and t_poke_bytes = 13
 and t_poke_block = 14
-and t_poke_obj = 15
 and t_clear = 16
 and t_store_ptr = 17
 and t_set_local = 18
@@ -106,7 +101,6 @@ type writer = {
   mutable nrecords : int;
   mutable nobjects : int;
   mutable nregions : int;
-  mutable objects_override : int option;
   mutable oslots_override : int option;
   mutable rslots_override : int option;
   mutable recycled : bool;
@@ -194,7 +188,6 @@ let create_writer ~path hdr =
       nrecords = 0;
       nobjects = 0;
       nregions = 0;
-      objects_override = None;
       oslots_override = None;
       rslots_override = None;
       recycled = false;
@@ -213,8 +206,6 @@ let create_writer ~path hdr =
   wuv w hdr.seed;
   wstr w hdr.build_id;
   w
-
-let set_object_count w n = w.objects_override <- Some n
 
 let set_recycled_slots w ~objects ~regions =
   w.oslots_override <- Some objects;
@@ -269,13 +260,6 @@ let emit_poke w ~addr ~v =
   wbyte w t_poke;
   wuv w addr;
   wsv w v;
-  w.nrecords <- w.nrecords + 1
-
-let emit_poke_byte w ~addr ~v =
-  reserve w 21;
-  wbyte w t_poke_byte;
-  wuv w addr;
-  wuv w (v land 0xFF);
   w.nrecords <- w.nrecords + 1
 
 let emit_poke_bytes w ~addr s =
@@ -389,7 +373,6 @@ let emit w r =
   | Deleteregion { rid; frame; slot; ok } ->
       emit_deleteregion w ~rid ~frame ~slot ~ok
   | Poke { addr; v } -> emit_poke w ~addr ~v
-  | Poke_byte { addr; v } -> emit_poke_byte w ~addr ~v
   | Poke_bytes { addr; s } -> emit_poke_bytes w ~addr s
   | Poke_block { addr; words } -> emit_poke_block w ~addr words
   | Clear { addr; bytes } -> emit_clear w ~addr ~bytes
@@ -397,13 +380,6 @@ let emit w r =
   | Set_local { frame; slot; v } -> emit_set_local w ~frame ~slot ~v
   | Set_local_ptr { frame; slot; v } -> emit_set_local_ptr w ~frame ~slot ~v
   | Gc_roots roots -> emit_gc_roots w roots
-  | Realloc { id; size } ->
-      reserve w 21;
-      wbyte w t_realloc;
-      wuv w id;
-      wuv w size;
-      w.nobjects <- w.nobjects + 1;
-      w.nrecords <- w.nrecords + 1
   | Frame_push { nslots; ptr_slots } ->
       reserve w 21;
       wbyte w t_frame_push;
@@ -418,13 +394,6 @@ let emit w r =
   | Frame_pop ->
       reserve w 1;
       wbyte w t_frame_pop;
-      w.nrecords <- w.nrecords + 1
-  | Poke_obj { id; word; v } ->
-      reserve w 31;
-      wbyte w t_poke_obj;
-      wuv w id;
-      wuv w word;
-      wsv w v;
       w.nrecords <- w.nrecords + 1
   | Mark { name; kind } ->
       let id = sid w name in
@@ -456,12 +425,9 @@ let commit w ~summary =
   reserve w 61;
   wbyte w 0;
   wuv w w.nrecords;
-  let objs =
-    match w.objects_override with Some n -> n | None -> w.nobjects
-  in
-  wuv w objs;
+  wuv w w.nobjects;
   wuv w w.nregions;
-  wuv w (match w.oslots_override with Some n -> n | None -> objs);
+  wuv w (match w.oslots_override with Some n -> n | None -> w.nobjects);
   wuv w (match w.rslots_override with Some n -> n | None -> w.nregions);
   wuv w (if w.recycled then 1 else 0);
   wstr w summary;
@@ -914,10 +880,6 @@ let rec next r =
     r.pos <- r.pos + 1;
     if tag = t_malloc then Malloc { size = uv r }
     else if tag = t_free then Free { id = uv r }
-    else if tag = t_realloc then
-      let id = uv r in
-      let size = uv r in
-      Realloc { id; size }
     else if tag = t_newregion then Newregion
     else if tag = t_ralloc then
       let rid = uv r in
@@ -948,10 +910,6 @@ let rec next r =
       let addr = uv r in
       let v = sv r in
       Poke { addr; v }
-    else if tag = t_poke_byte then
-      let addr = uv r in
-      let v = uv r in
-      Poke_byte { addr; v }
     else if tag = t_poke_bytes then
       let addr = uv r in
       let s = str r in
@@ -961,11 +919,6 @@ let rec next r =
       let n = count r in
       let words = Array.init n (fun _ -> sv r) in
       Poke_block { addr; words }
-    else if tag = t_poke_obj then
-      let id = uv r in
-      let word = uv r in
-      let v = sv r in
-      Poke_obj { id; word; v }
     else if tag = t_clear then
       let addr = uv r in
       let bytes = uv r in

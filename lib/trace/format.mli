@@ -26,7 +26,7 @@ exception Corrupt of string
 
 type header = {
   workload : string;
-  variant : string;  (** ["malloc"], ["emu"], ["region"] or ["ops"] *)
+  variant : string;  (** ["malloc"], ["emu"] or ["region"] *)
   mode : string;  (** mode the trace was recorded under *)
   size : string;  (** ["quick"] or ["full"] *)
   seed : int;
@@ -46,7 +46,6 @@ type mark = Phase_begin | Phase_end | Site_begin | Site_end
 type record =
   | Malloc of { size : int }
   | Free of { id : int }
-  | Realloc of { id : int; size : int }  (** ops traces only *)
   | Newregion
   | Ralloc of { rid : int; layout : Regions.Cleanup.layout }
   | Rstralloc of { rid : int; size : int }
@@ -57,10 +56,8 @@ type record =
   | Frame_push of { nslots : int; ptr_slots : int list }
   | Frame_pop
   | Poke of { addr : int; v : int }
-  | Poke_byte of { addr : int; v : int }
   | Poke_bytes of { addr : int; s : string }
   | Poke_block of { addr : int; words : int array }
-  | Poke_obj of { id : int; word : int; v : int }  (** ops traces only *)
   | Clear of { addr : int; bytes : int }
   | Store_ptr of { addr : value; v : value }
   | Set_local of { frame : int; slot : int; v : value }
@@ -82,14 +79,10 @@ val create_writer : path:string -> header -> writer
     [path] is untouched until {!commit}. *)
 
 val emit : writer -> record -> unit
-(** Appends one record.  [Malloc]/[Realloc]/[Ralloc]/[Rstralloc]/
-    [Rarrayalloc] advance the object-id counter and [Newregion] the
-    region-id counter recorded in the trailer.  @raise Invalid_argument
-    on [End] (the trailer is {!commit}'s job). *)
-
-val set_object_count : writer -> int -> unit
-(** Override the trailer's object count (ops traces, whose abstract
-    ids are not allocation-sequential). *)
+(** Appends one record.  [Malloc]/[Ralloc]/[Rstralloc]/[Rarrayalloc]
+    advance the object-id counter and [Newregion] the region-id
+    counter recorded in the trailer.  @raise Invalid_argument on [End]
+    (the trailer is {!commit}'s job). *)
 
 val set_recycled_slots : writer -> objects:int -> regions:int -> unit
 (** Mark the trace as using the id-recycling discipline (generated
@@ -110,7 +103,6 @@ val set_recycled_slots : writer -> objects:int -> regions:int -> unit
 val emit_malloc : writer -> size:int -> unit
 val emit_free : writer -> id:int -> unit
 val emit_poke : writer -> addr:int -> v:int -> unit
-val emit_poke_byte : writer -> addr:int -> v:int -> unit
 val emit_poke_bytes : writer -> addr:int -> string -> unit
 val emit_poke_block : writer -> addr:int -> int array -> unit
 val emit_clear : writer -> addr:int -> bytes:int -> unit

@@ -196,7 +196,6 @@ let recorder_of st =
       (fun ~nslots ~ptr_slots -> emit (Frame_push { nslots; ptr_slots }));
     rec_frame_pop = (fun () -> emit Frame_pop);
     rec_store = (fun ~addr v -> Format.emit_poke st.w ~addr ~v);
-    rec_store_byte = (fun ~addr v -> Format.emit_poke_byte st.w ~addr ~v);
     rec_store_block = (fun ~addr words -> Format.emit_poke_block st.w ~addr words);
     rec_store_bytes = (fun ~addr s -> Format.emit_poke_bytes st.w ~addr s);
     rec_clear = (fun ~addr ~bytes -> Format.emit_clear st.w ~addr ~bytes);
@@ -258,48 +257,6 @@ let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
   | res, summary ->
       Format.commit w ~summary;
       res
-  | exception e ->
-      Format.abort w;
-      raise e
-
-(* {2 ops traces}
-
-   A differential-fuzzer stream ({!Check.Trace}) is encoded over
-   abstract block ids: [Alloc] and [Realloc] both become [Realloc]
-   records ("allocate into slot [id]; if the slot was live, copy the
-   prefix and free the old block" — for a fresh id that degenerates to
-   a plain malloc), and pokes carry the deterministic marker value so
-   live and replayed heaps can be compared word-for-word. *)
-
-let marker ~id ~word = ((id * 131071) + (word * 8191) + 0x9E37) land 0xFFFFFF
-
-let write_ops ~out (tr : Check.Trace.t) =
-  let hdr =
-    {
-      Format.workload = "check";
-      variant = "ops";
-      mode = "ops";
-      size = "ops";
-      seed = tr.seed;
-      build_id = Results.Cache.current_build_id ();
-    }
-  in
-  let w = Format.create_writer ~path:out hdr in
-  match
-    let maxid = ref (-1) in
-    Array.iter
-      (fun op ->
-        match op with
-        | Check.Trace.Alloc { id; size } | Check.Trace.Realloc { id; size } ->
-            maxid := max !maxid id;
-            Format.emit w (Realloc { id; size })
-        | Check.Trace.Free { id } -> Format.emit w (Free { id })
-        | Check.Trace.Poke { id; word } ->
-            Format.emit w (Poke_obj { id; word; v = marker ~id ~word }))
-      tr.ops;
-    Format.set_object_count w (!maxid + 1)
-  with
-  | () -> Format.commit w ~summary:(Printf.sprintf "ops seed=%d" tr.seed)
   | exception e ->
       Format.abort w;
       raise e

@@ -43,13 +43,3 @@ val record :
     trace to [out] (atomic tmp+rename) and returns the run's full
     results.  On any exception the temporary file is removed and the
     exception re-raised. *)
-
-val write_ops : out:string -> Check.Trace.t -> unit
-(** Encode a differential-fuzzer trace ({!Check.Trace}) as an ["ops"]
-    trace over abstract block ids, replayable against a bare allocator
-    with {!Replay.run_ops}. *)
-
-val marker : id:int -> word:int -> int
-(** The deterministic word value poked for a {!Check.Trace.Poke} —
-    shared by {!write_ops} and {!Replay.interpret_ops} so live and
-    replayed heaps are comparable. *)

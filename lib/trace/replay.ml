@@ -17,8 +17,6 @@ let m_records_per_s =
 let run ?(with_cache = false) ?timeline reader mode =
   Obs.Metrics.inc m_replays;
   let hdr = Format.header reader in
-  if hdr.variant = "ops" then
-    invalid_arg "Trace.Replay.run: ops traces replay with run_ops";
   if Record.variant_of_mode mode <> hdr.variant then
     invalid_arg
       (Printf.sprintf "Trace.Replay.run: %s trace cannot serve mode %s"
@@ -217,8 +215,6 @@ let run ?(with_cache = false) ?timeline reader mode =
           incr free_rtop
         end
     | Format.Poke { addr; v } -> if apply_pokes then Sim.Memory.poke mem addr v
-    | Format.Poke_byte { addr; v } ->
-        if apply_pokes then Sim.Memory.poke_byte mem addr v
     | Format.Poke_bytes { addr; s } ->
         if apply_pokes then Sim.Memory.poke_bytes mem addr s
     | Format.Poke_block { addr; words } ->
@@ -248,8 +244,6 @@ let run ?(with_cache = false) ?timeline reader mode =
         if bump then Api.enable_bump api;
         Api.set_mutator api mid
     | Format.Mark _ -> ()
-    | Format.Realloc _ | Format.Poke_obj _ ->
-        diverge "ops record inside a workload trace"
     | Format.Frame_push _ | Format.Frame_pop | Format.End ->
         assert false (* handled by run_level *)
   in
@@ -291,68 +285,3 @@ let run ?(with_cache = false) ?timeline reader mode =
   (match timeline with Some tl -> Obs.Timeline.finish tl | None -> ());
   Workloads.Results.collect api ~workload:hdr.workload
     ~summary:(Format.summary reader)
-
-(* {2 ops traces} *)
-
-let copy_prefix mem ~src ~dst ~bytes =
-  let words = (bytes + 3) / 4 in
-  for i = 0 to words - 1 do
-    Sim.Memory.poke mem (dst + (4 * i)) (Sim.Memory.peek mem (src + (4 * i)))
-  done
-
-let run_ops reader (alloc : Alloc.Allocator.t) =
-  let hdr = Format.header reader in
-  if hdr.variant <> "ops" then
-    invalid_arg "Trace.Replay.run_ops: not an ops trace";
-  Format.reset reader;
-  let n = max (Format.objects reader) 1 in
-  let addr = Array.make n 0 and size = Array.make n 0 in
-  let rec loop () =
-    match Format.next reader with
-    | Format.End -> ()
-    | Format.Realloc { id; size = sz } ->
-        let old = addr.(id) and old_size = size.(id) in
-        let p = alloc.malloc sz in
-        if old <> 0 then (
-          copy_prefix alloc.memory ~src:old ~dst:p ~bytes:(min old_size sz);
-          alloc.free old);
-        addr.(id) <- p;
-        size.(id) <- sz;
-        loop ()
-    | Format.Free { id } ->
-        alloc.free addr.(id);
-        addr.(id) <- 0;
-        size.(id) <- 0;
-        loop ()
-    | Format.Poke_obj { id; word; v } ->
-        Sim.Memory.poke alloc.memory (addr.(id) + (4 * word)) v;
-        loop ()
-    | r ->
-        diverge "record %s in an ops trace"
-          (match r with Format.Malloc _ -> "Malloc" | _ -> "non-ops")
-  in
-  loop ()
-
-let interpret_ops (tr : Check.Trace.t) (alloc : Alloc.Allocator.t) =
-  let addr = Array.make 256 0 and size = Array.make 256 0 in
-  Array.iter
-    (fun op ->
-      match op with
-      | Check.Trace.Alloc { id; size = sz } | Check.Trace.Realloc { id; size = sz }
-        ->
-          let old = addr.(id) and old_size = size.(id) in
-          let p = alloc.malloc sz in
-          if old <> 0 then (
-            copy_prefix alloc.memory ~src:old ~dst:p ~bytes:(min old_size sz);
-            alloc.free old);
-          addr.(id) <- p;
-          size.(id) <- sz
-      | Check.Trace.Free { id } ->
-          alloc.free addr.(id);
-          addr.(id) <- 0;
-          size.(id) <- 0
-      | Check.Trace.Poke { id; word } ->
-          Sim.Memory.poke alloc.memory
-            (addr.(id) + (4 * word))
-            (Record.marker ~id ~word))
-    tr.ops

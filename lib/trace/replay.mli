@@ -55,16 +55,3 @@ val run :
     all.
     @raise Invalid_argument when [mode] is not served by the trace's
     variant (see {!Record.variant_of_mode}). *)
-
-(** {1 ops traces} *)
-
-val run_ops : Format.reader -> Alloc.Allocator.t -> unit
-(** Replay an ["ops"] trace ({!Record.write_ops}) against a bare
-    allocator: [Realloc] allocates into an id slot (copying the
-    overlapping prefix and freeing the old block when the slot was
-    live), [Free] releases it, [Poke_obj] writes the marker word. *)
-
-val interpret_ops : Check.Trace.t -> Alloc.Allocator.t -> unit
-(** The same semantics applied directly to a generated trace, without
-    the encode/decode round trip — the live side of the
-    record-vs-replay equivalence property. *)

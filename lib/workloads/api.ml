@@ -47,7 +47,6 @@ type recorder = {
   rec_frame_push : nslots:int -> ptr_slots:int list -> unit;
   rec_frame_pop : unit -> unit;
   rec_store : addr:int -> int -> unit;
-  rec_store_byte : addr:int -> int -> unit;
   rec_store_block : addr:int -> int array -> unit;
   rec_store_bytes : addr:int -> string -> unit;
   rec_clear : addr:int -> bytes:int -> unit;
@@ -229,17 +228,12 @@ let frame_index t fr =
    partial application builds a closure even where the function it
    applies inlines. *)
 let load t addr = Sim.Memory.load t.mem addr
-let load_signed t addr = Sim.Memory.load_signed t.mem addr
 
 let store t addr v =
   Sim.Memory.store t.mem addr v;
   match t.recorder with Some r -> r.rec_store ~addr v | None -> ()
 
 let load_byte t addr = Sim.Memory.load_byte t.mem addr
-
-let store_byte t addr v =
-  Sim.Memory.store_byte t.mem addr v;
-  match t.recorder with Some r -> r.rec_store_byte ~addr v | None -> ()
 
 let load_block t addr n = Sim.Memory.load_block t.mem addr n
 
@@ -316,8 +310,6 @@ let set_mutator t mid =
           (match t.reg with
           | Some lib -> Regions.Region.bump_active lib
           | None -> false))
-
-let mutator_id t = Regions.Mutator.current_id t.mut
 
 (* ------------------------------------------------------------------ *)
 (* malloc / free *)
@@ -502,12 +494,9 @@ let region_rstats t = Option.map Regions.Region.rstats t.reg
 let emulation_overhead_bytes t = t.emu_overhead_max
 let allocator t = t.alloc
 let region_lib t = t.reg
-let gc t = t.gc
 
 (* ------------------------------------------------------------------ *)
 (* Observability *)
-
-let tracer t = t.tracer
 
 let marked t mark name g =
   match t.recorder with

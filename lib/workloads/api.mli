@@ -51,7 +51,6 @@ type recorder = {
   rec_frame_push : nslots:int -> ptr_slots:int list -> unit;
   rec_frame_pop : unit -> unit;
   rec_store : addr:int -> int -> unit;
-  rec_store_byte : addr:int -> int -> unit;
   rec_store_block : addr:int -> int array -> unit;
   rec_store_bytes : addr:int -> string -> unit;
   rec_clear : addr:int -> bytes:int -> unit;
@@ -105,10 +104,8 @@ val cost : t -> Sim.Cost.t
 (** {1 Memory access} *)
 
 val load : t -> int -> int
-val load_signed : t -> int -> int
 val store : t -> int -> int -> unit
 val load_byte : t -> int -> int
-val store_byte : t -> int -> int -> unit
 
 val load_block : t -> int -> int -> int array
 (** Bulk word load; same simulated cost as a {!load} loop. *)
@@ -118,7 +115,7 @@ val store_block : t -> int -> int array -> unit
 
 val store_bytes : t -> int -> string -> unit
 (** Bulk byte copy of a host string into simulated memory; same
-    simulated cost as a {!store_byte} loop. *)
+    simulated cost as a {!Sim.Memory.store_byte} loop. *)
 
 val clear : t -> int -> int -> unit
 (** [clear t addr bytes] zeroes a word-aligned range at one
@@ -160,8 +157,6 @@ val set_mutator : t -> int -> unit
 (** Make [mid] (>= 0) the current mutator.  Under [Region] modes this
     switches the region library's current alloc region; elsewhere it
     only tracks the identity. *)
-
-val mutator_id : t -> int
 
 val enable_bump : t -> unit
 (** Switch [Region] modes to the per-mutator bump allocation fast path
@@ -207,12 +202,8 @@ val emulation_overhead_bytes : t -> int
 
 val allocator : t -> Alloc.Allocator.t option
 val region_lib : t -> Regions.Region.t option
-val gc : t -> Gcsim.Boehm.t option
 
 (** {1 Observability} *)
-
-val tracer : t -> Obs.Tracer.t
-(** The attached tracer ([Obs.Tracer.null] when none was given). *)
 
 val phase : t -> string -> (unit -> 'a) -> 'a
 (** Bracket a workload phase with trace markers; a no-op (beyond the

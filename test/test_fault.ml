@@ -533,6 +533,54 @@ let test_timeout_triage () =
   check_bool "timeouts skip the diagnostic re-run" true
     (contains error_txt "skipped (timeout")
 
+(* Triage of a non-timeout failure: the bundle holds [error.txt],
+   [heap.txt] and the same artefact family a traced run writes, from a
+   diagnostic re-run under the failed cell's fault plan. *)
+let test_failure_bundle () =
+  let moss = Workloads.Workload.find "moss" in
+  let mode = Workloads.Api.Region { safe = true } in
+  let qdir = fresh_cache_dir "bundle" and tdir = fresh_cache_dir "traced" in
+  Fun.protect ~finally:(fun () -> rm_rf qdir; rm_rf tdir) @@ fun () ->
+  let bundle =
+    match
+      Harness.Triage.write_bundle ~dir:qdir ~workload:"moss" ~mode:"region"
+        ~attempts:1 ~last_error:"denied" ~backtrace:"" ~plan:(budget 64)
+        ~retrace:(moss, mode, quick) ()
+    with
+    | Some b -> b
+    | None -> Alcotest.fail "no bundle written"
+  in
+  let (_ : Workloads.Results.t * Obs.Tracer.t * Harness.Tracefiles.files) =
+    Harness.Tracefiles.run_traced ~out:tdir cfrac mode quick
+  in
+  let artefacts dir stem =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map (fun f ->
+           if String.starts_with ~prefix:(stem ^ ".") f then
+             Some (String.sub f (String.length stem)
+                     (String.length f - String.length stem))
+           else None)
+    |> List.sort compare
+  in
+  let traced = artefacts tdir (Harness.Tracefiles.stem cfrac mode) in
+  check_int "a traced run writes five artefacts" 5 (List.length traced);
+  Alcotest.(check (list string))
+    "bundle holds the traced-run artefacts" traced
+    (artefacts bundle (Harness.Tracefiles.stem moss mode));
+  Alcotest.(check (list string))
+    "and nothing else but error.txt and heap.txt"
+    [ "error.txt"; "heap.txt" ]
+    (Sys.readdir bundle |> Array.to_list
+    |> List.filter (fun f -> not (String.starts_with ~prefix:"moss-region." f))
+    |> List.sort compare);
+  let read f = In_channel.with_open_bin (Filename.concat bundle f) In_channel.input_all in
+  check_bool "the plan reproduced the failure" true
+    (contains (read "error.txt") "failed on re-run");
+  check_bool "heap verdict written" true (String.length (read "heap.txt") > 0);
+  check_bool "events captured up to the failure" true
+    ((Unix.stat (Filename.concat bundle "moss-region.events.bin")).Unix.st_size
+    > String.length Obs.Spill.magic)
+
 (* The default supervision does nothing extra, but it never drops a
    failure: under a page budget that starves the larger workloads, the
    driver finishes every other cell, memoises it, and raises one
@@ -621,6 +669,8 @@ let () =
           test_resume_random;
           Alcotest.test_case "watchdog + retries + quarantine" `Slow
             test_timeout_triage;
+          Alcotest.test_case "failure bundle holds every artefact" `Quick
+            test_failure_bundle;
           Alcotest.test_case "unsupervised failure is raised" `Slow
             test_unsupervised_failure_raised;
         ] );

@@ -1,9 +1,7 @@
 (* The trace record/replay engine: the binary format round-trips
    byte-for-byte, damage (truncation, torn trailing records) is
    rejected rather than misread, a recorded workload replays to the
-   same allocator-side counts as full execution, and the ops-trace
-   encode/decode round trip is observationally identical to direct
-   interpretation — for every allocator. *)
+   same allocator-side counts as full execution. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -58,7 +56,6 @@ let sample_records =
     Store_ptr { addr = Obj (0, 0); v = Reg 0 };
     Poke { addr = 100; v = 42 };
     Poke { addr = 104; v = -7 };
-    Poke_byte { addr = 101; v = 200 };
     Poke_bytes { addr = 104; s = "hi\000there" };
     Poke_block { addr = 108; words = [| 1; 2; 3 |] };
     Clear { addr = 120; bytes = 16 };
@@ -115,7 +112,6 @@ let test_specialized_emitters_byte_equal () =
   let w = create_writer ~path:generic hdr in
   emit w (Malloc { size = 24 });
   emit w (Poke { addr = 40; v = 99 });
-  emit w (Poke_byte { addr = 41; v = 3 });
   emit w (Poke_bytes { addr = 44; s = "abc" });
   emit w (Poke_block { addr = 48; words = [| 7; 8 |] });
   emit w (Clear { addr = 60; bytes = 8 });
@@ -133,7 +129,6 @@ let test_specialized_emitters_byte_equal () =
   let w = create_writer ~path:special hdr in
   emit_malloc w ~size:24;
   emit_poke w ~addr:40 ~v:99;
-  emit_poke_byte w ~addr:41 ~v:3;
   emit_poke_bytes w ~addr:44 "abc";
   emit_poke_block w ~addr:48 [| 7; 8 |];
   emit_clear w ~addr:60 ~bytes:8;
@@ -201,28 +196,30 @@ let test_next_fused () =
       Trace.Format.close r);
   Sys.remove path
 
+(* [repro replay --trace-file PATH x MODE] must reject [path]: exit 2,
+   with the error reported against the file. *)
+let expect_replay_rejected label path mode =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
+  let err = tmp_path () in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s replay --trace-file %s x %s >/dev/null 2>%s"
+         (Filename.quote exe) (Filename.quote path) mode (Filename.quote err))
+  in
+  let msg = read_file err in
+  Sys.remove err;
+  check_int (label ^ ": exit status") 2 code;
+  check_bool (label ^ ": reported against the file") true
+    (String.starts_with ~prefix:(Printf.sprintf "replay: %s: " path) msg)
+
 (* Bad trace input to [repro replay] fails closed: a body that decodes
    corrupt and a variant that cannot serve the requested column are
    reported against the file with exit 2, like a trace that fails to
    open. *)
 let test_replay_cli_bad_trace () =
-  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
-  let path = tmp_path () and err = tmp_path () in
+  let path = tmp_path () in
   Trace.Gen.generate ~out:path { Trace.Gen.default with objects = 2_000 };
-  let expect_rejected label mode =
-    let code =
-      Sys.command
-        (Printf.sprintf "%s replay --trace-file %s x %s >/dev/null 2>%s"
-           (Filename.quote exe) (Filename.quote path) mode
-           (Filename.quote err))
-    in
-    check_int (label ^ ": exit status") 2 code;
-    check_bool (label ^ ": reported against the file") true
-      (String.starts_with
-         ~prefix:(Printf.sprintf "replay: %s: " path)
-         (read_file err))
-  in
-  expect_rejected "malloc trace under region" "region";
+  expect_replay_rejected "malloc trace under region" path "region";
   (* One flipped body byte: the trace still opens, decoding fails. *)
   let data = Bytes.of_string (read_file path) in
   Bytes.set data 1000 (Char.chr (Char.code (Bytes.get data 1000) lxor 0xff));
@@ -230,9 +227,61 @@ let test_replay_cli_bad_trace () =
   (match Trace.Format.open_file path with
   | Ok r -> Trace.Format.close r
   | Error e -> Alcotest.failf "flipped trace should still open: %s" e);
-  expect_rejected "corrupt body" "lea";
-  Sys.remove path;
-  Sys.remove err
+  expect_replay_rejected "corrupt body" path "lea";
+  Sys.remove path
+
+(* Tags 3, 12 and 15 once carried [Realloc], [Poke_byte] and
+   [Poke_obj], records no workload, generator or command wrote.  A
+   trace carrying one is rejected like any unknown tag, by both
+   decoders and by [repro replay].  Each retired tag replaces the tag
+   of a live record whose payload has the retired record's shape
+   (Realloc: two varints; Poke_byte: two; Poke_obj: three). *)
+let test_retired_tags_rejected () =
+  let open Trace.Format in
+  let write path records =
+    let w = create_writer ~path hdr in
+    List.iter (emit w) records;
+    commit w ~summary:"retired tag"
+  in
+  List.iter
+    (fun (tag, donor) ->
+      let prefix = [ Malloc { size = 40 } ] in
+      let before = tmp_path () and path = tmp_path () in
+      write before prefix;
+      write path (prefix @ [ donor; Free { id = 0 } ]);
+      (* The donor's tag byte is the first byte where the two files
+         differ: the shorter one has its trailer tag (0) there. *)
+      let a = read_file before and b = Bytes.of_string (read_file path) in
+      Sys.remove before;
+      let i = ref 0 in
+      while a.[!i] = Bytes.get b !i do incr i done;
+      Bytes.set b !i (Char.chr tag);
+      write_file path (Bytes.to_string b);
+      let expected = Printf.sprintf "unknown record tag %d" tag in
+      let decode label next =
+        match open_file path with
+        | Error e -> Alcotest.failf "tag %d: trace should still open: %s" tag e
+        | Ok r ->
+            let rec go () = match next r with End -> () | _ -> go () in
+            (match go () with
+            | () -> Alcotest.failf "tag %d: %s decoded to End" tag label
+            | exception Corrupt msg ->
+                check_str (Printf.sprintf "tag %d: %s" tag label) expected msg);
+            close r
+      in
+      decode "next" next;
+      decode "next_fused"
+        (next_fused
+           ~poke:(fun ~addr:_ ~v:_ -> ())
+           ~resolve:(fun _ a _ -> a)
+           ~store:(fun ~addr:_ ~v:_ -> ()));
+      expect_replay_rejected (Printf.sprintf "tag %d" tag) path "lea";
+      Sys.remove path)
+    [
+      (3, Rstralloc { rid = 0; size = 24 });
+      (12, Clear { addr = 64; bytes = 8 });
+      (15, Frame_push { nslots = 2; ptr_slots = [ 6 ] });
+    ]
 
 let expect_error label = function
   | Error _ -> ()
@@ -310,29 +359,28 @@ let random_records seed len =
     | _ -> Reg (rnd 8)
   in
   List.init len (fun _ ->
-      match rnd 18 with
+      match rnd 17 with
       | 0 -> Malloc { size = 1 + rnd 5000 }
       | 1 -> Free { id = rnd 64 }
       | 2 -> Poke { addr = 4 * rnd 100_000; v = rnd 100_000 - 50_000 }
-      | 3 -> Poke_byte { addr = rnd 100_000; v = rnd 256 }
-      | 4 ->
+      | 3 ->
           Poke_bytes
             {
               addr = rnd 100_000;
               s = String.init (rnd 12) (fun i -> Char.chr (((i * 37) + rnd 256) land 0xFF));
             }
-      | 5 -> Poke_block { addr = 4 * rnd 100_000; words = Array.init (rnd 6) (fun i -> i - 2) }
-      | 6 -> Clear { addr = 4 * rnd 100_000; bytes = 4 * rnd 32 }
-      | 7 -> Gc_roots (Array.init (rnd 5) (fun i -> 4 * (i + rnd 1000)))
-      | 8 -> Newregion
-      | 9 -> Ralloc { rid = rnd 8; layout = lay () }
-      | 10 -> Rstralloc { rid = rnd 8; size = 1 + rnd 300 }
-      | 11 -> Rarrayalloc { rid = rnd 8; n = 1 + rnd 5; layout = lay () }
-      | 12 -> Store_ptr { addr = value (); v = value () }
-      | 13 -> Frame_push { nslots = 1 + rnd 4; ptr_slots = [ 0 ] }
-      | 14 -> Set_local { frame = rnd 4; slot = rnd 4; v = value () }
-      | 15 -> Set_local_ptr { frame = rnd 4; slot = rnd 4; v = value () }
-      | 16 -> Deleteregion { rid = rnd 8; frame = rnd 4; slot = rnd 4; ok = rnd 2 = 0 }
+      | 4 -> Poke_block { addr = 4 * rnd 100_000; words = Array.init (rnd 6) (fun i -> i - 2) }
+      | 5 -> Clear { addr = 4 * rnd 100_000; bytes = 4 * rnd 32 }
+      | 6 -> Gc_roots (Array.init (rnd 5) (fun i -> 4 * (i + rnd 1000)))
+      | 7 -> Newregion
+      | 8 -> Ralloc { rid = rnd 8; layout = lay () }
+      | 9 -> Rstralloc { rid = rnd 8; size = 1 + rnd 300 }
+      | 10 -> Rarrayalloc { rid = rnd 8; n = 1 + rnd 5; layout = lay () }
+      | 11 -> Store_ptr { addr = value (); v = value () }
+      | 12 -> Frame_push { nslots = 1 + rnd 4; ptr_slots = [ 0 ] }
+      | 13 -> Set_local { frame = rnd 4; slot = rnd 4; v = value () }
+      | 14 -> Set_local_ptr { frame = rnd 4; slot = rnd 4; v = value () }
+      | 15 -> Deleteregion { rid = rnd 8; frame = rnd 4; slot = rnd 4; ok = rnd 2 = 0 }
       | _ -> Mark { name = "m"; kind = (if rnd 2 = 0 then Phase_begin else Phase_end) })
 
 (* Fully decode a reader through the fused hot path, capturing every
@@ -603,6 +651,78 @@ let test_gen_replays_on_columns () =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* The record vocabulary is the traffic: every [Trace.Format.record]
+   constructor occurs in the traces the tree itself writes.  The
+   smallest fixed set of quick recordings that covers them all: cfrac
+   (malloc: [Set_local], [Poke_block] and a collection's [Gc_roots]),
+   tile (malloc: [Clear]; region: [Rarrayalloc], [Poke_bytes]) and
+   server-2 (region: [Set_mutator]), plus one small generated trace.
+   The match in [kind] is exhaustive, so a new record kind cannot be
+   added without traffic that writes it. *)
+
+let kinds =
+  [| "Malloc"; "Free"; "Newregion"; "Ralloc"; "Rstralloc"; "Rarrayalloc";
+     "Deleteregion"; "Frame_push"; "Frame_pop"; "Poke"; "Poke_bytes";
+     "Poke_block"; "Clear"; "Store_ptr"; "Set_local"; "Set_local_ptr";
+     "Gc_roots"; "Mark"; "Set_mutator"; "End" |]
+
+let kind : Trace.Format.record -> int = function
+  | Malloc _ -> 0
+  | Free _ -> 1
+  | Newregion -> 2
+  | Ralloc _ -> 3
+  | Rstralloc _ -> 4
+  | Rarrayalloc _ -> 5
+  | Deleteregion _ -> 6
+  | Frame_push _ -> 7
+  | Frame_pop -> 8
+  | Poke _ -> 9
+  | Poke_bytes _ -> 10
+  | Poke_block _ -> 11
+  | Clear _ -> 12
+  | Store_ptr _ -> 13
+  | Set_local _ -> 14
+  | Set_local_ptr _ -> 15
+  | Gc_roots _ -> 16
+  | Mark _ -> 17
+  | Set_mutator _ -> 18
+  | End -> 19
+
+let test_vocabulary_is_traffic () =
+  let seen = Array.make (Array.length kinds) 0 in
+  let count path =
+    match Trace.Format.open_file path with
+    | Error e -> Alcotest.failf "open failed: %s" e
+    | Ok r ->
+        let rec go () =
+          let rc = Trace.Format.next r in
+          let k = kind rc in
+          seen.(k) <- seen.(k) + 1;
+          if rc <> Trace.Format.End then go ()
+        in
+        go ();
+        Trace.Format.close r;
+        Sys.remove path
+  in
+  List.iter
+    (fun (workload, variant) ->
+      let path = tmp_path () in
+      let (_ : Workloads.Results.t) =
+        Trace.Record.record ~out:path ~variant
+          (Workloads.Workload.find workload)
+          Workloads.Workload.Quick
+      in
+      count path)
+    [ ("cfrac", "malloc"); ("tile", "malloc"); ("tile", "region");
+      ("server-2", "region") ];
+  let path = tmp_path () in
+  Trace.Gen.generate ~out:path (gen_params "n=2000,variant=region");
+  count path;
+  Array.iteri
+    (fun k name -> check_bool (name ^ " occurs") true (seen.(k) > 0))
+    kinds
+
+(* ------------------------------------------------------------------ *)
 (* Record -> replay count-equivalence.
 
    One malloc-family row (cfrac) and one region-only row (mudlle,
@@ -621,80 +741,6 @@ let test_replay_equivalence workload () =
   | d :: _ ->
       Alcotest.failf "%d divergence(s); first: %a" (List.length diffs)
         Harness.Replaycheck.pp_diff d
-
-(* ------------------------------------------------------------------ *)
-(* ops traces: encode/decode through the binary format must be
-   observationally identical to direct interpretation, for every
-   allocator design — same stats, same mapped footprint, same final
-   heap words. *)
-
-let allocators =
-  [
-    ("lea", Alloc.Lea.create);
-    ("bsd", Alloc.Bsd.create);
-    ("sun", Alloc.Sun.create);
-  ]
-
-let heap_words mem =
-  (* ops traces are small; the mapped extent is a few hundred kB. *)
-  let bytes = Sim.Memory.os_bytes mem + 65536 in
-  let rec go addr acc =
-    if addr >= bytes then List.rev acc
-    else
-      go (addr + 4)
-        (if Sim.Memory.is_mapped mem addr then
-           (addr, Sim.Memory.peek mem addr) :: acc
-         else acc)
-  in
-  go 0 []
-
-let stats_tuple (a : Alloc.Allocator.t) =
-  ( Alloc.Stats.allocs a.stats,
-    Alloc.Stats.frees a.stats,
-    Alloc.Stats.total_bytes a.stats,
-    Alloc.Stats.max_live_bytes a.stats,
-    Alloc.Stats.os_bytes a.stats )
-
-let prop_ops_roundtrip =
-  QCheck.Test.make ~count:30
-    ~name:"ops trace: write_ops |> run_ops == interpret_ops (all allocators)"
-    QCheck.(pair (0 -- 10_000) (1 -- 400))
-    (fun (seed, len) ->
-      let tr = Check.Trace.generate ~seed ~len in
-      let path = tmp_path () in
-      Trace.Record.write_ops ~out:path tr;
-      let r =
-        match Trace.Format.open_file path with
-        | Ok r -> r
-        | Error e -> QCheck.Test.fail_reportf "open failed: %s" e
-      in
-      Sys.remove path;
-      if Trace.Format.records r <> Array.length tr.Check.Trace.ops then
-        QCheck.Test.fail_reportf "record count %d <> ops %d"
-          (Trace.Format.records r)
-          (Array.length tr.Check.Trace.ops);
-      List.for_all
-        (fun (name, create) ->
-          let live_mem = Sim.Memory.create ~with_cache:false () in
-          let live = create live_mem in
-          Trace.Replay.interpret_ops tr live;
-          let replayed_mem = Sim.Memory.create ~with_cache:false () in
-          let replayed = create replayed_mem in
-          Trace.Format.reset r;
-          Trace.Replay.run_ops r replayed;
-          live.Alloc.Allocator.check_heap ();
-          replayed.Alloc.Allocator.check_heap ();
-          if stats_tuple live <> stats_tuple replayed then
-            QCheck.Test.fail_reportf "%s: allocator stats diverge (seed=%d)"
-              name seed;
-          if heap_words live_mem <> heap_words replayed_mem then
-            QCheck.Test.fail_reportf "%s: final heap words diverge (seed=%d)"
-              name seed;
-          true)
-        allocators
-      |> fun ok ->
-      Trace.Format.close r;
-      ok)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -724,15 +770,17 @@ let () =
           quick "fragmentation accounting invariants"
             test_timeline_frag_invariants;
         ] );
+      ( "traffic",
+        [ quick "every record kind is written" test_vocabulary_is_traffic ] );
       ( "replay",
         [
           quick "cfrac row count-equivalent" (test_replay_equivalence "cfrac");
           quick "mudlle row count-equivalent" (test_replay_equivalence "mudlle");
         ] );
-      ("ops", [ QCheck_alcotest.to_alcotest prop_ops_roundtrip ]);
       ( "cli",
         [
           quick "replay rejects bad traces with exit 2"
             test_replay_cli_bad_trace;
+          quick "retired record tags rejected" test_retired_tags_rejected;
         ] );
     ]
