@@ -22,6 +22,29 @@ type large_block = {
 
 type block = Small of small_block | Large of large_block
 
+module Int_map = Map.Make (Int)
+
+module Free_large = struct
+  (* Page count -> the free blocks of that count, most recently freed
+     first; no count maps to an empty list. *)
+  type 'a t = 'a list Int_map.t
+
+  let empty = Int_map.empty
+
+  let push pages blk s =
+    Int_map.update pages
+      (function None -> Some [ blk ] | Some bs -> Some (blk :: bs))
+      s
+
+  let take pages s =
+    match Int_map.find_first_opt (fun p -> p >= pages) s with
+    | None | Some (_, []) -> None
+    | Some (p, [ blk ]) -> Some (blk, Int_map.remove p s)
+    | Some (p, blk :: rest) -> Some (blk, Int_map.add p rest s)
+
+  let iter f s = Int_map.iter (fun _ bs -> List.iter f bs) s
+end
+
 type t = {
   mem : Sim.Memory.t;
   stats : Alloc.Stats.t;
@@ -32,7 +55,7 @@ type t = {
          pin.  Lookups go through [pages]. *)
   mutable pages : block option array;  (* page number -> block, flat *)
   freelists : int array;  (* per class; links threaded through the heap *)
-  mutable free_large : (int * large_block) list;  (* pages, block *)
+  mutable free_large : large_block Free_large.t;
   mutable heap_bytes : int;
   mutable heap_at_gc : int;  (* heap size when the last collection finished *)
   mutable since_gc : int;
@@ -103,7 +126,8 @@ let carve_small t cls =
 
 let large_pages size = ((size + 3) / 4 * 4 + page_bytes - 1) / page_bytes
 
-(* Smallest free block that fits, exact fits first.  The real
+(* The smallest free block that fits, exact fits first, and among
+   blocks of one page count the most recently freed.  The real
    collector serves a big-object request from any sufficiently large
    free hblk, splitting off the remainder; the simulator allocates
    into the larger block whole (its pages stay accounted to the block,
@@ -111,20 +135,16 @@ let large_pages size = ((size + 3) / 4 * 4 + page_bytes - 1) / page_bytes
    an exact page-count match instead strands the mismatched part of
    the free stock while fresh pages are mapped for the rest: an
    unbounded, compounding heap leak on any large-object mix. *)
-let find_large t pages =
-  List.fold_left
-    (fun acc ((p, _) as e) ->
-      if p < pages then acc
-      else match acc with Some (bp, _) when bp <= p -> acc | _ -> Some e)
-    None t.free_large
-
-let take_large t size ((_, blk) as e) =
-  Sim.Cost.instr (cost t) 8;
-  t.free_large <- List.filter (fun e' -> e' != e) t.free_large;
-  blk.l_allocated <- true;
-  blk.l_marked <- false;
-  blk.l_bytes <- (size + 3) land lnot 3;
-  blk
+let take_large t size pages =
+  match Free_large.take pages t.free_large with
+  | None -> None
+  | Some (blk, rest) ->
+      Sim.Cost.instr (cost t) 8;
+      t.free_large <- rest;
+      blk.l_allocated <- true;
+      blk.l_marked <- false;
+      blk.l_bytes <- (size + 3) land lnot 3;
+      Some blk
 
 let map_large t size pages =
   Sim.Cost.instr (cost t) 20;
@@ -165,10 +185,10 @@ let collect_into t =
     t.blocks;
   Sim.Cost.instr c (Hashtbl.length t.blocks);
   let stack = ref [] in
-  (* Conservative pointer test: any word reaching into an allocated
-     object (interior pointers included) pins that object. *)
-  let try_mark v =
-    Sim.Cost.instr c 2;
+  (* Conservative pointer test, 2 instructions charged by the caller:
+     any word reaching into an allocated object (interior pointers
+     included) pins that object. *)
+  let mark v =
     if v land 3 = 0 && v > 0 then
       match block_at t (v lsr 12) with
       | Some (Small b) ->
@@ -187,15 +207,23 @@ let collect_into t =
           end
       | None -> ()
   in
-  t.roots try_mark;
-  (* Transitive marking: scan every word of every reached object. *)
+  t.roots (fun v ->
+      Sim.Cost.instr c 2;
+      mark v);
+  (* Transitive marking: scan every word of every reached object.
+     Each word costs its load and a 2-instruction test, charged for
+     the whole object up front: marking writes no simulated memory, so
+     the charges and cache probes are those of a per-word loop. *)
   let rec drain () =
     match !stack with
     | [] -> ()
     | (addr, bytes) :: rest ->
         stack := rest;
-        for i = 0 to (bytes / 4) - 1 do
-          try_mark (Sim.Memory.load t.mem (addr + (i * 4)))
+        let n = bytes / 4 in
+        Sim.Memory.charge_loads t.mem addr n;
+        Sim.Cost.instr c (2 * n);
+        for i = 0 to n - 1 do
+          mark (Sim.Memory.peek t.mem (addr + (i * 4)))
         done;
         drain ()
   in
@@ -227,7 +255,7 @@ let collect_into t =
             else begin
               b.l_allocated <- false;
               Alloc.Stats.on_free t.stats b.l_addr;
-              t.free_large <- (b.l_pages, b) :: t.free_large
+              t.free_large <- Free_large.push b.l_pages b t.free_large
             end
       | Large _ -> ())
     t.blocks;
@@ -289,12 +317,12 @@ let malloc_body t size =
     else begin
       let pages = large_pages size in
       let blk =
-        match find_large t pages with
-        | Some e -> take_large t size e
-        | None ->
+        match take_large t size pages with
+        | Some blk -> blk
+        | None -> (
             if t.since_gc > t.trigger_min then collect_into t;
-            (match find_large t pages with
-            | Some e -> take_large t size e
+            match take_large t size pages with
+            | Some blk -> blk
             | None -> map_large t size pages)
       in
       Sim.Memory.clear t.mem blk.l_addr blk.l_bytes;
@@ -363,8 +391,8 @@ let check_heap t () =
       in
       walk head)
     t.freelists;
-  List.iter
-    (fun (_, b) ->
+  Free_large.iter
+    (fun b ->
       if b.l_allocated then
         fail "gc: large block %#x on the free list but marked allocated"
           b.l_addr)
@@ -378,7 +406,7 @@ let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
       blocks = Hashtbl.create 256;
       pages = Array.make 256 None;
       freelists = Array.make num_classes 0;
-      free_large = [];
+      free_large = Free_large.empty;
       heap_bytes = 0;
       heap_at_gc = 0;
       since_gc = 0;

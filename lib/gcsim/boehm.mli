@@ -29,6 +29,25 @@
 
 type t
 
+(** The free large blocks, keyed by page count (exposed for tests). *)
+module Free_large : sig
+  type 'a t
+
+  val empty : 'a t
+
+  val push : int -> 'a -> 'a t -> 'a t
+  (** [push pages blk s] adds [blk], a free block of [pages] pages. *)
+
+  val take : int -> 'a t -> ('a * 'a t) option
+  (** [take pages s] removes the block a request for [pages] pages
+      reuses: of the smallest page count [>= pages], the most recently
+      pushed.  That is the first fit in a single list of free blocks
+      kept newest first and scanned for the smallest count.  [None]
+      when no block is large enough. *)
+
+  val iter : ('a -> unit) -> 'a t -> unit
+end
+
 val create :
   ?trigger_min_bytes:int ->
   ?heap_fraction:float ->

@@ -406,41 +406,74 @@ let clear t addr bytes =
     Bytes.fill t.data addr (words * 4) '\000'
   end
 
+(* Bulk reads.  A read changes nothing that a later read's charge
+   depends on: it neither reads the cycle count nor touches the store
+   buffer.  So a run of [n] word reads charges its [n] instructions in
+   one add, and the cache model probes each L1 line once.  That probe
+   leaves the line most recently used in its set, direct-mapped or
+   LRU, so each later word of the line in the run is an L1 hit that
+   changes no tag.  Stores get no such batching (see above). *)
+
+(* The words of [addr .. addr + 4n) that a [load] loop reads before
+   its first fault: mapping is the one span [page_bytes, limit), so
+   this is [n], the aligned words below [limit], or 0. *)
+let[@inline] mapped_words t addr n =
+  if addr land 3 <> 0 || not (is_mapped t addr) then 0
+  else Int.min n ((t.limit - addr) / 4)
+
+(* Charge [n] reads of the mapped, aligned words from [addr]. *)
+let charge_reads t addr n =
+  charge t n;
+  match t.cache with
+  | None -> ()
+  | Some c ->
+      let l1 = c.Cache_impl.l1 in
+      let stop = addr + (n * 4) in
+      let a = ref addr in
+      while !a < stop do
+        Cache_impl.read c !a;
+        let next = (Cache_impl.line_id l1 !a + 1) * l1.line_bytes in
+        let words = ((if next < stop then next else stop) - !a + 3) / 4 in
+        c.l1_hits <- c.l1_hits + words - 1;
+        a := !a + (words * 4)
+      done
+
+let charge_loads t addr n =
+  if n < 0 then invalid_arg "Memory.charge_loads: negative length";
+  let k = mapped_words t addr n in
+  charge_reads t addr k;
+  (* A load loop faults at word [k]: raise its fault there. *)
+  if k < n then check_word t (addr + (k * 4))
+
 let load_block t addr n =
   if n < 0 then invalid_arg "Memory.load_block: negative length";
-  if n = 0 then [||]
-  else begin
-    check_word_range t addr n "block load";
-    charge t n;
-    (match t.cache with
-    | Some c ->
-        for i = 0 to n - 1 do
-          Cache_impl.read c (addr + (i * 4))
-        done
-    | None -> ());
-    let out = Array.make n 0 in
-    for i = 0 to n - 1 do
-      out.(i) <- raw_load t (addr + (i * 4))
-    done;
-    out
-  end
+  charge_loads t addr n;
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    out.(i) <- raw_load t (addr + (i * 4))
+  done;
+  out
 
-(* The scan stops at the first nonzero word, and must charge, probe
-   the cache and fault exactly as a {!load} loop that stops there:
-   each word is checked before it is charged, so a scan that reaches
-   an unmapped word faults after charging the words before it.  A
-   [while] loop, not a local recursive function, so no closure is
-   built per call. *)
+(* Scan the host bytes of the mapped prefix, then charge the words a
+   [load] loop stopping at the first nonzero one would have read: up
+   to and including that word, or else all [n], faulting where the
+   loop would.  A [while] loop, not a local recursive function, so no
+   closure is built per call. *)
 let find_nonzero t addr n =
   if n < 0 then invalid_arg "Memory.find_nonzero: negative length";
-  let i = ref 0 and found = ref false in
-  while (not !found) && !i < n do
-    let a = addr + (!i * 4) in
-    check_word t a;
-    touch_read t a;
-    if raw_load t a <> 0 then found := true else incr i
+  let k = mapped_words t addr n in
+  let i = ref 0 in
+  while !i < k && raw_load t (addr + (!i * 4)) = 0 do
+    incr i
   done;
-  !i
+  if !i < k then begin
+    charge_reads t addr (!i + 1);
+    !i
+  end
+  else begin
+    charge_loads t addr n;
+    n
+  end
 
 let store_block t addr words =
   let n = Array.length words in

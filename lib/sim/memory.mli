@@ -148,19 +148,29 @@ val clear : t -> int -> int -> unit
     once for the whole range; the backing store is filled in one blit,
     but simulated costs are identical to a word-by-word store loop. *)
 
+val charge_loads : t -> int -> int -> unit
+(** [charge_loads t addr n] accounts for [n] {!load}s of the
+    consecutive words from [addr] without returning them.  Reads only;
+    it charges, probes and faults as the word loop would: [n]
+    instructions, the same cache hits, misses and read stalls, and on
+    a range that leaves the mapped span or starts unaligned, the
+    loop's {!Fault} at the same word after the charges for the words
+    before it.  The instructions are one add and the cache model
+    probes once per L1 line, which is exact for reads (DESIGN §5h);
+    stores have no such primitive. *)
+
 val load_block : t -> int -> int -> int array
 (** [load_block t addr n] reads [n] consecutive words starting at
-    word-aligned [addr], zero-extended.  Costs are identical to [n]
-    calls to {!load} (one instruction and one cache read per word);
-    bounds are validated once. *)
+    word-aligned [addr], zero-extended.  Costs and faults are those of
+    {!charge_loads}, that is of [n] calls to {!load}. *)
 
 val find_nonzero : t -> int -> int -> int
 (** [find_nonzero t addr n] is the index of the first nonzero word
     among the [n] consecutive words at word-aligned [addr], or [n] if
     all are zero.  Costs and faults are identical to a {!load} loop
-    that stops after the first nonzero word: one instruction and one
-    cache read per word examined, in address order.  Read the word
-    found with {!peek}: its load is already charged. *)
+    that stops after the first nonzero word: {!charge_loads} of the
+    words examined.  Read the word found with {!peek}: its load is
+    already charged. *)
 
 val store_block : t -> int -> int array -> unit
 (** [store_block t addr words] writes [words] consecutively starting

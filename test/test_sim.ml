@@ -785,41 +785,66 @@ let test_memory_oom_hook () =
   | _ -> Alcotest.fail "expected Fault once budget exhausted"
   | exception Sim.Memory.Fault _ -> ()
 
-(* [find_nonzero] vs a [load] loop that stops at the first nonzero
-   word: same index, same charges, same cache traffic, and the same
-   fault when the scan runs off the mapped range (or starts
-   unaligned).  [ways = 0] runs with the cache model off. *)
-let scan_arb =
+(* The bulk reads vs a [load] loop: [charge_loads] and [load_block]
+   vs a loop over all [n] words, [find_nonzero] vs one that stops
+   after the first nonzero word.  Same result, same charges, same
+   cache traffic, and on a bad range the same fault message after the
+   same charges.  The machine is the UltraSparc (direct-mapped, the
+   inline path) or a 2- or 4-way what-if (the LRU path); [ways = 0]
+   runs with the cache model off.  Six pages are mapped, more than
+   L1 holds, so warming loads also evict.  A range starts anywhere in
+   them, just below [limit] (it may cross it), unaligned, or below
+   [page_bytes]; [n] may be 0. *)
+type start = At of int | Unaligned of int | Below_limit of int | Below_page of int
+
+let bulk_arb =
+  let pages = 6 in
+  let words = pages * 1024 in
   QCheck.make
-    ~print:(fun (ways, warm, nz, (off, n)) ->
-      Printf.sprintf "ways=%d warm=%d nonzero=[%s] off=%d n=%d" ways
-        (List.length warm)
+    ~print:(fun (ways, warm, nz, (start, n)) ->
+      Printf.sprintf "ways=%d warm=[%s] nonzero=[%s] start=%s n=%d" ways
+        (String.concat ";" (List.map string_of_int warm))
         (String.concat ";" (List.map string_of_int nz))
-        off n)
+        (match start with
+        | At w -> Printf.sprintf "word %d" w
+        | Unaligned w -> Printf.sprintf "word %d + 2" w
+        | Below_limit w -> Printf.sprintf "%d words below limit" w
+        | Below_page w -> Printf.sprintf "%d words below page_bytes" w)
+        n)
     QCheck.Gen.(
       quad (oneofl [ 0; 1; 2; 4 ])
-        (list_size (int_bound 40) (int_bound 2047))
-        (list_size (int_bound 4) (int_bound 2047))
+        (list_size (int_bound 60) (int_bound (words - 1)))
+        (list_size (int_bound 4) (int_bound (words - 1)))
         (pair
            (frequency
-              [ (1, return (-1)); (4, int_bound 2047); (3, int_range 1800 2047) ])
-           (int_bound 300)))
+              [
+                (4, map (fun w -> At w) (int_bound (words - 1)));
+                (1, map (fun w -> Unaligned w) (int_bound (words - 1)));
+                (3, map (fun w -> Below_limit w) (int_range 1 300));
+                (1, map (fun w -> Below_page w) (int_range 0 8));
+              ])
+           (frequency [ (1, return 0); (6, int_bound 300) ])))
 
-let prop_find_nonzero_matches_loads =
-  QCheck.Test.make ~name:"find_nonzero cost-identical to a load loop"
-    ~count:300 scan_arb (fun (ways, warm, nz, (off, n)) ->
+let prop_bulk_reads_match_loads =
+  QCheck.Test.make ~name:"bulk reads cost-identical to a load loop"
+    ~count:400 bulk_arb (fun (ways, warm, nz, (start, n)) ->
       let setup () =
         let machine =
-          Sim.Machine.with_associativity Sim.Machine.ultrasparc_i
-            ~ways:(max ways 1)
+          if ways <= 1 then Sim.Machine.ultrasparc_i
+          else Sim.Machine.with_associativity Sim.Machine.ultrasparc_i ~ways
         in
         let m = Sim.Memory.create ~machine ~with_cache:(ways > 0) () in
-        (* Two pages: a scan from near the end runs off the mapped range. *)
-        let base = Sim.Memory.map_pages m 2 in
+        let base = Sim.Memory.map_pages m 6 in
         List.iter (fun w -> Sim.Memory.poke m (base + (w * 4)) (w + 1)) nz;
         List.iter (fun w -> ignore (Sim.Memory.load m (base + (w * 4)))) warm;
-        (* [off = -1] starts the scan unaligned. *)
-        (m, if off < 0 then base + 2 else base + (off * 4))
+        let addr =
+          match start with
+          | At w -> base + (w * 4)
+          | Unaligned w -> base + (w * 4) + 2
+          | Below_limit w -> Sim.Memory.limit m - (w * 4)
+          | Below_page w -> base - (w * 4)
+        in
+        (m, addr)
       in
       let observed m =
         let c = Sim.Memory.cost m in
@@ -839,20 +864,32 @@ let prop_find_nonzero_matches_loads =
             Sim.Cost.cycles c ) )
       in
       let outcome f =
-        match f () with i -> Ok i | exception Sim.Memory.Fault _ -> Error ()
+        match f () with
+        | v -> Ok v
+        | exception Sim.Memory.Fault msg -> Error msg
       in
-      let m1, a1 = setup () in
-      let r1 =
-        outcome (fun () ->
-            let i = ref 0 in
-            while !i < n && Sim.Memory.load m1 (a1 + (!i * 4)) = 0 do
-              incr i
-            done;
-            !i)
+      (* [run f] is [f]'s result and the counters it leaves. *)
+      let run f =
+        let m, addr = setup () in
+        let r = outcome (fun () -> f m addr) in
+        (r, observed m)
       in
-      let m2, a2 = setup () in
-      let r2 = outcome (fun () -> Sim.Memory.find_nonzero m2 a2 n) in
-      r1 = r2 && observed m1 = observed m2)
+      (* The words a [load] loop reads, and the index it stops at. *)
+      let load_loop ~stop_at_nonzero m addr =
+        let out = ref [] and i = ref 0 and stop = ref false in
+        while (not !stop) && !i < n do
+          let v = Sim.Memory.load m (addr + (!i * 4)) in
+          out := v :: !out;
+          if stop_at_nonzero && v <> 0 then stop := true else incr i
+        done;
+        (!i, Array.of_list (List.rev !out))
+      in
+      let all = run (load_loop ~stop_at_nonzero:false) in
+      let scan = run (load_loop ~stop_at_nonzero:true) in
+      let project f (r, obs) = (Result.map f r, obs) in
+      project snd all = run (fun m a -> Sim.Memory.load_block m a n)
+      && project ignore all = run (fun m a -> Sim.Memory.charge_loads m a n)
+      && project fst scan = run (fun m a -> Sim.Memory.find_nonzero m a n))
 
 let () =
   let tc = Alcotest.test_case in
@@ -898,7 +935,7 @@ let () =
           qtest prop_store_bytes_matches_loop;
           qtest prop_clear_matches_store_loop;
           qtest prop_cache_matches_reference;
-          qtest prop_find_nonzero_matches_loads;
+          qtest prop_bulk_reads_match_loads;
         ] );
       ( "cache",
         [

@@ -343,8 +343,9 @@ let api_work api _ i = Workloads.Api.work api (i land 7)
 (* Allocator bookkeeping allocates nothing on the host either: after a
    warm-up that grows every table it touches, 10 000 operations and 10
    move the minor heap by the same amount.  Fails if the Stats address
-   table, the free-list policies, the cost-context switch or the
-   collector's page lookup go back to allocating per call. *)
+   table, the free-list policies (small and large bins), the
+   cost-context switch or the collector's page lookup go back to
+   allocating per call. *)
 let same_minor_words name op =
   let minor_words n =
     let before = Gc.minor_words () in
@@ -367,7 +368,9 @@ let test_malloc_free_allocates_nothing () =
       Array.iter (Workloads.Api.free api) warm;
       same_minor_words
         (Workloads.Api.mode_name (Workloads.Api.Direct backend))
-        (fun () -> Workloads.Api.free api (Workloads.Api.malloc api 24)))
+        (fun () ->
+          Workloads.Api.free api (Workloads.Api.malloc api 24);
+          Workloads.Api.free api (Workloads.Api.malloc api 700)))
     Workloads.Api.[ Sun; Bsd; Lea ]
 
 let test_gc_malloc_allocates_nothing () =
