@@ -39,8 +39,6 @@ let hdr t c = Sim.Memory.load t.mem c
 let set_hdr t c v = Sim.Memory.store t.mem c v
 let size_of h = h land lnot 7
 let chunk_size t c = size_of (hdr t c)
-let chunk_in_use t c = hdr t c land cinuse <> 0
-let prev_in_use t c = hdr t c land pinuse <> 0
 let set_footer t c size = Sim.Memory.store t.mem (c + size - 4) size
 
 (* ------------------------------------------------------------------ *)

@@ -50,8 +50,6 @@ val static_area : t -> int
 (** Header accessors (free chunks only have meaningful links). *)
 
 val chunk_size : t -> int -> int
-val chunk_in_use : t -> int -> bool
-val prev_in_use : t -> int -> bool
 
 (** Doubly-linked free-list helpers for policies.  Lists are threaded
     through free chunks ([next] at +4, [prev] at +8, 0-terminated);

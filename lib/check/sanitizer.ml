@@ -136,8 +136,6 @@ let iter_redzone_words t f =
   Hashtbl.iter (fun _ b -> zones b) t.live;
   Queue.iter zones t.fifo
 
-let live_blocks t = Hashtbl.length t.live
-
 let wrap ?(config = default) under =
   let t =
     {

@@ -76,5 +76,3 @@ val iter_redzone_words : t -> (int -> unit) -> unit
     (front and rear, live and quarantined blocks).  Cost-free; the
     bit-flip fault injector aims corruption here to prove the
     sanitizer catches every flip in a redzoned heap. *)
-
-val live_blocks : t -> int

@@ -156,7 +156,6 @@ let pop_operand t fr =
       v
   | [] -> invalid_arg "Mutator.pop_operand: empty operand stack"
 
-let operand_depth fr = List.length fr.operands
 let operands fr = fr.operands
 
 let iter_live_ptrs fr f =

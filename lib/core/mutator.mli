@@ -104,7 +104,6 @@ val is_ptr_slot : frame -> int -> bool
 
 val push_operand : t -> frame -> value:int -> is_ptr:bool -> unit
 val pop_operand : t -> frame -> int
-val operand_depth : frame -> int
 
 val operands : frame -> (int * bool) list
 (** The operand stack, newest first, with each value's

@@ -96,7 +96,6 @@ type t = {
 let memory t = t.mem
 let mutator t = t.mutator
 let cleanups t = t.cleanups
-let is_safe t = t.safe
 let stats t = t.stats
 let rstats t = t.rstats
 let cost t = Sim.Memory.cost t.mem
@@ -109,8 +108,6 @@ let os_bytes t =
 
 let live_pages t =
   (t.pages_mapped - t.pool_len - t.block_pages)
-
-let pool_pages t = t.pool_len
 
 (* ------------------------------------------------------------------ *)
 (* Page map *)
@@ -371,8 +368,6 @@ let set_mutator t mid =
       end;
       b.cur <- mid
 
-let current_mutator t = t.mutator_id
-
 let bump_stats t =
   match t.bump with
   | None ->
@@ -448,14 +443,6 @@ let close_ars_on t r =
               (fun ar -> if ar.ar_region = r then ar_close t b ar)
               b.ars)
 
-let flush_alloc_regions t =
-  match t.bump with
-  | None -> ()
-  | Some b ->
-      if b.open_count > 0 then
-        Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () ->
-            Array.iter (fun ar -> ar_close t b ar) b.ars)
-
 (* Cost-free write-back for the introspection helpers: peeking code
    (invariant checks, object walks) must see a consistent structure
    without perturbing any simulated count.  The charged close later
@@ -501,7 +488,6 @@ let newregion_body t () =
   set_page_region t p r;
   t.hosts.(p lsr 12) <-
     Some { region = r; counts = Rstats.on_new t.rstats; large = [] };
-  Obs.Tracer.region_create (Sim.Memory.tracer t.mem) r;
   r
 
 let newregion t =
@@ -835,7 +821,6 @@ let deleteregion t ptr =
        always succeeds and runs no cleanups. *)
     release_region t r;
     clear_rptr t ptr;
-    Obs.Tracer.region_delete (Sim.Memory.tracer t.mem) ~deleted:true r;
     true
   end
   else begin
@@ -852,7 +837,6 @@ let deleteregion t ptr =
       clear_rptr t ptr
     end;
     if not t.eager_locals then unscan_top t;
-    Obs.Tracer.region_delete (Sim.Memory.tracer t.mem) ~deleted:deletable r;
     deletable
   end
 

@@ -64,7 +64,6 @@ val create :
 val memory : t -> Sim.Memory.t
 val mutator : t -> Mutator.t
 val cleanups : t -> Cleanup.t
-val is_safe : t -> bool
 val stats : t -> Alloc.Stats.t
 val rstats : t -> Rstats.t
 
@@ -153,8 +152,6 @@ val set_mutator : t -> int -> unit
     mutator's alloc region stays open across switches.  Valid with the
     bump machinery off, where it only records the identity. *)
 
-val current_mutator : t -> int
-
 type bump_stats = {
   bs_hits : int;  (** fast-path allocations *)
   bs_opens : int;  (** alloc-region opens (region switches) *)
@@ -167,12 +164,6 @@ type bump_stats = {
 
 val bump_stats : t -> bump_stats
 (** All zero while the machinery is off. *)
-
-val flush_alloc_regions : t -> unit
-(** Charged close of every open alloc region (deferred offsets and end
-    markers written back).  Deletion does this automatically for the
-    region being deleted; call it before reading region structures
-    externally at a measurement point. *)
 
 (** {1 Compiler-generated operations} *)
 
@@ -201,8 +192,6 @@ val exact_refcount : t -> region -> int
 
 val live_pages : t -> int
 (** Pages currently owned by live regions (excludes the pool). *)
-
-val pool_pages : t -> int
 
 (** {1 Cost-free introspection}
 

@@ -1,7 +1,5 @@
 type pos = { line : int; col : int }
 
-let pp_pos ppf p = Fmt.pf ppf "%d:%d" p.line p.col
-
 type ty = Tint | Tregion | Trptr of string | Tnptr of string
 
 let pp_ty ppf = function

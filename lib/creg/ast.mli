@@ -9,8 +9,6 @@
 
 type pos = { line : int; col : int }
 
-val pp_pos : pos Fmt.t
-
 type ty =
   | Tint
   | Tregion

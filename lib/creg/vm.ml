@@ -28,18 +28,6 @@ let create ?(max_steps = 50_000_000) lib prog =
     out_rev = [];
   }
 
-let global_index t name =
-  let n = Array.length t.prog.Bytecode.bp_globals in
-  let rec go i =
-    if i = n then fault "unknown global %s" name
-    else if fst t.prog.Bytecode.bp_globals.(i) = name then i
-    else go (i + 1)
-  in
-  go 0
-
-let global_value t name =
-  Sim.Memory.peek t.mem (Regions.Mutator.global_addr t.mut (global_index t name))
-
 let truth v = if v then 1 else 0
 
 let eval_binop op a b =

@@ -33,6 +33,3 @@ val run_source :
 (** Convenience: compile and run a source string on a fresh simulated
     machine; returns the outcome and the region library for
     inspection. *)
-
-val global_value : t -> string -> int
-(** Read a creg global by name after a run (tests). *)

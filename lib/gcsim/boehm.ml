@@ -63,7 +63,6 @@ type t = {
   fraction : float;
   roots : (int -> unit) -> unit;
   mutable collections : int;
-  mutable live_last : int;
 }
 
 let bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -259,7 +258,6 @@ let collect_into t =
             end
       | Large _ -> ())
     t.blocks;
-  t.live_last <- !live;
   t.heap_at_gc <- t.heap_bytes;
   t.since_gc <- 0;
   Obs.Tracer.gc_end (Sim.Memory.tracer t.mem) ~live_bytes:!live
@@ -355,7 +353,6 @@ let is_live t addr =
 
 let collections t = t.collections
 let heap_bytes t = t.heap_bytes
-let live_bytes_last_gc t = t.live_last
 
 (* Invariant checking (cost-free peeks): every class free list must
    thread through unallocated, correctly aligned slots of blocks of
@@ -414,7 +411,6 @@ let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
       fraction = heap_fraction;
       roots;
       collections = 0;
-      live_last = 0;
     }
   in
   let allocator =

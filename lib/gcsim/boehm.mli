@@ -66,7 +66,6 @@ val collect : t -> unit
 
 val collections : t -> int
 val heap_bytes : t -> int
-val live_bytes_last_gc : t -> int
 
 val is_live : t -> int -> bool
 (** Whether the address is currently an allocated object (tests). *)

@@ -170,9 +170,3 @@ let to_string t = Json.to_string (to_json t)
 let of_string s =
   let* j = Json.of_string s in
   of_json j
-
-(* Measurement equality: everything the renderers can see.  Provenance
-   is deliberately excluded — the golden gate compares results across
-   builds, whose build ids differ by construction. *)
-let equal_measurements a b =
-  a.size = b.size && encode_result a.result = encode_result b.result

@@ -45,7 +45,3 @@ val encode_result : Workloads.Results.t -> Json.t
     part of a cell the golden gate compares. *)
 
 val decode_result : Json.t -> (Workloads.Results.t, string) result
-
-val equal_measurements : t -> t -> bool
-(** Size and every measurement equal; provenance ignored (build ids
-    differ between builds by construction). *)

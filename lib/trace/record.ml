@@ -139,17 +139,23 @@ let remove_obj st ~base =
 
 let recorder_of st =
   let emit r = Format.emit st.w r in
+  let marked b e name f =
+    emit (Mark { name; kind = b });
+    let v = f () in
+    emit (Mark { name; kind = e });
+    v
+  in
   {
-    Api.rec_malloc =
+    Api.on_malloc =
       (fun ~size ~addr ->
         Format.emit_malloc st.w ~size;
         add_obj st ~addr ~bytes:size None);
-    rec_free =
+    on_free =
       (fun ~addr ->
         match remove_obj st ~base:addr with
         | Some id -> Format.emit_free st.w ~id
         | None -> invalid_arg "Trace.Record: free of an unrecorded block");
-    rec_newregion =
+    on_newregion =
       (fun ~r ->
         Format.emit_newregion st.w;
         let rid = st.next_reg in
@@ -158,22 +164,22 @@ let recorder_of st =
         ensure_reg st w;
         st.reg_rid.(w) <- rid + 1;
         st.reg_handle.(w) <- r);
-    rec_ralloc =
+    on_ralloc =
       (fun ~r ~layout ~addr ->
         let rid = rid_of st r in
         Format.emit_ralloc st.w ~rid layout;
         add_obj st ~addr ~bytes:layout.Regions.Cleanup.size_bytes (Some rid));
-    rec_rstralloc =
+    on_rstralloc =
       (fun ~r ~size ~addr ->
         let rid = rid_of st r in
         Format.emit_rstralloc st.w ~rid ~size;
         add_obj st ~addr ~bytes:size (Some rid));
-    rec_rarrayalloc =
+    on_rarrayalloc =
       (fun ~r ~n ~layout ~addr ->
         let rid = rid_of st r in
         Format.emit_rarrayalloc st.w ~rid ~n layout;
         add_obj st ~addr ~bytes:(n * Regions.Cleanup.stride layout) (Some rid));
-    rec_deleteregion =
+    on_deleteregion =
       (fun ~frame ~slot ~r ~ok ->
         (* The rid travels in the record (inert for sequential-id
            recorded traces, load-bearing for recycled generated ones). *)
@@ -192,30 +198,27 @@ let recorder_of st =
                     !bases;
                   Hashtbl.remove st.region_objs rid
             end);
-    rec_frame_push =
+    on_frame_push =
       (fun ~nslots ~ptr_slots -> emit (Frame_push { nslots; ptr_slots }));
-    rec_frame_pop = (fun () -> emit Frame_pop);
-    rec_store = (fun ~addr v -> Format.emit_poke st.w ~addr ~v);
-    rec_store_block = (fun ~addr words -> Format.emit_poke_block st.w ~addr words);
-    rec_store_bytes = (fun ~addr s -> Format.emit_poke_bytes st.w ~addr s);
-    rec_clear = (fun ~addr ~bytes -> Format.emit_clear st.w ~addr ~bytes);
-    rec_store_ptr =
+    on_frame_pop = (fun () -> emit Frame_pop);
+    on_store = (fun ~addr v -> Format.emit_poke st.w ~addr ~v);
+    on_store_block = (fun ~addr words -> Format.emit_poke_block st.w ~addr words);
+    on_store_bytes = (fun ~addr s -> Format.emit_poke_bytes st.w ~addr s);
+    on_clear = (fun ~addr ~bytes -> Format.emit_clear st.w ~addr ~bytes);
+    on_store_ptr =
       (fun ~addr v ->
         Format.emit_store_ptr st.w ~addr:(classify st addr) ~v:(classify st v));
-    rec_set_local =
+    on_set_local =
       (fun ~frame ~slot v ->
         Format.emit_set_local st.w ~frame ~slot ~v:(classify st v));
-    rec_set_local_ptr =
+    on_set_local_ptr =
       (fun ~frame ~slot v ->
         Format.emit_set_local_ptr st.w ~frame ~slot ~v:(classify st v));
-    rec_gc_roots = (fun roots -> Format.emit_gc_roots st.w roots);
-    rec_phase =
-      (fun name b ->
-        emit (Mark { name; kind = (if b then Phase_begin else Phase_end) }));
-    rec_site =
-      (fun name b ->
-        emit (Mark { name; kind = (if b then Site_begin else Site_end) }));
-    rec_set_mutator = (fun ~mid ~bump -> emit (Set_mutator { mid; bump }));
+    on_gc_roots = (fun roots -> Format.emit_gc_roots st.w roots);
+    on_work = ignore;
+    phase = (fun name f -> marked Phase_begin Phase_end name f);
+    site = (fun name f -> marked Site_begin Site_end name f);
+    on_set_mutator = (fun ~mid ~bump -> emit (Set_mutator { mid; bump }));
   }
 
 let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
@@ -250,7 +253,7 @@ let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
     }
   in
   match
-    let api = Api.create ~with_cache:true ~recorder:(recorder_of st) mode in
+    let api = Api.create ~with_cache:true ~sink:(recorder_of st) mode in
     let summary = spec.run api size in
     (Workloads.Results.collect api ~workload:spec.name ~summary, summary)
   with

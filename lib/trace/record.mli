@@ -1,5 +1,6 @@
-(** Recording: run a workload once with a {!Workloads.Api.recorder}
-    attached and stream its allocation trace to disk.
+(** Recording: run a workload once with a recording
+    {!Workloads.Api.sink} attached and stream its allocation trace to
+    disk.
 
     One workload yields up to two traces, one per {e trace variant} —
     the set of allocator columns that execute the same API-level

@@ -29,35 +29,91 @@ let all_modes =
 
 type region = int
 
-(* Allocation-trace recorder: one callback per operation that a replay
-   must reproduce.  The facade invokes these as pure observation —
-   after the simulated effect, charging nothing — so a recorded run's
-   measurements are identical to an unrecorded one.  [lib/trace]
-   supplies the implementation; keeping the type here lets the facade
-   stay below lib/trace in the dependency order. *)
-type recorder = {
-  rec_malloc : size:int -> addr:int -> unit;
-  rec_free : addr:int -> unit;
-  rec_newregion : r:region -> unit;
-  rec_ralloc : r:region -> layout:Regions.Cleanup.layout -> addr:int -> unit;
-  rec_rstralloc : r:region -> size:int -> addr:int -> unit;
-  rec_rarrayalloc :
+(* The facade's one observer: a hook per operation, called after the
+   simulated effect and charging nothing, so an observed run's
+   measurements are identical to an unobserved one.  [lib/trace]
+   supplies the recorder; keeping the type here lets the facade stay
+   below lib/trace in the dependency order. *)
+type sink = {
+  on_malloc : size:int -> addr:int -> unit;
+  on_free : addr:int -> unit;
+  on_newregion : r:region -> unit;
+  on_ralloc : r:region -> layout:Regions.Cleanup.layout -> addr:int -> unit;
+  on_rstralloc : r:region -> size:int -> addr:int -> unit;
+  on_rarrayalloc :
     r:region -> n:int -> layout:Regions.Cleanup.layout -> addr:int -> unit;
-  rec_deleteregion : frame:int -> slot:int -> r:region -> ok:bool -> unit;
-  rec_frame_push : nslots:int -> ptr_slots:int list -> unit;
-  rec_frame_pop : unit -> unit;
-  rec_store : addr:int -> int -> unit;
-  rec_store_block : addr:int -> int array -> unit;
-  rec_store_bytes : addr:int -> string -> unit;
-  rec_clear : addr:int -> bytes:int -> unit;
-  rec_store_ptr : addr:int -> int -> unit;
-  rec_set_local : frame:int -> slot:int -> int -> unit;
-  rec_set_local_ptr : frame:int -> slot:int -> int -> unit;
-  rec_gc_roots : int array -> unit;
-  rec_phase : string -> bool -> unit;
-  rec_site : string -> bool -> unit;
-  rec_set_mutator : mid:int -> bump:bool -> unit;
+  on_deleteregion : frame:int -> slot:int -> r:region -> ok:bool -> unit;
+  on_frame_push : nslots:int -> ptr_slots:int list -> unit;
+  on_frame_pop : unit -> unit;
+  on_store : addr:int -> int -> unit;
+  on_store_block : addr:int -> int array -> unit;
+  on_store_bytes : addr:int -> string -> unit;
+  on_clear : addr:int -> bytes:int -> unit;
+  on_store_ptr : addr:int -> int -> unit;
+  on_set_local : frame:int -> slot:int -> int -> unit;
+  on_set_local_ptr : frame:int -> slot:int -> int -> unit;
+  on_gc_roots : int array -> unit;
+  on_work : int -> unit;
+  on_set_mutator : mid:int -> bump:bool -> unit;
+  phase : 'a. string -> (unit -> 'a) -> 'a;
+  site : 'a. string -> (unit -> 'a) -> 'a;
 }
+
+let null_sink =
+  {
+    on_malloc = (fun ~size:_ ~addr:_ -> ());
+    on_free = (fun ~addr:_ -> ());
+    on_newregion = (fun ~r:_ -> ());
+    on_ralloc = (fun ~r:_ ~layout:_ ~addr:_ -> ());
+    on_rstralloc = (fun ~r:_ ~size:_ ~addr:_ -> ());
+    on_rarrayalloc = (fun ~r:_ ~n:_ ~layout:_ ~addr:_ -> ());
+    on_deleteregion = (fun ~frame:_ ~slot:_ ~r:_ ~ok:_ -> ());
+    on_frame_push = (fun ~nslots:_ ~ptr_slots:_ -> ());
+    on_frame_pop = (fun () -> ());
+    on_store = (fun ~addr:_ _ -> ());
+    on_store_block = (fun ~addr:_ _ -> ());
+    on_store_bytes = (fun ~addr:_ _ -> ());
+    on_clear = (fun ~addr:_ ~bytes:_ -> ());
+    on_store_ptr = (fun ~addr:_ _ -> ());
+    on_set_local = (fun ~frame:_ ~slot:_ _ -> ());
+    on_set_local_ptr = (fun ~frame:_ ~slot:_ _ -> ());
+    on_gc_roots = (fun _ -> ());
+    on_work = (fun _ -> ());
+    on_set_mutator = (fun ~mid:_ ~bump:_ -> ());
+    phase = (fun _ f -> f ());
+    site = (fun _ f -> f ());
+  }
+
+(* The tracer's facade events.  Page maps, the write barrier and
+   collections happen below the facade and reach the tracer through
+   the memory instead.  An emulated array takes whole strides, as its
+   malloc does. *)
+let tracer_sink tr mode =
+  let array_bytes n layout =
+    match mode with
+    | Emulated _ -> n * Regions.Cleanup.stride layout
+    | Direct _ | Region _ -> n * layout.Regions.Cleanup.size_bytes
+  in
+  {
+    null_sink with
+    on_malloc = (fun ~size ~addr -> Obs.Tracer.malloc tr ~addr ~bytes:size);
+    on_free = (fun ~addr -> Obs.Tracer.free tr ~addr);
+    on_newregion = (fun ~r -> Obs.Tracer.region_create tr r);
+    on_ralloc =
+      (fun ~r:_ ~layout ~addr ->
+        Obs.Tracer.ralloc tr ~addr ~bytes:layout.Regions.Cleanup.size_bytes);
+    on_rstralloc =
+      (fun ~r:_ ~size ~addr -> Obs.Tracer.ralloc tr ~addr ~bytes:size);
+    on_rarrayalloc =
+      (fun ~r:_ ~n ~layout ~addr ->
+        Obs.Tracer.ralloc tr ~addr ~bytes:(array_bytes n layout));
+    on_deleteregion =
+      (fun ~frame:_ ~slot:_ ~r ~ok ->
+        Obs.Tracer.region_delete tr ~deleted:ok r);
+    on_work = (fun _ -> Obs.Tracer.tick tr);
+    phase = (fun name f -> Obs.Tracer.phase tr name f);
+    site = (fun name f -> Obs.Tracer.site tr name f);
+  }
 
 (* An emulated region's objects: their number and word-rounded bytes,
    released from [req] in one step when the region is deleted. *)
@@ -77,23 +133,30 @@ type t = {
   mutable emu_overhead : int;  (* current bytes of emulation bookkeeping *)
   mutable emu_overhead_max : int;
   root_providers : ((int -> unit) -> unit) list ref;
-  tracer : Obs.Tracer.t;
-  recorder : recorder option;
+  sink : sink option;
 }
 
-let create ?machine ?(with_cache = true) ?(globals_words = 1024)
-    ?(offset_regions = true) ?(eager_locals = false) ?tracer ?recorder
-    ?gc_roots mode =
+let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
+    ?sink ?gc_roots mode =
   let mem = Sim.Memory.create ?machine ~with_cache () in
-  (* Attach the tracer before any manager runs so region creation,
-     page mapping and GC events from setup are observed too. *)
-  (match tracer with Some tr -> Sim.Memory.set_tracer mem tr | None -> ());
-  let mut = Regions.Mutator.create ~globals_words mem in
+  (* Attach the tracer before any manager runs so page mapping and GC
+     events from setup are observed too; its facade events come
+     through its sink. *)
+  let sink =
+    match (tracer, sink) with
+    | Some _, Some _ -> invalid_arg "Api.create: both ?tracer and ?sink"
+    | Some tr, None ->
+        Sim.Memory.set_tracer mem tr;
+        Some (tracer_sink tr mode)
+    | None, s -> s
+  in
+  let mut = Regions.Mutator.create mem in
   let providers = ref [] in
-  (* Three root regimes: live iteration (normal runs); live iteration
-     snapshotted per collection (recording — the collector only asks
-     for roots when it collects, so one snapshot per collection
-     suffices and replays exactly); snapshots fed back from a trace
+  (* Three root regimes: live iteration (unobserved runs); live
+     iteration snapshotted per collection for the sink (the recorder
+     writes it — the collector only asks for roots when it collects, so
+     one snapshot per collection suffices and replays exactly);
+     snapshots fed back from a trace
      (replay, where the recorded program's bookkeeping no longer
      exists).  Snapshot order is iteration order, so marking visits
      addresses identically in all three. *)
@@ -105,13 +168,13 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
           Regions.Mutator.iter_roots mut f;
           List.iter (fun prov -> prov f) !providers
         in
-        match recorder with
+        match sink with
         | None -> live f
-        | Some r ->
+        | Some s ->
             let buf = ref [] in
             live (fun v -> buf := v :: !buf);
             let arr = Array.of_list (List.rev !buf) in
-            r.rec_gc_roots arr;
+            s.on_gc_roots arr;
             Array.iter f arr)
   in
   let make_backend = function
@@ -135,9 +198,7 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
         ( None,
           None,
           None,
-          Some
-            (Regions.Region.create ~safe ~offset_regions ~eager_locals cleanups
-               mut) )
+          Some (Regions.Region.create ~safe ~offset_regions cleanups mut) )
   in
   let t =
     {
@@ -154,13 +215,12 @@ let create ?machine ?(with_cache = true) ?(globals_words = 1024)
       emu_overhead = 0;
       emu_overhead_max = 0;
       root_providers = providers;
-      tracer = Sim.Memory.tracer mem;
-      recorder;
+      sink;
     }
   in
   (* The probe reads counters without charging the simulation: the
      sampler and profiler are observers, never participants. *)
-  Obs.Tracer.set_probe t.tracer (fun () ->
+  Obs.Tracer.set_probe (Sim.Memory.tracer mem) (fun () ->
       let c = Sim.Memory.cost mem in
       let l1_hits, l1_misses, l2_misses, stores =
         match Sim.Memory.cache mem with
@@ -205,19 +265,15 @@ let memory t = t.mem
 let mutator t = t.mut
 let cost t = t.cost
 
-(* Recorder dispatch.  [recd] is a single cold branch when recording is
-   off; [frame_index] resolves a frame value to its stack depth (the
-   form a trace can name), searching from the top since workloads
-   almost always touch the current frame.  The store-family and
-   allocation entry points below match on [t.recorder] inline instead
-   of going through [recd]: passing [recd] a closure would allocate it
-   per call, recording or not, and those calls sit on the workloads'
-   hottest paths. *)
-let recd t f = match t.recorder with Some r -> f r | None -> ()
-
+(* Sink dispatch: each entry point matches on [t.sink] once, inline —
+   a helper taking the hook as a closure would allocate it per call,
+   observed or not, on the workloads' hottest paths.  [frame_index]
+   resolves a frame value to its stack depth (the form a trace can
+   name), searching from the top since workloads almost always touch
+   the current frame. *)
 let frame_index t fr =
   let rec go i =
-    if i < 0 then invalid_arg "Api: recorded frame is not on the stack"
+    if i < 0 then invalid_arg "Api: observed frame is not on the stack"
     else if Regions.Mutator.frame t.mut i == fr then i
     else go (i - 1)
   in
@@ -231,7 +287,7 @@ let load t addr = Sim.Memory.load t.mem addr
 
 let store t addr v =
   Sim.Memory.store t.mem addr v;
-  match t.recorder with Some r -> r.rec_store ~addr v | None -> ()
+  match t.sink with Some s -> s.on_store ~addr v | None -> ()
 
 let load_byte t addr = Sim.Memory.load_byte t.mem addr
 
@@ -239,47 +295,47 @@ let load_block t addr n = Sim.Memory.load_block t.mem addr n
 
 let store_block t addr words =
   Sim.Memory.store_block t.mem addr words;
-  match t.recorder with Some r -> r.rec_store_block ~addr words | None -> ()
+  match t.sink with Some s -> s.on_store_block ~addr words | None -> ()
 
 let store_bytes t addr s =
   Sim.Memory.store_bytes t.mem addr s;
-  match t.recorder with Some r -> r.rec_store_bytes ~addr s | None -> ()
+  match t.sink with Some k -> k.on_store_bytes ~addr s | None -> ()
 
 let clear t addr bytes =
   Sim.Memory.clear t.mem addr bytes;
-  match t.recorder with Some r -> r.rec_clear ~addr ~bytes | None -> ()
+  match t.sink with Some s -> s.on_clear ~addr ~bytes | None -> ()
 
 let store_ptr t ~addr v =
   (match t.reg with
   | Some lib -> Regions.Region.write_ptr lib ~addr v
   | None -> Sim.Memory.store t.mem addr v);
-  match t.recorder with Some r -> r.rec_store_ptr ~addr v | None -> ()
+  match t.sink with Some s -> s.on_store_ptr ~addr v | None -> ()
 
 let work t n =
   Sim.Cost.instr t.cost n;
-  Obs.Tracer.tick t.tracer
+  match t.sink with Some s -> s.on_work n | None -> ()
 
 let with_frame t ~nslots ~ptr_slots f =
-  match t.recorder with
+  match t.sink with
   | None -> Regions.Mutator.with_frame t.mut ~nslots ~ptr_slots f
-  | Some r ->
-      r.rec_frame_push ~nslots ~ptr_slots;
+  | Some s ->
+      s.on_frame_push ~nslots ~ptr_slots;
       let v = Regions.Mutator.with_frame t.mut ~nslots ~ptr_slots f in
-      r.rec_frame_pop ();
+      s.on_frame_pop ();
       v
 
 let set_local t fr i v =
   Regions.Mutator.set_local t.mut fr i v;
-  match t.recorder with
-  | Some r -> r.rec_set_local ~frame:(frame_index t fr) ~slot:i v
+  match t.sink with
+  | Some s -> s.on_set_local ~frame:(frame_index t fr) ~slot:i v
   | None -> ()
 
 let set_local_ptr t fr i v =
   (match t.reg with
   | Some lib -> Regions.Region.set_local_ptr lib fr i v
   | None -> Regions.Mutator.set_local t.mut fr i v);
-  match t.recorder with
-  | Some r -> r.rec_set_local_ptr ~frame:(frame_index t fr) ~slot:i v
+  match t.sink with
+  | Some s -> s.on_set_local_ptr ~frame:(frame_index t fr) ~slot:i v
   | None -> ()
 
 let get_local = Regions.Mutator.get_local
@@ -296,20 +352,24 @@ let enable_bump t =
   (match t.reg with
   | Some lib -> Regions.Region.enable_bump lib
   | None -> ());
-  recd t (fun r ->
-      r.rec_set_mutator ~mid:(Regions.Mutator.current_id t.mut) ~bump:true)
+  match t.sink with
+  | Some s ->
+      s.on_set_mutator ~mid:(Regions.Mutator.current_id t.mut) ~bump:true
+  | None -> ()
 
 let set_mutator t mid =
   Regions.Mutator.set_current_id t.mut mid;
   (match t.reg with
   | Some lib -> Regions.Region.set_mutator lib mid
   | None -> ());
-  recd t (fun r ->
-      r.rec_set_mutator ~mid
+  match t.sink with
+  | Some s ->
+      s.on_set_mutator ~mid
         ~bump:
           (match t.reg with
           | Some lib -> Regions.Region.bump_active lib
-          | None -> false))
+          | None -> false)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* malloc / free *)
@@ -322,41 +382,33 @@ let malloc t size =
   | Direct _, Some a ->
       let p = a.Alloc.Allocator.malloc size in
       Alloc.Stats.on_alloc t.req ~addr:p ~size;
-      Obs.Tracer.malloc t.tracer ~addr:p ~bytes:size;
-      (match t.recorder with Some r -> r.rec_malloc ~size ~addr:p | None -> ());
+      (match t.sink with Some s -> s.on_malloc ~size ~addr:p | None -> ());
       p
   | _ -> unsupported t "malloc"
 
 let free t addr =
-  match (t.mode, t.alloc) with
+  (match (t.mode, t.alloc) with
   | Direct Gc, Some _ ->
       (* Frees are compiled out under the collector; only the logical
          accounting proceeds. *)
-      Alloc.Stats.on_free t.req addr;
-      Obs.Tracer.free t.tracer ~addr;
-      (match t.recorder with Some r -> r.rec_free ~addr | None -> ())
+      Alloc.Stats.on_free t.req addr
   | Direct _, Some a ->
       Alloc.Stats.on_free t.req addr;
-      a.Alloc.Allocator.free addr;
-      Obs.Tracer.free t.tracer ~addr;
-      (match t.recorder with Some r -> r.rec_free ~addr | None -> ())
-  | _ -> unsupported t "free"
+      a.Alloc.Allocator.free addr
+  | _ -> unsupported t "free");
+  match t.sink with Some s -> s.on_free ~addr | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Regions *)
-
-(* Region objects are only ever freed with their region, so [req]
-   records them without their addresses (see {!deleteregion}). *)
-let track_object t addr size =
-  Alloc.Stats.on_group_alloc t.req size;
-  Obs.Tracer.ralloc t.tracer ~addr ~bytes:size
 
 let bump_emu_overhead t bytes =
   t.emu_overhead <- t.emu_overhead + bytes;
   if t.emu_overhead > t.emu_overhead_max then t.emu_overhead_max <- t.emu_overhead
 
-let track_emu_object t r addr size =
-  track_object t addr size;
+(* Region objects are only ever freed with their region, so [req]
+   records them without their addresses (see {!deleteregion}). *)
+let track_emu_object t r size =
+  Alloc.Stats.on_group_alloc t.req size;
   let bytes = (size + 3) land lnot 3 in
   (match Alloc.Int_table.find t.emu_regions r with
   | e ->
@@ -373,11 +425,10 @@ let newregion t =
     | None, Some emu ->
         let r = Regions.Emulation.newregion emu in
         bump_emu_overhead t 12 (* region record + its malloc header *);
-        Obs.Tracer.region_create t.tracer r;
         r
     | None, None -> unsupported t "newregion"
   in
-  (match t.recorder with Some rc -> rc.rec_newregion ~r | None -> ());
+  (match t.sink with Some s -> s.on_newregion ~r | None -> ());
   r
 
 let ralloc t r layout =
@@ -385,19 +436,17 @@ let ralloc t r layout =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.ralloc lib r layout in
-        track_object t p layout.Regions.Cleanup.size_bytes;
+        Alloc.Stats.on_group_alloc t.req layout.Regions.Cleanup.size_bytes;
         p
     | None, Some emu ->
         let p =
           Regions.Emulation.ralloc emu r layout.Regions.Cleanup.size_bytes
         in
-        track_emu_object t r p layout.Regions.Cleanup.size_bytes;
+        track_emu_object t r layout.Regions.Cleanup.size_bytes;
         p
     | None, None -> unsupported t "ralloc"
   in
-  (match t.recorder with
-  | Some rc -> rc.rec_ralloc ~r ~layout ~addr:p
-  | None -> ());
+  (match t.sink with Some s -> s.on_ralloc ~r ~layout ~addr:p | None -> ());
   p
 
 let rstralloc t r size =
@@ -405,17 +454,15 @@ let rstralloc t r size =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.rstralloc lib r size in
-        track_object t p size;
+        Alloc.Stats.on_group_alloc t.req size;
         p
     | None, Some emu ->
         let p = Regions.Emulation.rstralloc emu r size in
-        track_emu_object t r p size;
+        track_emu_object t r size;
         p
     | None, None -> unsupported t "rstralloc"
   in
-  (match t.recorder with
-  | Some rc -> rc.rec_rstralloc ~r ~size ~addr:p
-  | None -> ());
+  (match t.sink with Some s -> s.on_rstralloc ~r ~size ~addr:p | None -> ());
   p
 
 let rarrayalloc t r ~n layout =
@@ -423,40 +470,44 @@ let rarrayalloc t r ~n layout =
     match (t.reg, t.emu) with
     | Some lib, _ ->
         let p = Regions.Region.rarrayalloc lib r ~n layout in
-        track_object t p (n * layout.Regions.Cleanup.size_bytes);
+        Alloc.Stats.on_group_alloc t.req
+          (n * layout.Regions.Cleanup.size_bytes);
         p
     | None, Some emu ->
         let bytes = n * Regions.Cleanup.stride layout in
         let p = Regions.Emulation.ralloc emu r bytes in
-        track_emu_object t r p bytes;
+        track_emu_object t r bytes;
         p
     | None, None -> unsupported t "rarrayalloc"
   in
-  (match t.recorder with
-  | Some rc -> rc.rec_rarrayalloc ~r ~n ~layout ~addr:p
+  (match t.sink with
+  | Some s -> s.on_rarrayalloc ~r ~n ~layout ~addr:p
   | None -> ());
   p
 
+(* A delete pops no frames, so the frame resolved after it is the one
+   the delete ran in. *)
+let observe_delete t fr slot r ok =
+  match t.sink with
+  | Some s -> s.on_deleteregion ~frame:(frame_index t fr) ~slot ~r ~ok
+  | None -> ()
+
 (* A deleted region's objects leave [req] in one step: under [Region]
    with the library's own per-region counts (read before the delete,
-   which drops them), emulated with [emu_regions]. *)
+   which drops them), emulated with [emu_regions].  Under [Region] the
+   sink sees the delete before [req] drops the objects, so a sample it
+   takes reads the live bytes the delete itself ran with. *)
 let deleteregion t fr slot =
-  (* The frame index is resolved before the delete: a successful
-     delete cannot pop frames, but resolving first keeps the recorded
-     order identical to the executed one. *)
-  let fidx = match t.recorder with Some _ -> frame_index t fr | None -> 0 in
   match (t.reg, t.emu) with
   | Some lib, _ ->
       let r = Regions.Mutator.get_local fr slot in
       let counts = Regions.Region.counts lib r in
       let ok = Regions.Region.deleteregion lib (Regions.Region.In_frame (fr, slot)) in
+      observe_delete t fr slot r ok;
       (match counts with
       | Some c when ok ->
           Alloc.Stats.on_group_free t.req ~count:c.allocs ~bytes:c.bytes
       | _ -> ());
-      (match t.recorder with
-      | Some rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok
-      | None -> ());
       ok
   | None, Some emu ->
       let r = Regions.Mutator.get_local fr slot in
@@ -472,10 +523,7 @@ let deleteregion t fr slot =
       t.emu_overhead <-
         t.emu_overhead - 12 - (objects * Regions.Emulation.overhead_per_object);
       Regions.Mutator.set_local t.mut fr slot 0;
-      Obs.Tracer.region_delete t.tracer ~deleted:true r;
-      (match t.recorder with
-      | Some rc -> rc.rec_deleteregion ~frame:fidx ~slot ~r ~ok:true
-      | None -> ());
+      observe_delete t fr slot r true;
       true
   | None, None -> unsupported t "deleteregion"
 
@@ -498,23 +546,5 @@ let region_lib t = t.reg
 (* ------------------------------------------------------------------ *)
 (* Observability *)
 
-let marked t mark name g =
-  match t.recorder with
-  | None -> g ()
-  | Some r ->
-      mark r name true;
-      let v = g () in
-      mark r name false;
-      v
-
-let phase t name f =
-  marked t
-    (fun r -> r.rec_phase)
-    name
-    (fun () -> Obs.Tracer.phase t.tracer name f)
-
-let site t name f =
-  marked t
-    (fun r -> r.rec_site)
-    name
-    (fun () -> Obs.Tracer.site t.tracer name f)
+let phase t name f = match t.sink with Some s -> s.phase name f | None -> f ()
+let site t name f = match t.sink with Some s -> s.site name f | None -> f ()

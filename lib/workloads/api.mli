@@ -31,63 +31,68 @@ type t
 
 type region = int
 
-(** Allocation-trace recorder: the [?recorder] mirror of [?tracer].
-    The facade calls one hook per operation a replay must reproduce,
-    always {e after} the simulated effect and charging nothing — a
-    recorded run's measurements are byte-identical to an unrecorded
-    one.  [frame] arguments are stack depths (0 = oldest frame), the
-    form a trace can name across runs.  [Trace.Record] supplies the
-    implementation; the type lives here so the facade stays below
-    [lib/trace] in the dependency order. *)
-type recorder = {
-  rec_malloc : size:int -> addr:int -> unit;
-  rec_free : addr:int -> unit;
-  rec_newregion : r:region -> unit;
-  rec_ralloc : r:region -> layout:Regions.Cleanup.layout -> addr:int -> unit;
-  rec_rstralloc : r:region -> size:int -> addr:int -> unit;
-  rec_rarrayalloc :
+(** The facade's one observer.  The facade calls one hook per
+    operation, always {e after} the simulated effect and charging
+    nothing, so an observed run's measurements are byte-identical to
+    an unobserved one.  [frame] arguments are stack depths (0 = oldest
+    frame), the form a trace can name across runs.  [Trace.Record]
+    implements a sink that writes the allocation trace; [create
+    ?tracer] installs one that feeds the tracer.  The type lives here
+    so the facade stays below [lib/trace] in the dependency order. *)
+type sink = {
+  on_malloc : size:int -> addr:int -> unit;
+  on_free : addr:int -> unit;
+  on_newregion : r:region -> unit;
+  on_ralloc : r:region -> layout:Regions.Cleanup.layout -> addr:int -> unit;
+  on_rstralloc : r:region -> size:int -> addr:int -> unit;
+  on_rarrayalloc :
     r:region -> n:int -> layout:Regions.Cleanup.layout -> addr:int -> unit;
-  rec_deleteregion : frame:int -> slot:int -> r:region -> ok:bool -> unit;
-  rec_frame_push : nslots:int -> ptr_slots:int list -> unit;
-  rec_frame_pop : unit -> unit;
-  rec_store : addr:int -> int -> unit;
-  rec_store_block : addr:int -> int array -> unit;
-  rec_store_bytes : addr:int -> string -> unit;
-  rec_clear : addr:int -> bytes:int -> unit;
-  rec_store_ptr : addr:int -> int -> unit;
-  rec_set_local : frame:int -> slot:int -> int -> unit;
-  rec_set_local_ptr : frame:int -> slot:int -> int -> unit;
-  rec_gc_roots : int array -> unit;
+  on_deleteregion : frame:int -> slot:int -> r:region -> ok:bool -> unit;
+  on_frame_push : nslots:int -> ptr_slots:int list -> unit;
+  on_frame_pop : unit -> unit;
+  on_store : addr:int -> int -> unit;
+  on_store_block : addr:int -> int array -> unit;
+  on_store_bytes : addr:int -> string -> unit;
+  on_clear : addr:int -> bytes:int -> unit;
+  on_store_ptr : addr:int -> int -> unit;
+  on_set_local : frame:int -> slot:int -> int -> unit;
+  on_set_local_ptr : frame:int -> slot:int -> int -> unit;
+  on_gc_roots : int array -> unit;
       (** One snapshot of every conservative root, in iteration order,
           taken at each collection (the only moment the collector asks). *)
-  rec_phase : string -> bool -> unit;  (** name, [true] = begin *)
-  rec_site : string -> bool -> unit;
-  rec_set_mutator : mid:int -> bump:bool -> unit;
+  on_work : int -> unit;  (** After {!work} charged the instructions. *)
+  on_set_mutator : mid:int -> bump:bool -> unit;
       (** Mutator handoff (or bump-path enablement), with the bump
           machinery's state at that point so a replay reproduces the
           allocation path exactly. *)
+  phase : 'a. string -> (unit -> 'a) -> 'a;
+      (** Brackets a {!phase}: must call the closure once and return
+          its result. *)
+  site : 'a. string -> (unit -> 'a) -> 'a;  (** Likewise for {!site}. *)
 }
 
+val null_sink : sink
+(** Every hook a no-op; [phase] and [site] just run the closure.  A
+    base for sinks that watch a few operations ([{ null_sink with ... }]). *)
+
 (** [create mode] builds a fresh simulated machine with the requested
-    memory manager.  [offset_regions] and [eager_locals] select the
-    region-library ablations of {!Regions.Region.create}; they only
-    matter under [Region] modes.  [tracer] attaches an observability
-    tracer before the manager starts, so setup-time events (page maps,
-    region creation) are captured too; the facade installs the
-    counter probe that feeds the tracer's time-series sampler.
-    [recorder] attaches an allocation-trace recorder (same neutrality
-    guarantee as [tracer]).  [gc_roots] overrides the collector's root
-    set with externally supplied snapshots — one call per collection —
-    which is how a replayed run reproduces the roots of the recorded
-    program without its bookkeeping. *)
+    memory manager.  [offset_regions] selects the region-offsetting
+    ablation of {!Regions.Region.create}; it only matters under
+    [Region] modes.  [tracer] attaches an observability tracer to the
+    memory before the manager starts, so setup-time page maps are
+    captured too, and installs the sink that feeds it the facade's
+    events and the counter probe that feeds its time-series sampler.
+    [sink] attaches any other observer; a run has at most one, so
+    passing both raises [Invalid_argument].  [gc_roots] overrides the
+    collector's root set with externally supplied snapshots — one call
+    per collection — which is how a replayed run reproduces the roots
+    of the recorded program without its bookkeeping. *)
 val create :
   ?machine:Sim.Machine.t ->
   ?with_cache:bool ->
-  ?globals_words:int ->
   ?offset_regions:bool ->
-  ?eager_locals:bool ->
   ?tracer:Obs.Tracer.t ->
-  ?recorder:recorder ->
+  ?sink:sink ->
   ?gc_roots:(unit -> int array) ->
   mode ->
   t
@@ -121,7 +126,7 @@ val clear : t -> int -> int -> unit
 (** [clear t addr bytes] zeroes a word-aligned range at one
     instruction per word ({!Sim.Memory.clear}).  Workloads use this
     rather than reaching for the memory directly so the write is
-    visible to an attached recorder. *)
+    visible to an attached sink. *)
 
 val store_ptr : t -> addr:int -> int -> unit
 (** Pointer store: the write barrier of Figure 5 under safe regions, a
@@ -207,7 +212,7 @@ val region_lib : t -> Regions.Region.t option
 
 val phase : t -> string -> (unit -> 'a) -> 'a
 (** Bracket a workload phase with trace markers; a no-op (beyond the
-    closure call) while tracing is disabled. *)
+    closure call) with no observer attached. *)
 
 val site : t -> string -> (unit -> 'a) -> 'a
 (** Run [f] under an allocation/attribution site tag. *)

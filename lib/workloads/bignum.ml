@@ -258,11 +258,6 @@ let mul ctx a b =
   charge ctx ((norm_len xa * norm_len xb) + 2);
   write ctx (arr_mul xa xb)
 
-let mul_small ctx a k =
-  let xa = read ctx a in
-  charge ctx (Array.length xa + 2);
-  write ctx (arr_mul_small xa k)
-
 let divmod ctx a d =
   let xa = read ctx a and xd = read ctx d in
   charge ctx ((arr_bits xa * (norm_len xd + 1)) + 4);

@@ -50,7 +50,6 @@ val sub : ctx -> nat -> nat -> nat
 (** @raise Invalid_argument if the result would be negative. *)
 
 val mul : ctx -> nat -> nat -> nat
-val mul_small : ctx -> nat -> int -> nat
 
 val divmod : ctx -> nat -> nat -> nat * nat
 (** [(quotient, remainder)].  @raise Division_by_zero. *)

@@ -21,7 +21,6 @@ let default_params =
     seed = 17;
   }
 
-let optimized_params = { default_params with optimized = true }
 let large_params = { default_params with query_rounds = 6; plagiarised_pairs = 8 }
 
 type outcome = {

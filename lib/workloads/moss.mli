@@ -28,7 +28,6 @@ type params = {
 }
 
 val default_params : params
-val optimized_params : params
 val large_params : params
 
 type outcome = {

@@ -313,6 +313,81 @@ let check_neutral spec mode =
 let test_neutrality_region () = check_neutral cfrac region_safe
 let test_neutrality_gc () = check_neutral cfrac (Workloads.Api.Direct Gc)
 
+(* {1 One observer per facade operation} *)
+
+let mudlle = Workloads.Workload.find "mudlle"
+
+type region_ops = {
+  mutable created : int;
+  mutable deleted : int;
+  mutable refused : int;
+}
+
+let region_ops () = { created = 0; deleted = 0; refused = 0 }
+
+(* A test-only sink that counts the region operations the facade
+   announces and observes nothing else. *)
+let counting_sink c =
+  {
+    Workloads.Api.null_sink with
+    on_newregion = (fun ~r:_ -> c.created <- c.created + 1);
+    on_deleteregion =
+      (fun ~frame:_ ~slot:_ ~r:_ ~ok ->
+        if ok then c.deleted <- c.deleted + 1 else c.refused <- c.refused + 1);
+  }
+
+let results_line_with_sink sink spec mode =
+  let api = Workloads.Api.create ~with_cache:true ~sink mode in
+  let summary = spec.Workloads.Workload.run api quick in
+  Fmt.str "%a" Workloads.Results.pp
+    (Workloads.Results.collect api ~workload:spec.name ~summary)
+
+(* The tracer's region events come from the facade's sink alone, so
+   under real and emulated regions alike they match, one for one, the
+   operations any other sink sees; and a sink that only counts moves
+   no simulated count. *)
+let check_region_events mode =
+  let traced = region_ops () in
+  with_tmp_file (fun path ->
+      let oc = open_out_bin path in
+      let tr = Obs.Tracer.create ~capacity:1024 () in
+      Obs.Ring.set_sink (Obs.Tracer.ring tr) (Some (Obs.Spill.sink oc));
+      let (_ : string) = results_line ~tracer:tr mudlle mode in
+      Obs.Ring.drain (Obs.Tracer.ring tr);
+      close_out oc;
+      check_int "nothing dropped" 0 (Obs.Ring.dropped (Obs.Tracer.ring tr));
+      Obs.Spill.read_file path (fun ~kind ~time:_ ~site:_ ~a:_ ~b ->
+          match Obs.Event.of_int kind with
+          | Obs.Event.Region_create -> traced.created <- traced.created + 1
+          | Region_delete when b = 1 -> traced.deleted <- traced.deleted + 1
+          | Region_delete -> traced.refused <- traced.refused + 1
+          | _ -> ()));
+  let seen = region_ops () in
+  let counted = results_line_with_sink (counting_sink seen) mudlle mode in
+  check_bool "regions were created" true (seen.created > 0);
+  check_bool "regions were deleted" true (seen.deleted > 0);
+  check_int "Region_create = newregion" seen.created traced.created;
+  check_int "Region_delete deleted = deleteregion ~ok:true" seen.deleted
+    traced.deleted;
+  check_int "Region_delete refused = deleteregion ~ok:false" seen.refused
+    traced.refused;
+  check_str "counting sink is count-neutral" (results_line mudlle mode) counted
+
+let test_region_events_region () = check_region_events region_safe
+
+let test_region_events_unsafe () =
+  check_region_events (Workloads.Api.Region { safe = false })
+
+let test_region_events_emulated () =
+  check_region_events (Workloads.Api.Emulated Lea)
+
+let test_one_observer () =
+  Alcotest.check_raises "tracer and sink together"
+    (Invalid_argument "Api.create: both ?tracer and ?sink") (fun () ->
+      ignore
+        (Workloads.Api.create ~tracer:(Obs.Tracer.create ())
+           ~sink:Workloads.Api.null_sink region_safe))
+
 (* {1 Trace artefacts on disk} *)
 
 let rec rm_rf path =
@@ -569,6 +644,16 @@ let () =
             test_neutrality_region;
           Alcotest.test_case "count-neutral under the collector" `Quick
             test_neutrality_gc;
+        ] );
+      ( "sink",
+        [
+          Alcotest.test_case "region events from one path (region)" `Quick
+            test_region_events_region;
+          Alcotest.test_case "region events from one path (unsafe)" `Quick
+            test_region_events_unsafe;
+          Alcotest.test_case "region events from one path (emu-lea)" `Quick
+            test_region_events_emulated;
+          Alcotest.test_case "one observer at a time" `Quick test_one_observer;
         ] );
       ( "artefacts",
         [
