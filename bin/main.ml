@@ -687,9 +687,10 @@ let docs_cmd =
             Filename.concat d (Filename.basename p))
       in
       Option.iter
-        (fun (_, regenerated) -> Harness.Docs.write_file (path doc) regenerated)
+        (fun (_, regenerated) ->
+          Harness.Tracefiles.write_file (path doc) regenerated)
         document;
-      Results.Store.save fresh (path golden)
+      Harness.Tracefiles.write_file (path golden) (Results.Store.to_string fresh)
     in
     if not check then begin
       write ();
@@ -910,7 +911,7 @@ let replay_cmd =
         let out =
           Filename.concat dir (Workloads.Api.mode_name mode ^ ".csv")
         in
-        Obs.Timeline.write_csv tl out;
+        Harness.Tracefiles.write_file out (Obs.Timeline.to_csv tl);
         Printf.printf "timeline: %s (%d samples @ every %d events)\n" out
           (Obs.Timeline.length tl)
           (Obs.Timeline.interval tl)

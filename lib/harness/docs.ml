@@ -10,20 +10,23 @@
 let open_marker id = Printf.sprintf "<!-- generated:%s -->" id
 let close_marker id = Printf.sprintf "<!-- /generated:%s -->" id
 
-let blocks : (string * (Matrix.t -> string)) list =
+(* The block renderers of one regeneration over [m].  The gentraces
+   and timeline blocks share one set of generated-trace replays. *)
+let blocks m : (string * (unit -> string)) list =
+  let gen = lazy (Gentraces.replays m) in
   [
-    ("table1", fun _ -> Table1.md ());
-    ("table2", Table23.table2_md);
-    ("table3", Table23.table3_md);
-    ("fig8", Fig8.md);
-    ("fig9", Fig9.md);
-    ("fig10", Fig10.md);
-    ("fig11", Fig11.md);
-    ("claims", Claims.md);
-    ("gentraces", Gentraces.md);
-    ("timeline", Timelines.md);
-    ("mutators", Mutators.md);
-    ("bumppath", Bumppath.md);
+    ("table1", fun () -> Table1.md ());
+    ("table2", fun () -> Table23.table2_md m);
+    ("table3", fun () -> Table23.table3_md m);
+    ("fig8", fun () -> Fig8.md m);
+    ("fig9", fun () -> Fig9.md m);
+    ("fig10", fun () -> Fig10.md m);
+    ("fig11", fun () -> Fig11.md m);
+    ("claims", fun () -> Claims.md m);
+    ("gentraces", fun () -> Gentraces.md (Lazy.force gen));
+    ("timeline", fun () -> Gentraces.timeline_md (Lazy.force gen));
+    ("mutators", fun () -> Mutators.md m);
+    ("bumppath", fun () -> Bumppath.md m);
   ]
 
 (* Naive substring search — the documents are tens of kilobytes. *)
@@ -71,6 +74,7 @@ let substitute_block doc id content =
             ^ String.sub doc j (String.length doc - j)))
 
 let regenerate m doc =
+  let blocks = blocks m in
   let known = List.map fst blocks in
   let unknown =
     List.filter (fun (id, _) -> not (List.mem id known)) (block_ids doc)
@@ -85,7 +89,7 @@ let regenerate m doc =
         (fun acc (id, render) ->
           Result.bind acc (fun doc ->
               if find_sub doc (open_marker id) 0 = None then Ok doc
-              else substitute_block doc id (render m)))
+              else substitute_block doc id (render ())))
         (Ok doc) blocks
 
 (* Readable line-level drift: the differing middle of the two texts
@@ -123,11 +127,3 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents);
-  Sys.rename tmp path

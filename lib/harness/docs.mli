@@ -7,10 +7,6 @@
     readable line diff when a committed document disagrees with its
     regeneration (the `repro docs --check` CI gate). *)
 
-val blocks : (string * (Matrix.t -> string)) list
-(** The known block ids (table1, table2, table3, fig8..fig11, claims)
-    with their markdown renderers. *)
-
 val open_marker : string -> string
 val close_marker : string -> string
 
@@ -20,9 +16,10 @@ val block_ids : string -> (string * int) list
 
 val regenerate : Matrix.t -> string -> (string, string) result
 (** [regenerate m doc] replaces the body of every known marked block
-    in [doc] with its freshly rendered content.  Blocks absent from
-    the document are skipped; an unknown block id or a missing close
-    marker is an [Error]. *)
+    (table1, table2, table3, fig8..fig11, claims, gentraces, timeline,
+    mutators, bumppath) in [doc] with its freshly rendered content.
+    Blocks absent from the document are skipped; an unknown block id
+    or a missing close marker is an [Error]. *)
 
 val drift : label:string -> current:string -> regenerated:string -> string list
 (** [[]] iff the two strings are byte-identical; otherwise a readable
@@ -30,6 +27,3 @@ val drift : label:string -> current:string -> regenerated:string -> string list
     with [label]. *)
 
 val read_file : string -> string
-
-val write_file : string -> string -> unit
-(** Atomic (write-to-temp then rename). *)

@@ -14,7 +14,6 @@ type t = {
   progress : string -> unit;
   cache : (string * string, Workloads.Results.t) Hashtbl.t;
   trace_dir : string option;
-  sample_cycles : int;
   disk : Results.Cache.t option;
   refresh : bool;
   seed : int;
@@ -26,9 +25,8 @@ type t = {
   misses : int Atomic.t;
 }
 
-let create ?(progress = ignore) ?trace_dir
-    ?(sample_cycles = Tracefiles.default_sample_cycles) ?disk
-    ?(refresh = false) ?(seed = 0) ?plan ?(replay = false) size =
+let create ?(progress = ignore) ?trace_dir ?disk ?(refresh = false) ?(seed = 0)
+    ?plan ?(replay = false) size =
   (match (plan, trace_dir, replay) with
   | Some _, _, true ->
       invalid_arg "Matrix.create: a fault plan cannot combine with replay"
@@ -42,7 +40,6 @@ let create ?(progress = ignore) ?trace_dir
     progress;
     cache = Hashtbl.create 64;
     trace_dir;
-    sample_cycles;
     disk;
     refresh;
     seed;
@@ -132,20 +129,24 @@ let execute_cell t spec mode =
             ~workload:spec.Workloads.Workload.name ~summary)
   | None, Some dir ->
       let r, _, _ =
-        Tracefiles.run_traced ~sample_cycles:t.sample_cycles ~out:dir spec
-          mode t.size
+        Tracefiles.run_traced ~out:dir spec mode t.size
       in
       r
   | None, None -> Workloads.Workload.run_collect spec mode t.size
 
 (* ---- record-once / replay-per-column ------------------------------ *)
 
+(* Without a cell cache a trace is a temp file that lives as long as
+   the process: any later cell of this matrix may still replay it. *)
 let trace_slot t spec variant =
   match t.disk with
   | Some disk ->
       Results.Cache.trace_path disk ~workload:spec.Workloads.Workload.name
         ~variant ~size:(size_name t) ~seed:t.seed
-  | None -> Filename.temp_file "repro-trace" ".trace"
+  | None ->
+      let path = Filename.temp_file "repro-trace" ".trace" in
+      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+      path
 
 (* The committed trace for (workload, variant), recording it on first
    demand.  A pre-existing disk slot is reused only if its envelope

@@ -8,7 +8,6 @@ type t
 val create :
   ?progress:(string -> unit) ->
   ?trace_dir:string ->
-  ?sample_cycles:int ->
   ?disk:Results.Cache.t ->
   ?refresh:bool ->
   ?seed:int ->
@@ -20,8 +19,8 @@ val create :
     matrix also writes a {!Tracefiles} artefact family under that
     directory.  Tracing is pure observation, so the memoised results —
     and any report rendered from them — are byte-identical to an
-    untraced run.  [sample_cycles] is the time-series period
-    (default {!Tracefiles.default_sample_cycles}).
+    untraced run.  Traced cells sample every
+    {!Tracefiles.default_sample_cycles} cycles.
 
     [disk] attaches a content-addressed cell cache: cells whose
     (build id, workload, mode, size, seed, plan) address is already
@@ -47,9 +46,9 @@ val create :
     all allocator-side measurements while skipping mutator compute.
     Replayed cells carry (and cache under) the reserved plan
     ["replay"], so they never masquerade as full executions.  Traces
-    are content-addressed in [disk] when present (temp files
-    otherwise).  [replay] combines with neither [plan] nor
-    [trace_dir] ([Invalid_argument]). *)
+    are content-addressed in [disk] when present; otherwise they are
+    temp files, removed when the process exits.  [replay] combines
+    with neither [plan] nor [trace_dir] ([Invalid_argument]). *)
 
 val size : t -> Workloads.Workload.size
 

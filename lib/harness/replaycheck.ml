@@ -51,6 +51,11 @@ let compare_fields ~workload ~mode fields full replayed =
       else Some { workload; mode; field = name; full = f; replayed = rp })
     (List.combine (fields full) (fields replayed))
 
+(* Two matrices over the same cells: a plain one (every cell executed)
+   and the [~replay] one the report's [--replay] fill uses.  A cell
+   the replay matrix executes (its recording run, or a plain run where
+   no column replays the trace) must agree on every field; a replayed
+   cell on the allocator side. *)
 let verify ?workload ?domains ?(progress = ignore) size =
   let domains =
     match domains with
@@ -64,88 +69,34 @@ let verify ?workload ?domains ?(progress = ignore) size =
         | None -> true
         | Some w -> spec.Workloads.Workload.name = w)
       (Matrix.report_cells ())
-  in
-  (* Group into workload rows: one row records its traces once and
-     checks its cells sequentially; rows are independent. *)
-  let rows = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun ((spec : Workloads.Workload.spec), mode) ->
-      match Hashtbl.find_opt rows spec.Workloads.Workload.name with
-      | Some l -> l := mode :: !l
-      | None ->
-          order := spec :: !order;
-          Hashtbl.add rows spec.Workloads.Workload.name (ref [ mode ]))
-    cells;
-  let rows =
-    List.rev_map
-      (fun (spec : Workloads.Workload.spec) ->
-        (spec, List.rev !(Hashtbl.find rows spec.Workloads.Workload.name)))
-      !order
     |> Array.of_list
   in
-  let out = Array.make (Array.length rows) []
-  and checked = Array.make (Array.length rows) 0 in
-  let check_row i =
-    let (spec : Workloads.Workload.spec), modes = rows.(i) in
-    let name = spec.Workloads.Workload.name in
-    progress (Fmt.str "verifying %s (%d cells) ..." name (List.length modes));
-    let variants =
-      List.sort_uniq compare (List.map Trace.Record.variant_of_mode modes)
-    in
-    let traces =
-      List.map
-        (fun variant ->
-          let tmp = Filename.temp_file "repro-verify" ".trace" in
-          let recorded = Trace.Record.record ~out:tmp ~variant spec size in
-          (variant, tmp, recorded))
-        variants
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun (_, tmp, _) -> try Sys.remove tmp with _ -> ()) traces)
-      (fun () ->
-        List.iter
-          (fun mode ->
-            let mode_name = Workloads.Api.mode_name mode in
-            let variant = Trace.Record.variant_of_mode mode in
-            let _, tmp, recorded =
-              List.find (fun (v, _, _) -> v = variant) traces
-            in
-            let full = Workloads.Workload.run_collect spec mode size in
-            let diffs =
-              if
-                Workloads.Api.mode_name (Trace.Record.recording_mode variant)
-                = mode_name
-              then compare_fields ~workload:name ~mode:mode_name all_fields
-                  full recorded
-              else
-                match
-                  match Trace.Format.open_file tmp with
-                  | Ok rd ->
-                      Fun.protect
-                        ~finally:(fun () -> Trace.Format.close rd)
-                        (fun () -> Trace.Replay.run rd mode)
-                  | Error msg -> failwith ("unreadable trace: " ^ msg)
-                with
-                | replayed ->
-                    compare_fields ~workload:name ~mode:mode_name
-                      allocator_side full replayed
-                | exception e ->
-                    [
-                      {
-                        workload = name;
-                        mode = mode_name;
-                        field = "exception";
-                        full = "completed";
-                        replayed = Printexc.to_string e;
-                      };
-                    ]
-            in
-            checked.(i) <- checked.(i) + 1;
-            out.(i) <- out.(i) @ diffs)
-          modes)
+  let full = Matrix.create size and replay = Matrix.create ~replay:true size in
+  let out = Array.make (Array.length cells) [] in
+  let check_cell i =
+    let spec, mode = cells.(i) in
+    let workload = spec.Workloads.Workload.name
+    and mode_name = Workloads.Api.mode_name mode in
+    progress (Fmt.str "verifying %s under %s ..." workload mode_name);
+    let expected = Matrix.run_cell_collect full spec mode in
+    out.(i) <-
+      (match Matrix.run_cell_collect replay spec mode with
+      | replayed ->
+          let fields =
+            if Matrix.replayed_column ~mode:mode_name then allocator_side
+            else all_fields
+          in
+          compare_fields ~workload ~mode:mode_name fields expected replayed
+      | exception e ->
+          [
+            {
+              workload;
+              mode = mode_name;
+              field = "exception";
+              full = "completed";
+              replayed = Printexc.to_string e;
+            };
+          ])
   in
-  Matrix.parallel_for ~domains (Array.length rows) check_row;
-  ( Array.fold_left ( + ) 0 checked,
-    List.concat (Array.to_list out) )
+  Matrix.parallel_for ~domains (Array.length cells) check_cell;
+  (Array.length cells, List.concat (Array.to_list out))

@@ -1,18 +1,17 @@
-(** The golden cross-check behind [repro replay --verify]: replay
-    every matrix cell and diff it against full execution.
+(** The golden cross-check behind [repro replay --verify]: fill the
+    report's cells twice, once with a plain {!Matrix} (every cell
+    executed) and once with the [~replay:true] matrix that
+    [repro experiment --replay] runs, and diff them cell by cell:
 
-    For each workload row, every needed trace variant is recorded to a
-    temporary file, then each report cell is computed both ways:
-
-    - a {e recording-mode} cell compares the recording run against a
-      plain unrecorded run over {e every} field — the recorder's
+    - a cell the replay matrix executes ({!Matrix.replayed_column}
+      false: the recording run, or a plain run of a trace nothing
+      replays) must agree over {e every} field — the recorder's
       observational-neutrality guarantee, so even [cycles] must match;
-    - every other cell compares its replay against a full run over the
-      allocator-side fields replay promises to reproduce
-      ([alloc_instrs], [refcount_instrs], [stack_scan_instrs],
-      [cleanup_instrs], [os_bytes], [emu_overhead_bytes], the
-      requested-stats triple, the region summary and the outcome
-      summary line).
+    - every replayed cell must agree over the allocator-side fields
+      replay promises to reproduce ([alloc_instrs], [refcount_instrs],
+      [stack_scan_instrs], [cleanup_instrs], [os_bytes],
+      [emu_overhead_bytes], the requested-stats triple, the region
+      summary and the outcome summary line).
 
     An empty diff list is the pass verdict the CI job gates on. *)
 
@@ -33,7 +32,8 @@ val verify :
   Workloads.Workload.size ->
   int * diff list
 (** [(cells checked, divergences)]; [workload] restricts to one row.
-    Workload rows run in parallel across [domains] (default
-    {!Domain.recommended_domain_count}).  A {!Trace.Replay.Divergence}
-    or replay crash is reported as a diff on the pseudo-field
-    ["exception"], never raised. *)
+    Cells run in parallel across [domains] (default
+    {!Domain.recommended_domain_count}).  An exception from the replay
+    matrix's cell (a {!Trace.Replay.Divergence}, a replay or recording
+    crash) is reported as a diff on the pseudo-field ["exception"],
+    never raised. *)

@@ -14,9 +14,26 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* A temp name no other writer in this process or another uses: the
+   pid, then a per-process sequence number. *)
+let tmp_seq = Atomic.make 0
+
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
+  let oc = open_out_bin tmp in
+  match
+    output_string oc contents;
+    close_out oc;
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let default_sample_cycles = 50_000
 

@@ -32,8 +32,10 @@ val stem : Workloads.Workload.spec -> Workloads.Api.mode -> string
 (** ["<workload>-<mode>"], the artefact basename for one cell. *)
 
 val write_file : string -> string -> unit
-(** [write_file path contents]; the channel is closed even when the
-    write raises. *)
+(** [write_file path contents], atomically: the contents go to a temp
+    file beside [path] that is renamed over it once written.  On any
+    failure the channel is closed, the temp file removed and [path]
+    left as it was. *)
 
 val with_tracer :
   ?sample_cycles:int ->

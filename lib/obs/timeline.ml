@@ -86,10 +86,3 @@ let to_csv t =
            (os_bytes - held_bytes)
            ((os_bytes + 4095) / 4096)));
   Buffer.contents b
-
-let write_csv t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (to_csv t);
-  close_out oc;
-  Sys.rename tmp path

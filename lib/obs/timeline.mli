@@ -52,8 +52,5 @@ val to_csv : t -> string
     internal fragmentation is [held - live], external is [os - held]
     and pages are 4 KiB. *)
 
-val write_csv : t -> string -> unit
-(** Atomic write (tmp + rename) of {!to_csv} to a path. *)
-
 val iter : t -> (events:int -> live_allocs:int -> live_bytes:int ->
   held_bytes:int -> os_bytes:int -> unit) -> unit

@@ -70,15 +70,6 @@ let of_string s =
   let* j = Json.of_string s in
   of_json j
 
-let save t path =
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc (to_string t);
-  close_out oc;
-  Sys.rename tmp path
-
 let load path =
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "no such file: %s" path)

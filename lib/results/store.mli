@@ -30,10 +30,6 @@ val of_json : Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-val save : t -> string -> unit
-(** Atomic: writes [path ^ ".tmp"], then renames.  Creates the parent
-    directory if its parent exists. *)
-
 val load : string -> (t, string) result
 
 val diff : expected:t -> actual:t -> string list

@@ -280,13 +280,19 @@ let test_region_stats_present_only_for_region_mode () =
     ((get spec (Workloads.Api.Direct Workloads.Api.Sun)).Workloads.Results.regions
     = None)
 
+let fresh_dir label =
+  let dir = Filename.temp_file label "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  dir
+
+let entries dir = Array.to_list (Sys.readdir dir) |> List.sort compare
+
 (* An unknown experiment name is rejected (exit 1) before the cell cache
    is touched: no cache directory or lock appears, so a daemon holding
    the lock cannot mask the typo. *)
 let test_unknown_experiment_leaves_no_cache () =
-  let dir = Filename.temp_file "repro-experiment-test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
+  let dir = fresh_dir "repro-experiment-test" in
   let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
   let code =
     Sys.command
@@ -296,6 +302,46 @@ let test_unknown_experiment_leaves_no_cache () =
   check "exit status" 1 code;
   check_bool "no cell cache created" false
     (Sys.file_exists (Filename.concat dir ".repro-cache"));
+  Unix.rmdir dir
+
+(* A replay fill without a cell cache records its traces as temp
+   files; none of them may outlive the process. *)
+let test_replay_fill_leaves_no_temp_files () =
+  let dir = fresh_dir "repro-tmpdir-test" in
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "cd %s && TMPDIR=%s %s experiment table2 --replay --no-cache -j 1 \
+          >/dev/null 2>&1"
+         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe))
+  in
+  check "exit status" 0 code;
+  Alcotest.(check (list string)) "TMPDIR left empty" [] (entries dir);
+  Unix.rmdir dir
+
+(* The artefact writer replaces a file whole, and a write that fails
+   (here the rename: a non-empty directory sits at the path) leaves
+   neither a temp file nor a change to what was there. *)
+let test_write_file_atomic () =
+  let dir = fresh_dir "repro-write-test" in
+  let file = Filename.concat dir "out.txt" in
+  Harness.Tracefiles.write_file file "old";
+  Harness.Tracefiles.write_file file "new";
+  Alcotest.(check string) "replaced" "new" (Harness.Docs.read_file file);
+  Alcotest.(check (list string)) "no temp file" [ "out.txt" ] (entries dir);
+  let busy = Filename.concat dir "busy" in
+  Unix.mkdir busy 0o755;
+  Harness.Tracefiles.write_file (Filename.concat busy "keep") "kept";
+  (match Harness.Tracefiles.write_file busy "lost" with
+  | () -> Alcotest.fail "writing over a non-empty directory succeeded"
+  | exception Sys_error _ -> ());
+  Alcotest.(check (list string)) "no temp file after a failed write"
+    [ "busy"; "out.txt" ] (entries dir);
+  Alcotest.(check string) "old contents intact" "kept"
+    (Harness.Docs.read_file (Filename.concat busy "keep"));
+  List.iter Sys.remove [ Filename.concat busy "keep"; file ];
+  Unix.rmdir busy;
   Unix.rmdir dir
 
 let () =
@@ -313,6 +359,9 @@ let () =
             test_emulation_overhead_only_for_region_only;
           tc "region stats presence" `Quick
             test_region_stats_present_only_for_region_mode;
+          tc "replay fill leaves no temp files" `Quick
+            test_replay_fill_leaves_no_temp_files;
+          tc "artefact writes are atomic" `Quick test_write_file_atomic;
         ] );
       ( "paper claims",
         [

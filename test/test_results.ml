@@ -179,7 +179,7 @@ let test_store_roundtrip_and_diff () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "results-test-%d.json" (Unix.getpid ()))
   in
-  Results.Store.save s path;
+  Harness.Tracefiles.write_file path (Results.Store.to_string s);
   (match Results.Store.load path with
   | Error e -> Alcotest.failf "load failed: %s" e
   | Ok s' ->
