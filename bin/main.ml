@@ -390,7 +390,6 @@ let trace_cmd =
     in
     Fmt.pr "%a@.@." Workloads.Results.pp r;
     print_string (Obs.Export.site_table ~top:10 tracer);
-    let ring = Obs.Tracer.ring tracer in
     Printf.printf
       "\n%d events (%d sampled intervals) -> %s\n\
       \  timeline : %s  (load in Perfetto / chrome://tracing)\n\
@@ -398,7 +397,7 @@ let trace_cmd =
       \  sites    : %s\n\
       \  flame    : %s  (flamegraph.pl / inferno-flamegraph)\n\
       \  raw      : %s\n"
-      (Obs.Ring.total ring)
+      (Obs.Tracer.events tracer)
       (Obs.Sampler.length (Obs.Tracer.sampler tracer))
       files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
       files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt

@@ -35,10 +35,8 @@ let lea = chunk_target "lea" Alloc.Lea.create
 
 (* The collector must not reclaim blocks the harness still addresses:
    the sanitizer's live and quarantined base addresses are the root
-   set.  With the sanitizer disabled nothing is tracked, so the target
-   keeps its own table of handed-out blocks instead.  The collection
-   trigger is lowered well below the default so a few hundred trace
-   ops exercise mark and sweep. *)
+   set.  The collection trigger is lowered well below the default so a
+   few hundred trace ops exercise mark and sweep. *)
 let gc =
   {
     label = "gc";
@@ -52,30 +50,14 @@ let gc =
             mem
         in
         let san = Sanitizer.wrap ~config under in
-        let alloc = Sanitizer.allocator san in
-        let alloc =
-          if config.Sanitizer.enabled then begin
-            roots_fn := Sanitizer.iter_tracked san;
-            alloc
-          end
-          else begin
-            let live = Hashtbl.create 256 in
-            roots_fn := (fun iter -> Hashtbl.iter (fun a () -> iter a) live);
-            {
-              alloc with
-              Alloc.Allocator.malloc =
-                (fun size ->
-                  let a = alloc.Alloc.Allocator.malloc size in
-                  Hashtbl.replace live a ();
-                  a);
-              free =
-                (fun a ->
-                  Hashtbl.remove live a;
-                  alloc.Alloc.Allocator.free a);
-            }
-          end
-        in
-        { alloc; san; mem; frees = `Untracked; finish = ignore });
+        roots_fn := Sanitizer.iter_tracked san;
+        {
+          alloc = Sanitizer.allocator san;
+          san;
+          mem;
+          frees = `Untracked;
+          finish = ignore;
+        });
   }
 
 (* An unsafe region behind {!Regions.Region.region_allocator}: [free]
@@ -221,7 +203,7 @@ let run_trace ?(config = Sanitizer.default) target trace =
         if Alloc.Stats.frees st <> Model.frees model then
           diff "stats: %d frees recorded, trace performed %d"
             (Alloc.Stats.frees st) (Model.frees model);
-        let rz = if config.Sanitizer.enabled then config.redzone_words * 8 else 0 in
+        let rz = config.Sanitizer.redzone_words * 8 in
         let expect = ref 0 in
         Model.iter_live model (fun ~id:_ ~size ->
             expect := !expect + (Trace.size_words size * 4) + rz);

@@ -20,17 +20,16 @@ let pp_violation ppf = function
   | Double_free user -> Fmt.pf ppf "double free of block %#x" user
   | Invalid_free user -> Fmt.pf ppf "invalid free of %#x (never allocated)" user
 
-type config = { enabled : bool; redzone_words : int; quarantine : int }
+type config = { redzone_words : int; quarantine : int }
 
-let default = { enabled = true; redzone_words = 2; quarantine = 64 }
-let disabled = { default with enabled = false }
+let default = { redzone_words = 2; quarantine = 64 }
 
 type block = { user : int; size : int; base : int }
 
 type t = {
   config : config;
   under : Alloc.Allocator.t;
-  mutable alloc : Alloc.Allocator.t;
+  alloc : Alloc.Allocator.t;
   live : (int, block) Hashtbl.t;  (* user -> block *)
   dead : (int, block) Hashtbl.t;  (* quarantined, user -> block *)
   fifo : block Queue.t;  (* quarantine, oldest first *)
@@ -137,27 +136,28 @@ let iter_redzone_words t f =
   Queue.iter zones t.fifo
 
 let wrap ?(config = default) under =
-  let t =
+  let name = under.Alloc.Allocator.name ^ "+san" in
+  let live = Hashtbl.create 256 and dead = Hashtbl.create 64 in
+  let fifo = Queue.create () in
+  let rec t =
     {
       config;
       under;
-      alloc = under;
-      live = Hashtbl.create 256;
-      dead = Hashtbl.create 64;
-      fifo = Queue.create ();
+      alloc =
+        {
+          Alloc.Allocator.name;
+          memory = under.memory;
+          malloc = (fun size -> malloc t size);
+          free = (fun user -> free t user);
+          usable_size = (fun user -> usable_size t user);
+          check_heap = (fun () -> check t);
+          stats = under.stats;
+        };
+      live;
+      dead;
+      fifo;
     }
   in
-  if config.enabled then
-    t.alloc <-
-      {
-        Alloc.Allocator.name = under.Alloc.Allocator.name ^ "+san";
-        memory = under.memory;
-        malloc = malloc t;
-        free = free t;
-        usable_size = usable_size t;
-        check_heap = (fun () -> check t);
-        stats = under.stats;
-      };
   t
 
 let allocator t = t.alloc

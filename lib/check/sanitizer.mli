@@ -6,8 +6,7 @@
     pointers land in still-poisoned memory.  All sanitizer reads and
     writes go through the cost-free {!Sim.Memory.peek}/{!Sim.Memory.poke},
     so simulated instruction and cycle counts are never perturbed by
-    the checking itself; with [enabled = false] the wrap is the
-    identity and even the allocation sizes are untouched.
+    the checking itself.
 
     Detects:
     - {b overflow / underflow}: a redzone word no longer holds its
@@ -35,18 +34,12 @@ exception Violation of violation
 val pp_violation : violation Fmt.t
 
 type config = {
-  enabled : bool;
   redzone_words : int;  (** words of redzone on each side of a block *)
   quarantine : int;  (** freed blocks held poisoned before real free *)
 }
 
 val default : config
-(** enabled, 2 redzone words, 64-block quarantine. *)
-
-val disabled : config
-(** [wrap ~config:disabled] is a pass-through: the underlying
-    allocator is returned unchanged, so simulated counts are
-    byte-identical to an unsanitized run. *)
+(** 2 redzone words, 64-block quarantine. *)
 
 type t
 

@@ -705,8 +705,9 @@ let write_ptr t ?(same_region_hint = false) ~addr value =
       Sim.Cost.within c Sim.Cost.Refcount Sim.Cost.instr c
         sameregion_hint_cost
     else Sim.Cost.within c Sim.Cost.Refcount barrier_body t (addr, value);
-    Obs.Tracer.barrier (Sim.Memory.tracer t.mem) ~addr
-      ~hinted:same_region_hint;
+    (match Sim.Memory.tracer t.mem with
+    | Some tr -> Obs.Tracer.barrier tr ~addr ~hinted:same_region_hint
+    | None -> ());
     Sim.Memory.store t.mem addr value
   end
 

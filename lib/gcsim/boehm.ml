@@ -172,7 +172,9 @@ let map_large t size pages =
 let collect_into t =
   t.collections <- t.collections + 1;
   let c = cost t in
-  Obs.Tracer.gc_begin (Sim.Memory.tracer t.mem) ~ordinal:t.collections;
+  (match Sim.Memory.tracer t.mem with
+  | Some tr -> Obs.Tracer.gc_begin tr ~ordinal:t.collections
+  | None -> ());
   (* Clear marks. *)
   Hashtbl.iter
     (fun pageno blk ->
@@ -260,7 +262,9 @@ let collect_into t =
     t.blocks;
   t.heap_at_gc <- t.heap_bytes;
   t.since_gc <- 0;
-  Obs.Tracer.gc_end (Sim.Memory.tracer t.mem) ~live_bytes:!live
+  match Sim.Memory.tracer t.mem with
+  | Some tr -> Obs.Tracer.gc_end tr ~live_bytes:!live
+  | None -> ()
 
 let collect t =
   Sim.Cost.with_context (cost t) Sim.Cost.Alloc (fun () -> collect_into t)

@@ -40,8 +40,7 @@ let default_sample_cycles = 50_000
 let stem (spec : Workloads.Workload.spec) mode =
   spec.Workloads.Workload.name ^ "-" ^ Workloads.Api.mode_name mode
 
-let with_tracer ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
-    mode f =
+let with_tracer ?(sample_cycles = default_sample_cycles) ~out spec mode f =
   mkdir_p out;
   let base = Filename.concat out (stem spec mode) in
   let files =
@@ -54,20 +53,19 @@ let with_tracer ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
       folded = base ^ ".folded";
     }
   in
-  let tracer = Obs.Tracer.create ?capacity ~sample_interval:sample_cycles () in
-  (* Spill from the start: evictions plus the final drain leave the
-     complete ordered event stream on disk even when the run exceeds
-     the ring. *)
+  (* Every event goes straight to the spill file, so closing it on any
+     exit leaves the complete ordered stream on disk. *)
   let oc = open_out_bin files.events_bin in
+  let tracer =
+    Obs.Tracer.create ~sample_interval:sample_cycles (Obs.Spill.sink oc)
+  in
   let result =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        Obs.Ring.set_sink (Obs.Tracer.ring tracer) (Some (Obs.Spill.sink oc));
         let r = f tracer in
         (* Idempotent: [f] may already have finished the run. *)
         Obs.Tracer.finish tracer;
-        Obs.Ring.drain (Obs.Tracer.ring tracer);
         r)
   in
   (* Name the process after the cell and give each mode a stable pid
@@ -82,7 +80,7 @@ let with_tracer ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
     1 + idx 0 Workloads.Api.all_modes
   in
   write_file files.trace_json
-    (Obs.Export.chrome_json_of ~pid ~process_sort_index:pid
+    (Obs.Export.chrome_json ~pid ~process_sort_index:pid
        ~process_name:(stem spec mode ^ " (simulated UltraSparc-I)")
        tracer
        (fun f -> Obs.Spill.read_file files.events_bin f));
@@ -92,6 +90,6 @@ let with_tracer ?(sample_cycles = default_sample_cycles) ?capacity ~out spec
   write_file files.folded (Obs.Export.folded tracer);
   (result, tracer, files)
 
-let run_traced ?sample_cycles ?capacity ~out spec mode size =
-  with_tracer ?sample_cycles ?capacity ~out spec mode (fun tracer ->
+let run_traced ?sample_cycles ~out spec mode size =
+  with_tracer ?sample_cycles ~out spec mode (fun tracer ->
       Workloads.Workload.run_collect ~tracer spec mode size)

@@ -4,8 +4,7 @@
     directory, a [<workload>-<mode>] family of files:
 
     - [.events.bin] — the complete binary event stream ({!Obs.Spill}
-      format; the ring spills evictions here, so it is whole even for
-      runs far larger than the ring);
+      format; the tracer writes each event here as it happens);
     - [.trace.json] — Chrome [trace_event] JSON built by replaying the
       spill file, viewable in Perfetto or [chrome://tracing];
     - [.heap.csv] — the time-series sampler rows (live bytes, mapped
@@ -39,21 +38,20 @@ val write_file : string -> string -> unit
 
 val with_tracer :
   ?sample_cycles:int ->
-  ?capacity:int ->
   out:string ->
   Workloads.Workload.spec ->
   Workloads.Api.mode ->
   (Obs.Tracer.t -> 'a) ->
   'a * Obs.Tracer.t * files
 (** [with_tracer ~out spec mode f] calls [f] with a fresh tracer that
-    spills every event to the cell's [.events.bin], then finishes and
-    drains the tracer and writes the rest of the artefact family under
-    [out] (created if missing).  [f] runs the cell itself; if it
-    raises, no artefact past [.events.bin] is written. *)
+    writes every event to the cell's [.events.bin], then finishes the
+    tracer and writes the rest of the artefact family under [out]
+    (created if missing).  [f] runs the cell itself; if it raises, the
+    exception propagates and [.events.bin], closed, holds every event
+    emitted before the raise; no other artefact is written. *)
 
 val run_traced :
   ?sample_cycles:int ->
-  ?capacity:int ->
   out:string ->
   Workloads.Workload.spec ->
   Workloads.Api.mode ->

@@ -37,7 +37,7 @@ type kind =
 val all : kind list
 
 val to_int : kind -> int
-(** Stable small-integer encoding, used by the ring buffer and the
+(** Stable small-integer encoding, used by tracer sinks and the
     binary spill format.  Code 4 is unassigned. *)
 
 val of_int : int -> kind

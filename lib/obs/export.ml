@@ -43,7 +43,7 @@ let add_event b ~pid ~first ~name ~cat ~ph ~ts ~args =
 let int_arg n = string_of_int n
 let str_arg s = Printf.sprintf "\"%s\"" (json_escape s)
 
-let chrome_json_of ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
+let chrome_json ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
     ?(thread_name = "mutator") ?process_sort_index t iter =
   let b = Buffer.create 65536 in
   let first = ref true in
@@ -130,11 +130,6 @@ let chrome_json_of ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
           ]);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
-
-let chrome_json t =
-  chrome_json_of t (fun f ->
-      Ring.iter (Tracer.ring t) (fun ~kind ~time ~site ~a ~b ->
-          f ~kind ~time ~site ~a ~b))
 
 (* ------------------------------------------------------------------ *)
 (* Heap / cache time series as CSV *)

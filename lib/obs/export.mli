@@ -4,21 +4,18 @@
     [inferno-flamegraph].  All pure readers — safe to run after the
     simulation. *)
 
-val chrome_json : Tracer.t -> string
-(** Export the tracer's buffered events plus its time-series samples
-    as Chrome JSON Array Format.  One simulated cycle maps to one
-    trace microsecond. *)
-
-val chrome_json_of :
+val chrome_json :
   ?pid:int ->
   ?process_name:string ->
   ?thread_name:string ->
   ?process_sort_index:int ->
   Tracer.t ->
-  ((kind:int -> time:int -> site:int -> a:int -> b:int -> unit) -> unit) ->
+  (Tracer.sink -> unit) ->
   string
-(** Like {!chrome_json} but over an explicit event iterator — e.g.
-    replaying a {!Spill} file for runs larger than the ring.
+(** [chrome_json t iter] exports the events [iter] feeds its callback
+    — e.g. the records of a {!Spill} file — plus [t]'s time-series
+    samples as Chrome JSON Array Format, naming sites from [t]'s site
+    table.  One simulated cycle maps to one trace microsecond.
 
     [pid]/[process_name]/[thread_name] (defaults [1] /
     ["simulated UltraSparc-I"] / ["mutator"]) name the process the

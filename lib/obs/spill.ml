@@ -1,7 +1,7 @@
 let magic = "OBSTRACE1\n"
 let record_bytes = 40
 
-let sink oc : Ring.sink =
+let sink oc : Tracer.sink =
   output_string oc magic;
   let scratch = Bytes.create record_bytes in
   fun ~kind ~time ~site ~a ~b ->
@@ -12,7 +12,9 @@ let sink oc : Ring.sink =
     Bytes.set_int64_le scratch 32 (Int64.of_int b);
     output_bytes oc scratch
 
-let read_channel ic f =
+let read_file path f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
   let head = really_input_string ic (String.length magic) in
   if head <> magic then failwith "Obs.Spill: not a spill file (bad magic)";
   let scratch = Bytes.create record_bytes in
@@ -24,7 +26,3 @@ let read_channel ic f =
         f ~kind:(g 0) ~time:(g 8) ~site:(g 16) ~a:(g 24) ~b:(g 32)
     | exception End_of_file -> eof := true
   done
-
-let read_file path f =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read_channel ic f)

@@ -3,22 +3,15 @@
     Format: a 10-byte magic ["OBSTRACE1\n"] followed by fixed 40-byte
     records of five little-endian 64-bit integers — kind (see
     {!Event.to_int}), simulated-cycle timestamp, site id, and the two
-    payload words.  Attaching {!sink} to a ring from the start of a run
-    yields the complete ordered event stream on disk after
-    {!Ring.drain}. *)
+    payload words.  A tracer created with {!sink} writes the complete
+    ordered event stream to disk as it runs. *)
 
 val magic : string
 val record_bytes : int
 
-val sink : out_channel -> Ring.sink
+val sink : out_channel -> Tracer.sink
 (** Write the magic header now and return a sink appending one record
-    per event.  The caller closes the channel after draining. *)
+    per event.  The caller closes the channel. *)
 
-val read_channel :
-  in_channel ->
-  (kind:int -> time:int -> site:int -> a:int -> b:int -> unit) ->
-  unit
+val read_file : string -> Tracer.sink -> unit
 (** Replay every record to the callback.  Fails on a bad magic. *)
-
-val read_file :
-  string -> (kind:int -> time:int -> site:int -> a:int -> b:int -> unit) -> unit

@@ -7,9 +7,11 @@ let nacc = 7
    already-closed children. *)
 let nsnap = 4
 
+type sink = kind:int -> time:int -> site:int -> a:int -> b:int -> unit
+
 type t = {
-  enabled : bool;
-  ring : Ring.t;
+  sink : sink;
+  mutable events : int;
   sampler : Sampler.t;
   ids : (string, int) Hashtbl.t;
   mutable names : string array;  (* site id -> name; id 0 is "no site" *)
@@ -26,10 +28,10 @@ type t = {
   mutable finished : bool;
 }
 
-let create ?capacity ?sample_interval ?(enabled = true) () =
+let create ?sample_interval sink =
   {
-    enabled;
-    ring = Ring.create ?capacity ();
+    sink;
+    events = 0;
     sampler = Sampler.create ?interval:sample_interval ();
     ids = Hashtbl.create 64;
     names = Array.make 64 "";
@@ -46,11 +48,7 @@ let create ?capacity ?sample_interval ?(enabled = true) () =
     finished = false;
   }
 
-(* A permanently disabled tracer, cheap enough to hang off every
-   simulated memory by default. *)
-let null () = create ~capacity:1 ~enabled:false ()
-
-let ring t = t.ring
+let events t = t.events
 let sampler t = t.sampler
 let set_clock t f = t.clock <- f
 let set_probe t f = t.probe <- Some f
@@ -95,25 +93,20 @@ let maybe_sample t ~now =
     | Some f -> Sampler.record t.sampler ~now (f ())
     | None -> ()
 
-(* Internal: callers have already checked [enabled]. *)
 let emit t kind ~site ~a ~b =
   let time = t.clock () in
-  Ring.push t.ring ~kind:(Event.to_int kind) ~time ~site ~a ~b;
+  t.sink ~kind:(Event.to_int kind) ~time ~site ~a ~b;
+  t.events <- t.events + 1;
   maybe_sample t ~now:time
 
-let tick t =
-  if t.enabled then begin
-    let now = t.clock () in
-    maybe_sample t ~now
-  end
+let tick t = maybe_sample t ~now:(t.clock ())
 
 let region_create t r =
-  if t.enabled then emit t Event.Region_create ~site:(current_site t) ~a:r ~b:0
+  emit t Event.Region_create ~site:(current_site t) ~a:r ~b:0
 
 let region_delete t ~deleted r =
-  if t.enabled then
-    emit t Event.Region_delete ~site:(current_site t) ~a:r
-      ~b:(if deleted then 1 else 0)
+  emit t Event.Region_delete ~site:(current_site t) ~a:r
+    ~b:(if deleted then 1 else 0)
 
 let bump_alloc t ~bytes =
   let s = current_site t in
@@ -124,33 +117,27 @@ let bump_alloc t ~bytes =
   end
 
 let malloc t ~addr ~bytes =
-  if t.enabled then begin
-    emit t Event.Malloc ~site:(current_site t) ~a:addr ~b:bytes;
-    bump_alloc t ~bytes
-  end
+  emit t Event.Malloc ~site:(current_site t) ~a:addr ~b:bytes;
+  bump_alloc t ~bytes
 
-let free t ~addr =
-  if t.enabled then emit t Event.Free ~site:(current_site t) ~a:addr ~b:0
+let free t ~addr = emit t Event.Free ~site:(current_site t) ~a:addr ~b:0
 
 let ralloc t ~addr ~bytes =
-  if t.enabled then begin
-    emit t Event.Ralloc ~site:(current_site t) ~a:addr ~b:bytes;
-    bump_alloc t ~bytes
-  end
+  emit t Event.Ralloc ~site:(current_site t) ~a:addr ~b:bytes;
+  bump_alloc t ~bytes
 
 let page_map t ~addr ~pages =
-  if t.enabled then emit t Event.Page_map ~site:(current_site t) ~a:addr ~b:pages
+  emit t Event.Page_map ~site:(current_site t) ~a:addr ~b:pages
 
 let barrier t ~addr ~hinted =
-  if t.enabled then
-    emit t Event.Barrier ~site:(current_site t) ~a:addr
-      ~b:(if hinted then 1 else 0)
+  emit t Event.Barrier ~site:(current_site t) ~a:addr
+    ~b:(if hinted then 1 else 0)
 
 let gc_begin t ~ordinal =
-  if t.enabled then emit t Event.Gc_begin ~site:(current_site t) ~a:ordinal ~b:0
+  emit t Event.Gc_begin ~site:(current_site t) ~a:ordinal ~b:0
 
 let gc_end t ~live_bytes =
-  if t.enabled then emit t Event.Gc_end ~site:(current_site t) ~a:live_bytes ~b:0
+  emit t Event.Gc_end ~site:(current_site t) ~a:live_bytes ~b:0
 
 (* ------------------------------------------------------------------ *)
 (* Spans: phases and sites share one stack, so folded stacks show
@@ -236,18 +223,12 @@ let span_exit t kind =
   end
 
 let phase t name f =
-  if not t.enabled then f ()
-  else begin
-    span_enter t Event.Phase_begin name;
-    Fun.protect ~finally:(fun () -> span_exit t Event.Phase_end) f
-  end
+  span_enter t Event.Phase_begin name;
+  Fun.protect ~finally:(fun () -> span_exit t Event.Phase_end) f
 
 let site t name f =
-  if not t.enabled then f ()
-  else begin
-    span_enter t Event.Site_enter name;
-    Fun.protect ~finally:(fun () -> span_exit t Event.Site_exit) f
-  end
+  span_enter t Event.Site_enter name;
+  Fun.protect ~finally:(fun () -> span_exit t Event.Site_exit) f
 
 (* ------------------------------------------------------------------ *)
 (* Readouts *)
@@ -296,7 +277,7 @@ let folded t =
 (* Close the run: take the final sample and account the cycles spent
    outside any span so folded stacks cover the whole run. *)
 let finish t =
-  if t.enabled && not t.finished then begin
+  if not t.finished then begin
     t.finished <- true;
     let now = t.clock () in
     (match t.probe with

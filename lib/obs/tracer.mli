@@ -1,31 +1,31 @@
-(** The tracing façade: an always-compiled, off-by-default observer of
-    the simulated machine.
+(** The tracing façade: an observer of the simulated machine.
 
-    A tracer owns a zero-alloc event {!Ring}, a cycle-driven
-    {!Sampler} and a per-site profiler.  The layers of the simulator
-    (memory, region runtime, allocators, collector, workload API) emit
-    events into it; every emitter is a no-op while the tracer is
-    disabled, and even when enabled the tracer only {e reads} the
-    simulation — via the [clock] and [probe] callbacks its host
+    A tracer writes each event straight to the sink it was created
+    with, and keeps a cycle-driven {!Sampler} and a per-site profiler.
+    The layers of the simulator (memory, region runtime, allocators,
+    collector, workload API) emit events into it.  It only {e reads}
+    the simulation — via the [clock] and [probe] callbacks its host
     installs — so recording never charges simulated instructions,
     cycles or stalls.  The test suite proves simulated counts are
-    byte-identical with tracing disabled and enabled.
+    byte-identical with and without a tracer attached.
 
     Concurrency: a tracer observes one simulated machine and is not
     thread-safe; parallel harness cells each use their own. *)
 
+type sink = kind:int -> time:int -> site:int -> a:int -> b:int -> unit
+(** Where events go, in emission order: the {!Event.to_int} kind, the
+    simulated-cycle timestamp, the site id and the two payload
+    words. *)
+
 type t
 
-val create : ?capacity:int -> ?sample_interval:int -> ?enabled:bool -> unit -> t
-(** [capacity] sizes the event ring (events; default 65536, rounded up
-    to a power of two); [sample_interval] is the time-series period in
-    simulated cycles (default 50000); [enabled] defaults to [true]. *)
+val create : ?sample_interval:int -> sink -> t
+(** A tracer that calls [sink] once per event.  [sample_interval] is
+    the time-series period in simulated cycles (default 50000). *)
 
-val null : unit -> t
-(** A permanently disabled, minimal-footprint tracer — the default
-    attached to every {!Sim.Memory.t}. *)
+val events : t -> int
+(** Events passed to the sink so far. *)
 
-val ring : t -> Ring.t
 val sampler : t -> Sampler.t
 
 val set_clock : t -> (unit -> int) -> unit
@@ -39,8 +39,7 @@ val set_probe : t -> (unit -> Sampler.probe) -> unit
 
 (** {1 Event emitters}
 
-    All no-ops while disabled.  Events carry the innermost open span as
-    their site tag. *)
+    Events carry the innermost open span as their site tag. *)
 
 val region_create : t -> int -> unit
 val region_delete : t -> deleted:bool -> int -> unit
@@ -70,10 +69,10 @@ val site : t -> string -> (unit -> 'a) -> 'a
 
 (** {1 Site table} *)
 
-val site_id : t -> string -> int
-(** Intern a site name (ids start at 1; 0 means "no site"). *)
-
 val site_name : t -> int -> string
+(** The name interned under a site id (ids start at 1; 0 means "no
+    site" and names [""]). *)
+
 val nsites : t -> int
 
 (** {1 Profiler readouts} *)
@@ -102,4 +101,4 @@ val folded : t -> (string * int) list
 
 val finish : t -> unit
 (** Close the run: take the final time-series sample and fold the
-    unattributed remainder.  Idempotent; no-op while disabled. *)
+    unattributed remainder.  Idempotent. *)

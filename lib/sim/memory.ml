@@ -256,7 +256,7 @@ type t = {
   mutable os_bytes : int;
   mutable oom_hook : (int -> bool) option;
   mutable corrupt_hook : (unit -> unit) option;
-  mutable tracer : Obs.Tracer.t;
+  mutable tracer : Obs.Tracer.t option;
 }
 
 exception Fault of string
@@ -279,7 +279,7 @@ let create ?(machine = Machine.ultrasparc_i) ?(with_cache = true) () =
     os_bytes = 0;
     oom_hook = None;
     corrupt_hook = None;
-    tracer = Obs.Tracer.null ();
+    tracer = None;
   }
 
 let set_oom_hook t hook = t.oom_hook <- hook
@@ -287,7 +287,7 @@ let set_corrupt_hook t hook = t.corrupt_hook <- hook
 let tracer t = t.tracer
 
 let set_tracer t tr =
-  t.tracer <- tr;
+  t.tracer <- Some tr;
   (* Stamp events with this machine's simulated clock. *)
   Obs.Tracer.set_clock tr (fun () -> Cost.cycles t.cost)
 
@@ -319,7 +319,9 @@ let map_pages t n =
   ensure_capacity t (addr + bytes);
   t.limit <- addr + bytes;
   t.os_bytes <- t.os_bytes + bytes;
-  Obs.Tracer.page_map t.tracer ~addr ~pages:n;
+  (match t.tracer with
+  | Some tr -> Obs.Tracer.page_map tr ~addr ~pages:n
+  | None -> ());
   (* Corruption opportunities fire only at OS-interaction points, so
      the load/store hot paths carry no extra branch. *)
   (match t.corrupt_hook with Some f -> f () | None -> ());

@@ -108,9 +108,9 @@ val flip_bit : t -> int -> int -> unit
     is injected by the test harness, not executed by the simulated
     program.  @raise Fault on unmapped or unaligned [addr]. *)
 
-val tracer : t -> Obs.Tracer.t
-(** The attached tracer; a disabled {!Obs.Tracer.null} by default, so
-    emitting through it is a single branch. *)
+val tracer : t -> Obs.Tracer.t option
+(** The attached tracer, if any ([None] by default); emitters match on
+    it, so an untraced run pays a single branch per event site. *)
 
 val set_tracer : t -> Obs.Tracer.t -> unit
 (** Attach a tracer and install this memory's simulated-cycle clock

@@ -136,6 +136,39 @@ type t = {
   sink : sink option;
 }
 
+(* The tracer's counter snapshot.  It reads counters without charging
+   the simulation: the sampler and profiler are observers, never
+   participants. *)
+let probe t () =
+  let c = t.cost in
+  let l1_hits, l1_misses, l2_misses, stores =
+    match Sim.Memory.cache t.mem with
+    | Some ca ->
+        ( Sim.Cache.l1_hits ca,
+          Sim.Cache.l1_misses ca,
+          Sim.Cache.l2_misses ca,
+          Sim.Cache.stores ca )
+    | None -> (0, 0, 0, 0)
+  in
+  let os_bytes =
+    match (t.alloc, t.reg) with
+    | Some a, _ -> Alloc.Stats.os_bytes a.Alloc.Allocator.stats
+    | None, Some lib -> Regions.Region.os_bytes lib
+    | None, None -> 0
+  in
+  {
+    Obs.Sampler.base_instrs = Sim.Cost.base_instrs c;
+    mem_instrs = Sim.Cost.memory_instrs c;
+    read_stalls = Sim.Cost.read_stall_cycles c;
+    write_stalls = Sim.Cost.write_stall_cycles c;
+    live_bytes = Alloc.Stats.live_bytes t.req;
+    os_bytes;
+    l1_hits;
+    l1_misses;
+    l2_misses;
+    stores;
+  }
+
 let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
     ?sink ?gc_roots mode =
   let mem = Sim.Memory.create ?machine ~with_cache () in
@@ -218,37 +251,9 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
       sink;
     }
   in
-  (* The probe reads counters without charging the simulation: the
-     sampler and profiler are observers, never participants. *)
-  Obs.Tracer.set_probe (Sim.Memory.tracer mem) (fun () ->
-      let c = Sim.Memory.cost mem in
-      let l1_hits, l1_misses, l2_misses, stores =
-        match Sim.Memory.cache mem with
-        | Some ca ->
-            ( Sim.Cache.l1_hits ca,
-              Sim.Cache.l1_misses ca,
-              Sim.Cache.l2_misses ca,
-              Sim.Cache.stores ca )
-        | None -> (0, 0, 0, 0)
-      in
-      let os_bytes =
-        match (t.alloc, t.reg) with
-        | Some a, _ -> Alloc.Stats.os_bytes a.Alloc.Allocator.stats
-        | None, Some lib -> Regions.Region.os_bytes lib
-        | None, None -> 0
-      in
-      {
-        Obs.Sampler.base_instrs = Sim.Cost.base_instrs c;
-        mem_instrs = Sim.Cost.memory_instrs c;
-        read_stalls = Sim.Cost.read_stall_cycles c;
-        write_stalls = Sim.Cost.write_stall_cycles c;
-        live_bytes = Alloc.Stats.live_bytes t.req;
-        os_bytes;
-        l1_hits;
-        l1_misses;
-        l2_misses;
-        stores;
-      });
+  (match tracer with
+  | Some tr -> Obs.Tracer.set_probe tr (probe t)
+  | None -> ());
   t
 
 (* Register extra GC roots: the addresses a workload's own bookkeeping

@@ -116,41 +116,6 @@ let test_sanitizer_over_every_allocator () =
     (Check.Fuzz.targets ())
 
 (* ------------------------------------------------------------------ *)
-(* Cost identity with the sanitizer disabled *)
-
-let test_disabled_sanitizer_is_identity () =
-  let counters mem =
-    let c = Sim.Memory.cost mem in
-    (Sim.Cost.cycles c, Sim.Cost.alloc_instrs c, Sim.Cost.base_instrs c)
-  in
-  let run wrap =
-    let mem = Sim.Memory.create ~with_cache:true () in
-    let a = Alloc.Lea.create mem in
-    let a =
-      if wrap then
-        Check.Sanitizer.allocator
-          (Check.Sanitizer.wrap ~config:Check.Sanitizer.disabled a)
-      else a
-    in
-    let rng = Sim.Rng.create 3 in
-    let live = ref [] in
-    for _ = 1 to 400 do
-      if Sim.Rng.int rng 100 < 60 || !live = [] then begin
-        let p = a.Alloc.Allocator.malloc (4 + Sim.Rng.int rng 300) in
-        Sim.Memory.store mem p 1;
-        live := p :: !live
-      end
-      else begin
-        a.free (List.hd !live);
-        live := List.tl !live
-      end
-    done;
-    (counters mem, Alloc.Stats.allocs a.stats, Alloc.Stats.os_bytes a.stats)
-  in
-  check_bool "disabled wrap leaves simulated counts byte-identical" true
-    (run false = run true)
-
-(* ------------------------------------------------------------------ *)
 (* Differential fuzzer *)
 
 let test_all_targets_pass () =
@@ -224,8 +189,6 @@ let () =
             test_quarantine_eviction_checks_poison;
           tc "works over every allocator" `Quick
             test_sanitizer_over_every_allocator;
-          tc "disabled wrap is cost-identity" `Quick
-            test_disabled_sanitizer_is_identity;
         ] );
       ( "fuzz",
         [

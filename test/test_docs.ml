@@ -1,8 +1,10 @@
-(* The commands the docs show exist.  Every `repro SUB` (or
+(* The commands and files the docs show exist.  Every `repro SUB` (or
    `bin/main.exe -- SUB`) invocation in a code line or code span of the
    checked documents, and every row of README's command table, must
    name a real subcommand, and every flag written next to it must be
-   one that the subcommand's --help=plain lists.  Only --help runs. *)
+   one that the subcommand's --help=plain lists.  Only --help runs.
+   Every repository path in a code line or code span must name a file
+   or directory of the source tree. *)
 
 let exe = "../bin/main.exe"
 
@@ -197,13 +199,71 @@ let check_document path () =
       Alcotest.failf "%s names commands that do not exist:\n%s" path
         (String.concat "\n" lines)
 
+(* A path is a code token holding a '/' whose last segment has a source
+   extension or whose first segment is a top-level directory.  Absolute
+   paths (the scratch files of the commands shown), shell expansions
+   and @alias targets are not repository paths. *)
+let extensions =
+  [ ".ml"; ".mli"; ".md"; ".json"; ".txt"; ".py"; ".sh"; ".cq"; ".exe"; ".yml" ]
+
+let is_path t =
+  let top = Filename.concat ".." (List.hd (String.split_on_char '/' t)) in
+  String.contains t '/'
+  && (not (String.contains "/~@-" t.[0]))
+  && (not (List.exists (String.contains t) [ '$'; '*'; '{'; '<'; '>' ]))
+  && (List.exists (fun suffix -> String.ends_with ~suffix t) extensions
+     || (Sys.file_exists top && Sys.is_directory top))
+
+(* Quotes, brackets, punctuation and [VAR=] prefixes are not part of a
+   path. *)
+let paths code =
+  let blank c = if String.contains "\"'()[],;:=" c then ' ' else c in
+  List.filter is_path (tokens (String.map blank code))
+
+(* Build outputs name their sources: .../_build/default/X is X, and an
+   X.exe is built from X.ml.  DESIGN's tables name library files from
+   lib/, so a path may resolve there too. *)
+let path_exists t =
+  let segments = String.split_on_char '/' t in
+  let rec source = function
+    | "_build" :: "default" :: rest -> rest
+    | _ :: rest -> source rest
+    | [] -> segments
+  in
+  let t = String.concat "/" (source segments) in
+  let t =
+    if Filename.check_suffix t ".exe" then Filename.chop_suffix t ".exe" ^ ".ml"
+    else t
+  in
+  Sys.file_exists (Filename.concat ".." t)
+  || Sys.file_exists (Filename.concat "../lib" t)
+
+(* hostbench/README.md is left out: it still names the deleted
+   bench/main.ml and scripts/bench.sh, and it changes only together
+   with the benchmark it documents (ROADMAP item 1). *)
+let path_documents =
+  List.filter (fun p -> p <> "../hostbench/README.md") documents
+
+let check_paths path () =
+  let missing =
+    code_texts (read_file path)
+    |> List.concat_map paths
+    |> List.sort_uniq compare
+    |> List.filter (fun t -> not (path_exists t))
+  in
+  if missing <> [] then
+    Alcotest.failf "%s names paths that do not exist:\n%s" path
+      (String.concat "\n" missing)
+
+let doc_cases f =
+  List.map
+    (fun path ->
+      let name = String.sub path 3 (String.length path - 3) in
+      Alcotest.test_case name `Quick (f path))
+
 let () =
   Alcotest.run "docs"
     [
-      ( "commands exist",
-        List.map
-          (fun path ->
-            let name = String.sub path 3 (String.length path - 3) in
-            Alcotest.test_case name `Quick (check_document path))
-          documents );
+      ("commands exist", doc_cases check_document documents);
+      ("paths exist", doc_cases check_paths path_documents);
     ]

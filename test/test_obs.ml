@@ -1,7 +1,7 @@
-(* Tests for the observability layer: the event ring (wraparound and
-   spill ordering), the time-series sampler's partition property, the
-   Chrome trace_event export (golden file), and — the load-bearing
-   invariant — that tracing never perturbs the simulated counts. *)
+(* Tests for the observability layer: the spill file, the time-series
+   sampler's partition property, the Chrome trace_event export (golden
+   file), and — the load-bearing invariant — that tracing never
+   perturbs the simulated counts. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -12,49 +12,19 @@ let contains hay needle =
   let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
   go 0
 
-(* {1 Ring} *)
-
-let push_n ring n =
-  for i = 0 to n - 1 do
-    Obs.Ring.push ring ~kind:(i mod 14) ~time:i ~site:0 ~a:(i * 2) ~b:(i * 3)
-  done
-
-let test_ring_wraparound () =
-  let r = Obs.Ring.create ~capacity:8 () in
-  check_int "capacity rounded" 8 (Obs.Ring.capacity r);
-  push_n r 20;
-  check_int "length capped" 8 (Obs.Ring.length r);
-  check_int "total counts everything" 20 (Obs.Ring.total r);
-  check_int "dropped = overflow" 12 (Obs.Ring.dropped r);
-  (* survivors are the newest 8, iterated oldest first *)
-  let times = ref [] in
-  Obs.Ring.iter r (fun ~kind:_ ~time ~site:_ ~a:_ ~b:_ ->
-      times := time :: !times);
-  Alcotest.(check (list int))
-    "newest 8, oldest first"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.rev !times)
-
-let test_ring_capacity_rounding () =
-  let r = Obs.Ring.create ~capacity:9 () in
-  check_int "rounded up to power of two" 16 (Obs.Ring.capacity r)
-
-let test_ring_sink_order () =
-  let r = Obs.Ring.create ~capacity:8 () in
-  let seen = ref [] in
-  Obs.Ring.set_sink r
-    (Some
-       (fun ~kind:_ ~time ~site:_ ~a:_ ~b:_ -> seen := time :: !seen));
-  push_n r 20;
-  check_int "sink means no drops" 0 (Obs.Ring.dropped r);
-  check_int "evictions already streamed" 12 (List.length !seen);
-  Obs.Ring.drain r;
-  check_int "drain empties the ring" 0 (Obs.Ring.length r);
-  (* evictions + drain = the complete ordered stream *)
-  Alcotest.(check (list int))
-    "full stream in order"
-    (List.init 20 (fun i -> i))
-    (List.rev !seen)
+(* A sink that keeps every event in memory, and an iterator over
+   what it kept, oldest first. *)
+let memory_sink () =
+  let events = ref [] in
+  let sink ~kind ~time ~site ~a ~b =
+    events := (kind, time, site, a, b) :: !events
+  in
+  let iter (f : Obs.Tracer.sink) =
+    List.iter
+      (fun (kind, time, site, a, b) -> f ~kind ~time ~site ~a ~b)
+      (List.rev !events)
+  in
+  (sink, iter)
 
 (* {1 Spill file} *)
 
@@ -66,10 +36,10 @@ let with_tmp_file f =
 let test_spill_roundtrip () =
   with_tmp_file (fun path ->
       let oc = open_out_bin path in
-      let r = Obs.Ring.create ~capacity:4 () in
-      Obs.Ring.set_sink r (Some (Obs.Spill.sink oc));
-      push_n r 11;
-      Obs.Ring.drain r;
+      let sink = Obs.Spill.sink oc in
+      for i = 0 to 10 do
+        sink ~kind:(i mod 14) ~time:i ~site:0 ~a:(i * 2) ~b:(i * 3)
+      done;
       close_out oc;
       let records = ref [] in
       Obs.Spill.read_file path (fun ~kind ~time ~site ~a ~b ->
@@ -189,7 +159,8 @@ let test_sampler_finish_idempotent_at_now () =
    rows — fails this test. *)
 
 let golden_scenario () =
-  let tr = Obs.Tracer.create ~capacity:64 ~sample_interval:100 () in
+  let sink, iter = memory_sink () in
+  let tr = Obs.Tracer.create ~sample_interval:100 sink in
   let now = ref 0 in
   Obs.Tracer.set_clock tr (fun () -> !now);
   let probe = ref Obs.Sampler.zero_probe in
@@ -209,7 +180,7 @@ let golden_scenario () =
           os_bytes = 4096 };
       Obs.Tracer.free tr ~addr:4096);
   Obs.Tracer.finish tr;
-  tr
+  (tr, iter)
 
 let golden_json =
   {|{"displayTimeUnit":"ms","otherData":{"generator":"regions-repro/obs"},"traceEvents":[
@@ -235,11 +206,11 @@ let golden_json =
 |}
 
 let test_chrome_json_golden () =
-  let tr = golden_scenario () in
-  check_str "exact bytes" golden_json (Obs.Export.chrome_json tr)
+  let tr, iter = golden_scenario () in
+  check_str "exact bytes" golden_json (Obs.Export.chrome_json tr iter)
 
 let test_golden_scenario_profile () =
-  let tr = golden_scenario () in
+  let tr, _ = golden_scenario () in
   (* fill ran cycles 10..120 with base_instrs going 0 -> 50; boot gets
      the rest, net of the nested span. *)
   let stat name =
@@ -266,14 +237,14 @@ let moss = Workloads.Workload.find "moss"
 let region_safe = Workloads.Api.Region { safe = true }
 
 let test_event_stream_ordered () =
-  let tr = Obs.Tracer.create () in
+  let sink, iter = memory_sink () in
+  let tr = Obs.Tracer.create sink in
   let (_ : Workloads.Results.t) =
     Workloads.Workload.run_collect ~tracer:tr cfrac region_safe quick
   in
-  let ring = Obs.Tracer.ring tr in
-  check_bool "events recorded" true (Obs.Ring.total ring > 0);
+  check_bool "events recorded" true (Obs.Tracer.events tr > 0);
   let last = ref (-1) and ordered = ref true and n = ref 0 in
-  Obs.Ring.iter ring (fun ~kind ~time ~site ~a:_ ~b:_ ->
+  iter (fun ~kind ~time ~site ~a:_ ~b:_ ->
       incr n;
       if time < !last then ordered := false;
       last := time;
@@ -282,33 +253,26 @@ let test_event_stream_ordered () =
       check_bool "site interned" true
         (site >= 0 && site <= Obs.Tracer.nsites tr));
   check_bool "timestamps nondecreasing" true !ordered;
-  check_int "iter covers the buffer" (Obs.Ring.length ring) !n;
+  check_int "the sink saw every event" (Obs.Tracer.events tr) !n;
   (* the sampler observed the run too *)
   check_bool "samples taken" true (Obs.Sampler.length (Obs.Tracer.sampler tr) > 1)
 
 (* The invariant everything else rests on: simulated counts are
-   byte-identical whether tracing is compiled in but disabled, or fully
-   enabled with sampling and a spill sink. *)
+   byte-identical with no tracer and with one attached, sampling and
+   writing a spill file. *)
 let results_line ?tracer spec mode =
   Fmt.str "%a" Workloads.Results.pp
     (Workloads.Workload.run_collect ?tracer spec mode quick)
 
 let check_neutral spec mode =
   let baseline = results_line spec mode in
-  let disabled =
-    results_line ~tracer:(Obs.Tracer.create ~enabled:false ()) spec mode
-  in
-  check_str "disabled tracer is count-neutral" baseline disabled;
   with_tmp_file (fun path ->
       let oc = open_out_bin path in
-      let tr = Obs.Tracer.create ~capacity:1024 ~sample_interval:10_000 () in
-      Obs.Ring.set_sink (Obs.Tracer.ring tr) (Some (Obs.Spill.sink oc));
-      let enabled = results_line ~tracer:tr spec mode in
-      Obs.Ring.drain (Obs.Tracer.ring tr);
+      let tr = Obs.Tracer.create ~sample_interval:10_000 (Obs.Spill.sink oc) in
+      let traced = results_line ~tracer:tr spec mode in
       close_out oc;
-      check_str "enabled tracer is count-neutral" baseline enabled;
-      check_bool "yet it really traced" true
-        (Obs.Ring.total (Obs.Tracer.ring tr) > 0))
+      check_str "tracer is count-neutral" baseline traced;
+      check_bool "yet it really traced" true (Obs.Tracer.events tr > 0))
 
 let test_neutrality_region () = check_neutral cfrac region_safe
 let test_neutrality_gc () = check_neutral cfrac (Workloads.Api.Direct Gc)
@@ -348,20 +312,15 @@ let results_line_with_sink sink spec mode =
    no simulated count. *)
 let check_region_events mode =
   let traced = region_ops () in
-  with_tmp_file (fun path ->
-      let oc = open_out_bin path in
-      let tr = Obs.Tracer.create ~capacity:1024 () in
-      Obs.Ring.set_sink (Obs.Tracer.ring tr) (Some (Obs.Spill.sink oc));
-      let (_ : string) = results_line ~tracer:tr mudlle mode in
-      Obs.Ring.drain (Obs.Tracer.ring tr);
-      close_out oc;
-      check_int "nothing dropped" 0 (Obs.Ring.dropped (Obs.Tracer.ring tr));
-      Obs.Spill.read_file path (fun ~kind ~time:_ ~site:_ ~a:_ ~b ->
-          match Obs.Event.of_int kind with
-          | Obs.Event.Region_create -> traced.created <- traced.created + 1
-          | Region_delete when b = 1 -> traced.deleted <- traced.deleted + 1
-          | Region_delete -> traced.refused <- traced.refused + 1
-          | _ -> ()));
+  let tr =
+    Obs.Tracer.create (fun ~kind ~time:_ ~site:_ ~a:_ ~b ->
+        match Obs.Event.of_int kind with
+        | Obs.Event.Region_create -> traced.created <- traced.created + 1
+        | Region_delete when b = 1 -> traced.deleted <- traced.deleted + 1
+        | Region_delete -> traced.refused <- traced.refused + 1
+        | _ -> ())
+  in
+  let (_ : string) = results_line ~tracer:tr mudlle mode in
   let seen = region_ops () in
   let counted = results_line_with_sink (counting_sink seen) mudlle mode in
   check_bool "regions were created" true (seen.created > 0);
@@ -385,7 +344,8 @@ let test_one_observer () =
   Alcotest.check_raises "tracer and sink together"
     (Invalid_argument "Api.create: both ?tracer and ?sink") (fun () ->
       ignore
-        (Workloads.Api.create ~tracer:(Obs.Tracer.create ())
+        (Workloads.Api.create
+           ~tracer:(Obs.Tracer.create (fst (memory_sink ())))
            ~sink:Workloads.Api.null_sink region_safe))
 
 (* {1 Trace artefacts on disk} *)
@@ -432,13 +392,50 @@ let check_trace_files spec mode =
         (List.length (String.split_on_char '\n' (String.trim csv)) > 1);
       let folded = read_file files.Harness.Tracefiles.folded in
       check_bool "folded nonempty" true (String.length (String.trim folded) > 0);
-      (* the spill file replays to the same number of events the ring
-         counted over the whole run *)
+      (* the spill file replays to the same number of events the
+         tracer emitted over the whole run *)
       let n = ref 0 in
       Obs.Spill.read_file files.Harness.Tracefiles.events_bin
         (fun ~kind:_ ~time:_ ~site:_ ~a:_ ~b:_ -> incr n);
-      check_int "spill is the complete stream"
-        (Obs.Ring.total (Obs.Tracer.ring tr)) !n)
+      check_int "spill is the complete stream" (Obs.Tracer.events tr) !n)
+
+(* A body that raises mid-run still leaves every event it emitted on
+   disk: the tracer writes each one straight to the spill file, which
+   is closed on the way out. *)
+exception Cut
+
+let test_raise_keeps_events () =
+  let out = Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "obs-raise-%d" (Unix.getpid ())) in
+  Fun.protect ~finally:(fun () -> try rm_rf out with Sys_error _ -> ())
+    (fun () ->
+      let traced = ref None in
+      (match
+         Harness.Tracefiles.with_tracer ~out mudlle region_safe (fun tr ->
+             traced := Some tr;
+             let api =
+               Workloads.Api.create ~with_cache:true ~tracer:tr region_safe
+             in
+             let r = Workloads.Api.newregion api in
+             for _ = 1 to 100 do
+               ignore (Workloads.Api.rstralloc api r 16 : int)
+             done;
+             raise Cut)
+       with
+      | _ -> Alcotest.fail "the body's exception must propagate"
+      | exception Cut -> ());
+      let tr = Option.get !traced in
+      let base =
+        Filename.concat out (Harness.Tracefiles.stem mudlle region_safe)
+      in
+      let n = ref 0 in
+      Obs.Spill.read_file (base ^ ".events.bin")
+        (fun ~kind:_ ~time:_ ~site:_ ~a:_ ~b:_ -> incr n);
+      check_bool "the body emitted its allocations" true
+        (Obs.Tracer.events tr > 100);
+      check_int "every emitted event is on disk" (Obs.Tracer.events tr) !n;
+      check_bool "no artefact past the spill file" false
+        (Sys.file_exists (base ^ ".trace.json")))
 
 let test_trace_files_cfrac () = check_trace_files cfrac region_safe
 let test_trace_files_moss () =
@@ -566,13 +563,9 @@ let test_timeline_csv () =
 (* {1 Parameterized Chrome export} *)
 
 let test_chrome_json_custom_process () =
-  let tr = golden_scenario () in
-  let iter f =
-    Obs.Ring.iter (Obs.Tracer.ring tr) (fun ~kind ~time ~site ~a ~b ->
-        f ~kind ~time ~site ~a ~b)
-  in
+  let tr, iter = golden_scenario () in
   let j =
-    Obs.Export.chrome_json_of ~pid:7 ~process_name:"column A"
+    Obs.Export.chrome_json ~pid:7 ~process_name:"column A"
       ~thread_name:"replayer" ~process_sort_index:7 tr iter
   in
   check_bool "events carry the pid" true (contains j "\"pid\":7");
@@ -580,20 +573,11 @@ let test_chrome_json_custom_process () =
   check_bool "thread name" true (contains j "\"name\":\"replayer\"");
   check_bool "sort index record" true (contains j "\"sort_index\":7");
   check_bool "default export omits sort index" false
-    (contains (Obs.Export.chrome_json tr) "process_sort_index")
+    (contains (Obs.Export.chrome_json tr iter) "process_sort_index")
 
 let () =
   Alcotest.run "obs"
     [
-      ( "ring",
-        [
-          Alcotest.test_case "wraparound drops oldest" `Quick
-            test_ring_wraparound;
-          Alcotest.test_case "capacity rounds to power of two" `Quick
-            test_ring_capacity_rounding;
-          Alcotest.test_case "sink preserves the full ordered stream" `Quick
-            test_ring_sink_order;
-        ] );
       ( "spill",
         [ Alcotest.test_case "roundtrip" `Quick test_spill_roundtrip ] );
       ( "events",
@@ -661,5 +645,7 @@ let () =
             test_trace_files_cfrac;
           Alcotest.test_case "moss/lea family valid" `Quick
             test_trace_files_moss;
+          Alcotest.test_case "a raising body keeps its events" `Quick
+            test_raise_keeps_events;
         ] );
     ]
