@@ -384,24 +384,34 @@ let trace_cmd =
   in
   let run name mode out sample_cycles full =
     let spec = Workloads.Workload.find name in
-    let r, tracer, files =
-      Harness.Tracefiles.run_traced ~sample_cycles ~out spec mode
-        (size_of_full full)
-    in
-    Fmt.pr "%a@.@." Workloads.Results.pp r;
-    print_string (Obs.Export.site_table ~top:10 tracer);
-    Printf.printf
-      "\n%d events (%d sampled intervals) -> %s\n\
-      \  timeline : %s  (load in Perfetto / chrome://tracing)\n\
-      \  heap     : %s\n\
-      \  sites    : %s\n\
-      \  flame    : %s  (flamegraph.pl / inferno-flamegraph)\n\
-      \  raw      : %s\n"
-      (Obs.Tracer.events tracer)
-      (Obs.Sampler.length (Obs.Tracer.sampler tracer))
-      files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
-      files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt
-      files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin
+    match mode with
+    | Workloads.Api.Direct b when spec.Workloads.Workload.region_only ->
+        (* Rejected before [run_traced] creates any file under --out. *)
+        `Error
+          ( true,
+            Printf.sprintf "%s is region-based: trace its malloc run as %s"
+              name
+              (Workloads.Api.mode_name (Workloads.Api.Emulated b)) )
+    | _ ->
+      let r, tracer, files =
+        Harness.Tracefiles.run_traced ~sample_cycles ~out spec mode
+          (size_of_full full)
+      in
+      Fmt.pr "%a@.@." Workloads.Results.pp r;
+      print_string (Obs.Export.site_table ~top:10 tracer);
+      Printf.printf
+        "\n%d events (%d sampled intervals) -> %s\n\
+        \  timeline : %s  (load in Perfetto / chrome://tracing)\n\
+        \  heap     : %s\n\
+        \  sites    : %s\n\
+        \  flame    : %s  (flamegraph.pl / inferno-flamegraph)\n\
+        \  raw      : %s\n"
+        (Obs.Tracer.events tracer)
+        (Obs.Sampler.length (Obs.Tracer.sampler tracer))
+        files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
+        files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt
+        files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
@@ -421,8 +431,9 @@ let trace_cmd =
               to an untraced run: observation never perturbs measurement.";
          ])
     Term.(
-      const run $ workload_arg $ mode_pos_arg $ out_arg $ sample_arg
-      $ full_arg)
+      ret
+        (const run $ workload_arg $ mode_pos_arg $ out_arg $ sample_arg
+       $ full_arg))
 
 let list_cmd =
   let run () =

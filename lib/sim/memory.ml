@@ -1,12 +1,24 @@
-(* The cache and store-buffer model of Figure 10.  Its code lives in
-   this unit ([Cache] re-exports the cache half), because it
-   runs on every simulated access: here it inlines under any build
-   profile, relying on no cross-unit inlining (DESIGN §5h).  For the
-   UltraSparc geometry (both levels direct-mapped, power-of-two lines
-   and sets), [load], [store] and the bulk operations below inline the
-   whole model; the set-associative what-if geometries take the
-   generic LRU functions.  Charges go through [Cost]'s functions,
-   which are small enough to inline across units. *)
+(* The cache and store-buffer model of Figure 10, and the simulated
+   memory that runs it on every access.  The model's code lives in this
+   unit ([Cache] re-exports the cache half) so that no access makes a
+   call into it (DESIGN §5h).
+
+   For the UltraSparc geometry (both levels direct-mapped, power-of-two
+   lines and sets) [t] carries the probe flat: the two tag arrays
+   (the same arrays [Cache_impl]'s levels own), the line shifts, the
+   set masks and the miss penalties, so a probe is one load from [t]
+   and one from the tags.  The hit and miss counters stay in
+   [Cache_impl.t], off that chain.  [load], [store] and [load_byte]
+   carry [@inline], so with the default (non-opaque) build every
+   caller, the workloads included, runs check, charge, probe and host
+   access with no call.  The set-associative what-if geometries take
+   the generic LRU functions.
+
+   After [check_word] or [check_byte] has bounded an address by
+   [limit], the host bytes are read and written unchecked: [limit <=
+   Bytes.length data] always holds ([create] and [ensure_capacity]
+   keep it) and [page_bytes] is a multiple of the word, so a mapped
+   word lies wholly below [limit]. *)
 
 module Store_buffer_impl = struct
   type t = {
@@ -34,15 +46,17 @@ module Store_buffer_impl = struct
     t.head <- (if h = t.depth then 0 else h);
     t.len <- t.len - 1
 
+  (* [head] and [tail] are always below [depth], the length of [buf],
+     so the ring is indexed unchecked. *)
   let[@inline] push t ~now ~latency =
     (* Retire completed stores. *)
-    while t.len > 0 && t.buf.(t.head) <= now do
+    while t.len > 0 && Array.unsafe_get t.buf t.head <= now do
       advance t
     done;
     let stall =
       if t.len >= t.depth then begin
         (* Buffer full: stall until the oldest entry retires. *)
-        let oldest = t.buf.(t.head) in
+        let oldest = Array.unsafe_get t.buf t.head in
         advance t;
         oldest - now
       end
@@ -59,7 +73,7 @@ module Store_buffer_impl = struct
     t.last_completion <- completion;
     let tail = t.head + t.len in
     let tail = if tail >= t.depth then tail - t.depth else tail in
-    t.buf.(tail) <- completion;
+    Array.unsafe_set t.buf tail completion;
     t.len <- t.len + 1;
     stall
 end
@@ -132,27 +146,29 @@ module Cache_impl = struct
     }
 
   (* The direct-mapped path: a probe is one shift, one mask, one load
-     and one compare, and a fill is one store.  [line land set_mask] is
-     within [tags] (one tag per set) for any [addr]. *)
+     and one compare, and a fill is one store.  [line land mask] is
+     within the tags (one tag per set) for any [addr].  The tag arrays,
+     shifts, masks and penalties are arguments, so that [Memory] can
+     pass the copies it holds flat in its own record; [read] and
+     [write] below pass [t]'s levels. *)
 
-  let[@inline] read_direct t addr =
-    let l1 = t.l1 in
-    let line = addr lsr l1.line_shift in
-    let set = line land l1.set_mask in
-    if Array.unsafe_get l1.tags set = line then t.l1_hits <- t.l1_hits + 1
+  let[@inline] read_direct t ~l1_tags ~l1_shift ~l1_mask ~l2_tags ~l2_shift
+      ~l2_mask ~l1_penalty ~l2_penalty addr =
+    let line = addr lsr l1_shift in
+    let set = line land l1_mask in
+    if Array.unsafe_get l1_tags set = line then t.l1_hits <- t.l1_hits + 1
     else begin
       t.l1_misses <- t.l1_misses + 1;
-      let l2 = t.l2 in
-      let line2 = addr lsr l2.line_shift in
-      let set2 = line2 land l2.set_mask in
-      if Array.unsafe_get l2.tags set2 = line2 then
-        Cost.add_read_stall t.cost t.l1_miss_penalty
+      let line2 = addr lsr l2_shift in
+      let set2 = line2 land l2_mask in
+      if Array.unsafe_get l2_tags set2 = line2 then
+        Cost.add_read_stall t.cost l1_penalty
       else begin
         t.l2_misses <- t.l2_misses + 1;
-        Cost.add_read_stall t.cost (t.l1_miss_penalty + t.l2_miss_penalty);
-        Array.unsafe_set l2.tags set2 line2
+        Cost.add_read_stall t.cost (l1_penalty + l2_penalty);
+        Array.unsafe_set l2_tags set2 line2
       end;
-      Array.unsafe_set l1.tags set line
+      Array.unsafe_set l1_tags set line
     end
 
   (* L1 is write-through no-allocate: a store only updates an already
@@ -165,13 +181,12 @@ module Cache_impl = struct
     let stall = Store_buffer_impl.push t.sb ~now ~latency in
     if stall > 0 then Cost.add_write_stall t.cost stall
 
-  let[@inline] write_direct t addr =
+  let[@inline] write_direct t ~l2_tags ~l2_shift ~l2_mask addr =
     t.stores <- t.stores + 1;
-    let l2 = t.l2 in
-    let line = addr lsr l2.line_shift in
-    let set = line land l2.set_mask in
-    let hit = Array.unsafe_get l2.tags set = line in
-    if not hit then Array.unsafe_set l2.tags set line;
+    let line = addr lsr l2_shift in
+    let set = line land l2_mask in
+    let hit = Array.unsafe_get l2_tags set = line in
+    if not hit then Array.unsafe_set l2_tags set line;
     enqueue_store t ~l2_hit:hit
 
   (* The generic path: any associativity (LRU), any line and set
@@ -236,10 +251,19 @@ module Cache_impl = struct
     if not hit then fill t.l2 addr;
     enqueue_store t ~l2_hit:hit
 
-  let[@inline] read t addr = if t.direct then read_direct t addr else read_lru t addr
+  let[@inline] read t addr =
+    if t.direct then
+      read_direct t ~l1_tags:t.l1.tags ~l1_shift:t.l1.line_shift
+        ~l1_mask:t.l1.set_mask ~l2_tags:t.l2.tags ~l2_shift:t.l2.line_shift
+        ~l2_mask:t.l2.set_mask ~l1_penalty:t.l1_miss_penalty
+        ~l2_penalty:t.l2_miss_penalty addr
+    else read_lru t addr
 
   let[@inline] write t addr =
-    if t.direct then write_direct t addr else write_lru t addr
+    if t.direct then
+      write_direct t ~l2_tags:t.l2.tags ~l2_shift:t.l2.line_shift
+        ~l2_mask:t.l2.set_mask addr
+    else write_lru t addr
 
   let l1_hits t = t.l1_hits
   let l1_misses t = t.l1_misses
@@ -248,11 +272,21 @@ module Cache_impl = struct
 end
 
 type t = {
-  machine : Machine.t;
   cost : Cost.t;
-  cache : Cache_impl.t option;
-  mutable data : Bytes.t;
+  mutable data : Bytes.t;  (* [limit <= Bytes.length data] *)
   mutable limit : int;  (* one past highest mapped byte *)
+  page_bytes : int;  (* a multiple of the word; page 0 is never mapped *)
+  cache : Cache_impl.t option;  (* the counters, store buffer and levels *)
+  fast : bool;  (* [cache] is direct-mapped: probe through the fields below *)
+  l1_tags : int array;  (* [cache]'s level tags; empty without a cache *)
+  l1_shift : int;
+  l1_mask : int;
+  l2_tags : int array;
+  l2_shift : int;
+  l2_mask : int;
+  l1_penalty : int;
+  l2_penalty : int;
+  machine : Machine.t;
   mutable os_bytes : int;
   mutable oom_hook : (int -> bool) option;
   mutable corrupt_hook : (unit -> unit) option;
@@ -265,17 +299,38 @@ let fault fmt = Fmt.kstr (fun s -> raise (Fault s)) fmt
 let max_memory = 1 lsl 29 (* 512 MB simulated address space cap *)
 
 let create ?(machine = Machine.ultrasparc_i) ?(with_cache = true) () =
+  let page_bytes = machine.Machine.page_bytes in
+  if page_bytes <= 0 || page_bytes land 3 <> 0 then
+    invalid_arg "Memory.create: page_bytes must be a positive multiple of 4";
   let cost = Cost.create () in
   let cache =
     if with_cache then Some (Cache_impl.create machine cost) else None
   in
+  let l1, l2, fast =
+    match cache with
+    | Some c -> (Some c.Cache_impl.l1, Some c.l2, c.direct)
+    | None -> (None, None, false)
+  in
+  let tags = function Some l -> l.Cache_impl.tags | None -> [||] in
+  let shift = function Some l -> l.Cache_impl.line_shift | None -> 0 in
+  let mask = function Some l -> l.Cache_impl.set_mask | None -> 0 in
   {
-    machine;
     cost;
-    cache;
-    data = Bytes.make (1 lsl 20) '\000';
+    data = Bytes.make (Int.max (1 lsl 20) page_bytes) '\000';
     (* Page 0 is never mapped so that 0 can act as NULL. *)
-    limit = machine.Machine.page_bytes;
+    limit = page_bytes;
+    page_bytes;
+    cache;
+    fast;
+    l1_tags = tags l1;
+    l1_shift = shift l1;
+    l1_mask = mask l1;
+    l2_tags = tags l2;
+    l2_shift = shift l2;
+    l2_mask = mask l2;
+    l1_penalty = machine.l1_miss_penalty;
+    l2_penalty = machine.l2_miss_penalty;
+    machine;
     os_bytes = 0;
     oom_hook = None;
     corrupt_hook = None;
@@ -314,7 +369,7 @@ let map_pages t n =
   | Some allow when not (allow n) ->
       fault "simulated OS denied a request for %d pages" n
   | Some _ | None -> ());
-  let bytes = n * t.machine.Machine.page_bytes in
+  let bytes = n * t.page_bytes in
   let addr = t.limit in
   ensure_capacity t (addr + bytes);
   t.limit <- addr + bytes;
@@ -327,8 +382,7 @@ let map_pages t n =
   (match t.corrupt_hook with Some f -> f () | None -> ());
   addr
 
-let[@inline] is_mapped t addr =
-  addr >= t.machine.Machine.page_bytes && addr < t.limit
+let[@inline] is_mapped t addr = addr >= t.page_bytes && addr < t.limit
 
 let[@inline] check_word t addr =
   if addr land 3 <> 0 then fault "unaligned word access at %#x" addr;
@@ -337,22 +391,51 @@ let[@inline] check_word t addr =
 let[@inline] check_byte t addr =
   if not (is_mapped t addr) then fault "byte access to unmapped address %#x" addr
 
+(* The host word at a checked address, read and written without a
+   second bounds check (see the header).  Little-endian, as
+   [Bytes.get_int32_le]. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] host_get32 t addr =
+  let v = get32u t.data addr in
+  if Sys.big_endian then swap32 v else v
+
+let[@inline] host_set32 t addr v =
+  let v = Int32.of_int v in
+  set32u t.data addr (if Sys.big_endian then swap32 v else v)
+
+let[@inline] raw_load t addr = Int32.to_int (host_get32 t addr) land 0xFFFFFFFF
+
 (* One instruction, then the cache model: all inlined, so an access
-   makes no call. *)
+   makes no call.  The probes run on a cache, but the direct-mapped
+   one takes its tags and line math from [t]. *)
 let[@inline] charge t n = Cost.instr t.cost n
+
+let[@inline] probe_read t c addr =
+  if t.fast then
+    Cache_impl.read_direct c ~l1_tags:t.l1_tags ~l1_shift:t.l1_shift
+      ~l1_mask:t.l1_mask ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
+      ~l2_mask:t.l2_mask ~l1_penalty:t.l1_penalty ~l2_penalty:t.l2_penalty
+      addr
+  else Cache_impl.read_lru c addr
+
+let[@inline] probe_write t c addr =
+  if t.fast then
+    Cache_impl.write_direct c ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
+      ~l2_mask:t.l2_mask addr
+  else Cache_impl.write_lru c addr
 
 let[@inline] touch_read t addr =
   charge t 1;
-  match t.cache with Some c -> Cache_impl.read c addr | None -> ()
+  match t.cache with Some c -> probe_read t c addr | None -> ()
 
 let[@inline] touch_write t addr =
   charge t 1;
-  match t.cache with Some c -> Cache_impl.write c addr | None -> ()
+  match t.cache with Some c -> probe_write t c addr | None -> ()
 
-let[@inline] raw_load t addr =
-  Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFFFFFF
-
-let load t addr =
+let[@inline] load t addr =
   check_word t addr;
   touch_read t addr;
   raw_load t addr
@@ -360,22 +443,22 @@ let load t addr =
 let load_signed t addr =
   check_word t addr;
   touch_read t addr;
-  Int32.to_int (Bytes.get_int32_le t.data addr)
+  Int32.to_int (host_get32 t addr)
 
-let store t addr v =
+let[@inline] store t addr v =
   check_word t addr;
   touch_write t addr;
-  Bytes.set_int32_le t.data addr (Int32.of_int v)
+  host_set32 t addr v
 
-let load_byte t addr =
+let[@inline] load_byte t addr =
   check_byte t addr;
   touch_read t addr;
-  Char.code (Bytes.get t.data addr)
+  Char.code (Bytes.unsafe_get t.data addr)
 
 let store_byte t addr v =
   check_byte t addr;
   touch_write t addr;
-  Bytes.set t.data addr (Char.unsafe_chr (v land 0xFF))
+  Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
 
 (* Bulk operations.  A contiguous word range is valid iff its first
    and last words are: mapping is a single [page_bytes, limit) span,
@@ -402,7 +485,7 @@ let clear t addr bytes =
     | Some c ->
         for i = 0 to words - 1 do
           charge t 1;
-          Cache_impl.write c (addr + (i * 4))
+          probe_write t c (addr + (i * 4))
         done
     | None -> charge t words);
     Bytes.fill t.data addr (words * 4) '\000'
@@ -433,7 +516,7 @@ let charge_reads t addr n =
       let stop = addr + (n * 4) in
       let a = ref addr in
       while !a < stop do
-        Cache_impl.read c !a;
+        probe_read t c !a;
         let next = (Cache_impl.line_id l1 !a + 1) * l1.line_bytes in
         let words = ((if next < stop then next else stop) - !a + 3) / 4 in
         c.l1_hits <- c.l1_hits + words - 1;
@@ -485,13 +568,13 @@ let store_block t addr words =
     | Some c ->
         for i = 0 to n - 1 do
           charge t 1;
-          Cache_impl.write c (addr + (i * 4));
-          Bytes.set_int32_le t.data (addr + (i * 4)) (Int32.of_int words.(i))
+          probe_write t c (addr + (i * 4));
+          host_set32 t (addr + (i * 4)) words.(i)
         done
     | None ->
         charge t n;
         for i = 0 to n - 1 do
-          Bytes.set_int32_le t.data (addr + (i * 4)) (Int32.of_int words.(i))
+          host_set32 t (addr + (i * 4)) words.(i)
         done
   end
 
@@ -504,7 +587,7 @@ let store_bytes t addr s =
     | Some c ->
         for i = 0 to n - 1 do
           charge t 1;
-          Cache_impl.write c (addr + i)
+          probe_write t c (addr + i)
         done
     | None -> charge t n);
     Bytes.blit_string s 0 t.data addr n
@@ -516,7 +599,7 @@ let peek t addr =
 
 let poke t addr v =
   check_word t addr;
-  Bytes.set_int32_le t.data addr (Int32.of_int v)
+  host_set32 t addr v
 
 let poke_bytes t addr s =
   let n = String.length s in
@@ -538,5 +621,4 @@ let poke_fill t addr bytes =
 let flip_bit t addr bit =
   if bit < 0 || bit > 31 then invalid_arg "Memory.flip_bit: bit out of range";
   check_word t addr;
-  Bytes.set_int32_le t.data addr
-    (Int32.of_int (raw_load t addr lxor (1 lsl bit)))
+  host_set32 t addr (raw_load t addr lxor (1 lsl bit))

@@ -12,12 +12,15 @@
 
     This unit also holds the cache and store-buffer model itself
     ({!Cache_impl}, which {!Cache} re-exports, and
-    {!Store_buffer_impl}).  Keeping the model here lets every access on the
-    UltraSparc geometry (both levels direct-mapped) run the instruction
-    charge, both probes, the fills and the store buffer inline, with
-    no call, under any build profile; the charges are {!Cost}'s
-    functions, which inline across units in the default (non-opaque)
-    build. *)
+    {!Store_buffer_impl}).  On the UltraSparc geometry (both levels
+    direct-mapped) the memory carries the cache's tag arrays, line
+    shifts, set masks and miss penalties in its own record, so a probe
+    is one load from it and one from the tags.  {!load}, {!store} and
+    {!load_byte} are [@inline]: in the default (non-opaque) build a
+    caller runs the check, the instruction charge, both probes, the
+    fills, the store buffer and the host access with no call.  After
+    the simulated check, the host bytes are accessed without a second
+    bounds check; the check implies it. *)
 
 (** Fixed-depth store buffer modelled as a ring of completion cycles;
     pushing a store allocates nothing.  Semantics are those of the

@@ -287,14 +287,16 @@ let frame_index t fr =
 (* The access wrappers take every argument: [let load t =
    Sim.Memory.load t.mem] would build a closure per call, since a
    partial application builds a closure even where the function it
-   applies inlines. *)
-let load t addr = Sim.Memory.load t.mem addr
+   applies inlines.  [load], [store], [load_byte] and [work] carry
+   [@inline], as do the [Sim.Memory] accesses they wrap, so a
+   workload's simulated access compiles to no call (DESIGN §5h). *)
+let[@inline] load t addr = Sim.Memory.load t.mem addr
 
-let store t addr v =
+let[@inline] store t addr v =
   Sim.Memory.store t.mem addr v;
   match t.sink with Some s -> s.on_store ~addr v | None -> ()
 
-let load_byte t addr = Sim.Memory.load_byte t.mem addr
+let[@inline] load_byte t addr = Sim.Memory.load_byte t.mem addr
 
 let load_block t addr n = Sim.Memory.load_block t.mem addr n
 
@@ -316,7 +318,7 @@ let store_ptr t ~addr v =
   | None -> Sim.Memory.store t.mem addr v);
   match t.sink with Some s -> s.on_store_ptr ~addr v | None -> ()
 
-let work t n =
+let[@inline] work t n =
   Sim.Cost.instr t.cost n;
   match t.sink with Some s -> s.on_work n | None -> ()
 

@@ -304,6 +304,31 @@ let test_unknown_experiment_leaves_no_cache () =
     (Sys.file_exists (Filename.concat dir ".repro-cache"));
   Unix.rmdir dir
 
+(* A direct mode of a region-based workload is a usage error (exit
+   124, naming the emulated mode to use), raised before the tracer
+   opens its event file: --out stays empty. *)
+let test_trace_direct_region_workload_rejected () =
+  let dir = fresh_dir "repro-trace-test" in
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
+  let err = Filename.concat dir "stderr" in
+  let out = Filename.concat dir "out" in
+  Unix.mkdir out 0o755;
+  let code =
+    Sys.command
+      (Printf.sprintf "%s trace mudlle sun --out %s >/dev/null 2>%s"
+         (Filename.quote exe) (Filename.quote out) (Filename.quote err))
+  in
+  let msg = In_channel.with_open_bin err In_channel.input_all in
+  check "exit status" 124 code;
+  check_bool "names emu-sun" true
+    (String.starts_with
+       ~prefix:"repro: mudlle is region-based: trace its malloc run as emu-sun\n"
+       msg);
+  Alcotest.(check (list string)) "--out left empty" [] (entries out);
+  Unix.rmdir out;
+  Sys.remove err;
+  Unix.rmdir dir
+
 (* A replay fill without a cell cache records its traces as temp
    files; none of them may outlive the process. *)
 let test_replay_fill_leaves_no_temp_files () =
@@ -388,5 +413,7 @@ let () =
         [
           tc "unknown experiment leaves no cache" `Quick
             test_unknown_experiment_leaves_no_cache;
+          tc "trace of mudlle sun rejected" `Quick
+            test_trace_direct_region_workload_rejected;
         ] );
     ]

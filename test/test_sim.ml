@@ -535,9 +535,11 @@ let prop_clear_matches_store_loop =
 (* Differential check of the cache model.  [Ref] is the cache and
    store buffer written plainly, as separate pieces with a call per
    access and a private cost clock.  Random access streams drive it,
-   [Sim.Memory] (the inline path for direct-mapped caches, the LRU
-   path otherwise) and a bare [Sim.Cache] in lockstep; every counter
-   and the cycle count must agree after every operation. *)
+   [Sim.Memory] (the probe flattened into its record for direct-mapped
+   caches, the LRU path otherwise) and a bare [Sim.Cache] in lockstep,
+   through every charged entry point: word and byte accesses, the
+   store loops and the bulk reads.  Every counter and the cycle count
+   must agree after every operation. *)
 
 module Ref = struct
   type sb = {
@@ -677,8 +679,13 @@ end
 type cache_op =
   | Read of int
   | Write of int
+  | Read_byte of int * int
+  | Write_byte of int * int
   | Clear of int * int
   | Store_block of int * int
+  | Store_bytes of int * int
+  | Charge_loads of int * int
+  | Find_nonzero of int * int
   | Work of int
 
 (* 160 mapped pages (640 KB) exceed the 512 KB L2, so streams see L2
@@ -694,8 +701,13 @@ let cache_op_gen =
     [
       (4, map (fun s -> Read s) slot);
       (4, map (fun s -> Write s) slot);
+      (2, map2 (fun s b -> Read_byte (s, b)) slot (int_bound 3));
+      (2, map2 (fun s b -> Write_byte (s, b)) slot (int_bound 3));
       (1, map2 (fun s b -> Clear (s, b)) slot (int_bound 255));
       (1, map2 (fun s n -> Store_block (s, n)) slot (int_bound 64));
+      (1, map2 (fun s n -> Store_bytes (s, n)) slot (int_bound 255));
+      (1, map2 (fun s n -> Charge_loads (s, n)) slot (int_bound 64));
+      (1, map2 (fun s n -> Find_nonzero (s, n)) slot (int_bound 64));
       (1, map (fun n -> Work n) (int_bound 20));
     ]
 
@@ -720,42 +732,81 @@ let prop_cache_matches_reference =
           (Sim.Cost.read_stall_cycles c, Sim.Cost.write_stall_cycles c,
            Sim.Cost.cycles c) )
       in
+      (* One access in the reference and in the bare cache. *)
+      let read a =
+        Ref.read r a;
+        Sim.Cost.instr bc 1;
+        Sim.Cache.read bare a
+      and write a =
+        Ref.write r a;
+        Sim.Cost.instr bc 1;
+        Sim.Cache.write bare a
+      in
       let words n f = for i = 0 to n - 1 do f i done in
       List.for_all
         (fun op ->
-          (match op with
-          | Read s ->
-              let a = base + (s * 4) in
-              Ref.read r a;
-              ignore (Sim.Memory.load m a);
-              Sim.Cost.instr bc 1;
-              Sim.Cache.read bare a
-          | Write s ->
-              let a = base + (s * 4) in
-              Ref.write r a;
-              Sim.Memory.store m a s;
-              Sim.Cost.instr bc 1;
-              Sim.Cache.write bare a
-          | Clear (s, bytes) ->
-              let a = base + (s * 4) in
-              words ((bytes + 3) / 4) (fun i ->
-                  Ref.write r (a + (i * 4));
-                  Sim.Cost.instr bc 1;
-                  Sim.Cache.write bare (a + (i * 4)));
-              Sim.Memory.clear m a bytes
-          | Store_block (s, n) ->
-              let a = base + (s * 4) in
-              words n (fun i ->
-                  Ref.write r (a + (i * 4));
-                  Sim.Cost.instr bc 1;
-                  Sim.Cache.write bare (a + (i * 4)));
-              Sim.Memory.store_block m a (Array.make n 7)
-          | Work n ->
-              r.Ref.instrs <- r.Ref.instrs + n;
-              Sim.Cost.instr mc n;
-              Sim.Cost.instr bc n);
+          let result_ok =
+            match op with
+            | Read s ->
+                let a = base + (s * 4) in
+                read a;
+                ignore (Sim.Memory.load m a);
+                true
+            | Write s ->
+                let a = base + (s * 4) in
+                write a;
+                Sim.Memory.store m a s;
+                true
+            | Read_byte (s, b) ->
+                let a = base + (s * 4) + b in
+                read a;
+                ignore (Sim.Memory.load_byte m a);
+                true
+            | Write_byte (s, b) ->
+                let a = base + (s * 4) + b in
+                write a;
+                Sim.Memory.store_byte m a s;
+                true
+            | Clear (s, bytes) ->
+                let a = base + (s * 4) in
+                words ((bytes + 3) / 4) (fun i -> write (a + (i * 4)));
+                Sim.Memory.clear m a bytes;
+                true
+            | Store_block (s, n) ->
+                let a = base + (s * 4) in
+                words n (fun i -> write (a + (i * 4)));
+                Sim.Memory.store_block m a (Array.make n 7);
+                true
+            | Store_bytes (s, n) ->
+                let a = base + (s * 4) in
+                words n (fun i -> write (a + i));
+                (* Bytes 0 and 1, so later scans meet zero words too. *)
+                Sim.Memory.store_bytes m a (String.make n (Char.chr (s land 1)));
+                true
+            | Charge_loads (s, n) ->
+                let a = base + (s * 4) in
+                words n (fun i -> read (a + (i * 4)));
+                Sim.Memory.charge_loads m a n;
+                true
+            | Find_nonzero (s, n) ->
+                (* The reference scan stops after the first nonzero
+                   word, found cost-free. *)
+                let a = base + (s * 4) in
+                let k = ref 0 in
+                while !k < n && Sim.Memory.peek m (a + (!k * 4)) = 0 do
+                  incr k
+                done;
+                words (Int.min n (!k + 1)) (fun i -> read (a + (i * 4)));
+                Sim.Memory.find_nonzero m a n = !k
+            | Work n ->
+                r.Ref.instrs <- r.Ref.instrs + n;
+                Sim.Cost.instr mc n;
+                Sim.Cost.instr bc n;
+                true
+          in
           let want = Ref.counters r in
-          want = observed mc (Option.get (Sim.Memory.cache m))
+          result_ok
+          && want = observed mc (Option.get (Sim.Memory.cache m))
           && want = observed bc bare)
         ops)
 
@@ -784,6 +835,45 @@ let test_memory_oom_hook () =
   match Sim.Memory.map_pages m 1 with
   | _ -> Alcotest.fail "expected Fault once budget exhausted"
   | exception Sim.Memory.Fault _ -> ()
+
+(* The host bytes behind a checked address are read and written
+   unchecked, which is sound only while [limit] stays within them.
+   Random mapping sequences grow the memory past its initial 1 MB of
+   host bytes, then a request is denied.  The last mapped word and
+   byte still load and store, and [limit], [limit + 3] and page 0
+   raise [Fault]: never a host bounds error, never a value read from
+   past the mapping. *)
+let prop_unchecked_access_bounded =
+  QCheck.Test.make ~name:"unchecked host access stays below limit" ~count:50
+    QCheck.(
+      pair bool (list_of_size (Gen.int_range 1 8) (int_range 1 120)))
+    (fun (with_cache, grants) ->
+      let m = Sim.Memory.create ~with_cache () in
+      List.iter (fun n -> ignore (Sim.Memory.map_pages m n)) grants;
+      let host = 1 lsl 20 in
+      if Sim.Memory.limit m <= host then
+        ignore
+          (Sim.Memory.map_pages m (((host - Sim.Memory.limit m) / 4096) + 1));
+      let limit = Sim.Memory.limit m in
+      let faults f =
+        match f () with _ -> false | exception Sim.Memory.Fault _ -> true
+      in
+      Sim.Memory.set_oom_hook m (Some (fun _ -> false));
+      let denied = faults (fun () -> Sim.Memory.map_pages m 1) in
+      Sim.Memory.store m (limit - 4) 0xCAFEF00D;
+      Sim.Memory.store_byte m (limit - 1) 0x5A;
+      let out_of_range a =
+        faults (fun () -> Sim.Memory.load m a)
+        && faults (fun () -> Sim.Memory.store m a 1)
+        && faults (fun () -> Sim.Memory.load_byte m a)
+        && faults (fun () -> Sim.Memory.store_byte m a 1)
+      in
+      denied
+      && Sim.Memory.limit m = limit
+      && limit > host
+      && Sim.Memory.load m (limit - 4) = 0x5AFEF00D
+      && Sim.Memory.load_byte m (limit - 1) = 0x5A
+      && List.for_all out_of_range [ limit; limit + 3; 0; 4092 ])
 
 (* The bulk reads vs a [load] loop: [charge_loads] and [load_block]
    vs a loop over all [n] words, [find_nonzero] vs one that stops
@@ -936,6 +1026,7 @@ let () =
           qtest prop_clear_matches_store_loop;
           qtest prop_cache_matches_reference;
           qtest prop_bulk_reads_match_loads;
+          qtest prop_unchecked_access_bounded;
         ] );
       ( "cache",
         [

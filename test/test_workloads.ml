@@ -316,9 +316,9 @@ let test_api_emulation_overhead_tracked () =
       check "live after delete" 0
         (Alloc.Stats.live_bytes (Workloads.Api.requested_stats api)))
 
-(* A simulated load, store or unit of work allocates nothing on the
-   host: 10 000 calls and 10 calls move the minor heap by the same
-   amount (the measurement's own boxed floats).  Fails if one of them
+(* A simulated load, byte load, store or unit of work allocates
+   nothing on the host: 10 000 calls and 10 calls move the minor heap
+   by the same amount (the measurement's own boxed floats).  Fails if one of them
    goes back to building a closure per call, or if the abstract
    [Sim.Cost.t] their charges go through starts boxing. *)
 let test_api_access_allocates_nothing op () =
@@ -337,6 +337,7 @@ let test_api_access_allocates_nothing op () =
     (minor_words 10_000)
 
 let api_load api p _ = ignore (Workloads.Api.load api p)
+let api_load_byte api p i = ignore (Workloads.Api.load_byte api (p + (i land 3)))
 let api_store api p i = Workloads.Api.store api p i
 let api_work api _ i = Workloads.Api.work api (i land 7)
 
@@ -755,5 +756,7 @@ let () =
             (test_api_access_allocates_nothing api_store);
           tc "work allocates nothing" `Quick
             (test_api_access_allocates_nothing api_work);
+          tc "load_byte allocates nothing" `Quick
+            (test_api_access_allocates_nothing api_load_byte);
         ] );
     ]
