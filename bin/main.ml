@@ -321,11 +321,20 @@ let exp_cmd =
       $ retries_arg $ quarantine_arg $ replay_arg $ plan_arg $ seed_arg
       $ metrics_arg)
 
+let workload_conv =
+  let parse s =
+    match Workloads.Workload.find s with
+    | spec -> Ok spec
+    | exception Invalid_argument msg -> Error (`Msg msg)
+  in
+  Arg.conv (parse, fun ppf s -> Fmt.string ppf s.Workloads.Workload.name)
+
 let workload_arg =
+  let names = Workloads.Workload.(List.map (fun s -> s.name) (all @ extras)) in
   Arg.(
     required
-    & pos 0 (some string) None
-    & info [] ~docv:"WORKLOAD" ~doc:"cfrac, grobner, mudlle, lcc, tile, moss, moss-slow, game, game-correlated")
+    & pos 0 (some workload_conv) None
+    & info [] ~docv:"WORKLOAD" ~doc:(String.concat ", " names))
 
 let mode_conv =
   let parse s =
@@ -359,15 +368,28 @@ let mode_pos_arg =
     & pos 1 mode_conv (Workloads.Api.Region { safe = true })
     & info [] ~docv:"MODE" ~doc:mode_doc)
 
+(* [f ()] for a runnable (workload, mode) cell.  A direct malloc mode
+   of a region-based workload is a usage error naming the emulated mode
+   to use, returned before [f] creates any file. *)
+let with_cell spec mode f =
+  match mode with
+  | Workloads.Api.Direct b when spec.Workloads.Workload.region_only ->
+      `Error
+        ( true,
+          Printf.sprintf "%s is region-based: its malloc run is mode %s"
+            spec.Workloads.Workload.name
+            (Workloads.Api.mode_name (Workloads.Api.Emulated b)) )
+  | _ -> `Ok (f ())
+
 let run_cmd =
-  let run name mode full =
-    let spec = Workloads.Workload.find name in
-    let r = Workloads.Workload.run_collect spec mode (size_of_full full) in
-    Fmt.pr "%a@." Workloads.Results.pp r
+  let run spec mode full =
+    with_cell spec mode (fun () ->
+        let r = Workloads.Workload.run_collect spec mode (size_of_full full) in
+        Fmt.pr "%a@." Workloads.Results.pp r)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one workload under one memory manager")
-    Term.(const run $ workload_arg $ mode_arg $ full_arg)
+    Term.(ret (const run $ workload_arg $ mode_arg $ full_arg))
 
 let trace_cmd =
   let out_arg =
@@ -382,17 +404,8 @@ let trace_cmd =
       & info [ "sample-cycles" ] ~docv:"N"
           ~doc:"Time-series sampling period in simulated cycles.")
   in
-  let run name mode out sample_cycles full =
-    let spec = Workloads.Workload.find name in
-    match mode with
-    | Workloads.Api.Direct b when spec.Workloads.Workload.region_only ->
-        (* Rejected before [run_traced] creates any file under --out. *)
-        `Error
-          ( true,
-            Printf.sprintf "%s is region-based: trace its malloc run as %s"
-              name
-              (Workloads.Api.mode_name (Workloads.Api.Emulated b)) )
-    | _ ->
+  let run spec mode out sample_cycles full =
+    with_cell spec mode @@ fun () ->
       let r, tracer, files =
         Harness.Tracefiles.run_traced ~sample_cycles ~out spec mode
           (size_of_full full)
@@ -410,8 +423,7 @@ let trace_cmd =
         (Obs.Sampler.length (Obs.Tracer.sampler tracer))
         files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
         files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt
-        files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin;
-      `Ok ()
+        files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin
   in
   Cmd.v
     (Cmd.info "trace"
@@ -522,8 +534,7 @@ let faults_cmd =
       & info [ "quarantine" ] ~docv:"DIR"
           ~doc:"Write a triage bundle under $(docv) for non-graceful outcomes.")
   in
-  let run name mode all_modes plan_spec seed full quarantine =
-    let spec = Workloads.Workload.find name in
+  let run spec mode all_modes plan_spec seed full quarantine =
     let plan = parse_plan ~seed plan_spec in
     let graceful mode =
       let o = Harness.Faultrun.run ~plan spec mode (size_of_full full) in
@@ -547,10 +558,11 @@ let faults_cmd =
           quarantine;
       ok
     in
-    let modes =
-      if all_modes then Workloads.Workload.modes_for spec else [ mode ]
+    let check modes () =
+      if not (List.for_all Fun.id (List.map graceful modes)) then exit 1
     in
-    if not (List.for_all Fun.id (List.map graceful modes)) then exit 1
+    if all_modes then `Ok (check (Workloads.Workload.modes_for spec) ())
+    else with_cell spec mode (check [ mode ])
   in
   Cmd.v
     (Cmd.info "faults"
@@ -577,8 +589,9 @@ let faults_cmd =
               that non-graceful exit is the finding, not a harness bug.";
          ])
     Term.(
-      const run $ workload_arg $ mode_pos_arg $ all_modes_arg $ plan_arg
-      $ seed_arg $ full_arg $ quarantine_arg)
+      ret
+        (const run $ workload_arg $ mode_pos_arg $ all_modes_arg $ plan_arg
+       $ seed_arg $ full_arg $ quarantine_arg))
 
 let check_cmd =
   let traces_arg =
@@ -811,8 +824,8 @@ let record_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:"Trace file (default: WORKLOAD-VARIANT-SIZE.trace).")
   in
-  let run name variant out full =
-    let spec = Workloads.Workload.find name in
+  let run spec variant out full =
+    let name = spec.Workloads.Workload.name in
     let variant = default_variant spec variant in
     let size = size_of_full full in
     let out =

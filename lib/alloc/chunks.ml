@@ -3,7 +3,6 @@ type t = {
   stats : Stats.t;
   min_extend_pages : int;
   policy : policy;
-  static_area : int;
   mutable seg_end : int;  (* one past the end of the last segment; 0 if none *)
   mutable segments : (int * int) list;  (* (start, end), newest first *)
 }
@@ -27,14 +26,11 @@ let create mem stats ~min_extend_pages make_policy =
     stats;
     min_extend_pages;
     policy = make_policy ~static_area;
-    static_area;
     seg_end = 0;
     segments = [];
   }
 
 let memory t = t.mem
-let stats t = t.stats
-let static_area t = t.static_area
 let hdr t c = Sim.Memory.load t.mem c
 let set_hdr t c v = Sim.Memory.store t.mem c v
 let size_of h = h land lnot 7

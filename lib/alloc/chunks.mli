@@ -41,11 +41,6 @@ val create :
     page and builds the policy once, from the page's address. *)
 
 val memory : t -> Sim.Memory.t
-val stats : t -> Stats.t
-
-val static_area : t -> int
-(** Address of one page of allocator-private memory for policy state
-    (bin heads, list heads), mapped at creation. *)
 
 (** Header accessors (free chunks only have meaningful links). *)
 

@@ -124,7 +124,3 @@ let total_bytes t = t.total_bytes
 let live_bytes t = t.live_bytes
 let max_live_bytes t = t.max_live_bytes
 let os_bytes t = t.os_bytes
-
-let pp ppf t =
-  Fmt.pf ppf "allocs=%d frees=%d total=%dB live=%dB max_live=%dB os=%dB"
-    t.allocs t.frees t.total_bytes t.live_bytes t.max_live_bytes t.os_bytes

@@ -48,4 +48,3 @@ val total_bytes : t -> int
 val live_bytes : t -> int
 val max_live_bytes : t -> int
 val os_bytes : t -> int
-val pp : t Fmt.t

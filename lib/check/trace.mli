@@ -33,6 +33,5 @@ val generate : seed:int -> len:int -> t
 val size_words : int -> int
 (** Words spanned by a block of the given requested size. *)
 
-val pp_op : op Fmt.t
 val pp : t Fmt.t
 (** One operation per line, for shrunk-failure reports. *)

@@ -91,4 +91,3 @@ let explain_delete lib r =
         refs
 
 let iter_objects lib r f = Region.iter_objects_peek lib r f
-let check_invariants = Region.check_invariants

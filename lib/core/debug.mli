@@ -23,8 +23,6 @@ type reference =
       value : int;
     }
 
-val pp_reference : reference Fmt.t
-
 val references_into : Region.t -> Region.region -> reference list
 (** Every reference into the region visible to the safety machinery:
     region-pointer frame slots and operands, global words, and
@@ -42,13 +40,3 @@ val iter_objects :
 (** Walk every object allocated with [ralloc]/[rarrayalloc] in the
     region (string and large allocations carry no cleanups and are not
     visited), cost-free. *)
-
-val check_invariants : Region.t -> unit
-(** Validate internal invariants of every live region, for tests:
-    - every page in a region's page lists is mapped to it in the
-      page→region map, and pool pages are mapped to nothing;
-    - every object header parses against the cleanup registry and
-      objects stay within their pages;
-    - allocation offsets are in range;
-    - in safe mode, no stored reference count is negative.
-    @raise Failure on violation. *)

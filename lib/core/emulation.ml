@@ -8,7 +8,6 @@ type region = int
 let overhead_per_object = 8
 
 let create alloc = { alloc; live = 0 }
-let allocator t = t.alloc
 let mem t = t.alloc.Alloc.Allocator.memory
 
 let cost t = Sim.Memory.cost (mem t)

@@ -20,7 +20,6 @@ val overhead_per_object : int
 (** Link bytes added to every allocation (8, as the paper assumes). *)
 
 val create : Alloc.Allocator.t -> t
-val allocator : t -> Alloc.Allocator.t
 
 val newregion : t -> region
 val ralloc : t -> region -> int -> int

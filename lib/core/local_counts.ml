@@ -4,7 +4,6 @@ let create ~nprocs =
   if nprocs <= 0 then invalid_arg "Local_counts.create";
   { counts = Array.make nprocs 0; deleted = false }
 
-let nprocs t = Array.length t.counts
 
 let check_alive t op =
   if t.deleted then invalid_arg ("Local_counts." ^ op ^ ": already deleted")

@@ -26,7 +26,6 @@
 type t
 
 val create : nprocs:int -> t
-val nprocs : t -> int
 
 val acquire : t -> proc:int -> unit
 (** The process gains a reference (e.g. it stored a region pointer). *)

@@ -44,7 +44,6 @@ let set_current_id t mid =
   if mid < 0 then invalid_arg "Mutator.set_current_id: negative id";
   t.current_id <- mid
 
-let globals_base t = t.globals_base
 let globals_words t = t.globals_words
 
 let global_addr t i =

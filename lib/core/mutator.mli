@@ -41,7 +41,6 @@ val set_current_id : t -> int -> unit
 
 (** {1 Globals} *)
 
-val globals_base : t -> int
 val globals_words : t -> int
 
 val global_addr : t -> int -> int

@@ -46,5 +46,4 @@ type program = {
   bp_main : int;
 }
 
-val pp_instr : instr Fmt.t
 val pp_func : func Fmt.t

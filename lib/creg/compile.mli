@@ -1,7 +1,5 @@
 (** Compiler from the typed IR to stack bytecode. *)
 
-val program : Typecheck.tprogram -> Bytecode.program
-
 val compile : string -> Bytecode.program
 (** Front end in one call: lex, parse, typecheck, compile.
     @raise Lexer.Error, Parser.Error, Typecheck.Error *)

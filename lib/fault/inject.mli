@@ -17,29 +17,20 @@
 
 type t
 
-val install :
-  ?pick:(u:float -> bit:int -> (int * int) option) ->
-  plan:Plan.t ->
-  Sim.Memory.t ->
-  t
-(** Installs both hooks, replacing any hooks already present.  [pick]
-    maps a plan flip (position [u] in [0,1), bit index) to a concrete
-    [(addr, bit)] target, or [None] to skip; the default picks a
-    uniformly-placed mapped word.  Tests override [pick] to aim flips
-    at sanitizer redzones. *)
-
-val uninstall : t -> unit
-(** Clears both hooks (idempotent). *)
-
 val with_plan :
   ?pick:(u:float -> bit:int -> (int * int) option) ->
   plan:Plan.t ->
   Sim.Memory.t ->
   (t -> 'a) ->
   'a
-(** [install] / run / [uninstall], with {!Fun.protect} so an exception
-    (including the injected {!Sim.Memory.Fault}) can never leak hooks
-    into a later run. *)
+(** [with_plan ~plan mem f] installs both hooks, replacing any hooks
+    already present, runs [f], and clears them again, with
+    {!Fun.protect} so an exception (including the injected
+    {!Sim.Memory.Fault}) can never leak hooks into a later run.
+    [pick] maps a plan flip (position [u] in [0,1), bit index) to a
+    concrete [(addr, bit)] target, or [None] to skip; the default picks
+    a uniformly-placed mapped word.  Tests override [pick] to aim flips
+    at sanitizer redzones. *)
 
 (** {1 Injection accounting} *)
 

@@ -35,8 +35,6 @@ let to_string t =
   if t.clauses = [] then "none"
   else String.concat "," (List.map clause_to_string t.clauses)
 
-let pp ppf t = Fmt.pf ppf "%s (seed %d)" (to_string t) t.seed
-
 let clause_of_string s =
   let int_arg name v =
     match int_of_string_opt v with

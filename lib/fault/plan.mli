@@ -48,8 +48,6 @@ val of_string : ?seed:int -> string -> (t, string) result
 val to_string : t -> string
 (** Round-trips through {!of_string} (the seed travels separately). *)
 
-val pp : t Fmt.t
-
 type flip = { u : float;  (** position in [0,1) over the mapped space *)
               bit : int }
 

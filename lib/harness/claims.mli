@@ -2,15 +2,10 @@
 
     Each claim from the paper's abstract and section 5 is evaluated
     against the measured matrix and reported as PASS / DEVIATION with
-    the numbers that decide it.  The test suite asserts the same
-    predicates; this report is the human-readable version. *)
-
-type verdict = Pass | Deviation
-
-val verdicts : Matrix.t -> (verdict * string * string) list
-(** The six checked claims as (verdict, claim text, deciding numbers),
-    in the report's order — shared by the text render and the
-    generated doc block. *)
+    the numbers that decide it and its pass condition: the threshold
+    the deciding quantity is held to, and the margin by which it
+    passes.  The test suite asserts the same predicates; this report is
+    the human-readable version. *)
 
 val render : Matrix.t -> string
 

@@ -7,9 +7,6 @@
     readable line diff when a committed document disagrees with its
     regeneration (the `repro docs --check` CI gate). *)
 
-val open_marker : string -> string
-val close_marker : string -> string
-
 val block_ids : string -> (string * int) list
 (** All open markers in a document with their byte offsets, in
     document order (including unknown ids). *)

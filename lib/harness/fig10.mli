@@ -4,18 +4,6 @@
 
 val render : Matrix.t -> string
 
-val total_stalls : Workloads.Results.t -> int
-(** Read + write stall cycles. *)
-
-val stalls_by_label :
-  Matrix.t -> Workloads.Workload.spec -> (string * Workloads.Results.t) list
-(** Per-mode results labelled Sun/BSD/Lea/GC/Reg/Unsafe (plus Slow for
-    moss), shared by the text render and the generated doc block. *)
-
-val moss_stall_ratio : Matrix.t -> float
-(** The optimised moss's stalls as a percentage of the single-region
-    variant's (paper: approximately 50%). *)
-
 val md : Matrix.t -> string
 (** The stall table + moss ratio line as markdown (the `fig10` doc
     block). *)

@@ -5,10 +5,5 @@
 
 val render : Matrix.t -> string
 
-val rows : Matrix.t -> string list list
-(** The decomposition table rows (benchmark, cleanup %, stack scan %,
-    refcount %, total overhead %), shared by the text render and the
-    generated doc block. *)
-
 val md : Matrix.t -> string
 (** The decomposition table as markdown (the `fig11` doc block). *)

@@ -4,12 +4,6 @@
 
 val render : Matrix.t -> string
 
-val vs_lea : Matrix.t -> (string * float) list
-(** Per benchmark, safe regions' OS footprint relative to Lea's, in
-    percent (negative = regions smaller) — the Figure 8 headline,
-    shared by the text render, the claims check narrative and the
-    generated doc block. *)
-
 val md : Matrix.t -> string
 (** The per-allocator footprint table with region ranking as markdown
     (the `fig8` doc block). *)

@@ -5,18 +5,6 @@
 
 val render : Matrix.t -> string
 
-val headline : Matrix.t -> Workloads.Workload.spec -> float * float * float
-(** (safe vs best malloc/GC, unsafe vs best, cost of safety), each in
-    percent — the per-benchmark summary line, shared by the text
-    render and the generated doc block. *)
-
-val headlines : Matrix.t -> (string * (float * float * float)) list
-(** {!headline} over the six benchmarks, in the paper's order. *)
-
-val moss_speedup : Matrix.t -> float
-(** The two-region moss speedup over the single-region variant, in
-    percent (paper: 24%). *)
-
 val md : Matrix.t -> string
 (** The headline table + moss locality line as markdown (the `fig9`
     doc block). *)

@@ -52,9 +52,6 @@ val create :
 
 val size : t -> Workloads.Workload.size
 
-val size_name : t -> string
-(** ["quick"] or ["full"] — the size as recorded in cell provenance. *)
-
 val cache_stats : t -> int * int
 (** (disk-cache hits, misses) so far; (0, 0) without [disk]. *)
 
@@ -178,8 +175,8 @@ val run_all :
     attempt.  A timed-out attempt's domain cannot be killed, only
     abandoned — so any fd it holds (the replay path keeps a streaming
     trace reader open for the whole cell) would leak once per timeout.
-    The body registers a closer when it opens, and closes through
-    {!Guard.protect}: on abandonment the supervisor runs every closer
+    The body registers a closer when it opens, and closes it once it
+    owns the token: on abandonment the supervisor runs every closer
     still registered, exactly once per resource (the token release is
     the race arbiter).  Guarded resources must tolerate a close under
     the abandoned body's feet — read-only fds qualify; their next read
@@ -188,23 +185,11 @@ module Guard : sig
   type t
   type token
 
-  val create : unit -> t
-
   exception Abandoned
   (** Raised by {!register} after abandonment (closing the resource
       first): the void domain stops opening things nobody will reap. *)
 
   val register : t -> (unit -> unit) -> token
-  val release : t -> token -> bool
-  (** True exactly once: the caller owns the close. *)
-
-  val abandon : t -> unit
-  (** Runs (and forgets) every registered closer; subsequent
-      {!register}s close-and-raise. *)
-
-  val protect : t -> (unit -> unit) -> (unit -> 'a) -> 'a
-  (** [protect g close f] = register, run [f], close on whichever side
-      owns the token afterwards. *)
 end
 
 val run_attempt :

@@ -72,18 +72,3 @@ let table1 =
     { t1_name = "tile"; t1_lines = None; t1_changed = None };
     { t1_name = "moss"; t1_lines = None; t1_changed = None };
   ]
-
-let headline_claims =
-  [
-    "Unsafe regions are never slower than the other allocators (up to 16% faster).";
-    "Safe regions are as fast or faster than the alternatives on most benchmarks, \
-     and only slightly slower in the worst cases.";
-    "The cost of safety varies from negligible to 17%.";
-    "Regions use from 9% less to 19% more memory than Doug Lea's allocator and \
-     rank first or second everywhere.";
-    "The BSD allocator and the Boehm-Weiser collector use a lot of memory.";
-    "Segregating moss's small and large objects into two regions improves \
-     execution time by 24% and roughly halves the stalls.";
-    "The BSD allocator (which segregates by size) tends to have fewer stalls \
-     than the other explicit allocators.";
-  ]

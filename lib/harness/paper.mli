@@ -33,6 +33,3 @@ type table1_row = { t1_name : string; t1_lines : int option; t1_changed : int op
 
 val table1 : table1_row list
 (** Porting complexity (lines / changed lines). *)
-
-val headline_claims : string list
-(** The paper's qualitative results, checked by the harness. *)

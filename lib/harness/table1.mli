@@ -9,10 +9,6 @@ val render : ?source_dir:string -> unit -> string
     found (e.g. an installed binary), only the paper's values are
     shown. *)
 
-val rows : ?source_dir:string -> unit -> string list list
-(** The table rows, shared by the text render and the generated doc
-    block. *)
-
 val md : ?source_dir:string -> unit -> string
 (** The porting-complexity table as markdown (the `table1` doc
     block). *)

@@ -7,17 +7,11 @@
     markdown emitters used for the generated EXPERIMENTS.md blocks, so
     both views are the same pure function of the stored results. *)
 
-val table2_header : string list
-val table2_rows : Matrix.t -> string list list
-val table2_paper_rows : unit -> string list list
 val render_table2 : Matrix.t -> string
 
 val table2_md : Matrix.t -> string
 (** Measured + paper rows as markdown (the `table2` doc block). *)
 
-val table3_header : string list
-val table3_rows : Matrix.t -> string list list
-val table3_paper_rows : unit -> string list list
 val render_table3 : Matrix.t -> string
 
 val table3_md : Matrix.t -> string

@@ -25,7 +25,6 @@ let create ?(enabled = false) () =
 
 let default = create ()
 let set_enabled t on = t.on <- on
-let enabled t = t.on
 
 type counter = { c : int Atomic.t; c_reg : t }
 type gauge = { g : float Atomic.t; g_reg : t }

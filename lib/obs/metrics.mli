@@ -30,7 +30,6 @@ val default : t
     [set_enabled] — all hot-path operations are a load-and-branch. *)
 
 val set_enabled : t -> bool -> unit
-val enabled : t -> bool
 
 (** {1 Instruments}
 

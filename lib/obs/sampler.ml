@@ -53,7 +53,6 @@ let create ?(interval = 50_000) () =
   if interval <= 0 then invalid_arg "Obs.Sampler.create: interval must be positive";
   { interval; next = 0; buf = Array.make (64 * stride) 0; n = 0 }
 
-let interval t = t.interval
 let length t = t.n
 let due t ~now = now >= t.next
 

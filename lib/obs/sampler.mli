@@ -34,8 +34,6 @@ val create : ?interval:int -> unit -> t
 (** [interval] (default 50000) is the sampling period in simulated
     cycles. *)
 
-val interval : t -> int
-
 val due : t -> now:int -> bool
 (** Whether a sample would be recorded at cycle [now] — lets callers
     avoid building a probe that would be discarded. *)
@@ -53,8 +51,5 @@ val finish : t -> now:int -> probe -> unit
     run's totals. *)
 
 val length : t -> int
-
-val get : t -> int -> int * probe
-(** [get t i] is the [i]-th sample as [(cycles, cumulative probe)]. *)
 
 val iter : t -> (cycles:int -> probe -> unit) -> unit

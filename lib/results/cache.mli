@@ -25,7 +25,6 @@ val create : ?dir:string -> ?build_id:string -> unit -> t
     invalidation). *)
 
 val default_dir : unit -> string
-val env_dir : string  (** the [REPRO_CACHE_DIR] variable name *)
 
 val dir : t -> string
 val build_id : t -> string

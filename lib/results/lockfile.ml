@@ -1,6 +1,4 @@
-type t = { lpath : string; fd : Unix.file_descr; mutable held : bool }
-
-let path t = t.lpath
+type t = { fd : Unix.file_descr; mutable held : bool }
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -49,7 +47,7 @@ let acquire ?owner lpath =
              ignore (Unix.lseek fd 0 Unix.SEEK_SET);
              ignore (Unix.write_substring fd line 0 (String.length line))
            with Unix.Unix_error _ -> ());
-          Ok { lpath; fd; held = true }
+          Ok { fd; held = true }
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
           let holder = holder_of fd in
           Unix.close fd;

@@ -30,5 +30,3 @@ val acquire : ?owner:string -> string -> (t, string) result
 val release : t -> unit
 (** Drops the lock (idempotent).  Exiting releases it anyway; this is
     for tests and for daemons that drain before exiting. *)
-
-val path : t -> string

@@ -9,8 +9,6 @@
 
 type t
 
-val file_schema : string
-
 val create : unit -> t
 
 val add : t -> Cell.t -> unit
@@ -25,10 +23,7 @@ val to_list : t -> Cell.t list
 
 val of_list : Cell.t list -> t
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 val to_string : t -> string
-val of_string : string -> (t, string) result
 
 val load : string -> (t, string) result
 

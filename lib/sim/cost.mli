@@ -27,17 +27,10 @@ val instr : t -> int -> unit
 
 val context : t -> context
 
-val enter : t -> context -> context
-(** [enter t c] switches the current context to [c] and returns the
-    context it replaced, for {!leave}. *)
-
-val leave : t -> context -> unit
-(** [leave t saved] settles the current context's charges and restores
-    [saved]. *)
-
 val within : t -> context -> ('a -> 'b -> 'r) -> 'a -> 'b -> 'r
-(** [within t c f a b] runs [f a b] between {!enter} and {!leave},
-    also when [f] raises.  For the per-operation sites (malloc, free,
+(** [within t c f a b] runs [f a b] with [c] as the current context,
+    settling each context's charges on the way in and out, and
+    restores the previous context also when [f] raises.  For the per-operation sites (malloc, free,
     ralloc, ...): with [f] a top-level function, the call allocates
     no closure. *)
 

@@ -36,11 +36,6 @@ module Store_buffer_impl = struct
   let length t = t.len
   let last_completion t = t.last_completion
 
-  let reset t =
-    t.head <- 0;
-    t.len <- 0;
-    t.last_completion <- 0
-
   let[@inline] advance t =
     let h = t.head + 1 in
     t.head <- (if h = t.depth then 0 else h);

@@ -48,8 +48,6 @@ module Store_buffer_impl : sig
   val last_completion : t -> int
   (** Completion cycle of the most recently pushed store (0 if none
       ever). *)
-
-  val reset : t -> unit
 end
 
 (** The implementation of {!Cache}; documented there. *)

@@ -8,8 +8,6 @@ type t
 val create : int -> t
 (** [create seed] returns a fresh generator. *)
 
-val copy : t -> t
-
 val next : t -> int64
 (** Next raw 64-bit value. *)
 

@@ -14,11 +14,6 @@
     are sized by the {e live} high-water mark, keeping replay memory
     independent of trace length. *)
 
-val generation : string
-(** Generator revision, part of the cache address.  Bumped whenever
-    the byte output for a fixed spec changes (this includes trace
-    format changes). *)
-
 type size_dist =
   | Table2  (** the Table-2-fitted small-object mix used by the fuzzer *)
   | Uniform of { lo : int; hi : int }  (** uniform in [lo, hi] bytes *)

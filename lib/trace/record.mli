@@ -25,9 +25,6 @@ val variant_of_mode : Workloads.Api.mode -> string
 (** ["malloc"], ["emu"] or ["region"] — the trace a replay of this
     mode reads. *)
 
-val variants_for : Workloads.Workload.spec -> string list
-(** The variants this workload's matrix row needs. *)
-
 val recording_mode : string -> Workloads.Api.mode
 (** The mode a variant records under.  @raise Invalid_argument on an
     unknown variant. *)

@@ -24,9 +24,6 @@ type ctx = {
 type nat = int
 (** Address of a number in the simulated heap. *)
 
-val words_needed : int -> int
-(** Heap words for a number of [n] limbs (n + 1). *)
-
 val of_int : ctx -> int -> nat
 (** [of_int ctx n] with [n >= 0]. *)
 

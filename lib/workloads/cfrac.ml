@@ -8,9 +8,6 @@ let medium_params =
   (* 1000003651 * 2000000603 *)
   { n = "2000007905002201553"; bound = 6000; max_iterations = 200_000; chunk = 16 }
 
-let paper_params =
-  { n = "4175764634412486014593803028771"; bound = 40_000; max_iterations = 2_000_000; chunk = 16 }
-
 type outcome = { factor : string option; iterations : int; relations : int }
 
 (* ------------------------------------------------------------------ *)

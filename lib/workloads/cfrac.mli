@@ -23,10 +23,6 @@ val default_params : params
 val medium_params : params
 (** A 19-digit semiprime: the benchmark configuration. *)
 
-val paper_params : params
-(** The paper's 31-digit number
-    4175764634412486014593803028771 (long). *)
-
 type outcome = {
   factor : string option;  (** a non-trivial factor, if found *)
   iterations : int;

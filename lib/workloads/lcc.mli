@@ -23,8 +23,6 @@ type params = {
 val default_params : params
 val large_params : params
 
-val generate_source : params -> string
-
 type outcome = {
   statements : int;
   triples : int;  (** intermediate-code records emitted *)

@@ -24,9 +24,6 @@ type params = {
 val default_params : params
 val large_params : params
 
-val generate_source : params -> string
-(** The deterministic source text compiled by the benchmark. *)
-
 type outcome = {
   functions_compiled : int;
   code_words : int;  (** total bytecode emitted *)

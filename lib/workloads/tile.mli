@@ -27,8 +27,6 @@ type params = {
 val default_params : params
 val large_params : params
 
-val generate_text : params -> string
-
 type outcome = {
   tokens : int;
   blocks : int;

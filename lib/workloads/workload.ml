@@ -172,12 +172,13 @@ let extras =
   [ moss_slow; game; game_correlated; server1; server2; server4; server8 ]
 
 let find name =
-  match List.find_opt (fun s -> s.name = name) (extras @ all) with
+  let every = all @ extras in
+  match List.find_opt (fun s -> s.name = name) every with
   | Some s -> s
   | None ->
       invalid_arg
         (Fmt.str "unknown workload %s (have: %s)" name
-           (String.concat ", " (List.map (fun s -> s.name) all)))
+           (String.concat ", " (List.map (fun s -> s.name) every)))
 
 let modes_for spec =
   let backends = [ Api.Sun; Api.Bsd; Api.Lea; Api.Gc ] in

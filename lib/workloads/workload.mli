@@ -40,13 +40,6 @@ val moss_slow : spec
 (** The unoptimised (one-region) moss variant, shown as the extra
     "slow" bar in Figures 9 and 10. *)
 
-val game : spec
-(** The paper's section-1 counter-example (random lifetimes); not part
-    of the six-benchmark matrix. *)
-
-val game_correlated : spec
-(** The game with wave-correlated lifetimes: the control case. *)
-
 val extras : spec list
 (** Workloads outside the paper's benchmark matrix. *)
 

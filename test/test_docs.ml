@@ -4,7 +4,10 @@
    name a real subcommand, and every flag written next to it must be
    one that the subcommand's --help=plain lists.  Only --help runs.
    Every repository path in a code line or code span must name a file
-   or directory of the source tree. *)
+   or directory of the source tree.  And every [val] of a [lib/]
+   interface has a caller in another compilation unit of lib/, bin/,
+   test/, hostbench/ or examples/: the export audit below, with its
+   allowlist of the values exported on purpose without one. *)
 
 let exe = "../bin/main.exe"
 
@@ -255,6 +258,254 @@ let check_paths path () =
     Alcotest.failf "%s names paths that do not exist:\n%s" path
       (String.concat "\n" missing)
 
+(* Export audit: every [val] of a [lib/] interface must be referenced
+   from another compilation unit of the source trees below.  Sources
+   are parsed with the compiler's own parser, and module paths are
+   resolved to the library unit they name: a library's units are in
+   scope inside it under their short names, and [module X = P] (also
+   [let module]) binds an alias.  A reference is a qualified path
+   ([Lib.Unit.v], [X.v] through an alias), a bare [v] under an [open],
+   [let open] or [M.( ... )] of a module that exports [v], or an
+   [include] of (or any other whole use of, like a functor argument)
+   the module holding [v].  A unit's references to itself do not count.
+   A val of a nested signature is [Lib.Unit.Inner.v]. *)
+
+let trees = [ "../lib"; "../bin"; "../test"; "../hostbench"; "../examples" ]
+
+(* Values exported on purpose with no caller in these trees; each
+   entry must name an exported val that still has no caller. *)
+let allowlist : (string * string) list = []
+
+let rec source_files dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun f ->
+         let p = Filename.concat dir f in
+         if Sys.is_directory p then source_files p else [ p ])
+
+let unit_name file =
+  String.capitalize_ascii Filename.(remove_extension (basename file))
+
+(* The library a lib/ directory's dune file names, capitalised. *)
+let library_name dir =
+  let text = read_file (Filename.concat dir "dune") in
+  let key = "(name " in
+  let rec find i =
+    if String.sub text i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = String.index_from text start ')' in
+  String.capitalize_ascii (String.trim (String.sub text start (stop - start)))
+
+let libraries =
+  lazy
+    (Sys.readdir "../lib" |> Array.to_list |> List.sort compare
+    |> List.map (fun d ->
+           let dir = Filename.concat "../lib" d in
+           (dir, library_name dir)))
+
+(* Where a unit of [dir] lives: a library's units under its name, any
+   other directory's (tests, executables) under the directory itself,
+   which no library path can equal. *)
+let scope dir =
+  match List.assoc_opt dir (Lazy.force libraries) with
+  | Some lib -> lib
+  | None -> dir
+
+let parse parser file =
+  let lexbuf = Lexing.from_string (read_file file) in
+  Lexing.set_filename lexbuf file;
+  parser lexbuf
+
+(* [(module path, name) -> interface file] for every exported val, and
+   every module path an interface declares. *)
+let exports = Hashtbl.create 1024
+let modules = Hashtbl.create 256
+
+let rec signature_vals file path (sg : Parsetree.signature) =
+  Hashtbl.replace modules path ();
+  List.iter
+    (fun (item : Parsetree.signature_item) ->
+      match item.psig_desc with
+      | Psig_value v -> Hashtbl.replace exports (path, v.pval_name.txt) file
+      | Psig_module
+          {
+            pmd_name = { txt = Some m; _ };
+            pmd_type = { pmty_desc = Pmty_signature sg; _ };
+            _;
+          } ->
+          signature_vals file (path @ [ m ]) sg
+      | _ -> ())
+    sg
+
+let load_exports =
+  lazy
+    (List.iter
+       (fun (dir, lib) ->
+         Hashtbl.replace modules [ lib ] ();
+         source_files dir
+         |> List.filter (fun f -> Filename.check_suffix f ".mli")
+         |> List.iter (fun f ->
+                signature_vals f [ lib; unit_name f ] (parse Parse.interface f)))
+       (Lazy.force libraries))
+
+type binding = Module of string * string list | Open of string list
+
+(* Every export referenced from a unit other than its own. *)
+let referenced = Hashtbl.create 1024
+
+let rec is_prefix prefix path =
+  match (prefix, path) with
+  | [], _ -> true
+  | m :: prefix, n :: path -> m = n && is_prefix prefix path
+  | _ :: _, [] -> false
+
+let scan file =
+  let own = [ scope (Filename.dirname file); unit_name file ] in
+  let refer key =
+    if Hashtbl.mem exports key && not (is_prefix own (fst key)) then
+      Hashtbl.replace referenced key ()
+  in
+  let whole path =
+    Hashtbl.iter
+      (fun ((p, _) as key) _ -> if is_prefix path p then refer key)
+      exports
+  in
+  let siblings =
+    source_files (Filename.dirname file)
+    |> List.filter (fun f -> Filename.check_suffix f ".ml")
+    |> List.map (fun f -> Module (unit_name f, [ List.hd own; unit_name f ]))
+  in
+  let env =
+    ref
+      (siblings
+      @ List.map (fun (_, lib) -> Module (lib, [ lib ])) (Lazy.force libraries)
+      )
+  in
+  let rec resolve : Longident.t -> string list = function
+    | Lident m ->
+        let rec lookup = function
+          | [] -> [ m ]
+          | Module (n, p) :: _ when n = m -> p
+          | Open p :: _ when Hashtbl.mem modules (p @ [ m ]) -> p @ [ m ]
+          | _ :: rest -> lookup rest
+        in
+        lookup !env
+    | Ldot (l, m) -> resolve l @ [ m ]
+    | Lapply _ -> []
+  in
+  let value : Longident.t -> unit = function
+    | Ldot (l, v) -> refer (resolve l, v)
+    | Lident v ->
+        List.find_map
+          (function
+            | Open p when Hashtbl.mem exports (p, v) -> Some p | _ -> None)
+          !env
+        |> Option.iter (fun p -> refer (p, v))
+    | Lapply _ -> ()
+  in
+  let alias (me : Parsetree.module_expr) =
+    match me.pmod_desc with
+    | Pmod_ident { txt; _ }
+    | Pmod_constraint ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) ->
+        Some (resolve txt)
+    | _ -> None
+  in
+  let scoped f =
+    let saved = !env in
+    f ();
+    env := saved
+  in
+  let open Ast_iterator in
+  let bind it name me =
+    match alias me with
+    | Some p -> env := Module (name, p) :: !env
+    | None ->
+        it.module_expr it me;
+        env := Module (name, [ file; name ]) :: !env
+  in
+  let opens it (od : Parsetree.open_declaration) =
+    match alias od.popen_expr with
+    | Some p -> env := Open p :: !env
+    | None -> it.module_expr it od.popen_expr
+  in
+  let it =
+    {
+      default_iterator with
+      structure =
+        (fun it items -> scoped (fun () -> List.iter (it.structure_item it) items));
+      structure_item =
+        (fun it item ->
+          match item.pstr_desc with
+          | Pstr_open od -> opens it od
+          | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } ->
+              bind it name pmb_expr
+          | _ -> default_iterator.structure_item it item);
+      expr =
+        (fun it e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> value txt
+          | Pexp_open (od, body) ->
+              scoped (fun () ->
+                  opens it od;
+                  it.expr it body)
+          | Pexp_letmodule ({ txt = Some name; _ }, me, body) ->
+              scoped (fun () ->
+                  bind it name me;
+                  it.expr it body)
+          | _ -> default_iterator.expr it e);
+      module_expr =
+        (fun it me ->
+          match me.pmod_desc with
+          | Pmod_ident { txt; _ } -> whole (resolve txt)
+          | _ -> default_iterator.module_expr it me);
+    }
+  in
+  it.structure it (parse Parse.implementation file)
+
+let qualified (path, name) = String.concat "." (path @ [ name ])
+
+let check_exports () =
+  Lazy.force load_exports;
+  if Hashtbl.length exports = 0 then Alcotest.fail "no lib/ interface found";
+  List.concat_map source_files trees
+  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  |> List.iter scan;
+  let allowed = List.map fst allowlist in
+  let uncalled =
+    Hashtbl.fold
+      (fun key file acc ->
+        if Hashtbl.mem referenced key || List.mem (qualified key) allowed then
+          acc
+        else Printf.sprintf "%s (%s)" (qualified key) file :: acc)
+      exports []
+  in
+  let stale =
+    List.filter_map
+      (fun (name, _) ->
+        match
+          Hashtbl.fold
+            (fun key _ acc -> if qualified key = name then Some key else acc)
+            exports None
+        with
+        | None -> Some (name ^ ": no such exported val")
+        | Some key when Hashtbl.mem referenced key ->
+            Some (name ^ ": has a caller now")
+        | Some _ -> None)
+      allowlist
+  in
+  let section title = function
+    | [] -> []
+    | lines -> Printf.sprintf "%d %s:" (List.length lines) title :: lines
+  in
+  match
+    section "exported values have no caller outside their own unit"
+      (List.sort compare uncalled)
+    @ section "allowlist entries are stale" stale
+  with
+  | [] -> ()
+  | lines -> Alcotest.fail (String.concat "\n" lines)
+
 let doc_cases f =
   List.map
     (fun path ->
@@ -266,4 +517,6 @@ let () =
     [
       ("commands exist", doc_cases check_document documents);
       ("paths exist", doc_cases check_paths path_documents);
+      ( "export audit",
+        [ Alcotest.test_case "lib interfaces" `Quick check_exports ] );
     ]

@@ -304,28 +304,46 @@ let test_unknown_experiment_leaves_no_cache () =
     (Sys.file_exists (Filename.concat dir ".repro-cache"));
   Unix.rmdir dir
 
-(* A direct mode of a region-based workload is a usage error (exit
-   124, naming the emulated mode to use), raised before the tracer
-   opens its event file: --out stays empty. *)
-let test_trace_direct_region_workload_rejected () =
-  let dir = fresh_dir "repro-trace-test" in
+(* Every cell-taking subcommand rejects a cell it cannot run with a
+   usage error (exit 124) before it creates any file: a direct mode of
+   a region-based workload (the message names the emulated mode to
+   use) and an unknown workload.  Each case runs in a fresh directory
+   that holds its --out, --quarantine or -o path and must stay empty. *)
+let rejected_cells =
+  let cells =
+    [ ("mudlle sun", "emu-sun"); ("lcc gc", "emu-gc");
+      ("nosuch sun", "unknown workload nosuch") ]
+  in
+  List.concat_map
+    (fun cmd -> List.map (fun (cell, says) -> (cmd, cell, says)) cells)
+    [ "run"; "trace"; "faults" ]
+  @ [ ("record", "nosuch", "unknown workload nosuch") ]
+
+let test_cell_rejected (cmd, cell, says) () =
+  let dir = fresh_dir "repro-cli-test" in
+  let err = Filename.temp_file "repro-cli-test" ".err" in
   let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
-  let err = Filename.concat dir "stderr" in
-  let out = Filename.concat dir "out" in
-  Unix.mkdir out 0o755;
+  let words = String.split_on_char ' ' cell in
+  let args =
+    match cmd with
+    | "run" -> List.hd words :: "--mode" :: List.tl words
+    | "trace" -> words @ [ "--out"; "out" ]
+    | "faults" -> words @ [ "--plan"; "budget=8"; "--quarantine"; "q" ]
+    | _ -> words @ [ "-o"; "t.trace" ]
+  in
   let code =
     Sys.command
-      (Printf.sprintf "%s trace mudlle sun --out %s >/dev/null 2>%s"
-         (Filename.quote exe) (Filename.quote out) (Filename.quote err))
+      (Printf.sprintf "cd %s && %s %s %s >/dev/null 2>%s" (Filename.quote dir)
+         (Filename.quote exe) cmd (String.concat " " args) (Filename.quote err))
   in
   let msg = In_channel.with_open_bin err In_channel.input_all in
   check "exit status" 124 code;
-  check_bool "names emu-sun" true
-    (String.starts_with
-       ~prefix:"repro: mudlle is region-based: trace its malloc run as emu-sun\n"
-       msg);
-  Alcotest.(check (list string)) "--out left empty" [] (entries out);
-  Unix.rmdir out;
+  let rec mentions i =
+    i + String.length says <= String.length msg
+    && (String.sub msg i (String.length says) = says || mentions (i + 1))
+  in
+  check_bool ("names " ^ says) true (mentions 0);
+  Alcotest.(check (list string)) "no file created" [] (entries dir);
   Sys.remove err;
   Unix.rmdir dir
 
@@ -413,7 +431,10 @@ let () =
         [
           tc "unknown experiment leaves no cache" `Quick
             test_unknown_experiment_leaves_no_cache;
-          tc "trace of mudlle sun rejected" `Quick
-            test_trace_direct_region_workload_rejected;
-        ] );
+        ]
+        @ List.map
+            (fun ((cmd, cell, _) as case) ->
+              tc (Printf.sprintf "%s of %s rejected" cmd cell) `Quick
+                (test_cell_rejected case))
+            rejected_cells );
     ]
