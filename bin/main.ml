@@ -183,36 +183,13 @@ let parse_plan ~seed s =
   | Ok p -> p
   | Error msg -> fail 2 "bad --plan: %s\n" msg
 
-let experiments =
-  [
-    ("table1", `Static (fun () -> Harness.Table1.render ()));
-    ("table2", `Matrix Harness.Table23.render_table2);
-    ("table3", `Matrix Harness.Table23.render_table3);
-    ("fig8", `Matrix Harness.Fig8.render);
-    ("fig9", `Matrix Harness.Fig9.render);
-    ("fig10", `Matrix Harness.Fig10.render);
-    ("fig11", `Matrix Harness.Fig11.render);
-    ("ablations", `Static Harness.Ablations.render);
-    ("limitation", `Static Harness.Limitation.render);
-    ("claims", `Matrix Harness.Claims.render);
-  ]
+(* One report section under its title: the generated block of the same
+   id, byte for byte. *)
+let print_section m (s : Harness.Docs.section) =
+  Printf.printf "## %s\n\n%s\n" s.title (Harness.Docs.render_section m s)
 
-let print_report m =
-  print_endline (Harness.Table1.render ());
-  print_newline ();
-  print_endline (Harness.Table23.render_table2 m);
-  print_newline ();
-  print_endline (Harness.Table23.render_table3 m);
-  print_newline ();
-  print_endline (Harness.Fig8.render m);
-  print_endline (Harness.Fig9.render m);
-  print_endline (Harness.Fig10.render m);
-  print_endline (Harness.Fig11.render m);
-  print_endline (Harness.Claims.render m);
-  print_endline (Harness.Ablations.render ());
-  print_newline ();
-  print_endline (Harness.Limitation.render ());
-  report_cache_stats m
+let section_ids =
+  List.map (fun (s : Harness.Docs.section) -> s.id) Harness.Docs.sections
 
 let exp_cmd =
   let name_arg =
@@ -220,9 +197,7 @@ let exp_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"EXPERIMENT"
-          ~doc:
-            "table1, table2, table3, fig8, fig9, fig10, fig11, ablations, \
-             limitation, claims, or all")
+          ~doc:(String.concat ", " section_ids ^ ", or all"))
   in
   let timeout_arg =
     Arg.(
@@ -287,11 +262,15 @@ let exp_cmd =
     let experiment =
       if name = "all" then None
       else
-        match List.assoc_opt name experiments with
-        | Some e -> Some e
+        match
+          List.find_opt
+            (fun (s : Harness.Docs.section) -> s.id = name)
+            Harness.Docs.sections
+        with
+        | Some s -> Some s
         | None ->
             fail 1 "unknown experiment %s (have: %s, all)\n" name
-              (String.concat ", " (List.map fst experiments))
+              (String.concat ", " section_ids)
     in
     let dump_metrics = with_metrics metrics in
     let plan = Option.map (fun s -> (parse_plan ~seed s, s)) plan_spec in
@@ -307,10 +286,16 @@ let exp_cmd =
         ~fill:(Option.is_none experiment) ~cmd:"experiment all" f
     in
     (match experiment with
-    | None -> print_report m
-    | Some (`Static render) -> print_endline (render ())
-    | Some (`Matrix render) ->
-        print_endline (render m);
+    | None ->
+        List.iteri
+          (fun i s ->
+            if i > 0 then print_newline ();
+            print_section m s)
+          Harness.Docs.sections;
+        report_cache_stats m
+    | Some ({ render = `Static _; _ } as s) -> print_section m s
+    | Some s ->
+        print_section m s;
         report_cache_stats m);
     dump_metrics ()
   in
@@ -321,12 +306,13 @@ let exp_cmd =
       $ retries_arg $ quarantine_arg $ replay_arg $ plan_arg $ seed_arg
       $ metrics_arg)
 
+let parse_workload s =
+  match Workloads.Workload.find s with
+  | spec -> Ok spec
+  | exception Invalid_argument msg -> Error msg
+
 let workload_conv =
-  let parse s =
-    match Workloads.Workload.find s with
-    | spec -> Ok spec
-    | exception Invalid_argument msg -> Error (`Msg msg)
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (parse_workload s) in
   Arg.conv (parse, fun ppf s -> Fmt.string ppf s.Workloads.Workload.name)
 
 let workload_arg =
@@ -858,6 +844,38 @@ let record_cmd =
          ])
     Term.(const run $ workload_arg $ variant_arg $ out_arg $ full_arg)
 
+(* The workload [repro replay] reads: the cells under --verify, the
+   trace to record without --trace-file (with it, WORKLOAD is a
+   placeholder).  An unknown workload, one with no matrix cell to
+   verify, a cell [run] rejects, or a column no trace of the workload
+   serves is a usage error, returned before any file exists. *)
+let replay_workload ~verify ~trace_file workload mode =
+  match workload with
+  | Some w when verify || trace_file = None -> (
+      match (parse_workload w, mode) with
+      | Error msg, _ -> `Error (true, msg)
+      | Ok spec, _
+        when verify
+             && not
+                  (List.exists
+                     (fun (s, _) -> s == spec)
+                     (Harness.Matrix.report_cells ())) ->
+          `Error (true, w ^ " has no matrix cell to verify")
+      | Ok spec, Some mode when not verify -> (
+          let variant = Trace.Record.variant_of_mode mode in
+          let variants = Trace.Record.variants_for spec in
+          match with_cell spec mode Fun.id with
+          | `Ok () when not (List.mem variant variants) ->
+              `Error
+                ( true,
+                  Printf.sprintf "%s has no %s trace (its traces: %s)"
+                    spec.Workloads.Workload.name variant
+                    (String.concat ", " variants) )
+          | `Ok () -> `Ok (Some spec)
+          | `Error _ as e -> e)
+      | Ok spec, _ -> `Ok (Some spec))
+  | _ -> `Ok None
+
 let replay_cmd =
   let workload_opt_arg =
     Arg.(
@@ -904,6 +922,9 @@ let replay_cmd =
              the trace's variant serves is replayed.")
   in
   let run workload mode verify trace_file timeline_dir metrics jobs full =
+    match replay_workload ~verify ~trace_file workload mode with
+    | `Error _ as e -> e
+    | `Ok spec ->
     let size = size_of_full full in
     let dump_metrics = with_metrics metrics in
     if verify then begin
@@ -945,16 +966,16 @@ let replay_cmd =
             match trace_file with
             | Some p -> (p, fun () -> ())
             | None ->
-                let workload =
-                  match workload with
-                  | Some w -> w
+                let spec =
+                  match spec with
+                  | Some spec -> spec
                   | None ->
                       fail 2 "replay: WORKLOAD is required without --trace-file\n"
                 in
-                let spec = Workloads.Workload.find workload in
                 let tmp = Filename.temp_file "repro-replay" ".trace" in
                 progress
-                  (Printf.sprintf "recording %s (%s trace) ..." workload
+                  (Printf.sprintf "recording %s (%s trace) ..."
+                     spec.Workloads.Workload.name
                      (Trace.Record.variant_of_mode mode));
                 ignore
                   (Trace.Record.record ~out:tmp
@@ -997,7 +1018,8 @@ let replay_cmd =
                  --trace-file FILE --timeline DIR to profile every column \
                  the trace serves)\n"));
       dump_metrics ()
-    end
+    end;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1019,8 +1041,9 @@ let replay_cmd =
               registry and dumps its snapshot as JSON on stderr.";
          ])
     Term.(
-      const run $ workload_opt_arg $ mode_pos_arg $ verify_arg
-      $ trace_file_arg $ timeline_arg $ metrics_arg $ jobs_arg $ full_arg)
+      ret
+        (const run $ workload_opt_arg $ mode_pos_arg $ verify_arg
+        $ trace_file_arg $ timeline_arg $ metrics_arg $ jobs_arg $ full_arg))
 
 let gen_cmd =
   let spec_arg =

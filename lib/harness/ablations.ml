@@ -43,15 +43,19 @@ let eager_locals () =
   in
   let dc, dr = run false in
   let ec, er = run true in
-  Printf.sprintf
-    "deferred local counting (the paper's design) vs eager, on a creg list \
-     workout (every traversal step writes a region pointer to a local):\n\
-    \  deferred: %s cycles, %s refcount instrs\n\
-    \  eager:    %s cycles, %s refcount instrs\n\
-    \  eager counting costs %+.1f%% cycles and %.1fx the refcount work\n"
-    (Render.mega dc) (Render.mega dr) (Render.mega ec) (Render.mega er)
-    (100. *. (float_of_int ec /. float_of_int dc -. 1.))
-    (float_of_int er /. float_of_int (max 1 dr))
+  "Deferred local counting (the paper's design, section 4.2.1) vs eager \
+   counting of every local pointer write, on a creg list workout (every \
+   traversal step writes a region pointer to a local):\n\n"
+  ^ Render.md_table
+      ~header:[ "local counting"; "cycles"; "refcount instrs" ]
+      [
+        [ "deferred"; Render.mega dc; Render.mega dr ];
+        [ "eager"; Render.mega ec; Render.mega er ];
+      ]
+  ^ Printf.sprintf
+      "\n\nEager counting costs %+.1f%% cycles and %.1fx the refcount work."
+      (100. *. (float_of_int ec /. float_of_int dc -. 1.))
+      (float_of_int er /. float_of_int (max 1 dr))
 
 (* 2. Region-structure offsetting: many live regions whose reference
    counts are updated in turn; without the 64-byte offsets the count
@@ -80,20 +84,20 @@ let offsetting () =
         done);
     Sim.Cost.read_stall_cycles (Api.cost api)
   in
-  let with_off = run ~ways:1 true and without = run ~ways:1 false in
-  let two_off = run ~ways:2 false in
-  let eight_off = run ~ways:8 false in
-  Printf.sprintf
-    "64-byte region-structure offsetting (8 hot regions, barriered writes):\n\
-    \  direct-mapped caches (the UltraSparc):\n\
-    \    offsetting on:  %s read-stall cycles (all count words co-resident)\n\
-    \    offsetting off: %s read-stall cycles (conflict misses on every access)\n\
-    \  what if the caches were associative? (offsetting off)\n\
-    \    2-way: %s read-stall cycles (fewer sets, same pressure: still thrashing)\n\
-    \    8-way: %s read-stall cycles (the set finally holds all eight count \
-     words; the offsetting trick is a direct-mapped-era artefact)\n"
-    (Render.mega with_off) (Render.mega without)
-    (Render.mega two_off) (Render.mega eight_off)
+  let row caches ~ways offset =
+    [ caches; (if offset then "on" else "off"); Render.mega (run ~ways offset) ]
+  in
+  "64-byte region-structure offsetting (section 4.1): 8 hot regions on \
+   consecutive pages, barriered writes.  The associative rows ask what \
+   the trick is worth without the UltraSparc's direct-mapped caches:\n\n"
+  ^ Render.md_table
+      ~header:[ "caches"; "offsetting"; "read-stall cycles" ]
+      [
+        row "direct-mapped (the UltraSparc)" ~ways:1 true;
+        row "direct-mapped (the UltraSparc)" ~ways:1 false;
+        row "2-way" ~ways:2 false;
+        row "8-way" ~ways:8 false;
+      ]
 
 (* 3. The compile-time sameregion optimisation (paper section 5.6). *)
 let sameregion_hint () =
@@ -114,32 +118,47 @@ let sameregion_hint () =
     Sim.Cost.refcount_instrs (Api.cost api)
   in
   let dynamic = run false and hinted = run true in
-  Printf.sprintf
-    "sameregion writes, 10k pointer stores within one region:\n\
-    \  dynamic barrier (paper's implementation): %s refcount instrs (23/write)\n\
-    \  compile-time sameregion hint (paper 5.6):  %s refcount instrs (%.1fx cheaper)\n"
-    (Render.mega dynamic) (Render.mega hinted)
-    (float_of_int dynamic /. float_of_int (max 1 hinted))
+  "Sameregion writes, 10k pointer stores within one region:\n\n"
+  ^ Render.md_table
+      ~header:[ "barrier"; "refcount instrs" ]
+      [
+        [ "dynamic (the paper's implementation)"; Render.mega dynamic ];
+        [ "compile-time sameregion hint (section 5.6)"; Render.mega hinted ];
+      ]
+  ^ Printf.sprintf "\n\nThe hint makes these stores %.1fx cheaper."
+      (float_of_int dynamic /. float_of_int (max 1 hinted))
 
 (* 4. Region granularity: continued-fraction steps per temporary
    region in cfrac. *)
 let granularity () =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "region granularity: cfrac continued-fraction steps per temporary region\n";
-  List.iter
-    (fun chunk ->
-      let api = Api.create ~with_cache:true Matrix.region_safe in
-      ignore (Cfrac.run api { Cfrac.default_params with Cfrac.chunk });
-      let c = Api.cost api in
-      Buffer.add_string buf
-        (Printf.sprintf "  chunk=%3d: %s cycles, OS memory %s kB\n" chunk
-           (Render.mega (Sim.Cost.cycles c))
-           (Render.kb (Api.os_bytes api))))
-    [ 1; 4; 16; 64; 256 ];
-  Buffer.contents buf
+  let runs =
+    List.map
+      (fun chunk ->
+        let api = Api.create ~with_cache:true Matrix.region_safe in
+        ignore (Cfrac.run api { Cfrac.default_params with Cfrac.chunk });
+        (chunk, Sim.Cost.cycles (Api.cost api), Api.os_bytes api))
+      [ 1; 4; 16; 64; 256 ]
+  in
+  let least f = List.fold_left (fun acc r -> min acc (f r)) max_int runs in
+  let fastest = least (fun (_, c, _) -> c)
+  and smallest = least (fun (_, _, os) -> os) in
+  let over best v = 100. *. (float_of_int v /. float_of_int best -. 1.) in
+  let _, per_step, _ = List.hd runs in
+  let coarse, _, coarsest = List.nth runs (List.length runs - 1) in
+  "Region granularity: cfrac continued-fraction steps per temporary \
+   region:\n\n"
+  ^ Render.md_table
+      ~header:[ "steps per region"; "cycles"; "OS memory kB" ]
+      (List.map
+         (fun (chunk, c, os) ->
+           [ string_of_int chunk; Render.mega c; Render.kb os ])
+         runs)
+  ^ Printf.sprintf
+      "\n\nA region per step costs %+.0f%% cycles over the fastest \
+       granularity; regions of %d steps cost %+.0f%% OS memory over the \
+       smallest."
+      (over fastest per_step) coarse (over smallest coarsest)
 
 let render () =
-  "Ablations of the paper's design decisions\n\n"
-  ^ eager_locals () ^ "\n" ^ offsetting () ^ "\n" ^ sameregion_hint () ^ "\n"
-  ^ granularity ()
+  String.concat "\n\n"
+    [ eager_locals (); offsetting (); sameregion_hint (); granularity () ]

@@ -11,3 +11,4 @@
       "rather than for every statement"). *)
 
 val render : unit -> string
+(** One table per ablation (the `ablations` section). *)

@@ -39,26 +39,15 @@ let worst = List.fold_left (fun a (_, d) -> max a d) neg_infinity
 let per_benchmark ds =
   String.concat "  " (List.map (fun (n, d) -> Printf.sprintf "%s %+.0f%%" n d) ds)
 
-(* The claims in the report's order.  The text renderer and the
-   generated doc block are both pure functions of this list. *)
+(* The claims in the report's order; the numbers they share with
+   Figures 8-10 come from those figures' extractors. *)
 let claims m =
-  let cycles spec mode = (Matrix.get m spec mode).Results.cycles in
   let os spec mode = (Matrix.get m spec mode).Results.os_bytes in
-  let best_malloc spec f =
-    List.fold_left (fun acc mode -> min acc (f spec mode)) max_int
-      (Matrix.malloc_modes spec)
-  in
+  let headlines = Fig9.headlines m in
 
   (* 1. "regions are competitive with malloc/free and sometimes
         substantially faster" / unsafe "never slower, up to 16% faster" *)
-  let unsafe_vs_best =
-    List.map
-      (fun spec ->
-        let u = cycles spec Matrix.region_unsafe in
-        let b = best_malloc spec cycles in
-        (spec.Workload.name, 100. *. (float_of_int u /. float_of_int b -. 1.)))
-      Matrix.workloads
-  in
+  let unsafe_vs_best = List.map (fun (n, (_, u, _)) -> (n, u)) headlines in
   let slower = List.filter (fun (_, d) -> d > 10.) unsafe_vs_best in
   let c1 =
     {
@@ -78,14 +67,7 @@ let claims m =
   in
 
   (* 2. cost of safety *)
-  let overheads =
-    List.map
-      (fun spec ->
-        let s = cycles spec Matrix.region_safe in
-        let u = cycles spec Matrix.region_unsafe in
-        (spec.Workload.name, 100. *. (float_of_int s /. float_of_int u -. 1.)))
-      Matrix.workloads
-  in
+  let overheads = List.map (fun (n, (_, _, s)) -> (n, s)) headlines in
   let c2 =
     {
       text = "The cost of safety ranges from negligible to moderate (paper: <= 17%).";
@@ -100,20 +82,7 @@ let claims m =
 
   (* 3. memory: the paper's claim is "from 9% less to 19% more memory
         than Doug Lea's allocator" *)
-  let vs_lea =
-    List.map
-      (fun spec ->
-        let lea =
-          List.find
-            (fun mode -> Matrix.mode_label mode = "Lea")
-            (Matrix.malloc_modes spec)
-        in
-        ( spec.Workload.name,
-          100. *. (float_of_int (os spec Matrix.region_safe)
-                   /. float_of_int (os spec lea)
-                  -. 1.) ))
-      Matrix.workloads
-  in
+  let vs_lea = Fig8.vs_lea m in
   let c3 =
     {
       text = "Regions use from less memory to at most 19% more than Lea (paper's band).";
@@ -151,11 +120,7 @@ let claims m =
   in
 
   (* 5. moss locality *)
-  let moss = Matrix.get m (Workload.find "moss") Matrix.region_safe in
-  let slow = Matrix.moss_slow_result m in
-  let speedup =
-    100. *. (1. -. (float_of_int moss.Results.cycles /. float_of_int slow.Results.cycles))
-  in
+  let speedup = Fig9.moss_speedup m in
   let c5 =
     {
       text = "Two regions for moss's small/large objects give a large speedup (paper: 24%).";
@@ -169,46 +134,25 @@ let claims m =
   in
 
   (* 6. BSD stalls *)
-  let stalls spec label =
-    let mode =
-      List.find (fun mo -> Matrix.mode_label mo = label) (Matrix.malloc_modes spec)
-    in
-    let r = Matrix.get m spec mode in
-    r.Results.read_stall_cycles + r.Results.write_stall_cycles
-  in
-  let spec = Workload.find "moss" in
+  let stalls = Fig10.moss_stalls m in
   let c6 =
     {
       text = "BSD (size-segregated) has fewer stalls than the other explicit allocators on moss.";
       measured =
         Printf.sprintf "BSD %s vs Sun %s vs Lea %s stall cycles"
-          (Render.mega (stalls spec "BSD"))
-          (Render.mega (stalls spec "Sun"))
-          (Render.mega (stalls spec "Lea"));
+          (Render.mega (stalls "BSD"))
+          (Render.mega (stalls "Sun"))
+          (Render.mega (stalls "Lea"));
       quantity = "BSD stalls";
-      value = float_of_int (stalls spec "BSD");
+      value = float_of_int (stalls "BSD");
       test = Below;
-      bound = float_of_int (min (stalls spec "Sun") (stalls spec "Lea"));
+      bound = float_of_int (min (stalls "Sun") (stalls "Lea"));
       show = (fun c -> Render.mega (int_of_float c));
     }
   in
   [ c1; c2; c3; c4; c5; c6 ]
 
 let render m =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    "Headline claims of the paper, checked against this run\n\
-     ======================================================\n\n";
-  List.iter
-    (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s %s\n          %s\n          pass if %s\n"
-           (if passes c then "PASS     " else "DEVIATION")
-           c.text c.measured (pass_if c)))
-    (claims m);
-  Buffer.contents buf
-
-let md m =
   let header = [ "verdict"; "claim"; "measured"; "pass if" ] in
   let rows =
     List.map
@@ -221,5 +165,7 @@ let md m =
         ])
       (claims m)
   in
-  "Headline claims of the paper, checked against this run (quick inputs):\n\n"
+  Printf.sprintf
+    "Headline claims of the paper, checked against this run (%s inputs):\n\n"
+    (Matrix.size_name m)
   ^ Render.md_table ~header rows

@@ -8,6 +8,4 @@
     the human-readable version. *)
 
 val render : Matrix.t -> string
-
-val md : Matrix.t -> string
-(** The verdicts as a markdown table (the `claims` doc block). *)
+(** The verdicts as a markdown table (the `claims` section). *)

@@ -10,24 +10,48 @@
 let open_marker id = Printf.sprintf "<!-- generated:%s -->" id
 let close_marker id = Printf.sprintf "<!-- /generated:%s -->" id
 
-(* The block renderers of one regeneration over [m].  The gentraces
-   and timeline blocks share one set of generated-trace replays. *)
+type section = {
+  id : string;
+  title : string;
+  render : [ `Static of unit -> string | `Matrix of Matrix.t -> string ];
+}
+
+let sections =
+  let static id title f = { id; title; render = `Static f } in
+  let matrix id title f = { id; title; render = `Matrix f } in
+  [
+    static "table1" "Table 1 — porting complexity" Table1.render;
+    matrix "table2" "Table 2 — allocation behaviour with regions"
+      Table23.render_table2;
+    matrix "table3" "Table 3 — allocation behaviour with malloc"
+      Table23.render_table3;
+    matrix "fig8" "Figure 8 — memory overhead" Fig8.render;
+    matrix "fig9" "Figure 9 — execution time (base + memory management)"
+      Fig9.render;
+    matrix "fig10" "Figure 10 — cycles lost to stalls" Fig10.render;
+    matrix "fig11" "Figure 11 — cost of safety, decomposed" Fig11.render;
+    static "ablations" "Ablations (this reproduction's additions)"
+      Ablations.render;
+    static "limitation" "Limitation study (the paper's section-1 counter-example)"
+      Limitation.render;
+    matrix "claims" "Claims check" Claims.render;
+  ]
+
+let render_section m s =
+  match s.render with `Static f -> f () | `Matrix f -> f m
+
+(* The block renderers of one regeneration over [m]: the sections, then
+   the blocks no experiment prints.  The gentraces and timeline blocks
+   share one set of generated-trace replays. *)
 let blocks m : (string * (unit -> string)) list =
   let gen = lazy (Gentraces.replays m) in
-  [
-    ("table1", fun () -> Table1.md ());
-    ("table2", fun () -> Table23.table2_md m);
-    ("table3", fun () -> Table23.table3_md m);
-    ("fig8", fun () -> Fig8.md m);
-    ("fig9", fun () -> Fig9.md m);
-    ("fig10", fun () -> Fig10.md m);
-    ("fig11", fun () -> Fig11.md m);
-    ("claims", fun () -> Claims.md m);
-    ("gentraces", fun () -> Gentraces.md (Lazy.force gen));
-    ("timeline", fun () -> Gentraces.timeline_md (Lazy.force gen));
-    ("mutators", fun () -> Mutators.md m);
-    ("bumppath", fun () -> Bumppath.md m);
-  ]
+  List.map (fun s -> (s.id, fun () -> render_section m s)) sections
+  @ [
+      ("gentraces", fun () -> Gentraces.md (Lazy.force gen));
+      ("timeline", fun () -> Gentraces.timeline_md (Lazy.force gen));
+      ("mutators", fun () -> Mutators.md m);
+      ("bumppath", fun () -> Bumppath.md m);
+    ]
 
 (* Naive substring search — the documents are tens of kilobytes. *)
 let find_sub s sub from =

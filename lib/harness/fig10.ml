@@ -1,82 +1,23 @@
 open Workloads
 
-(* Shared extraction for the text renderer and the generated doc
-   block. *)
-
 let total_stalls (r : Results.t) =
   r.Results.read_stall_cycles + r.Results.write_stall_cycles
 
-let stalls_by_label m spec =
-  let modes =
-    Matrix.malloc_modes spec @ [ Matrix.region_safe; Matrix.region_unsafe ]
-  in
-  let rows =
-    List.map (fun mode -> (Matrix.mode_label mode, Matrix.get m spec mode)) modes
-  in
-  if spec.Workload.name = "moss" then
-    rows @ [ ("Slow", Matrix.moss_slow_result m) ]
-  else rows
+let moss_stalls m label =
+  total_stalls (List.assoc label (Fig9.columns m (Workload.find "moss")))
 
 let moss_stall_ratio m =
-  let moss_reg = Matrix.get m (Workload.find "moss") Matrix.region_safe in
-  let moss_slow = Matrix.moss_slow_result m in
-  100. *. float_of_int (total_stalls moss_reg)
-  /. float_of_int (total_stalls moss_slow)
+  100. *. float_of_int (moss_stalls m "Reg")
+  /. float_of_int (moss_stalls m "Slow")
 
 let render m =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "Figure 10: processor cycles lost to stalls; '#' = read stalls, '=' = \
-     write stalls\n";
-  List.iter
-    (fun spec ->
-      Buffer.add_string buf (Printf.sprintf "\n%s\n" spec.Workload.name);
-      let rows = stalls_by_label m spec in
-      let maxv =
-        List.fold_left (fun acc (_, r) -> max acc (total_stalls r)) 1 rows
-      in
-      List.iter
-        (fun (label, r) ->
-          let t = float_of_int (max 1 (total_stalls r)) in
-          let scale = t /. float_of_int maxv in
-          let read_frac = float_of_int r.Results.read_stall_cycles /. t in
-          Buffer.add_string buf
-            (Printf.sprintf "  %-7s %10s |%s\n" label
-               (Render.mega (total_stalls r))
-               (Render.bar ~width:44 (scale *. read_frac)
-                  (scale *. (1. -. read_frac)))))
-        rows)
-    Matrix.workloads;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\nmoss: the optimised two-region version has %.0f%% of the stalls of \
-        the single-region version (paper: approximately half)\n"
-       (moss_stall_ratio m));
-  Buffer.contents buf
-
-let md m =
-  let labels = [ "Sun"; "BSD"; "Lea"; "GC"; "Reg"; "Unsafe" ] in
-  let header = "benchmark" :: List.map (fun l -> l ^ " stalls") labels in
-  let rows =
-    List.map
-      (fun spec ->
-        let by_label = stalls_by_label m spec in
-        spec.Workload.name
-        :: List.map
-             (fun l -> Render.mega (total_stalls (List.assoc l by_label)))
-             labels)
-      Matrix.workloads
-  in
-  let moss = stalls_by_label m (Workload.find "moss") in
-  let s l = total_stalls (List.assoc l moss) in
-  "Total stall cycles (read + write) per allocator, quick inputs:\n\n"
-  ^ Render.md_table ~header rows
+  let s l = Render.mega (moss_stalls m l) in
+  Printf.sprintf "Total stall cycles (read + write) per allocator, %s inputs:\n\n"
+    (Matrix.size_name m)
+  ^ Fig9.column_table m ~what:"stalls" (fun r -> Render.mega (total_stalls r))
   ^ Printf.sprintf
       "\n\nThe optimised moss has %.0f%% of the stalls of the single-region \
        version (paper: approximately half), and BSD — which segregates by \
        size automatically — stalls least among the explicit allocators on \
        moss: BSD %s vs Sun %s vs Lea %s."
-      (moss_stall_ratio m)
-      (Render.mega (s "BSD"))
-      (Render.mega (s "Sun"))
-      (Render.mega (s "Lea"))
+      (moss_stall_ratio m) (s "BSD") (s "Sun") (s "Lea")

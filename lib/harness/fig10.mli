@@ -2,8 +2,9 @@
     (loads waiting on cache misses) and write stalls (store buffer
     full), per allocator. *)
 
-val render : Matrix.t -> string
+val moss_stalls : Matrix.t -> string -> int
+(** Total stall cycles of moss under the column of the given label
+    (see {!Fig9.columns}). *)
 
-val md : Matrix.t -> string
-(** The stall table + moss ratio line as markdown (the `fig10` doc
-    block). *)
+val render : Matrix.t -> string
+(** The stall table and the moss lines (the `fig10` section). *)

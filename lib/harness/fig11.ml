@@ -1,9 +1,8 @@
 open Workloads
 
-(* Shared extraction: the per-benchmark safety-cost decomposition
-   (cleanup / stack scan / refcount / total overhead, each as a
-   percentage of unsafe-region execution time), used by both the text
-   renderer and the generated doc block. *)
+(* The per-benchmark safety-cost decomposition: cleanup / stack scan /
+   refcount / total overhead, each as a percentage of unsafe-region
+   execution time. *)
 
 let rows m =
   List.map
@@ -28,16 +27,9 @@ let header =
   [ "benchmark"; "cleanup %"; "stack scan %"; "refcount %"; "total overhead %" ]
 
 let render m =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf
-    "Figure 11: cost of safety, as % of unsafe-region execution time\n\n";
-  Buffer.add_string buf (Render.table ~header (rows m));
-  Buffer.add_string buf
-    "\n\n(paper: the cost of safety varies from negligible (tile) to 17% (lcc))\n";
-  Buffer.contents buf
-
-let md m =
-  "Cost of safety as % of unsafe-region execution time, decomposed into \
-   its three sources, quick inputs:\n\n"
+  Printf.sprintf
+    "Cost of safety as %% of unsafe-region execution time, decomposed into \
+     its three sources, %s inputs:\n\n"
+    (Matrix.size_name m)
   ^ Render.md_table ~header (rows m)
   ^ "\n\nPaper: the cost of safety varies from negligible (tile) to 17% (lcc)."

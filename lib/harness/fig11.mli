@@ -4,6 +4,4 @@
     maintaining reference counts on region-pointer writes. *)
 
 val render : Matrix.t -> string
-
-val md : Matrix.t -> string
-(** The decomposition table as markdown (the `fig11` doc block). *)
+(** The decomposition table (the `fig11` section). *)

@@ -2,8 +2,10 @@
     allocator versus the memory the program requested, per
     benchmark. *)
 
-val render : Matrix.t -> string
+val vs_lea : Matrix.t -> (string * float) list
+(** Per benchmark, safe regions' OS footprint relative to Lea's, in
+    percent (negative: regions use less). *)
 
-val md : Matrix.t -> string
-(** The per-allocator footprint table with region ranking as markdown
-    (the `fig8` doc block). *)
+val render : Matrix.t -> string
+(** The per-allocator footprint table with the region ranking (the
+    `fig8` section). *)

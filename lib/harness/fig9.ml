@@ -1,9 +1,8 @@
 open Workloads
 
-(* Shared extraction: the per-benchmark headline ratios (safe and
-   unsafe regions vs the best of the four malloc/GC columns, and the
-   cost of safety) plus the moss locality speedup — consumed by the
-   text renderer, the generated doc block and the claims check. *)
+(* The per-benchmark headline ratios (safe and unsafe regions vs the
+   best of the four malloc/GC columns, and the cost of safety) and the
+   moss locality speedup, which the claims check reads too. *)
 
 let headline m spec =
   let cycles mode = (Matrix.get m spec mode).Results.cycles in
@@ -28,60 +27,48 @@ let moss_speedup m =
      -. float_of_int moss_reg.Results.cycles
         /. float_of_int moss_slow.Results.cycles)
 
-let render m =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "Figure 9: execution time (simulated cycles); '#' = base, '=' = memory \
-     management (allocation + reference counting + scans)\n";
-  List.iter
-    (fun spec ->
-      Buffer.add_string buf (Printf.sprintf "\n%s\n" spec.Workload.name);
-      let modes =
-        Matrix.malloc_modes spec @ [ Matrix.region_safe; Matrix.region_unsafe ]
-      in
-      let rows =
-        List.map
-          (fun mode -> (Matrix.mode_label mode, Matrix.get m spec mode))
-          modes
-      in
-      let rows =
-        if spec.Workload.name = "moss" then
-          rows @ [ ("Slow", Matrix.moss_slow_result m) ]
-        else rows
-      in
-      let maxv =
-        List.fold_left (fun acc (_, r) -> max acc r.Results.cycles) 1 rows
-      in
-      List.iter
-        (fun (label, r) ->
-          let mem = Results.memory_instrs r in
-          (* Stall cycles are apportioned pro rata between base and
-             memory instructions for the bar split. *)
-          let total = float_of_int r.Results.cycles in
-          let instrs = float_of_int (r.Results.base_instrs + mem) in
-          let base_frac = float_of_int r.Results.base_instrs /. instrs in
-          let scale = total /. float_of_int maxv in
-          Buffer.add_string buf
-            (Printf.sprintf "  %-7s %10s |%s  (memory: %s)\n" label
-               (Render.mega r.Results.cycles)
-               (Render.bar ~width:44 (scale *. base_frac) (scale *. (1. -. base_frac)))
-               (Render.pct (1. -. base_frac))))
-        rows;
-      let safe_pct, unsafe_pct, safety_pct = headline m spec in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  safe vs best malloc/GC: %+.1f%%; unsafe vs best: %+.1f%%; cost \
-            of safety: %+.1f%%\n"
-           safe_pct unsafe_pct safety_pct))
-    Matrix.workloads;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\nmoss two-region locality optimisation: %.0f%% faster than the \
-        single-region version (paper: 24%%)\n"
-       (moss_speedup m));
-  Buffer.contents buf
+let columns m spec =
+  let modes =
+    Matrix.malloc_modes spec @ [ Matrix.region_safe; Matrix.region_unsafe ]
+  in
+  let cols =
+    List.map (fun mode -> (Matrix.mode_label mode, Matrix.get m spec mode)) modes
+  in
+  if spec.Workload.name = "moss" then
+    cols @ [ ("Slow", Matrix.moss_slow_result m) ]
+  else cols
 
-let md m =
+let column_table m ~what cell =
+  let labels = [ "Sun"; "BSD"; "Lea"; "GC"; "Reg"; "Unsafe" ] in
+  let header = "benchmark" :: List.map (fun l -> l ^ " " ^ what) labels in
+  let rows =
+    List.concat_map
+      (fun spec ->
+        let cols = columns m spec in
+        let row =
+          spec.Workload.name :: List.map (fun l -> cell (List.assoc l cols)) labels
+        in
+        match List.assoc_opt "Slow" cols with
+        | None -> [ row ]
+        | Some slow ->
+            [
+              row;
+              "  Slow (one region)"
+              :: List.map (fun l -> if l = "Reg" then cell slow else "") labels;
+            ])
+      Matrix.workloads
+  in
+  Render.md_table ~header rows
+
+(* Cycles, and the share of the instructions spent in memory
+   management (allocation, reference counting, scans). *)
+let cycles_and_share (r : Results.t) =
+  let mem = Results.memory_instrs r in
+  Printf.sprintf "%s (%s)" (Render.mega r.Results.cycles)
+    (Render.pct
+       (float_of_int mem /. float_of_int (r.Results.base_instrs + mem)))
+
+let render m =
   let header =
     [ "benchmark"; "safe vs best other"; "unsafe vs best other"; "cost of safety" ]
   in
@@ -96,10 +83,16 @@ let md m =
         ])
       (headlines m)
   in
-  "Safe and unsafe regions vs the best of {Sun, BSD, Lea, GC} and the \
-   cost of safety (safe vs unsafe regions), quick inputs:\n\n"
+  Printf.sprintf
+    "Safe and unsafe regions vs the best of {Sun, BSD, Lea, GC} and the \
+     cost of safety (safe vs unsafe regions), %s inputs:\n\n"
+    (Matrix.size_name m)
   ^ Render.md_table ~header rows
   ^ Printf.sprintf
       "\n\nThe moss two-region locality optimisation is %.0f%% faster than \
-       the single-region version (paper: 24%%)."
+       the single-region version (paper: 24%%).\n\n\
+       Simulated cycles per allocator, with the share of instructions \
+       spent in memory management (allocation, reference counting, \
+       scans) in parentheses:\n\n"
       (moss_speedup m)
+  ^ column_table m ~what:"cycles" cycles_and_share

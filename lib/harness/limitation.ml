@@ -2,43 +2,42 @@ open Workloads
 
 let run mode params =
   let api = Api.create ~with_cache:false mode in
-  let out = Game.run api params in
-  (out, Api.os_bytes api)
+  Game.run api params
 
 let render () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    "Limitation (paper section 1): \"a game where objects are allocated and \
-     deallocated\nas the result of the player's actions; there is no way to \
-     place objects with\nsimilar lifetimes in a common region.\"\n\n";
-  let line label (out : Game.outcome) =
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  %-24s peak footprint %8s kB  (program needed %s kB, %d entities \
-          live at peak)\n"
-         label
-         (Render.kb out.Game.peak_os_bytes)
-         (Render.kb out.Game.peak_live_bytes)
-         out.Game.peak_live_entities)
+  let case lifetimes params =
+    let malloc = run (Api.Direct Api.Lea) params in
+    let regions = run (Api.Region { safe = true }) params in
+    let row manager (out : Game.outcome) =
+      [
+        lifetimes;
+        manager;
+        Render.kb out.Game.peak_os_bytes;
+        Render.kb out.Game.peak_live_bytes;
+        string_of_int out.Game.peak_live_entities;
+      ]
+    in
+    ( [ row "malloc/free (lea)" malloc; row "per-wave regions" regions ],
+      float_of_int regions.Game.peak_os_bytes
+      /. float_of_int malloc.Game.peak_os_bytes )
   in
-  Buffer.add_string buf "random lifetimes (the problem case):\n";
-  let m_rand, _ = run (Api.Direct Api.Lea) Game.default_params in
-  let r_rand, _ = run (Api.Region { safe = true }) Game.default_params in
-  line "malloc/free (lea)" m_rand;
-  line "per-wave regions" r_rand;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  -> regions hold %.1fx the memory: one survivor pins its whole wave\n\n"
-       (float_of_int r_rand.Game.peak_os_bytes
-       /. float_of_int m_rand.Game.peak_os_bytes));
-  Buffer.add_string buf "wave-correlated lifetimes (the control):\n";
-  let m_corr, _ = run (Api.Direct Api.Lea) Game.correlated_params in
-  let r_corr, _ = run (Api.Region { safe = true }) Game.correlated_params in
-  line "malloc/free (lea)" m_corr;
-  line "per-wave regions" r_corr;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  -> regions hold %.1fx the memory: lifetimes match regions again\n"
-       (float_of_int r_corr.Game.peak_os_bytes
-       /. float_of_int m_corr.Game.peak_os_bytes));
-  Buffer.contents buf
+  let random_rows, random = case "random (the problem case)" Game.default_params in
+  let corr_rows, corr =
+    case "wave-correlated (the control)" Game.correlated_params
+  in
+  "The paper's section-1 limitation: \"a game where objects are allocated \
+   and deallocated as the result of the player's actions; there is no way \
+   to place objects with similar lifetimes in a common region.\"  Peak \
+   simulated footprint of the game workload:\n\n"
+  ^ Render.md_table
+      ~header:
+        [
+          "lifetimes"; "manager"; "peak footprint kB"; "program needed kB";
+          "entities live at peak";
+        ]
+      (random_rows @ corr_rows)
+  ^ Printf.sprintf
+      "\n\nWith random lifetimes regions hold %.1fx the memory of malloc/free: \
+       one survivor pins its whole wave.  With wave-correlated lifetimes they \
+       hold %.1fx: lifetimes match regions again."
+      random corr

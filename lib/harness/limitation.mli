@@ -6,3 +6,5 @@
     lifetimes (the control where regions behave). *)
 
 val render : unit -> string
+(** The peak-footprint table and the two ratios (the `limitation`
+    section). *)

@@ -52,6 +52,10 @@ val create :
 
 val size : t -> Workloads.Workload.size
 
+val size_name : t -> string
+(** ["quick"] or ["full"]: the input size as cell addresses and the
+    report sections name it. *)
+
 val cache_stats : t -> int * int
 (** (disk-cache hits, misses) so far; (0, 0) without [disk]. *)
 

@@ -1,25 +1,3 @@
-let table ~header rows =
-  let rows = header :: rows in
-  let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 rows in
-  let width c =
-    List.fold_left
-      (fun m r -> match List.nth_opt r c with Some s -> max m (String.length s) | None -> m)
-      0 rows
-  in
-  let widths = List.init ncols width in
-  let render_row r =
-    String.concat "  "
-      (List.mapi
-         (fun c w ->
-           let s = match List.nth_opt r c with Some s -> s | None -> "" in
-           if c = 0 then Printf.sprintf "%-*s" w s else Printf.sprintf "%*s" w s)
-         widths)
-  in
-  let sep =
-    String.concat "  " (List.map (fun w -> String.make w '-') widths)
-  in
-  String.concat "\n" (render_row header :: sep :: List.map render_row (List.tl rows))
-
 let md_table ~header rows =
   let row r = "| " ^ String.concat " | " r ^ " |" in
   let sep =
@@ -29,11 +7,6 @@ let md_table ~header rows =
     ^ "|"
   in
   String.concat "\n" (row header :: sep :: List.map row rows)
-
-let bar ~width a b =
-  let na = int_of_float (a *. float_of_int width +. 0.5) in
-  let nb = int_of_float (b *. float_of_int width +. 0.5) in
-  String.make na '#' ^ String.make nb '='
 
 let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.)
 

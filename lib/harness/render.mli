@@ -1,18 +1,9 @@
-(** Plain-text table and bar-chart rendering for the harness. *)
-
-val table : header:string list -> string list list -> string
-(** Aligned columns, first column left-justified, the rest right-
-    justified. *)
+(** Markdown tables and number formats for the report sections: the
+    blocks `repro experiment` prints and `repro docs --check` gates. *)
 
 val md_table : header:string list -> string list list -> string
-(** The same rows as a GitHub-flavoured markdown table (first column
-    left-aligned, the rest right-aligned) — the form the generated
-    EXPERIMENTS.md blocks use. *)
-
-val bar : width:int -> float -> float -> string
-(** [bar ~width fraction_a fraction_b] renders a horizontal bar of
-    [fraction_a + fraction_b] (of 1.0) total length, the first part
-    with '#', the second with '='. *)
+(** A GitHub-flavoured markdown table (first column left-aligned, the
+    rest right-aligned). *)
 
 val kb : int -> string
 (** Bytes as a kilobyte figure with one decimal. *)

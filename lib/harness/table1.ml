@@ -26,11 +26,11 @@ let count_file path =
 let header =
   [ "benchmark"; "paper lines"; "paper changed"; "our lines"; "our region lines" ]
 
-let rows ?(source_dir = "lib/workloads") () =
+let rows () =
   let names = [ "cfrac"; "grobner"; "mudlle"; "lcc"; "tile"; "moss" ] in
   List.map
     (fun name ->
-      let ours = count_file (Filename.concat source_dir (name ^ ".ml")) in
+      let ours = count_file (Filename.concat "lib/workloads" (name ^ ".ml")) in
       let paper =
         List.find_opt (fun r -> r.Paper.t1_name = name) Paper.table1
       in
@@ -44,12 +44,7 @@ let rows ?(source_dir = "lib/workloads") () =
       ])
     names
 
-let render ?source_dir () =
-  "Table 1: porting complexity (paper: changed lines of the C port; ours: \
-   region-plumbing lines of each workload module)\n\n"
-  ^ Render.table ~header (rows ?source_dir ())
-
-let md ?source_dir () =
+let render () =
   "Porting complexity — the paper's changed-line counts for the C ports \
    next to this repository's region-plumbing line counts:\n\n"
-  ^ Render.md_table ~header (rows ?source_dir ())
+  ^ Render.md_table ~header (rows ())

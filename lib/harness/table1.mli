@@ -4,11 +4,8 @@
     and the lines belonging to its storage-strategy / region-API
     plumbing (the code a malloc-only version would not need). *)
 
-val render : ?source_dir:string -> unit -> string
-(** [source_dir] defaults to "lib/workloads"; when the sources are not
-    found (e.g. an installed binary), only the paper's values are
-    shown. *)
-
-val md : ?source_dir:string -> unit -> string
-(** The porting-complexity table as markdown (the `table1` doc
-    block). *)
+val render : unit -> string
+(** The porting-complexity table (the `table1` section).  Our line
+    counts are read from lib/workloads/ under the working directory;
+    where those sources are not found (e.g. an installed binary), only
+    the paper's values are shown. *)

@@ -1,10 +1,5 @@
 open Workloads
 
-(* Row extraction is shared by the text renderer (the `experiment
-   table2/3` output) and the markdown emitters behind the generated
-   EXPERIMENTS.md blocks: both are pure functions of the same stored
-   results, so they cannot drift apart. *)
-
 let table2_header =
   [
     "name"; "allocs"; "total kB"; "max kB"; "regions"; "max regions";
@@ -48,13 +43,7 @@ let table2_paper_rows () =
     Paper.table2
 
 let render_table2 m =
-  "Table 2: allocation behaviour with regions (this reproduction)\n\n"
-  ^ Render.table ~header:table2_header (table2_rows m)
-  ^ "\n\nTable 2 as reported in the paper:\n\n"
-  ^ Render.table ~header:table2_header (table2_paper_rows ())
-
-let table2_md m =
-  "Measured (quick inputs):\n\n"
+  Printf.sprintf "Measured (%s inputs):\n\n" (Matrix.size_name m)
   ^ Render.md_table ~header:table2_header (table2_rows m)
   ^ "\n\nAs reported in the paper:\n\n"
   ^ Render.md_table ~header:table2_header (table2_paper_rows ())
@@ -106,15 +95,10 @@ let table3_paper_rows () =
     Paper.table3
 
 let render_table3 m =
-  "Table 3: allocation behaviour with malloc (this reproduction; \
-   region-only benchmarks measured under the emulation library)\n\n"
-  ^ Render.table ~header:table3_header (table3_rows m)
-  ^ "\n\nTable 3 as reported in the paper:\n\n"
-  ^ Render.table ~header:table3_header (table3_paper_rows ())
-
-let table3_md m =
-  "Measured under the Lea column (quick inputs; region-only benchmarks \
-   via the emulation library, with the paper's \"(w/o overhead)\" rows):\n\n"
+  Printf.sprintf
+    "Measured under the Lea column (%s inputs; region-only benchmarks via \
+     the emulation library, with the paper's \"(w/o overhead)\" rows):\n\n"
+    (Matrix.size_name m)
   ^ Render.md_table ~header:table3_header (table3_rows m)
   ^ "\n\nAs reported in the paper:\n\n"
   ^ Render.md_table ~header:table3_header (table3_paper_rows ())

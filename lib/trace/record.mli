@@ -25,6 +25,10 @@ val variant_of_mode : Workloads.Api.mode -> string
 (** ["malloc"], ["emu"] or ["region"] — the trace a replay of this
     mode reads. *)
 
+val variants_for : Workloads.Workload.spec -> string list
+(** The variants a workload records: ["malloc"] and ["region"], or
+    ["emu"] and ["region"] for a region-only one. *)
+
 val recording_mode : string -> Workloads.Api.mode
 (** The mode a variant records under.  @raise Invalid_argument on an
     unknown variant. *)

@@ -187,16 +187,35 @@ let problems (sub, flags) =
         else Some (Printf.sprintf "`repro %s %s`: %s has no %s" sub f sub f))
       flags
 
+let section_ids =
+  List.map (fun (s : Harness.Docs.section) -> s.id) Harness.Docs.sections
+
+(* Every [experiment ID] in a code text up to a shell comment, [ID] a
+   lower-case name ("all", "fig9"; not "<id>", "ID" or a flag). *)
+let rec experiment_ids = function
+  | t :: _ when String.starts_with ~prefix:"#" t -> []
+  | "experiment" :: id :: rest
+    when id <> "" && id.[0] >= 'a' && id.[0] <= 'z' && name_prefix id = id ->
+      id :: experiment_ids rest
+  | _ :: rest -> experiment_ids rest
+  | [] -> []
+
+let unknown_experiments codes =
+  List.concat_map (fun c -> experiment_ids (tokens c)) codes
+  |> List.filter (fun id -> not (List.mem id ("all" :: section_ids)))
+  |> List.map (fun id ->
+         Printf.sprintf "`experiment %s`: no such section (have: %s, all)" id
+           (String.concat ", " section_ids))
+
 let check_document path () =
   let text = read_file path in
   let rows = if path = "../README.md" then table_rows text else [] in
   if path = "../README.md" && rows = [] then
     Alcotest.fail "README.md: command table not found";
-  let found =
-    List.concat_map (fun c -> invocations (tokens c)) (code_texts text) @ rows
-  in
+  let codes = code_texts text in
+  let found = List.concat_map (fun c -> invocations (tokens c)) codes @ rows in
   if found = [] then Alcotest.failf "%s: no repro invocations found" path;
-  match List.concat_map problems found with
+  match List.concat_map problems found @ unknown_experiments codes with
   | [] -> ()
   | lines ->
       Alcotest.failf "%s names commands that do not exist:\n%s" path
@@ -506,6 +525,61 @@ let check_exports () =
   | [] -> ()
   | lines -> Alcotest.fail (String.concat "\n" lines)
 
+(* [repro experiment ID] prints "## TITLE", a blank line and then the
+   body of EXPERIMENTS.md's generated block ID, byte for byte.  Run for
+   the sections that read no matrix cell, from the source tree's root
+   (Table 1 counts the lines of lib/workloads/). *)
+let block_body doc id =
+  let start = Printf.sprintf "<!-- generated:%s -->\n" id
+  and stop = Printf.sprintf "\n<!-- /generated:%s -->" id in
+  let rec find sub from =
+    if from + String.length sub > String.length doc then
+      Alcotest.failf "EXPERIMENTS.md: no %S" sub
+    else if String.sub doc from (String.length sub) = sub then from
+    else find sub (from + 1)
+  in
+  let i = find start 0 + String.length start in
+  String.sub doc i (find stop i - i)
+
+let check_section (s : Harness.Docs.section) () =
+  let ic =
+    Unix.open_process_in
+      (Printf.sprintf "cd .. && bin/main.exe experiment %s --no-cache 2>/dev/null"
+         s.id)
+  in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "experiment %s failed" s.id);
+  Alcotest.(check string)
+    (s.id ^ " output is its title and its block")
+    (Printf.sprintf "## %s\n\n%s\n" s.title
+       (block_body (read_file "../EXPERIMENTS.md") s.id))
+    out
+
+(* Each section's block sits under the EXPERIMENTS.md heading that is
+   its title: the last "## " line before the block's open marker. *)
+let check_titles () =
+  let lines = String.split_on_char '\n' (read_file "../EXPERIMENTS.md") in
+  List.iter
+    (fun (s : Harness.Docs.section) ->
+      let marker = Printf.sprintf "<!-- generated:%s -->" s.id in
+      let rec heading last = function
+        | [] -> Alcotest.failf "EXPERIMENTS.md: no %s" marker
+        | l :: _ when l = marker -> last
+        | l :: rest ->
+            heading (if String.starts_with ~prefix:"## " l then l else last) rest
+      in
+      Alcotest.(check string) (s.id ^ " heading") ("## " ^ s.title)
+        (heading "" lines))
+    Harness.Docs.sections
+
+let static_sections =
+  List.filter
+    (fun (s : Harness.Docs.section) ->
+      match s.render with `Static _ -> true | `Matrix _ -> false)
+    Harness.Docs.sections
+
 let doc_cases f =
   List.map
     (fun path ->
@@ -519,4 +593,10 @@ let () =
       ("paths exist", doc_cases check_paths path_documents);
       ( "export audit",
         [ Alcotest.test_case "lib interfaces" `Quick check_exports ] );
+      ( "sections",
+        Alcotest.test_case "titles are headings" `Quick check_titles
+        :: List.map
+             (fun (s : Harness.Docs.section) ->
+               Alcotest.test_case ("experiment " ^ s.id) `Quick (check_section s))
+             static_sections );
     ]

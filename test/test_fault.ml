@@ -372,17 +372,10 @@ let test_timeout_fd_leak () =
 
 let render m =
   String.concat "\n"
-    (List.map
-       (fun f -> f m)
-       [
-         Harness.Table23.render_table2;
-         Harness.Table23.render_table3;
-         Harness.Fig8.render;
-         Harness.Fig9.render;
-         Harness.Fig10.render;
-         Harness.Fig11.render;
-         Harness.Claims.render;
-       ])
+    (List.filter_map
+       (fun (s : Harness.Docs.section) ->
+         match s.render with `Matrix f -> Some (f m) | `Static _ -> None)
+       Harness.Docs.sections)
 
 let fresh_cache_dir =
   let n = ref 0 in

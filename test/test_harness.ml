@@ -19,6 +19,13 @@ let test_matrix_caches () =
   let r2 = Harness.Matrix.get m spec Harness.Matrix.region_safe in
   check_bool "same physical result" true (r1 == r2)
 
+(* The report sections that read the matrix, as (id, renderer). *)
+let matrix_sections =
+  List.filter_map
+    (fun (s : Harness.Docs.section) ->
+      match s.render with `Matrix f -> Some (s.id, f) | `Static _ -> None)
+    Harness.Docs.sections
+
 let test_renders_contain_benchmarks () =
   let m = Lazy.force matrix in
   let contains hay needle =
@@ -27,46 +34,20 @@ let test_renders_contain_benchmarks () =
     go 0
   in
   List.iter
-    (fun render ->
+    (fun (id, render) ->
       let s = render m in
-      check_bool "mentions every benchmark" true
+      check_bool (id ^ " mentions every benchmark") true
         (List.for_all
            (fun spec -> contains s spec.Workloads.Workload.name)
            workloads))
-    [
-      Harness.Table23.render_table2;
-      Harness.Table23.render_table3;
-      Harness.Fig8.render;
-      Harness.Fig9.render;
-      Harness.Fig10.render;
-      Harness.Fig11.render;
-    ]
-
-let test_render_table_alignment () =
-  let s =
-    Harness.Render.table ~header:[ "name"; "value" ]
-      [ [ "a"; "1" ]; [ "long-name"; "12345" ] ]
-  in
-  let lines = String.split_on_char '\n' s in
-  check "four lines (header, separator, two rows)" 4 (List.length lines);
-  (* all rows share a width *)
-  match lines with
-  | h :: _sep :: rows ->
-      List.iter
-        (fun r ->
-          check_bool "row not shorter than header" true
-            (String.length r >= String.length h - 5))
-        rows
-  | _ -> Alcotest.fail "unexpected shape"
+    matrix_sections
 
 let test_render_helpers () =
   Alcotest.(check string) "kb" "1.5" (Harness.Render.kb 1536);
   Alcotest.(check string) "mega small" "123" (Harness.Render.mega 123);
   Alcotest.(check string) "mega k" "123k" (Harness.Render.mega 123_000);
   Alcotest.(check string) "mega M" "123.0M" (Harness.Render.mega 123_000_000);
-  Alcotest.(check string) "pct" "42.0%" (Harness.Render.pct 0.42);
-  let b = Harness.Render.bar ~width:10 0.5 0.3 in
-  Alcotest.(check string) "bar" "#####===" b
+  Alcotest.(check string) "pct" "42.0%" (Harness.Render.pct 0.42)
 
 let test_claims_all_pass () =
   let s = Harness.Claims.render (Lazy.force matrix) in
@@ -92,16 +73,9 @@ let test_parallel_matrix_byte_identical () =
   let timings = Harness.Matrix.run_all ~domains:4 par in
   check "all 37 report cells ran" 37 (List.length timings);
   List.iter
-    (fun (name, render) ->
-      Alcotest.(check string) (name ^ " byte-identical") (render seq) (render par))
-    [
-      ("table2", Harness.Table23.render_table2);
-      ("table3", Harness.Table23.render_table3);
-      ("fig8", Harness.Fig8.render);
-      ("fig9", Harness.Fig9.render);
-      ("fig10", Harness.Fig10.render);
-      ("fig11", Harness.Fig11.render);
-    ]
+    (fun (id, render) ->
+      Alcotest.(check string) (id ^ " byte-identical") (render seq) (render par))
+    matrix_sections
 
 let test_parallel_for_covers_all_indices () =
   let n = 100 in
@@ -307,8 +281,11 @@ let test_unknown_experiment_leaves_no_cache () =
 (* Every cell-taking subcommand rejects a cell it cannot run with a
    usage error (exit 124) before it creates any file: a direct mode of
    a region-based workload (the message names the emulated mode to
-   use) and an unknown workload.  Each case runs in a fresh directory
-   that holds its --out, --quarantine or -o path and must stay empty. *)
+   use) and an unknown workload; replay also rejects a cell no trace of
+   the workload serves, and under --verify an unknown workload or one
+   with no matrix cell.  Each case runs in a fresh directory that holds
+   its --out, --quarantine or -o path and replay's temp trace (TMPDIR),
+   and must stay empty. *)
 let rejected_cells =
   let cells =
     [ ("mudlle sun", "emu-sun"); ("lcc gc", "emu-gc");
@@ -317,7 +294,14 @@ let rejected_cells =
   List.concat_map
     (fun cmd -> List.map (fun (cell, says) -> (cmd, cell, says)) cells)
     [ "run"; "trace"; "faults" ]
-  @ [ ("record", "nosuch", "unknown workload nosuch") ]
+  @ [
+      ("record", "nosuch", "unknown workload nosuch");
+      ("replay", "nosuch sun", "unknown workload nosuch");
+      ("replay", "mudlle sun", "emu-sun");
+      ("replay", "cfrac emu-sun", "cfrac has no emu trace");
+      ("replay", "--verify nosuch", "unknown workload nosuch");
+      ("replay", "--verify game", "game has no matrix cell");
+    ]
 
 let test_cell_rejected (cmd, cell, says) () =
   let dir = fresh_dir "repro-cli-test" in
@@ -329,12 +313,14 @@ let test_cell_rejected (cmd, cell, says) () =
     | "run" -> List.hd words :: "--mode" :: List.tl words
     | "trace" -> words @ [ "--out"; "out" ]
     | "faults" -> words @ [ "--plan"; "budget=8"; "--quarantine"; "q" ]
-    | _ -> words @ [ "-o"; "t.trace" ]
+    | "record" -> words @ [ "-o"; "t.trace" ]
+    | _ -> words
   in
   let code =
     Sys.command
-      (Printf.sprintf "cd %s && %s %s %s >/dev/null 2>%s" (Filename.quote dir)
-         (Filename.quote exe) cmd (String.concat " " args) (Filename.quote err))
+      (Printf.sprintf "cd %s && TMPDIR=%s %s %s %s >/dev/null 2>%s"
+         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe) cmd
+         (String.concat " " args) (Filename.quote err))
   in
   let msg = In_channel.with_open_bin err In_channel.input_all in
   check "exit status" 124 code;
@@ -396,7 +382,6 @@ let () =
           tc "matrix caches" `Quick test_matrix_caches;
           tc "renders mention benchmarks" `Slow test_renders_contain_benchmarks;
           tc "table 1" `Quick test_table1_renders;
-          tc "render table alignment" `Quick test_render_table_alignment;
           tc "render helpers" `Quick test_render_helpers;
           tc "emulation overhead bookkeeping" `Quick
             test_emulation_overhead_only_for_region_only;

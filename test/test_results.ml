@@ -389,18 +389,10 @@ let test_cache_key_is_stable () =
 
 let render_report m =
   String.concat "\n"
-    [
-      Harness.Table23.render_table2 m;
-      Harness.Table23.render_table3 m;
-      Harness.Fig8.render m;
-      Harness.Fig9.render m;
-      Harness.Fig10.render m;
-      Harness.Fig11.render m;
-      Harness.Claims.render m;
-      Harness.Table23.table2_md m;
-      Harness.Fig9.md m;
-      Harness.Claims.md m;
-    ]
+    (List.filter_map
+       (fun (s : Harness.Docs.section) ->
+         match s.render with `Matrix f -> Some (f m) | `Static _ -> None)
+       Harness.Docs.sections)
 
 let test_warm_cache_byte_identical () =
   let dir = fresh_dir () in
