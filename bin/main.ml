@@ -173,10 +173,11 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"DIR"
         ~doc:
-          "Also write per-cell trace artefacts (Chrome JSON, heap \
-           time-series CSV, site tables, folded stacks, binary event \
-           stream) under $(docv).  Tracing is pure observation: report \
-           output is byte-identical.")
+          "Also write each executed cell's trace artefacts (Chrome JSON \
+           timeline, heap time-series CSV, site tables, folded stacks, \
+           binary event stream) under $(docv).  Tracing is pure \
+           observation: simulated counts are those of an untraced run, \
+           and $(b,experiment)'s report is byte-identical.")
 
 let parse_plan ~seed s =
   match Fault.Plan.of_string ~seed s with
@@ -342,96 +343,65 @@ let mode_conv =
 
 let mode_doc = "Memory manager: sun, bsd, lea, gc, emu-*, region, unsafe."
 
-let mode_arg =
+(* MODE, the positional argument at [n]: the one spelling of a memory
+   manager. *)
+let mode_arg n =
   Arg.(
     value
-    & opt mode_conv (Workloads.Api.Region { safe = true })
-    & info [ "mode" ] ~doc:mode_doc)
-
-let mode_pos_arg =
-  Arg.(
-    value
-    & pos 1 mode_conv (Workloads.Api.Region { safe = true })
+    & pos n mode_conv (Workloads.Api.Region { safe = true })
     & info [] ~docv:"MODE" ~doc:mode_doc)
 
-(* [f ()] for a runnable (workload, mode) cell.  A direct malloc mode
-   of a region-based workload is a usage error naming the emulated mode
-   to use, returned before [f] creates any file. *)
+(* [f ()] for a runnable (workload, mode) cell; any other is a usage
+   error, returned before [f] creates any file. *)
 let with_cell spec mode f =
-  match mode with
-  | Workloads.Api.Direct b when spec.Workloads.Workload.region_only ->
-      `Error
-        ( true,
-          Printf.sprintf "%s is region-based: its malloc run is mode %s"
-            spec.Workloads.Workload.name
-            (Workloads.Api.mode_name (Workloads.Api.Emulated b)) )
-  | _ -> `Ok (f ())
+  match Workloads.Workload.check_cell spec mode with
+  | Ok () -> `Ok (f ())
+  | Error msg -> `Error (true, msg)
 
 let run_cmd =
-  let run spec mode full =
-    with_cell spec mode (fun () ->
-        let r = Workloads.Workload.run_collect spec mode (size_of_full full) in
-        Fmt.pr "%a@." Workloads.Results.pp r)
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run one workload under one memory manager")
-    Term.(ret (const run $ workload_arg $ mode_arg $ full_arg))
-
-let trace_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "traces"
-      & info [ "out" ] ~docv:"DIR" ~doc:"Output directory for the artefacts.")
-  in
-  let sample_arg =
-    Arg.(
-      value
-      & opt int Harness.Tracefiles.default_sample_cycles
-      & info [ "sample-cycles" ] ~docv:"N"
-          ~doc:"Time-series sampling period in simulated cycles.")
-  in
-  let run spec mode out sample_cycles full =
+  let run spec mode trace_dir full =
+    let size = size_of_full full in
     with_cell spec mode @@ fun () ->
-      let r, tracer, files =
-        Harness.Tracefiles.run_traced ~sample_cycles ~out spec mode
-          (size_of_full full)
-      in
-      Fmt.pr "%a@.@." Workloads.Results.pp r;
-      print_string (Obs.Export.site_table ~top:10 tracer);
-      Printf.printf
-        "\n%d events (%d sampled intervals) -> %s\n\
-        \  timeline : %s  (load in Perfetto / chrome://tracing)\n\
-        \  heap     : %s\n\
-        \  sites    : %s\n\
-        \  flame    : %s  (flamegraph.pl / inferno-flamegraph)\n\
-        \  raw      : %s\n"
-        (Obs.Tracer.events tracer)
-        (Obs.Sampler.length (Obs.Tracer.sampler tracer))
-        files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
-        files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt
-        files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin
+    match trace_dir with
+    | None ->
+        Fmt.pr "%a@." Workloads.Results.pp
+          (Workloads.Workload.run_collect spec mode size)
+    | Some out ->
+        let r, tracer, files =
+          Harness.Tracefiles.run_traced ~out spec mode size
+        in
+        Fmt.pr "%a@.@." Workloads.Results.pp r;
+        print_string (Obs.Export.site_table ~top:10 tracer);
+        Printf.printf
+          "\n%d events (%d sampled intervals) -> %s\n\
+          \  timeline : %s  (load in Perfetto / chrome://tracing)\n\
+          \  heap     : %s\n\
+          \  sites    : %s\n\
+          \  flame    : %s  (flamegraph.pl / inferno-flamegraph)\n\
+          \  raw      : %s\n"
+          (Obs.Tracer.events tracer)
+          (Obs.Sampler.length (Obs.Tracer.sampler tracer))
+          files.Harness.Tracefiles.dir files.Harness.Tracefiles.trace_json
+          files.Harness.Tracefiles.heap_csv files.Harness.Tracefiles.sites_txt
+          files.Harness.Tracefiles.folded files.Harness.Tracefiles.events_bin
   in
   Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one workload with the observability layer enabled and write \
-          its event timeline, heap time-series and per-site profile"
+    (Cmd.info "run" ~doc:"Run one workload under one memory manager"
        ~man:
          [
            `S Manpage.s_description;
            `P
-             "Runs a single (workload, mode) cell with tracing on and \
-              leaves five artefacts under --out: a Chrome trace_event JSON \
+             "Runs a single (workload, mode) cell and prints its \
+              measurements.  With $(b,--trace DIR) the observability layer \
+              is on: the command also prints the top allocation sites and \
+              leaves five artefacts under DIR: a Chrome trace_event JSON \
               timeline (phases, allocations, region and GC events, counter \
               tracks), a heap/stall time-series CSV, the per-site \
               attribution table, a folded-stack file for flame graphs, and \
               the raw binary event stream.  Simulated counts are identical \
               to an untraced run: observation never perturbs measurement.";
          ])
-    Term.(
-      ret
-        (const run $ workload_arg $ mode_pos_arg $ out_arg $ sample_arg
-       $ full_arg))
+    Term.(ret (const run $ workload_arg $ mode_arg 1 $ trace_arg $ full_arg))
 
 let list_cmd =
   let run () =
@@ -576,7 +546,7 @@ let faults_cmd =
          ])
     Term.(
       ret
-        (const run $ workload_arg $ mode_pos_arg $ all_modes_arg $ plan_arg
+        (const run $ workload_arg $ mode_arg 1 $ all_modes_arg $ plan_arg
        $ seed_arg $ full_arg $ quarantine_arg))
 
 let check_cmd =
@@ -679,17 +649,21 @@ let docs_cmd =
     in
     let fresh = Harness.Matrix.store m in
     report_cache_stats m;
-    let names =
-      String.concat " and "
-        (Option.to_list
-           (Option.map
-              (fun (current, _) ->
-                Printf.sprintf "%s (%d generated blocks)" doc
-                  (List.length (Harness.Docs.block_ids current)))
-              document)
-        @ [ Printf.sprintf "%s (%d cells)" golden (Results.Store.length fresh) ])
+    let doc_name =
+      Option.map
+        (fun (current, _) ->
+          Printf.sprintf "%s (%d generated blocks)" doc
+            (List.length (Harness.Docs.block_ids current)))
+        document
+    and golden_name =
+      Printf.sprintf "%s (%d cells)" golden (Results.Store.length fresh)
     in
-    (* Every gated output, in place or (for CI's artifact) under [dir]. *)
+    let names =
+      String.concat " and " (Option.to_list doc_name @ [ golden_name ])
+    in
+    (* Every gated output, in place or (for CI's artifact) under [dir].
+       [false] if the golden already held every measurement and was
+       left as it was: a new build id alone does not rewrite it. *)
     let write ?dir () =
       let path p =
         Option.fold dir ~none:p ~some:(fun d ->
@@ -699,12 +673,14 @@ let docs_cmd =
         (fun (_, regenerated) ->
           Harness.Tracefiles.write_file (path doc) regenerated)
         document;
-      Harness.Tracefiles.write_file (path golden) (Results.Store.to_string fresh)
+      Harness.Docs.write_golden (path golden) fresh
     in
-    if not check then begin
-      write ();
-      Printf.printf "docs: wrote %s\n" names
-    end
+    if not check then
+      if write () then Printf.printf "docs: wrote %s\n" names
+      else
+        Printf.printf "docs: wrote %s; %s unchanged (no measurement moved)\n"
+          (Option.value doc_name ~default:"nothing")
+          golden_name
     else
       let doc_drift =
         match document with
@@ -727,7 +703,7 @@ let docs_cmd =
           Option.iter
             (fun dir ->
               Harness.Tracefiles.mkdir_p dir;
-              write ~dir ();
+              ignore (write ~dir () : bool);
               Printf.eprintf "docs: regenerated copies under %s/\n" dir)
             drift_dir;
           fail 1 "docs: run `repro docs%s` and commit the result\n%!"
@@ -813,19 +789,26 @@ let record_cmd =
   let run spec variant out full =
     let name = spec.Workloads.Workload.name in
     let variant = default_variant spec variant in
-    let size = size_of_full full in
-    let out =
-      match out with
-      | Some p -> p
-      | None ->
-          Printf.sprintf "%s-%s-%s.trace" name variant
-            (if full then "full" else "quick")
-    in
-    let r = Trace.Record.record ~out ~variant spec size in
-    Printf.printf "recorded %s under %s: %s\n" name
-      (Workloads.Api.mode_name (Trace.Record.recording_mode variant))
-      r.Workloads.Results.summary;
-    print_trace_stats ~cmd:"record" out
+    let variants = Trace.Record.variants_for spec in
+    if not (List.mem variant variants) then
+      `Error
+        ( true,
+          Printf.sprintf "%s has no %s trace (its traces: %s)" name variant
+            (String.concat ", " variants) )
+    else begin
+      let out =
+        match out with
+        | Some p -> p
+        | None ->
+            Printf.sprintf "%s-%s-%s.trace" name variant
+              (if full then "full" else "quick")
+      in
+      let r = Trace.Record.record ~out ~variant spec (size_of_full full) in
+      Printf.printf "recorded %s under %s: %s\n" name
+        (Workloads.Api.mode_name (Trace.Record.recording_mode variant))
+        r.Workloads.Results.summary;
+      `Ok (print_trace_stats ~cmd:"record" out)
+    end
   in
   Cmd.v
     (Cmd.info "record"
@@ -842,54 +825,24 @@ let record_cmd =
               every allocator column its variant serves ($(b,repro \
               replay)).";
          ])
-    Term.(const run $ workload_arg $ variant_arg $ out_arg $ full_arg)
-
-(* The workload [repro replay] reads: the cells under --verify, the
-   trace to record without --trace-file (with it, WORKLOAD is a
-   placeholder).  An unknown workload, one with no matrix cell to
-   verify, a cell [run] rejects, or a column no trace of the workload
-   serves is a usage error, returned before any file exists. *)
-let replay_workload ~verify ~trace_file workload mode =
-  match workload with
-  | Some w when verify || trace_file = None -> (
-      match (parse_workload w, mode) with
-      | Error msg, _ -> `Error (true, msg)
-      | Ok spec, _
-        when verify
-             && not
-                  (List.exists
-                     (fun (s, _) -> s == spec)
-                     (Harness.Matrix.report_cells ())) ->
-          `Error (true, w ^ " has no matrix cell to verify")
-      | Ok spec, Some mode when not verify -> (
-          let variant = Trace.Record.variant_of_mode mode in
-          let variants = Trace.Record.variants_for spec in
-          match with_cell spec mode Fun.id with
-          | `Ok () when not (List.mem variant variants) ->
-              `Error
-                ( true,
-                  Printf.sprintf "%s has no %s trace (its traces: %s)"
-                    spec.Workloads.Workload.name variant
-                    (String.concat ", " variants) )
-          | `Ok () -> `Ok (Some spec)
-          | `Error _ as e -> e)
-      | Ok spec, _ -> `Ok (Some spec))
-  | _ -> `Ok None
+    Term.(ret (const run $ workload_arg $ variant_arg $ out_arg $ full_arg))
 
 let replay_cmd =
-  let workload_opt_arg =
+  let target_arg =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD"
-          ~doc:"Workload to replay (every workload under --verify).")
+      & info [] ~docv:"TRACE"
+          ~doc:
+            "Trace file to replay ($(b,repro record), $(b,repro gen)).  \
+             Under $(b,--verify), the WORKLOAD whose matrix cells to check \
+             instead (default: every workload).")
   in
-  let mode_pos_arg =
+  let mode_opt_arg =
     Arg.(
       value
       & pos 1 (some mode_conv) None
-      & info [] ~docv:"MODE"
-          ~doc:"Memory manager column to replay against.")
+      & info [] ~docv:"MODE" ~doc:"Memory manager column to replay against.")
   in
   let verify_arg =
     Arg.(
@@ -900,15 +853,6 @@ let replay_cmd =
              all 37), diff the replayed allocator-side measurements \
              against full execution and exit non-zero on any divergence.")
   in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-file" ] ~docv:"FILE"
-          ~doc:
-            "Replay this previously recorded trace ($(b,repro record)) \
-             instead of recording a fresh temporary one.")
-  in
   let timeline_arg =
     Arg.(
       value
@@ -918,108 +862,102 @@ let replay_cmd =
             "Attach a heap-timeline profiler to the replay and write one \
              $(b,MODE.csv) per replayed column into DIR (memory curves \
              over the allocation-event clock at bounded profiling \
-             memory).  With $(b,--trace-file) and no MODE, every column \
-             the trace's variant serves is replayed.")
+             memory).  With no MODE, every column the trace's variant \
+             serves is replayed.")
   in
-  let run workload mode verify trace_file timeline_dir metrics jobs full =
-    match replay_workload ~verify ~trace_file workload mode with
-    | `Error _ as e -> e
-    | `Ok spec ->
-    let size = size_of_full full in
-    let dump_metrics = with_metrics metrics in
-    if verify then begin
-      let checked, diffs =
-        Harness.Replaycheck.verify ?workload ~domains:jobs ~progress size
-      in
-      if diffs = [] then
-        Printf.printf
-          "replay verify: %d cells, every allocator-side measurement \
-           count-equivalent\n"
-          checked
-      else begin
-        Printf.printf "replay verify: %d divergence(s) over %d cells:\n"
-          (List.length diffs) checked;
-        List.iter (fun d -> Fmt.pr "  %a@." Harness.Replaycheck.pp_diff d) diffs
-      end;
-      dump_metrics ();
-      if diffs <> [] then exit 1
-    end
+  let verify workload jobs full =
+    let checked, diffs =
+      Harness.Replaycheck.verify ?workload ~domains:jobs ~progress
+        (size_of_full full)
+    in
+    if diffs = [] then
+      Printf.printf
+        "replay verify: %d cells, every allocator-side measurement \
+         count-equivalent\n"
+        checked
     else begin
-      (* One replay of [path] against [mode], optionally profiled. *)
-      let replay_one ?timeline path mode =
-        with_reader ~cmd:"replay" path (fun rd ->
-            Trace.Replay.run ?timeline rd mode)
-      in
-      let write_timeline dir mode tl =
-        Harness.Tracefiles.mkdir_p dir;
-        let out =
-          Filename.concat dir (Workloads.Api.mode_name mode ^ ".csv")
-        in
-        Harness.Tracefiles.write_file out (Obs.Timeline.to_csv tl);
-        Printf.printf "timeline: %s (%d samples @ every %d events)\n" out
-          (Obs.Timeline.length tl)
-          (Obs.Timeline.interval tl)
-      in
-      (match mode with
-      | Some mode ->
-          let path, cleanup =
-            match trace_file with
-            | Some p -> (p, fun () -> ())
-            | None ->
-                let spec =
-                  match spec with
-                  | Some spec -> spec
-                  | None ->
-                      fail 2 "replay: WORKLOAD is required without --trace-file\n"
-                in
-                let tmp = Filename.temp_file "repro-replay" ".trace" in
-                progress
-                  (Printf.sprintf "recording %s (%s trace) ..."
-                     spec.Workloads.Workload.name
-                     (Trace.Record.variant_of_mode mode));
-                ignore
-                  (Trace.Record.record ~out:tmp
-                     ~variant:(Trace.Record.variant_of_mode mode) spec size);
-                (tmp, fun () -> try Sys.remove tmp with Sys_error _ -> ())
-          in
-          Fun.protect ~finally:cleanup (fun () ->
-              let timeline =
-                Option.map (fun dir -> (dir, Obs.Timeline.create ())) timeline_dir
-              in
-              let r = replay_one ?timeline:(Option.map snd timeline) path mode in
-              Option.iter (fun (dir, tl) -> write_timeline dir mode tl) timeline;
-              Fmt.pr "%a@." Workloads.Results.pp r)
-      | None -> (
-          (* No MODE: profile every column the trace's variant serves —
-             only meaningful for a pre-recorded trace with --timeline. *)
-          match (trace_file, timeline_dir) with
-          | Some path, Some dir ->
-              let variant =
-                with_reader ~cmd:"replay" path (fun rd ->
-                    (Trace.Format.header rd).Trace.Format.variant)
-              in
-              let modes =
-                List.filter
-                  (fun m -> Trace.Record.variant_of_mode m = variant)
-                  Workloads.Api.all_modes
-              in
-              List.iter
-                (fun mode ->
-                  let tl = Obs.Timeline.create () in
-                  let r = replay_one ~timeline:tl path mode in
-                  Printf.printf "%-16s %s\n"
-                    (Workloads.Api.mode_name mode)
-                    r.Workloads.Results.summary;
-                  write_timeline dir mode tl)
-                modes
-          | _ ->
-              fail 2
-                "replay: MODE is required without --verify (pass \
-                 --trace-file FILE --timeline DIR to profile every column \
-                 the trace serves)\n"));
-      dump_metrics ()
+      Printf.printf "replay verify: %d divergence(s) over %d cells:\n"
+        (List.length diffs) checked;
+      List.iter (fun d -> Fmt.pr "  %a@." Harness.Replaycheck.pp_diff d) diffs
     end;
-    `Ok ()
+    diffs = []
+  in
+  let replay_one ?timeline path mode =
+    with_reader ~cmd:"replay" path (fun rd ->
+        Trace.Replay.run ?timeline rd mode)
+  in
+  let write_timeline dir mode tl =
+    Harness.Tracefiles.mkdir_p dir;
+    let out = Filename.concat dir (Workloads.Api.mode_name mode ^ ".csv") in
+    Harness.Tracefiles.write_file out (Obs.Timeline.to_csv tl);
+    Printf.printf "timeline: %s (%d samples @ every %d events)\n" out
+      (Obs.Timeline.length tl)
+      (Obs.Timeline.interval tl)
+  in
+  let replay_column path mode dir =
+    let timeline = Option.map (fun dir -> (dir, Obs.Timeline.create ())) dir in
+    let r = replay_one ?timeline:(Option.map snd timeline) path mode in
+    Option.iter (fun (dir, tl) -> write_timeline dir mode tl) timeline;
+    Fmt.pr "%a@." Workloads.Results.pp r
+  in
+  (* Every column the trace's variant serves, each profiled. *)
+  let replay_columns path dir =
+    let variant =
+      with_reader ~cmd:"replay" path (fun rd ->
+          (Trace.Format.header rd).Trace.Format.variant)
+    in
+    List.iter
+      (fun mode ->
+        if Trace.Record.variant_of_mode mode = variant then begin
+          let tl = Obs.Timeline.create () in
+          let r = replay_one ~timeline:tl path mode in
+          Printf.printf "%-16s %s\n"
+            (Workloads.Api.mode_name mode)
+            r.Workloads.Results.summary;
+          write_timeline dir mode tl
+        end)
+      Workloads.Api.all_modes
+  in
+  (* A positional argument that names nothing this invocation can use
+     is a usage error, returned before any file exists. *)
+  let run target mode verify_flag timeline_dir metrics jobs full =
+    let metered f =
+      let dump_metrics = with_metrics metrics in
+      let ok = f () in
+      dump_metrics ();
+      if not ok then exit 1
+    in
+    match (verify_flag, target, mode, timeline_dir) with
+    | true, _, Some _, _ -> `Error (true, "--verify takes no MODE")
+    | true, Some w, None, _ -> (
+        match parse_workload w with
+        | Error msg -> `Error (true, msg)
+        | Ok spec
+          when not
+                 (List.exists
+                    (fun (s, _) -> s == spec)
+                    (Harness.Matrix.report_cells ())) ->
+            `Error (true, w ^ " has no matrix cell to verify")
+        | Ok _ -> `Ok (metered (fun () -> verify (Some w) jobs full)))
+    | true, None, None, _ -> `Ok (metered (fun () -> verify None jobs full))
+    | false, None, _, _ -> `Error (true, "TRACE is required without --verify")
+    | false, Some path, _, _ when not (Sys.file_exists path) ->
+        `Error (true, "no trace file " ^ path)
+    | false, Some path, Some mode, dir ->
+        `Ok
+          (metered (fun () ->
+               replay_column path mode dir;
+               true))
+    | false, Some path, None, Some dir ->
+        `Ok
+          (metered (fun () ->
+               replay_columns path dir;
+               true))
+    | false, Some _, None, None ->
+        `Error
+          ( true,
+            "MODE is required without --timeline DIR (which profiles every \
+             column the trace serves)" )
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1028,9 +966,9 @@ let replay_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Drives the requested memory manager from a workload's \
-              recorded allocation trace, skipping the mutator compute that \
-              produced it.  Allocator-side measurements (allocation, \
+             "Drives the requested memory manager from a recorded or \
+              generated allocation trace, skipping the mutator compute \
+              that produced it.  Allocator-side measurements (allocation, \
               refcount, stack-scan and cleanup instructions, OS bytes, \
               requested stats, region summaries) are count-equivalent to \
               full execution; mutator-side cycles and stalls are not \
@@ -1042,14 +980,14 @@ let replay_cmd =
          ])
     Term.(
       ret
-        (const run $ workload_opt_arg $ mode_pos_arg $ verify_arg
-        $ trace_file_arg $ timeline_arg $ metrics_arg $ jobs_arg $ full_arg))
+        (const run $ target_arg $ mode_opt_arg $ verify_arg $ timeline_arg
+       $ metrics_arg $ jobs_arg $ full_arg))
 
 let gen_cmd =
   let spec_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt string ""
       & info [ "spec" ] ~docv:"SPEC"
           ~doc:
             "Full generator spec as one comma-separated $(b,key=value) \
@@ -1063,13 +1001,6 @@ let gen_cmd =
              $(b,seed).  Omitted keys default to \
              n=1000000,variant=malloc,size=table2,life=lifo:256,stores=1,seed=1.")
   in
-  let objects_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n"; "objects" ] ~docv:"N"
-          ~doc:"Total objects allocated over the trace (default 1000000).")
-  in
   let out_arg =
     Arg.(
       value
@@ -1079,14 +1010,7 @@ let gen_cmd =
             "Write the trace here unconditionally.  Default: the \
              content-addressed cache slot, reused if already generated.")
   in
-  let run spec objects out cache_dir =
-    (* [-n N] is the spec key [n=N]; a later key overrides an earlier
-       one, so it wins over an [n=] inside --spec. *)
-    let spec =
-      String.concat ","
-        (Option.to_list spec
-        @ Option.to_list (Option.map (Printf.sprintf "n=%d") objects))
-    in
+  let run spec out cache_dir =
     let p =
       match Trace.Gen.of_string spec with
       | Ok p -> p
@@ -1113,7 +1037,7 @@ let gen_cmd =
            `P
              "Emits a valid binary trace directly from parameterised size \
               and lifetime distributions — no workload execution — so the \
-              replay columns ($(b,repro replay --trace-file)) can be \
+              replay columns ($(b,repro replay TRACE MODE)) can be \
               driven at object counts the full matrix cannot reach.  \
               Generation is deterministic: the same spec yields \
               byte-identical traces on every host, so by default the \
@@ -1123,7 +1047,7 @@ let gen_cmd =
               object count, not the trace length.";
          ])
     Term.(
-      const run $ spec_arg $ objects_arg $ out_arg $ cache_dir_arg)
+      const run $ spec_arg $ out_arg $ cache_dir_arg)
 
 let results_cmd =
   let a_arg =
@@ -1659,7 +1583,7 @@ let server_cmd =
          ])
     Term.(
       const run $ mutators_arg $ requests_arg $ quantum_arg $ seed_arg
-      $ no_bump_arg $ mode_arg $ full_arg $ metrics_arg)
+      $ no_bump_arg $ mode_arg 0 $ full_arg $ metrics_arg)
 
 let main =
   Cmd.group
@@ -1668,7 +1592,7 @@ let main =
          "Reproduction of Gay & Aiken, 'Memory Management with Explicit \
           Regions' (PLDI 1998)")
     [
-      exp_cmd; run_cmd; trace_cmd; list_cmd; creg_cmd; check_cmd; faults_cmd;
+      exp_cmd; run_cmd; list_cmd; creg_cmd; check_cmd; faults_cmd;
       docs_cmd; record_cmd; replay_cmd; gen_cmd; results_cmd; serve_cmd;
       serveload_cmd; server_cmd;
     ]

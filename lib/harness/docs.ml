@@ -146,6 +146,15 @@ let drift ~label ~current ~regenerated =
     :: (slice a na "-" @ slice b nb "+")
   end
 
+let write_golden path store =
+  match Results.Store.load path with
+  | Ok committed when Results.Store.diff ~expected:committed ~actual:store = []
+    ->
+      false
+  | _ ->
+      Tracefiles.write_file path (Results.Store.to_string store);
+      true
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

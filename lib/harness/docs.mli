@@ -39,4 +39,11 @@ val drift : label:string -> current:string -> regenerated:string -> string list
     line-level diff (common prefix/suffix stripped, capped) prefixed
     with [label]. *)
 
+val write_golden : string -> Results.Store.t -> bool
+(** [write_golden path store] writes [store] to [path] unless the
+    results already there agree with it on every measurement
+    (provenance, such as the build id, ignored): a regeneration that
+    moved no measurement leaves the golden byte-identical.  [true] iff
+    the file was written. *)
+
 val read_file : string -> string

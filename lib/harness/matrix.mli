@@ -19,8 +19,8 @@ val create :
     matrix also writes a {!Tracefiles} artefact family under that
     directory.  Tracing is pure observation, so the memoised results —
     and any report rendered from them — are byte-identical to an
-    untraced run.  Traced cells sample every
-    {!Tracefiles.default_sample_cycles} cycles.
+    untraced run.  This is [repro experiment --trace DIR]; [repro run
+    W M --trace DIR] writes the same family for one cell.
 
     [disk] attaches a content-addressed cell cache: cells whose
     (build id, workload, mode, size, seed, plan) address is already

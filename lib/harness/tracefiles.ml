@@ -35,12 +35,13 @@ let write_file path contents =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-let default_sample_cycles = 50_000
+(* The time-series sampler's period, in simulated cycles. *)
+let sample_cycles = 50_000
 
 let stem (spec : Workloads.Workload.spec) mode =
   spec.Workloads.Workload.name ^ "-" ^ Workloads.Api.mode_name mode
 
-let with_tracer ?(sample_cycles = default_sample_cycles) ~out spec mode f =
+let with_tracer ~out spec mode f =
   mkdir_p out;
   let base = Filename.concat out (stem spec mode) in
   let files =
@@ -90,6 +91,6 @@ let with_tracer ?(sample_cycles = default_sample_cycles) ~out spec mode f =
   write_file files.folded (Obs.Export.folded tracer);
   (result, tracer, files)
 
-let run_traced ?sample_cycles ~out spec mode size =
-  with_tracer ?sample_cycles ~out spec mode (fun tracer ->
+let run_traced ~out spec mode size =
+  with_tracer ~out spec mode (fun tracer ->
       Workloads.Workload.run_collect ~tracer spec mode size)

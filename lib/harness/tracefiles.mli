@@ -7,10 +7,14 @@
       format; the tracer writes each event here as it happens);
     - [.trace.json] — Chrome [trace_event] JSON built by replaying the
       spill file, viewable in Perfetto or [chrome://tracing];
-    - [.heap.csv] — the time-series sampler rows (live bytes, mapped
-      bytes, instruction/stall/cache counters per interval);
+    - [.heap.csv] — the time-series sampler rows, one per 50 000
+      simulated cycles (live bytes, mapped bytes,
+      instruction/stall/cache counters per interval);
     - [.sites.txt] — the interned site ids plus the top-sites table;
-    - [.folded] — folded stacks for [flamegraph.pl] / [inferno]. *)
+    - [.folded] — folded stacks for [flamegraph.pl] / [inferno].
+
+    [repro run W M --trace DIR] writes one cell's family, and
+    [repro experiment --trace DIR] one per executed cell. *)
 
 type files = {
   dir : string;
@@ -20,8 +24,6 @@ type files = {
   sites_txt : string;
   folded : string;
 }
-
-val default_sample_cycles : int
 
 val mkdir_p : string -> unit
 (** [mkdir -p]: create a directory and its parents, tolerating races
@@ -37,7 +39,6 @@ val write_file : string -> string -> unit
     left as it was. *)
 
 val with_tracer :
-  ?sample_cycles:int ->
   out:string ->
   Workloads.Workload.spec ->
   Workloads.Api.mode ->
@@ -51,7 +52,6 @@ val with_tracer :
     emitted before the raise; no other artefact is written. *)
 
 val run_traced :
-  ?sample_cycles:int ->
   out:string ->
   Workloads.Workload.spec ->
   Workloads.Api.mode ->

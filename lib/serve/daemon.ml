@@ -121,6 +121,7 @@ let validate (r : Protocol.request) =
     | Some m -> Ok m
     | None -> Error (Printf.sprintf "unknown mode %s" r.mode)
   in
+  let* () = Workloads.Workload.check_cell spec mode in
   let* size =
     match r.size with
     | "quick" -> Ok Workloads.Workload.Quick

@@ -60,8 +60,9 @@ type response =
       (** admission control: queue full or client cap hit — retry
           later, nothing was scheduled *)
   | Bad_request of { id : int; reason : string }
-      (** malformed frame/JSON or unknown workload/mode/size — a
-          retry would fail identically *)
+      (** malformed frame/JSON, unknown workload/mode/size, or a cell
+          {!Workloads.Workload.check_cell} rejects — a retry would fail
+          identically *)
   | Failed of { id : int; reason : string }
       (** the cell itself failed (fault-plan OOM, watchdog expiry
           after retries) — the daemon survives, the request resolves *)

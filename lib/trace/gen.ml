@@ -116,7 +116,7 @@ let of_string s =
               let k = String.sub kv 0 i
               and v = String.sub kv (i + 1) (String.length kv - i - 1) in
               match k with
-              | "n" | "objects" -> { p with objects = pint "n" v }
+              | "n" -> { p with objects = pint "n" v }
               | "variant" -> { p with variant = v }
               | "size" -> { p with sizes = parse_size v }
               | "life" -> { p with lifetime = parse_lifetime v }

@@ -7,6 +7,14 @@ type spec = {
   run : Api.t -> size -> string;
 }
 
+let check_cell spec mode =
+  match mode with
+  | Api.Direct b when spec.region_only ->
+      Error
+        (Fmt.str "%s is region-based: its malloc run is mode %s" spec.name
+           (Api.mode_name (Api.Emulated b)))
+  | _ -> Ok ()
+
 let cfrac =
   {
     name = "cfrac";
@@ -189,6 +197,7 @@ let modes_for spec =
   malloc_modes @ [ Api.Region { safe = true }; Api.Region { safe = false } ]
 
 let run_collect ?tracer spec mode size =
+  Result.iter_error invalid_arg (check_cell spec mode);
   let api = Api.create ~with_cache:true ?tracer mode in
   let summary = spec.run api size in
   (match tracer with Some tr -> Obs.Tracer.finish tr | None -> ());

@@ -23,13 +23,20 @@ type spec = {
           graceful-degradation contract [repro faults] enforces. *)
 }
 
+val check_cell : spec -> Api.mode -> (unit, string) result
+(** Whether [spec] runs under [mode]: a direct malloc mode of a
+    [region_only] workload is an [Error] naming the emulated mode to
+    use instead.  Every other pair is [Ok]. *)
+
 val all : spec list
 val find : string -> spec
 
 val run_collect : ?tracer:Obs.Tracer.t -> spec -> Api.mode -> size -> Results.t
 (** Create an [Api.t] for [mode] (with the cache simulator on), run,
     and collect measurements.  When [tracer] is given it is attached
-    for the whole run and {!Obs.Tracer.finish}ed before collection. *)
+    for the whole run and {!Obs.Tracer.finish}ed before collection.  A
+    pair {!check_cell} rejects raises [Invalid_argument] with its
+    message before any [Api.t] exists. *)
 
 val modes_for : spec -> Api.mode list
 (** The paper's allocator columns for this workload: Sun, BSD, Lea, GC

@@ -1,6 +1,7 @@
 (* The commands and files the docs show exist.  Every `repro SUB` (or
    `bin/main.exe -- SUB`) invocation in a code line or code span of the
-   checked documents, and every row of README's command table, must
+   checked documents, in a shell line of the CI workflow and in a rule
+   action of bin/dune, and every row of README's command table, must
    name a real subcommand, and every flag written next to it must be
    one that the subcommand's --help=plain lists.  Only --help runs.
    Every repository path in a code line or code span must name a file
@@ -105,8 +106,11 @@ let is_stop t =
        (fun prefix -> String.starts_with ~prefix t)
        [ ">"; "<"; "2>"; "&>"; "#" ]
 
+(* [$repro] is what CI names the built binary; [./main.exe] is how
+   bin/dune's rules run it. *)
 let is_repro t =
-  t = "repro" || t = "bin/main.exe" || String.ends_with ~suffix:"/bin/main.exe" t
+  List.mem t [ "repro"; "bin/main.exe"; "./main.exe"; "\"$repro\"" ]
+  || String.ends_with ~suffix:"/bin/main.exe" t
 
 (* Every [(SUB, flags)] invoked in one code text. *)
 let rec invocations = function
@@ -207,12 +211,7 @@ let unknown_experiments codes =
          Printf.sprintf "`experiment %s`: no such section (have: %s, all)" id
            (String.concat ", " section_ids))
 
-let check_document path () =
-  let text = read_file path in
-  let rows = if path = "../README.md" then table_rows text else [] in
-  if path = "../README.md" && rows = [] then
-    Alcotest.fail "README.md: command table not found";
-  let codes = code_texts text in
+let check_codes path codes rows =
   let found = List.concat_map (fun c -> invocations (tokens c)) codes @ rows in
   if found = [] then Alcotest.failf "%s: no repro invocations found" path;
   match List.concat_map problems found @ unknown_experiments codes with
@@ -220,6 +219,51 @@ let check_document path () =
   | lines ->
       Alcotest.failf "%s names commands that do not exist:\n%s" path
         (String.concat "\n" lines)
+
+let check_document path () =
+  let text = read_file path in
+  let rows = if path = "../README.md" then table_rows text else [] in
+  if path = "../README.md" && rows = [] then
+    Alcotest.fail "README.md: command table not found";
+  check_codes path (code_texts text) rows
+
+(* The CLI spellings CI runs.  A workflow's code texts are its shell
+   lines, backslash continuations joined and comments dropped; a dune
+   file's are its [(run ...)] actions, which hold no parenthesis. *)
+let shell_lines text =
+  let cont = Buffer.create 80 in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         let trimmed = String.trim line in
+         if String.starts_with ~prefix:"#" trimmed then None
+         else if String.ends_with ~suffix:"\\" trimmed then begin
+           Buffer.add_string cont
+             (String.sub trimmed 0 (String.length trimmed - 1) ^ " ");
+           None
+         end
+         else begin
+           let l = Buffer.contents cont ^ trimmed in
+           Buffer.clear cont;
+           Some l
+         end)
+
+let run_actions text =
+  let uncommented =
+    String.split_on_char '\n' text
+    |> List.map (fun l ->
+           match String.index_opt l ';' with
+           | Some i -> String.sub l 0 i
+           | None -> l)
+    |> String.concat " "
+  in
+  String.split_on_char '(' uncommented
+  |> List.filter_map (fun form ->
+         match String.index_opt form ')' with
+         | Some i when String.starts_with ~prefix:"run " form ->
+             Some (String.sub form 4 (i - 4))
+         | _ -> None)
+
+let check_script codes path () = check_codes path (codes (read_file path)) []
 
 (* A path is a code token holding a '/' whose last segment has a source
    extension or whose first segment is a top-level directory.  Absolute
@@ -589,7 +633,10 @@ let doc_cases f =
 let () =
   Alcotest.run "docs"
     [
-      ("commands exist", doc_cases check_document documents);
+      ( "commands exist",
+        doc_cases check_document documents
+        @ doc_cases (check_script shell_lines) [ "../.github/workflows/ci.yml" ]
+        @ doc_cases (check_script run_actions) [ "../bin/dune" ] );
       ("paths exist", doc_cases check_paths path_documents);
       ( "export audit",
         [ Alcotest.test_case "lib interfaces" `Quick check_exports ] );

@@ -281,11 +281,13 @@ let test_unknown_experiment_leaves_no_cache () =
 (* Every cell-taking subcommand rejects a cell it cannot run with a
    usage error (exit 124) before it creates any file: a direct mode of
    a region-based workload (the message names the emulated mode to
-   use) and an unknown workload; replay also rejects a cell no trace of
-   the workload serves, and under --verify an unknown workload or one
-   with no matrix cell.  Each case runs in a fresh directory that holds
-   its --out, --quarantine or -o path and replay's temp trace (TMPDIR),
-   and must stay empty. *)
+   use) and an unknown workload, whether the run is plain ([run W M]),
+   traced ([run W M --trace DIR], the "trace" rows) or under a fault
+   plan.  [record] also rejects a variant the workload has no trace
+   for, and [replay] a trace file that does not exist, and under
+   --verify a MODE, an unknown workload or one with no matrix cell.
+   Each case runs in a fresh directory that holds its --trace,
+   --quarantine or -o path and TMPDIR, and must stay empty. *)
 let rejected_cells =
   let cells =
     [ ("mudlle sun", "emu-sun"); ("lcc gc", "emu-gc");
@@ -296,9 +298,14 @@ let rejected_cells =
     [ "run"; "trace"; "faults" ]
   @ [
       ("record", "nosuch", "unknown workload nosuch");
-      ("replay", "nosuch sun", "unknown workload nosuch");
-      ("replay", "mudlle sun", "emu-sun");
-      ("replay", "cfrac emu-sun", "cfrac has no emu trace");
+      ( "record",
+        "cfrac --variant emu",
+        "cfrac has no emu trace (its traces: malloc, region)" );
+      ( "record",
+        "cfrac --variant bogus",
+        "cfrac has no bogus trace (its traces: malloc, region)" );
+      ("replay", "nosuch sun", "no trace file nosuch");
+      ("replay", "--verify cfrac sun", "--verify takes no MODE");
       ("replay", "--verify nosuch", "unknown workload nosuch");
       ("replay", "--verify game", "game has no matrix cell");
     ]
@@ -310,16 +317,15 @@ let test_cell_rejected (cmd, cell, says) () =
   let words = String.split_on_char ' ' cell in
   let args =
     match cmd with
-    | "run" -> List.hd words :: "--mode" :: List.tl words
-    | "trace" -> words @ [ "--out"; "out" ]
-    | "faults" -> words @ [ "--plan"; "budget=8"; "--quarantine"; "q" ]
-    | "record" -> words @ [ "-o"; "t.trace" ]
-    | _ -> words
+    | "trace" -> ("run" :: words) @ [ "--trace"; "out" ]
+    | "faults" -> (cmd :: words) @ [ "--plan"; "budget=8"; "--quarantine"; "q" ]
+    | "record" -> (cmd :: words) @ [ "-o"; "t.trace" ]
+    | _ -> cmd :: words
   in
   let code =
     Sys.command
-      (Printf.sprintf "cd %s && TMPDIR=%s %s %s %s >/dev/null 2>%s"
-         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe) cmd
+      (Printf.sprintf "cd %s && TMPDIR=%s %s %s >/dev/null 2>%s"
+         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe)
          (String.concat " " args) (Filename.quote err))
   in
   let msg = In_channel.with_open_bin err In_channel.input_all in
@@ -332,6 +338,49 @@ let test_cell_rejected (cmd, cell, says) () =
   Alcotest.(check (list string)) "no file created" [] (entries dir);
   Sys.remove err;
   Unix.rmdir dir
+
+(* The one cell check, over every workload and mode: it rejects
+   exactly the direct modes of the region-based workloads, accepts
+   every cell the report runs, and running a rejected cell raises the
+   same message before its tracer sees a single event (no machine was
+   built). *)
+let test_cell_check_table () =
+  let specs = Workloads.Workload.(all @ extras) in
+  check "workloads" 13 (List.length specs);
+  check "modes" 10 (List.length Workloads.Api.all_modes);
+  List.iter
+    (fun (spec : Workloads.Workload.spec) ->
+      List.iter
+        (fun mode ->
+          let cell = spec.name ^ " " ^ Workloads.Api.mode_name mode in
+          let direct =
+            match mode with Workloads.Api.Direct _ -> true | _ -> false
+          in
+          match Workloads.Workload.check_cell spec mode with
+          | Ok () ->
+              check_bool (cell ^ " accepted") false (direct && spec.region_only)
+          | Error msg ->
+              check_bool (cell ^ " rejected") true (direct && spec.region_only);
+              let events = ref 0 in
+              let tracer =
+                Obs.Tracer.create (fun ~kind:_ ~time:_ ~site:_ ~a:_ ~b:_ ->
+                    incr events)
+              in
+              Alcotest.check_raises (cell ^ " run raises") (Invalid_argument msg)
+                (fun () ->
+                  ignore
+                    (Workloads.Workload.run_collect ~tracer spec mode
+                       Workloads.Workload.Quick));
+              check (cell ^ " simulated nothing") 0 !events)
+        Workloads.Api.all_modes)
+    specs;
+  List.iter
+    (fun ((spec : Workloads.Workload.spec), mode) ->
+      check_bool
+        (spec.name ^ " " ^ Workloads.Api.mode_name mode ^ " is a report cell")
+        true
+        (Workloads.Workload.check_cell spec mode = Ok ()))
+    (Harness.Matrix.report_cells ())
 
 (* A replay fill without a cell cache records its traces as temp
    files; none of them may outlive the process. *)
@@ -416,6 +465,8 @@ let () =
         [
           tc "unknown experiment leaves no cache" `Quick
             test_unknown_experiment_leaves_no_cache;
+          tc "one cell check over every workload and mode" `Quick
+            test_cell_check_table;
         ]
         @ List.map
             (fun ((cmd, cell, _) as case) ->

@@ -368,7 +368,7 @@ let check_trace_files spec mode =
   Fun.protect ~finally:(fun () -> try rm_rf out with Sys_error _ -> ())
     (fun () ->
       let _r, tr, files =
-        Harness.Tracefiles.run_traced ~sample_cycles:10_000 ~out spec mode quick
+        Harness.Tracefiles.run_traced ~out spec mode quick
       in
       List.iter
         (fun p -> check_bool (Filename.basename p ^ " exists") true (Sys.file_exists p))

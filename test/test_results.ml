@@ -208,6 +208,40 @@ let test_store_roundtrip_and_diff () =
   check_bool "missing cell reported" true
     (Results.Store.diff ~expected:s ~actual:(Results.Store.of_list []) <> [])
 
+(* [repro docs] rewrites the golden only when a measurement moved: a
+   new build id alone leaves the file byte-identical, while a moved
+   measurement, or a golden that does not load, is written. *)
+let test_docs_golden_kept () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "golden-test-%d.json" (Unix.getpid ()))
+  in
+  let committed = Results.Store.of_list [ sample_cell ~build_id:"old" () ] in
+  Harness.Tracefiles.write_file path (Results.Store.to_string committed);
+  let rebuilt = Results.Store.of_list [ sample_cell ~build_id:"new" () ] in
+  check_bool "build id alone: not written" false
+    (Harness.Docs.write_golden path rebuilt);
+  check_str "golden byte-identical" (Results.Store.to_string committed)
+    (Harness.Docs.read_file path);
+  let r = Lazy.force sample_result in
+  let moved =
+    Results.Store.of_list
+      [
+        Results.Cell.make ~size:"quick" ~build_id:"new"
+          { r with Workloads.Results.cycles = r.Workloads.Results.cycles + 1 };
+      ]
+  in
+  check_bool "moved measurement: written" true
+    (Harness.Docs.write_golden path moved);
+  check_str "golden holds the regeneration" (Results.Store.to_string moved)
+    (Harness.Docs.read_file path);
+  Harness.Tracefiles.write_file path "not json";
+  check_bool "unreadable golden: written" true
+    (Harness.Docs.write_golden path rebuilt);
+  check_str "golden replaced" (Results.Store.to_string rebuilt)
+    (Harness.Docs.read_file path);
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
@@ -526,5 +560,7 @@ let () =
         [
           quick "regenerate + drift detection" test_docs_regenerate_and_drift;
           quick "marker validation" test_docs_bad_markers;
+          quick "golden left alone when no measurement moved"
+            test_docs_golden_kept;
         ] );
     ]

@@ -261,7 +261,8 @@ let test_malformed_frames_survive () =
           (match rpc fd (cfrac_req ~id:6 ()) with
           | P.Cell _ -> ()
           | _ -> Alcotest.fail "daemon unusable after violations");
-          (* unknown workload/mode are per-request errors *)
+          (* unknown workload/mode, and a cell [repro run] rejects, are
+             per-request errors *)
           (match
              rpc fd (P.request ~id:7 ~workload:"zork" ~mode:"sun" ~size:"quick" ())
            with
@@ -269,11 +270,18 @@ let test_malformed_frames_survive () =
               check_int "bad-request id echoed" 7 id;
               check_bool "reason names the problem" true (reason <> "")
           | _ -> Alcotest.fail "unknown workload should be Bad_request");
-          match
-            rpc fd (P.request ~id:8 ~workload:"cfrac" ~mode:"warp" ~size:"quick" ())
-          with
+          (match
+             rpc fd (P.request ~id:8 ~workload:"cfrac" ~mode:"warp" ~size:"quick" ())
+           with
           | P.Bad_request _ -> ()
-          | _ -> Alcotest.fail "unknown mode should be Bad_request")
+          | _ -> Alcotest.fail "unknown mode should be Bad_request");
+          match
+            rpc fd (P.request ~id:9 ~workload:"mudlle" ~mode:"sun" ~size:"quick" ())
+          with
+          | P.Bad_request { reason; _ } ->
+              check_str "reason names the emulated mode"
+                "mudlle is region-based: its malloc run is mode emu-sun" reason
+          | _ -> Alcotest.fail "a direct mode of mudlle should be Bad_request")
 
 (* --max-queue 0 makes admission control deterministic: every cold
    request bounces with Overloaded, while warm requests (admission-

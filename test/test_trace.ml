@@ -196,14 +196,14 @@ let test_next_fused () =
       Trace.Format.close r);
   Sys.remove path
 
-(* [repro replay --trace-file PATH x MODE] must reject [path]: exit 2,
-   with the error reported against the file. *)
+(* [repro replay PATH MODE] must reject [path]: exit 2, with the error
+   reported against the file. *)
 let expect_replay_rejected label path mode =
   let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
   let err = tmp_path () in
   let code =
     Sys.command
-      (Printf.sprintf "%s replay --trace-file %s x %s >/dev/null 2>%s"
+      (Printf.sprintf "%s replay %s %s >/dev/null 2>%s"
          (Filename.quote exe) (Filename.quote path) mode (Filename.quote err))
   in
   let msg = read_file err in
