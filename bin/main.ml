@@ -17,7 +17,7 @@ let full_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run independent matrix cells on $(docv) OCaml domains \
@@ -91,7 +91,7 @@ let progress_arg =
    how to fill it. *)
 type matrix_flags = {
   full : bool;
-  jobs : int;
+  jobs : int option;
   show_progress : bool;
   no_cache : bool;
   refresh : bool;
@@ -110,13 +110,11 @@ let cell_progress (t : Harness.Matrix.cell_timing) ~cycles =
   Printf.eprintf "  done %-16s %-8s %12d cycles %8.1f ms\n%!" t.workload
     t.mode cycles (t.wall_s *. 1000.)
 
-(* Create the matrix [f] describes and, with [fill], compute every cell
-   under [supervision].  Failed cells end the command [cmd] with a
-   structured summary instead of a crashed harness: the surviving cells
-   are in the cell cache, so re-running the same command computes only
-   the failed ones. *)
-let matrix ?trace_dir ?plan ?seed ?replay
-    ?(supervision = Harness.Matrix.default_supervision) ~fill ~cmd f =
+(* Create the matrix [f] describes and, with [fill], compute every cell.
+   Failed cells end the command [cmd] with a structured summary instead
+   of a crashed harness: the surviving cells are in the cell cache, so
+   re-running the same command computes only the failed ones. *)
+let matrix ?trace_dir ?replay ~fill ~cmd f =
   let disk =
     if f.no_cache then None
     else begin
@@ -126,23 +124,19 @@ let matrix ?trace_dir ?plan ?seed ?replay
     end
   in
   let m =
-    Harness.Matrix.create ~progress ?trace_dir ?disk ~refresh:f.refresh ?plan
-      ?seed ?replay (size_of_full f.full)
+    Harness.Matrix.create ~progress ?trace_dir ?disk ~refresh:f.refresh
+      ?replay (size_of_full f.full)
   in
   (if fill then
      let on_cell = if f.show_progress then Some cell_progress else None in
-     match Harness.Matrix.run_all ~domains:f.jobs ?on_cell ~supervision m with
+     match Harness.Matrix.run_all ?domains:f.jobs ?on_cell m with
      | _ -> ()
      | exception Harness.Matrix.Cells_failed failures ->
          Printf.eprintf "%s: %d cell(s) FAILED\n" cmd (List.length failures);
          List.iter
            (fun c -> Fmt.epr "  %a@." Harness.Matrix.pp_cell_failure c)
            failures;
-         Option.iter
-           (fun dir -> Printf.eprintf "  triage bundles under %s/\n" dir)
-           supervision.quarantine;
-         Printf.eprintf
-           "  (report skipped: it would be incomplete; re-run after triage)\n%!";
+         Printf.eprintf "  (report skipped: it would be incomplete)\n%!";
          exit 1);
   m
 
@@ -189,45 +183,16 @@ let parse_plan ~seed s =
 let print_section m (s : Harness.Docs.section) =
   Printf.printf "## %s\n\n%s\n" s.title (Harness.Docs.render_section m s)
 
-let section_ids =
-  List.map (fun (s : Harness.Docs.section) -> s.id) Harness.Docs.sections
-
 let exp_cmd =
   let name_arg =
+    let sections =
+      List.map (fun (s : Harness.Docs.section) -> (s.id, Some s)) Harness.Docs.sections
+    in
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (enum (sections @ [ ("all", None) ]))) None
       & info [] ~docv:"EXPERIMENT"
-          ~doc:(String.concat ", " section_ids ^ ", or all"))
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout-s" ] ~docv:"S"
-          ~doc:
-            "Per-cell wall-clock watchdog in seconds ('all' only).  A cell \
-             exceeding it counts as a transient failure, eligible for \
-             --retries.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Extra attempts per cell for transient host failures \
-             (timeouts, ENOSPC, OOM), with exponential backoff ('all' \
-             only).  Deterministic simulator failures are never retried.")
-  in
-  let quarantine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "quarantine" ] ~docv:"DIR"
-          ~doc:
-            "Write a triage bundle (error report, heap verdicts, trace \
-             artefacts of a diagnostic re-run) under $(docv) for every \
-             cell that exhausts its attempts ('all' only).")
+          ~doc:(String.concat ", " (List.map fst sections) ^ ", or all"))
   in
   let replay_arg =
     Arg.(
@@ -241,50 +206,13 @@ let exp_cmd =
              --verify)); mutator-side cycle and stall figures are not \
              reproduced.")
   in
-  let plan_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "plan" ] ~docv:"SPEC"
-          ~doc:
-            "Run every cell under this fault plan (same clauses as \
-             $(b,repro faults)).  The plan string becomes part of each \
-             cell's cache address and provenance.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Fault-plan seed (with --plan).")
-  in
-  let run name f trace_dir timeout_s retries quarantine replay plan_spec seed
-      metrics =
-    (* Checked before the cell cache is touched, so a typo is reported
-       as one even while a daemon holds the cache lock. *)
-    let experiment =
-      if name = "all" then None
-      else
-        match
-          List.find_opt
-            (fun (s : Harness.Docs.section) -> s.id = name)
-            Harness.Docs.sections
-        with
-        | Some s -> Some s
-        | None ->
-            fail 1 "unknown experiment %s (have: %s, all)\n" name
-              (String.concat ", " section_ids)
-    in
+  let run (experiment : Harness.Docs.section option) f trace_dir replay metrics =
     let dump_metrics = with_metrics metrics in
-    let plan = Option.map (fun s -> (parse_plan ~seed s, s)) plan_spec in
-    if replay && plan <> None then
-      fail 2 "experiment: --replay cannot combine with --plan\n";
     if replay && trace_dir <> None then
       fail 2 "experiment: --replay cannot combine with --trace\n";
-    let supervision =
-      { Harness.Matrix.default_supervision with timeout_s; retries; quarantine }
-    in
     let m =
-      matrix ?trace_dir ?plan ~seed ~replay ~supervision
-        ~fill:(Option.is_none experiment) ~cmd:"experiment all" f
+      matrix ?trace_dir ~replay ~fill:(Option.is_none experiment)
+        ~cmd:"experiment all" f
     in
     (match experiment with
     | None ->
@@ -303,8 +231,7 @@ let exp_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
-      const run $ name_arg $ matrix_flags $ trace_arg $ timeout_arg
-      $ retries_arg $ quarantine_arg $ replay_arg $ plan_arg $ seed_arg
+      const run $ name_arg $ matrix_flags $ trace_arg $ replay_arg
       $ metrics_arg)
 
 let parse_workload s =
@@ -350,6 +277,10 @@ let mode_arg n =
     value
     & pos n mode_conv (Workloads.Api.Region { safe = true })
     & info [] ~docv:"MODE" ~doc:mode_doc)
+
+(* MODE at [n] for a command that may go without one. *)
+let mode_opt_arg n ~doc =
+  Arg.(value & pos n (some mode_conv) None & info [] ~docv:"MODE" ~doc)
 
 (* [f ()] for a runnable (workload, mode) cell; any other is a usage
    error, returned before [f] creates any file. *)
@@ -508,17 +439,20 @@ let faults_cmd =
               (Printf.eprintf "  triage bundle: %s\n%!")
               (Harness.Triage.write_bundle ~dir
                  ~workload:spec.Workloads.Workload.name
-                 ~mode:(Workloads.Api.mode_name mode) ~attempts:1 ~last_error
-                 ~backtrace:"" ~plan
-                 ~retrace:(spec, mode, size_of_full full) ()))
+                 ~mode:(Workloads.Api.mode_name mode) ~last_error ~plan
+                 ~retrace:(spec, mode, size_of_full full)))
           quarantine;
       ok
     in
     let check modes () =
       if not (List.for_all Fun.id (List.map graceful modes)) then exit 1
     in
-    if all_modes then `Ok (check (Workloads.Workload.modes_for spec) ())
-    else with_cell spec mode (check [ mode ])
+    match (all_modes, mode) with
+    | true, Some _ -> `Error (true, "--all-modes takes no MODE")
+    | true, None -> `Ok (check (Workloads.Workload.modes_for spec) ())
+    | false, mode ->
+        let mode = Option.value mode ~default:(Workloads.Api.Region { safe = true }) in
+        with_cell spec mode (check [ mode ])
   in
   Cmd.v
     (Cmd.info "faults"
@@ -546,7 +480,10 @@ let faults_cmd =
          ])
     Term.(
       ret
-        (const run $ workload_arg $ mode_arg 1 $ all_modes_arg $ plan_arg
+        (const run $ workload_arg
+       $ mode_opt_arg 1
+           ~doc:(mode_doc ^ "  Default: region; none with --all-modes.")
+       $ all_modes_arg $ plan_arg
        $ seed_arg $ full_arg $ quarantine_arg))
 
 let check_cmd =
@@ -597,24 +534,6 @@ let docs_cmd =
              non-zero with a readable diff if the committed document or the \
              golden results file disagree with fresh measurements.")
   in
-  let doc_arg =
-    Arg.(
-      value & opt string "EXPERIMENTS.md"
-      & info [ "doc" ] ~docv:"FILE"
-          ~doc:"Document whose generated blocks to rewrite or check.")
-  in
-  let golden_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"FILE"
-          ~doc:
-            "Machine-readable golden results (written on regeneration, \
-             compared measurement-by-measurement on --check; provenance is \
-             ignored, build ids legitimately differ between builds).  \
-             Default: results/golden-quick.json, or \
-             results/golden-full.json under --full.")
-  in
   let drift_dir_arg =
     Arg.(
       value
@@ -624,13 +543,11 @@ let docs_cmd =
             "On --check failure, also write the regenerated document and \
              results under $(docv) so CI can upload them as an artifact.")
   in
-  let run check doc golden drift_dir f =
-    let golden =
-      match golden with
-      | Some g -> g
-      | None ->
-          if f.full then "results/golden-full.json"
-          else "results/golden-quick.json"
+  let run check drift_dir f =
+    let doc = "EXPERIMENTS.md"
+    and golden =
+      if f.full then "results/golden-full.json"
+      else "results/golden-quick.json"
     in
     let m = matrix ~fill:true ~cmd:"docs" f in
     (* The document's generated blocks are quick-run renders, so at full
@@ -719,10 +636,12 @@ let docs_cmd =
            `S Manpage.s_description;
            `P
              "Runs the quick evaluation matrix and rewrites every \
-              $(b,<!-- generated:ID -->) block of the document from the \
-              measured results, together with a machine-readable golden \
-              results JSON carrying full provenance (build id, seed, fault \
-              plan) per cell.  With $(b,--check), nothing is written: the \
+              $(b,<!-- generated:ID -->) block of EXPERIMENTS.md from the \
+              measured results, together with the machine-readable golden \
+              results/golden-quick.json carrying full provenance (build id, \
+              seed, fault plan) per cell; golden comparisons ignore \
+              provenance, since build ids legitimately differ between \
+              builds.  With $(b,--check), nothing is written: the \
               command exits non-zero with a line diff if the committed \
               document or golden file disagrees with fresh measurements — \
               the CI docs gate.  With $(b,--full), the full-size matrix is \
@@ -731,8 +650,7 @@ let docs_cmd =
               renders (this is the scheduled full-size CI gate).";
          ])
     Term.(
-      const run $ check_arg $ doc_arg $ golden_arg $ drift_dir_arg
-      $ matrix_flags)
+      const run $ check_arg $ drift_dir_arg $ matrix_flags)
 
 let variant_arg =
   Arg.(
@@ -838,12 +756,6 @@ let replay_cmd =
              Under $(b,--verify), the WORKLOAD whose matrix cells to check \
              instead (default: every workload).")
   in
-  let mode_opt_arg =
-    Arg.(
-      value
-      & pos 1 (some mode_conv) None
-      & info [] ~docv:"MODE" ~doc:"Memory manager column to replay against.")
-  in
   let verify_arg =
     Arg.(
       value & flag
@@ -867,7 +779,7 @@ let replay_cmd =
   in
   let verify workload jobs full =
     let checked, diffs =
-      Harness.Replaycheck.verify ?workload ~domains:jobs ~progress
+      Harness.Replaycheck.verify ?workload ?domains:jobs ~progress
         (size_of_full full)
     in
     if diffs = [] then
@@ -918,8 +830,8 @@ let replay_cmd =
         end)
       Workloads.Api.all_modes
   in
-  (* A positional argument that names nothing this invocation can use
-     is a usage error, returned before any file exists. *)
+  (* A positional argument or option that this invocation would
+     ignore is a usage error, returned before any file exists. *)
   let run target mode verify_flag timeline_dir metrics jobs full =
     let metered f =
       let dump_metrics = with_metrics metrics in
@@ -929,7 +841,8 @@ let replay_cmd =
     in
     match (verify_flag, target, mode, timeline_dir) with
     | true, _, Some _, _ -> `Error (true, "--verify takes no MODE")
-    | true, Some w, None, _ -> (
+    | true, _, _, Some _ -> `Error (true, "--timeline does not combine with --verify")
+    | true, Some w, None, None -> (
         match parse_workload w with
         | Error msg -> `Error (true, msg)
         | Ok spec
@@ -939,7 +852,9 @@ let replay_cmd =
                     (Harness.Matrix.report_cells ())) ->
             `Error (true, w ^ " has no matrix cell to verify")
         | Ok _ -> `Ok (metered (fun () -> verify (Some w) jobs full)))
-    | true, None, None, _ -> `Ok (metered (fun () -> verify None jobs full))
+    | true, None, None, None -> `Ok (metered (fun () -> verify None jobs full))
+    | false, _, _, _ when full || jobs <> None ->
+        `Error (true, "--full and -j apply only to --verify")
     | false, None, _, _ -> `Error (true, "TRACE is required without --verify")
     | false, Some path, _, _ when not (Sys.file_exists path) ->
         `Error (true, "no trace file " ^ path)
@@ -980,7 +895,9 @@ let replay_cmd =
          ])
     Term.(
       ret
-        (const run $ target_arg $ mode_opt_arg $ verify_arg $ timeline_arg
+        (const run $ target_arg
+       $ mode_opt_arg 1 ~doc:"Memory manager column to replay against."
+       $ verify_arg $ timeline_arg
        $ metrics_arg $ jobs_arg $ full_arg))
 
 let gen_cmd =

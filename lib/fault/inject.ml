@@ -14,8 +14,8 @@ let page_bytes mem = (Sim.Memory.machine mem).Sim.Machine.page_bytes
 
 (* Process-wide mirrors of the per-injector counters: the injector's
    own fields feed the per-cell fault report, the registry series
-   aggregate across a whole supervised matrix (and will be what
-   [repro serve] exports). *)
+   aggregate across every planned cell of the process (what
+   [repro serve --metrics-out] exports). *)
 let m_events =
   Obs.Metrics.counter Obs.Metrics.default "fault_page_grant_events_total"
 

@@ -210,82 +210,14 @@ let trace_has_consumers (spec : Workloads.Workload.spec) mode variant =
          && Trace.Record.variant_of_mode m = variant)
        (Workloads.Workload.modes_for spec)
 
-(* ---- attempt guards ----------------------------------------------- *)
-
-(* OCaml domains cannot be killed, so a watchdogged attempt that hangs
-   is *abandoned*: the domain keeps running into the void while the
-   supervisor retries.  Anything the abandoned body had open — the
-   replay path holds a streaming trace reader's fd for the whole cell —
-   would leak once per timeout, and a daemon retrying cells for days
-   would bleed fds until accept(2) starts failing.  A guard transfers
-   ownership of such resources to the supervisor on abandonment: the
-   body registers a closer when it opens, releases it when it closes,
-   and whichever side wins the release race (exactly one does, under
-   the guard's lock) runs the closer.
-
-   Guarded resources must tolerate being closed under the abandoned
-   body's feet — a read-only fd is fine (the body's next read raises
-   into the void domain's discarded result); a writer would not be. *)
-module Guard = struct
-  type token = int
-
-  type t = {
-    glock : Mutex.t;
-    mutable abandoned : bool;
-    mutable closers : (token * (unit -> unit)) list;
-    mutable next : token;
-  }
-
-  let create () =
-    { glock = Mutex.create (); abandoned = false; closers = []; next = 0 }
-
-  exception Abandoned
-
-  let register g close =
-    Mutex.lock g.glock;
-    if g.abandoned then begin
-      Mutex.unlock g.glock;
-      (* The supervisor already moved on: close now, and abort whatever
-         the void domain was about to do with the resource. *)
-      (try close () with _ -> ());
-      raise Abandoned
-    end
-    else begin
-      let tok = g.next in
-      g.next <- tok + 1;
-      g.closers <- (tok, close) :: g.closers;
-      Mutex.unlock g.glock;
-      tok
-    end
-
-  let release g tok =
-    Mutex.lock g.glock;
-    let owned = List.mem_assoc tok g.closers in
-    g.closers <- List.remove_assoc tok g.closers;
-    Mutex.unlock g.glock;
-    owned
-
-  let abandon g =
-    Mutex.lock g.glock;
-    g.abandoned <- true;
-    let orphans = g.closers in
-    g.closers <- [];
-    Mutex.unlock g.glock;
-    List.iter (fun (_, close) -> try close () with _ -> ()) orphans
-
-  (* Open/close discipline in one place: close exactly once, on
-     whichever side owns the token when the dust settles. *)
-  let protect g close f =
-    let tok = register g close in
-    Fun.protect ~finally:(fun () -> if release g tok then close ()) f
-end
-
 (* Replay-mode cell: the recording mode's cell is the recording run
    itself (a genuine full execution, cached under the plain address);
    every other column replays the variant's trace, cached under the
    [replay] plan. *)
-let run_replay_cell ?guard t spec mode ~workload ~mode_name =
-  let variant = Trace.Record.variant_of_mode mode in
+let replay_cell t spec mode =
+  let workload = spec.Workloads.Workload.name
+  and mode_name = Workloads.Api.mode_name mode
+  and variant = Trace.Record.variant_of_mode mode in
   if is_recording_mode mode then
     match cached_cell t ~workload ~mode_name ~plan:(plan_string t) with
     | Some c ->
@@ -322,12 +254,10 @@ let run_replay_cell ?guard t spec mode ~workload ~mode_name =
               Fmt.failwith "unreadable trace for %s/%s: %s" workload variant
                 msg
         in
-        let close_reader () = Trace.Format.close reader in
-        let body () = Trace.Replay.run reader mode in
         let r =
-          match guard with
-          | None -> Fun.protect ~finally:close_reader body
-          | Some g -> Guard.protect g close_reader body
+          Fun.protect
+            ~finally:(fun () -> Trace.Format.close reader)
+            (fun () -> Trace.Replay.run reader mode)
         in
         cell_store t ~plan:replay_plan r;
         r
@@ -338,27 +268,41 @@ let run_replay_cell ?guard t spec mode ~workload ~mode_name =
    always executed (the artefact family must be produced), never
    served from the disk cache; its result is still stored, because
    traced and untraced measurements are identical by construction. *)
-let run_cell_collect ?guard t spec mode =
+let plain_cell t spec mode =
   let workload = spec.Workloads.Workload.name
   and mode_name = Workloads.Api.mode_name mode in
-  if t.replay then run_replay_cell ?guard t spec mode ~workload ~mode_name
-  else
-    match t.disk with
-    | None -> execute_cell t spec mode
-    | Some _ -> (
-        let lookup =
-          if t.trace_dir <> None then None
-          else cached_cell t ~workload ~mode_name ~plan:(plan_string t)
-        in
-        match lookup with
-        | Some c ->
-            note_hit t;
-            c.Results.Cell.result
-        | None ->
-            note_miss t;
-            let r = execute_cell t spec mode in
-            cell_store t ~plan:(plan_string t) r;
-            r)
+  match t.disk with
+  | None -> execute_cell t spec mode
+  | Some _ -> (
+      let lookup =
+        if t.trace_dir <> None then None
+        else cached_cell t ~workload ~mode_name ~plan:(plan_string t)
+      in
+      match lookup with
+      | Some c ->
+          note_hit t;
+          c.Results.Cell.result
+      | None ->
+          note_miss t;
+          let r = execute_cell t spec mode in
+          cell_store t ~plan:(plan_string t) r;
+          r)
+
+let cell t spec mode =
+  if t.replay then replay_cell t spec mode else plain_cell t spec mode
+
+(* A replayed cell holds a trace reader open for its whole run, which a
+   watchdog could only abandon, never close: the daemon's entry takes
+   plain matrices only. *)
+let run_cell_collect t spec mode =
+  if t.replay then
+    invalid_arg "Matrix.run_cell_collect: a replay matrix (use run_replay_cell)";
+  plain_cell t spec mode
+
+let run_replay_cell t spec mode =
+  if not t.replay then
+    invalid_arg "Matrix.run_replay_cell: not a replay matrix";
+  cell t spec mode
 
 let get t (spec : Workloads.Workload.spec) mode =
   let key = (spec.Workloads.Workload.name, Workloads.Api.mode_name mode) in
@@ -368,7 +312,7 @@ let get t (spec : Workloads.Workload.spec) mode =
       t.progress
         (Fmt.str "running %s under %s ..." spec.Workloads.Workload.name
            (Workloads.Api.mode_name mode));
-      let r = run_cell_collect t spec mode in
+      let r = cell t spec mode in
       Hashtbl.replace t.cache key r;
       r
 
@@ -469,28 +413,23 @@ let store t =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Supervision.  By default the driver trusts every cell and does
-   nothing extra; a [supervision] adds a per-cell watchdog, bounded
-   retry with exponential backoff for transient failures, and triage
-   bundles for cells that still fail.  A cell that fails never brings
-   the other cells down: they finish, are memoised (and stored in the
-   disk cache), and the failures are raised together at the end. *)
+(* Failures.  Every cell is a deterministic simulation, so a failed
+   cell fails the same way each time: [run_all] runs each cell once.  A
+   cell that fails never brings the other cells down: they finish, are
+   memoised (and stored in the disk cache), and the failures are raised
+   together at the end.  The serve daemon runs its cells through
+   [run_attempts] instead: a watchdog, and retries of transient host
+   failures. *)
 
 exception Cell_timeout of float
 exception Attempt_cancelled
 
-type cell_failure = {
-  workload : string;
-  mode : string;
-  attempts : int;
-  last_error : string;
-}
+type cell_failure = { workload : string; mode : string; last_error : string }
 
 exception Cells_failed of cell_failure list
 
 let pp_cell_failure ppf f =
-  Fmt.pf ppf "%-10s %-12s attempts=%d  %s" f.workload f.mode f.attempts
-    f.last_error
+  Fmt.pf ppf "%-10s %-12s %s" f.workload f.mode f.last_error
 
 let () =
   Printexc.register_printer (function
@@ -503,107 +442,77 @@ let () =
              fs)
     | _ -> None)
 
-type supervision = {
-  timeout_s : float option;
-  retries : int;
-  backoff_s : float;
-  quarantine : string option;
-}
-
-let default_supervision =
-  { timeout_s = None; retries = 0; backoff_s = 0.25; quarantine = None }
+type supervision = { timeout_s : float option; retries : int; backoff_s : float }
 
 (* Host failures that a retry can plausibly cure: watchdog expiries
    and OS-level trouble (ENOSPC, EIO, ...).  A simulator exception
    ([Sim.Memory.Fault], [Failure] from a heap check, assertion
    failures) is deterministic — the cell would fail identically on
-   every attempt, so it goes straight to triage. *)
+   every attempt. *)
 let transient = function
   | Cell_timeout _ | Out_of_memory | Sys_error _ | Unix.Unix_error _ -> true
   | _ -> false
 
-(* Run [f] under a wall-clock watchdog.  OCaml domains cannot be
-   killed, so on expiry the runner domain is abandoned (it keeps
-   simulating into the void; the leak is bounded by process lifetime
-   and only ever exists on the timeout path) and [Cell_timeout] is
-   raised to the supervisor — after the attempt's {!Guard} closers run,
-   so fds the abandoned body held (the replay trace reader) are
-   reclaimed instead of leaking once per timeout. *)
-let run_attempt ?timeout_s ?cancelled f =
-  match (timeout_s, cancelled) with
-  | None, None -> f (Guard.create ())
-  | _ ->
-      let cancelled =
-        match cancelled with Some c -> c | None -> fun () -> false
-      in
-      let guard = Guard.create () in
-      let slot = Atomic.make None in
-      let d =
-        Domain.spawn (fun () ->
-            let r =
-              match f guard with
-              | v -> Ok v
-              | exception e -> Error (e, Printexc.get_raw_backtrace ())
-            in
-            Atomic.set slot (Some r))
-      in
-      let deadline =
-        match timeout_s with
-        | Some limit -> Unix.gettimeofday () +. limit
-        | None -> infinity
-      in
-      let rec wait () =
-        match Atomic.get slot with
-        | Some (Ok v) ->
-            Domain.join d;
-            v
-        | Some (Error (e, bt)) ->
-            Domain.join d;
-            Printexc.raise_with_backtrace e bt
-        | None ->
-            (* Cancellation is not a watchdog expiry: it is counted by
-               the caller, not in [m_watchdog], and is deliberately not
-               {!transient} — a cancelled attempt must not be retried. *)
-            if cancelled () then begin
-              Guard.abandon guard;
-              raise Attempt_cancelled
-            end
-            else if Unix.gettimeofday () > deadline then begin
-              Obs.Metrics.inc m_watchdog;
-              Guard.abandon guard;
-              raise
-                (Cell_timeout
-                   (match timeout_s with Some l -> l | None -> infinity))
-            end
-            else begin
-              Unix.sleepf 0.02;
-              wait ()
-            end
-      in
-      wait ()
+(* Run [f] on a fresh domain under a wall-clock watchdog.  OCaml
+   domains cannot be killed, so on expiry the runner domain is
+   abandoned (it keeps simulating into the void; the leak is bounded by
+   process lifetime and only ever exists on the timeout path) and
+   [Cell_timeout] is raised to the caller. *)
+let run_attempt ~timeout_s ~cancelled f =
+  let slot = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        let r =
+          match f () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        Atomic.set slot (Some r))
+  in
+  let deadline =
+    match timeout_s with
+    | Some limit -> Unix.gettimeofday () +. limit
+    | None -> infinity
+  in
+  let rec wait () =
+    match Atomic.get slot with
+    | Some (Ok v) ->
+        Domain.join d;
+        v
+    | Some (Error (e, bt)) ->
+        Domain.join d;
+        Printexc.raise_with_backtrace e bt
+    | None ->
+        (* Cancellation is not a watchdog expiry: it is counted by the
+           caller, not in [m_watchdog], and is deliberately not
+           {!transient} — a cancelled attempt must not be retried. *)
+        if cancelled () then raise Attempt_cancelled
+        else if Unix.gettimeofday () > deadline then begin
+          Obs.Metrics.inc m_watchdog;
+          raise
+            (Cell_timeout (match timeout_s with Some l -> l | None -> infinity))
+        end
+        else begin
+          Unix.sleepf 0.02;
+          wait ()
+        end
+  in
+  wait ()
 
-let run_attempts ?cancelled ?(on_retry = fun _ _ -> ()) sup f =
-  let is_cancelled () = match cancelled with Some c -> c () | None -> false in
+let run_attempts ?(cancelled = fun () -> false) sup f =
   let rec attempt k =
-    match run_attempt ?timeout_s:sup.timeout_s ?cancelled f with
+    match run_attempt ~timeout_s:sup.timeout_s ~cancelled f with
     | v -> Ok v
-    | exception e
-      when k < sup.retries && transient e && not (is_cancelled ()) ->
+    | exception e when k < sup.retries && transient e && not (cancelled ()) ->
         Obs.Metrics.inc m_retries;
-        on_retry (k + 1) e;
         if sup.backoff_s > 0. then
           Unix.sleepf (sup.backoff_s *. (2. ** float_of_int k));
         attempt (k + 1)
-    | exception e -> Error (k + 1, e, Printexc.get_raw_backtrace ())
+    | exception e -> Error (k + 1, e)
   in
   attempt 0
 
-let run_all ?domains ?on_cell ?(supervision = default_supervision) t =
-  let sup = supervision in
-  if sup.retries < 0 then invalid_arg "Matrix.run_all: retries < 0";
-  (match sup.timeout_s with
-  | Some s when s <= 0. -> invalid_arg "Matrix.run_all: timeout_s <= 0"
-  | _ -> ());
+let run_all ?domains ?on_cell t =
   let domains =
     match domains with
     | Some d -> max 1 d
@@ -652,42 +561,18 @@ let run_all ?domains ?on_cell ?(supervision = default_supervision) t =
     let spec, mode = cells.(i) in
     let workload = spec.Workloads.Workload.name
     and mode_name = Workloads.Api.mode_name mode in
-    let on_retry k e =
-      t.progress
-        (Fmt.str "%s/%s attempt %d failed (%s); retrying ..." workload
-           mode_name k (Printexc.to_string e))
-    in
-    match
-      run_attempts ~on_retry sup (fun guard ->
-          Obs.Metrics.inc m_cells;
-          let t0 = Unix.gettimeofday () in
-          let r = run_cell_collect ~guard t spec mode in
-          (r, Unix.gettimeofday () -. t0))
-    with
-    | Ok (r, wall) ->
+    Obs.Metrics.inc m_cells;
+    let t0 = Unix.gettimeofday () in
+    match cell t spec mode with
+    | r ->
+        let wall = Unix.gettimeofday () -. t0 in
         Obs.Metrics.observe m_wall_ms (int_of_float (wall *. 1000.));
         let timing = { workload; mode = mode_name; wall_s = wall } in
         results.(i) <- Some (r, timing);
         notify timing r.Workloads.Results.cycles
-    | Error (attempts, e, bt) ->
-        let last_error = Printexc.to_string e in
+    | exception e ->
         failures.(i) <-
-          Some { workload; mode = mode_name; attempts; last_error };
-        Option.iter
-          (fun dir ->
-            (* Re-running a cell that just hung would hang triage too,
-               so timeouts skip the diagnostic re-trace. *)
-            let retrace =
-              match e with
-              | Cell_timeout _ -> None
-              | _ -> Some (spec, mode, t.size)
-            in
-            ignore
-              (Triage.write_bundle ~dir ~workload ~mode:mode_name ~attempts
-                 ~last_error
-                 ~backtrace:(Printexc.raw_backtrace_to_string bt)
-                 ?retrace ()))
-          sup.quarantine
+          Some { workload; mode = mode_name; last_error = Printexc.to_string e }
   in
   if n > 0 then begin
     let nd = min domains n in

@@ -37,7 +37,8 @@ val create :
     plan, installed around the run exactly as [repro faults] does;
     [seed] is the matching provenance seed.  Planned cells are
     first-class cache citizens: the same plan hits, a different plan
-    (or none) misses.
+    (or none) misses.  The serve daemon builds its planned requests'
+    matrices this way.
 
     [replay] switches to record-once/replay-per-column: each
     (workload, trace variant) pair is recorded at most once — that run
@@ -85,47 +86,42 @@ val parallel_for : domains:int -> int -> (int -> unit) -> unit
     pool never hangs or leaks a domain on failure.  [domains <= 1]
     degenerates to a plain sequential loop. *)
 
-(** {1 Supervision}
+(** {1 Failures and attempts}
 
-    The driver's default supervision does nothing: no watchdog, no
-    retries, no triage.  A {!supervision} assumes cells can hang or
-    fail and keeps the harness standing: a per-cell wall-clock
-    watchdog, bounded retry with exponential backoff for transient
-    host failures, and on-failure {!Triage} bundles. *)
+    Every cell is a deterministic simulation, so a failed cell fails
+    the same way each time: {!run_all} runs each cell once and reports
+    the failures together.  The serve daemon, which computes cells for
+    clients, runs each one through {!run_attempts}: a per-cell
+    wall-clock watchdog and bounded retry with exponential backoff for
+    transient host failures. *)
 
 exception Cell_timeout of float
-(** Raised (to the supervisor, never the user) when a cell exceeds its
+(** Raised (to {!run_attempts}, never the user) when a cell exceeds its
     watchdog.  Counted as transient: a retry gets a fresh attempt. *)
 
 exception Attempt_cancelled
-(** Raised by {!run_attempt} when its [cancelled] hook fires: the
-    attempt's domain is abandoned and the guard's closers run, exactly
-    as on a watchdog expiry — but cancellation is deliberately not
-    transient, so a supervisor never retries work it just asked to
-    stop (the serve daemon cancels in-flight attempts at its drain
-    deadline). *)
+(** Raised by an attempt whose [cancelled] hook fired: the attempt's
+    domain is abandoned, exactly as on a watchdog expiry — but
+    cancellation is deliberately not transient, so {!run_attempts}
+    never retries work it was just asked to stop (the serve daemon
+    cancels in-flight attempts at its drain deadline). *)
 
-type cell_failure = {
-  workload : string;
-  mode : string;
-  attempts : int;  (** attempts actually made, including the last *)
-  last_error : string;
-}
+type cell_failure = { workload : string; mode : string; last_error : string }
 
 val pp_cell_failure : cell_failure Fmt.t
 
 exception Cells_failed of cell_failure list
 (** Raised by {!run_all} once every cell has been tried, when some
-    cell still failed after its attempts.  The cells that succeeded
-    are memoised (and stored in the disk cache) before it is raised.
-    Its registered printer lists every failure. *)
+    cell failed.  The cells that succeeded are memoised (and stored in
+    the disk cache) before it is raised.  Its registered printer lists
+    every failure. *)
 
 type supervision = {
   timeout_s : float option;
-      (** per-cell wall-clock watchdog; [None] = unbounded.  On expiry
-          the cell's runner domain is abandoned (OCaml domains cannot
-          be killed) — a bounded leak that exists only on the timeout
-          path. *)
+      (** per-attempt wall-clock watchdog; [None] = unbounded.  On
+          expiry the attempt's domain is abandoned (OCaml domains
+          cannot be killed) — a bounded leak that exists only on the
+          timeout path. *)
   retries : int;
       (** extra attempts after the first, for {e transient} failures
           only ([Cell_timeout], [Out_of_memory], [Sys_error],
@@ -133,19 +129,11 @@ type supervision = {
           heap-check failures — are never retried: the cell would fail
           identically every time. *)
   backoff_s : float;  (** base backoff; attempt [k] sleeps [2^k] times it *)
-  quarantine : string option;
-      (** directory for {!Triage} bundles of cells that exhaust their
-          attempts. *)
 }
-
-val default_supervision : supervision
-(** No watchdog, no retries ([backoff_s = 0.25] base), no quarantine:
-    each cell runs once, in the worker's own domain. *)
 
 val run_all :
   ?domains:int ->
   ?on_cell:(cell_timing -> cycles:int -> unit) ->
-  ?supervision:supervision ->
   t ->
   cell_timing list
 (** [run_all ?domains t] computes every (workload, mode) cell the full
@@ -169,66 +157,38 @@ val run_all :
     exception it raises propagates out of [run_all] (the remaining
     cells are abandoned).
 
-    [supervision] (default {!default_supervision}) governs each cell's
-    attempts.  A cell that fails every attempt gets a triage bundle if
-    [quarantine] is set; the other cells still run and are memoised,
-    and then {!Cells_failed} is raised with every failure in matrix
-    order. *)
-
-(** Ownership tokens for resources opened inside a watchdogged
-    attempt.  A timed-out attempt's domain cannot be killed, only
-    abandoned — so any fd it holds (the replay path keeps a streaming
-    trace reader open for the whole cell) would leak once per timeout.
-    The body registers a closer when it opens, and closes it once it
-    owns the token: on abandonment the supervisor runs every closer
-    still registered, exactly once per resource (the token release is
-    the race arbiter).  Guarded resources must tolerate a close under
-    the abandoned body's feet — read-only fds qualify; their next read
-    fails into the void domain's discarded result. *)
-module Guard : sig
-  type t
-  type token
-
-  exception Abandoned
-  (** Raised by {!register} after abandonment (closing the resource
-      first): the void domain stops opening things nobody will reap. *)
-
-  val register : t -> (unit -> unit) -> token
-end
-
-val run_attempt :
-  ?timeout_s:float -> ?cancelled:(unit -> bool) -> (Guard.t -> 'a) -> 'a
-(** One watchdogged attempt: run the body on a fresh domain, poll for
-    its result, and on expiry abandon the domain, run the guard's
-    closers and raise {!Cell_timeout}.  [cancelled] is polled on the
-    same ~20ms cadence; when it turns true the attempt is abandoned
-    the same way but raises {!Attempt_cancelled} (not transient, never
-    retried).  With neither [timeout_s] nor [cancelled] the body runs
-    in this domain (the guard never fires). *)
+    Each cell runs once.  A cell that raises does not stop the others:
+    they still run and are memoised, and then {!Cells_failed} is
+    raised with every failure in matrix order. *)
 
 val run_attempts :
   ?cancelled:(unit -> bool) ->
-  ?on_retry:(int -> exn -> unit) ->
   supervision ->
-  (Guard.t -> 'a) ->
-  ('a, int * exn * Printexc.raw_backtrace) result
-(** The per-cell attempt loop: {!run_attempt} under the supervision's
-    watchdog, retrying transient failures (never a cancellation, and
-    not once [cancelled] holds) up to [retries] times with exponential
-    backoff.  [on_retry k e] fires before retry [k] (from 1).  [Error]
-    carries the attempts made, the last exception and its backtrace.
-    {!run_all} runs every cell through it, and so does the serve
-    daemon, with its drain hook as [cancelled].  The [quarantine]
-    field is not used here. *)
+  (unit -> 'a) ->
+  ('a, int * exn) result
+(** The serve daemon's per-cell attempt loop.  Each attempt runs the
+    body on a fresh domain under the supervision's watchdog, polled
+    every ~20ms and abandoned on expiry with {!Cell_timeout}.
+    [cancelled] is polled on the same cadence; when it turns true the
+    attempt is abandoned the same way but raises {!Attempt_cancelled}.
+    Transient failures are retried (never a cancellation, and not once
+    [cancelled] holds) up to [retries] times with exponential backoff.
+    [Error] carries the attempts made and the last exception. *)
 
 val run_cell_collect :
-  ?guard:Guard.t -> t -> Workloads.Workload.spec -> Workloads.Api.mode ->
-  Workloads.Results.t
+  t -> Workloads.Workload.spec -> Workloads.Api.mode -> Workloads.Results.t
 (** Compute (or serve from the disk cache) one cell, without touching
-    the memo table — the per-request entry point for callers that do
-    their own scheduling (the serve daemon).  [guard] adopts fds the
-    cell opens (see {!Guard}); pass the attempt's guard when running
-    under {!run_attempt}. *)
+    the memo table — the per-request entry point of the serve daemon,
+    which runs it under {!run_attempts}.  A [~replay:true] matrix is
+    rejected ([Invalid_argument]): a replayed cell holds a trace reader
+    open for its whole run, which an abandoned attempt would leak. *)
+
+val run_replay_cell :
+  t -> Workloads.Workload.spec -> Workloads.Api.mode -> Workloads.Results.t
+(** {!run_cell_collect} for a [~replay:true] matrix ([Invalid_argument]
+    on any other): the cell exactly as {!run_all} computes it under
+    [experiment --replay], outside any watchdog — what {!Replaycheck}
+    diffs against the plain matrix. *)
 
 val workloads : Workloads.Workload.spec list
 (** The six benchmarks, in the paper's order. *)

@@ -80,7 +80,7 @@ let verify ?workload ?domains ?(progress = ignore) size =
     progress (Fmt.str "verifying %s under %s ..." workload mode_name);
     let expected = Matrix.run_cell_collect full spec mode in
     out.(i) <-
-      (match Matrix.run_cell_collect replay spec mode with
+      (match Matrix.run_replay_cell replay spec mode with
       | replayed ->
           let fields =
             if Matrix.replayed_column ~mode:mode_name then allocator_side

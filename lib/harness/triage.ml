@@ -14,7 +14,7 @@ let heap_report api =
    to the failure.  [plan] reinstalls the fault plan of the failed run
    so injected failures reproduce too.  Returns the outcome line for
    error.txt. *)
-let diagnose ?plan bundle (spec, mode, size) =
+let diagnose ~plan bundle (spec, mode, size) =
   let outcome, _, _ =
     Tracefiles.with_tracer ~out:bundle spec mode (fun tracer ->
         let api = Workloads.Api.create ~with_cache:true ~tracer mode in
@@ -24,11 +24,8 @@ let diagnose ?plan bundle (spec, mode, size) =
           | exception e -> "failed on re-run: " ^ Printexc.to_string e
         in
         let outcome =
-          match plan with
-          | None -> run_workload ()
-          | Some plan ->
-              Fault.Inject.with_plan ~plan (Workloads.Api.memory api)
-                (fun _ -> run_workload ())
+          Fault.Inject.with_plan ~plan (Workloads.Api.memory api) (fun _ ->
+              run_workload ())
         in
         Tracefiles.write_file (Filename.concat bundle "heap.txt")
           (heap_report api);
@@ -36,23 +33,17 @@ let diagnose ?plan bundle (spec, mode, size) =
   in
   outcome
 
-let write_bundle ~dir ~workload ~mode ~attempts ~last_error ~backtrace ?plan
-    ?retrace () =
+let write_bundle ~dir ~workload ~mode ~last_error ~plan ~retrace =
   try
     let bundle = Filename.concat dir (workload ^ "-" ^ mode) in
     Tracefiles.mkdir_p bundle;
     let diagnosis =
-      match retrace with
-      | None -> "diagnostic re-run skipped (timeout or unavailable)"
-      | Some cell -> (
-          try diagnose ?plan bundle cell
-          with e -> "diagnostic re-run itself failed: " ^ Printexc.to_string e)
+      try diagnose ~plan bundle retrace
+      with e -> "diagnostic re-run itself failed: " ^ Printexc.to_string e
     in
     Tracefiles.write_file
       (Filename.concat bundle "error.txt")
-      (Fmt.str
-         "workload   : %s\nmode       : %s\nattempts   : %d\nlast error : \
-          %s\ndiagnosis  : %s\nbacktrace  :\n%s"
-         workload mode attempts last_error diagnosis backtrace);
+      (Fmt.str "workload   : %s\nmode       : %s\nlast error : %s\ndiagnosis  : %s\n"
+         workload mode last_error diagnosis);
     Some bundle
   with _ -> None

@@ -1,12 +1,12 @@
 (** On-failure triage bundles.
 
-    When a supervised matrix cell fails after its retries, the harness
-    quarantines everything a human (or a later session) needs to
-    reproduce and diagnose it, under
+    When a run under [repro faults --quarantine] does not degrade
+    gracefully, the harness quarantines everything a human (or a later
+    session) needs to reproduce and diagnose it, under
     [<quarantine>/<workload>-<mode>/]:
 
-    - [error.txt] — workload, mode, attempts, the final error and its
-      backtrace;
+    - [error.txt] — workload, mode, the error and the outcome of the
+      diagnostic re-run;
     - [heap.txt] — the heap verdict of a diagnostic re-run: the
       manager's [check_heap] / region invariants after the failure
       (the sanitizer-style report: is the heap still walkable?);
@@ -14,23 +14,18 @@
       ([events.bin], [trace.json], [heap.csv], [sites.txt], [folded]),
       captured up to the failure point.
 
-    The diagnostic re-run is skipped for timeouts (re-running a
-    hanging cell would hang triage too) and bundle writing never
-    raises — a failing disk must not turn a cell failure into a
-    harness crash. *)
+    Bundle writing never raises — a failing disk must not turn a cell
+    failure into a harness crash. *)
 
 val write_bundle :
   dir:string ->
   workload:string ->
   mode:string ->
-  attempts:int ->
   last_error:string ->
-  backtrace:string ->
-  ?plan:Fault.Plan.t ->
-  ?retrace:Workloads.Workload.spec * Workloads.Api.mode * Workloads.Workload.size ->
-  unit ->
+  plan:Fault.Plan.t ->
+  retrace:Workloads.Workload.spec * Workloads.Api.mode * Workloads.Workload.size ->
   string option
 (** Returns the bundle directory, or [None] if even [error.txt] could
-    not be written.  [retrace] enables the traced diagnostic re-run;
-    [plan] reinstalls a fault plan during it so injected failures
+    not be written.  [retrace] is the cell of the traced diagnostic
+    re-run, and [plan] is reinstalled during it so injected failures
     reproduce in the captured artefacts. *)

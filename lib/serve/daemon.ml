@@ -139,10 +139,11 @@ let validate (r : Protocol.request) =
 
 (* ---- worker ------------------------------------------------------- *)
 
-(* One cold cell, through the batch driver's own attempt loop
-   ([Matrix.run_attempts]): watchdogged attempt (the request deadline
-   caps the watchdog), transient-only retries with exponential backoff,
-   abandoned-attempt fds reclaimed by the attempt guard.  The cache store happens inside
+(* One cold cell, through [Matrix.run_attempts]: watchdogged attempt
+   (the request deadline caps the watchdog), transient-only retries
+   with exponential backoff.  The matrix is a plain one, never a replay
+   matrix, so an abandoned attempt holds no open trace reader
+   ([run_cell_collect] rejects one).  The cache store happens inside
    [run_cell_collect]; the journal line is appended here, after the
    attempt — never inside the watchdogged body, so an abandoned domain
    can never wedge the journal mutex. *)
@@ -187,17 +188,16 @@ let run_job st (job : job) =
   in
   let sup =
     {
-      Harness.Matrix.default_supervision with
-      timeout_s;
+      Harness.Matrix.timeout_s;
       retries = st.cfg.retries;
       backoff_s = st.cfg.backoff_s;
     }
   in
   match
-    Harness.Matrix.run_attempts ~cancelled sup (fun guard ->
-        Harness.Matrix.run_cell_collect ~guard m job.j_spec job.j_mode)
+    Harness.Matrix.run_attempts ~cancelled sup (fun () ->
+        Harness.Matrix.run_cell_collect m job.j_spec job.j_mode)
   with
-  | Error (_, e, _) ->
+  | Error (_, e) ->
       Obs.Metrics.inc m_failures;
       Fail (Printexc.to_string e)
   | Ok r ->

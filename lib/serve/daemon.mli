@@ -4,8 +4,7 @@
     fault-plan) cell requests over the {!Protocol} framing.  Warm
     cells are answered at O(read) from the content-addressed
     {!Results.Cache}; cold cells run on a pool of worker domains
-    through the batch driver's own attempt loop,
-    {!Harness.Matrix.run_attempts} (watchdog with attempt guards,
+    through {!Harness.Matrix.run_attempts} (per-attempt watchdog,
     transient-only retry with exponential backoff), and are recorded
     in an fsync'd keyed {!Harness.Journal} — so a [kill -9] at any
     instant leaves only completed, durable cells, and a restart serves
@@ -29,7 +28,7 @@
     - {b Drain}: SIGTERM/SIGINT stop accepting, let running cells
       finish and flush every queued response, then exit 0.  The drain
       is genuinely bounded by [drain_timeout_s]: any attempt still in
-      flight at the deadline is abandoned through the watchdog/guard
+      flight at the deadline is abandoned through the watchdog
       path (its waiters get [Failed]) rather than awaited.
     - {b Recovery}: on startup, journal lines written by this binary
       whose cache entry is missing are re-stored; lines from {e other}

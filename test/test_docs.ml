@@ -72,11 +72,20 @@ let subcommands =
              Some (name_prefix e)
            else None))
 
-let options sub =
+(* Each option of [sub] as its spellings ("-j N, --jobs=N" ->
+   ["-j"; "--jobs"]), with the options section that lists it. *)
+let option_entries sub =
   entries (help [ sub ])
-  |> List.filter_map (fun (_, e) -> if e.[0] = '-' then Some e else None)
-  |> List.concat_map (String.split_on_char ',')
-  |> List.map (fun o -> name_prefix (String.trim o))
+  |> List.filter_map (fun (section, e) ->
+         if String.ends_with ~suffix:"OPTIONS" section && e.[0] = '-' then
+           Some
+             ( section,
+               List.map
+                 (fun o -> name_prefix (String.trim o))
+                 (String.split_on_char ',' e) )
+         else None)
+
+let options sub = List.concat_map snd (option_entries sub)
 
 (* A flag as written in prose or a command: "[--check]" -> "--check",
    "--plan=X" -> "--plan", "-j4" -> "-j"; [None] for anything that is
@@ -161,7 +170,10 @@ let code_texts text =
   List.rev !out
 
 (* README's command table: each row's first code span starts with the
-   subcommand, and every flag in the row's code spans belongs to it. *)
+   subcommand, and every flag in the row's code spans belongs to it.
+   A row also names every option of its own subcommand (any one
+   spelling), unless it elides some with "…"; the options every
+   subcommand has (COMMON OPTIONS) go unnamed. *)
 let table_rows text =
   let in_table = ref false in
   String.split_on_char '\n' text
@@ -177,8 +189,31 @@ let table_rows text =
          in
          match spans with
          | (sub :: _) :: _ when !in_table ->
-             Some (sub, List.concat_map (List.filter_map flag) spans)
+             let elided =
+               let dots = "…" and n = String.length line in
+               let k = String.length dots in
+               let rec from i =
+                 i + k <= n && (String.sub line i k = dots || from (i + 1))
+               in
+               from 0
+             in
+             Some (sub, List.concat_map (List.filter_map flag) spans, elided)
          | _ -> None)
+
+let unnamed (sub, flags, elided) =
+  if elided || not (List.mem sub (Lazy.force subcommands)) then []
+  else
+    option_entries sub
+    |> List.filter_map (fun (section, spellings) ->
+           if
+             section = "COMMON OPTIONS"
+             || List.exists (fun o -> List.mem o flags) spellings
+           then None
+           else
+             Some
+               (Printf.sprintf
+                  "README's `%s` row names no %s (name it, or elide with …)"
+                  sub (List.hd spellings)))
 
 let problems (sub, flags) =
   if not (List.mem sub (Lazy.force subcommands)) then
@@ -212,9 +247,16 @@ let unknown_experiments codes =
            (String.concat ", " section_ids))
 
 let check_codes path codes rows =
-  let found = List.concat_map (fun c -> invocations (tokens c)) codes @ rows in
+  let found =
+    List.concat_map (fun c -> invocations (tokens c)) codes
+    @ List.map (fun (sub, flags, _) -> (sub, flags)) rows
+  in
   if found = [] then Alcotest.failf "%s: no repro invocations found" path;
-  match List.concat_map problems found @ unknown_experiments codes with
+  match
+    List.concat_map problems found
+    @ List.concat_map unnamed rows
+    @ unknown_experiments codes
+  with
   | [] -> ()
   | lines ->
       Alcotest.failf "%s names commands that do not exist:\n%s" path

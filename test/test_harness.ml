@@ -262,7 +262,7 @@ let fresh_dir label =
 
 let entries dir = Array.to_list (Sys.readdir dir) |> List.sort compare
 
-(* An unknown experiment name is rejected (exit 1) before the cell cache
+(* An unknown experiment name is a usage error (exit 124) before the cell cache
    is touched: no cache directory or lock appears, so a daemon holding
    the lock cannot mask the typo. *)
 let test_unknown_experiment_leaves_no_cache () =
@@ -273,7 +273,7 @@ let test_unknown_experiment_leaves_no_cache () =
       (Printf.sprintf "cd %s && env -u REPRO_CACHE_DIR %s experiment nosuch 2>/dev/null"
          (Filename.quote dir) (Filename.quote exe))
   in
-  check "exit status" 1 code;
+  check "exit status" 124 code;
   check_bool "no cell cache created" false
     (Sys.file_exists (Filename.concat dir ".repro-cache"));
   Unix.rmdir dir
@@ -283,9 +283,11 @@ let test_unknown_experiment_leaves_no_cache () =
    a region-based workload (the message names the emulated mode to
    use) and an unknown workload, whether the run is plain ([run W M]),
    traced ([run W M --trace DIR], the "trace" rows) or under a fault
-   plan.  [record] also rejects a variant the workload has no trace
-   for, and [replay] a trace file that does not exist, and under
-   --verify a MODE, an unknown workload or one with no matrix cell.
+   plan.  [faults] also rejects a MODE with --all-modes, [record] a
+   variant the workload has no trace for, and [replay] a trace file
+   that does not exist, --full or -j without --verify, and under
+   --verify a MODE, --timeline, an unknown workload or one with no
+   matrix cell.
    Each case runs in a fresh directory that holds its --trace,
    --quarantine or -o path and TMPDIR, and must stay empty. *)
 let rejected_cells =
@@ -308,6 +310,10 @@ let rejected_cells =
       ("replay", "--verify cfrac sun", "--verify takes no MODE");
       ("replay", "--verify nosuch", "unknown workload nosuch");
       ("replay", "--verify game", "game has no matrix cell");
+      ("replay", "--verify cfrac --timeline tl", "--timeline does not combine");
+      ("replay", "t.trace sun -j 7", "--full and -j apply only to --verify");
+      ("replay", "t.trace sun --full", "--full and -j apply only to --verify");
+      ("faults", "cfrac bsd --all-modes", "--all-modes takes no MODE");
     ]
 
 let test_cell_rejected (cmd, cell, says) () =
