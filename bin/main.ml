@@ -173,11 +173,6 @@ let trace_arg =
            observation: simulated counts are those of an untraced run, \
            and $(b,experiment)'s report is byte-identical.")
 
-let parse_plan ~seed s =
-  match Fault.Plan.of_string ~seed s with
-  | Ok p -> p
-  | Error msg -> fail 2 "bad --plan: %s\n" msg
-
 (* One report section under its title: the generated block of the same
    id, byte for byte. *)
 let print_section m (s : Harness.Docs.section) =
@@ -206,10 +201,8 @@ let exp_cmd =
              --verify)); mutator-side cycle and stall figures are not \
              reproduced.")
   in
-  let run (experiment : Harness.Docs.section option) f trace_dir replay metrics =
+  let print (experiment : Harness.Docs.section option) f trace_dir replay metrics =
     let dump_metrics = with_metrics metrics in
-    if replay && trace_dir <> None then
-      fail 2 "experiment: --replay cannot combine with --trace\n";
     let m =
       matrix ?trace_dir ~replay ~fill:(Option.is_none experiment)
         ~cmd:"experiment all" f
@@ -228,11 +221,17 @@ let exp_cmd =
         report_cache_stats m);
     dump_metrics ()
   in
+  let run experiment f trace_dir replay metrics =
+    if replay && trace_dir <> None then
+      `Error (true, "--replay cannot combine with --trace")
+    else `Ok (print experiment f trace_dir replay metrics)
+  in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
-      const run $ name_arg $ matrix_flags $ trace_arg $ replay_arg
-      $ metrics_arg)
+      ret
+        (const run $ name_arg $ matrix_flags $ trace_arg $ replay_arg
+        $ metrics_arg))
 
 let parse_workload s =
   match Workloads.Workload.find s with
@@ -421,8 +420,7 @@ let faults_cmd =
       & info [ "quarantine" ] ~docv:"DIR"
           ~doc:"Write a triage bundle under $(docv) for non-graceful outcomes.")
   in
-  let run spec mode all_modes plan_spec seed full quarantine =
-    let plan = parse_plan ~seed plan_spec in
+  let run_plan spec mode all_modes plan full quarantine =
     let graceful mode =
       let o = Harness.Faultrun.run ~plan spec mode (size_of_full full) in
       Fmt.pr "%a@.@." Harness.Faultrun.pp_outcome o;
@@ -453,6 +451,11 @@ let faults_cmd =
     | false, mode ->
         let mode = Option.value mode ~default:(Workloads.Api.Region { safe = true }) in
         with_cell spec mode (check [ mode ])
+  in
+  let run spec mode all_modes plan_spec seed full quarantine =
+    match Fault.Plan.of_string ~seed plan_spec with
+    | Error msg -> `Error (true, "bad --plan: " ^ msg)
+    | Ok plan -> run_plan spec mode all_modes plan full quarantine
   in
   Cmd.v
     (Cmd.info "faults"

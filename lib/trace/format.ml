@@ -77,7 +77,7 @@ and t_set_mutator = 23
 (* Encoding *)
 
 let zigzag n = if n >= 0 then n lsl 1 else (lnot n lsl 1) lor 1
-let unzigzag n = if n land 1 = 0 then n lsr 1 else lnot (n lsr 1)
+let[@inline] unzigzag n = if n land 1 = 0 then n lsr 1 else lnot (n lsr 1)
 
 (* ------------------------------------------------------------------ *)
 (* Writer
@@ -487,6 +487,8 @@ type reader = {
   mutable lay_vals : Regions.Cleanup.layout array;
   mutable nlays : int;
   mutable scratch : int array;
+  regs : int array;
+      (** the decode core's output: a fixed-shape record's fields *)
   mutable closed : bool;
   mutable counted : bool;
       (** this pass's records already added to the decode metric *)
@@ -554,10 +556,11 @@ let sv r = unzigzag (uv r)
 (* Element count of a variable-length payload: each element takes at
    least one body byte, so anything larger than the remaining body is
    corruption — checked before allocating, so a flipped count can
-   never drive an unbounded allocation. *)
+   never drive an unbounded allocation.  A 9-byte varint can decode
+   negative, which is corruption too. *)
 let count r =
   let n = uv r in
-  if n > body_left r then corrupt "oversized element count";
+  if n < 0 || n > body_left r then corrupt "oversized element count";
   n
 
 let str r =
@@ -580,21 +583,32 @@ let str r =
     Bytes.unsafe_to_string out
   end
 
-let value r =
+(* A classified value for the decode core: staged as kind, [a], [b]
+   in [regs.(i)], [regs.(i + 1)], [regs.(i + 2)] (kind 0 = [Raw a],
+   1 = [Obj (a, b)], 2 = [Reg a]; [b] is 0 unless [Obj]). *)
+let value r i =
+  let regs = r.regs in
   match uv r with
-  | 0 -> Raw (sv r)
+  | 0 ->
+      regs.(i) <- 0;
+      regs.(i + 1) <- sv r;
+      regs.(i + 2) <- 0
   | 1 ->
-      let id = uv r in
-      let delta = uv r in
-      Obj (id, delta)
-  | 2 -> Reg (uv r)
+      regs.(i) <- 1;
+      regs.(i + 1) <- uv r;
+      regs.(i + 2) <- uv r
+  | 2 ->
+      regs.(i) <- 2;
+      regs.(i + 1) <- uv r;
+      regs.(i + 2) <- 0
   | k -> corrupt "unknown value kind %d" k
 
 (* Layouts repeat endlessly — a workload has a handful of object
    shapes — so intern them: the offsets are decoded into a scratch
    array and compared against each known layout; each distinct layout
    is validated and sorted once per reader, and the hot decode path
-   allocates nothing. *)
+   allocates nothing.  The result is the layout's index in
+   [lay_vals]. *)
 let layout r =
   let size_bytes = uv r in
   let n = count r in
@@ -615,7 +629,7 @@ let layout r =
     if i >= r.nlays then -1 else if matches i then i else find (i + 1)
   in
   let i = find 0 in
-  if i >= 0 then r.lay_vals.(i)
+  if i >= 0 then i
   else begin
     let offs = Array.sub sc 0 n in
     let l =
@@ -642,7 +656,7 @@ let layout r =
     r.lay_offs.(r.nlays) <- offs;
     r.lay_vals.(r.nlays) <- l;
     r.nlays <- r.nlays + 1;
-    l
+    r.nlays - 1
   end
 
 (* --- opening ------------------------------------------------------ *)
@@ -770,6 +784,7 @@ let reader_of_envelope e ~src ~buf ~base ~pos ~limit =
     lay_vals = [||];
     nlays = 0;
     scratch = Array.make 8 0;
+    regs = Array.make 6 0;
     closed = false;
     counted = false;
   }
@@ -849,8 +864,7 @@ let at_end r =
   if not r.counted then begin
     r.counted <- true;
     Obs.Metrics.add m_records r.r_records
-  end;
-  End
+  end
 
 let reset r =
   if r.closed then invalid_arg "Trace.Format.reset: reader closed";
@@ -873,126 +887,362 @@ let add_str r s =
   r.strs.(r.nstrs) <- s;
   r.nstrs <- r.nstrs + 1
 
-let rec next r =
-  if not (more r) then at_end r
+(* ------------------------------------------------------------------ *)
+(* The decode core
+
+   [step] decodes one record and returns its tag, or 0 (the trailer's
+   tag) at the end of the body.  A fixed-shape record — every field a
+   varint or a classified value — leaves its fields in [r.regs] and the
+   cursor past the record; ralloc's and rarrayalloc's layout is staged
+   as its index in [lay_vals].  A record with a variable-length payload
+   (frame push, byte and block pokes, root snapshots) leaves the cursor
+   on the payload, which {!record_of} decodes.  String definitions are
+   consumed here.  [next], [next_fused] and [dispatch] all decode
+   through [step], so there is one decoder.
+
+   It has two paths.  The fast path runs whenever the window holds
+   [fast_room] bytes past the cursor, enough for any fixed-shape record
+   whose varints are at most 8 bytes long: the cursor stays in a local,
+   varints are read with no bounds check (one and two bytes inline,
+   longer ones in one call that allocates nothing), and [r.pos] is
+   written once.  Near the window end, and for anything the
+   fast path does not expect — a varint of 9 bytes or more, an unknown
+   tag or value kind — the record is decoded from its first byte by the
+   checked path: byte by byte through [uv], refilling as needed, with
+   every [Corrupt] check.  So the fast path itself never raises. *)
+
+(* The tag of a store_ptr plus two values of a kind byte and two
+   8-byte varints each: the longest read of the fast path. *)
+let fast_room = 35
+
+let[@inline] byte buf p = Char.code (Bytes.unsafe_get buf p)
+
+(* Varints for the fast path, as [v lsl 4 lor len]: the value and its
+   length in bytes.  One longer than 8 bytes gives -8: negative, so the
+   caller sends the record to the checked path, and of length 8, so the
+   reads after it stay within [fast_room]. *)
+let rec fuv_more buf p k acc =
+  let c = byte buf (p + k) in
+  let acc = acc lor ((c land 0x7F) lsl (7 * k)) in
+  if c < 0x80 then (acc lsl 4) lor (k + 1)
+  else if k = 7 then -8
+  else fuv_more buf p (k + 1) acc
+
+let[@inline] fuv buf p =
+  let c = byte buf p in
+  if c < 0x80 then (c lsl 4) lor 1
+  else
+    let c1 = byte buf (p + 1) in
+    if c1 < 0x80 then (((c1 lsl 7) lor (c land 0x7F)) lsl 4) lor 2
+    else fuv_more buf p 2 (((c1 land 0x7F) lsl 7) lor (c land 0x7F))
+
+(* The fast path's classified value at [q], staged like {!value};
+   returns the position after it, or -1 for the checked path. *)
+let[@inline] fvalue regs buf q i =
+  let kind = byte buf q in
+  let x = fuv buf (q + 1) in
+  let q = q + 1 + (x land 15) in
+  Array.unsafe_set regs i kind;
+  if kind = 1 then begin
+    let y = fuv buf q in
+    Array.unsafe_set regs (i + 1) (x lsr 4);
+    Array.unsafe_set regs (i + 2) (y lsr 4);
+    if x lor y < 0 then -1 else q + (y land 15)
+  end
   else begin
-    let tag = Char.code (Bytes.unsafe_get r.buf r.pos) in
+    Array.unsafe_set regs (i + 1) (if kind = 0 then unzigzag (x lsr 4) else x lsr 4);
+    Array.unsafe_set regs (i + 2) 0;
+    if x < 0 || kind > 2 then -1 else q
+  end
+
+(* The checked path: it stages what [step]'s fast path stages, one
+   [uv] per field. *)
+let rec checked r =
+  if not (more r) then begin
+    at_end r;
+    0
+  end
+  else begin
+    let tag = byte r.buf r.pos in
     r.pos <- r.pos + 1;
-    if tag = t_malloc then Malloc { size = uv r }
-    else if tag = t_free then Free { id = uv r }
-    else if tag = t_newregion then Newregion
-    else if tag = t_ralloc then
-      let rid = uv r in
-      let l = layout r in
-      Ralloc { rid; layout = l }
-    else if tag = t_rstralloc then
-      let rid = uv r in
-      let size = uv r in
-      Rstralloc { rid; size }
-    else if tag = t_rarrayalloc then
-      let rid = uv r in
-      let n = uv r in
-      let l = layout r in
-      Rarrayalloc { rid; n; layout = l }
-    else if tag = t_deleteregion then
-      let rid = uv r in
-      let frame = uv r in
-      let slot = uv r in
-      let ok = uv r <> 0 in
-      Deleteregion { rid; frame; slot; ok }
-    else if tag = t_frame_push then
+    let regs = r.regs in
+    match tag with
+    | 1 (* malloc *) | 2 (* free *) ->
+        regs.(0) <- uv r;
+        tag
+    | 4 (* newregion *) | 10 (* frame_pop *)
+    | 9 (* frame_push *) | 13 (* poke_bytes *) | 14 (* poke_block *)
+    | 20 (* gc_roots *) ->
+        tag
+    | 5 (* ralloc *) ->
+        regs.(0) <- uv r;
+        regs.(1) <- layout r;
+        tag
+    | 6 (* rstralloc *) | 16 (* clear *) | 21 (* mark *)
+    | 23 (* set_mutator *) ->
+        regs.(0) <- uv r;
+        regs.(1) <- uv r;
+        tag
+    | 11 (* poke *) ->
+        regs.(0) <- uv r;
+        regs.(1) <- sv r;
+        tag
+    | 7 (* rarrayalloc *) ->
+        regs.(0) <- uv r;
+        regs.(1) <- uv r;
+        regs.(2) <- layout r;
+        tag
+    | 8 (* deleteregion *) ->
+        for i = 0 to 3 do
+          regs.(i) <- uv r
+        done;
+        tag
+    | 17 (* store_ptr *) ->
+        value r 0;
+        value r 3;
+        tag
+    | 18 (* set_local *) | 19 (* set_local_ptr *) ->
+        regs.(0) <- uv r;
+        regs.(1) <- uv r;
+        value r 2;
+        tag
+    | 22 (* strdef *) ->
+        add_str r (str r);
+        checked r
+    | _ -> corrupt "unknown record tag %d" tag
+  end
+
+let[@inline] step r =
+  let p = r.pos in
+  if r.limit - p < fast_room then checked r
+  else
+    let buf = r.buf and regs = r.regs in
+    let tag = byte buf p in
+    match tag with
+    | 1 (* malloc *) | 2 (* free *) ->
+        let x = fuv buf (p + 1) in
+        if x < 0 then checked r
+        else begin
+          Array.unsafe_set regs 0 (x lsr 4);
+          r.pos <- p + 1 + (x land 15);
+          tag
+        end
+    | 4 (* newregion *) | 10 (* frame_pop *)
+    | 9 (* frame_push *) | 13 (* poke_bytes *) | 14 (* poke_block *)
+    | 20 (* gc_roots *) ->
+        r.pos <- p + 1;
+        tag
+    | 6 (* rstralloc *) | 11 (* poke *) | 16 (* clear *) | 21 (* mark *)
+    | 23 (* set_mutator *) ->
+        let x = fuv buf (p + 1) in
+        let q = p + 1 + (x land 15) in
+        let y = fuv buf q in
+        if x lor y < 0 then checked r
+        else begin
+          Array.unsafe_set regs 0 (x lsr 4);
+          Array.unsafe_set regs 1 (if tag = 11 then unzigzag (y lsr 4) else y lsr 4);
+          r.pos <- q + (y land 15);
+          tag
+        end
+    | 17 (* store_ptr *) ->
+        let q = fvalue regs buf (p + 1) 0 in
+        let q = if q < 0 then q else fvalue regs buf q 3 in
+        if q < 0 then checked r
+        else begin
+          r.pos <- q;
+          tag
+        end
+    | 18 (* set_local *) | 19 (* set_local_ptr *) ->
+        let x = fuv buf (p + 1) in
+        let q = p + 1 + (x land 15) in
+        let y = fuv buf q in
+        let q = fvalue regs buf (q + (y land 15)) 2 in
+        if x lor y lor q < 0 then checked r
+        else begin
+          Array.unsafe_set regs 0 (x lsr 4);
+          Array.unsafe_set regs 1 (y lsr 4);
+          r.pos <- q;
+          tag
+        end
+    | 8 (* deleteregion *) ->
+        let x0 = fuv buf (p + 1) in
+        let q = p + 1 + (x0 land 15) in
+        let x1 = fuv buf q in
+        let q = q + (x1 land 15) in
+        let x2 = fuv buf q in
+        let q = q + (x2 land 15) in
+        let x3 = fuv buf q in
+        if x0 lor x1 lor x2 lor x3 < 0 then checked r
+        else begin
+          Array.unsafe_set regs 0 (x0 lsr 4);
+          Array.unsafe_set regs 1 (x1 lsr 4);
+          Array.unsafe_set regs 2 (x2 lsr 4);
+          Array.unsafe_set regs 3 (x3 lsr 4);
+          r.pos <- q + (x3 land 15);
+          tag
+        end
+    | 5 (* ralloc *) ->
+        let x = fuv buf (p + 1) in
+        if x < 0 then checked r
+        else begin
+          r.pos <- p + 1 + (x land 15);
+          Array.unsafe_set regs 0 (x lsr 4);
+          Array.unsafe_set regs 1 (layout r);
+          tag
+        end
+    | 7 (* rarrayalloc *) ->
+        let x = fuv buf (p + 1) in
+        let q = p + 1 + (x land 15) in
+        let y = fuv buf q in
+        if x lor y < 0 then checked r
+        else begin
+          r.pos <- q + (y land 15);
+          Array.unsafe_set regs 0 (x lsr 4);
+          Array.unsafe_set regs 1 (y lsr 4);
+          Array.unsafe_set regs 2 (layout r);
+          tag
+        end
+    | _ -> checked r
+
+let[@inline] reg r i = Array.unsafe_get r.regs i
+
+let value_of kind a b =
+  if kind = 0 then Raw a else if kind = 1 then Obj (a, b) else Reg a
+
+(* The record [step] just decoded, its payload read here when it has a
+   variable-length one. *)
+let record_of r tag =
+  match tag with
+  | 0 -> End
+  | 1 -> Malloc { size = reg r 0 }
+  | 2 -> Free { id = reg r 0 }
+  | 4 -> Newregion
+  | 5 -> Ralloc { rid = reg r 0; layout = r.lay_vals.(reg r 1) }
+  | 6 -> Rstralloc { rid = reg r 0; size = reg r 1 }
+  | 7 -> Rarrayalloc { rid = reg r 0; n = reg r 1; layout = r.lay_vals.(reg r 2) }
+  | 8 -> Deleteregion { rid = reg r 0; frame = reg r 1; slot = reg r 2; ok = reg r 3 <> 0 }
+  | 9 ->
       let nslots = uv r in
       let n = count r in
       let ptr_slots = List.init n (fun _ -> uv r) in
       Frame_push { nslots; ptr_slots }
-    else if tag = t_frame_pop then Frame_pop
-    else if tag = t_poke then
-      let addr = uv r in
-      let v = sv r in
-      Poke { addr; v }
-    else if tag = t_poke_bytes then
+  | 10 -> Frame_pop
+  | 11 -> Poke { addr = reg r 0; v = reg r 1 }
+  | 13 ->
       let addr = uv r in
       let s = str r in
       Poke_bytes { addr; s }
-    else if tag = t_poke_block then
+  | 14 ->
       let addr = uv r in
       let n = count r in
       let words = Array.init n (fun _ -> sv r) in
       Poke_block { addr; words }
-    else if tag = t_clear then
-      let addr = uv r in
-      let bytes = uv r in
-      Clear { addr; bytes }
-    else if tag = t_store_ptr then
-      let addr = value r in
-      let v = value r in
-      Store_ptr { addr; v }
-    else if tag = t_set_local then
-      let frame = uv r in
-      let slot = uv r in
-      let v = value r in
-      Set_local { frame; slot; v }
-    else if tag = t_set_local_ptr then
-      let frame = uv r in
-      let slot = uv r in
-      let v = value r in
-      Set_local_ptr { frame; slot; v }
-    else if tag = t_gc_roots then
+  | 16 -> Clear { addr = reg r 0; bytes = reg r 1 }
+  | 17 ->
+      Store_ptr
+        {
+          addr = value_of (reg r 0) (reg r 1) (reg r 2);
+          v = value_of (reg r 3) (reg r 4) (reg r 5);
+        }
+  | 18 -> Set_local { frame = reg r 0; slot = reg r 1; v = value_of (reg r 2) (reg r 3) (reg r 4) }
+  | 19 ->
+      Set_local_ptr { frame = reg r 0; slot = reg r 1; v = value_of (reg r 2) (reg r 3) (reg r 4) }
+  | 20 ->
       let n = count r in
       Gc_roots (Array.init n (fun _ -> sv r))
-    else if tag = t_mark then begin
-      let id = uv r in
+  | 21 ->
+      let id = reg r 0 in
       let kind =
-        match uv r with
+        match reg r 1 with
         | 0 -> Phase_begin
         | 1 -> Phase_end
         | 2 -> Site_begin
         | 3 -> Site_end
         | k -> corrupt "unknown mark kind %d" k
       in
-      if id >= r.nstrs then corrupt "undefined string id %d" id;
+      if id < 0 || id >= r.nstrs then corrupt "undefined string id %d" id;
       Mark { name = r.strs.(id); kind }
-    end
-    else if tag = t_set_mutator then
-      let mid = uv r in
-      let bump = uv r <> 0 in
-      Set_mutator { mid; bump }
-    else if tag = t_strdef then begin
-      add_str r (str r);
-      next r
-    end
-    else corrupt "unknown record tag %d" tag
-  end
+  | 23 -> Set_mutator { mid = reg r 0; bump = reg r 1 <> 0 }
+  | _ -> corrupt "unknown record tag %d" tag
 
-(* Decode one classified value without building it: the components go
-   straight through [resolve kind a b] (kind 0 = Raw a, 1 = Obj (a, b),
-   2 = Reg a), which hands back the replay-side address. *)
-let fused_value r resolve =
-  match uv r with
-  | 0 -> resolve 0 (sv r) 0
-  | 1 ->
-      let id = uv r in
-      let delta = uv r in
-      resolve 1 id delta
-  | 2 -> resolve 2 (uv r) 0
-  | k -> corrupt "unknown value kind %d" k
+let next r = record_of r (step r)
 
 let rec next_fused r ~poke ~resolve ~store =
-  if not (more r) then at_end r
-  else
-    let tag = Char.code (Bytes.unsafe_get r.buf r.pos) in
-    if tag = t_poke then begin
-      r.pos <- r.pos + 1;
-      let addr = uv r in
-      let v = sv r in
-      poke ~addr ~v;
-      next_fused r ~poke ~resolve ~store
-    end
-    else if tag = t_store_ptr then begin
-      r.pos <- r.pos + 1;
-      let addr = fused_value r resolve in
-      let v = fused_value r resolve in
-      store ~addr ~v;
-      next_fused r ~poke ~resolve ~store
-    end
-    else next r
+  let tag = step r in
+  if tag = t_poke then begin
+    poke ~addr:(reg r 0) ~v:(reg r 1);
+    next_fused r ~poke ~resolve ~store
+  end
+  else if tag = t_store_ptr then begin
+    let addr = resolve (reg r 0) (reg r 1) (reg r 2) in
+    let v = resolve (reg r 3) (reg r 4) (reg r 5) in
+    store ~addr ~v;
+    next_fused r ~poke ~resolve ~store
+  end
+  else record_of r tag
+
+type handlers = {
+  malloc : size:int -> unit;
+  free : id:int -> unit;
+  newregion : unit -> unit;
+  ralloc : rid:int -> Regions.Cleanup.layout -> unit;
+  rstralloc : rid:int -> size:int -> unit;
+  rarrayalloc : rid:int -> n:int -> Regions.Cleanup.layout -> unit;
+  deleteregion : rid:int -> frame:int -> slot:int -> ok:bool -> unit;
+  poke : addr:int -> v:int -> unit;
+  clear : addr:int -> bytes:int -> unit;
+  resolve : int -> int -> int -> int;
+  store_ptr : addr:int -> v:int -> unit;
+  set_local : frame:int -> slot:int -> v:int -> unit;
+  set_local_ptr : frame:int -> slot:int -> v:int -> unit;
+  set_mutator : mid:int -> bump:bool -> unit;
+}
+
+let rec dispatch r h =
+  let tag = step r in
+  match tag with
+  | 1 ->
+      h.malloc ~size:(reg r 0);
+      dispatch r h
+  | 2 ->
+      h.free ~id:(reg r 0);
+      dispatch r h
+  | 4 ->
+      h.newregion ();
+      dispatch r h
+  | 5 ->
+      h.ralloc ~rid:(reg r 0) r.lay_vals.(reg r 1);
+      dispatch r h
+  | 6 ->
+      h.rstralloc ~rid:(reg r 0) ~size:(reg r 1);
+      dispatch r h
+  | 7 ->
+      h.rarrayalloc ~rid:(reg r 0) ~n:(reg r 1) r.lay_vals.(reg r 2);
+      dispatch r h
+  | 8 ->
+      h.deleteregion ~rid:(reg r 0) ~frame:(reg r 1) ~slot:(reg r 2)
+        ~ok:(reg r 3 <> 0);
+      dispatch r h
+  | 11 ->
+      h.poke ~addr:(reg r 0) ~v:(reg r 1);
+      dispatch r h
+  | 16 ->
+      h.clear ~addr:(reg r 0) ~bytes:(reg r 1);
+      dispatch r h
+  | 17 ->
+      let addr = h.resolve (reg r 0) (reg r 1) (reg r 2) in
+      let v = h.resolve (reg r 3) (reg r 4) (reg r 5) in
+      h.store_ptr ~addr ~v;
+      dispatch r h
+  | 18 ->
+      h.set_local ~frame:(reg r 0) ~slot:(reg r 1)
+        ~v:(h.resolve (reg r 2) (reg r 3) (reg r 4));
+      dispatch r h
+  | 19 ->
+      h.set_local_ptr ~frame:(reg r 0) ~slot:(reg r 1)
+        ~v:(h.resolve (reg r 2) (reg r 3) (reg r 4));
+      dispatch r h
+  | 23 ->
+      h.set_mutator ~mid:(reg r 0) ~bump:(reg r 1 <> 0);
+      dispatch r h
+  | _ -> record_of r tag

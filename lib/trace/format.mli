@@ -189,3 +189,43 @@ val next_fused :
     a]), and the two resolved addresses through [store].  Everything
     stays in immediate ints — no [value] or [record] is built.  The
     first record of any other kind is returned. *)
+
+(** {2 Dispatch}
+
+    {!next}, {!next_fused} and {!dispatch} decode through one core.
+    While the refill window holds a whole worst-case record, it keeps
+    the read position in a register and reads the record's varints
+    inline, with one write of the position per record.  Near the window
+    end, and for anything unusual (a varint of 9 bytes or more, an
+    unknown tag or value kind), it decodes byte by byte with every
+    {!Corrupt} check. *)
+
+(** One callback per record kind a replay acts on, each taking the
+    record's fields as immediate ints ([ralloc] and [rarrayalloc] take
+    the interned layout).  Classified values go through [resolve] as in
+    {!next_fused}: [store_ptr] receives both resolved addresses,
+    [set_local] and [set_local_ptr] the resolved value. *)
+type handlers = {
+  malloc : size:int -> unit;
+  free : id:int -> unit;
+  newregion : unit -> unit;
+  ralloc : rid:int -> Regions.Cleanup.layout -> unit;
+  rstralloc : rid:int -> size:int -> unit;
+  rarrayalloc : rid:int -> n:int -> Regions.Cleanup.layout -> unit;
+  deleteregion : rid:int -> frame:int -> slot:int -> ok:bool -> unit;
+  poke : addr:int -> v:int -> unit;
+  clear : addr:int -> bytes:int -> unit;
+  resolve : int -> int -> int -> int;
+  store_ptr : addr:int -> v:int -> unit;
+  set_local : frame:int -> slot:int -> v:int -> unit;
+  set_local_ptr : frame:int -> slot:int -> v:int -> unit;
+  set_mutator : mid:int -> bump:bool -> unit;
+}
+
+val dispatch : reader -> handlers -> record
+(** Decodes records straight into [handlers], building no [record],
+    until the first record they do not take: [Frame_push], [Frame_pop],
+    [Poke_bytes], [Poke_block], [Gc_roots], [Mark] or [End], which is
+    returned.  The callbacks see exactly the records and fields {!next}
+    would return.
+    @raise Corrupt on a malformed record. *)

@@ -44,13 +44,16 @@ let run ?(with_cache = false) ?timeline reader mode =
   let reg_handle = Array.make rslots 0 in
   let next_obj = ref 0 and next_reg = ref 0 in
   (* Recycling state: LIFO free stacks, per-region id lists (newest
-     first) and a live map feeding the collector's root fallback. *)
+     first, threaded through [region_next] from [region_head], -1
+     ending a list, so recording a region object allocates nothing) and
+     a live map feeding the collector's root fallback. *)
   let free_ids = if recycled then Array.make oslots 0 else [||] in
   let free_top = ref 0 in
   let free_rids = if recycled then Array.make rslots 0 else [||] in
   let free_rtop = ref 0 in
   let live = if recycled then Bytes.make oslots '\000' else Bytes.empty in
-  let region_ids = if recycled then Array.make rslots [] else [||] in
+  let region_head = if recycled then Array.make rslots (-1) else [||] in
+  let region_next = if recycled then Array.make oslots (-1) else [||] in
   let rootq = Queue.create () in
   let gc_roots () =
     match Queue.take_opt rootq with
@@ -150,7 +153,8 @@ let run ?(with_cache = false) ?timeline reader mode =
     obj_addr.(id) <- addr;
     if recycled then begin
       Bytes.set live id '\001';
-      region_ids.(rid) <- id :: region_ids.(rid)
+      region_next.(id) <- region_head.(rid);
+      region_head.(rid) <- id
     end;
     if tl_on then begin
       let h = usable addr size in
@@ -164,107 +168,109 @@ let run ?(with_cache = false) ?timeline reader mode =
     free_ids.(!free_top) <- id;
     incr free_top
   in
-  let resolve = function
-    | Format.Raw v -> v
-    | Format.Obj (id, delta) -> obj_addr.(id) + delta
-    | Format.Reg rid -> reg_handle.(rid)
+  (* Release a region's ids, newest first, from the head of its list. *)
+  let rec release_ids id =
+    if id >= 0 then begin
+      let next = region_next.(id) in
+      release_id id;
+      release_ids next
+    end
   in
-  let apply = function
-    | Format.Malloc { size } -> push_obj (Api.malloc api size) size
-    | Format.Free { id } ->
-        Api.free api obj_addr.(id);
-        if tl_on then held_now := !held_now - held_sz.(id);
-        if recycled then release_id id
-    | Format.Newregion ->
-        let rid =
-          if recycled && !free_rtop > 0 then begin
-            decr free_rtop;
-            free_rids.(!free_rtop)
-          end
-          else begin
-            let rid = !next_reg in
-            if rid >= rslots then
-              diverge "region id overflow (%d slots)" rslots;
-            incr next_reg;
-            rid
-          end
-        in
-        reg_handle.(rid) <- Api.newregion api
-    | Format.Ralloc { rid; layout } ->
-        push_region_obj rid
-          (Api.ralloc api reg_handle.(rid) layout)
-          layout.Regions.Cleanup.size_bytes
-    | Format.Rstralloc { rid; size } ->
-        push_region_obj rid (Api.rstralloc api reg_handle.(rid) size) size
-    | Format.Rarrayalloc { rid; n; layout } ->
-        push_region_obj rid
-          (Api.rarrayalloc api reg_handle.(rid) ~n layout)
-          (n * layout.Regions.Cleanup.size_bytes)
-    | Format.Deleteregion { rid; frame; slot; ok } ->
-        let got = Api.deleteregion api (Regions.Mutator.frame mut frame) slot in
-        if got <> ok then
-          diverge "deleteregion returned %b where the trace recorded %b" got ok;
-        if tl_on && got then begin
-          held_now := !held_now - region_held.(rid);
-          region_held.(rid) <- 0
-        end;
-        if recycled && got then begin
-          List.iter release_id region_ids.(rid);
-          region_ids.(rid) <- [];
-          free_rids.(!free_rtop) <- rid;
-          incr free_rtop
-        end
-    | Format.Poke { addr; v } -> if apply_pokes then Sim.Memory.poke mem addr v
-    | Format.Poke_bytes { addr; s } ->
-        if apply_pokes then Sim.Memory.poke_bytes mem addr s
-    | Format.Poke_block { addr; words } ->
-        if apply_pokes then
-          Array.iteri
-            (fun i v -> Sim.Memory.poke mem (addr + (4 * i)) v)
-            words
-    | Format.Clear { addr; bytes } ->
-        if apply_pokes then Sim.Memory.poke_fill mem addr bytes
-    | Format.Store_ptr { addr; v } -> (
-        (* Under regions the barrier is allocator-side work (refcount
-           maintenance that [deleteregion] outcomes depend on), so it
-           must really execute; elsewhere a pointer store is plain
-           mutator traffic and only the heap contents matter. *)
-        match mode with
-        | Api.Region _ -> Api.store_ptr api ~addr:(resolve addr) (resolve v)
-        | _ ->
-            if apply_pokes then Sim.Memory.poke mem (resolve addr) (resolve v))
-    | Format.Set_local { frame; slot; v } ->
-        Api.set_local api (Regions.Mutator.frame mut frame) slot (resolve v)
-    | Format.Set_local_ptr { frame; slot; v } ->
-        Api.set_local_ptr api (Regions.Mutator.frame mut frame) slot (resolve v)
-    | Format.Gc_roots roots -> Queue.add roots rootq
-    | Format.Set_mutator { mid; bump } ->
-        (* Reproduce the recorded scheduling state exactly: same
-           mutator identity, same allocation path (bump vs legacy). *)
-        if bump then Api.enable_bump api;
-        Api.set_mutator api mid
-    | Format.Mark _ -> ()
-    | Format.Frame_push _ | Format.Frame_pop | Format.End ->
-        assert false (* handled by run_level *)
+  let newregion () =
+    let rid =
+      if recycled && !free_rtop > 0 then begin
+        decr free_rtop;
+        free_rids.(!free_rtop)
+      end
+      else begin
+        let rid = !next_reg in
+        if rid >= rslots then diverge "region id overflow (%d slots)" rslots;
+        incr next_reg;
+        rid
+      end
+    in
+    reg_handle.(rid) <- Api.newregion api
   in
-  (* Plain pokes and pointer stores dominate every trace; decode both
-     fused (and, when they don't apply, into a no-op) instead of
-     through [apply].  [resolve_fused] is {!resolve} over unpacked
-     value components — immediate ints end to end. *)
+  let deleteregion ~rid ~frame ~slot ~ok =
+    let got = Api.deleteregion api (Regions.Mutator.frame mut frame) slot in
+    if got <> ok then
+      diverge "deleteregion returned %b where the trace recorded %b" got ok;
+    if tl_on && got then begin
+      held_now := !held_now - region_held.(rid);
+      region_held.(rid) <- 0
+    end;
+    if recycled && got then begin
+      release_ids region_head.(rid);
+      region_head.(rid) <- -1;
+      free_rids.(!free_rtop) <- rid;
+      incr free_rtop
+    end
+  in
+  (* Pokes and pointer stores dominate every trace; where their
+     contents are never read back they decode into a no-op. *)
   let poke =
     if apply_pokes then fun ~addr ~v -> Sim.Memory.poke mem addr v
     else fun ~addr:_ ~v:_ -> ()
   in
-  let resolve_fused kind a b =
-    if kind = 0 then a else if kind = 1 then obj_addr.(a) + b else reg_handle.(a)
+  let handlers =
+    {
+      Format.malloc = (fun ~size -> push_obj (Api.malloc api size) size);
+      free =
+        (fun ~id ->
+          Api.free api obj_addr.(id);
+          if tl_on then held_now := !held_now - held_sz.(id);
+          if recycled then release_id id);
+      newregion;
+      ralloc =
+        (fun ~rid layout ->
+          push_region_obj rid
+            (Api.ralloc api reg_handle.(rid) layout)
+            layout.Regions.Cleanup.size_bytes);
+      rstralloc =
+        (fun ~rid ~size ->
+          push_region_obj rid (Api.rstralloc api reg_handle.(rid) size) size);
+      rarrayalloc =
+        (fun ~rid ~n layout ->
+          push_region_obj rid
+            (Api.rarrayalloc api reg_handle.(rid) ~n layout)
+            (n * layout.Regions.Cleanup.size_bytes));
+      deleteregion;
+      poke;
+      clear =
+        (fun ~addr ~bytes ->
+          if apply_pokes then Sim.Memory.poke_fill mem addr bytes);
+      resolve =
+        (fun kind a b ->
+          if kind = 0 then a
+          else if kind = 1 then obj_addr.(a) + b
+          else reg_handle.(a));
+      store_ptr =
+        (* Under regions the barrier is allocator-side work (refcount
+           maintenance that [deleteregion] outcomes depend on), so it
+           must really execute; elsewhere a pointer store is plain
+           mutator traffic and only the heap contents matter. *)
+        (match mode with
+        | Api.Region _ -> fun ~addr ~v -> Api.store_ptr api ~addr v
+        | _ -> poke);
+      set_local =
+        (fun ~frame ~slot ~v ->
+          Api.set_local api (Regions.Mutator.frame mut frame) slot v);
+      set_local_ptr =
+        (fun ~frame ~slot ~v ->
+          Api.set_local_ptr api (Regions.Mutator.frame mut frame) slot v);
+      set_mutator =
+        (fun ~mid ~bump ->
+          (* Reproduce the recorded scheduling state exactly: same
+             mutator identity, same allocation path (bump vs
+             legacy). *)
+          if bump then Api.enable_bump api;
+          Api.set_mutator api mid);
+    }
   in
-  let store =
-    match mode with
-    | Api.Region _ -> fun ~addr ~v -> Api.store_ptr api ~addr v
-    | _ -> poke
-  in
+  (* [Format.dispatch] hands every common record to [handlers]; frames
+     and the rare records come back here. *)
   let rec run_level depth =
-    match Format.next_fused reader ~poke ~resolve:resolve_fused ~store with
+    match Format.dispatch reader handlers with
     | Format.End ->
         if depth <> 0 then diverge "trace ended inside %d open frame(s)" depth
     | Format.Frame_pop -> if depth = 0 then diverge "unmatched frame pop"
@@ -272,9 +278,22 @@ let run ?(with_cache = false) ?timeline reader mode =
         Api.with_frame api ~nslots ~ptr_slots (fun _ ->
             run_level (depth + 1));
         run_level depth
-    | r ->
-        apply r;
+    | Format.Poke_bytes { addr; s } ->
+        if apply_pokes then Sim.Memory.poke_bytes mem addr s;
         run_level depth
+    | Format.Poke_block { addr; words } ->
+        if apply_pokes then
+          Array.iteri (fun i v -> Sim.Memory.poke mem (addr + (4 * i)) v) words;
+        run_level depth
+    | Format.Gc_roots roots ->
+        Queue.add roots rootq;
+        run_level depth
+    | Format.Mark _ -> run_level depth
+    | Format.Malloc _ | Format.Free _ | Format.Newregion | Format.Ralloc _
+    | Format.Rstralloc _ | Format.Rarrayalloc _ | Format.Deleteregion _
+    | Format.Poke _ | Format.Clear _ | Format.Store_ptr _
+    | Format.Set_local _ | Format.Set_local_ptr _ | Format.Set_mutator _ ->
+        assert false (* taken by [handlers] *)
   in
   let t0 = Unix.gettimeofday () in
   run_level 0;

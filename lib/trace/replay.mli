@@ -14,6 +14,11 @@
     numbers ([cycles], [base_instrs], stalls) are {e not} reproduced:
     figures that need them take full execution.
 
+    Records are decoded through {!Format.dispatch}: each common record
+    reaches its handler here as immediate ints, and no [record] value
+    is built for it, so on the Sun, BSD and Lea columns a replay
+    allocates nothing per record.
+
     Heap contents are reproduced by cost-free pokes when the replay
     shares the recording's address space (self-replay; safe ⇄ unsafe
     regions), which is what keeps the conservative collector's

@@ -233,6 +233,16 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
           None,
           Some (Regions.Region.create ~safe ~offset_regions cleanups mut) )
   in
+  (* Under Sun, Bsd and Lea the allocator's own table records exactly
+     the program's mallocs and frees, so it is [req]: one address table
+     per block, not two.  The collector's frees land at sweeps, and the
+     region and emulated modes count region objects by group, so those
+     keep a table of their own. *)
+  let req =
+    match (mode, alloc) with
+    | Direct (Sun | Bsd | Lea), Some a -> a.Alloc.Allocator.stats
+    | _ -> Alloc.Stats.create ()
+  in
   let t =
     {
       mode;
@@ -243,7 +253,7 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
       gc;
       emu;
       reg;
-      req = Alloc.Stats.create ();
+      req;
       emu_regions = Alloc.Int_table.create 64;
       emu_overhead = 0;
       emu_overhead_max = 0;
@@ -384,11 +394,13 @@ let set_mutator t mid =
 let unsupported t what =
   invalid_arg (Fmt.str "%s is not available in mode %s" what (mode_name t.mode))
 
+(* Under Sun, Bsd and Lea [t.req] is the allocator's own table (see
+   {!create}), which its malloc and free update themselves. *)
 let malloc t size =
   match (t.mode, t.alloc) with
-  | Direct _, Some a ->
+  | Direct b, Some a ->
       let p = a.Alloc.Allocator.malloc size in
-      Alloc.Stats.on_alloc t.req ~addr:p ~size;
+      if b = Gc then Alloc.Stats.on_alloc t.req ~addr:p ~size;
       (match t.sink with Some s -> s.on_malloc ~size ~addr:p | None -> ());
       p
   | _ -> unsupported t "malloc"
@@ -399,9 +411,7 @@ let free t addr =
       (* Frees are compiled out under the collector; only the logical
          accounting proceeds. *)
       Alloc.Stats.on_free t.req addr
-  | Direct _, Some a ->
-      Alloc.Stats.on_free t.req addr;
-      a.Alloc.Allocator.free addr
+  | Direct _, Some a -> a.Alloc.Allocator.free addr
   | _ -> unsupported t "free");
   match t.sink with Some s -> s.on_free ~addr | None -> ()
 

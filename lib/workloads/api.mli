@@ -173,7 +173,9 @@ val malloc : t -> int -> int
 val free : t -> int -> unit
 (** Logical deallocation: calls the allocator's [free] under Sun, BSD
     and Lea; is free of charge under the collector (the paper disables
-    frees); and updates requested-bytes accounting everywhere. *)
+    frees); and updates requested-bytes accounting everywhere.  A free
+    the allocator rejects ([Alloc.Allocator.Invalid_free]) leaves the
+    requested stats as they were. *)
 
 (** {1 Regions (Emulated and Region modes)} *)
 
@@ -191,7 +193,13 @@ val deleteregion : t -> Regions.Mutator.frame -> int -> bool
 (** {1 Measurement} *)
 
 val requested_stats : t -> Alloc.Stats.t
-(** What the program asked for, independent of manager overheads. *)
+(** What the program asked for, independent of manager overheads.
+    Under [Direct Sun], [Direct Bsd] and [Direct Lea] this is the
+    allocator's own [stats] (its [os_bytes] included), since that
+    table records exactly the program's mallocs and frees: each block
+    has one address-table entry, not two.  Under the collector, whose
+    frees land at sweeps, and under the region and emulated modes,
+    which count region objects by group, it is a table of its own. *)
 
 val os_bytes : t -> int
 (** Memory requested from the OS by the manager (Figure 8), including

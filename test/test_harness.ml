@@ -314,6 +314,10 @@ let rejected_cells =
       ("replay", "t.trace sun -j 7", "--full and -j apply only to --verify");
       ("replay", "t.trace sun --full", "--full and -j apply only to --verify");
       ("faults", "cfrac bsd --all-modes", "--all-modes takes no MODE");
+      ("faults", "cfrac sun --plan bogus", "bad --plan: clause");
+      ( "experiment",
+        "all --replay --trace out",
+        "--replay cannot combine with --trace" );
     ]
 
 let test_cell_rejected (cmd, cell, says) () =
@@ -324,7 +328,9 @@ let test_cell_rejected (cmd, cell, says) () =
   let args =
     match cmd with
     | "trace" -> ("run" :: words) @ [ "--trace"; "out" ]
-    | "faults" -> (cmd :: words) @ [ "--plan"; "budget=8"; "--quarantine"; "q" ]
+    | "faults" ->
+        let plan = if List.mem "--plan" words then [] else [ "--plan"; "budget=8" ] in
+        (cmd :: words) @ plan @ [ "--quarantine"; "q" ]
     | "record" -> (cmd :: words) @ [ "-o"; "t.trace" ]
     | _ -> cmd :: words
   in

@@ -340,12 +340,31 @@ let test_damage_rejected () =
 (* A deterministic pseudo-random record list covering every
    constructor, with field values spread across the varint size
    classes (one-byte, multi-byte, negative). *)
-let random_records seed len =
+let random_records ?(wide = false) seed len =
   let open Trace.Format in
   let s = ref (((seed * 2654435761) land 0x3FFFFFFF) + 1) in
   let rnd m =
     s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
     !s mod m
+  in
+  (* [wide]: free-form fields take every varint length, 1 to 9 bytes,
+     up to [max_int] (signed ones up to 2^61, the zigzag range), so
+     both the decoder's inline varints and its long-varint fallback
+     run. *)
+  let st = Random.State.make [| seed |] in
+  let wide_nat bits =
+    let r = Random.State.bits64 st |> Int64.to_int in
+    let bits = min bits (7 * (1 + Random.State.int st 9)) in
+    if bits >= 62 then r land max_int else r land ((1 lsl bits) - 1)
+  in
+  let nat m = if wide then wide_nat 62 else rnd m in
+  (* For fields the generator scales or offsets: 9-byte values still,
+     and no overflow. *)
+  let scaled m = if wide then wide_nat 59 else rnd m in
+  let int m =
+    if not wide then rnd m - (m / 2)
+    else if Random.State.bool st then wide_nat 61
+    else -1 - wide_nat 61
   in
   let lay () =
     Regions.Cleanup.layout
@@ -354,33 +373,56 @@ let random_records seed len =
   in
   let value () =
     match rnd 3 with
-    | 0 -> Raw (rnd 100_000 - 50_000)
-    | 1 -> Obj (rnd 64, 4 * rnd 16)
-    | _ -> Reg (rnd 8)
+    | 0 -> Raw (int 100_000)
+    | 1 ->
+        let id = nat 64 in
+        Obj (id, 4 * scaled 16)
+    | _ -> Reg (nat 8)
   in
   List.init len (fun _ ->
       match rnd 17 with
-      | 0 -> Malloc { size = 1 + rnd 5000 }
-      | 1 -> Free { id = rnd 64 }
-      | 2 -> Poke { addr = 4 * rnd 100_000; v = rnd 100_000 - 50_000 }
+      | 0 -> Malloc { size = 1 + scaled 5000 }
+      | 1 -> Free { id = nat 64 }
+      | 2 ->
+          let addr = 4 * scaled 100_000 in
+          Poke { addr; v = int 100_000 }
       | 3 ->
           Poke_bytes
             {
-              addr = rnd 100_000;
+              addr = nat 100_000;
               s = String.init (rnd 12) (fun i -> Char.chr (((i * 37) + rnd 256) land 0xFF));
             }
-      | 4 -> Poke_block { addr = 4 * rnd 100_000; words = Array.init (rnd 6) (fun i -> i - 2) }
-      | 5 -> Clear { addr = 4 * rnd 100_000; bytes = 4 * rnd 32 }
+      | 4 -> Poke_block { addr = 4 * scaled 100_000; words = Array.init (rnd 6) (fun i -> i - 2) }
+      | 5 ->
+          let addr = 4 * scaled 100_000 in
+          Clear { addr; bytes = 4 * scaled 32 }
       | 6 -> Gc_roots (Array.init (rnd 5) (fun i -> 4 * (i + rnd 1000)))
       | 7 -> Newregion
-      | 8 -> Ralloc { rid = rnd 8; layout = lay () }
-      | 9 -> Rstralloc { rid = rnd 8; size = 1 + rnd 300 }
-      | 10 -> Rarrayalloc { rid = rnd 8; n = 1 + rnd 5; layout = lay () }
-      | 11 -> Store_ptr { addr = value (); v = value () }
+      | 8 -> Ralloc { rid = nat 8; layout = lay () }
+      | 9 ->
+          let rid = nat 8 in
+          Rstralloc { rid; size = 1 + scaled 300 }
+      | 10 ->
+          let rid = nat 8 in
+          let n = 1 + scaled 5 in
+          Rarrayalloc { rid; n; layout = lay () }
+      | 11 ->
+          let addr = value () in
+          Store_ptr { addr; v = value () }
       | 12 -> Frame_push { nslots = 1 + rnd 4; ptr_slots = [ 0 ] }
-      | 13 -> Set_local { frame = rnd 4; slot = rnd 4; v = value () }
-      | 14 -> Set_local_ptr { frame = rnd 4; slot = rnd 4; v = value () }
-      | 15 -> Deleteregion { rid = rnd 8; frame = rnd 4; slot = rnd 4; ok = rnd 2 = 0 }
+      | 13 ->
+          let frame = nat 4 in
+          let slot = nat 4 in
+          Set_local { frame; slot; v = value () }
+      | 14 ->
+          let frame = nat 4 in
+          let slot = nat 4 in
+          Set_local_ptr { frame; slot; v = value () }
+      | 15 ->
+          let rid = nat 8 in
+          let frame = nat 4 in
+          let slot = nat 4 in
+          Deleteregion { rid; frame; slot; ok = rnd 2 = 0 }
       | _ -> Mark { name = "m"; kind = (if rnd 2 = 0 then Phase_begin else Phase_end) })
 
 (* Fully decode a reader through the fused hot path, capturing every
@@ -398,6 +440,218 @@ let fused_stream r =
   in
   let rest = go [] in
   (rest, List.rev !pokes, List.rev !stores)
+
+(* The three decoders of [Trace.Format] as record streams, each ending
+   in [None] (the end of the body) or [Some msg] (the [Corrupt] that
+   stopped it), so that any two can be compared on every record and
+   int they deliver.  [next_fused] and [dispatch] hand over ints:
+   their streams are rebuilt as records, each classified value from
+   the components [resolve] saw (it answers with the value's index in
+   a table). *)
+let decode_with f =
+  let out = ref [] in
+  let values = Hashtbl.create 64 in
+  let resolve kind a b =
+    let i = Hashtbl.length values in
+    Hashtbl.replace values i
+      (match kind with
+      | 0 -> Trace.Format.Raw a
+      | 1 -> Trace.Format.Obj (a, b)
+      | _ -> Trace.Format.Reg a);
+    i
+  in
+  let value i = Hashtbl.find values i in
+  let push r = out := r :: !out in
+  let stop =
+    match f ~push ~resolve ~value with
+    | () -> None
+    | exception Trace.Format.Corrupt msg -> Some msg
+  in
+  (List.rev !out, stop)
+
+let rec until_end next ~push =
+  match next () with
+  | Trace.Format.End -> ()
+  | rc ->
+      push rc;
+      until_end next ~push
+
+let next_stream r =
+  decode_with (fun ~push ~resolve:_ ~value:_ ->
+      until_end (fun () -> Trace.Format.next r) ~push)
+
+let next_fused_stream r =
+  decode_with (fun ~push ~resolve ~value ->
+      let poke ~addr ~v = push (Trace.Format.Poke { addr; v }) in
+      let store ~addr ~v =
+        push (Trace.Format.Store_ptr { addr = value addr; v = value v })
+      in
+      until_end (fun () -> Trace.Format.next_fused r ~poke ~resolve ~store) ~push)
+
+let dispatch_stream r =
+  decode_with (fun ~push ~resolve ~value ->
+      let open Trace.Format in
+      let h =
+        {
+          malloc = (fun ~size -> push (Malloc { size }));
+          free = (fun ~id -> push (Free { id }));
+          newregion = (fun () -> push Newregion);
+          ralloc = (fun ~rid layout -> push (Ralloc { rid; layout }));
+          rstralloc = (fun ~rid ~size -> push (Rstralloc { rid; size }));
+          rarrayalloc =
+            (fun ~rid ~n layout -> push (Rarrayalloc { rid; n; layout }));
+          deleteregion =
+            (fun ~rid ~frame ~slot ~ok ->
+              push (Deleteregion { rid; frame; slot; ok }));
+          poke = (fun ~addr ~v -> push (Poke { addr; v }));
+          clear = (fun ~addr ~bytes -> push (Clear { addr; bytes }));
+          resolve;
+          store_ptr =
+            (fun ~addr ~v -> push (Store_ptr { addr = value addr; v = value v }));
+          set_local =
+            (fun ~frame ~slot ~v -> push (Set_local { frame; slot; v = value v }));
+          set_local_ptr =
+            (fun ~frame ~slot ~v ->
+              push (Set_local_ptr { frame; slot; v = value v }));
+          set_mutator = (fun ~mid ~bump -> push (Set_mutator { mid; bump }));
+        }
+      in
+      until_end (fun () -> dispatch r h) ~push)
+
+let open_chunked ~chunk path =
+  match Trace.Format.open_file ~chunk path with
+  | Ok r -> r
+  | Error e -> QCheck.Test.fail_reportf "open failed: %s" e
+
+let open_whole path =
+  match Trace.Format.open_in_memory path with
+  | Ok r -> r
+  | Error e -> QCheck.Test.fail_reportf "open failed: %s" e
+
+(* Decoded through a 1-byte window, every record takes the checked
+   path: the reference the fast path is held to. *)
+let reference_stream path =
+  let r = open_chunked ~chunk:1 path in
+  Fun.protect ~finally:(fun () -> Trace.Format.close r) (fun () -> next_stream r)
+
+(* [next], [next_fused] and [dispatch] over a [chunk]-byte window and
+   over the whole file in memory each deliver exactly the reference
+   stream, ending the same way.  Windows of at least 35 bytes run the
+   fast path wherever a record fits, and the checked one at each
+   window end. *)
+let same_as_reference ~what ~chunk path =
+  let expected = reference_stream path in
+  let show (records, stop) =
+    Printf.sprintf "%d records, %s" (List.length records)
+      (match stop with None -> "end" | Some m -> "Corrupt " ^ m)
+  in
+  List.iter
+    (fun (name, open_, stream) ->
+      let r = open_ path in
+      let got = Fun.protect ~finally:(fun () -> Trace.Format.close r) (fun () -> stream r) in
+      if got <> expected then
+        QCheck.Test.fail_reportf "%s: %s differs from the checked path (chunk %d): %s vs %s"
+          what name chunk (show got) (show expected))
+    [
+      ("next", open_chunked ~chunk, next_stream);
+      ("next_fused", open_chunked ~chunk, next_fused_stream);
+      ("dispatch", open_chunked ~chunk, dispatch_stream);
+      ("in-memory next", open_whole, next_stream);
+      ("in-memory next_fused", open_whole, next_fused_stream);
+      ("in-memory dispatch", open_whole, dispatch_stream);
+    ];
+  expected
+
+let write_records path records =
+  let w = Trace.Format.create_writer ~path hdr in
+  List.iter (Trace.Format.emit w) records;
+  Trace.Format.commit w ~summary:"prop"
+
+(* The longest records the fast path reads — a pointer store of two
+   [Obj] values whose four varints are 8 bytes long is 35 bytes, the
+   room it asks the window for — back to back, so that over the window
+   sizes some start at every offset from a window end: a fast path
+   that read a byte past the window, or a room one byte short, decodes
+   a stale byte on them. *)
+let widest_records len =
+  let open Trace.Format in
+  let big i = (1 lsl 55) + (i * 7919) in
+  List.init len (fun i ->
+      match i mod 3 with
+      | 0 -> Store_ptr { addr = Obj (big i, big (i + 1)); v = Obj (big (i + 2), big (i + 3)) }
+      | 1 -> Set_local { frame = big i; slot = big (i + 1); v = Obj (big (i + 2), big (i + 3)) }
+      | _ -> Deleteregion { rid = big i; frame = big (i + 1); slot = big (i + 2); ok = i land 4 = 0 })
+
+(* Arbitrary record streams, with fields of every varint length, and
+   streams of the widest records. *)
+let prop_dispatch_matches_next =
+  QCheck.Test.make ~count:60
+    ~name:"dispatch and next_fused deliver exactly what next yields"
+    QCheck.(triple (0 -- 10_000) (0 -- 300) (1 -- 300))
+    (fun (seed, len, chunk) ->
+      let records =
+        match seed mod 4 with
+        | 0 -> random_records seed len
+        | 1 -> widest_records len
+        | _ -> random_records ~wide:true seed len
+      in
+      let path = tmp_path () in
+      write_records path records;
+      let expected = same_as_reference ~what:"random records" ~chunk path in
+      Sys.remove path;
+      if expected <> (records, None) then
+        QCheck.Test.fail_reportf "decoded stream <> written records (seed=%d)" seed;
+      true)
+
+(* A varint of [len] bytes (continuation bits on all but the last; 10
+   or more is oversized) with random payload bits. *)
+let raw_varint rnd len =
+  String.init len (fun i ->
+      let bits = rnd 128 in
+      Char.chr (if i < len - 1 then bits lor 0x80 else bits))
+
+(* A body of records with arbitrary, often malformed, fields after a
+   valid envelope: tags (mostly known ones, some unknown), varints of 1
+   to 11 bytes, value kinds and counts out of range, bytes cut off at
+   the end.  Whatever the checked path decides — each record, or the
+   [Corrupt] that stops it — every decoder must decide the same. *)
+let prop_arbitrary_bodies =
+  let envelope =
+    lazy
+      (let path = tmp_path () in
+       write_records path [];
+       let data = read_file path in
+       Sys.remove path;
+       let end_off = Int64.to_int (String.get_int64_le data (String.length data - 12)) in
+       (String.sub data 0 end_off, String.sub data end_off (String.length data - 12 - end_off)))
+  in
+  QCheck.Test.make ~count:200
+    ~name:"arbitrary bodies: every decoder agrees with the checked path"
+    QCheck.(triple (0 -- 1_000_000) (1 -- 60) (1 -- 120))
+    (fun (seed, nrec, chunk) ->
+      let rnd = Random.State.int (Random.State.make [| seed |]) in
+      let tags = [| 1; 2; 4; 5; 6; 7; 8; 9; 10; 11; 13; 14; 16; 17; 18; 19; 20; 21; 22; 23 |] in
+      let field () =
+        match rnd 8 with
+        | 0 | 1 -> raw_varint rnd (8 + rnd 4)
+        | 2 -> raw_varint rnd (3 + rnd 5)
+        | 3 -> String.make 1 (Char.chr (rnd 4))
+        | _ -> raw_varint rnd (1 + rnd 2)
+      in
+      let record () =
+        let tag = if rnd 10 = 0 then rnd 256 else tags.(rnd (Array.length tags)) in
+        String.make 1 (Char.chr tag) ^ String.concat "" (List.init (rnd 8) (fun _ -> field ()))
+      in
+      let body = String.concat "" (List.init nrec (fun _ -> record ())) in
+      let body = String.sub body 0 (String.length body - rnd (1 + min 3 (String.length body))) in
+      let head, trailer = Lazy.force envelope in
+      let back = Bytes.create 8 in
+      Bytes.set_int64_le back 0 (Int64.of_int (String.length head + String.length body));
+      let path = tmp_path () in
+      write_file path (head ^ body ^ trailer ^ Bytes.to_string back ^ "RGEN");
+      ignore (same_as_reference ~what:(Printf.sprintf "seed %d" seed) ~chunk path);
+      Sys.remove path;
+      true)
 
 let prop_streaming_equals_in_memory =
   QCheck.Test.make ~count:40
@@ -439,6 +693,13 @@ let prop_streaming_equals_in_memory =
       if fused_stream streamed <> fused_stream in_mem then
         QCheck.Test.fail_reportf "fused streams differ (seed=%d chunk=%d)" seed
           chunk;
+      Trace.Format.reset streamed;
+      Trace.Format.reset in_mem;
+      if dispatch_stream streamed <> (records, None)
+         || dispatch_stream in_mem <> (records, None)
+      then
+        QCheck.Test.fail_reportf "dispatch streams differ (seed=%d chunk=%d)"
+          seed chunk;
       finish ();
       true)
 
@@ -483,7 +744,11 @@ let prop_bitflip_bounded =
             in
             let ok = try go 0 with Trace.Format.Corrupt _ -> true in
             Trace.Format.close r;
+            (* Bounded, and the same records and the same [Corrupt]
+               through every decoder. *)
             ok
+            && (ignore (same_as_reference ~what:"bit-flipped trace" ~chunk path);
+                true)
       in
       Sys.remove path;
       verdict)
@@ -554,6 +819,83 @@ let test_gen_histogram () =
       check_bool "exponential deaths interleave with allocation" true
         (!frees_before_last > n / 2));
   Sys.remove path
+
+(* The traces the tree writes, recorded and generated, at window sizes
+   from 1 byte up; and the widest records with a window end at every
+   offset into them. *)
+let test_dispatch_on_real_traces () =
+  let path_of write =
+    let path = tmp_path () in
+    write path;
+    path
+  in
+  let some_chunks = [ 1; 7; 34; 35; 36; 64; 1000; 65536 ] in
+  let traces =
+    List.map
+      (fun (workload, variant) ->
+        ( path_of (fun out ->
+              ignore
+                (Trace.Record.record ~out ~variant
+                   (Workloads.Workload.find workload)
+                   Workloads.Workload.Quick
+                  : Workloads.Results.t)),
+          some_chunks ))
+      [ ("cfrac", "malloc"); ("tile", "region") ]
+    @ List.map
+        (fun spec -> (path_of (fun out -> Trace.Gen.generate ~out (gen_params spec)), some_chunks))
+        [ "n=3000,size=heavy:16:65536,life=exp:400,stores=2";
+          "n=3000,variant=region,life=long:5:200,stores=2" ]
+    @ [ (path_of (fun path -> write_records path (widest_records 150)), List.init 81 (( + ) 30)) ]
+  in
+  List.iter
+    (fun (path, chunks) ->
+      List.iter
+        (fun chunk ->
+          match same_as_reference ~what:path ~chunk path with
+          | _, None -> ()
+          | _, Some msg -> Alcotest.failf "%s: Corrupt %s" path msg)
+        chunks;
+      Sys.remove path)
+    traces
+
+(* The replay's hot path builds nothing per record.  On a 20k-object
+   generated malloc trace (60k records), sun, bsd and lea allocate at
+   most 0.05 minor words per record, the set-up's (0.01 measured; 1.34
+   when every record was built: a [Malloc] or [Free] record's two
+   words on two records of three).  On the region trace the safe
+   column allocates 3.94 words per record, in the region library
+   (each allocation's and each barrier's argument tuple for
+   [Sim.Cost.within]); the bound is 4.2, against 6.93 when records
+   were built and each region object was consed onto a list.  A
+   deterministic count, unlike host time, so a record creeping back
+   onto the path fails here. *)
+let test_replay_allocation_witness () =
+  let words_per_record spec mode =
+    let path = tmp_path () in
+    Trace.Gen.generate ~out:path (gen_params spec);
+    let r =
+      match Trace.Format.open_file path with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "open failed: %s" e
+    in
+    let before = Gc.minor_words () in
+    let (_ : Workloads.Results.t) = Trace.Replay.run r mode in
+    let words = Gc.minor_words () -. before in
+    let records = Trace.Format.records r in
+    Trace.Format.close r;
+    Sys.remove path;
+    words /. float_of_int records
+  in
+  let within mode spec bound =
+    let w = words_per_record spec mode in
+    if w > bound then
+      Alcotest.failf "%s replay allocates %.3f minor words per record (> %.2f)"
+        (Workloads.Api.mode_name mode) w bound
+  in
+  List.iter
+    (fun b -> within (Workloads.Api.Direct b) "n=20000" 0.05)
+    Workloads.Api.[ Sun; Bsd; Lea ];
+  within (Workloads.Api.Region { safe = true }) "n=20000,variant=region" 4.2
 
 (* Timeline profiling during replay: deterministic (same trace, same
    column => byte-identical CSV), bounded (at most [capacity] samples
@@ -755,6 +1097,10 @@ let () =
           quick "truncated and torn traces rejected" test_damage_rejected;
           QCheck_alcotest.to_alcotest prop_streaming_equals_in_memory;
           QCheck_alcotest.to_alcotest prop_bitflip_bounded;
+          QCheck_alcotest.to_alcotest prop_dispatch_matches_next;
+          QCheck_alcotest.to_alcotest prop_arbitrary_bodies;
+          quick "dispatch on recorded, generated and widest traces"
+            test_dispatch_on_real_traces;
         ] );
       ( "gen",
         [
@@ -762,6 +1108,8 @@ let () =
           quick "distribution sanity" test_gen_histogram;
           quick "generated traces replay on every column family"
             test_gen_replays_on_columns;
+          quick "replay builds nothing per record"
+            test_replay_allocation_witness;
         ] );
       ( "timeline",
         [

@@ -316,6 +316,38 @@ let test_api_emulation_overhead_tracked () =
       check "live after delete" 0
         (Alloc.Stats.live_bytes (Workloads.Api.requested_stats api)))
 
+(* Under Direct Sun, Bsd and Lea the requested stats are the
+   allocator's own table, so each block has one address-table entry;
+   the collector (frees at sweeps) and the emulated modes (region
+   objects counted by group) keep a table of their own.  A free the
+   allocator rejects moves no requested count. *)
+let test_api_one_table_per_block () =
+  let open Workloads.Api in
+  let same api = requested_stats api == (Option.get (allocator api)).Alloc.Allocator.stats in
+  List.iter
+    (fun mode ->
+      let api = quick_api ~mode () in
+      check_bool (mode_name mode ^ " shares the allocator's table") true (same api);
+      let p = malloc api 40 and q = malloc api 24 in
+      free api p;
+      let st = requested_stats api in
+      let counts () = (Alloc.Stats.allocs st, Alloc.Stats.frees st, Alloc.Stats.live_bytes st) in
+      let before = counts () in
+      List.iter
+        (fun bad ->
+          match free api bad with
+          | () -> Alcotest.failf "%s: free of %d accepted" (mode_name mode) bad
+          | exception Alloc.Allocator.Invalid_free _ -> ())
+        [ p (* double free *); q + 2 (* misaligned *) ];
+      check_bool (mode_name mode ^ ": rejected frees move no count") true (before = counts ());
+      check (mode_name mode ^ ": live bytes") 24 (Alloc.Stats.live_bytes st))
+    [ Direct Sun; Direct Bsd; Direct Lea ];
+  List.iter
+    (fun mode ->
+      check_bool (mode_name mode ^ " keeps a table of its own") false
+        (same (quick_api ~mode ())))
+    [ Direct Gc; Emulated Sun; Emulated Bsd; Emulated Lea; Emulated Gc ]
+
 (* A simulated load, byte load, store or unit of work allocates
    nothing on the host: 10 000 calls and 10 calls move the minor heap
    by the same amount (the measurement's own boxed floats).  Fails if one of them
@@ -758,5 +790,6 @@ let () =
             (test_api_access_allocates_nothing api_work);
           tc "load_byte allocates nothing" `Quick
             (test_api_access_allocates_nothing api_load_byte);
+          tc "one address table per block" `Quick test_api_one_table_per_block;
         ] );
     ]
