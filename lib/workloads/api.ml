@@ -394,13 +394,13 @@ let set_mutator t mid =
 let unsupported t what =
   invalid_arg (Fmt.str "%s is not available in mode %s" what (mode_name t.mode))
 
-(* Under Sun, Bsd and Lea [t.req] is the allocator's own table (see
-   {!create}), which its malloc and free update themselves. *)
+(* Where [t.req] is the allocator's own table (see {!create}), the
+   allocator's malloc and free update it themselves. *)
 let malloc t size =
   match (t.mode, t.alloc) with
-  | Direct b, Some a ->
+  | Direct _, Some a ->
       let p = a.Alloc.Allocator.malloc size in
-      if b = Gc then Alloc.Stats.on_alloc t.req ~addr:p ~size;
+      if t.req != a.Alloc.Allocator.stats then Alloc.Stats.on_alloc t.req ~addr:p ~size;
       (match t.sink with Some s -> s.on_malloc ~size ~addr:p | None -> ());
       p
   | _ -> unsupported t "malloc"
@@ -411,7 +411,9 @@ let free t addr =
       (* Frees are compiled out under the collector; only the logical
          accounting proceeds. *)
       Alloc.Stats.on_free t.req addr
-  | Direct _, Some a -> a.Alloc.Allocator.free addr
+  | Direct _, Some a ->
+      a.Alloc.Allocator.free addr;
+      if t.req != a.Alloc.Allocator.stats then Alloc.Stats.on_free t.req addr
   | _ -> unsupported t "free");
   match t.sink with Some s -> s.on_free ~addr | None -> ()
 

@@ -371,21 +371,20 @@ let random_records ?(wide = false) seed len =
       ~size_bytes:(4 + (4 * rnd 8))
       ~ptr_offsets:(if rnd 2 = 0 then [] else [ 0 ])
   in
+  (* Fields stay inline, not bound with [let]: the order in which they
+     draw from [rnd] fixes each seed's records, and the properties
+     below keep their data only while that order holds. *)
   let value () =
     match rnd 3 with
     | 0 -> Raw (int 100_000)
-    | 1 ->
-        let id = nat 64 in
-        Obj (id, 4 * scaled 16)
+    | 1 -> Obj (nat 64, 4 * scaled 16)
     | _ -> Reg (nat 8)
   in
   List.init len (fun _ ->
       match rnd 17 with
       | 0 -> Malloc { size = 1 + scaled 5000 }
       | 1 -> Free { id = nat 64 }
-      | 2 ->
-          let addr = 4 * scaled 100_000 in
-          Poke { addr; v = int 100_000 }
+      | 2 -> Poke { addr = 4 * scaled 100_000; v = int 100_000 }
       | 3 ->
           Poke_bytes
             {
@@ -393,36 +392,17 @@ let random_records ?(wide = false) seed len =
               s = String.init (rnd 12) (fun i -> Char.chr (((i * 37) + rnd 256) land 0xFF));
             }
       | 4 -> Poke_block { addr = 4 * scaled 100_000; words = Array.init (rnd 6) (fun i -> i - 2) }
-      | 5 ->
-          let addr = 4 * scaled 100_000 in
-          Clear { addr; bytes = 4 * scaled 32 }
+      | 5 -> Clear { addr = 4 * scaled 100_000; bytes = 4 * scaled 32 }
       | 6 -> Gc_roots (Array.init (rnd 5) (fun i -> 4 * (i + rnd 1000)))
       | 7 -> Newregion
       | 8 -> Ralloc { rid = nat 8; layout = lay () }
-      | 9 ->
-          let rid = nat 8 in
-          Rstralloc { rid; size = 1 + scaled 300 }
-      | 10 ->
-          let rid = nat 8 in
-          let n = 1 + scaled 5 in
-          Rarrayalloc { rid; n; layout = lay () }
-      | 11 ->
-          let addr = value () in
-          Store_ptr { addr; v = value () }
+      | 9 -> Rstralloc { rid = nat 8; size = 1 + scaled 300 }
+      | 10 -> Rarrayalloc { rid = nat 8; n = 1 + scaled 5; layout = lay () }
+      | 11 -> Store_ptr { addr = value (); v = value () }
       | 12 -> Frame_push { nslots = 1 + rnd 4; ptr_slots = [ 0 ] }
-      | 13 ->
-          let frame = nat 4 in
-          let slot = nat 4 in
-          Set_local { frame; slot; v = value () }
-      | 14 ->
-          let frame = nat 4 in
-          let slot = nat 4 in
-          Set_local_ptr { frame; slot; v = value () }
-      | 15 ->
-          let rid = nat 8 in
-          let frame = nat 4 in
-          let slot = nat 4 in
-          Deleteregion { rid; frame; slot; ok = rnd 2 = 0 }
+      | 13 -> Set_local { frame = nat 4; slot = nat 4; v = value () }
+      | 14 -> Set_local_ptr { frame = nat 4; slot = nat 4; v = value () }
+      | 15 -> Deleteregion { rid = nat 8; frame = nat 4; slot = nat 4; ok = rnd 2 = 0 }
       | _ -> Mark { name = "m"; kind = (if rnd 2 = 0 then Phase_begin else Phase_end) })
 
 (* Fully decode a reader through the fused hot path, capturing every
