@@ -9,13 +9,19 @@ let small_bins = 63
 let large_bins = 8
 let num_bins = small_bins + large_bins
 
+(* Above 520 bytes, the bin is 63 plus the number of halvings that
+   bring [size] to at most 1024: the least [k] with
+   [size < 1025 * 2^k], that is the bit length of [size / 1025],
+   capped at 7.  One division and one table read, for every size. *)
+let large_bin =
+  let rec bits q = if q = 0 then 0 else 1 + bits (q lsr 1) in
+  Bytes.init 128 (fun q -> Char.chr (small_bins + bits q))
+
 let bin_index size =
   if size <= 512 + 8 then (size - 16) / 8
-  else begin
-    let rec log2 n acc = if n <= 1024 then acc else log2 (n / 2) (acc + 1) in
-    (* <= 1 KB -> 63, <= 2 KB -> 64, ..., > 64 KB -> 70 *)
-    Int.min (num_bins - 1) (small_bins + log2 size 0)
-  end
+  else
+    let q = size / 1025 in
+    if q >= 128 then num_bins - 1 else Char.code (Bytes.unsafe_get large_bin q)
 
 (* Within a bin, first fit; small bins hold a single size so the
    first chunk always fits. *)

@@ -6,6 +6,12 @@
 
 val create : Sim.Memory.t -> Allocator.t
 
+val bin_index : int -> int
+(** [bin_index size] is the bin of a free chunk of [size] bytes (a
+    multiple of 8, at least 16): the exact bins 0..62 for 16..512
+    bytes, then 63 for 520..1024 and one bin per power of two up to
+    70 for everything above 64 KB. *)
+
 val create_with_heap : Sim.Memory.t -> Allocator.t * Chunks.t
 (** As {!create} but also exposes the underlying chunk heap so tests
     can run {!Chunks.check_invariants}. *)

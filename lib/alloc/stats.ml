@@ -104,8 +104,8 @@ let on_free t addr =
     t.live_bytes <- t.live_bytes - (s land size_mask)
   end
 
-(* Blocks freed only with their group (region objects) are counted
-   without an entry in the address table. *)
+(* Blocks freed only with their group (region objects, a sweep's
+   dead objects) are counted without an entry in the address table. *)
 let on_group_alloc t size =
   let size = round4 size in
   t.allocs <- t.allocs + 1;

@@ -5,11 +5,14 @@
     nearest multiple of four, as the paper does), the maximum amount of
     live memory at any time, and the memory mapped from the OS.
 
-    Live-size accounting uses an OCaml-side address table; it is pure
-    measurement and charges no simulated cost.  The table is an
-    open-addressing array of packed ints, so recording an allocation
-    or a free allocates nothing on the host.  Blocks freed only as a
-    group (region objects) skip the table: see {!on_group_alloc}. *)
+    Live-size accounting is pure measurement and charges no simulated
+    cost.  A block freed by address goes into an OCaml-side address
+    table, an open-addressing array of packed ints, so recording an
+    allocation or a free allocates nothing on the host.  Blocks whose
+    owner knows their sizes when they die skip the table and are
+    counted with {!on_group_alloc} and {!on_group_free}: region
+    objects, freed with their region, and the collector's objects,
+    freed by a sweep that reads each one's size from its block. *)
 
 type t
 
@@ -27,9 +30,10 @@ val on_free : t -> int -> unit
 
 val on_group_alloc : t -> int -> unit
 (** [on_group_alloc t size] records an allocation of [size] requested
-    bytes whose block is never freed on its own: it goes with the rest
-    of its group (a region's objects) in one {!on_group_free}.  No
-    address is kept, so this is a few adds. *)
+    bytes whose block is never freed by address: it goes with the rest
+    of its group (a region's objects, or what one collection sweeps)
+    in one {!on_group_free}.  No address is kept, so this is a few
+    adds. *)
 
 val on_group_free : t -> count:int -> bytes:int -> unit
 (** Record the deallocation of [count] blocks recorded by

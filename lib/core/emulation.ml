@@ -12,8 +12,9 @@ let mem t = t.alloc.Alloc.Allocator.memory
 
 let cost t = Sim.Memory.cost (mem t)
 
-(* Each operation runs under [Sim.Cost.within]: unlike [with_context],
-   no closure per call. *)
+(* Each operation runs under an inlined [Sim.Cost.within] or
+   [within3]: unlike [with_context], no closure per call, and the body
+   takes its arguments directly. *)
 
 let newregion_body t () =
   let r = t.alloc.Alloc.Allocator.malloc 4 in
@@ -23,8 +24,7 @@ let newregion_body t () =
 
 let newregion t = Sim.Cost.within (cost t) Sim.Cost.Alloc newregion_body t ()
 
-(* [r] and [size] travel as one pair: [within] passes two arguments. *)
-let alloc_body t (r, size) =
+let alloc_body t r size =
   let p = t.alloc.Alloc.Allocator.malloc (size + overhead_per_object) in
   let m = mem t in
   Sim.Memory.store m p (Sim.Memory.load m r);
@@ -32,7 +32,7 @@ let alloc_body t (r, size) =
   p + overhead_per_object
 
 let alloc_common t r size =
-  Sim.Cost.within (cost t) Sim.Cost.Alloc alloc_body t (r, size)
+  Sim.Cost.within3 (cost t) Sim.Cost.Alloc alloc_body t r size
 
 let ralloc t r size =
   let user = alloc_common t r size in

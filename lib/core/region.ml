@@ -465,9 +465,10 @@ let sync_ars_peek t =
 (* Allocation *)
 
 (* The per-operation entry points below run their bodies under
-   [Sim.Cost.within] rather than [with_context]: no closure is built
-   per allocation.  [within] passes two arguments, so a body that needs
-   more takes the rest as one tuple. *)
+   [Sim.Cost.within] (or [within3], [within4]) rather than
+   [with_context]: the bracket is inlined, and a body takes its
+   arguments directly, so no closure or tuple is built per
+   allocation. *)
 
 let newregion_body t () =
   Sim.Cost.instr (cost t) 8;
@@ -571,7 +572,7 @@ let normal_alloc t r total =
 
 let max_normal_data = page_bytes - 4 (* link *) - 8 (* header + marker *)
 
-let ralloc_body t (r, id, size) =
+let ralloc_body t r id size =
   Sim.Cost.instr (cost t) 6;
   let data = round4 size in
   if data > max_normal_data then
@@ -584,7 +585,7 @@ let ralloc_body t (r, id, size) =
 
 let ralloc_with_id t r id size =
   check_region t r;
-  Sim.Cost.within (cost t) Sim.Cost.Alloc ralloc_body t (r, id, size)
+  Sim.Cost.within4 (cost t) Sim.Cost.Alloc ralloc_body t r id size
 
 let ralloc t r layout =
   ralloc_with_id t r
@@ -598,7 +599,7 @@ let ralloc_custom t r id =
   | Cleanup.Array _ ->
       invalid_arg "ralloc_custom: array cleanups need rarrayalloc"
 
-let rarrayalloc_body t (r, n, (layout : Cleanup.layout)) =
+let rarrayalloc_body t r n (layout : Cleanup.layout) =
   Sim.Cost.instr (cost t) 8;
   let stride = Cleanup.stride layout in
   let data = n * stride in
@@ -615,9 +616,9 @@ let rarrayalloc_body t (r, n, (layout : Cleanup.layout)) =
 let rarrayalloc t r ~n (layout : Cleanup.layout) =
   check_region t r;
   if n <= 0 then invalid_arg "rarrayalloc: n must be positive";
-  Sim.Cost.within (cost t) Sim.Cost.Alloc rarrayalloc_body t (r, n, layout)
+  Sim.Cost.within4 (cost t) Sim.Cost.Alloc rarrayalloc_body t r n layout
 
-let rstralloc_body t (r, size) =
+let rstralloc_body t r size =
   Sim.Cost.instr (cost t) 5;
   let data = round4 size in
   if data <= page_bytes - 4 then begin
@@ -668,17 +669,17 @@ let rstralloc_body t (r, size) =
 let rstralloc t r size =
   check_region t r;
   if size <= 0 then invalid_arg "rstralloc: size must be positive";
-  Sim.Cost.within (cost t) Sim.Cost.Alloc rstralloc_body t (r, size)
+  Sim.Cost.within3 (cost t) Sim.Cost.Alloc rstralloc_body t r size
 
 (* ------------------------------------------------------------------ *)
 (* Write barriers (Figure 5); like the allocation entry points, the
-   barrier runs under [Sim.Cost.within]. *)
+   barrier runs under an inlined [Sim.Cost.within3]. *)
 
 let global_write_cost = 16
 let region_write_cost = 23
 let sameregion_hint_cost = 2
 
-let barrier_body t (addr, value) =
+let barrier_body t addr value =
   let c = cost t in
   let before = Sim.Cost.refcount_instrs c in
   let container = regionof0 t addr in
@@ -704,7 +705,7 @@ let write_ptr t ?(same_region_hint = false) ~addr value =
          lookups, no count updates. *)
       Sim.Cost.within c Sim.Cost.Refcount Sim.Cost.instr c
         sameregion_hint_cost
-    else Sim.Cost.within c Sim.Cost.Refcount barrier_body t (addr, value);
+    else Sim.Cost.within3 c Sim.Cost.Refcount barrier_body t addr value;
     (match Sim.Memory.tracer t.mem with
     | Some tr -> Obs.Tracer.barrier tr ~addr ~hinted:same_region_hint
     | None -> ());

@@ -10,6 +10,9 @@ type small_block = {
   s_nobj : int;
   s_alloc : Bytes.t;  (* bitsets *)
   s_mark : Bytes.t;
+  s_words : Bytes.t;
+      (* per slot, the requested size of its object in words (at most
+         [max_small / 4]), for the size accounting of a sweep *)
 }
 
 type large_block = {
@@ -48,6 +51,9 @@ end
 type t = {
   mem : Sim.Memory.t;
   stats : Alloc.Stats.t;
+      (* counts only, with no address table: objects are recorded with
+         [on_group_alloc] and each sweep releases its dead ones with
+         one [on_group_free], sized from [s_words] and [l_bytes] *)
   blocks : (int, block) Hashtbl.t;
       (* page number -> block, for the mark-clear and sweep iterations
          only: its iteration order decides the order in which swept
@@ -63,6 +69,10 @@ type t = {
   fraction : float;
   roots : (int -> unit) -> unit;
   mutable collections : int;
+  mutable stack : int array;
+      (* the mark stack: (address, bytes) of each reached object still
+         to scan, in pairs; kept across collections, grown by doubling *)
+  mutable sp : int;  (* ints in use in [stack] *)
 }
 
 let bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
@@ -113,6 +123,7 @@ let carve_small t cls =
         s_nobj = nobj;
         s_alloc = bits ();
         s_mark = bits ();
+        s_words = Bytes.make nobj '\000';
       }
   in
   add_block t (addr lsr 12) (Some blk) blk;
@@ -169,6 +180,39 @@ let map_large t size pages =
 (* ------------------------------------------------------------------ *)
 (* Collection *)
 
+let push t addr bytes =
+  let sp = t.sp in
+  if sp + 2 > Array.length t.stack then begin
+    let bigger = Array.make (2 * Array.length t.stack) 0 in
+    Array.blit t.stack 0 bigger 0 sp;
+    t.stack <- bigger
+  end;
+  Array.unsafe_set t.stack sp addr;
+  Array.unsafe_set t.stack (sp + 1) bytes;
+  t.sp <- sp + 2
+
+(* Conservative pointer test, 2 instructions charged by the caller:
+   any word reaching into an allocated object (interior pointers
+   included) pins that object. *)
+let mark t v =
+  if v land 3 = 0 && v > 0 then
+    match block_at t (v lsr 12) with
+    | Some (Small b) ->
+        let off = v - b.s_addr in
+        if off >= 0 && off < b.s_nobj * b.s_class then begin
+          let idx = off / b.s_class in
+          if bit_get b.s_alloc idx && not (bit_get b.s_mark idx) then begin
+            bit_set b.s_mark idx;
+            push t (b.s_addr + (idx * b.s_class)) b.s_class
+          end
+        end
+    | Some (Large b) ->
+        if b.l_allocated && not b.l_marked then begin
+          b.l_marked <- true;
+          push t b.l_addr b.l_bytes
+        end
+    | None -> ()
+
 let collect_into t =
   t.collections <- t.collections + 1;
   let c = cost t in
@@ -185,52 +229,26 @@ let collect_into t =
       | Large b -> if pageno = b.l_addr lsr 12 then b.l_marked <- false)
     t.blocks;
   Sim.Cost.instr c (Hashtbl.length t.blocks);
-  let stack = ref [] in
-  (* Conservative pointer test, 2 instructions charged by the caller:
-     any word reaching into an allocated object (interior pointers
-     included) pins that object. *)
-  let mark v =
-    if v land 3 = 0 && v > 0 then
-      match block_at t (v lsr 12) with
-      | Some (Small b) ->
-          let off = v - b.s_addr in
-          if off >= 0 && off < b.s_nobj * b.s_class then begin
-            let idx = off / b.s_class in
-            if bit_get b.s_alloc idx && not (bit_get b.s_mark idx) then begin
-              bit_set b.s_mark idx;
-              stack := (b.s_addr + (idx * b.s_class), b.s_class) :: !stack
-            end
-          end
-      | Some (Large b) ->
-          if b.l_allocated && not b.l_marked then begin
-            b.l_marked <- true;
-            stack := (b.l_addr, b.l_bytes) :: !stack
-          end
-      | None -> ()
-  in
   t.roots (fun v ->
       Sim.Cost.instr c 2;
-      mark v);
-  (* Transitive marking: scan every word of every reached object.
-     Each word costs its load and a 2-instruction test, charged for
-     the whole object up front: marking writes no simulated memory, so
-     the charges and cache probes are those of a per-word loop. *)
-  let rec drain () =
-    match !stack with
-    | [] -> ()
-    | (addr, bytes) :: rest ->
-        stack := rest;
-        let n = bytes / 4 in
-        Sim.Memory.charge_loads t.mem addr n;
-        Sim.Cost.instr c (2 * n);
-        for i = 0 to n - 1 do
-          mark (Sim.Memory.peek t.mem (addr + (i * 4)))
-        done;
-        drain ()
-  in
-  drain ();
+      mark t v);
+  (* Transitive marking, last reached first: scan every word of every
+     reached object.  Each word costs its load and a 2-instruction
+     test, charged for the whole object up front: marking writes no
+     simulated memory, so the charges and cache probes are those of a
+     per-word loop. *)
+  while t.sp > 0 do
+    t.sp <- t.sp - 2;
+    let addr = Array.unsafe_get t.stack t.sp in
+    let n = Array.unsafe_get t.stack (t.sp + 1) / 4 in
+    Sim.Memory.charge_loads t.mem addr n;
+    Sim.Cost.instr c (2 * n);
+    for i = 0 to n - 1 do
+      mark t (Sim.Memory.peek t.mem (addr + (i * 4)))
+    done
+  done;
   (* Sweep. *)
-  let live = ref 0 in
+  let live = ref 0 and freed = ref 0 and freed_bytes = ref 0 in
   Hashtbl.iter
     (fun pageno blk ->
       match blk with
@@ -243,7 +261,9 @@ let collect_into t =
               else begin
                 let o = b.s_addr + (idx * b.s_class) in
                 bit_clear b.s_alloc idx;
-                Alloc.Stats.on_free t.stats o;
+                incr freed;
+                freed_bytes :=
+                  !freed_bytes + (4 * Char.code (Bytes.unsafe_get b.s_words idx));
                 Sim.Memory.store t.mem o t.freelists.(cls);
                 t.freelists.(cls) <- o
               end
@@ -255,11 +275,15 @@ let collect_into t =
             if b.l_marked then live := !live + b.l_bytes
             else begin
               b.l_allocated <- false;
-              Alloc.Stats.on_free t.stats b.l_addr;
+              incr freed;
+              freed_bytes := !freed_bytes + b.l_bytes;
               t.free_large <- Free_large.push b.l_pages b t.free_large
             end
       | Large _ -> ())
     t.blocks;
+  (* Frees only lower [live_bytes], so one release per sweep moves
+     every readout as one per object would. *)
+  Alloc.Stats.on_group_free t.stats ~count:!freed ~bytes:!freed_bytes;
   t.heap_at_gc <- t.heap_bytes;
   t.since_gc <- 0;
   match Sim.Memory.tracer t.mem with
@@ -309,7 +333,10 @@ let malloc_body t size =
       let o = t.freelists.(cls) in
       t.freelists.(cls) <- Sim.Memory.load t.mem o;
       (match block_at t (o lsr 12) with
-      | Some (Small b) -> bit_set b.s_alloc ((o - b.s_addr) / b.s_class)
+      | Some (Small b) ->
+          let idx = (o - b.s_addr) / b.s_class in
+          bit_set b.s_alloc idx;
+          Bytes.unsafe_set b.s_words idx (Char.unsafe_chr ((size + 3) / 4))
       | Some (Large _) | None -> assert false);
       (* GC_malloc returns zeroed storage. *)
       Sim.Memory.clear t.mem o (class_bytes cls);
@@ -332,7 +359,7 @@ let malloc_body t size =
       blk.l_addr
     end
   in
-  Alloc.Stats.on_alloc t.stats ~addr:user ~size;
+  Alloc.Stats.on_group_alloc t.stats size;
   user
 
 let malloc t size =
@@ -415,6 +442,8 @@ let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
       fraction = heap_fraction;
       roots;
       collections = 0;
+      stack = Array.make 256 0;
+      sp = 0;
     }
   in
   let allocator =

@@ -47,8 +47,9 @@ let reset t =
 let instr t n = t.instrs <- t.instrs + n
 
 (* Credit the instructions charged since [mark] to the current
-   context. *)
-let settle t =
+   context.  Like [enter], [leave] and the [within] brackets, inlined
+   at every per-operation site (DESIGN §5h). *)
+let[@inline] settle t =
   let n = t.instrs - t.mark in
   t.mark <- t.instrs;
   match t.context with
@@ -60,17 +61,17 @@ let settle t =
 
 let context t = t.context
 
-let enter t c =
+let[@inline] enter t c =
   let saved = t.context in
   settle t;
   t.context <- c;
   saved
 
-let leave t saved =
+let[@inline] leave t saved =
   settle t;
   t.context <- saved
 
-let within t c f a b =
+let[@inline] within t c f a b =
   let saved = enter t c in
   match f a b with
   | v ->
@@ -79,6 +80,26 @@ let within t c f a b =
   | exception e ->
       leave t saved;
       raise e
+
+let[@inline] within3 t c f a b d =
+  let saved = enter t c in
+  match f a b d with
+  | v ->
+      leave t saved;
+      v
+  | exception e ->
+      leave t saved;
+      raise e
+
+let[@inline] within4 t c f a b d e =
+  let saved = enter t c in
+  match f a b d e with
+  | v ->
+      leave t saved;
+      v
+  | exception x ->
+      leave t saved;
+      raise x
 
 let with_context t c f = within t c (fun f () -> f ()) f ()
 

@@ -30,9 +30,20 @@ val context : t -> context
 val within : t -> context -> ('a -> 'b -> 'r) -> 'a -> 'b -> 'r
 (** [within t c f a b] runs [f a b] with [c] as the current context,
     settling each context's charges on the way in and out, and
-    restores the previous context also when [f] raises.  For the per-operation sites (malloc, free,
-    ralloc, ...): with [f] a top-level function, the call allocates
-    no closure. *)
+    restores the previous context also when [f] raises.  For the
+    per-operation sites (malloc, free, ralloc, the write barrier, ...):
+    it is [@inline], so with [f] a top-level function a site makes no
+    call into this unit and allocates nothing; only [f] itself is
+    called.  A body takes its arguments directly: {!within3} and
+    {!within4} serve bodies of three and four, so none is passed a
+    tuple. *)
+
+val within3 : t -> context -> ('a -> 'b -> 'c -> 'r) -> 'a -> 'b -> 'c -> 'r
+(** [within3 t c f a b d] is {!within} for [f a b d]. *)
+
+val within4 :
+  t -> context -> ('a -> 'b -> 'c -> 'd -> 'r) -> 'a -> 'b -> 'c -> 'd -> 'r
+(** [within4 t c f a b d e] is {!within} for [f a b d e]. *)
 
 val with_context : t -> context -> (unit -> 'a) -> 'a
 (** [with_context t c f] is [within] for a thunk.  For cold paths:

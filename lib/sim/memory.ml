@@ -537,18 +537,39 @@ let load_block t addr n =
 (* Scan the host bytes of the mapped prefix, then charge the words a
    [load] loop stopping at the first nonzero one would have read: up
    to and including that word, or else all [n], faulting where the
-   loop would.  A [while] loop, not a local recursive function, so no
-   closure is built per call. *)
+   loop would.  The scan reads 32 bytes per step while a whole block
+   lies in the prefix, then 8, then one word, each step only past
+   zeros, so it stops on the first nonzero word.  Every read ends at
+   or below [addr + 4k <= limit], inside [data] (see the header).
+   [while] loops, not a local recursive function, so no closure is
+   built per call. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
 let find_nonzero t addr n =
   if n < 0 then invalid_arg "Memory.find_nonzero: negative length";
   let k = mapped_words t addr n in
-  let i = ref 0 in
-  while !i < k && raw_load t (addr + (!i * 4)) = 0 do
-    incr i
+  let d = t.data in
+  let stop = addr + (k * 4) in
+  let a = ref addr in
+  while
+    !a + 32 <= stop
+    && Int64.logor
+         (Int64.logor (get64u d !a) (get64u d (!a + 8)))
+         (Int64.logor (get64u d (!a + 16)) (get64u d (!a + 24)))
+       = 0L
+  do
+    a := !a + 32
   done;
-  if !i < k then begin
-    charge_reads t addr (!i + 1);
-    !i
+  while !a + 8 <= stop && get64u d !a = 0L do
+    a := !a + 8
+  done;
+  while !a < stop && raw_load t !a = 0 do
+    a := !a + 4
+  done;
+  if !a < stop then begin
+    let i = (!a - addr) / 4 in
+    charge_reads t addr (i + 1);
+    i
   end
   else begin
     charge_loads t addr n;

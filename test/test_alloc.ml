@@ -340,6 +340,43 @@ let test_lea_no_extension_when_bin_has_fit () =
   done;
   check "bins satisfied everything" os (Alloc.Stats.os_bytes a.stats)
 
+(* Lea's constant-time bin index against the recursive definition it
+   replaced, kept here as the reference: every multiple of 8 from 16
+   to 2^20, then every size within 24 bytes of each bin boundary
+   ([1025 * 2^k]) and of each power of two up to 2^29, and a fixed
+   sample of sizes below 2^29. *)
+let reference_bin_index size =
+  if size <= 512 + 8 then (size - 16) / 8
+  else begin
+    let rec log2 n acc = if n <= 1024 then acc else log2 (n / 2) (acc + 1) in
+    Int.min 70 (63 + log2 size 0)
+  end
+
+let test_lea_bin_index () =
+  let same size =
+    let got = Alloc.Lea.bin_index size and want = reference_bin_index size in
+    if got <> want then
+      Alcotest.failf "bin_index %d = %d, the reference gives %d" size got want
+  in
+  let s = ref 16 in
+  while !s <= 1 lsl 20 do
+    same !s;
+    s := !s + 8
+  done;
+  for k = 0 to 19 do
+    List.iter
+      (fun centre ->
+        for d = -24 to 24 do
+          let size = centre + d in
+          if size >= 16 && size < 1 lsl 29 then same size
+        done)
+      [ 1025 lsl k; 1 lsl (k + 10) ]
+  done;
+  let rng = Sim.Rng.create 7 in
+  for _ = 1 to 100_000 do
+    same (16 + Sim.Rng.int rng ((1 lsl 29) - 16))
+  done
+
 let test_bsd_size_class_isolation () =
   let mem = fresh () in
   let a = Alloc.Bsd.create mem in
@@ -519,6 +556,7 @@ let () =
               test_lea_faster_than_sun_on_many_sizes;
             tc "bins avoid heap growth" `Quick
               test_lea_no_extension_when_bin_has_fit;
+            tc "bin index" `Quick test_lea_bin_index;
           ] );
         ( "cross-cutting",
           [

@@ -317,6 +317,84 @@ let qcheck_gc_soundness =
             objs;
           !sound))
 
+(* The collector counts its objects without an address table: a
+   malloc is a group allocation, and a sweep releases what it freed in
+   one group free, sized from the per-slot sizes of small blocks and
+   [l_bytes] of large ones.  Random programs of small and large
+   mallocs, root and heap pointer stores, and forced collections, on
+   a low trigger so that mallocs collect too.  A reference table fed
+   each malloc and, after every collection, a free of each object the
+   collection swept must agree with the collector's readouts after
+   every step.  An object a malloc's own collection swept may come
+   back as that malloc's result, so it is freed in the reference
+   first. *)
+type gc_op = Malloc of int | Root of int | Link of int * int | Collect
+
+let qcheck_gc_stats_match_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun s -> Malloc s) (int_range 1 512));
+          (1, map (fun s -> Malloc s) (int_range 513 20_000));
+          (2, map (fun i -> Root i) (int_bound 3));
+          (2, map2 (fun i j -> Link (i, j)) (int_bound 63) (int_bound 63));
+          (1, return Collect);
+        ])
+  in
+  let print = function
+    | Malloc s -> Printf.sprintf "malloc %d" s
+    | Root i -> Printf.sprintf "root %d" i
+    | Link (i, j) -> Printf.sprintf "link %d %d" i j
+    | Collect -> "collect"
+  in
+  QCheck.Test.make ~count:60 ~name:"stats match an address table"
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 1 400) op))
+    (fun ops ->
+      let e = fresh ~trigger_min_bytes:8192 () in
+      let reference = Alloc.Stats.create () in
+      let addrs = Hashtbl.create 64 in
+      let recent = Array.make 64 0 and count = ref 0 in
+      let readouts st =
+        Alloc.Stats.
+          (allocs st, frees st, total_bytes st, live_bytes st, max_live_bytes st)
+      in
+      let sweep ~also =
+        Hashtbl.filter_map_inplace
+          (fun a () ->
+            if a = also || not (Gcsim.Boehm.is_live e.gc a) then begin
+              Alloc.Stats.on_free reference a;
+              None
+            end
+            else Some ())
+          addrs
+      in
+      Regions.Mutator.with_frame e.mut ~nslots:4 ~ptr_slots:[] (fun fr ->
+          List.for_all
+            (fun op ->
+              let pick i = recent.((!count - 1 - i) land 63) in
+              (match op with
+              | Malloc size ->
+                  let before = Gcsim.Boehm.collections e.gc in
+                  let p = e.alloc.Alloc.Allocator.malloc size in
+                  if Gcsim.Boehm.collections e.gc <> before then sweep ~also:p;
+                  Alloc.Stats.on_alloc reference ~addr:p ~size;
+                  Hashtbl.replace addrs p ();
+                  recent.(!count land 63) <- p;
+                  incr count
+              | Root i -> if !count > 0 then Regions.Mutator.set_local e.mut fr i (pick 0)
+              | Link (i, j) ->
+                  (* Only into a live object: a swept one's first word
+                     links its free list. *)
+                  if i < !count && j < !count && Gcsim.Boehm.is_live e.gc (pick i)
+                  then Sim.Memory.store e.mem (pick i) (pick j)
+              | Collect ->
+                  Gcsim.Boehm.collect e.gc;
+                  sweep ~also:0);
+              readouts e.alloc.stats = readouts reference)
+            ops))
+
 (* The large-block free store against a reference list: blocks
    pushed newest first, a request taking the first block of the
    smallest page count that fits, found by a fold and removed by a
@@ -413,6 +491,7 @@ let () =
           tc "OOM leaves heap consistent" `Quick test_oom_leaves_heap_consistent;
           QCheck_alcotest.to_alcotest qcheck_gc_soundness;
           QCheck_alcotest.to_alcotest qcheck_free_large_matches_list;
+          QCheck_alcotest.to_alcotest qcheck_gc_stats_match_reference;
           tc "heavy trace replay pinned" `Quick test_heavy_trace_replay_pinned;
         ] );
     ]

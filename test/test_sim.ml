@@ -875,6 +875,86 @@ let prop_unchecked_access_bounded =
       && Sim.Memory.load_byte m (limit - 1) = 0x5A
       && List.for_all out_of_range [ limit; limit + 3; 0; 4092 ])
 
+(* [find_nonzero]'s block-wise scan (32 bytes, then 8, then a word
+   per step) against a [load] loop that stops after the first nonzero
+   word, exhaustively over small runs: every run of up to 80 words
+   from starts at every word offset of a 32-byte block, with its
+   nonzero word at every index of the run (or just past it), and runs
+   that [limit] cuts, anywhere inside a 32-byte block.  The two scans
+   run on twin memories in lockstep, with the cache model on and off;
+   after every scan the result (or the fault) and the instruction,
+   L1 hit, L1 miss and L2 miss counts must agree. *)
+let test_find_nonzero_blockwise () =
+  List.iter
+    (fun with_cache ->
+      let twin () =
+        let m = Sim.Memory.create ~with_cache () in
+        (m, Sim.Memory.map_pages m 8)
+      in
+      let reference, base = twin () and scanned, _ = twin () in
+      let counters m =
+        let c = Sim.Memory.cost m in
+        let cache =
+          match Sim.Memory.cache m with
+          | Some ca ->
+              (Sim.Cache.l1_hits ca, Sim.Cache.l1_misses ca, Sim.Cache.l2_misses ca)
+          | None -> (0, 0, 0)
+        in
+        (Sim.Cost.total_instrs c, cache)
+      in
+      let outcome f =
+        match f () with v -> Ok v | exception Sim.Memory.Fault msg -> Error msg
+      in
+      let limit = Sim.Memory.limit reference in
+      (* Scan [n] words from [addr] with word [p] of the range nonzero. *)
+      let case addr n p =
+        let at = addr + (p * 4) in
+        let poke v =
+          if at < limit then begin
+            Sim.Memory.poke reference at v;
+            Sim.Memory.poke scanned at v
+          end
+        in
+        poke 1;
+        let want =
+          outcome (fun () ->
+              let k = ref 0 in
+              while !k < n && Sim.Memory.load reference (addr + (!k * 4)) = 0 do
+                incr k
+              done;
+              !k)
+        in
+        let got = outcome (fun () -> Sim.Memory.find_nonzero scanned addr n) in
+        poke 0;
+        if got <> want || counters scanned <> counters reference then
+          Alcotest.failf "cache %b, %d words from %#x, nonzero word %d: %s"
+            with_cache n addr p
+            (match (got, want) with
+            | Ok g, Ok w -> Printf.sprintf "found %d, the load loop %d" g w
+            | Error g, Error w when g = w -> "counters differ"
+            | _ -> "outcomes differ")
+      in
+      let start = ref 0 in
+      for n = 0 to 80 do
+        for off = 0 to 7 do
+          for p = 0 to n do
+            (* Runs land all over the eight pages, so the cache misses
+               as well as hits. *)
+            start := (!start + 613) mod ((8 * 1024) - 200);
+            case (base + (((!start land lnot 7) + off) * 4)) n p
+          done
+        done
+      done;
+      for j = 1 to 80 do
+        List.iter
+          (fun n ->
+            for p = 0 to j do
+              case (limit - (j * 4)) n p
+            done)
+          [ j; j + 1; j + 9; 80 ]
+      done)
+    [ true; false ]
+
 (* The bulk reads vs a [load] loop: [charge_loads] and [load_block]
    vs a loop over all [n] words, [find_nonzero] vs one that stops
    after the first nonzero word.  Same result, same charges, same
@@ -1014,6 +1094,7 @@ let () =
           tc "block faults" `Quick test_memory_block_faults;
           tc "oom hook" `Quick test_memory_oom_hook;
           tc "store buffer wraparound" `Quick test_store_buffer_wraparound;
+          tc "find_nonzero block scan" `Quick test_find_nonzero_blockwise;
         ] );
       ( "properties",
         [

@@ -842,13 +842,14 @@ let test_dispatch_on_real_traces () =
    generated malloc trace (60k records), sun, bsd and lea allocate at
    most 0.05 minor words per record, the set-up's (0.01 measured; 1.34
    when every record was built: a [Malloc] or [Free] record's two
-   words on two records of three).  On the region trace the safe
-   column allocates 3.94 words per record, in the region library
-   (each allocation's and each barrier's argument tuple for
-   [Sim.Cost.within]); the bound is 4.2, against 6.93 when records
-   were built and each region object was consed onto a list.  A
-   deterministic count, unlike host time, so a record creeping back
-   onto the path fails here. *)
+   words on two records of three).  The collector column allocates
+   2.46 words per record (bound 2.7), in its collections and its
+   large-block store.  On the region trace the safe column allocates
+   0.97 words per record and the unsafe one 0.77 (bounds 1.1 and
+   0.9), in per-region and per-page bookkeeping: no allocation or
+   barrier passes [Sim.Cost.within] an argument tuple (that read 3.94
+   and 2.26).  A deterministic count, unlike host time, so a record
+   or a tuple creeping back onto the path fails here. *)
 let test_replay_allocation_witness () =
   let words_per_record spec mode =
     let path = tmp_path () in
@@ -875,7 +876,9 @@ let test_replay_allocation_witness () =
   List.iter
     (fun b -> within (Workloads.Api.Direct b) "n=20000" 0.05)
     Workloads.Api.[ Sun; Bsd; Lea ];
-  within (Workloads.Api.Region { safe = true }) "n=20000,variant=region" 4.2
+  within (Workloads.Api.Direct Workloads.Api.Gc) "n=20000" 2.7;
+  within (Workloads.Api.Region { safe = true }) "n=20000,variant=region" 1.1;
+  within (Workloads.Api.Region { safe = false }) "n=20000,variant=region" 0.9
 
 (* Timeline profiling during replay: deterministic (same trace, same
    column => byte-identical CSV), bounded (at most [capacity] samples
