@@ -21,8 +21,8 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Run independent matrix cells on $(docv) OCaml domains \
-           (default: the runtime's recommended domain count; 1 = the \
-           old sequential path).  Output is byte-identical either way.")
+           (default: the runtime's recommended domain count).  Output \
+           is byte-identical for every $(docv).")
 
 (* Advisory exclusion on the cell cache: a batch run and a live [repro
    serve] daemon over the same cache directory must not interleave
@@ -140,27 +140,6 @@ let matrix ?trace_dir ?replay ~fill ~cmd f =
          exit 1);
   m
 
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:
-          "Enable the global metrics registry for this run and dump its \
-           snapshot (counters, gauges, histograms) as JSON on stderr at \
-           the end.  Off by default; report bytes are identical either \
-           way.")
-
-(* Enable the registry up front, hand back the stderr dump to run at
-   the end.  Stdout is untouched, like the cache-stats line. *)
-let with_metrics metrics =
-  if metrics then Obs.Metrics.set_enabled Obs.Metrics.default true;
-  fun () ->
-    if metrics then
-      prerr_endline
-        (Results.Json.to_string ~indent:true
-           (Results.Json.metrics_json
-              (Obs.Metrics.snapshot Obs.Metrics.default)))
-
 let trace_arg =
   Arg.(
     value
@@ -201,13 +180,12 @@ let exp_cmd =
              --verify)); mutator-side cycle and stall figures are not \
              reproduced.")
   in
-  let print (experiment : Harness.Docs.section option) f trace_dir replay metrics =
-    let dump_metrics = with_metrics metrics in
+  let print (experiment : Harness.Docs.section option) f trace_dir replay =
     let m =
       matrix ?trace_dir ~replay ~fill:(Option.is_none experiment)
         ~cmd:"experiment all" f
     in
-    (match experiment with
+    match experiment with
     | None ->
         List.iteri
           (fun i s ->
@@ -218,20 +196,18 @@ let exp_cmd =
     | Some ({ render = `Static _; _ } as s) -> print_section m s
     | Some s ->
         print_section m s;
-        report_cache_stats m);
-    dump_metrics ()
+        report_cache_stats m
   in
-  let run experiment f trace_dir replay metrics =
+  let run experiment f trace_dir replay =
     if replay && trace_dir <> None then
       `Error (true, "--replay cannot combine with --trace")
-    else `Ok (print experiment f trace_dir replay metrics)
+    else `Ok (print experiment f trace_dir replay)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
       ret
-        (const run $ name_arg $ matrix_flags $ trace_arg $ replay_arg
-        $ metrics_arg))
+        (const run $ name_arg $ matrix_flags $ trace_arg $ replay_arg))
 
 let parse_workload s =
   match Workloads.Workload.find s with
@@ -835,13 +811,8 @@ let replay_cmd =
   in
   (* A positional argument or option that this invocation would
      ignore is a usage error, returned before any file exists. *)
-  let run target mode verify_flag timeline_dir metrics jobs full =
-    let metered f =
-      let dump_metrics = with_metrics metrics in
-      let ok = f () in
-      dump_metrics ();
-      if not ok then exit 1
-    in
+  let run target mode verify_flag timeline_dir jobs full =
+    let verified ok = if not ok then exit 1 in
     match (verify_flag, target, mode, timeline_dir) with
     | true, _, Some _, _ -> `Error (true, "--verify takes no MODE")
     | true, _, _, Some _ -> `Error (true, "--timeline does not combine with --verify")
@@ -854,23 +825,15 @@ let replay_cmd =
                     (fun (s, _) -> s == spec)
                     (Harness.Matrix.report_cells ())) ->
             `Error (true, w ^ " has no matrix cell to verify")
-        | Ok _ -> `Ok (metered (fun () -> verify (Some w) jobs full)))
-    | true, None, None, None -> `Ok (metered (fun () -> verify None jobs full))
+        | Ok _ -> `Ok (verified (verify (Some w) jobs full)))
+    | true, None, None, None -> `Ok (verified (verify None jobs full))
     | false, _, _, _ when full || jobs <> None ->
         `Error (true, "--full and -j apply only to --verify")
     | false, None, _, _ -> `Error (true, "TRACE is required without --verify")
     | false, Some path, _, _ when not (Sys.file_exists path) ->
         `Error (true, "no trace file " ^ path)
-    | false, Some path, Some mode, dir ->
-        `Ok
-          (metered (fun () ->
-               replay_column path mode dir;
-               true))
-    | false, Some path, None, Some dir ->
-        `Ok
-          (metered (fun () ->
-               replay_columns path dir;
-               true))
+    | false, Some path, Some mode, dir -> `Ok (replay_column path mode dir)
+    | false, Some path, None, Some dir -> `Ok (replay_columns path dir)
     | false, Some _, None, None ->
         `Error
           ( true,
@@ -893,15 +856,13 @@ let replay_cmd =
               reproduced.  $(b,--verify) proves the equivalence \
               empirically, cell by cell.  $(b,--timeline DIR) attaches \
               the bounded-memory heap profiler and writes one CSV per \
-              replayed column; $(b,--metrics) enables the global metrics \
-              registry and dumps its snapshot as JSON on stderr.";
+              replayed column.";
          ])
     Term.(
       ret
         (const run $ target_arg
        $ mode_opt_arg 1 ~doc:"Memory manager column to replay against."
-       $ verify_arg $ timeline_arg
-       $ metrics_arg $ jobs_arg $ full_arg))
+       $ verify_arg $ timeline_arg $ jobs_arg $ full_arg))
 
 let gen_cmd =
   let spec_arg =
@@ -1104,14 +1065,8 @@ let serve_cmd =
              still in flight at the deadline are abandoned (their \
              waiters get Failed) rather than awaited.")
   in
-  let metrics_out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"PATH"
-          ~doc:"Write the final metrics snapshot (JSON) here on exit.")
-  in
   let run socket cache_dir journal workers max_clients max_queue timeout_s
-      retries write_timeout_s cache_max_mb drain_timeout_s metrics_out =
+      retries write_timeout_s cache_max_mb drain_timeout_s =
     let cache_dir =
       Option.value cache_dir ~default:(Results.Cache.default_dir ())
     in
@@ -1130,7 +1085,6 @@ let serve_cmd =
         write_timeout_s;
         cache_max_mb;
         drain_timeout_s;
-        metrics_out;
         log = (fun s -> Printf.eprintf "serve: %s\n%!" s);
       }
     in
@@ -1161,7 +1115,7 @@ let serve_cmd =
       const run $ socket_arg ~default:"/tmp/repro-serve.sock" $ cache_dir_arg
       $ journal_arg $ workers_arg $ max_clients_arg $ max_queue_arg
       $ timeout_arg $ retries_arg $ write_timeout_arg $ cache_max_mb_arg
-      $ drain_timeout_arg $ metrics_out_arg)
+      $ drain_timeout_arg)
 
 let serveload_cmd =
   let clients_arg =
@@ -1256,15 +1210,9 @@ let serveload_cmd =
       value & opt (some int) None
       & info [ "cache-max-mb" ] ~docv:"MB" ~doc:"Daemon cache size cap.")
   in
-  let metrics_out_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"PATH"
-          ~doc:"Daemon metrics snapshot file (written on daemon exit).")
-  in
   let run socket cache_dir clients requests duration_s seed kills p_garbage
       p_disconnect budget_s deadline_s workloads_csv modes_csv mix_plan workers
-      cache_max_mb metrics_out =
+      cache_max_mb =
     (* Defaults are per-process names in the temp directory. *)
     let scratch =
       Filename.concat
@@ -1309,12 +1257,9 @@ let serveload_cmd =
           Sys.executable_name; "serve"; "--socket"; socket; "--cache-dir";
           cache_dir; "--journal"; journal; "--workers"; string_of_int workers;
         ]
-        @ (match cache_max_mb with
-          | Some mb -> [ "--cache-max-mb"; string_of_int mb ]
-          | None -> [])
         @
-        match metrics_out with
-        | Some p -> [ "--metrics-out"; p ]
+        match cache_max_mb with
+        | Some mb -> [ "--cache-max-mb"; string_of_int mb ]
         | None -> []
       in
       Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
@@ -1383,8 +1328,7 @@ let serveload_cmd =
       const run $ socket_arg ~default:"" $ cache_dir_arg $ clients_arg
       $ requests_arg $ duration_arg $ seed_arg $ kill_arg $ p_garbage_arg
       $ p_disconnect_arg $ budget_arg $ deadline_arg $ workloads_mix_arg
-      $ modes_mix_arg $ mix_plan_arg $ workers_arg $ cache_max_mb_arg
-      $ metrics_out_arg)
+      $ modes_mix_arg $ mix_plan_arg $ workers_arg $ cache_max_mb_arg)
 
 let server_cmd =
   let mutators_arg =
@@ -1429,8 +1373,7 @@ let server_cmd =
              per-mutator bump-pointer fast path (addresses are \
              identical either way; only charged instructions differ).")
   in
-  let run mutators requests quantum seed no_bump mode full metrics =
-    let dump_metrics = with_metrics metrics in
+  let run mutators requests quantum seed no_bump mode full =
     let base =
       Workloads.Workload.server_params mutators (size_of_full full)
     in
@@ -1445,11 +1388,7 @@ let server_cmd =
       }
     in
     let api = Workloads.Api.create ~with_cache:true mode in
-    let o =
-      Workloads.Server.run
-        ?metrics:(if metrics then Some Obs.Metrics.default else None)
-        api params
-    in
+    let o = Workloads.Server.run api params in
     let r =
       Workloads.Results.collect api
         ~workload:(Printf.sprintf "server-%d" mutators)
@@ -1483,8 +1422,7 @@ let server_cmd =
           ms.Workloads.Server.ms_steps ms.Workloads.Server.ms_quanta
           (ms.Workloads.Server.ms_peak_live_bytes / 1024))
       o.Workloads.Server.per_mutator;
-    Fmt.pr "%a@." Workloads.Results.pp r;
-    dump_metrics ()
+    Fmt.pr "%a@." Workloads.Results.pp r
   in
   Cmd.v
     (Cmd.info "server"
@@ -1503,7 +1441,7 @@ let server_cmd =
          ])
     Term.(
       const run $ mutators_arg $ requests_arg $ quantum_arg $ seed_arg
-      $ no_bump_arg $ mode_arg 0 $ full_arg $ metrics_arg)
+      $ no_bump_arg $ mode_arg 0 $ full_arg)
 
 let main =
   Cmd.group

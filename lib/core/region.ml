@@ -673,7 +673,10 @@ let rstralloc t r size =
 
 (* ------------------------------------------------------------------ *)
 (* Write barriers (Figure 5); like the allocation entry points, the
-   barrier runs under an inlined [Sim.Cost.within3]. *)
+   barrier runs under an inlined [Sim.Cost.within3].  It tops its
+   charge up to a fixed cost by reading the running total
+   ([Sim.Cost.total_instrs], inlined): inside the [Refcount] bracket
+   every instruction charged is a refcount instruction. *)
 
 let global_write_cost = 16
 let region_write_cost = 23
@@ -681,7 +684,7 @@ let sameregion_hint_cost = 2
 
 let barrier_body t addr value =
   let c = cost t in
-  let before = Sim.Cost.refcount_instrs c in
+  let before = Sim.Cost.total_instrs c in
   let container = regionof0 t addr in
   let old = Sim.Memory.load t.mem addr in
   let r_old = regionof0 t old in
@@ -693,7 +696,7 @@ let barrier_body t addr value =
   let target =
     if container = 0 then global_write_cost else region_write_cost
   in
-  let used = Sim.Cost.refcount_instrs c - before in
+  let used = Sim.Cost.total_instrs c - before in
   if used < target then Sim.Cost.instr c (target - used)
 
 let write_ptr t ?(same_region_hint = false) ~addr value =
@@ -716,7 +719,7 @@ let set_local_ptr t fr i v =
   if t.safe && t.eager_locals then begin
     let c = cost t in
     Sim.Cost.with_context c Sim.Cost.Refcount (fun () ->
-        let before = Sim.Cost.refcount_instrs c in
+        let before = Sim.Cost.total_instrs c in
         let old = Mutator.get_local fr i in
         let r_old = regionof0 t old in
         let r_new = regionof0 t v in
@@ -724,7 +727,7 @@ let set_local_ptr t fr i v =
           if r_old <> 0 then rc_add t r_old (-1);
           if r_new <> 0 then rc_add t r_new 1
         end;
-        let used = Sim.Cost.refcount_instrs c - before in
+        let used = Sim.Cost.total_instrs c - before in
         if used < global_write_cost then
           Sim.Cost.instr c (global_write_cost - used))
   end;

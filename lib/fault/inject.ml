@@ -12,16 +12,6 @@ type t = {
 
 let page_bytes mem = (Sim.Memory.machine mem).Sim.Machine.page_bytes
 
-(* Process-wide mirrors of the per-injector counters: the injector's
-   own fields feed the per-cell fault report, the registry series
-   aggregate across every planned cell of the process (what
-   [repro serve --metrics-out] exports). *)
-let m_events =
-  Obs.Metrics.counter Obs.Metrics.default "fault_page_grant_events_total"
-
-let m_denials = Obs.Metrics.counter Obs.Metrics.default "fault_denials_total"
-let m_flips = Obs.Metrics.counter Obs.Metrics.default "fault_bit_flips_total"
-
 (* Uniform word over the mapped span [page_bytes, limit). *)
 let default_pick mem ~u ~bit =
   let lo = page_bytes mem and hi = Sim.Memory.limit mem in
@@ -49,14 +39,12 @@ let install ?pick ~plan mem =
     (Some
        (fun pages ->
          t.events <- t.events + 1;
-         Obs.Metrics.inc m_events;
          let d =
            Plan.decision plan ~event:t.events ~pages
              ~pages_before:t.pages_granted
          in
          if d.Plan.deny then begin
            t.denials <- t.denials + 1;
-           Obs.Metrics.inc m_denials;
            t.pending <- [];
            false
          end
@@ -76,7 +64,6 @@ let install ?pick ~plan mem =
              | Some (addr, bit) ->
                  Sim.Memory.flip_bit mem addr bit;
                  t.flips <- t.flips + 1;
-                 Obs.Metrics.inc m_flips;
                  t.applied <- (addr, bit) :: t.applied
              | None -> ())
            flips));

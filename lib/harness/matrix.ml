@@ -328,21 +328,6 @@ let workloads = Workloads.Workload.all
 
 type cell_timing = { workload : string; mode : string; wall_s : float }
 
-(* Scheduler-side registry series (host observability only; simulated
-   counts are untouched).  Incremented from worker domains — the
-   registry's atomics are the synchronisation. *)
-let m_cells =
-  Obs.Metrics.counter Obs.Metrics.default "matrix_cells_scheduled_total"
-
-let m_retries =
-  Obs.Metrics.counter Obs.Metrics.default "matrix_cell_retries_total"
-
-let m_watchdog =
-  Obs.Metrics.counter Obs.Metrics.default "matrix_watchdog_fired_total"
-
-let m_wall_ms =
-  Obs.Metrics.histogram Obs.Metrics.default "matrix_cell_wall_ms"
-
 (* Work-stealing loop shared by [run_all] and the tests.  Exceptions
    are hardened: a failing body sets an abort flag (so the other
    workers stop picking up new indices), every domain is joined, and
@@ -483,15 +468,13 @@ let run_attempt ~timeout_s ~cancelled f =
         Domain.join d;
         Printexc.raise_with_backtrace e bt
     | None ->
-        (* Cancellation is not a watchdog expiry: it is counted by the
-           caller, not in [m_watchdog], and is deliberately not
-           {!transient} — a cancelled attempt must not be retried. *)
+        (* Cancellation is not a watchdog expiry, and it is
+           deliberately not {!transient}: a cancelled attempt must not
+           be retried. *)
         if cancelled () then raise Attempt_cancelled
-        else if Unix.gettimeofday () > deadline then begin
-          Obs.Metrics.inc m_watchdog;
+        else if Unix.gettimeofday () > deadline then
           raise
             (Cell_timeout (match timeout_s with Some l -> l | None -> infinity))
-        end
         else begin
           Unix.sleepf 0.02;
           wait ()
@@ -504,7 +487,6 @@ let run_attempts ?(cancelled = fun () -> false) sup f =
     match run_attempt ~timeout_s:sup.timeout_s ~cancelled f with
     | v -> Ok v
     | exception e when k < sup.retries && transient e && not (cancelled ()) ->
-        Obs.Metrics.inc m_retries;
         if sup.backoff_s > 0. then
           Unix.sleepf (sup.backoff_s *. (2. ** float_of_int k));
         attempt (k + 1)
@@ -561,12 +543,10 @@ let run_all ?domains ?on_cell t =
     let spec, mode = cells.(i) in
     let workload = spec.Workloads.Workload.name
     and mode_name = Workloads.Api.mode_name mode in
-    Obs.Metrics.inc m_cells;
     let t0 = Unix.gettimeofday () in
     match cell t spec mode with
     | r ->
         let wall = Unix.gettimeofday () -. t0 in
-        Obs.Metrics.observe m_wall_ms (int_of_float (wall *. 1000.));
         let timing = { workload; mode = mode_name; wall_s = wall } in
         results.(i) <- Some (r, timing);
         notify timing r.Workloads.Results.cycles

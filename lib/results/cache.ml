@@ -44,18 +44,6 @@ let current_build_id () =
       Atomic.set self_build_id (Some id);
       id
 
-(* Registry series for the cache hot paths (disabled-by-default, like
-   all of lib/obs; [repro serve] will export these). *)
-let m_hits = Obs.Metrics.counter Obs.Metrics.default "results_cache_hits_total"
-let m_misses =
-  Obs.Metrics.counter Obs.Metrics.default "results_cache_misses_total"
-let m_hit_bytes =
-  Obs.Metrics.counter Obs.Metrics.default "results_cache_hit_bytes_total"
-let m_stored_bytes =
-  Obs.Metrics.counter Obs.Metrics.default "results_cache_stored_bytes_total"
-let m_evictions =
-  Obs.Metrics.counter Obs.Metrics.default "results_cache_evictions_total"
-
 type t = { dir : string; build_id : string }
 
 let create ?dir ?build_id () =
@@ -101,12 +89,8 @@ let rec mkdir_p d =
   end
 
 let find t ~workload ~mode ~size ~seed ~plan =
-  let miss v =
-    Obs.Metrics.inc m_misses;
-    v
-  in
   let p = path t (key t ~workload ~mode ~size ~seed ~plan) in
-  if not (Sys.file_exists p) then miss None
+  if not (Sys.file_exists p) then None
   else
     match
       let ic = open_in_bin p in
@@ -114,10 +98,10 @@ let find t ~workload ~mode ~size ~seed ~plan =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     with
-    | exception Sys_error _ -> miss None
+    | exception Sys_error _ -> None
     | s -> (
         match Cell.of_string s with
-        | Error _ -> miss None  (* damaged or older schema: treat as a miss *)
+        | Error _ -> None  (* damaged or older schema: treat as a miss *)
         | Ok c ->
             (* Guard against an FNV collision or a hand-copied file:
                the stored identity must match what was asked for. *)
@@ -129,15 +113,13 @@ let find t ~workload ~mode ~size ~seed ~plan =
               && c.Cell.prov.Cell.plan = plan
               && c.Cell.prov.Cell.build_id = t.build_id
             then begin
-              Obs.Metrics.inc m_hits;
-              Obs.Metrics.add m_hit_bytes (String.length s);
               (* LRU clock for {!sweep}: a hit refreshes the entry's
                  mtime, so hot cells survive a size-capped eviction
                  pass even when they were written long ago. *)
               (try Unix.utimes p 0. 0. with Unix.Unix_error _ -> ());
               Some c
             end
-            else miss None)
+            else None)
 
 (* Write [s] to a fresh [path] and fsync it; the fd is closed on every
    path, and any failure is re-raised to the caller. *)
@@ -193,9 +175,7 @@ let store t (c : Cell.t) =
     write_durably tmp s;
     Unix.rename tmp final
   with
-  | () ->
-      fsync_dir t.dir;
-      Obs.Metrics.add m_stored_bytes (String.length s)
+  | () -> fsync_dir t.dir
   | exception Unix.Unix_error _ ->
       (* unwritable cache is a soft failure: no temp file is left
          behind, and the entry is simply a later miss *)
@@ -254,9 +234,7 @@ let sweep t ~max_bytes =
                  unlink (and keeps reading a consistent snapshot) or
                  misses and recomputes. *)
               match Sys.remove p with
-              | () ->
-                  Obs.Metrics.inc m_evictions;
-                  evict (remaining - sz) (evicted + 1) rest
+              | () -> evict (remaining - sz) (evicted + 1) rest
               | exception Sys_error _ -> evict remaining evicted rest)
         in
         evict total 0 by_age

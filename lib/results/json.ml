@@ -301,31 +301,3 @@ let rec diff ?(ignore_keys = []) ~path a b acc =
   | a, b -> leaf (to_string ~indent:false a) (to_string ~indent:false b)
 
 let diff ?ignore_keys a b = List.rev (diff ?ignore_keys ~path:"" a b [])
-
-(* ------------------------------------------------------------------ *)
-(* Metrics-snapshot encoding *)
-
-let metrics_json (series : Obs.Metrics.series list) =
-  let one (s : Obs.Metrics.series) =
-    let base =
-      [
-        ("name", String s.name);
-        ("labels", Obj (List.map (fun (k, v) -> (k, String v)) s.labels));
-      ]
-    in
-    let value =
-      match s.value with
-      | Obs.Metrics.Counter_v n -> [ ("type", String "counter"); ("value", Int n) ]
-      | Obs.Metrics.Gauge_v v -> [ ("type", String "gauge"); ("value", Float v) ]
-      | Obs.Metrics.Histogram_v { buckets; sum; count } ->
-          [
-            ("type", String "histogram");
-            ("count", Int count);
-            ("sum", Int sum);
-            ( "buckets",
-              List (List.map (fun (b, n) -> List [ Int b; Int n ]) buckets) );
-          ]
-    in
-    Obj (base @ value)
-  in
-  Obj [ ("metrics", List (List.map one series)) ]

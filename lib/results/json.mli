@@ -44,7 +44,3 @@ val diff :
     (at any depth) from the comparison — the golden gate uses it to
     skip provenance, which legitimately differs between builds. *)
 
-val metrics_json : Obs.Metrics.series list -> t
-(** Deterministic encoding of a metrics-registry snapshot
-    ({!Obs.Metrics.snapshot}): what [--metrics] prints and the
-    daemon's [--metrics-out] file holds. *)

@@ -13,7 +13,6 @@ type config = {
   write_timeout_s : float;
   cache_max_mb : int option;
   drain_timeout_s : float;
-  metrics_out : string option;
   log : string -> unit;
 }
 
@@ -31,27 +30,8 @@ let default_config ~socket ~cache_dir ~journal =
     write_timeout_s = 10.;
     cache_max_mb = None;
     drain_timeout_s = 30.;
-    metrics_out = None;
     log = ignore;
   }
-
-(* ---- metrics ------------------------------------------------------ *)
-
-let reg = Obs.Metrics.default
-let m_conns = Obs.Metrics.counter reg "serve_connections_total"
-let m_requests = Obs.Metrics.counter reg "serve_requests_total"
-let m_overloaded = Obs.Metrics.counter reg "serve_overloaded_total"
-let m_deduped = Obs.Metrics.counter reg "serve_deduped_total"
-let m_warm = Obs.Metrics.counter reg "serve_warm_hits_total"
-let m_cold = Obs.Metrics.counter reg "serve_cold_cells_total"
-let m_failures = Obs.Metrics.counter reg "serve_cell_failures_total"
-let m_malformed = Obs.Metrics.counter reg "serve_malformed_total"
-let m_deadline = Obs.Metrics.counter reg "serve_deadline_expired_total"
-let m_slow = Obs.Metrics.counter reg "serve_slow_clients_total"
-let m_recovered = Obs.Metrics.counter reg "serve_recovered_cells_total"
-let m_stale = Obs.Metrics.counter reg "serve_stale_journal_entries_total"
-let m_wait_ms = Obs.Metrics.histogram reg "serve_wait_ms"
-let m_warm_us = Obs.Metrics.histogram reg "serve_warm_us"
 
 (* ---- shared state ------------------------------------------------- *)
 
@@ -66,7 +46,6 @@ type job = {
   j_plan : (Fault.Plan.t * string) option;
   j_plan_str : string;
   j_size_str : string;
-  j_enqueued : float;
   (* (client uid, request id, absolute deadline).  Mutated by the
      event loop (dedupe adds, deadline scan removes) and read by the
      worker picking the job up — both under [mu]. *)
@@ -197,9 +176,7 @@ let run_job st (job : job) =
     Harness.Matrix.run_attempts ~cancelled sup (fun () ->
         Harness.Matrix.run_cell_collect m job.j_spec job.j_mode)
   with
-  | Error (_, e) ->
-      Obs.Metrics.inc m_failures;
-      Fail (Printexc.to_string e)
+  | Error (_, e) -> Fail (Printexc.to_string e)
   | Ok r ->
       (* Durability order: the cache entry (atomic rename) landed
          inside the attempt; the journal line commits the request key.
@@ -240,15 +217,9 @@ let worker st () =
         (* Queued-but-unstarted work past the drain deadline fails
            cheaply here; only attempts already in flight pay the
            watchdog-abandon path. *)
-        if Unix.gettimeofday () > Atomic.get st.kill_after then begin
-          Obs.Metrics.inc m_failures;
+        if Unix.gettimeofday () > Atomic.get st.kill_after then
           Fail "daemon draining: job abandoned at the drain deadline"
-        end
-        else
-          try run_job st job
-          with e ->
-            Obs.Metrics.inc m_failures;
-            Fail (Printexc.to_string e)
+        else try run_job st job with e -> Fail (Printexc.to_string e)
       in
       Mutex.lock st.mu;
       st.completions <- (job, outcome) :: st.completions;
@@ -262,9 +233,6 @@ let worker st () =
 (* ---- event loop --------------------------------------------------- *)
 
 let run cfg =
-  (* The counters are part of the daemon's contract (the soak job
-     uploads the snapshot), so the registry is always on here. *)
-  Obs.Metrics.set_enabled reg true;
   (* Exclusion first: a daemon and a concurrent [repro experiment] on
      the same store would interleave whole runs; fail fast, by name. *)
   let ( let* ) = Result.bind in
@@ -314,10 +282,8 @@ let run cfg =
             Results.Cache.store disk
               (Results.Cell.make ~size:e.k_size ~build_id ~seed:e.k_seed
                  ~plan:e.k_plan e.k_result);
-            incr n;
-            Obs.Metrics.inc m_recovered)
+            incr n)
       live;
-    List.iter (fun _ -> Obs.Metrics.inc m_stale) stale_entries;
     if (stale_entries <> [] || torn > 0) && Sys.file_exists cfg.journal then begin
       (* tmp + fsync + rename: a crash mid-purge leaves either journal
          whole, and the appender below opens the renamed file *)
@@ -491,7 +457,6 @@ let run cfg =
   let completions_since_sweep = ref 0 in
 
   let handle_request c (req : Protocol.request) =
-    Obs.Metrics.inc m_requests;
     match validate req with
     | Error reason ->
         enqueue c (Protocol.Bad_request { id = req.id; reason })
@@ -499,75 +464,63 @@ let run cfg =
         let size_str =
           match size with Workloads.Workload.Quick -> "quick" | Full -> "full"
         in
-        let t0 = Unix.gettimeofday () in
         match
           Results.Cache.find disk ~workload:req.workload ~mode:req.mode
             ~size:size_str ~seed:req.seed ~plan:req.plan
         with
         | Some cell ->
-            Obs.Metrics.inc m_warm;
-            Obs.Metrics.observe m_warm_us
-              (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
             enqueue c
               (Protocol.Cell
                  { id = req.id; warm = true; cell = Results.Cell.to_json cell })
         | None ->
             let key = Protocol.key_of_request req in
-            let deadline = Option.map (fun d -> t0 +. d) req.deadline_s in
+            let deadline =
+              Option.map (fun d -> Unix.gettimeofday () +. d) req.deadline_s
+            in
             let waiter = (c.c_uid, req.id, deadline) in
             Mutex.lock st.mu;
-            let verdict =
+            let overloaded =
               match Hashtbl.find_opt st.jobs key with
               | Some job ->
                   job.j_waiters <- waiter :: job.j_waiters;
-                  `Deduped
+                  false
+              | None
+                when Atomic.get st.stop
+                     || Hashtbl.length st.jobs >= cfg.max_queue ->
+                  true
               | None ->
-                  if
-                    Atomic.get st.stop
-                    || Hashtbl.length st.jobs >= cfg.max_queue
-                  then `Overloaded
-                  else begin
-                    let job =
-                      {
-                        j_key = key;
-                        j_spec = spec;
-                        j_mode = mode;
-                        j_size = size;
-                        j_seed = req.seed;
-                        j_plan = plan;
-                        j_plan_str = req.plan;
-                        j_size_str = size_str;
-                        j_enqueued = t0;
-                        j_waiters = [ waiter ];
-                      }
-                    in
-                    Hashtbl.replace st.jobs key job;
-                    Queue.push job st.queue;
-                    Condition.signal st.cv;
-                    `Scheduled
-                  end
+                  let job =
+                    {
+                      j_key = key;
+                      j_spec = spec;
+                      j_mode = mode;
+                      j_size = size;
+                      j_seed = req.seed;
+                      j_plan = plan;
+                      j_plan_str = req.plan;
+                      j_size_str = size_str;
+                      j_waiters = [ waiter ];
+                    }
+                  in
+                  Hashtbl.replace st.jobs key job;
+                  Queue.push job st.queue;
+                  Condition.signal st.cv;
+                  false
             in
             Mutex.unlock st.mu;
-            (match verdict with
-            | `Deduped -> Obs.Metrics.inc m_deduped
-            | `Scheduled -> Obs.Metrics.inc m_cold
-            | `Overloaded ->
-                Obs.Metrics.inc m_overloaded;
-                enqueue c (Protocol.Overloaded { id = req.id })))
+            if overloaded then
+              enqueue c (Protocol.Overloaded { id = req.id }))
   in
   let rec drain_frames c =
     match Protocol.next c.c_dec with
     | Error reason ->
         (* Unframeable stream: answer once, then hang up. *)
-        Obs.Metrics.inc m_malformed;
         enqueue c (Protocol.Bad_request { id = 0; reason });
         c.c_close <- true
     | Ok None -> ()
     | Ok (Some payload) ->
         (match Protocol.decode_request payload with
-        | Error reason ->
-            Obs.Metrics.inc m_malformed;
-            enqueue c (Protocol.Bad_request { id = 0; reason })
+        | Error reason -> enqueue c (Protocol.Bad_request { id = 0; reason })
         | Ok req -> handle_request c req);
         if not c.c_close then drain_frames c
   in
@@ -605,12 +558,10 @@ let run cfg =
       match Unix.accept ~cloexec:true lfd with
       | cfd, _ ->
           Unix.set_nonblock cfd;
-          Obs.Metrics.inc m_conns;
           if Hashtbl.length clients >= cfg.max_clients then begin
             (* Admission control at the door: one best-effort
                Overloaded frame (the fresh socket buffer takes it
                whole or not at all), then close. *)
-            Obs.Metrics.inc m_overloaded;
             (try
                ignore
                  (Unix.write_substring cfd pre_overloaded 0
@@ -646,11 +597,8 @@ let run cfg =
     st.completions <- [];
     List.iter (fun (job, _) -> Hashtbl.remove st.jobs job.j_key) done_;
     Mutex.unlock st.mu;
-    let now = Unix.gettimeofday () in
     List.iter
       (fun (job, outcome) ->
-        Obs.Metrics.observe m_wait_ms
-          (int_of_float ((now -. job.j_enqueued) *. 1000.));
         incr completions_since_sweep;
         List.iter
           (fun (uid, id, _) ->
@@ -683,9 +631,7 @@ let run cfg =
       st.jobs;
     Mutex.unlock st.mu;
     List.iter
-      (fun (uid, id, _) ->
-        Obs.Metrics.inc m_deadline;
-        respond uid (Protocol.Deadline { id }))
+      (fun (uid, id, _) -> respond uid (Protocol.Deadline { id }))
       !expired
   in
   let scan_slow_clients now =
@@ -699,11 +645,7 @@ let run cfg =
           else acc)
         clients []
     in
-    List.iter
-      (fun c ->
-        Obs.Metrics.inc m_slow;
-        drop c)
-      victims
+    List.iter drop victims
   in
 
   (* -- main loop -- *)
@@ -806,16 +748,6 @@ let run cfg =
   (try Unix.close wake_r with Unix.Unix_error _ -> ());
   (try Unix.close wake_w with Unix.Unix_error _ -> ());
   close_out_noerr journal_oc;
-  (match cfg.metrics_out with
-  | None -> ()
-  | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc
-          (J.to_string ~indent:true
-             (Results.Json.metrics_json (Obs.Metrics.snapshot reg)));
-        close_out oc
-      with Sys_error _ -> ()));
   Sys.set_signal Sys.sigterm prev_term;
   Sys.set_signal Sys.sigint prev_int;
   Sys.set_signal Sys.sigpipe prev_pipe;

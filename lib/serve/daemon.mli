@@ -39,12 +39,8 @@
       [repro experiment] on the same cache) fails fast with a
       diagnostic naming the holder.
 
-    Every path increments [serve_*] counters in the default
-    {!Obs.Metrics} registry (accepted / overloaded / deduped /
-    warm-hit / cold / malformed / deadline / failures, plus wait and
-    warm-latency log-histograms), and [--cache-max-mb] triggers
-    periodic {!Results.Cache.sweep}s whose evictions land in
-    [results_cache_evictions_total]. *)
+    [--cache-max-mb] triggers periodic {!Results.Cache.sweep}s; each
+    sweep that evicts logs how many entries it removed. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path (≤ ~100 chars) *)
@@ -61,8 +57,6 @@ type config = {
   drain_timeout_s : float;
       (** hard bound on the SIGTERM drain; in-flight attempts still
           running at the deadline are abandoned, not awaited *)
-  metrics_out : string option;
-      (** write the final metrics snapshot (JSON) here on exit *)
   log : string -> unit;
 }
 
@@ -72,4 +66,4 @@ val default_config : socket:string -> cache_dir:string -> journal:string ->
 val run : config -> (unit, string) result
 (** Serve until SIGTERM/SIGINT, then drain.  [Error] covers startup
     failures only (lock contention, unbindable socket); once serving,
-    per-connection trouble is handled, counted and survived. *)
+    per-connection trouble is handled and survived. *)

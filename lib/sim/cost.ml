@@ -113,7 +113,7 @@ let alloc_instrs t = account t Alloc t.alloc
 let refcount_instrs t = account t Refcount t.refcount
 let stack_scan_instrs t = account t Stack_scan t.stack_scan
 let cleanup_instrs t = account t Cleanup t.cleanup
-let total_instrs t = t.instrs
+let[@inline] total_instrs t = t.instrs
 let memory_instrs t = t.instrs - base_instrs t
 let read_stall_cycles t = t.read_stalls
 let write_stall_cycles t = t.write_stalls

@@ -64,6 +64,10 @@ val memory_instrs : t -> int
 (** Sum of the four non-base accounts. *)
 
 val total_instrs : t -> int
+(** The running total over every context: one field read, inlined, so
+    a bracket that tops its charge up to a fixed cost reads it without
+    a call. *)
+
 val read_stall_cycles : t -> int
 val write_stall_cycles : t -> int
 

@@ -490,18 +490,7 @@ type reader = {
   regs : int array;
       (** the decode core's output: a fixed-shape record's fields *)
   mutable closed : bool;
-  mutable counted : bool;
-      (** this pass's records already added to the decode metric *)
 }
-
-(* Registry series for the streaming decoder — both on cold paths
-   (one refill per chunk, one count per completed pass), so the fused
-   per-record hot loop stays untouched. *)
-let m_refills =
-  Obs.Metrics.counter Obs.Metrics.default "trace_reader_refills_total"
-
-let m_records =
-  Obs.Metrics.counter Obs.Metrics.default "trace_records_decoded_total"
 
 (* Slide the window forward.  Returns [false] at the end of the body;
    never reads past [end_off], so trailer bytes stay out of the
@@ -520,7 +509,6 @@ let refill r =
         let got = input ic r.buf 0 want in
         if got <= 0 then corrupt "truncated body (file shrank under the reader)";
         r.limit <- got;
-        Obs.Metrics.inc m_refills;
         true
       end
 
@@ -786,7 +774,6 @@ let reader_of_envelope e ~src ~buf ~base ~pos ~limit =
     scratch = Array.make 8 0;
     regs = Array.make 6 0;
     closed = false;
-    counted = false;
   }
 
 let open_file ?(chunk = default_chunk) path =
@@ -857,19 +844,9 @@ let obj_slots r = r.r_oslots
 let reg_slots r = r.r_rslots
 let recycled r = r.r_recycled
 
-(* End of one decode pass: fold the pass's record count into the
-   registry exactly once (replays hit [End] once per pass; the guard
-   keeps repeated polls honest). *)
-let at_end r =
-  if not r.counted then begin
-    r.counted <- true;
-    Obs.Metrics.add m_records r.r_records
-  end
-
 let reset r =
   if r.closed then invalid_arg "Trace.Format.reset: reader closed";
   r.nstrs <- 0;
-  r.counted <- false;
   match r.src with
   | In_memory -> r.pos <- r.body_start
   | Chan ic ->
@@ -958,10 +935,7 @@ let[@inline] fvalue regs buf q i =
 (* The checked path: it stages what [step]'s fast path stages, one
    [uv] per field. *)
 let rec checked r =
-  if not (more r) then begin
-    at_end r;
-    0
-  end
+  if not (more r) then 0
   else begin
     let tag = byte r.buf r.pos in
     r.pos <- r.pos + 1;

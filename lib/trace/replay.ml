@@ -4,18 +4,11 @@ exception Divergence of string
 
 let diverge fmt = Printf.ksprintf (fun s -> raise (Divergence s)) fmt
 
-let m_replays =
-  Obs.Metrics.counter Obs.Metrics.default "trace_replays_total"
-
-let m_records_per_s =
-  Obs.Metrics.gauge Obs.Metrics.default "trace_replay_records_per_s"
-
 (* The cache simulator only turns accesses into cycle/stall costs —
    mutator-side numbers replay does not reproduce — and every
    allocator-side count is identical without it, so replays default it
    off for speed. *)
 let run ?(with_cache = false) ?timeline reader mode =
-  Obs.Metrics.inc m_replays;
   let hdr = Format.header reader in
   if Record.variant_of_mode mode <> hdr.variant then
     invalid_arg
@@ -295,12 +288,7 @@ let run ?(with_cache = false) ?timeline reader mode =
     | Format.Set_local _ | Format.Set_local_ptr _ | Format.Set_mutator _ ->
         assert false (* taken by [handlers] *)
   in
-  let t0 = Unix.gettimeofday () in
   run_level 0;
-  (let dt = Unix.gettimeofday () -. t0 in
-   if dt > 0.0 then
-     Obs.Metrics.set m_records_per_s
-       (float_of_int (Format.records reader) /. dt));
   (match timeline with Some tl -> Obs.Timeline.finish tl | None -> ());
   Workloads.Results.collect api ~workload:hdr.workload
     ~summary:(Format.summary reader)

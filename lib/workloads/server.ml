@@ -245,7 +245,7 @@ let validate params =
    facade (and through it to the region library and any recorder); the
    mutator being switched out samples its live bytes into its heap
    curve. *)
-let run ?metrics api params =
+let run api params =
   validate params;
   let n = params.mutators in
   with_mutator_frames api n (fun frames ->
@@ -278,29 +278,7 @@ let run ?metrics api params =
         Regions.Sched.run ~seed:params.seed ~quantum:params.quantum ~on_switch
           tasks
       in
-      let outcome = finish api states (Some stats) checksum in
-      (match metrics with
-      | None -> ()
-      | Some m ->
-          let c name v =
-            Obs.Metrics.add (Obs.Metrics.counter m name) v
-          in
-          c "server_requests_total" outcome.served;
-          c "server_allocs_total" outcome.allocs;
-          c "server_handoffs_total" outcome.handoffs;
-          c "region_bump_hits_total" outcome.bump_stats.bs_hits;
-          c "region_bump_refills_total" outcome.bump_stats.bs_refills;
-          c "region_bump_contended_refills_total"
-            outcome.bump_stats.bs_contended_refills;
-          Array.iteri
-            (fun i (ms : mutator_stat) ->
-              Obs.Metrics.set
-                (Obs.Metrics.gauge m
-                   ~labels:[ ("mutator", string_of_int i) ]
-                   "server_mutator_peak_live_bytes")
-                (float_of_int ms.ms_peak_live_bytes))
-            outcome.per_mutator);
-      outcome)
+      finish api states (Some stats) checksum)
 
 (* The unscheduled baseline: identical mutator states driven to
    completion one after another, never touching the scheduler, the

@@ -49,12 +49,10 @@ type outcome = {
   bump_stats : Regions.Region.bump_stats;
 }
 
-val run : ?metrics:Obs.Metrics.t -> Api.t -> params -> outcome
+val run : Api.t -> params -> outcome
 (** The scheduled engine.  Deterministic in (params, mode): the
     interleaving is a pure function of (seed, quantum, N) and each
-    mutator's request stream a pure function of (seed, mid).  When
-    [metrics] is given, handoff/bump counters and per-mutator peak
-    gauges are published after the run.
+    mutator's request stream a pure function of (seed, mid).
     @raise Invalid_argument on mutators < 1, requests < 0 or
     quantum < 1. *)
 

@@ -390,15 +390,17 @@ let rec source_files dir =
 let unit_name file =
   String.capitalize_ascii Filename.(remove_extension (basename file))
 
+(* The first offset at or after [i] where [key] occurs in [text]. *)
+let rec find_from text key i =
+  if i + String.length key > String.length text then None
+  else if String.sub text i (String.length key) = key then Some i
+  else find_from text key (i + 1)
+
 (* The library a lib/ directory's dune file names, capitalised. *)
 let library_name dir =
   let text = read_file (Filename.concat dir "dune") in
   let key = "(name " in
-  let rec find i =
-    if String.sub text i (String.length key) = key then i + String.length key
-    else find (i + 1)
-  in
-  let start = find 0 in
+  let start = Option.get (find_from text key 0) + String.length key in
   let stop = String.index_from text start ')' in
   String.capitalize_ascii (String.trim (String.sub text start (stop - start)))
 
@@ -611,6 +613,140 @@ let check_exports () =
   | [] -> ()
   | lines -> Alcotest.fail (String.concat "\n" lines)
 
+(* {1 Library dependency audit}
+
+   Every entry of a [(libraries ...)] list in a lib/*/dune or bin/dune
+   must be used by that directory's sources: some module path in them
+   ([Name.v], [open Name], [Name.( ... )], [module X = Name.M], a type
+   [Name.t]) starts with the library's top module.  That is the name
+   capitalised, except where [top_modules] says otherwise; a dotted
+   name it does not list is an error, so a new sub-library gets an
+   entry here. *)
+
+let top_modules = [ ("threads.posix", "Thread") ]
+
+let top_module lib =
+  match List.assoc_opt lib top_modules with
+  | Some m -> Some m
+  | None when String.contains lib '.' -> None
+  | None -> Some (String.capitalize_ascii lib)
+
+(* The entries of every [(libraries ...)] field of a dune file. *)
+let library_deps dune =
+  let text = read_file dune and key = "(libraries" in
+  let rec from i acc =
+    match find_from text key i with
+    | None -> List.rev acc
+    | Some start ->
+        let first = start + String.length key in
+        let stop = String.index_from text first ')' in
+        let body = String.sub text first (stop - first) in
+        if String.contains body '(' then
+          Alcotest.failf "%s: a nested form in (libraries ...)" dune;
+        let names =
+          String.split_on_char ' '
+            (String.map (function '\n' | '\t' -> ' ' | c -> c) body)
+          |> List.filter (( <> ) "")
+        in
+        from stop (List.rev_append names acc)
+  in
+  from 0 []
+
+(* Add the first component of every module path in a source file to
+   [roots]. *)
+let add_module_roots roots file =
+  let rec modpath : Longident.t -> unit = function
+    | Lident m -> Hashtbl.replace roots m ()
+    | Ldot (l, _) -> modpath l
+    | Lapply (a, b) ->
+        modpath a;
+        modpath b
+  in
+  let qualified : Longident.t -> unit = function
+    | Ldot (l, _) -> modpath l
+    | Lident _ -> ()
+    | Lapply _ as l -> modpath l
+  in
+  let lid (l : Longident.t Location.loc) = qualified l.txt in
+  let open Ast_iterator in
+  let it =
+    {
+      default_iterator with
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_ident l | Pexp_construct (l, _) | Pexp_field (_, l)
+          | Pexp_setfield (_, l, _) | Pexp_new l ->
+              lid l
+          | Pexp_record (fields, _) -> List.iter (fun (l, _) -> lid l) fields
+          | _ -> ());
+          default_iterator.expr it e);
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_construct (l, _) | Ppat_type l -> lid l
+          | Ppat_record (fields, _) -> List.iter (fun (l, _) -> lid l) fields
+          | _ -> ());
+          default_iterator.pat it p);
+      typ =
+        (fun it t ->
+          (match t.ptyp_desc with
+          | Ptyp_constr (l, _) | Ptyp_class (l, _) -> lid l
+          | _ -> ());
+          default_iterator.typ it t);
+      module_expr =
+        (fun it me ->
+          (match me.pmod_desc with Pmod_ident l -> modpath l.txt | _ -> ());
+          default_iterator.module_expr it me);
+      module_type =
+        (fun it mt ->
+          (match mt.pmty_desc with
+          | Pmty_ident l | Pmty_alias l -> modpath l.txt
+          | _ -> ());
+          default_iterator.module_type it mt);
+      open_description =
+        (fun it od ->
+          modpath od.popen_expr.txt;
+          default_iterator.open_description it od);
+    }
+  in
+  if Filename.check_suffix file ".mli" then
+    it.signature it (parse Parse.interface file)
+  else it.structure it (parse Parse.implementation file)
+
+let check_library_deps () =
+  let dirs =
+    "../bin"
+    :: List.map (Filename.concat "../lib")
+         (List.sort compare (Array.to_list (Sys.readdir "../lib")))
+  in
+  let unused =
+    List.concat_map
+      (fun dir ->
+        let roots = Hashtbl.create 64 in
+        source_files dir
+        |> List.filter (fun f ->
+               Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+        |> List.iter (add_module_roots roots);
+        library_deps (Filename.concat dir "dune")
+        |> List.filter_map (fun lib ->
+               match top_module lib with
+               | None ->
+                   Some
+                     (Printf.sprintf "%s/dune: %s has no top module in \
+                                      [top_modules]"
+                        dir lib)
+               | Some m when Hashtbl.mem roots m -> None
+               | Some m ->
+                   Some
+                     (Printf.sprintf "%s/dune: %s (no %s. in %s)" dir lib m
+                        dir)))
+      dirs
+  in
+  if unused <> [] then
+    Alcotest.failf "%d library entries are not used by their directory:\n%s"
+      (List.length unused) (String.concat "\n" unused)
+
 (* [repro experiment ID] prints "## TITLE", a blank line and then the
    body of EXPERIMENTS.md's generated block ID, byte for byte.  Run for
    the sections that read no matrix cell, from the source tree's root
@@ -682,6 +818,8 @@ let () =
       ("paths exist", doc_cases check_paths path_documents);
       ( "export audit",
         [ Alcotest.test_case "lib interfaces" `Quick check_exports ] );
+      ( "dependency audit",
+        [ Alcotest.test_case "dune libraries" `Quick check_library_deps ] );
       ( "sections",
         Alcotest.test_case "titles are headings" `Quick check_titles
         :: List.map

@@ -441,89 +441,6 @@ let test_trace_files_cfrac () = check_trace_files cfrac region_safe
 let test_trace_files_moss () =
   check_trace_files moss (Workloads.Api.Direct Lea)
 
-(* {1 Metrics} *)
-
-let test_metrics_registry () =
-  let r = Obs.Metrics.create ~enabled:true () in
-  let c = Obs.Metrics.counter r ~labels:[ ("col", "lea") ] "ops_total" in
-  Obs.Metrics.inc c;
-  Obs.Metrics.add c 4;
-  (* registration is idempotent: the same name+labels is the same cell *)
-  Obs.Metrics.inc (Obs.Metrics.counter r ~labels:[ ("col", "lea") ] "ops_total");
-  Obs.Metrics.set (Obs.Metrics.gauge r "rate") 2.5;
-  let h = Obs.Metrics.histogram r "wall_ms" in
-  List.iter (Obs.Metrics.observe h) [ 0; 1; 2; 3; 4; 1024 ];
-  match Obs.Metrics.snapshot r with
-  | [ ops; rate; wall ] -> (
-      check_str "sorted: counter first" "ops_total" ops.Obs.Metrics.name;
-      check_bool "labels kept" true
-        (ops.Obs.Metrics.labels = [ ("col", "lea") ]);
-      (match ops.Obs.Metrics.value with
-      | Obs.Metrics.Counter_v n -> check_int "counter total" 6 n
-      | _ -> Alcotest.fail "ops_total is not a counter");
-      (match rate.Obs.Metrics.value with
-      | Obs.Metrics.Gauge_v v -> Alcotest.(check (float 0.0)) "gauge" 2.5 v
-      | _ -> Alcotest.fail "rate is not a gauge");
-      match wall.Obs.Metrics.value with
-      | Obs.Metrics.Histogram_v { buckets; sum; count } ->
-          check_int "histogram count" 6 count;
-          check_int "histogram sum" 1034 sum;
-          check_bool "non-empty log buckets, ascending" true
-            (buckets = [ (0, 1); (1, 1); (2, 2); (3, 1); (11, 1) ])
-      | _ -> Alcotest.fail "wall_ms is not a histogram")
-  | l -> Alcotest.failf "expected 3 series, got %d" (List.length l)
-
-let test_metrics_disabled_noop () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r "n" in
-  Obs.Metrics.inc c;
-  Obs.Metrics.add c 7;
-  let h = Obs.Metrics.histogram r "h" in
-  Obs.Metrics.observe h 42;
-  List.iter
-    (fun (s : Obs.Metrics.series) ->
-      match s.value with
-      | Obs.Metrics.Counter_v n -> check_int "counter untouched" 0 n
-      | Obs.Metrics.Histogram_v { count; _ } ->
-          check_int "histogram untouched" 0 count
-      | Obs.Metrics.Gauge_v _ -> ())
-    (Obs.Metrics.snapshot r)
-
-let test_metrics_kind_mismatch () =
-  let r = Obs.Metrics.create () in
-  let (_ : Obs.Metrics.counter) = Obs.Metrics.counter r "x" in
-  match Obs.Metrics.gauge r "x" with
-  | _ -> Alcotest.fail "re-registering under another kind must raise"
-  | exception Invalid_argument _ -> ()
-
-let prop_bucket_boundaries =
-  QCheck.Test.make ~name:"histogram bucket b covers [2^(b-1), 2^b)"
-    ~count:1000
-    QCheck.(int_bound 1_000_000_000)
-    (fun v ->
-      let b = Obs.Metrics.bucket_of v in
-      if v = 0 then b = 0
-      else b >= 1 && 1 lsl (b - 1) <= v && v < 1 lsl b)
-
-(* The load-bearing invariant, same as for tracing: enabling the global
-   registry changes no simulated count anywhere in a matrix row. *)
-let test_metrics_byte_identity_row () =
-  let render () =
-    List.map
-      (fun mode ->
-        Format.asprintf "%a" Workloads.Results.pp
-          (Workloads.Workload.run_collect cfrac mode quick))
-      (Workloads.Workload.modes_for cfrac)
-  in
-  let off = render () in
-  Obs.Metrics.set_enabled Obs.Metrics.default true;
-  let on =
-    Fun.protect
-      ~finally:(fun () -> Obs.Metrics.set_enabled Obs.Metrics.default false)
-      render
-  in
-  List.iter2 (check_str "cell bytes identical with metrics on") off on
-
 (* {1 Timeline} *)
 
 let test_timeline_bounded_monotone () =
@@ -590,18 +507,6 @@ let () =
           sampler_partition_test;
           Alcotest.test_case "finish is idempotent at a cycle" `Quick
             test_sampler_finish_idempotent_at_now;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "counters, gauges, log histograms" `Quick
-            test_metrics_registry;
-          Alcotest.test_case "disabled registry is inert" `Quick
-            test_metrics_disabled_noop;
-          Alcotest.test_case "kind mismatch rejected" `Quick
-            test_metrics_kind_mismatch;
-          QCheck_alcotest.to_alcotest prop_bucket_boundaries;
-          Alcotest.test_case "matrix row byte-identical with metrics on"
-            `Quick test_metrics_byte_identity_row;
         ] );
       ( "timeline",
         [

@@ -64,24 +64,6 @@ let test_json_diff () =
     (List.length (diff ~ignore_keys:[ "p" ] a b));
   check_int "equal values: no diff" 0 (List.length (diff a a))
 
-(* The encoding [--metrics] prints and the daemon's [--metrics-out]
-   file holds, pinned byte-for-byte: one series of each kind. *)
-let test_metrics_json () =
-  let reg = Obs.Metrics.create ~enabled:true () in
-  let c = Obs.Metrics.counter reg ~labels:[ ("col", "lea") ] "allocs" in
-  Obs.Metrics.inc c;
-  Obs.Metrics.add c 2;
-  Obs.Metrics.set (Obs.Metrics.gauge reg "rate") 1.5;
-  let h = Obs.Metrics.histogram reg "lat_us" in
-  List.iter (Obs.Metrics.observe h) [ 0; 5; 6 ];
-  check_str "snapshot encoding"
-    ({|{"metrics":[|}
-    ^ {|{"name":"allocs","labels":{"col":"lea"},"type":"counter","value":3},|}
-    ^ {|{"name":"lat_us","labels":{},"type":"histogram","count":3,"sum":11,"buckets":[[0,1],[3,2]]},|}
-    ^ {|{"name":"rate","labels":{},"type":"gauge","value":1.5}]}|})
-    (Results.Json.to_string ~indent:false
-       (Results.Json.metrics_json (Obs.Metrics.snapshot reg)))
-
 (* ------------------------------------------------------------------ *)
 (* Cell schema *)
 
@@ -536,7 +518,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
           QCheck_alcotest.to_alcotest prop_json_compact_roundtrip;
           quick "structural diff with ignored keys" test_json_diff;
-          quick "metrics snapshot encoding" test_metrics_json;
         ] );
       ( "cell",
         [
