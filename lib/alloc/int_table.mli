@@ -1,6 +1,6 @@
 (** Hash table keyed by simulated addresses and region handles.
 
-    [Workloads.Api]'s per-region counts of emulated regions use it
+    [Regions.Emulation]'s per-region counts use it
     instead of the polymorphic [Hashtbl], whose hash is a C call per
     lookup; {!Stats} uses its {!hash}. *)
 

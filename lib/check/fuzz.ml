@@ -318,44 +318,11 @@ let shrink ?(config = Sanitizer.default) target trace =
   (!current, !failure)
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection: a page budget at the Memory level (a one-clause
-   [Fault.Plan], removed again by [with_plan] even if the run raises);
-   the allocator must surface the denial as its documented Fault and
-   leave its heap walkable. *)
-
-let fault_injection target ~page_budget =
-  let inst = target.make Sanitizer.default in
-  let plan = Fault.Plan.make [ Fault.Plan.Page_budget page_budget ] in
-  let outcome =
-    Fault.Inject.with_plan ~plan inst.mem (fun _ ->
-        try
-          for i = 0 to 99_999 do
-            ignore (inst.alloc.Alloc.Allocator.malloc (32 + (i * 52 mod 480)))
-          done;
-          Error "allocator never hit the page budget"
-        with
-        | Sim.Memory.Fault _ -> Ok ()
-        | e -> Error ("expected Sim.Memory.Fault, got " ^ Printexc.to_string e))
-  in
-  match outcome with
-  | Error _ as e -> e
-  | Ok () -> (
-      match inst.alloc.Alloc.Allocator.check_heap () with
-      | () -> Ok ()
-      | exception Failure m ->
-          Error ("heap inconsistent after denied mapping: " ^ m)
-      | exception Sanitizer.Violation v ->
-          Error
-            (Fmt.str "sanitizer violation after denied mapping: %a"
-               Sanitizer.pp_violation v))
-
-(* ------------------------------------------------------------------ *)
-(* Plan-driven fault injection.  Unlike the one-shot budget above, a
-   [Fault.Plan] can deny, recover and deny again (ramps), so this
-   exercises the full graceful-degradation contract: every denial
-   surfaces as the allocator's documented Fault, and the heap stays
-   walkable after every single one — verified by [check_heap] at each
-   caught fault, not just at the end. *)
+(* Plan-driven fault injection.  A [Fault.Plan] can deny, recover and
+   deny again (ramps), so this exercises the full graceful-degradation
+   contract: every denial surfaces as the allocator's documented Fault,
+   and the heap stays walkable after every single one — verified by
+   [check_heap] at each caught fault, not just at the end. *)
 
 let fault_plan_injection target ~plan ~ops =
   let inst = target.make Sanitizer.default in
@@ -392,8 +359,9 @@ let fault_plan_injection target ~plan ~ops =
             match inst.alloc.Alloc.Allocator.check_heap () with
             | () ->
                 Ok
-                  (Fmt.str "%d faults surfaced, heap walkable (%s)" !caught
-                     (Fault.Inject.summary inj))
+                  ( !caught,
+                    Fmt.str "%d faults surfaced, heap walkable (%s)" !caught
+                      (Fault.Inject.summary inj) )
             | exception Failure m -> Error ("final heap walk failed: " ^ m)
             | exception Sanitizer.Violation v ->
                 Error (Fmt.str "final sanitizer check failed: %a" Sanitizer.pp_violation v)
@@ -540,12 +508,15 @@ let main ?(progress = fun _ -> ()) ~traces ~seed () =
       Fmt.pr "  %-7s %4d traces %7d ops  %d violations@." t.label traces
         !total_ops !violations)
     targets_list;
+  let plan = Fault.Plan.make [ Fault.Plan.Page_budget 64 ] in
   List.iter
     (fun t ->
-      match fault_injection t ~page_budget:64 with
-      | Ok () ->
-          Fmt.pr "  %-7s fault injection: Fault raised, heap consistent@."
+      match fault_plan_injection t ~plan ~ops:2000 with
+      | Ok (0, _) ->
+          ok := false;
+          Fmt.pr "  %-7s fault injection FAILED: never hit the page budget@."
             t.label
+      | Ok (_, m) -> Fmt.pr "  %-7s fault injection: %s@." t.label m
       | Error m ->
           ok := false;
           Fmt.pr "  %-7s fault injection FAILED: %s@." t.label m)

@@ -54,22 +54,16 @@ val shrink :
     failure.  Only validity-preserving deletions are tried, so the
     result is always a well-formed trace. *)
 
-val fault_injection : target -> page_budget:int -> (unit, string) result
-(** Run the target under a {!Sim.Memory.set_oom_hook} page budget until
-    the simulated OS denies a request: the allocator must raise its
-    documented {!Sim.Memory.Fault} (and nothing else) and leave its
-    heap consistent. *)
-
 val fault_plan_injection :
-  target -> plan:Fault.Plan.t -> ops:int -> (string, string) result
+  target -> plan:Fault.Plan.t -> ops:int -> (int * string, string) result
 (** Run [ops] allocations under a deterministic {!Fault.Plan}
-    installed through {!Fault.Inject}.  Unlike {!fault_injection} the
-    plan may deny, recover and deny again (budget walls, one-shot OOM,
-    probabilistic ramps): every denial must surface as the documented
-    {!Sim.Memory.Fault}, the heap must pass [check_heap] after {e
-    every} caught fault, and the number of surfaced faults must equal
-    the number of injected denials.  Returns a one-line accounting on
-    success. *)
+    installed through {!Fault.Inject}.  The plan may deny, recover
+    and deny again (budget walls, one-shot OOM, probabilistic ramps):
+    every denial must surface as the documented {!Sim.Memory.Fault},
+    the heap must pass [check_heap] after {e every} caught fault, and
+    the number of surfaced faults must equal the number of injected
+    denials.  Returns that number (possibly zero: a plan may deny
+    nothing) and a one-line accounting on success. *)
 
 val bitflip_detection : target -> seed:int -> ops:int -> (string, string) result
 (** Drive a {!Fault.Plan.Bit_flip} plan whose corruptions are aimed at

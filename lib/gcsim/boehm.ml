@@ -25,27 +25,30 @@ type large_block = {
 
 type block = Small of small_block | Large of large_block
 
-module Int_map = Map.Make (Int)
-
 module Free_large = struct
-  (* Page count -> the free blocks of that count, most recently freed
-     first; no count maps to an empty list. *)
-  type 'a t = 'a list Int_map.t
+  (* [stacks.(p)]: the free blocks of [p] pages, most recently freed
+     first.  A take scans up from the requested count, so it builds
+     nothing; only a push conses. *)
+  type 'a t = { mutable stacks : 'a list array; none : 'a }
 
-  let empty = Int_map.empty
+  let create ~none = { stacks = [||]; none }
 
-  let push pages blk s =
-    Int_map.update pages
-      (function None -> Some [ blk ] | Some bs -> Some (blk :: bs))
-      s
+  let push s pages blk =
+    let n = Array.length s.stacks in
+    if pages >= n then
+      s.stacks <- Array.append s.stacks (Array.make (max n (pages + 1 - n)) []);
+    s.stacks.(pages) <- blk :: s.stacks.(pages)
 
-  let take pages s =
-    match Int_map.find_first_opt (fun p -> p >= pages) s with
-    | None | Some (_, []) -> None
-    | Some (p, [ blk ]) -> Some (blk, Int_map.remove p s)
-    | Some (p, blk :: rest) -> Some (blk, Int_map.add p rest s)
+  let rec take s pages =
+    if pages >= Array.length s.stacks then s.none
+    else
+      match Array.unsafe_get s.stacks pages with
+      | [] -> take s (pages + 1)
+      | blk :: rest ->
+          Array.unsafe_set s.stacks pages rest;
+          blk
 
-  let iter f s = Int_map.iter (fun _ bs -> List.iter f bs) s
+  let iter f s = Array.iter (List.iter f) s.stacks
 end
 
 type t = {
@@ -61,12 +64,11 @@ type t = {
          pin.  Lookups go through [pages]. *)
   mutable pages : block option array;  (* page number -> block, flat *)
   freelists : int array;  (* per class; links threaded through the heap *)
-  mutable free_large : large_block Free_large.t;
+  free_large : large_block Free_large.t;
   mutable heap_bytes : int;
   mutable heap_at_gc : int;  (* heap size when the last collection finished *)
   mutable since_gc : int;
   trigger_min : int;
-  fraction : float;
   roots : (int -> unit) -> unit;
   mutable collections : int;
   mutable stack : int array;
@@ -136,6 +138,10 @@ let carve_small t cls =
 
 let large_pages size = ((size + 3) / 4 * 4 + page_bytes - 1) / page_bytes
 
+(* What [take_large] returns when nothing fits. *)
+let no_block =
+  { l_addr = -1; l_pages = 0; l_bytes = 0; l_allocated = false; l_marked = false }
+
 (* The smallest free block that fits, exact fits first, and among
    blocks of one page count the most recently freed.  The real
    collector serves a big-object request from any sufficiently large
@@ -146,15 +152,14 @@ let large_pages size = ((size + 3) / 4 * 4 + page_bytes - 1) / page_bytes
    the free stock while fresh pages are mapped for the rest: an
    unbounded, compounding heap leak on any large-object mix. *)
 let take_large t size pages =
-  match Free_large.take pages t.free_large with
-  | None -> None
-  | Some (blk, rest) ->
-      Sim.Cost.instr (cost t) 8;
-      t.free_large <- rest;
-      blk.l_allocated <- true;
-      blk.l_marked <- false;
-      blk.l_bytes <- (size + 3) land lnot 3;
-      Some blk
+  let blk = Free_large.take t.free_large pages in
+  if blk != no_block then begin
+    Sim.Cost.instr (cost t) 8;
+    blk.l_allocated <- true;
+    blk.l_marked <- false;
+    blk.l_bytes <- (size + 3) land lnot 3
+  end;
+  blk
 
 let map_large t size pages =
   Sim.Cost.instr (cost t) 20;
@@ -277,7 +282,7 @@ let collect_into t =
               b.l_allocated <- false;
               incr freed;
               freed_bytes := !freed_bytes + b.l_bytes;
-              t.free_large <- Free_large.push b.l_pages b t.free_large
+              Free_large.push t.free_large b.l_pages b
             end
       | Large _ -> ())
     t.blocks;
@@ -305,12 +310,9 @@ let collect t =
    collection, so no reuse, so further expansion, terminally.  An
    allocation-heavy trace with a tiny live set (any generated
    high-churn column) runs the heap to simulated-memory exhaustion
-   under that feedback loop. *)
+   under that feedback loop.  The fraction is one half. *)
 let maybe_gc t =
-  let threshold =
-    Int.max t.trigger_min (int_of_float (t.fraction *. float_of_int t.heap_at_gc))
-  in
-  if t.since_gc > threshold then collect_into t
+  if t.since_gc > Int.max t.trigger_min (t.heap_at_gc / 2) then collect_into t
 
 (* The body runs under [Sim.Cost.within], not [with_context], so no
    closure is built per allocation. *)
@@ -345,14 +347,14 @@ let malloc_body t size =
     end
     else begin
       let pages = large_pages size in
+      let blk = take_large t size pages in
       let blk =
-        match take_large t size pages with
-        | Some blk -> blk
-        | None -> (
-            if t.since_gc > t.trigger_min then collect_into t;
-            match take_large t size pages with
-            | Some blk -> blk
-            | None -> map_large t size pages)
+        if blk != no_block then blk
+        else begin
+          if t.since_gc > t.trigger_min then collect_into t;
+          let blk = take_large t size pages in
+          if blk != no_block then blk else map_large t size pages
+        end
       in
       Sim.Memory.clear t.mem blk.l_addr blk.l_bytes;
       t.since_gc <- t.since_gc + blk.l_bytes;
@@ -426,7 +428,7 @@ let check_heap t () =
           b.l_addr)
     t.free_large
 
-let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
+let create ?(trigger_min_bytes = 128 * 1024) ~roots mem =
   let t =
     {
       mem;
@@ -434,12 +436,11 @@ let create ?(trigger_min_bytes = 128 * 1024) ?(heap_fraction = 0.5) ~roots mem =
       blocks = Hashtbl.create 256;
       pages = Array.make 256 None;
       freelists = Array.make num_classes 0;
-      free_large = Free_large.empty;
+      free_large = Free_large.create ~none:no_block;
       heap_bytes = 0;
       heap_at_gc = 0;
       since_gc = 0;
       trigger_min = trigger_min_bytes;
-      fraction = heap_fraction;
       roots;
       collections = 0;
       stack = Array.make 256 0;

@@ -29,28 +29,28 @@
 
 type t
 
-(** The free large blocks, keyed by page count (exposed for tests). *)
+(** The free large blocks, a stack per page count (exposed for tests). *)
 module Free_large : sig
   type 'a t
 
-  val empty : 'a t
+  val create : none:'a -> 'a t
+  (** An empty store; [take] returns [none] when nothing fits. *)
 
-  val push : int -> 'a -> 'a t -> 'a t
-  (** [push pages blk s] adds [blk], a free block of [pages] pages. *)
+  val push : 'a t -> int -> 'a -> unit
+  (** [push s pages blk] adds [blk], a free block of [pages] pages. *)
 
-  val take : int -> 'a t -> ('a * 'a t) option
-  (** [take pages s] removes the block a request for [pages] pages
-      reuses: of the smallest page count [>= pages], the most recently
-      pushed.  That is the first fit in a single list of free blocks
-      kept newest first and scanned for the smallest count.  [None]
-      when no block is large enough. *)
+  val take : 'a t -> int -> 'a
+  (** [take s pages] removes and returns the block a request for
+      [pages] pages reuses: of the smallest page count [>= pages], the
+      most recently pushed.  That is the first fit in a single list of
+      free blocks kept newest first and scanned for the smallest
+      count.  [none] when no block is large enough; builds nothing. *)
 
   val iter : ('a -> unit) -> 'a t -> unit
 end
 
 val create :
   ?trigger_min_bytes:int ->
-  ?heap_fraction:float ->
   roots:((int -> unit) -> unit) ->
   Sim.Memory.t ->
   Alloc.Allocator.t * t
@@ -58,8 +58,8 @@ val create :
     collector handle.  [roots iter] must call [iter] on every root
     word (e.g. {!Regions.Mutator.iter_roots}).  A collection runs when
     allocations since the last one exceed
-    [max trigger_min_bytes (heap_fraction * heap bytes)]
-    (defaults: 128 KB and 0.5). *)
+    [max trigger_min_bytes (heap bytes / 2)], the heap as of the last
+    collection ([trigger_min_bytes] defaults to 128 KB). *)
 
 val collect : t -> unit
 (** Force a full collection. *)

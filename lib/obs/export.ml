@@ -44,7 +44,7 @@ let int_arg n = string_of_int n
 let str_arg s = Printf.sprintf "\"%s\"" (json_escape s)
 
 let chrome_json ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
-    ?(thread_name = "mutator") ?process_sort_index t iter =
+    ?process_sort_index t iter =
   let b = Buffer.create 65536 in
   let first = ref true in
   (* Every event below inherits this export's pid, so multi-column
@@ -58,7 +58,7 @@ let chrome_json ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
   add_event b ~first ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0
     ~args:[ ("name", str_arg process_name) ];
   add_event b ~first ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0
-    ~args:[ ("name", str_arg thread_name) ];
+    ~args:[ ("name", str_arg "mutator") ];
   (match process_sort_index with
   | Some i ->
       add_event b ~first ~name:"process_sort_index" ~cat:"__metadata" ~ph:"M"

@@ -7,7 +7,6 @@
 val chrome_json :
   ?pid:int ->
   ?process_name:string ->
-  ?thread_name:string ->
   ?process_sort_index:int ->
   Tracer.t ->
   (Tracer.sink -> unit) ->
@@ -17,9 +16,9 @@ val chrome_json :
     samples as Chrome JSON Array Format, naming sites from [t]'s site
     table.  One simulated cycle maps to one trace microsecond.
 
-    [pid]/[process_name]/[thread_name] (defaults [1] /
-    ["simulated UltraSparc-I"] / ["mutator"]) name the process the
-    events land under: exporting each allocator column with its own
+    [pid]/[process_name] (defaults [1] / ["simulated UltraSparc-I"])
+    name the process the events land under, on a thread named
+    ["mutator"]: exporting each allocator column with its own
     pid and name shows labelled tracks in Perfetto instead of bare
     pids.  [process_sort_index], when given, emits the matching
     metadata record so columns keep a stable display order. *)

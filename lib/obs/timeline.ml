@@ -17,12 +17,11 @@ type t = {
 
 let null_probe () = (0, 0, 0, 0)
 
-let create ?(interval = 1) ?(capacity = 4096) () =
-  if interval < 1 then invalid_arg "Obs.Timeline.create: interval < 1";
+let create ?(capacity = 4096) () =
   if capacity < 4 then invalid_arg "Obs.Timeline.create: capacity < 4";
   {
     probe = null_probe;
-    interval;
+    interval = 1;
     capacity;
     rows = Array.make (capacity * stride) 0;
     n = 0;

@@ -24,9 +24,9 @@ type probe = unit -> int * int * int * int
     (usable sizes under malloc columns, uncollected bytes under GC),
     and bytes mapped from the simulated OS. *)
 
-val create : ?interval:int -> ?capacity:int -> unit -> t
-(** [interval] (default 1) is the initial sampling period in
-    allocation events; [capacity] (default 4096) the ring size.  The
+val create : ?capacity:int -> unit -> t
+(** A timeline that samples every allocation event until its ring of
+    [capacity] samples (default 4096) first fills.  The
     probe is attached separately by whoever owns the run
     ({!set_probe}): the replay engine builds it once the simulated
     machine exists. *)

@@ -6,9 +6,9 @@ let diverge fmt = Printf.ksprintf (fun s -> raise (Divergence s)) fmt
 
 (* The cache simulator only turns accesses into cycle/stall costs —
    mutator-side numbers replay does not reproduce — and every
-   allocator-side count is identical without it, so replays default it
-   off for speed. *)
-let run ?(with_cache = false) ?timeline reader mode =
+   allocator-side count is identical without it, so replays run with
+   it off. *)
+let run ?timeline reader mode =
   let hdr = Format.header reader in
   if Record.variant_of_mode mode <> hdr.variant then
     invalid_arg
@@ -73,7 +73,7 @@ let run ?(with_cache = false) ?timeline reader mode =
           out
         end
   in
-  let api = Api.create ~with_cache ~gc_roots mode in
+  let api = Api.create ~with_cache:false ~gc_roots mode in
   let mem = Api.memory api in
   let mut = Api.mutator api in
   (* Heap-timeline plumbing.  Held-byte accounting is incremental —

@@ -34,7 +34,6 @@ exception Divergence of string
     assumption broke — a bug, not an input error. *)
 
 val run :
-  ?with_cache:bool ->
   ?timeline:Obs.Timeline.t ->
   Format.reader ->
   Workloads.Api.mode ->
@@ -42,12 +41,10 @@ val run :
 (** [run reader mode] replays the trace against [mode] and collects
     results, carrying the recorded run's summary line.
 
-    [with_cache] defaults to [false]: the cache simulator only prices
-    accesses into cycles and stalls — mutator-side numbers a replay
-    does not reproduce anyway — while every allocator-side count is
-    identical with it off, so replays skip it and run substantially
-    faster.  Pass [~with_cache:true] to mirror a full run's machine
-    configuration exactly.
+    The replay's machine runs without the cache simulator, which only
+    prices accesses into cycles and stalls — mutator-side numbers a
+    replay does not reproduce anyway.  Every allocator-side count is
+    identical without it, and replays run substantially faster.
 
     [timeline] attaches a heap profiler ({!Obs.Timeline}): the replay
     installs a probe over the facade's requested stats, the manager's

@@ -115,26 +115,42 @@ let tracer_sink tr mode =
     site = (fun name f -> Obs.Tracer.site tr name f);
   }
 
-(* An emulated region's objects: their number and word-rounded bytes,
-   released from [req] in one step when the region is deleted. *)
-type emu_region = { mutable objects : int; mutable bytes : int }
+(* The one manager a facade drives.  Only [Malloc]'s allocator table
+   records exactly the program's mallocs and frees, so it is the
+   requested table: one address table per block, not two.  The
+   collector's frees land at sweeps, so its logical frees go to a
+   table of its own; the emulation keeps its own books; and the region
+   library's objects leave [req] only after the sink has seen their
+   delete (see {!deleteregion}), so that table is the facade's too. *)
+type manager =
+  | Malloc of Alloc.Allocator.t  (* Sun, BSD, Lea *)
+  | Collector of { alloc : Alloc.Allocator.t; req : Alloc.Stats.t }
+  | Emulator of Regions.Emulation.t
+  | Library of { lib : Regions.Region.t; req : Alloc.Stats.t }
 
 type t = {
   mode : mode;
   mem : Sim.Memory.t;
   cost : Sim.Cost.t;  (* [Sim.Memory.cost mem] *)
   mut : Regions.Mutator.t;
-  alloc : Alloc.Allocator.t option;  (* Direct and Emulated *)
-  gc : Gcsim.Boehm.t option;
-  emu : Regions.Emulation.t option;
-  reg : Regions.Region.t option;
-  req : Alloc.Stats.t;  (* program-requested accounting *)
-  emu_regions : emu_region Alloc.Int_table.t;  (* Emulated only *)
-  mutable emu_overhead : int;  (* current bytes of emulation bookkeeping *)
-  mutable emu_overhead_max : int;
+  manager : manager;
   root_providers : ((int -> unit) -> unit) list ref;
   sink : sink option;
 }
+
+let requested_stats t =
+  match t.manager with
+  | Malloc a -> a.Alloc.Allocator.stats
+  | Collector { req; _ } | Library { req; _ } -> req
+  | Emulator e -> Regions.Emulation.requested e
+
+let os_bytes t =
+  match t.manager with
+  | Malloc a | Collector { alloc = a; _ } ->
+      Alloc.Stats.os_bytes a.Alloc.Allocator.stats
+  | Emulator e ->
+      Alloc.Stats.os_bytes (Regions.Emulation.allocator e).Alloc.Allocator.stats
+  | Library { lib; _ } -> Regions.Region.os_bytes lib
 
 (* The tracer's counter snapshot.  It reads counters without charging
    the simulation: the sampler and profiler are observers, never
@@ -150,19 +166,13 @@ let probe t () =
           Sim.Cache.stores ca )
     | None -> (0, 0, 0, 0)
   in
-  let os_bytes =
-    match (t.alloc, t.reg) with
-    | Some a, _ -> Alloc.Stats.os_bytes a.Alloc.Allocator.stats
-    | None, Some lib -> Regions.Region.os_bytes lib
-    | None, None -> 0
-  in
   {
     Obs.Sampler.base_instrs = Sim.Cost.base_instrs c;
     mem_instrs = Sim.Cost.memory_instrs c;
     read_stalls = Sim.Cost.read_stall_cycles c;
     write_stalls = Sim.Cost.write_stall_cycles c;
-    live_bytes = Alloc.Stats.live_bytes t.req;
-    os_bytes;
+    live_bytes = Alloc.Stats.live_bytes (requested_stats t);
+    os_bytes = os_bytes t;
     l1_hits;
     l1_misses;
     l2_misses;
@@ -210,38 +220,24 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
             s.on_gc_roots arr;
             Array.iter f arr)
   in
-  let make_backend = function
-    | Sun -> (Some (Alloc.Sun.create mem), None)
-    | Bsd -> (Some (Alloc.Bsd.create mem), None)
-    | Lea -> (Some (Alloc.Lea.create mem), None)
-    | Gc ->
-        let a, g = Gcsim.Boehm.create ~roots mem in
-        (Some a, Some g)
+  let allocator = function
+    | Sun -> Alloc.Sun.create mem
+    | Bsd -> Alloc.Bsd.create mem
+    | Lea -> Alloc.Lea.create mem
+    | Gc -> fst (Gcsim.Boehm.create ~roots mem)
   in
-  let alloc, gc, emu, reg =
+  let manager =
     match mode with
-    | Direct b ->
-        let a, g = make_backend b in
-        (a, g, None, None)
-    | Emulated b ->
-        let a, g = make_backend b in
-        (a, g, Some (Regions.Emulation.create (Option.get a)), None)
+    | Direct Gc -> Collector { alloc = allocator Gc; req = Alloc.Stats.create () }
+    | Direct b -> Malloc (allocator b)
+    | Emulated b -> Emulator (Regions.Emulation.create (allocator b))
     | Region { safe } ->
         let cleanups = Regions.Cleanup.create () in
-        ( None,
-          None,
-          None,
-          Some (Regions.Region.create ~safe ~offset_regions cleanups mut) )
-  in
-  (* Under Sun, Bsd and Lea the allocator's own table records exactly
-     the program's mallocs and frees, so it is [req]: one address table
-     per block, not two.  The collector's frees land at sweeps, and the
-     region and emulated modes count region objects by group, so those
-     keep a table of their own. *)
-  let req =
-    match (mode, alloc) with
-    | Direct (Sun | Bsd | Lea), Some a -> a.Alloc.Allocator.stats
-    | _ -> Alloc.Stats.create ()
+        Library
+          {
+            lib = Regions.Region.create ~safe ~offset_regions cleanups mut;
+            req = Alloc.Stats.create ();
+          }
   in
   let t =
     {
@@ -249,14 +245,7 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
       mem;
       cost = Sim.Memory.cost mem;
       mut;
-      alloc;
-      gc;
-      emu;
-      reg;
-      req;
-      emu_regions = Alloc.Int_table.create 64;
-      emu_overhead = 0;
-      emu_overhead_max = 0;
+      manager;
       root_providers = providers;
       sink;
     }
@@ -323,9 +312,9 @@ let clear t addr bytes =
   match t.sink with Some s -> s.on_clear ~addr ~bytes | None -> ()
 
 let store_ptr t ~addr v =
-  (match t.reg with
-  | Some lib -> Regions.Region.write_ptr lib ~addr v
-  | None -> Sim.Memory.store t.mem addr v);
+  (match t.manager with
+  | Library { lib; _ } -> Regions.Region.write_ptr lib ~addr v
+  | Malloc _ | Collector _ | Emulator _ -> Sim.Memory.store t.mem addr v);
   match t.sink with Some s -> s.on_store_ptr ~addr v | None -> ()
 
 let[@inline] work t n =
@@ -348,9 +337,9 @@ let set_local t fr i v =
   | None -> ()
 
 let set_local_ptr t fr i v =
-  (match t.reg with
-  | Some lib -> Regions.Region.set_local_ptr lib fr i v
-  | None -> Regions.Mutator.set_local t.mut fr i v);
+  (match t.manager with
+  | Library { lib; _ } -> Regions.Region.set_local_ptr lib fr i v
+  | Malloc _ | Collector _ | Emulator _ -> Regions.Mutator.set_local t.mut fr i v);
   match t.sink with
   | Some s -> s.on_set_local_ptr ~frame:(frame_index t fr) ~slot:i v
   | None -> ()
@@ -366,9 +355,9 @@ let get_local = Regions.Mutator.get_local
    legacy) exactly. *)
 
 let enable_bump t =
-  (match t.reg with
-  | Some lib -> Regions.Region.enable_bump lib
-  | None -> ());
+  (match t.manager with
+  | Library { lib; _ } -> Regions.Region.enable_bump lib
+  | Malloc _ | Collector _ | Emulator _ -> ());
   match t.sink with
   | Some s ->
       s.on_set_mutator ~mid:(Regions.Mutator.current_id t.mut) ~bump:true
@@ -376,16 +365,16 @@ let enable_bump t =
 
 let set_mutator t mid =
   Regions.Mutator.set_current_id t.mut mid;
-  (match t.reg with
-  | Some lib -> Regions.Region.set_mutator lib mid
-  | None -> ());
+  (match t.manager with
+  | Library { lib; _ } -> Regions.Region.set_mutator lib mid
+  | Malloc _ | Collector _ | Emulator _ -> ());
   match t.sink with
   | Some s ->
       s.on_set_mutator ~mid
         ~bump:
-          (match t.reg with
-          | Some lib -> Regions.Region.bump_active lib
-          | None -> false)
+          (match t.manager with
+          | Library { lib; _ } -> Regions.Region.bump_active lib
+          | Malloc _ | Collector _ | Emulator _ -> false)
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -394,110 +383,84 @@ let set_mutator t mid =
 let unsupported t what =
   invalid_arg (Fmt.str "%s is not available in mode %s" what (mode_name t.mode))
 
-(* Where [t.req] is the allocator's own table (see {!create}), the
-   allocator's malloc and free update it themselves. *)
 let malloc t size =
-  match (t.mode, t.alloc) with
-  | Direct _, Some a ->
-      let p = a.Alloc.Allocator.malloc size in
-      if t.req != a.Alloc.Allocator.stats then Alloc.Stats.on_alloc t.req ~addr:p ~size;
-      (match t.sink with Some s -> s.on_malloc ~size ~addr:p | None -> ());
-      p
-  | _ -> unsupported t "malloc"
+  let p =
+    match t.manager with
+    | Malloc a -> a.Alloc.Allocator.malloc size
+    | Collector { alloc; req } ->
+        let p = alloc.Alloc.Allocator.malloc size in
+        Alloc.Stats.on_alloc req ~addr:p ~size;
+        p
+    | Emulator _ | Library _ -> unsupported t "malloc"
+  in
+  (match t.sink with Some s -> s.on_malloc ~size ~addr:p | None -> ());
+  p
 
 let free t addr =
-  (match (t.mode, t.alloc) with
-  | Direct Gc, Some _ ->
+  (match t.manager with
+  | Malloc a -> a.Alloc.Allocator.free addr
+  | Collector { req; _ } ->
       (* Frees are compiled out under the collector; only the logical
          accounting proceeds. *)
-      Alloc.Stats.on_free t.req addr
-  | Direct _, Some a ->
-      a.Alloc.Allocator.free addr;
-      if t.req != a.Alloc.Allocator.stats then Alloc.Stats.on_free t.req addr
-  | _ -> unsupported t "free");
+      Alloc.Stats.on_free req addr
+  | Emulator _ | Library _ -> unsupported t "free");
   match t.sink with Some s -> s.on_free ~addr | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Regions *)
 
-let bump_emu_overhead t bytes =
-  t.emu_overhead <- t.emu_overhead + bytes;
-  if t.emu_overhead > t.emu_overhead_max then t.emu_overhead_max <- t.emu_overhead
-
-(* Region objects are only ever freed with their region, so [req]
-   records them without their addresses (see {!deleteregion}). *)
-let track_emu_object t r size =
-  Alloc.Stats.on_group_alloc t.req size;
-  let bytes = (size + 3) land lnot 3 in
-  (match Alloc.Int_table.find t.emu_regions r with
-  | e ->
-      e.objects <- e.objects + 1;
-      e.bytes <- e.bytes + bytes
-  | exception Not_found ->
-      Alloc.Int_table.replace t.emu_regions r { objects = 1; bytes });
-  bump_emu_overhead t Regions.Emulation.overhead_per_object
+(* Region objects are only ever freed with their region, so the
+   region library's [req] records them without their addresses (see
+   {!deleteregion}); the emulation keeps its own books. *)
 
 let newregion t =
   let r =
-    match (t.reg, t.emu) with
-    | Some lib, _ -> Regions.Region.newregion lib
-    | None, Some emu ->
-        let r = Regions.Emulation.newregion emu in
-        bump_emu_overhead t 12 (* region record + its malloc header *);
-        r
-    | None, None -> unsupported t "newregion"
+    match t.manager with
+    | Library { lib; _ } -> Regions.Region.newregion lib
+    | Emulator e -> Regions.Emulation.newregion e
+    | Malloc _ | Collector _ -> unsupported t "newregion"
   in
   (match t.sink with Some s -> s.on_newregion ~r | None -> ());
   r
 
 let ralloc t r layout =
   let p =
-    match (t.reg, t.emu) with
-    | Some lib, _ ->
+    match t.manager with
+    | Library { lib; req } ->
         let p = Regions.Region.ralloc lib r layout in
-        Alloc.Stats.on_group_alloc t.req layout.Regions.Cleanup.size_bytes;
+        Alloc.Stats.on_group_alloc req layout.Regions.Cleanup.size_bytes;
         p
-    | None, Some emu ->
-        let p =
-          Regions.Emulation.ralloc emu r layout.Regions.Cleanup.size_bytes
-        in
-        track_emu_object t r layout.Regions.Cleanup.size_bytes;
-        p
-    | None, None -> unsupported t "ralloc"
+    | Emulator e ->
+        Regions.Emulation.ralloc e r layout.Regions.Cleanup.size_bytes
+    | Malloc _ | Collector _ -> unsupported t "ralloc"
   in
   (match t.sink with Some s -> s.on_ralloc ~r ~layout ~addr:p | None -> ());
   p
 
 let rstralloc t r size =
   let p =
-    match (t.reg, t.emu) with
-    | Some lib, _ ->
+    match t.manager with
+    | Library { lib; req } ->
         let p = Regions.Region.rstralloc lib r size in
-        Alloc.Stats.on_group_alloc t.req size;
+        Alloc.Stats.on_group_alloc req size;
         p
-    | None, Some emu ->
-        let p = Regions.Emulation.rstralloc emu r size in
-        track_emu_object t r size;
-        p
-    | None, None -> unsupported t "rstralloc"
+    | Emulator e -> Regions.Emulation.rstralloc e r size
+    | Malloc _ | Collector _ -> unsupported t "rstralloc"
   in
   (match t.sink with Some s -> s.on_rstralloc ~r ~size ~addr:p | None -> ());
   p
 
+(* An emulated array takes whole strides, as its malloc would. *)
 let rarrayalloc t r ~n layout =
   let p =
-    match (t.reg, t.emu) with
-    | Some lib, _ ->
+    match t.manager with
+    | Library { lib; req } ->
         let p = Regions.Region.rarrayalloc lib r ~n layout in
-        Alloc.Stats.on_group_alloc t.req
-          (n * layout.Regions.Cleanup.size_bytes);
+        Alloc.Stats.on_group_alloc req (n * layout.Regions.Cleanup.size_bytes);
         p
-    | None, Some emu ->
-        let bytes = n * Regions.Cleanup.stride layout in
-        let p = Regions.Emulation.ralloc emu r bytes in
-        track_emu_object t r bytes;
-        p
-    | None, None -> unsupported t "rarrayalloc"
+    | Emulator e ->
+        Regions.Emulation.ralloc e r (n * Regions.Cleanup.stride layout)
+    | Malloc _ | Collector _ -> unsupported t "rarrayalloc"
   in
   (match t.sink with
   | Some s -> s.on_rarrayalloc ~r ~n ~layout ~addr:p
@@ -511,56 +474,51 @@ let observe_delete t fr slot r ok =
   | Some s -> s.on_deleteregion ~frame:(frame_index t fr) ~slot ~r ~ok
   | None -> ()
 
-(* A deleted region's objects leave [req] in one step: under [Region]
+(* Under [Library] a deleted region's objects leave [req] in one step,
    with the library's own per-region counts (read before the delete,
-   which drops them), emulated with [emu_regions].  Under [Region] the
-   sink sees the delete before [req] drops the objects, so a sample it
-   takes reads the live bytes the delete itself ran with. *)
+   which drops them), and only after the sink has seen the delete, so
+   a sample it takes reads the live bytes the delete itself ran with.
+   The emulation releases its objects inside its delete. *)
 let deleteregion t fr slot =
-  match (t.reg, t.emu) with
-  | Some lib, _ ->
+  match t.manager with
+  | Library { lib; req } ->
       let r = Regions.Mutator.get_local fr slot in
       let counts = Regions.Region.counts lib r in
       let ok = Regions.Region.deleteregion lib (Regions.Region.In_frame (fr, slot)) in
       observe_delete t fr slot r ok;
       (match counts with
       | Some c when ok ->
-          Alloc.Stats.on_group_free t.req ~count:c.allocs ~bytes:c.bytes
+          Alloc.Stats.on_group_free req ~count:c.allocs ~bytes:c.bytes
       | _ -> ());
       ok
-  | None, Some emu ->
+  | Emulator e ->
       let r = Regions.Mutator.get_local fr slot in
-      Regions.Emulation.deleteregion emu r;
-      let objects =
-        match Alloc.Int_table.find_opt t.emu_regions r with
-        | Some e ->
-            Alloc.Stats.on_group_free t.req ~count:e.objects ~bytes:e.bytes;
-            Alloc.Int_table.remove t.emu_regions r;
-            e.objects
-        | None -> 0
-      in
-      t.emu_overhead <-
-        t.emu_overhead - 12 - (objects * Regions.Emulation.overhead_per_object);
+      Regions.Emulation.deleteregion e r;
       Regions.Mutator.set_local t.mut fr slot 0;
       observe_delete t fr slot r true;
       true
-  | None, None -> unsupported t "deleteregion"
+  | Malloc _ | Collector _ -> unsupported t "deleteregion"
 
 (* ------------------------------------------------------------------ *)
 (* Measurement *)
 
-let requested_stats t = t.req
+let region_lib t =
+  match t.manager with
+  | Library { lib; _ } -> Some lib
+  | Malloc _ | Collector _ | Emulator _ -> None
 
-let os_bytes t =
-  match (t.mode, t.alloc, t.reg) with
-  | _, Some a, _ -> Alloc.Stats.os_bytes a.Alloc.Allocator.stats
-  | _, None, Some lib -> Regions.Region.os_bytes lib
-  | _, None, None -> 0
+let region_rstats t = Option.map Regions.Region.rstats (region_lib t)
 
-let region_rstats t = Option.map Regions.Region.rstats t.reg
-let emulation_overhead_bytes t = t.emu_overhead_max
-let allocator t = t.alloc
-let region_lib t = t.reg
+let emulation_overhead_bytes t =
+  match t.manager with
+  | Emulator e -> Regions.Emulation.max_overhead_bytes e
+  | Malloc _ | Collector _ | Library _ -> 0
+
+let allocator t =
+  match t.manager with
+  | Malloc a | Collector { alloc = a; _ } -> Some a
+  | Emulator e -> Some (Regions.Emulation.allocator e)
+  | Library _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Observability *)

@@ -13,9 +13,14 @@
       region-based benchmarks mudlle and lcc);
     - [Region { safe }] — the real region library, safe or unsafe.
 
-    The facade also tracks what the {e program} requested
-    ({!requested_stats}) independently of what the manager consumed,
-    which is the "requested" bar of Figure 8. *)
+    A facade holds exactly one manager, chosen by its mode.  It also
+    reports what the {e program} requested ({!requested_stats})
+    independently of what the manager consumed, which is the
+    "requested" bar of Figure 8.  Who keeps that table depends on the
+    manager: Sun, BSD and Lea keep it as their own allocator stats;
+    the emulation library keeps the emulated columns' (with their
+    per-region counts and overhead); the facade keeps one only for the
+    collector and the region library. *)
 
 type backend = Sun | Bsd | Lea | Gc
 
@@ -197,9 +202,11 @@ val requested_stats : t -> Alloc.Stats.t
     Under [Direct Sun], [Direct Bsd] and [Direct Lea] this is the
     allocator's own [stats] (its [os_bytes] included), since that
     table records exactly the program's mallocs and frees: each block
-    has one address-table entry, not two.  Under the collector, whose
-    frees land at sweeps, and under the region and emulated modes,
-    which count region objects by group, it is a table of its own. *)
+    has one address-table entry, not two.  Under [Emulated] it is
+    {!Regions.Emulation.requested}, which counts region objects by
+    group.  Under the collector, whose frees land at sweeps, and under
+    [Region], whose objects leave it only after the sink has seen
+    their delete, it is the facade's own table. *)
 
 val os_bytes : t -> int
 (** Memory requested from the OS by the manager (Figure 8), including
@@ -214,6 +221,11 @@ val emulation_overhead_bytes : t -> int
     Figure 8.  Zero in other modes. *)
 
 val allocator : t -> Alloc.Allocator.t option
+(** The malloc the manager runs on: the allocator itself under
+    [Direct], the malloc the regions are emulated over under
+    [Emulated]; [None] under [Region].  Its [stats] count what that
+    malloc handed out, emulation records and links included. *)
+
 val region_lib : t -> Regions.Region.t option
 
 (** {1 Observability} *)

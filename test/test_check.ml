@@ -165,10 +165,12 @@ let test_shrink_rejects_passing_trace () =
 (* Fault injection *)
 
 let test_fault_injection_all_targets () =
+  let plan = Fault.Plan.make [ Fault.Plan.Page_budget 64 ] in
   List.iter
     (fun t ->
-      match Check.Fuzz.fault_injection t ~page_budget:64 with
-      | Ok () -> ()
+      match Check.Fuzz.fault_plan_injection t ~plan ~ops:2000 with
+      | Ok (0, _) -> Alcotest.fail (t.Check.Fuzz.label ^ ": never hit the page budget")
+      | Ok _ -> ()
       | Error m -> Alcotest.fail (t.Check.Fuzz.label ^ ": " ^ m))
     (Check.Fuzz.targets ())
 

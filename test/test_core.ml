@@ -916,12 +916,15 @@ let test_emulation_basics () =
   Sim.Memory.store mem p 9;
   let q = Regions.Emulation.ralloc emu r 40 in
   check_bool "distinct" true (p <> q);
-  check "live regions" 1 (Regions.Emulation.live_regions emu);
+  let req = Regions.Emulation.requested emu in
+  check "requested" 80 (Alloc.Stats.live_bytes req);
+  check "overhead" (12 + (2 * 8)) (Regions.Emulation.max_overhead_bytes emu);
   let live_before = Alloc.Stats.live_bytes a.Alloc.Allocator.stats in
   check_bool "overhead visible" true (live_before >= 2 * (40 + 8));
   Regions.Emulation.deleteregion emu r;
   check "all freed" 0 (Alloc.Stats.live_bytes a.Alloc.Allocator.stats);
-  check "no live regions" 0 (Regions.Emulation.live_regions emu)
+  check "requested freed" 0 (Alloc.Stats.live_bytes req);
+  check "frees" 2 (Alloc.Stats.frees req)
 
 let test_emulation_frees_everything () =
   let mem = Sim.Memory.create ~with_cache:false () in

@@ -415,21 +415,22 @@ let qcheck_free_large_matches_list =
     QCheck.(list (pair bool (int_range 1 12)))
     (fun ops ->
       let module F = Gcsim.Boehm.Free_large in
-      let rec go id store list = function
+      let store = F.create ~none:(-1) in
+      let rec go id list = function
         | [] ->
             let left = ref [] in
             F.iter (fun b -> left := b :: !left) store;
             List.sort compare !left = List.sort compare (List.map snd list)
         | (true, pages) :: ops ->
-            go (id + 1) (F.push pages id store) ((pages, id) :: list) ops
+            F.push store pages id;
+            go (id + 1) ((pages, id) :: list) ops
         | (false, pages) :: ops -> (
-            match (F.take pages store, list_take pages list) with
-            | None, None -> go id store list ops
-            | Some (b, store), Some (b', list) ->
-                b = b' && go id store list ops
-            | Some _, None | None, Some _ -> false)
+            match (F.take store pages, list_take pages list) with
+            | -1, None -> go id list ops
+            | b, Some (b', list) -> b = b' && go id list ops
+            | _, None -> false)
       in
-      go 0 F.empty [] ops)
+      go 0 [] ops)
 
 (* A heavy-tailed malloc trace: nearly every allocation is large, up
    to ~170 free large blocks are held at once, and 30 000 objects

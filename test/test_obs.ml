@@ -483,11 +483,11 @@ let test_chrome_json_custom_process () =
   let tr, iter = golden_scenario () in
   let j =
     Obs.Export.chrome_json ~pid:7 ~process_name:"column A"
-      ~thread_name:"replayer" ~process_sort_index:7 tr iter
+      ~process_sort_index:7 tr iter
   in
   check_bool "events carry the pid" true (contains j "\"pid\":7");
   check_bool "process name" true (contains j "\"name\":\"column A\"");
-  check_bool "thread name" true (contains j "\"name\":\"replayer\"");
+  check_bool "thread name" true (contains j "\"name\":\"mutator\"");
   check_bool "sort index record" true (contains j "\"sort_index\":7");
   check_bool "default export omits sort index" false
     (contains (Obs.Export.chrome_json tr iter) "process_sort_index")

@@ -281,15 +281,41 @@ let test_malloc_workloads_free_everything () =
 (* ------------------------------------------------------------------ *)
 (* Api mode plumbing *)
 
+(* Every mode against every allocation operation: malloc and free work
+   in the direct modes, the region operations in the emulated and
+   region modes, and everything else raises [Invalid_argument] naming
+   the mode. *)
 let test_api_unsupported_ops () =
-  let direct = quick_api ~mode:(Workloads.Api.Direct Workloads.Api.Sun) () in
-  (match Workloads.Api.newregion direct with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  let region = quick_api () in
-  match Workloads.Api.malloc region 8 with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
+  let open Workloads.Api in
+  let layout = Regions.Cleanup.layout ~size_bytes:12 ~ptr_offsets:[ 4 ] in
+  List.iter
+    (fun mode ->
+      let api = quick_api ~mode () in
+      let name = mode_name mode in
+      let regions = kind api = `Region in
+      with_frame api ~nslots:1 ~ptr_slots:[ 0 ] (fun fr ->
+          let expect what works f =
+            match f () with
+            | () -> if not works then Alcotest.failf "%s: %s accepted" name what
+            | exception Invalid_argument m ->
+                if works then Alcotest.failf "%s: %s rejected: %s" name what m
+                else if not (String.ends_with ~suffix:("mode " ^ name) m) then
+                  Alcotest.failf "%s: %s rejected without naming the mode: %s"
+                    name what m
+          in
+          let p = ref 0 and r = ref 0 in
+          expect "malloc" (not regions) (fun () -> p := malloc api 16);
+          expect "free" (not regions) (fun () -> free api !p);
+          expect "newregion" regions (fun () ->
+              r := newregion api;
+              set_local_ptr api fr 0 !r);
+          expect "ralloc" regions (fun () -> ignore (ralloc api !r layout));
+          expect "rstralloc" regions (fun () -> ignore (rstralloc api !r 10));
+          expect "rarrayalloc" regions (fun () ->
+              ignore (rarrayalloc api !r ~n:3 layout));
+          expect "deleteregion" regions (fun () ->
+              check_bool (name ^ ": deleted") true (deleteregion api fr 0))))
+    all_modes
 
 let test_api_gc_free_is_logical () =
   let api = quick_api ~mode:(Workloads.Api.Direct Workloads.Api.Gc) () in
