@@ -42,15 +42,17 @@ let render_section m s =
 
 (* The block renderers of one regeneration over [m]: the sections, then
    the blocks no experiment prints.  The gentraces and timeline blocks
-   share one set of generated-trace replays. *)
+   share one set of generated-trace replays, and the mutators and
+   bumppath blocks one server engine run per mutator count. *)
 let blocks m : (string * (unit -> string)) list =
   let gen = lazy (Gentraces.replays m) in
+  let server = Mutators.servers m in
   List.map (fun s -> (s.id, fun () -> render_section m s)) sections
   @ [
       ("gentraces", fun () -> Gentraces.md (Lazy.force gen));
       ("timeline", fun () -> Gentraces.timeline_md (Lazy.force gen));
-      ("mutators", fun () -> Mutators.md m);
-      ("bumppath", fun () -> Bumppath.md m);
+      ("mutators", fun () -> Mutators.md m server);
+      ("bumppath", fun () -> Bumppath.md m server);
     ]
 
 (* Naive substring search — the documents are tens of kilobytes. *)

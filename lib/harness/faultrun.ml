@@ -10,10 +10,7 @@ type outcome = {
   seed : int;
   status : status;
   heap : (string * string * bool) list;
-  events : int;
-  denials : int;
-  flips : int;
-  pages : int;
+  injection : string;
 }
 
 let heap_checks api =
@@ -36,29 +33,23 @@ let graceful o =
   (match o.status with Completed _ | Faulted _ -> true | Crashed _ -> false)
   && List.for_all (fun (_, _, ok) -> ok) o.heap
 
-let run ?pick ~plan spec mode size =
-  let api = Workloads.Api.create ~with_cache:true mode in
-  Fault.Inject.with_plan ?pick ~plan (Workloads.Api.memory api) (fun inj ->
-      let status =
-        match spec.Workloads.Workload.run api size with
-        | summary -> Completed summary
-        | exception Sim.Memory.Fault msg -> Faulted msg
-        | exception e -> Crashed (Printexc.to_string e)
-      in
-      (* The heap walk runs while the injector is still installed but
-         uses cost-free peeks only — no map_pages, so no plan events. *)
-      {
-        workload = spec.Workloads.Workload.name;
-        mode = Workloads.Api.mode_name mode;
-        plan = Fault.Plan.to_string plan;
-        seed = Fault.Plan.seed plan;
-        status;
-        heap = heap_checks api;
-        events = Fault.Inject.events inj;
-        denials = Fault.Inject.denials inj;
-        flips = Fault.Inject.flips inj;
-        pages = Fault.Inject.pages_granted inj;
-      })
+(* The heap walk runs after the plan's hooks are off, on cost-free
+   peeks only: it maps no page, so the plan would have seen no event. *)
+let run ?observer ~plan spec mode size =
+  let r = Workloads.Workload.run ?observer ~plan spec mode size in
+  {
+    workload = r.Workloads.Workload.workload;
+    mode = Workloads.Api.mode_name mode;
+    plan = Fault.Plan.to_string plan;
+    seed = Fault.Plan.seed plan;
+    status =
+      (match r.Workloads.Workload.outcome with
+      | Ok summary -> Completed summary
+      | Error (Sim.Memory.Fault msg, _) -> Faulted msg
+      | Error (e, _) -> Crashed (Printexc.to_string e));
+    heap = heap_checks r.Workloads.Workload.api;
+    injection = Fault.Inject.summary (Option.get r.Workloads.Workload.injected);
+  }
 
 let pp_status ppf = function
   | Completed s -> Fmt.pf ppf "completed: %s" s
@@ -66,10 +57,10 @@ let pp_status ppf = function
   | Crashed s -> Fmt.pf ppf "CRASHED: %s" s
 
 let pp_outcome ppf o =
-  Fmt.pf ppf "@[<v>%s under %s  (plan %s, seed %d)@,  %a@,  injection: %d events, %d denials, %d flips, %d pages granted"
+  Fmt.pf ppf "@[<v>%s under %s  (plan %s, seed %d)@,  %a@,  injection: %s"
     o.workload o.mode
     (if o.plan = "" then "none" else o.plan)
-    o.seed pp_status o.status o.events o.denials o.flips o.pages;
+    o.seed pp_status o.status o.injection;
   List.iter
     (fun (name, report, _) -> Fmt.pf ppf "@,  heap %-8s %s" name report)
     o.heap;

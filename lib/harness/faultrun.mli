@@ -1,8 +1,8 @@
 (** Run one workload cell under a deterministic fault plan.
 
-    This is the engine behind [repro faults]: create the cell's
-    simulated machine, install the {!Fault.Plan} through
-    {!Fault.Inject}, run the workload, and report how it degraded.
+    This is the engine behind [repro faults] and its triage re-runs
+    ({!Triage}): run the cell through {!Workloads.Workload.run} with
+    the {!Fault.Plan} installed, and report how it degraded.
 
     {e Graceful degradation} means the documented contract held:
     either the workload completed despite the plan, or an injected
@@ -29,28 +29,28 @@ type outcome = {
   heap : (string * string * bool) list;
       (** post-run verdict per checkable manager structure:
           (name, report, ok) *)
-  events : int;  (** map_pages requests the plan saw *)
-  denials : int;
-  flips : int;
-  pages : int;  (** pages actually granted *)
+  injection : string;
+      (** {!Fault.Inject.summary}: map_pages requests the plan saw,
+          denials, flips, pages actually granted *)
 }
 
 val graceful : outcome -> bool
 (** Completed or cleanly faulted, {e and} every heap check passed. *)
 
-val heap_checks : Workloads.Api.t -> (string * string * bool) list
-(** Walk every checkable structure of the cell's manager
-    ([check_heap] for the allocators, {!Regions.Region.check_invariants}
-    for the region library) with cost-free reads.  Shared with
-    {!Triage}. *)
-
 val run :
-  ?pick:(u:float -> bit:int -> (int * int) option) ->
+  ?observer:Workloads.Api.observer ->
   plan:Fault.Plan.t ->
   Workloads.Workload.spec ->
   Workloads.Api.mode ->
   Workloads.Workload.size ->
   outcome
+(** [run ~plan spec mode size] runs the cell through
+    {!Workloads.Workload.run} with [plan] installed and [observer]
+    attached, classifies its outcome, and walks every checkable
+    structure of the cell's manager ([check_heap] for the allocators,
+    {!Regions.Region.check_invariants} for the region library) with
+    cost-free reads for [heap].  A pair
+    {!Workloads.Workload.check_cell} rejects raises [Invalid_argument]. *)
 
 val pp_outcome : outcome Fmt.t
 (** Multi-line human report, as printed by [repro faults]. *)

@@ -100,39 +100,45 @@ let cell_of_result ?plan t r =
   Results.Cell.make ~size:(size_name t) ~build_id:(build_id t) ~seed:t.seed
     ~plan r
 
-let cached_cell t ~workload ~mode_name ~plan =
+(* The cell cached under [plan] in the disk cache, or [compute ()]
+   stored there.  A traced cell is always executed (the artefact
+   family must be produced), never served from the disk cache; its
+   result is still stored, because traced and untraced measurements
+   are identical by construction. *)
+let cached t spec mode ~plan compute =
   match t.disk with
-  | Some disk when not t.refresh ->
-      Results.Cache.find disk ~workload ~mode:mode_name ~size:(size_name t)
-        ~seed:t.seed ~plan
-  | _ -> None
-
-let cell_store t ~plan r =
-  match t.disk with
-  | Some disk -> Results.Cache.store disk (cell_of_result ~plan t r)
-  | None -> ()
-
-let note_hit t = if t.disk <> None then Atomic.incr t.hits
-let note_miss t = if t.disk <> None then Atomic.incr t.misses
-
-(* Full execution of one cell (no replay).  Under a fault plan the
-   injector is installed around the run, exactly as [Faultrun] does —
-   the plan is part of the cell's cache address, so planned and plain
-   cells never collide. *)
-let execute_cell t spec mode =
-  match (t.plan, t.trace_dir) with
-  | Some (plan, _), _ ->
-      let api = Workloads.Api.create ~with_cache:true mode in
-      Fault.Inject.with_plan ~plan (Workloads.Api.memory api) (fun _ ->
-          let summary = spec.Workloads.Workload.run api t.size in
-          Workloads.Results.collect api
-            ~workload:spec.Workloads.Workload.name ~summary)
-  | None, Some dir ->
-      let r, _, _ =
-        Tracefiles.run_traced ~out:dir spec mode t.size
+  | None -> compute ()
+  | Some disk -> (
+      let lookup =
+        if t.refresh || t.trace_dir <> None then None
+        else
+          Results.Cache.find disk ~workload:spec.Workloads.Workload.name
+            ~mode:(Workloads.Api.mode_name mode) ~size:(size_name t)
+            ~seed:t.seed ~plan
       in
+      match lookup with
+      | Some c ->
+          Atomic.incr t.hits;
+          c.Results.Cell.result
+      | None ->
+          Atomic.incr t.misses;
+          let r = compute () in
+          Results.Cache.store disk (cell_of_result ~plan t r);
+          r)
+
+(* Full execution of one cell (no replay).  Tracing is pure
+   observation (the test suite proves simulated counts are identical
+   with it on), so traced cells yield the same results — and
+   byte-identical reports.  A fault plan is part of the cell's cache
+   address, so planned and plain cells never collide. *)
+let execute_cell t spec mode =
+  match t.trace_dir with
+  | Some dir ->
+      let r, _, _ = Tracefiles.run_traced ~out:dir spec mode t.size in
       r
-  | None, None -> Workloads.Workload.run_collect spec mode t.size
+  | None ->
+      Workloads.Workload.(
+        collect (run ?plan:(Option.map fst t.plan) spec mode t.size))
 
 (* ---- record-once / replay-per-column ------------------------------ *)
 
@@ -215,78 +221,33 @@ let trace_has_consumers (spec : Workloads.Workload.spec) mode variant =
    every other column replays the variant's trace, cached under the
    [replay] plan. *)
 let replay_cell t spec mode =
-  let workload = spec.Workloads.Workload.name
-  and mode_name = Workloads.Api.mode_name mode
-  and variant = Trace.Record.variant_of_mode mode in
+  let variant = Trace.Record.variant_of_mode mode in
   if is_recording_mode mode then
-    match cached_cell t ~workload ~mode_name ~plan:(plan_string t) with
-    | Some c ->
-        note_hit t;
-        c.Results.Cell.result
-    | None ->
-        note_miss t;
-        let r =
-          if not (trace_has_consumers spec mode variant) then
-            execute_cell t spec mode
-          else
-            let _, recorded = ensure_trace t spec variant in
-            match recorded with
-            | Some r -> r
-            | None ->
-                (* the trace survived from an earlier process but its
-                   recording cell did not: run the cell normally *)
-                execute_cell t spec mode
+    cached t spec mode ~plan:(plan_string t) (fun () ->
+        let recorded =
+          if trace_has_consumers spec mode variant then
+            snd (ensure_trace t spec variant)
+          else None
         in
-        cell_store t ~plan:(plan_string t) r;
-        r
+        (* [None] also when the trace survived from an earlier process
+           but its recording cell did not: run the cell normally *)
+        match recorded with Some r -> r | None -> execute_cell t spec mode)
   else
-    match cached_cell t ~workload ~mode_name ~plan:replay_plan with
-    | Some c ->
-        note_hit t;
-        c.Results.Cell.result
-    | None ->
-        note_miss t;
+    cached t spec mode ~plan:replay_plan (fun () ->
         let path, _ = ensure_trace t spec variant in
         let reader =
           match Trace.Format.open_file path with
           | Ok rd -> rd
           | Error msg ->
-              Fmt.failwith "unreadable trace for %s/%s: %s" workload variant
-                msg
+              Fmt.failwith "unreadable trace for %s/%s: %s"
+                spec.Workloads.Workload.name variant msg
         in
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Trace.Format.close reader)
-            (fun () -> Trace.Replay.run reader mode)
-        in
-        cell_store t ~plan:replay_plan r;
-        r
+        Fun.protect
+          ~finally:(fun () -> Trace.Format.close reader)
+          (fun () -> Trace.Replay.run reader mode))
 
-(* Tracing is pure observation (the test suite proves simulated counts
-   are identical with it on), so traced cells still yield the same
-   memoised results — and byte-identical reports.  A traced cell is
-   always executed (the artefact family must be produced), never
-   served from the disk cache; its result is still stored, because
-   traced and untraced measurements are identical by construction. *)
 let plain_cell t spec mode =
-  let workload = spec.Workloads.Workload.name
-  and mode_name = Workloads.Api.mode_name mode in
-  match t.disk with
-  | None -> execute_cell t spec mode
-  | Some _ -> (
-      let lookup =
-        if t.trace_dir <> None then None
-        else cached_cell t ~workload ~mode_name ~plan:(plan_string t)
-      in
-      match lookup with
-      | Some c ->
-          note_hit t;
-          c.Results.Cell.result
-      | None ->
-          note_miss t;
-          let r = execute_cell t spec mode in
-          cell_store t ~plan:(plan_string t) r;
-          r)
+  cached t spec mode ~plan:(plan_string t) (fun () -> execute_cell t spec mode)
 
 let cell t spec mode =
   if t.replay then replay_cell t spec mode else plain_cell t spec mode
@@ -556,19 +517,14 @@ let run_all ?domains ?on_cell t =
   in
   if n > 0 then begin
     let nd = min domains n in
-    if nd <= 1 then begin
-      for i = 0 to n - 1 do
-        let spec, mode = cells.(i) in
-        t.progress
-          (Fmt.str "running %s under %s ..." spec.Workloads.Workload.name
-             (Workloads.Api.mode_name mode));
-        run_cell i
-      done
-    end
-    else begin
+    if nd > 1 then
       t.progress (Fmt.str "running %d matrix cells on %d domains ..." n nd);
-      parallel_for ~domains:nd n run_cell
-    end;
+    parallel_for ~domains:nd n (fun i ->
+        if nd <= 1 then
+          t.progress
+            (Fmt.str "running %s under %s ..." (fst cells.(i)).Workloads.Workload.name
+               (Workloads.Api.mode_name (snd cells.(i))));
+        run_cell i);
     (* The memo table is written from this domain only, after every
        worker has joined: it is never touched concurrently. *)
     Array.iteri

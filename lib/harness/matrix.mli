@@ -32,13 +32,14 @@ val create :
     family must be produced — but their results are still written
     back.
 
-    [plan] (with its spec string, which becomes part of every cell's
-    cache address and provenance) runs each cell under the given fault
-    plan, installed around the run exactly as [repro faults] does;
-    [seed] is the matching provenance seed.  Planned cells are
-    first-class cache citizens: the same plan hits, a different plan
-    (or none) misses.  The serve daemon builds its planned requests'
-    matrices this way.
+    An executed cell is one call of the cell runner
+    {!Workloads.Workload.run}, traced under [trace_dir].  [plan] (with
+    its spec string, which becomes part of every cell's cache address
+    and provenance) is installed around each such run, as [repro
+    faults] does; [seed] is the matching provenance seed.  Planned
+    cells are first-class cache citizens: the same plan hits, a
+    different plan (or none) misses.  The serve daemon builds its
+    planned requests' matrices this way.
 
     [replay] switches to record-once/replay-per-column: each
     (workload, trace variant) pair is recorded at most once — that run

@@ -39,11 +39,13 @@ let spark ?(width = 24) curve =
 
 let kb n = Printf.sprintf "%.1f" (float_of_int n /. 1024.0)
 
-(* The engine run behind the scheduler-side columns: exactly the
-   params the server-N matrix cell runs with, on a fresh machine. *)
-let outcome m n =
-  let api = Api.create ~with_cache:true (Api.Region { safe = true }) in
-  Server.run api (Workload.server_params n (Matrix.size m))
+let servers m =
+  let run n =
+    let api = Api.create ~with_cache:true (Api.Region { safe = true }) in
+    Server.run api (Workload.server_params n (Matrix.size m))
+  in
+  let runs = List.map (fun n -> (n, lazy (run n))) scenario_ns in
+  fun n -> Lazy.force (List.assoc n runs)
 
 let step_shares (o : Server.outcome) =
   let total =
@@ -56,7 +58,7 @@ let step_shares (o : Server.outcome) =
       (min lo share, max hi share))
     (100.0, 0.0) o.Server.per_mutator
 
-let md m =
+let md m server =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add
@@ -78,7 +80,7 @@ let md m =
     (fun n ->
       let spec = Workload.find (Printf.sprintf "server-%d" n) in
       let r = Matrix.get m spec Matrix.region_safe in
-      let o = outcome m n in
+      let o = server n in
       let lo, hi = step_shares o in
       add "| %d | %d | %d | `%08x` | %.1f–%.1f%% | %d | %d (%d) | %d | %d | %d | %d |\n"
         n o.Server.served o.Server.handoffs
@@ -89,7 +91,7 @@ let md m =
         r.Results.cycles r.Results.alloc_instrs r.Results.refcount_instrs
         (r.Results.os_bytes / 1024))
     scenario_ns;
-  let o = outcome m detail_n in
+  let o = server detail_n in
   add
     "\nPer-mutator view at N=%d — the fairness figure.  Steps and \
      quanta are scheduler grants; the curve is the mutator's live \

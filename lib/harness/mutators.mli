@@ -5,4 +5,11 @@
     sparklines.  Fully simulated and deterministic, so it sits behind
     [repro docs --check]. *)
 
-val md : Matrix.t -> string
+val servers : Matrix.t -> int -> Workloads.Server.outcome
+(** [servers m n] is the engine run behind the scheduler-side columns
+    for [n] mutators — exactly the params the [server-n] matrix cell
+    runs with, on a fresh machine — run on first demand and shared by
+    every later call of the same [servers m]. *)
+
+val md : Matrix.t -> (int -> Workloads.Server.outcome) -> string
+(** [md m (servers m)] renders the block. *)

@@ -35,9 +35,6 @@ let write_file path contents =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-(* The time-series sampler's period, in simulated cycles. *)
-let sample_cycles = 50_000
-
 let stem (spec : Workloads.Workload.spec) mode =
   spec.Workloads.Workload.name ^ "-" ^ Workloads.Api.mode_name mode
 
@@ -57,9 +54,7 @@ let with_tracer ~out spec mode f =
   (* Every event goes straight to the spill file, so closing it on any
      exit leaves the complete ordered stream on disk. *)
   let oc = open_out_bin files.events_bin in
-  let tracer =
-    Obs.Tracer.create ~sample_interval:sample_cycles (Obs.Spill.sink oc)
-  in
+  let tracer = Obs.Tracer.create (Obs.Spill.sink oc) in
   let result =
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -73,15 +68,12 @@ let with_tracer ~out spec mode f =
      and sort index, so a directory of per-column exports opens in
      Perfetto as labelled, consistently ordered tracks. *)
   let pid =
-    let rec idx i = function
-      | [] -> 0
-      | m :: _ when m = mode -> i
-      | _ :: tl -> idx (i + 1) tl
-    in
-    1 + idx 0 Workloads.Api.all_modes
+    1
+    + Option.value ~default:0
+        (List.find_index (( = ) mode) Workloads.Api.all_modes)
   in
   write_file files.trace_json
-    (Obs.Export.chrome_json ~pid ~process_sort_index:pid
+    (Obs.Export.chrome_json ~pid
        ~process_name:(stem spec mode ^ " (simulated UltraSparc-I)")
        tracer
        (fun f -> Obs.Spill.read_file files.events_bin f));
@@ -93,4 +85,5 @@ let with_tracer ~out spec mode f =
 
 let run_traced ~out spec mode size =
   with_tracer ~out spec mode (fun tracer ->
-      Workloads.Workload.run_collect ~tracer spec mode size)
+      Workloads.Workload.(
+        collect (run ~observer:(Workloads.Api.Tracer tracer) spec mode size)))

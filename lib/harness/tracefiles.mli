@@ -7,8 +7,9 @@
       format; the tracer writes each event here as it happens);
     - [.trace.json] — Chrome [trace_event] JSON built by replaying the
       spill file, viewable in Perfetto or [chrome://tracing];
-    - [.heap.csv] — the time-series sampler rows, one per 50 000
-      simulated cycles (live bytes, mapped bytes,
+    - [.heap.csv] — the time-series sampler rows, one per
+      {!Obs.Sampler} default interval of 50 000 simulated cycles
+      (live bytes, mapped bytes,
       instruction/stall/cache counters per interval);
     - [.sites.txt] — the interned site ids plus the top-sites table;
     - [.folded] — folded stacks for [flamegraph.pl] / [inferno].

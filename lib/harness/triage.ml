@@ -1,37 +1,31 @@
-(* The manager-side heap report: every checkable structure of the
-   failed cell's memory manager, walked cost-free.  This is what tells
-   a triager "the heap survived the failure" (graceful degradation)
-   versus "the failure left it unwalkable". *)
-let heap_report api =
-  String.concat "\n"
-    (List.map
-       (fun (name, report, _) -> Fmt.str "%-9s %s" (name ^ ":") report)
-       (Faultrun.heap_checks api))
-  ^ "\n"
-
 (* Diagnostic re-run with tracing on: deterministic cells fail the
    same way, so the artefacts captured here show exactly what led up
    to the failure.  [plan] reinstalls the fault plan of the failed run
    so injected failures reproduce too.  Returns the outcome line for
    error.txt. *)
 let diagnose ~plan bundle (spec, mode, size) =
-  let outcome, _, _ =
+  let o, _, _ =
     Tracefiles.with_tracer ~out:bundle spec mode (fun tracer ->
-        let api = Workloads.Api.create ~with_cache:true ~tracer mode in
-        let run_workload () =
-          match spec.Workloads.Workload.run api size with
-          | summary -> "completed on re-run: " ^ summary
-          | exception e -> "failed on re-run: " ^ Printexc.to_string e
+        let o =
+          Faultrun.run ~observer:(Workloads.Api.Tracer tracer) ~plan spec mode
+            size
         in
-        let outcome =
-          Fault.Inject.with_plan ~plan (Workloads.Api.memory api) (fun _ ->
-              run_workload ())
-        in
+        (* The manager-side heap report: what tells a triager "the heap
+           survived the failure" (graceful degradation) versus "the
+           failure left it unwalkable". *)
         Tracefiles.write_file (Filename.concat bundle "heap.txt")
-          (heap_report api);
-        outcome)
+          (String.concat "\n"
+             (List.map
+                (fun (name, report, _) -> Fmt.str "%-9s %s" (name ^ ":") report)
+                o.Faultrun.heap)
+          ^ "\n");
+        o)
   in
-  outcome
+  match o.Faultrun.status with
+  | Faultrun.Completed summary -> "completed on re-run: " ^ summary
+  | Faultrun.Faulted msg ->
+      "failed on re-run: " ^ Printexc.to_string (Sim.Memory.Fault msg)
+  | Faultrun.Crashed e -> "failed on re-run: " ^ e
 
 let write_bundle ~dir ~workload ~mode ~last_error ~plan ~retrace =
   try

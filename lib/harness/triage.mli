@@ -7,9 +7,10 @@
 
     - [error.txt] — workload, mode, the error and the outcome of the
       diagnostic re-run;
-    - [heap.txt] — the heap verdict of a diagnostic re-run: the
-      manager's [check_heap] / region invariants after the failure
-      (the sanitizer-style report: is the heap still walkable?);
+    - [heap.txt] — the heap verdicts of that re-run's {!Faultrun}
+      outcome: the manager's [check_heap] / region invariants after
+      the failure (the sanitizer-style report: is the heap still
+      walkable?);
     - the {!Obs} artefact family of the diagnostic re-run
       ([events.bin], [trace.json], [heap.csv], [sites.txt], [folded]),
       captured up to the failure point.
@@ -26,6 +27,7 @@ val write_bundle :
   retrace:Workloads.Workload.spec * Workloads.Api.mode * Workloads.Workload.size ->
   string option
 (** Returns the bundle directory, or [None] if even [error.txt] could
-    not be written.  [retrace] is the cell of the traced diagnostic
-    re-run, and [plan] is reinstalled during it so injected failures
-    reproduce in the captured artefacts. *)
+    not be written.  [retrace] is the cell of the diagnostic re-run,
+    which is {!Faultrun.run} under {!Tracefiles.with_tracer}: [plan] is
+    reinstalled during it so injected failures reproduce in the
+    captured artefacts. *)

@@ -43,8 +43,8 @@ let add_event b ~pid ~first ~name ~cat ~ph ~ts ~args =
 let int_arg n = string_of_int n
 let str_arg s = Printf.sprintf "\"%s\"" (json_escape s)
 
-let chrome_json ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
-    ?process_sort_index t iter =
+let chrome_json ?pid ?(process_name = "simulated UltraSparc-I") t iter =
+  let sort_index = pid and pid = Option.value pid ~default:1 in
   let b = Buffer.create 65536 in
   let first = ref true in
   (* Every event below inherits this export's pid, so multi-column
@@ -59,7 +59,7 @@ let chrome_json ?(pid = 1) ?(process_name = "simulated UltraSparc-I")
     ~args:[ ("name", str_arg process_name) ];
   add_event b ~first ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0
     ~args:[ ("name", str_arg "mutator") ];
-  (match process_sort_index with
+  (match sort_index with
   | Some i ->
       add_event b ~first ~name:"process_sort_index" ~cat:"__metadata" ~ph:"M"
         ~ts:0

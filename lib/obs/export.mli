@@ -7,7 +7,6 @@
 val chrome_json :
   ?pid:int ->
   ?process_name:string ->
-  ?process_sort_index:int ->
   Tracer.t ->
   (Tracer.sink -> unit) ->
   string
@@ -20,8 +19,9 @@ val chrome_json :
     name the process the events land under, on a thread named
     ["mutator"]: exporting each allocator column with its own
     pid and name shows labelled tracks in Perfetto instead of bare
-    pids.  [process_sort_index], when given, emits the matching
-    metadata record so columns keep a stable display order. *)
+    pids.  A given [pid] is also the process's sort index: the export
+    emits the matching metadata record, so columns keep a stable
+    display order. *)
 
 val heap_csv : Tracer.t -> string
 (** The sampler's cumulative rows, one per line. *)

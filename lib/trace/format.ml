@@ -45,10 +45,10 @@ let end_magic = "RGEN"
    traces.
    v3: [Set_mutator] records mutator handoffs (and whether the region
    bump fast path was active, so replays take the same allocation
-   path).  The writer emits v3; the reader accepts v2 traces too —
-   they simply contain no handoff records. *)
+   path).  The reader accepts only the version the writer emits:
+   nothing writes an older one, and cached traces are keyed by build
+   id, so an older trace is refused at open rather than read. *)
 let version = 3
-let min_version = 2
 
 (* Record tags.  0 is the trailer; 3, 12 and 15 are unassigned (the
    reader rejects them as unknown). *)
@@ -685,7 +685,7 @@ let validate_envelope ~len ~read_at =
   if len < 4 + 1 + 12 then corrupt "file too short";
   let head = read_at 0 5 in
   if String.sub head 0 4 <> magic then corrupt "bad magic";
-  if Char.code head.[4] < min_version || Char.code head.[4] > version then
+  if Char.code head.[4] <> version then
     corrupt "unsupported trace version %d" (Char.code head.[4]);
   let tail = read_at (len - 12) 12 in
   if String.sub tail 8 4 <> end_magic then

@@ -132,7 +132,8 @@ val open_file : ?chunk:int -> string -> (reader, string) result
 (** Validates the envelope with a bounded header read and a
     seek-to-end (end magic, LE64 trailer backpointer, trailer), then
     streams the body through a [chunk]-byte refill window (default
-    256 KiB; clamped to at least 1).  A truncated or torn file is an
+    256 KiB; clamped to at least 1).  A truncated or torn file, or a
+    trace of any version but the one the writer emits, is an
     [Error].  The reader holds the file open: {!close} it when
     done. *)
 

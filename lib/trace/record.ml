@@ -253,12 +253,11 @@ let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
     }
   in
   match
-    let api = Api.create ~with_cache:true ~sink:(recorder_of st) mode in
-    let summary = spec.run api size in
-    (Workloads.Results.collect api ~workload:spec.name ~summary, summary)
+    Workloads.Workload.(
+      collect (run ~observer:(Api.Sink (recorder_of st)) spec mode size))
   with
-  | res, summary ->
-      Format.commit w ~summary;
+  | res ->
+      Format.commit w ~summary:res.Workloads.Results.summary;
       res
   | exception e ->
       Format.abort w;

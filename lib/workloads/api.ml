@@ -179,19 +179,21 @@ let probe t () =
     stores;
   }
 
-let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
-    ?sink ?gc_roots mode =
+type observer = Tracer of Obs.Tracer.t | Sink of sink
+
+let create ?machine ?(with_cache = true) ?(offset_regions = true) ?observer
+    ?gc_roots mode =
   let mem = Sim.Memory.create ?machine ~with_cache () in
   (* Attach the tracer before any manager runs so page mapping and GC
      events from setup are observed too; its facade events come
      through its sink. *)
   let sink =
-    match (tracer, sink) with
-    | Some _, Some _ -> invalid_arg "Api.create: both ?tracer and ?sink"
-    | Some tr, None ->
+    match observer with
+    | Some (Tracer tr) ->
         Sim.Memory.set_tracer mem tr;
         Some (tracer_sink tr mode)
-    | None, s -> s
+    | Some (Sink s) -> Some s
+    | None -> None
   in
   let mut = Regions.Mutator.create mem in
   let providers = ref [] in
@@ -250,9 +252,9 @@ let create ?machine ?(with_cache = true) ?(offset_regions = true) ?tracer
       sink;
     }
   in
-  (match tracer with
-  | Some tr -> Obs.Tracer.set_probe tr (probe t)
-  | None -> ());
+  (match observer with
+  | Some (Tracer tr) -> Obs.Tracer.set_probe tr (probe t)
+  | Some (Sink _) | None -> ());
   t
 
 (* Register extra GC roots: the addresses a workload's own bookkeeping

@@ -36,13 +36,13 @@ type t
 
 type region = int
 
-(** The facade's one observer.  The facade calls one hook per
-    operation, always {e after} the simulated effect and charging
+(** The hooks of the facade's one observer.  The facade calls one hook
+    per operation, always {e after} the simulated effect and charging
     nothing, so an observed run's measurements are byte-identical to
     an unobserved one.  [frame] arguments are stack depths (0 = oldest
     frame), the form a trace can name across runs.  [Trace.Record]
-    implements a sink that writes the allocation trace; [create
-    ?tracer] installs one that feeds the tracer.  The type lives here
+    implements a sink that writes the allocation trace; a {!Tracer}
+    observer installs one that feeds the tracer.  The type lives here
     so the facade stays below [lib/trace] in the dependency order. *)
 type sink = {
   on_malloc : size:int -> addr:int -> unit;
@@ -80,24 +80,26 @@ val null_sink : sink
 (** Every hook a no-op; [phase] and [site] just run the closure.  A
     base for sinks that watch a few operations ([{ null_sink with ... }]). *)
 
+(** What {!create} attaches to a run: at most one observer, either an
+    observability tracer or any other {!sink}. *)
+type observer = Tracer of Obs.Tracer.t | Sink of sink
+
 (** [create mode] builds a fresh simulated machine with the requested
     memory manager.  [offset_regions] selects the region-offsetting
     ablation of {!Regions.Region.create}; it only matters under
-    [Region] modes.  [tracer] attaches an observability tracer to the
-    memory before the manager starts, so setup-time page maps are
-    captured too, and installs the sink that feeds it the facade's
-    events and the counter probe that feeds its time-series sampler.
-    [sink] attaches any other observer; a run has at most one, so
-    passing both raises [Invalid_argument].  [gc_roots] overrides the
-    collector's root set with externally supplied snapshots — one call
-    per collection — which is how a replayed run reproduces the roots
-    of the recorded program without its bookkeeping. *)
+    [Region] modes.  A {!Tracer} [observer] is attached to the memory
+    before the manager starts, so setup-time page maps are captured
+    too, and gets the sink that feeds it the facade's events and the
+    counter probe that feeds its time-series sampler; a {!Sink}
+    observer is called as it is.  [gc_roots] overrides the collector's
+    root set with externally supplied snapshots — one call per
+    collection — which is how a replayed run reproduces the roots of
+    the recorded program without its bookkeeping. *)
 val create :
   ?machine:Sim.Machine.t ->
   ?with_cache:bool ->
   ?offset_regions:bool ->
-  ?tracer:Obs.Tracer.t ->
-  ?sink:sink ->
+  ?observer:observer ->
   ?gc_roots:(unit -> int array) ->
   mode ->
   t

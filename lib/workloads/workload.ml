@@ -15,6 +15,9 @@ let check_cell spec mode =
            (Api.mode_name (Api.Emulated b)))
   | _ -> Ok ()
 
+(* The parameters for an input size. *)
+let sized size ~quick ~full = match size with Quick -> quick | Full -> full
+
 let cfrac =
   {
     name = "cfrac";
@@ -22,12 +25,10 @@ let cfrac =
     region_only = false;
     run =
       (fun api size ->
-        let params =
-          match size with
-          | Quick -> Cfrac.default_params
-          | Full -> Cfrac.medium_params
+        let o =
+          Cfrac.run api
+            (sized size ~quick:Cfrac.default_params ~full:Cfrac.medium_params)
         in
-        let o = Cfrac.run api params in
         Fmt.str "factor=%s iterations=%d relations=%d"
           (Option.value ~default:"none" o.Cfrac.factor)
           o.Cfrac.iterations o.Cfrac.relations);
@@ -40,12 +41,10 @@ let grobner =
     region_only = false;
     run =
       (fun api size ->
-        let params =
-          match size with
-          | Quick -> Grobner.default_params
-          | Full -> Grobner.large_params
+        let o =
+          Grobner.run api
+            (sized size ~quick:Grobner.default_params ~full:Grobner.large_params)
         in
-        let o = Grobner.run api params in
         Fmt.str "basis=%d pairs=%d zeros=%d" o.Grobner.basis_size
           o.Grobner.pairs_processed o.Grobner.reductions_to_zero);
   }
@@ -57,12 +56,10 @@ let mudlle =
     region_only = true;
     run =
       (fun api size ->
-        let params =
-          match size with
-          | Quick -> Mudlle.default_params
-          | Full -> Mudlle.large_params
+        let o =
+          Mudlle.run api
+            (sized size ~quick:Mudlle.default_params ~full:Mudlle.large_params)
         in
-        let o = Mudlle.run api params in
         Fmt.str "functions=%d code_words=%d checksum=%x"
           o.Mudlle.functions_compiled o.Mudlle.code_words o.Mudlle.checksum);
   }
@@ -74,10 +71,9 @@ let lcc =
     region_only = true;
     run =
       (fun api size ->
-        let params =
-          match size with Quick -> Lcc.default_params | Full -> Lcc.large_params
+        let o =
+          Lcc.run api (sized size ~quick:Lcc.default_params ~full:Lcc.large_params)
         in
-        let o = Lcc.run api params in
         Fmt.str "statements=%d triples=%d checksum=%x" o.Lcc.statements
           o.Lcc.triples o.Lcc.checksum);
   }
@@ -89,10 +85,10 @@ let tile =
     region_only = false;
     run =
       (fun api size ->
-        let params =
-          match size with Quick -> Tile.default_params | Full -> Tile.large_params
+        let o =
+          Tile.run api
+            (sized size ~quick:Tile.default_params ~full:Tile.large_params)
         in
-        let o = Tile.run api params in
         Fmt.str "tokens=%d blocks=%d boundaries=%d checksum=%x" o.Tile.tokens
           o.Tile.blocks o.Tile.boundaries o.Tile.checksum);
   }
@@ -108,7 +104,7 @@ let moss_with ~optimized =
     run =
       (fun api size ->
         let base =
-          match size with Quick -> Moss.default_params | Full -> Moss.large_params
+          sized size ~quick:Moss.default_params ~full:Moss.large_params
         in
         let o = Moss.run api { base with Moss.optimized } in
         Fmt.str "fingerprints=%d matches=%d best=(%d,%d) checksum=%x"
@@ -144,7 +140,7 @@ let game_correlated = game_with ~correlated:true
 
 let server_params n size =
   let base =
-    match size with Quick -> Server.default_params | Full -> Server.large_params
+    sized size ~quick:Server.default_params ~full:Server.large_params
   in
   {
     base with
@@ -196,9 +192,36 @@ let modes_for spec =
   in
   malloc_modes @ [ Api.Region { safe = true }; Api.Region { safe = false } ]
 
-let run_collect ?tracer spec mode size =
+type run = {
+  api : Api.t;
+  workload : string;
+  outcome : (string, exn * Printexc.raw_backtrace) result;
+  injected : Fault.Inject.t option;
+}
+
+let run ?observer ?plan spec mode size =
   Result.iter_error invalid_arg (check_cell spec mode);
-  let api = Api.create ~with_cache:true ?tracer mode in
-  let summary = spec.run api size in
-  (match tracer with Some tr -> Obs.Tracer.finish tr | None -> ());
-  Results.collect api ~workload:spec.name ~summary
+  let api = Api.create ~with_cache:true ?observer mode in
+  let attempt () =
+    match spec.run api size with
+    | summary -> Ok summary
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let outcome, injected =
+    match plan with
+    | None -> (attempt (), None)
+    | Some plan ->
+        Fault.Inject.with_plan ~plan (Api.memory api) (fun inj ->
+            (attempt (), Some inj))
+  in
+  (match observer with
+  | Some (Api.Tracer tr) -> Obs.Tracer.finish tr
+  | Some (Api.Sink _) | None -> ());
+  { api; workload = spec.name; outcome; injected }
+
+let collect r =
+  match r.outcome with
+  | Ok summary -> Results.collect r.api ~workload:r.workload ~summary
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+let run_collect spec mode size = collect (run spec mode size)

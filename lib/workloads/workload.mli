@@ -31,12 +31,30 @@ val check_cell : spec -> Api.mode -> (unit, string) result
 val all : spec list
 val find : string -> spec
 
-val run_collect : ?tracer:Obs.Tracer.t -> spec -> Api.mode -> size -> Results.t
-(** Create an [Api.t] for [mode] (with the cache simulator on), run,
-    and collect measurements.  When [tracer] is given it is attached
-    for the whole run and {!Obs.Tracer.finish}ed before collection.  A
+(** The cell runner's result: the facade as the run left it, and the
+    summary line or what [spec.run] raised. *)
+type run = {
+  api : Api.t;
+  workload : string;
+  outcome : (string, exn * Printexc.raw_backtrace) result;
+  injected : Fault.Inject.t option;  (** when a plan ran *)
+}
+
+val run :
+  ?observer:Api.observer -> ?plan:Fault.Plan.t -> spec -> Api.mode -> size -> run
+(** The one cell runner, and the only place [spec.run] is applied:
+    create an [Api.t] for [mode] with the cache simulator on and
+    [observer] attached, and run the workload with [plan] installed
+    through {!Fault.Inject} around it (off again either way).  A
+    {!Api.Tracer} observer is {!Obs.Tracer.finish}ed after the run.  A
     pair {!check_cell} rejects raises [Invalid_argument] with its
     message before any [Api.t] exists. *)
+
+val collect : run -> Results.t
+(** The run's measurements, or its exception re-raised. *)
+
+val run_collect : spec -> Api.mode -> size -> Results.t
+(** [collect (run spec mode size)]. *)
 
 val modes_for : spec -> Api.mode list
 (** The paper's allocator columns for this workload: Sun, BSD, Lea, GC

@@ -467,7 +467,7 @@ let rec is_prefix prefix path =
   | m :: prefix, n :: path -> m = n && is_prefix prefix path
   | _ :: _, [] -> false
 
-let scan file =
+let scan ?(on_label = fun ~line:_ _ _ -> ()) file =
   let own = [ scope (Filename.dirname file); unit_name file ] in
   let refer key =
     if Hashtbl.mem exports key && not (is_prefix own (fst key)) then
@@ -509,6 +509,13 @@ let scan file =
             | Open p when Hashtbl.mem exports (p, v) -> Some p | _ -> None)
           !env
         |> Option.iter (fun p -> refer (p, v))
+    | Lapply _ -> ()
+  in
+  let label (lid : Longident.t Location.loc) =
+    let line = lid.loc.loc_start.pos_lnum in
+    match lid.txt with
+    | Lident n -> on_label ~line [] n
+    | Ldot (l, n) -> on_label ~line (resolve l) n
     | Lapply _ -> ()
   in
   let alias (me : Parsetree.module_expr) =
@@ -560,7 +567,21 @@ let scan file =
               scoped (fun () ->
                   bind it name me;
                   it.expr it body)
+          | Pexp_field (_, l) ->
+              label l;
+              default_iterator.expr it e
           | _ -> default_iterator.expr it e);
+      pat =
+        (fun it p ->
+          match p.ppat_desc with
+          | Ppat_construct
+              (_, Some (_, { ppat_desc = Ppat_record (fields, _); _ })) ->
+              (* an inline record's labels belong to its constructor *)
+              List.iter (fun (_, p) -> it.pat it p) fields
+          | Ppat_record (fields, _) ->
+              List.iter (fun (l, _) -> label l) fields;
+              default_iterator.pat it p
+          | _ -> default_iterator.pat it p);
       module_expr =
         (fun it me ->
           match me.pmod_desc with
@@ -612,6 +633,43 @@ let check_exports () =
   with
   | [] -> ()
   | lines -> Alcotest.fail (String.concat "\n" lines)
+
+(* {1 One cell runner}
+
+   A workload's [run] field is applied in one place in lib/ and bin/:
+   [Workloads.Workload.run], which builds the cell's machine around it
+   (DESIGN §5b).  Through the export audit's parser and module
+   resolution, every projection or record pattern of a [run] label
+   whose path resolves to [Workloads.Workload], or that is bare (the
+   type-directed form), is a site; any site outside
+   lib/workloads/workload.ml is a second runner.  test/, examples/ and
+   hostbench/ are exempt. *)
+
+let runner_unit = "../lib/workloads/workload.ml"
+
+let check_one_runner () =
+  Lazy.force load_exports;
+  let sites = ref [] in
+  List.concat_map source_files [ "../lib"; "../bin" ]
+  |> List.filter (fun f -> Filename.check_suffix f ".ml")
+  |> List.iter (fun file ->
+         scan file ~on_label:(fun ~line path name ->
+             if name = "run" && (path = [] || path = [ "Workloads"; "Workload" ])
+             then sites := Printf.sprintf "%s:%d" file line :: !sites));
+  let home, others =
+    List.partition
+      (fun site -> String.starts_with ~prefix:(runner_unit ^ ":") site)
+      !sites
+  in
+  if home = [] then
+    Alcotest.failf "%s applies no [run] field: the audit matches nothing"
+      runner_unit;
+  if others <> [] then
+    Alcotest.failf
+      "a workload's [run] field is applied outside %s (run cells through \
+       Workloads.Workload.run):\n%s"
+      runner_unit
+      (String.concat "\n" (List.sort compare others))
 
 (* {1 Library dependency audit}
 
@@ -818,6 +876,8 @@ let () =
       ("paths exist", doc_cases check_paths path_documents);
       ( "export audit",
         [ Alcotest.test_case "lib interfaces" `Quick check_exports ] );
+      ( "runner audit",
+        [ Alcotest.test_case "one cell runner" `Quick check_one_runner ] );
       ( "dependency audit",
         [ Alcotest.test_case "dune libraries" `Quick check_library_deps ] );
       ( "sections",

@@ -381,7 +381,8 @@ let test_cell_check_table () =
               Alcotest.check_raises (cell ^ " run raises") (Invalid_argument msg)
                 (fun () ->
                   ignore
-                    (Workloads.Workload.run_collect ~tracer spec mode
+                    (Workloads.Workload.run
+                       ~observer:(Workloads.Api.Tracer tracer) spec mode
                        Workloads.Workload.Quick));
               check (cell ^ " simulated nothing") 0 !events)
         Workloads.Api.all_modes)

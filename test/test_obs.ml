@@ -236,11 +236,14 @@ let cfrac = Workloads.Workload.find "cfrac"
 let moss = Workloads.Workload.find "moss"
 let region_safe = Workloads.Api.Region { safe = true }
 
+let results ?observer spec mode =
+  Workloads.Workload.(collect (run ?observer spec mode quick))
+
 let test_event_stream_ordered () =
   let sink, iter = memory_sink () in
   let tr = Obs.Tracer.create sink in
   let (_ : Workloads.Results.t) =
-    Workloads.Workload.run_collect ~tracer:tr cfrac region_safe quick
+    results ~observer:(Workloads.Api.Tracer tr) cfrac region_safe
   in
   check_bool "events recorded" true (Obs.Tracer.events tr > 0);
   let last = ref (-1) and ordered = ref true and n = ref 0 in
@@ -260,16 +263,15 @@ let test_event_stream_ordered () =
 (* The invariant everything else rests on: simulated counts are
    byte-identical with no tracer and with one attached, sampling and
    writing a spill file. *)
-let results_line ?tracer spec mode =
-  Fmt.str "%a" Workloads.Results.pp
-    (Workloads.Workload.run_collect ?tracer spec mode quick)
+let results_line ?observer spec mode =
+  Fmt.str "%a" Workloads.Results.pp (results ?observer spec mode)
 
 let check_neutral spec mode =
   let baseline = results_line spec mode in
   with_tmp_file (fun path ->
       let oc = open_out_bin path in
       let tr = Obs.Tracer.create ~sample_interval:10_000 (Obs.Spill.sink oc) in
-      let traced = results_line ~tracer:tr spec mode in
+      let traced = results_line ~observer:(Workloads.Api.Tracer tr) spec mode in
       close_out oc;
       check_str "tracer is count-neutral" baseline traced;
       check_bool "yet it really traced" true (Obs.Tracer.events tr > 0))
@@ -300,12 +302,6 @@ let counting_sink c =
         if ok then c.deleted <- c.deleted + 1 else c.refused <- c.refused + 1);
   }
 
-let results_line_with_sink sink spec mode =
-  let api = Workloads.Api.create ~with_cache:true ~sink mode in
-  let summary = spec.Workloads.Workload.run api quick in
-  Fmt.str "%a" Workloads.Results.pp
-    (Workloads.Results.collect api ~workload:spec.name ~summary)
-
 (* The tracer's region events come from the facade's sink alone, so
    under real and emulated regions alike they match, one for one, the
    operations any other sink sees; and a sink that only counts moves
@@ -320,9 +316,14 @@ let check_region_events mode =
         | Region_delete -> traced.refused <- traced.refused + 1
         | _ -> ())
   in
-  let (_ : string) = results_line ~tracer:tr mudlle mode in
+  let (_ : string) =
+    results_line ~observer:(Workloads.Api.Tracer tr) mudlle mode
+  in
   let seen = region_ops () in
-  let counted = results_line_with_sink (counting_sink seen) mudlle mode in
+  let counted =
+    results_line ~observer:(Workloads.Api.Sink (counting_sink seen)) mudlle
+      mode
+  in
   check_bool "regions were created" true (seen.created > 0);
   check_bool "regions were deleted" true (seen.deleted > 0);
   check_int "Region_create = newregion" seen.created traced.created;
@@ -339,14 +340,6 @@ let test_region_events_unsafe () =
 
 let test_region_events_emulated () =
   check_region_events (Workloads.Api.Emulated Lea)
-
-let test_one_observer () =
-  Alcotest.check_raises "tracer and sink together"
-    (Invalid_argument "Api.create: both ?tracer and ?sink") (fun () ->
-      ignore
-        (Workloads.Api.create
-           ~tracer:(Obs.Tracer.create (fst (memory_sink ())))
-           ~sink:Workloads.Api.null_sink region_safe))
 
 (* {1 Trace artefacts on disk} *)
 
@@ -414,7 +407,8 @@ let test_raise_keeps_events () =
          Harness.Tracefiles.with_tracer ~out mudlle region_safe (fun tr ->
              traced := Some tr;
              let api =
-               Workloads.Api.create ~with_cache:true ~tracer:tr region_safe
+               Workloads.Api.create ~with_cache:true
+                 ~observer:(Workloads.Api.Tracer tr) region_safe
              in
              let r = Workloads.Api.newregion api in
              for _ = 1 to 100 do
@@ -482,8 +476,7 @@ let test_timeline_csv () =
 let test_chrome_json_custom_process () =
   let tr, iter = golden_scenario () in
   let j =
-    Obs.Export.chrome_json ~pid:7 ~process_name:"column A"
-      ~process_sort_index:7 tr iter
+    Obs.Export.chrome_json ~pid:7 ~process_name:"column A" tr iter
   in
   check_bool "events carry the pid" true (contains j "\"pid\":7");
   check_bool "process name" true (contains j "\"name\":\"column A\"");
@@ -542,7 +535,6 @@ let () =
             test_region_events_unsafe;
           Alcotest.test_case "region events from one path (emu-lea)" `Quick
             test_region_events_emulated;
-          Alcotest.test_case "one observer at a time" `Quick test_one_observer;
         ] );
       ( "artefacts",
         [

@@ -306,6 +306,15 @@ let test_damage_rejected () =
   expect_error "trailer cut"
     (open_damaged (String.sub good 0 (String.length good - 5)));
   expect_error "bad magic" (open_damaged ("XXXX" ^ String.sub good 4 (String.length good - 4)));
+  (match
+     open_damaged
+       (String.sub good 0 4 ^ "\002" ^ String.sub good 5 (String.length good - 5))
+   with
+  | Error msg ->
+      check_str "v2 header refused at open"
+        (damaged ^ ": unsupported trace version 2")
+        msg
+  | Ok _ -> Alcotest.fail "v2 header: trace accepted");
   (* A torn trailing record: framing intact (magic, trailer) but the
      last record's bytes are cut short.  The reader must raise
      [Corrupt] at that record, not fabricate one.  Setting the final
