@@ -642,10 +642,6 @@ let variant_arg =
            $(b,region) (safe/unsafe regions).  Default: the workload's \
            malloc-side variant.")
 
-let default_variant (spec : Workloads.Workload.spec) = function
-  | Some v -> v
-  | None -> if spec.Workloads.Workload.region_only then "emu" else "malloc"
-
 (* [f] over an open reader of [path].  A trace that fails to open,
    decodes corrupt, diverges or cannot serve the requested column is bad
    input: reported against the file as [cmd: path: ...], exit 2. *)
@@ -685,8 +681,8 @@ let record_cmd =
   in
   let run spec variant out full =
     let name = spec.Workloads.Workload.name in
-    let variant = default_variant spec variant in
     let variants = Trace.Record.variants_for spec in
+    let variant = Option.value variant ~default:(List.hd variants) in
     if not (List.mem variant variants) then
       `Error
         ( true,
@@ -889,7 +885,8 @@ let gen_cmd =
       & info [ "o"; "out" ] ~docv:"FILE"
           ~doc:
             "Write the trace here unconditionally.  Default: the \
-             content-addressed cache slot, reused if already generated.")
+             content-addressed cache slot, reused if already generated; a \
+             cache directory that cannot be written is an error (exit 2).")
   in
   let run spec out cache_dir =
     let p =
@@ -905,6 +902,9 @@ let gen_cmd =
           out
       | None ->
           let cache = Results.Cache.create ?dir:cache_dir () in
+          if not (Results.Cache.writable cache) then
+            fail 2 "gen: %s: not a writable cache directory (or pass -o FILE)\n"
+              (Results.Cache.dir cache);
           Trace.Gen.ensure ~cache ~progress p
     in
     print_trace_stats ~cmd:"gen" path

@@ -42,9 +42,7 @@ type column = {
   timeline : Obs.Timeline.t;
 }
 
-let replay ?cache ?timeline ~variant ~objects mode =
-  let p = { Trace.Gen.default with Trace.Gen.objects; variant } in
-  let path = Trace.Gen.ensure ?cache p in
+let replay ?timeline path mode =
   match Trace.Format.open_file path with
   | Error msg -> failwith (Printf.sprintf "gentraces: %s: %s" path msg)
   | Ok r ->
@@ -52,16 +50,30 @@ let replay ?cache ?timeline ~variant ~objects mode =
         ~finally:(fun () -> Trace.Format.close r)
         (fun () -> Trace.Replay.run ?timeline r mode)
 
+(* Each of the four traces (two variants, two object counts) is made
+   once, then replayed under every column it serves. *)
 let replays m =
   let cache = Matrix.disk_cache m in
   let lo, hi = sizes in
+  let traces =
+    List.concat_map
+      (fun variant ->
+        List.map
+          (fun objects ->
+            ( (variant, objects),
+              Trace.Gen.ensure ?cache
+                { Trace.Gen.default with Trace.Gen.objects; variant } ))
+          [ lo; hi ])
+      [ "malloc"; "region" ]
+  in
   List.map
     (fun (variant, mode) ->
+      let trace objects = List.assoc (variant, objects) traces in
       let timeline = Obs.Timeline.create ~capacity () in
       {
         mode;
-        small = replay ?cache ~variant ~objects:lo mode;
-        large = replay ?cache ~timeline ~variant ~objects:hi mode;
+        small = replay (trace lo) mode;
+        large = replay ~timeline (trace hi) mode;
         timeline;
       })
     columns

@@ -7,12 +7,14 @@
     deterministic simulated metrics from those replays — allocator
     instructions per object, the OS footprint's (non-)growth as the
     trace gets 10x longer over the same bounded live set, and
-    sparklines of the footprint over the allocation-event clock.  The
-    matrix is used only for its disk cache handle, so the
-    multi-megabyte trace artefacts are content-addressed and reused
-    across docs runs.  The machine-dependent half of the scaling
-    evidence (wall clock, peak RSS) is hostbench's gen-replay workload
-    and CI's 10M-object bounded-replay job, not the document. *)
+    sparklines of the footprint over the allocation-event clock.  Each
+    of the four traces (two variants, two object counts) is generated
+    once per run by {!Trace.Gen.ensure}: into the matrix's cell cache
+    when it has a writable one, reused across docs runs, and otherwise
+    into a temp file removed when the process exits.  The
+    machine-dependent half of the scaling evidence (wall clock, peak
+    RSS) is hostbench's gen-replay workload and CI's 10M-object
+    bounded-replay job, not the document. *)
 
 type column
 (** One allocator column's replays. *)

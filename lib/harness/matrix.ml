@@ -1,12 +1,11 @@
 (* One recorded trace per (workload, trace variant), shared by every
    column the variant serves.  The entry lock serialises recording
    (record once, even with worker domains racing for the same trace);
-   [recorded] memoises the recording run's results, because that run
-   doubles as the recording mode's full-execution cell. *)
+   [trace] keeps the path with the recording run's results, because
+   that run doubles as the recording mode's full-execution cell. *)
 type trace_entry = {
   tlock : Mutex.t;
-  mutable tpath : string option;
-  mutable recorded : Workloads.Results.t option;
+  mutable trace : (string * Workloads.Results.t) option;
 }
 
 type t = {
@@ -142,23 +141,10 @@ let execute_cell t spec mode =
 
 (* ---- record-once / replay-per-column ------------------------------ *)
 
-(* Without a cell cache a trace is a temp file that lives as long as
-   the process: any later cell of this matrix may still replay it. *)
-let trace_slot t spec variant =
-  match t.disk with
-  | Some disk ->
-      Results.Cache.trace_path disk ~workload:spec.Workloads.Workload.name
-        ~variant ~size:(size_name t) ~seed:t.seed
-  | None ->
-      let path = Filename.temp_file "repro-trace" ".trace" in
-      at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-      path
-
-(* The committed trace for (workload, variant), recording it on first
-   demand.  A pre-existing disk slot is reused only if its envelope
-   validates (the content address already pins build id, workload,
-   variant, size and seed) — a torn file from a killed process is
-   silently re-recorded. *)
+(* The trace for (workload, variant) and its recording run's results,
+   recorded on first demand.  The trace lives for this process only,
+   with or without a cell cache: any later cell of this matrix may
+   still replay it, and a later process records afresh. *)
 let ensure_trace t spec variant =
   let name = spec.Workloads.Workload.name in
   let entry =
@@ -169,7 +155,7 @@ let ensure_trace t spec variant =
         match Hashtbl.find_opt t.traces (name, variant) with
         | Some e -> e
         | None ->
-            let e = { tlock = Mutex.create (); tpath = None; recorded = None } in
+            let e = { tlock = Mutex.create (); trace = None } in
             Hashtbl.add t.traces (name, variant) e;
             e)
   in
@@ -177,44 +163,25 @@ let ensure_trace t spec variant =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock entry.tlock)
     (fun () ->
-      match entry.tpath with
-      | Some p -> (p, entry.recorded)
+      match entry.trace with
+      | Some tr -> tr
       | None ->
-          let path = trace_slot t spec variant in
-          let reusable =
-            t.disk <> None && (not t.refresh) && Sys.file_exists path
-            &&
-            match Trace.Format.open_file path with
-            | Ok rd ->
-                let hdr = Trace.Format.header rd in
-                Trace.Format.close rd;
-                hdr.Trace.Format.workload = name
-                && hdr.Trace.Format.variant = variant
-            | Error _ -> false
-          in
-          if not reusable then begin
-            t.progress (Fmt.str "recording %s (%s trace) ..." name variant);
-            entry.recorded <-
-              Some (Trace.Record.record ~out:path ~seed:t.seed ~variant spec t.size)
-          end;
-          entry.tpath <- Some path;
-          (path, entry.recorded))
+          t.progress (Fmt.str "recording %s (%s trace) ..." name variant);
+          let path = Trace.Format.temp_path "repro-trace" in
+          let tr = (path, Trace.Record.record ~out:path ~variant spec t.size) in
+          entry.trace <- Some tr;
+          tr)
 
-(* Does any *other* report cell of this workload replay from this
-   trace variant?  The six benchmarks run every column, so both their
-   variants always have consumers; an extra spec (moss-slow) appears
-   in the report under a single mode, so recording it would produce a
-   trace nothing replays — pure overhead over the plain run the
-   recording doubles as. *)
-let trace_has_consumers (spec : Workloads.Workload.spec) mode variant =
+(* Does any *other* report cell of this workload replay its traces?
+   Each of the six benchmarks runs at least two modes per trace
+   variant, so their traces always have consumers; an extra spec
+   (moss-slow) appears in the report under a single mode, so recording
+   it would produce a trace nothing replays — pure overhead over the
+   plain run the recording doubles as. *)
+let trace_has_consumers (spec : Workloads.Workload.spec) =
   List.exists
     (fun (s : Workloads.Workload.spec) -> s.name = spec.name)
     Workloads.Workload.all
-  && List.exists
-       (fun m ->
-         Workloads.Api.mode_name m <> Workloads.Api.mode_name mode
-         && Trace.Record.variant_of_mode m = variant)
-       (Workloads.Workload.modes_for spec)
 
 (* Replay-mode cell: the recording mode's cell is the recording run
    itself (a genuine full execution, cached under the plain address);
@@ -224,14 +191,8 @@ let replay_cell t spec mode =
   let variant = Trace.Record.variant_of_mode mode in
   if is_recording_mode mode then
     cached t spec mode ~plan:(plan_string t) (fun () ->
-        let recorded =
-          if trace_has_consumers spec mode variant then
-            snd (ensure_trace t spec variant)
-          else None
-        in
-        (* [None] also when the trace survived from an earlier process
-           but its recording cell did not: run the cell normally *)
-        match recorded with Some r -> r | None -> execute_cell t spec mode)
+        if trace_has_consumers spec then snd (ensure_trace t spec variant)
+        else execute_cell t spec mode)
   else
     cached t spec mode ~plan:replay_plan (fun () ->
         let path, _ = ensure_trace t spec variant in

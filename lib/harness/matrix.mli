@@ -47,10 +47,11 @@ val create :
     column is driven from the trace by {!Trace.Replay}, reproducing
     all allocator-side measurements while skipping mutator compute.
     Replayed cells carry (and cache under) the reserved plan
-    ["replay"], so they never masquerade as full executions.  Traces
-    are content-addressed in [disk] when present; otherwise they are
-    temp files, removed when the process exits.  [replay] combines
-    with neither [plan] nor [trace_dir] ([Invalid_argument]). *)
+    ["replay"], so they never masquerade as full executions.  A trace
+    lives for this process only, with or without [disk]: it is a temp
+    file ({!Trace.Format.temp_path}), removed when the process exits,
+    and a later process records afresh.  [replay] combines with
+    neither [plan] nor [trace_dir] ([Invalid_argument]). *)
 
 val size : t -> Workloads.Workload.size
 

@@ -14,4 +14,7 @@ val sink : out_channel -> Tracer.sink
     per event.  The caller closes the channel. *)
 
 val read_file : string -> Tracer.sink -> unit
-(** Replay every record to the callback.  Fails on a bad magic. *)
+(** Replay every record to the callback.  @raise Failure, before any
+    record is delivered, on a bad magic or a file cut short — inside
+    the magic or inside a record — naming the byte offset where the cut
+    lies. *)

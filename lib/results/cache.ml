@@ -1,6 +1,6 @@
-(* Content-addressed cell cache.
+(* Content-addressed cell cache, which also holds generated traces.
 
-   The address is everything that determines a cell's measurements:
+   A cell's address is everything that determines its measurements:
    the producing executable (build id), the workload, the mode, the
    input size, the fault seed and the fault plan.  The simulation is
    deterministic in exactly those inputs, so a cache hit *is* the
@@ -62,17 +62,6 @@ let key t ~workload ~mode ~size ~seed ~plan =
 
 let path t k = Filename.concat t.dir (k ^ ".json")
 
-(* Traces are cache citizens too: same directory, same build-id
-   invalidation, content-addressed under everything a recording
-   depends on.  The trace library owns the file format and its own
-   atomic-rename discipline; the cache only names the slot. *)
-let trace_path t ~workload ~variant ~size ~seed =
-  Filename.concat t.dir
-    (fnv1a64
-       (Printf.sprintf "trace-v1|%s|%s|%s|%s|%d" t.build_id workload variant
-          size seed)
-    ^ ".trace")
-
 (* Generated (synthetic) traces are fully determined by the generator
    spec — no workload execution — so their address deliberately omits
    the build id: a rebuild must not force multi-minute regeneration of
@@ -87,6 +76,12 @@ let rec mkdir_p d =
     mkdir_p (Filename.dirname d);
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
+
+let writable t =
+  mkdir_p t.dir;
+  match Unix.access t.dir [ Unix.W_OK; Unix.X_OK ] with
+  | () -> Sys.is_directory t.dir
+  | exception Unix.Unix_error _ -> false
 
 let find t ~workload ~mode ~size ~seed ~plan =
   let p = path t (key t ~workload ~mode ~size ~seed ~plan) in
@@ -183,9 +178,9 @@ let store t (c : Cell.t) =
 
 (* ---- size-capped LRU eviction ------------------------------------- *)
 
-(* An entry eligible for eviction: cells and traces, but never lock
-   files or another writer's in-flight temp file (whose rename must
-   stay atomic). *)
+(* An entry eligible for eviction: cells and generated traces, but
+   never lock files or another writer's in-flight temp file (whose
+   rename must stay atomic). *)
 let evictable name =
   (Filename.check_suffix name ".json" || Filename.check_suffix name ".trace")
   && not

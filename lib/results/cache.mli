@@ -1,4 +1,6 @@
-(** Content-addressed on-disk cache of result {!Cell}s.
+(** Content-addressed on-disk cache of result {!Cell}s and of
+    generated traces ({!gen_trace_path}).  Nothing else lives there: a
+    recorded trace lives for the process that records it.
 
     The address (an FNV-1a 64 digest, also the file name under the
     cache directory) covers everything the deterministic simulation
@@ -36,14 +38,6 @@ val key :
   t -> workload:string -> mode:string -> size:string -> seed:int ->
   plan:string -> string
 
-val trace_path :
-  t -> workload:string -> variant:string -> size:string -> seed:int -> string
-(** Content-addressed slot for a recorded allocation trace
-    ([lib/trace]): same directory and build-id invalidation as cells,
-    addressed by workload, trace variant, size and seed.  The caller
-    owns the file's format and atomicity; a missing file means
-    "record it". *)
-
 val gen_trace_path : t -> gen:string -> spec:string -> string
 (** Content-addressed slot for a generated (synthetic) trace
     ([Trace.Gen]), keyed on the generator revision [gen] and the
@@ -51,6 +45,12 @@ val gen_trace_path : t -> gen:string -> spec:string -> string
     build id: a generated trace is a pure function of its spec, and a
     rebuild must not invalidate multi-GB artefacts.  [gen] changes
     whenever the generator's byte output would. *)
+
+val writable : t -> bool
+(** Creates the cache directory if it is missing, and says whether it is
+    then a directory this process can write into.  A [false] cache is
+    one a trace cannot be generated into; cells still degrade to
+    misses. *)
 
 val find :
   t -> workload:string -> mode:string -> size:string -> seed:int ->
@@ -67,14 +67,11 @@ val store : t -> Cell.t -> unit
 
 val sweep : t -> max_bytes:int -> int
 (** Size-capped LRU eviction: if the cache's entry files ([*.json]
-    cells and [*.trace] traces) total more than [max_bytes], remove
-    oldest-mtime-first until under the cap, returning the number of
-    entries evicted (0 when already under).  {!find} refreshes a hit's
-    mtime, so recency means "last served", not "first written" — hot
-    cells survive a sweep.  Removals are single atomic unlinks
-    (concurrent readers either already hold the open file or miss and
-    recompute); in-flight [*.tmp.*] writer files and lock files are
-    never touched.  Evictions count into the
-    [results_cache_evictions_total] metric. *)
-
-val fnv1a64 : string -> string
+    cells and [*.trace] generated traces) total more than
+    [max_bytes], remove oldest-mtime-first until under the cap,
+    returning the number of entries evicted (0 when already under).
+    {!find} refreshes a hit's mtime, so recency means "last served",
+    not "first written" — hot cells survive a sweep.  Removals are
+    single atomic unlinks (concurrent readers either already hold the
+    open file or miss and recompute); in-flight [*.tmp.*] writer files
+    and lock files are never touched. *)

@@ -448,6 +448,15 @@ let abort w =
     try Sys.remove w.tmp with Sys_error _ -> ()
   end
 
+(* The one place a trace gets a process lifetime: a [.trace] file in
+   the temp directory, so a caller that points
+   [Filename.set_temp_dir_name] at a directory finds this process's
+   traces by listing it. *)
+let temp_path prefix =
+  let path = Filename.temp_file prefix ".trace" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
+
 (* ------------------------------------------------------------------ *)
 (* Reader
 

@@ -124,6 +124,12 @@ val abort : writer -> unit
 (** Closes and removes the temporary file (idempotent; [commit]ted
     writers are left alone). *)
 
+val temp_path : string -> string
+(** [temp_path prefix] creates a fresh empty [prefix*.trace] file under
+    [Filename.get_temp_dir_name ()] and returns its path: the home of a
+    trace that lives for this process only.  The file is removed when
+    the process exits. *)
+
 (** {1 Reader} *)
 
 type reader

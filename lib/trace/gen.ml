@@ -458,24 +458,19 @@ let valid_slot path spec =
       Format.close rd;
       hdr.Format.workload = "gen" && hdr.Format.size = spec
 
-let ensure ?cache ?(progress = fun _ -> ()) p =
+(* A generated trace lives in the cell cache when one is attached and
+   writable, reused by later processes; otherwise it is a temp file
+   that lives for this process. *)
+let ensure ?cache ?(progress = ignore) p =
   let p = validate p in
   let spec = to_string p in
+  let make out =
+    progress (Printf.sprintf "generating %s ..." spec);
+    generate ~out p;
+    out
+  in
   match cache with
-  | None ->
-      let out =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "repro-gen-%s.trace" (Results.Cache.fnv1a64 spec))
-      in
-      if not (valid_slot out spec) then begin
-        progress (Printf.sprintf "generating %s ..." spec);
-        generate ~out p
-      end;
-      out
-  | Some cache ->
+  | Some cache when Results.Cache.writable cache ->
       let out = Results.Cache.gen_trace_path cache ~gen:generation ~spec in
-      if not (valid_slot out spec) then begin
-        progress (Printf.sprintf "generating %s ..." spec);
-        generate ~out p
-      end;
-      out
+      if valid_slot out spec then out else make out
+  | _ -> make (Format.temp_path "repro-gen")

@@ -62,8 +62,9 @@ val generate : out:string -> t -> unit
 val ensure :
   ?cache:Results.Cache.t -> ?progress:(string -> unit) -> t -> string
 (** Path to the generated trace for [t], generating it on first use.
-    With [cache], the file lives in the content-addressed cache slot
-    ({!Results.Cache.gen_trace_path}) and is reused when present and
-    valid (header spec must match — damage means regenerate).  Without
-    [cache], a deterministic path under the system temp directory is
-    used with the same reuse rule. *)
+    When [cache] is given and {!Results.Cache.writable}, the file lives
+    in the content-addressed cache slot ({!Results.Cache.gen_trace_path})
+    and is reused when present and valid (header spec must match —
+    damage means regenerate).  Otherwise every call generates into a
+    fresh temp file ({!Format.temp_path}) that is removed when the
+    process exits. *)

@@ -221,7 +221,7 @@ let recorder_of st =
     on_set_mutator = (fun ~mid ~bump -> emit (Set_mutator { mid; bump }));
   }
 
-let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
+let record ~out ~variant (spec : Workloads.Workload.spec) size =
   if not (List.mem variant (variants_for spec)) then
     invalid_arg
       (Printf.sprintf "Trace.Record: workload %s has no %s variant" spec.name
@@ -234,7 +234,7 @@ let record ~out ?(seed = 0) ~variant (spec : Workloads.Workload.spec) size =
       mode = Api.mode_name mode;
       size =
         (match size with Workloads.Workload.Quick -> "quick" | Full -> "full");
-      seed;
+      seed = 0;
       build_id = Results.Cache.current_build_id ();
     }
   in

@@ -26,8 +26,8 @@ val variant_of_mode : Workloads.Api.mode -> string
     mode reads. *)
 
 val variants_for : Workloads.Workload.spec -> string list
-(** The variants a workload records: ["malloc"] and ["region"], or
-    ["emu"] and ["region"] for a region-only one. *)
+(** The variants a workload records, the default first: ["malloc"] and
+    ["region"], or ["emu"] and ["region"] for a region-only one. *)
 
 val recording_mode : string -> Workloads.Api.mode
 (** The mode a variant records under.  @raise Invalid_argument on an
@@ -35,7 +35,6 @@ val recording_mode : string -> Workloads.Api.mode
 
 val record :
   out:string ->
-  ?seed:int ->
   variant:string ->
   Workloads.Workload.spec ->
   Workloads.Workload.size ->

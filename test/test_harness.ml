@@ -287,9 +287,11 @@ let test_unknown_experiment_leaves_no_cache () =
    variant the workload has no trace for, and [replay] a trace file
    that does not exist, --full or -j without --verify, and under
    --verify a MODE, --timeline, an unknown workload or one with no
-   matrix cell.
+   matrix cell.  [gen] into a cache directory that is a regular file
+   F is bad input instead (exit 2).
    Each case runs in a fresh directory that holds its --trace,
-   --quarantine or -o path and TMPDIR, and must stay empty. *)
+   --quarantine or -o path and TMPDIR, and must stay empty but for
+   F. *)
 let rejected_cells =
   let cells =
     [ ("mudlle sun", "emu-sun"); ("lcc gc", "emu-gc");
@@ -318,6 +320,9 @@ let rejected_cells =
       ( "experiment",
         "all --replay --trace out",
         "--replay cannot combine with --trace" );
+      ( "gen",
+        "--spec n=1000 --cache-dir F",
+        "gen: F: not a writable cache directory" );
     ]
 
 let test_cell_rejected (cmd, cell, says) () =
@@ -334,6 +339,8 @@ let test_cell_rejected (cmd, cell, says) () =
     | "record" -> (cmd :: words) @ [ "-o"; "t.trace" ]
     | _ -> cmd :: words
   in
+  let seeded = if cmd = "gen" then [ "F" ] else [] in
+  List.iter (fun f -> close_out (open_out (Filename.concat dir f))) seeded;
   let code =
     Sys.command
       (Printf.sprintf "cd %s && TMPDIR=%s %s %s >/dev/null 2>%s"
@@ -341,13 +348,14 @@ let test_cell_rejected (cmd, cell, says) () =
          (String.concat " " args) (Filename.quote err))
   in
   let msg = In_channel.with_open_bin err In_channel.input_all in
-  check "exit status" 124 code;
+  check "exit status" (if cmd = "gen" then 2 else 124) code;
   let rec mentions i =
     i + String.length says <= String.length msg
     && (String.sub msg i (String.length says) = says || mentions (i + 1))
   in
   check_bool ("names " ^ says) true (mentions 0);
-  Alcotest.(check (list string)) "no file created" [] (entries dir);
+  Alcotest.(check (list string)) "no file created" seeded (entries dir);
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) seeded;
   Sys.remove err;
   Unix.rmdir dir
 
@@ -395,21 +403,69 @@ let test_cell_check_table () =
         (Workloads.Workload.check_cell spec mode = Ok ()))
     (Harness.Matrix.report_cells ())
 
-(* A replay fill without a cell cache records its traces as temp
-   files; none of them may outlive the process. *)
+(* A replay fill records its traces as temp files, with or without a
+   cell cache; none of them may outlive the process, and none lands in
+   the cache, which holds only cells and its lock. *)
 let test_replay_fill_leaves_no_temp_files () =
   let dir = fresh_dir "repro-tmpdir-test" in
+  let cache = fresh_dir "repro-cache-test" in
   let exe = Filename.concat (Sys.getcwd ()) "../bin/main.exe" in
-  let code =
+  let fill flags =
     Sys.command
       (Printf.sprintf
-         "cd %s && TMPDIR=%s %s experiment table2 --replay --no-cache -j 1 \
+         "cd %s && TMPDIR=%s %s experiment table2 --replay %s -j 1 \
           >/dev/null 2>&1"
-         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe))
+         (Filename.quote dir) (Filename.quote dir) (Filename.quote exe) flags)
   in
-  check "exit status" 0 code;
+  check "exit status" 0 (fill "--no-cache");
   Alcotest.(check (list string)) "TMPDIR left empty" [] (entries dir);
+  check "exit status (cached)" 0
+    (fill ("--cache-dir " ^ Filename.quote cache));
+  Alcotest.(check (list string)) "TMPDIR left empty (cached)" [] (entries dir);
+  let stored = entries cache in
+  check_bool "cells stored" true
+    (List.exists (fun f -> Filename.check_suffix f ".json") stored);
+  Alcotest.(check (list string)) "only cells and LOCK in the cache" []
+    (List.filter
+       (fun f -> not (f = "LOCK" || Filename.check_suffix f ".json"))
+       stored);
+  List.iter (fun f -> Sys.remove (Filename.concat cache f)) stored;
+  Unix.rmdir cache;
   Unix.rmdir dir
+
+(* A replay matrix records a workload's traces exactly when it is one
+   of the six benchmarks.  That rests on the report: each benchmark
+   runs at least two modes per trace variant, so every trace it records
+   has a column that replays it, and each extra appears under a single
+   mode, so a trace of it would have none. *)
+let test_recorded_traces_have_consumers () =
+  let cells = Harness.Matrix.report_cells () in
+  let modes_of (spec : Workloads.Workload.spec) =
+    List.filter_map
+      (fun ((s : Workloads.Workload.spec), m) ->
+        if s.name = spec.name then Some m else None)
+      cells
+  in
+  List.iter
+    (fun (spec : Workloads.Workload.spec) ->
+      List.iter
+        (fun variant ->
+          let modes =
+            List.filter
+              (fun m -> Trace.Record.variant_of_mode m = variant)
+              (modes_of spec)
+          in
+          check_bool
+            (spec.name ^ " " ^ variant ^ " trace has a replayed column")
+            true
+            (List.length modes >= 2))
+        (Trace.Record.variants_for spec))
+    Workloads.Workload.all;
+  List.iter
+    (fun (spec : Workloads.Workload.spec) ->
+      check_bool (spec.name ^ " has at most one report cell") true
+        (List.length (modes_of spec) <= 1))
+    Workloads.Workload.extras
 
 (* The artefact writer replaces a file whole, and a write that fails
    (here the rename: a non-empty directory sits at the path) leaves
@@ -451,6 +507,8 @@ let () =
             test_region_stats_present_only_for_region_mode;
           tc "replay fill leaves no temp files" `Quick
             test_replay_fill_leaves_no_temp_files;
+          tc "recorded traces have consumers" `Quick
+            test_recorded_traces_have_consumers;
           tc "artefact writes are atomic" `Quick test_write_file_atomic;
         ] );
       ( "paper claims",

@@ -60,6 +60,40 @@ let test_spill_roundtrip () =
       close_in ic;
       check_str "magic" Obs.Spill.magic m)
 
+(* A spill cut short fails closed: inside a record (1 to 39 bytes
+   short of whole) or inside the magic, [read_file] raises [Failure]
+   naming the byte offset of the cut, before delivering any record. *)
+let test_spill_truncated () =
+  with_tmp_file (fun path ->
+      let oc = open_out_bin path in
+      let sink = Obs.Spill.sink oc in
+      for i = 0 to 10 do
+        sink ~kind:(i mod 14) ~time:i ~site:0 ~a:i ~b:i
+      done;
+      close_out oc;
+      let whole = In_channel.with_open_bin path In_channel.input_all in
+      let fails_at ~len ~offset =
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc (String.sub whole 0 len));
+        let delivered = ref 0 in
+        match
+          Obs.Spill.read_file path (fun ~kind:_ ~time:_ ~site:_ ~a:_ ~b:_ ->
+              incr delivered)
+        with
+        | () -> Alcotest.failf "%d-byte spill read without error" len
+        | exception Failure msg ->
+            check_bool
+              (Printf.sprintf "%d bytes: %S names byte %d" len msg offset)
+              true
+              (contains msg (Printf.sprintf "byte %d" offset));
+            check_int "no record delivered" 0 !delivered
+      in
+      let last = String.length whole - Obs.Spill.record_bytes in
+      for cut = 1 to Obs.Spill.record_bytes - 1 do
+        fails_at ~len:(String.length whole - cut) ~offset:last
+      done;
+      fails_at ~len:5 ~offset:5)
+
 (* {1 Event kinds} *)
 
 let test_event_codes_roundtrip () =
@@ -489,7 +523,11 @@ let () =
   Alcotest.run "obs"
     [
       ( "spill",
-        [ Alcotest.test_case "roundtrip" `Quick test_spill_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_spill_roundtrip;
+          Alcotest.test_case "truncated spill fails closed" `Quick
+            test_spill_truncated;
+        ] );
       ( "events",
         [
           Alcotest.test_case "codes roundtrip" `Quick
