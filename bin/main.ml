@@ -35,13 +35,14 @@ let acquire_lock path =
   if not (Hashtbl.mem held_locks path) then
     match Results.Lockfile.acquire ~owner:"repro" path with
     | Ok l -> Hashtbl.replace held_locks path l
-    | Error msg ->
+    | Error (Held msg) ->
         fail 2
           "repro: %s\n\
           \  (a `repro serve` daemon or another run owns this store; \
            stop it or pass a different --cache-dir)\n\
            %!"
           msg
+    | Error (Unusable msg) -> fail 2 "repro: %s\n%!" msg
 
 (* Stats go to stderr: report bytes on stdout stay identical whether
    cells were computed or served from the disk cache. *)

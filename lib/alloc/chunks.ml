@@ -31,17 +31,17 @@ let create mem stats ~min_extend_pages make_policy =
   }
 
 let memory t = t.mem
-let hdr t c = Sim.Memory.load t.mem c
-let set_hdr t c v = Sim.Memory.store t.mem c v
+let[@inline] hdr t c = Sim.Memory.load t.mem c
+let[@inline] set_hdr t c v = Sim.Memory.store t.mem c v
 let size_of h = h land lnot 7
-let chunk_size t c = size_of (hdr t c)
-let set_footer t c size = Sim.Memory.store t.mem (c + size - 4) size
+let[@inline] chunk_size t c = size_of (hdr t c)
+let[@inline] set_footer t c size = Sim.Memory.store t.mem (c + size - 4) size
 
 (* ------------------------------------------------------------------ *)
 (* Free-list helpers for policies *)
 
 let list_head t ~head_addr = Sim.Memory.load t.mem head_addr
-let list_next t c = Sim.Memory.load t.mem (c + 4)
+let[@inline] list_next t c = Sim.Memory.load t.mem (c + 4)
 
 let list_push t ~head_addr c =
   let head = Sim.Memory.load t.mem head_addr in

@@ -77,13 +77,13 @@ type t = {
   mutable sp : int;  (* ints in use in [stack] *)
 }
 
-let bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let[@inline] bit_get b i = Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let bit_set b i =
+let[@inline] bit_set b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-let bit_clear b i =
+let[@inline] bit_clear b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) land lnot (1 lsl (i land 7))))
 

@@ -1,4 +1,7 @@
 type t = { fd : Unix.file_descr; mutable held : bool }
+type error = Held of string | Unusable of string
+
+let error_message (Held msg | Unusable msg) = msg
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -35,8 +38,9 @@ let acquire ?owner lpath =
   match Unix.openfile lpath [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
   | exception Unix.Unix_error (e, _, _) ->
       Error
-        (Printf.sprintf "cannot open lock file %s: %s" lpath
-           (Unix.error_message e))
+        (Unusable
+           (Printf.sprintf "cannot open lock file %s: %s" lpath
+              (Unix.error_message e)))
   | fd -> (
       match Unix.lockf fd Unix.F_TLOCK 0 with
       | () ->
@@ -52,12 +56,15 @@ let acquire ?owner lpath =
           let holder = holder_of fd in
           Unix.close fd;
           Error
-            (Printf.sprintf "%s is locked by %s" lpath
-               (if holder = "" then "another process" else holder))
+            (Held
+               (Printf.sprintf "%s is locked by %s" lpath
+                  (if holder = "" then "another process" else holder)))
       | exception Unix.Unix_error (e, _, _) ->
           Unix.close fd;
           Error
-            (Printf.sprintf "cannot lock %s: %s" lpath (Unix.error_message e)))
+            (Unusable
+               (Printf.sprintf "cannot lock %s: %s" lpath
+                  (Unix.error_message e))))
 
 let release t =
   if t.held then begin

@@ -18,14 +18,22 @@
 
 type t
 
-val acquire : ?owner:string -> string -> (t, string) result
+(** Why {!acquire} failed, with its one-line diagnostic: another
+    process holds the lock ([Held]), or the lock file cannot be opened
+    or locked at all ([Unusable]: a path through a regular file, no
+    permission). *)
+type error = Held of string | Unusable of string
+
+val error_message : error -> string
+
+val acquire : ?owner:string -> string -> (t, error) result
 (** [acquire path] takes the exclusive advisory lock on [path]
     (creating it, and its parent directory, as needed) and records
     ["<owner> pid <pid>"] in it for diagnostics.  [owner] defaults to
     the basename of the running executable.  On contention the error
-    names the current holder: ["locked by repro-serve pid 1234"].  An
-    unwritable location is an error too — the caller asked for
-    exclusion and must not proceed without it. *)
+    is [Held], naming the current holder: ["locked by repro-serve pid
+    1234"].  An unwritable location is an error too — the caller asked
+    for exclusion and must not proceed without it. *)
 
 val release : t -> unit
 (** Drops the lock (idempotent).  Exiting releases it anyway; this is

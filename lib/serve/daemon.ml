@@ -236,14 +236,13 @@ let run cfg =
   (* Exclusion first: a daemon and a concurrent [repro experiment] on
      the same store would interleave whole runs; fail fast, by name. *)
   let ( let* ) = Result.bind in
-  let* cache_lock =
-    Results.Lockfile.acquire ~owner:"repro-serve"
-      (Filename.concat cfg.cache_dir "LOCK")
+  let lock path =
+    Result.map_error Results.Lockfile.error_message
+      (Results.Lockfile.acquire ~owner:"repro-serve" path)
   in
+  let* cache_lock = lock (Filename.concat cfg.cache_dir "LOCK") in
   let* journal_lock =
-    match
-      Results.Lockfile.acquire ~owner:"repro-serve" (cfg.journal ^ ".lock")
-    with
+    match lock (cfg.journal ^ ".lock") with
     | Ok l -> Ok l
     | Error e ->
         Results.Lockfile.release cache_lock;

@@ -12,7 +12,16 @@
    carry [@inline], so with the default (non-opaque) build every
    caller, the workloads included, runs check, charge, probe and host
    access with no call.  The set-associative what-if geometries take
-   the generic LRU functions.
+   one [@inline never] function per access kind, which probes and
+   does the host access.
+
+   A cold branch either raises or rejoins with only its result: a
+   failed check raises [Fault] at its own site, with the message built
+   by a helper that returns it, and the LRU branch returns the
+   access's result.  Without flambda, a value live across a call is
+   kept in a stack slot, spilled before the branch rather than on the
+   cold side alone, so a cold call that returned into the access would
+   cost the hot path its spills and reloads (DESIGN §5h).
 
    After [check_word] or [check_byte] has bounded an address by
    [limit], the host bytes are read and written unchecked: [limit <=
@@ -290,7 +299,6 @@ type t = {
 
 exception Fault of string
 
-let fault fmt = Fmt.kstr (fun s -> raise (Fault s)) fmt
 let max_memory = 1 lsl 29 (* 512 MB simulated address space cap *)
 
 let create ?(machine = Machine.ultrasparc_i) ?(with_cache = true) () =
@@ -350,7 +358,9 @@ let limit t = t.limit
 let ensure_capacity t bytes =
   let cap = Bytes.length t.data in
   if bytes > cap then begin
-    if bytes > max_memory then fault "simulated memory exhausted (%d bytes)" bytes;
+    if bytes > max_memory then
+      raise
+        (Fault (Printf.sprintf "simulated memory exhausted (%d bytes)" bytes));
     let cap' = max (cap * 2) bytes in
     let cap' = min max_memory cap' in
     let data' = Bytes.make cap' '\000' in
@@ -362,7 +372,8 @@ let map_pages t n =
   if n <= 0 then invalid_arg "Memory.map_pages: n must be positive";
   (match t.oom_hook with
   | Some allow when not (allow n) ->
-      fault "simulated OS denied a request for %d pages" n
+      raise
+        (Fault (Printf.sprintf "simulated OS denied a request for %d pages" n))
   | Some _ | None -> ());
   let bytes = n * t.page_bytes in
   let addr = t.limit in
@@ -379,12 +390,23 @@ let map_pages t n =
 
 let[@inline] is_mapped t addr = addr >= t.page_bytes && addr < t.limit
 
+(* The messages of a failed [check_word] and [check_byte].  They only
+   return the string; the check raises at its own site, so nothing
+   runs after the call and the hot path keeps nothing live across it.
+   An address both unaligned and unmapped is reported unaligned. *)
+let[@inline never] word_fault addr =
+  if addr land 3 <> 0 then Printf.sprintf "unaligned word access at %#x" addr
+  else Printf.sprintf "word access to unmapped address %#x" addr
+
+let[@inline never] byte_fault addr =
+  Printf.sprintf "byte access to unmapped address %#x" addr
+
 let[@inline] check_word t addr =
-  if addr land 3 <> 0 then fault "unaligned word access at %#x" addr;
-  if not (is_mapped t addr) then fault "word access to unmapped address %#x" addr
+  if addr land 3 <> 0 || not (is_mapped t addr) then
+    raise (Fault (word_fault addr))
 
 let[@inline] check_byte t addr =
-  if not (is_mapped t addr) then fault "byte access to unmapped address %#x" addr
+  if not (is_mapped t addr) then raise (Fault (byte_fault addr))
 
 (* The host word at a checked address, read and written without a
    second bounds check (see the header).  Little-endian, as
@@ -402,58 +424,85 @@ let[@inline] host_set32 t addr v =
   set32u t.data addr (if Sys.big_endian then swap32 v else v)
 
 let[@inline] raw_load t addr = Int32.to_int (host_get32 t addr) land 0xFFFFFFFF
+let[@inline] host_get8 t addr = Char.code (Bytes.unsafe_get t.data addr)
+
+let[@inline] host_set8 t addr v =
+  Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
 
 (* One instruction, then the cache model: all inlined, so an access
-   makes no call.  The probes run on a cache, but the direct-mapped
-   one takes its tags and line math from [t]. *)
+   makes no call.  The direct-mapped probes take their tags and line
+   math from [t]; the counters and store buffer are [c]'s. *)
 let[@inline] charge t n = Cost.instr t.cost n
 
-let[@inline] probe_read t c addr =
-  if t.fast then
-    Cache_impl.read_direct c ~l1_tags:t.l1_tags ~l1_shift:t.l1_shift
-      ~l1_mask:t.l1_mask ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
-      ~l2_mask:t.l2_mask ~l1_penalty:t.l1_penalty ~l2_penalty:t.l2_penalty
-      addr
-  else Cache_impl.read_lru c addr
+let[@inline] read_direct t c addr =
+  Cache_impl.read_direct c ~l1_tags:t.l1_tags ~l1_shift:t.l1_shift
+    ~l1_mask:t.l1_mask ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
+    ~l2_mask:t.l2_mask ~l1_penalty:t.l1_penalty ~l2_penalty:t.l2_penalty addr
 
-let[@inline] probe_write t c addr =
-  if t.fast then
-    Cache_impl.write_direct c ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
-      ~l2_mask:t.l2_mask addr
-  else Cache_impl.write_lru c addr
+let[@inline] write_direct t c addr =
+  Cache_impl.write_direct c ~l2_tags:t.l2_tags ~l2_shift:t.l2_shift
+    ~l2_mask:t.l2_mask addr
 
-let[@inline] touch_read t addr =
-  charge t 1;
-  match t.cache with Some c -> probe_read t c addr | None -> ()
+(* The LRU geometries: one call per access that probes and does the
+   host access, so the caller's branch rejoins with only its result. *)
+let[@inline never] load_lru t c addr =
+  Cache_impl.read_lru c addr;
+  raw_load t addr
 
-let[@inline] touch_write t addr =
-  charge t 1;
-  match t.cache with Some c -> probe_write t c addr | None -> ()
+let[@inline never] store_lru t c addr v =
+  Cache_impl.write_lru c addr;
+  host_set32 t addr v
+
+let[@inline never] load_byte_lru t c addr =
+  Cache_impl.read_lru c addr;
+  host_get8 t addr
+
+let[@inline never] store_byte_lru t c addr v =
+  Cache_impl.write_lru c addr;
+  host_set8 t addr v
 
 let[@inline] load t addr =
   check_word t addr;
-  touch_read t addr;
-  raw_load t addr
+  charge t 1;
+  match t.cache with
+  | Some c when not t.fast -> load_lru t c addr
+  | Some c ->
+      read_direct t c addr;
+      raw_load t addr
+  | None -> raw_load t addr
 
-let load_signed t addr =
-  check_word t addr;
-  touch_read t addr;
-  Int32.to_int (host_get32 t addr)
+(* Sign-extend the zero-extended word from bit 31, in ints. *)
+let[@inline] load_signed t addr = (load t addr lxor 0x8000_0000) - 0x8000_0000
 
 let[@inline] store t addr v =
   check_word t addr;
-  touch_write t addr;
-  host_set32 t addr v
+  charge t 1;
+  match t.cache with
+  | Some c when not t.fast -> store_lru t c addr v
+  | Some c ->
+      write_direct t c addr;
+      host_set32 t addr v
+  | None -> host_set32 t addr v
 
 let[@inline] load_byte t addr =
   check_byte t addr;
-  touch_read t addr;
-  Char.code (Bytes.unsafe_get t.data addr)
+  charge t 1;
+  match t.cache with
+  | Some c when not t.fast -> load_byte_lru t c addr
+  | Some c ->
+      read_direct t c addr;
+      host_get8 t addr
+  | None -> host_get8 t addr
 
-let store_byte t addr v =
+let[@inline] store_byte t addr v =
   check_byte t addr;
-  touch_write t addr;
-  Bytes.unsafe_set t.data addr (Char.unsafe_chr (v land 0xFF))
+  charge t 1;
+  match t.cache with
+  | Some c when not t.fast -> store_byte_lru t c addr v
+  | Some c ->
+      write_direct t c addr;
+      host_set8 t addr v
+  | None -> host_set8 t addr v
 
 (* Bulk operations.  A contiguous word range is valid iff its first
    and last words are: mapping is a single [page_bytes, limit) span,
@@ -464,7 +513,8 @@ let store_byte t addr v =
    the current cycle count). *)
 
 let check_word_range t addr words what =
-  if addr land 3 <> 0 then fault "unaligned %s at %#x" what addr;
+  if addr land 3 <> 0 then
+    raise (Fault (Printf.sprintf "unaligned %s at %#x" what addr));
   if words > 0 then begin
     check_word t addr;
     check_word t (addr + ((words - 1) * 4))
@@ -472,15 +522,21 @@ let check_word_range t addr words what =
 
 let clear t addr bytes =
   if bytes < 0 then invalid_arg "Memory.clear: negative length";
-  if addr land 3 <> 0 then fault "unaligned clear at %#x" addr;
+  if addr land 3 <> 0 then
+    raise (Fault (Printf.sprintf "unaligned clear at %#x" addr));
   let words = (bytes + 3) / 4 in
   if words > 0 then begin
     check_word_range t addr words "clear";
     (match t.cache with
+    | Some c when not t.fast ->
+        for i = 0 to words - 1 do
+          charge t 1;
+          Cache_impl.write_lru c (addr + (i * 4))
+        done
     | Some c ->
         for i = 0 to words - 1 do
           charge t 1;
-          probe_write t c (addr + (i * 4))
+          write_direct t c (addr + (i * 4))
         done
     | None -> charge t words);
     Bytes.fill t.data addr (words * 4) '\000'
@@ -501,21 +557,33 @@ let[@inline] mapped_words t addr n =
   if addr land 3 <> 0 || not (is_mapped t addr) then 0
   else Int.min n ((t.limit - addr) / 4)
 
+(* After the probe of [a], the words of the run [a, stop) that share
+   its L1 line (which ends before [line_end]) hit: count them and
+   return the next address to probe. *)
+let[@inline] charge_line_run (c : Cache_impl.t) a ~line_end ~stop =
+  let words = ((if line_end < stop then line_end else stop) - a + 3) / 4 in
+  c.l1_hits <- c.l1_hits + words - 1;
+  a + (words * 4)
+
 (* Charge [n] reads of the mapped, aligned words from [addr]. *)
 let charge_reads t addr n =
   charge t n;
+  let stop = addr + (n * 4) in
+  let a = ref addr in
   match t.cache with
   | None -> ()
-  | Some c ->
+  | Some c when not t.fast ->
       let l1 = c.Cache_impl.l1 in
-      let stop = addr + (n * 4) in
-      let a = ref addr in
       while !a < stop do
-        probe_read t c !a;
-        let next = (Cache_impl.line_id l1 !a + 1) * l1.line_bytes in
-        let words = ((if next < stop then next else stop) - !a + 3) / 4 in
-        c.l1_hits <- c.l1_hits + words - 1;
-        a := !a + (words * 4)
+        Cache_impl.read_lru c !a;
+        let line_end = (Cache_impl.line_id l1 !a + 1) * l1.line_bytes in
+        a := charge_line_run c !a ~line_end ~stop
+      done
+  | Some c ->
+      while !a < stop do
+        read_direct t c !a;
+        let line_end = ((!a lsr t.l1_shift) + 1) lsl t.l1_shift in
+        a := charge_line_run c !a ~line_end ~stop
       done
 
 let charge_loads t addr n =
@@ -581,10 +649,15 @@ let store_block t addr words =
   if n > 0 then begin
     check_word_range t addr n "block store";
     match t.cache with
+    | Some c when not t.fast ->
+        for i = 0 to n - 1 do
+          charge t 1;
+          store_lru t c (addr + (i * 4)) words.(i)
+        done
     | Some c ->
         for i = 0 to n - 1 do
           charge t 1;
-          probe_write t c (addr + (i * 4));
+          write_direct t c (addr + (i * 4));
           host_set32 t (addr + (i * 4)) words.(i)
         done
     | None ->
@@ -600,20 +673,26 @@ let store_bytes t addr s =
     check_byte t addr;
     check_byte t (addr + n - 1);
     (match t.cache with
+    | Some c when not t.fast ->
+        for i = 0 to n - 1 do
+          charge t 1;
+          Cache_impl.write_lru c (addr + i)
+        done
     | Some c ->
         for i = 0 to n - 1 do
           charge t 1;
-          probe_write t c (addr + i)
+          write_direct t c (addr + i)
         done
     | None -> charge t n);
     Bytes.blit_string s 0 t.data addr n
   end
 
-let peek t addr =
+(* Cost-free, but checked as an access is, and inlined like one. *)
+let[@inline] peek t addr =
   check_word t addr;
   raw_load t addr
 
-let poke t addr v =
+let[@inline] poke t addr v =
   check_word t addr;
   host_set32 t addr v
 
@@ -627,7 +706,8 @@ let poke_bytes t addr s =
 
 let poke_fill t addr bytes =
   if bytes < 0 then invalid_arg "Memory.poke_fill: negative length";
-  if addr land 3 <> 0 then fault "unaligned fill at %#x" addr;
+  if addr land 3 <> 0 then
+    raise (Fault (Printf.sprintf "unaligned fill at %#x" addr));
   let words = (bytes + 3) / 4 in
   if words > 0 then begin
     check_word_range t addr words "fill";

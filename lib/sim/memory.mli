@@ -15,12 +15,16 @@
     {!Store_buffer_impl}).  On the UltraSparc geometry (both levels
     direct-mapped) the memory carries the cache's tag arrays, line
     shifts, set masks and miss penalties in its own record, so a probe
-    is one load from it and one from the tags.  {!load}, {!store} and
-    {!load_byte} are [@inline]: in the default (non-opaque) build a
-    caller runs the check, the instruction charge, both probes, the
-    fills, the store buffer and the host access with no call.  After
-    the simulated check, the host bytes are accessed without a second
-    bounds check; the check implies it. *)
+    is one load from it and one from the tags.  The single accesses
+    ({!load}, {!load_signed}, {!store}, {!load_byte}, {!store_byte},
+    {!peek}, {!poke}) are [@inline]: in the default (non-opaque) build
+    a caller runs the check, the instruction charge, both probes, the
+    fills, the store buffer and the host access with no call.  A
+    failed check raises {!Fault} at its own site, and a set-associative
+    cache's probe is one call that also does the host access, so
+    neither cold branch makes the hot path spill.  After the simulated
+    check, the host bytes are accessed without a second bounds check;
+    the check implies it. *)
 
 (** Fixed-depth store buffer modelled as a ring of completion cycles;
     pushing a store allocates nothing.  Semantics are those of the
@@ -183,8 +187,9 @@ val store_bytes : t -> int -> string -> unit
     moves in one blit. *)
 
 val peek : t -> int -> int
-(** Cost-free word read for tests and debugging; not for simulation
-    paths. *)
+(** Cost-free word read, checked as {!load} is: for reads charged
+    elsewhere (the collector's mark scan after {!charge_loads}) or not
+    simulated at all (introspection, invariant checks, tests). *)
 
 val poke : t -> int -> int -> unit
 (** Cost-free word write for tests and debugging. *)

@@ -1,8 +1,9 @@
 module Api = Workloads.Api
 
+(* Every check raises [Divergence] at its own site, with the message
+   built in the raise: the per-record handlers make no call on their
+   success path (DESIGN §5h). *)
 exception Divergence of string
-
-let diverge fmt = Printf.ksprintf (fun s -> raise (Divergence s)) fmt
 
 (* The cache simulator only turns accesses into cycle/stall costs —
    mutator-side numbers replay does not reproduce — and every
@@ -53,7 +54,8 @@ let run ?timeline reader mode =
     | Some roots -> roots
     | None ->
         if not recycled then
-          diverge "collection with no recorded root snapshot left"
+          raise
+            (Divergence "collection with no recorded root snapshot left")
         else begin
           (* Generated traces carry no snapshots (collection points
              are not knowable at generation time): every live object
@@ -125,7 +127,9 @@ let run ?timeline reader mode =
     end
     else begin
       let id = !next_obj in
-      if id >= oslots then diverge "object id overflow (%d slots)" oslots;
+      if id >= oslots then
+        raise
+          (Divergence (Printf.sprintf "object id overflow (%d slots)" oslots));
       incr next_obj;
       id
     end
@@ -177,7 +181,10 @@ let run ?timeline reader mode =
       end
       else begin
         let rid = !next_reg in
-        if rid >= rslots then diverge "region id overflow (%d slots)" rslots;
+        if rid >= rslots then
+          raise
+            (Divergence
+               (Printf.sprintf "region id overflow (%d slots)" rslots));
         incr next_reg;
         rid
       end
@@ -187,7 +194,10 @@ let run ?timeline reader mode =
   let deleteregion ~rid ~frame ~slot ~ok =
     let got = Api.deleteregion api (Regions.Mutator.frame mut frame) slot in
     if got <> ok then
-      diverge "deleteregion returned %b where the trace recorded %b" got ok;
+      raise
+        (Divergence
+           (Printf.sprintf
+              "deleteregion returned %b where the trace recorded %b" got ok));
     if tl_on && got then begin
       held_now := !held_now - region_held.(rid);
       region_held.(rid) <- 0
@@ -265,8 +275,12 @@ let run ?timeline reader mode =
   let rec run_level depth =
     match Format.dispatch reader handlers with
     | Format.End ->
-        if depth <> 0 then diverge "trace ended inside %d open frame(s)" depth
-    | Format.Frame_pop -> if depth = 0 then diverge "unmatched frame pop"
+        if depth <> 0 then
+          raise
+            (Divergence
+               (Printf.sprintf "trace ended inside %d open frame(s)" depth))
+    | Format.Frame_pop ->
+        if depth = 0 then raise (Divergence "unmatched frame pop")
     | Format.Frame_push { nslots; ptr_slots } ->
         Api.with_frame api ~nslots ~ptr_slots (fun _ ->
             run_level (depth + 1));

@@ -287,8 +287,10 @@ let test_unknown_experiment_leaves_no_cache () =
    variant the workload has no trace for, and [replay] a trace file
    that does not exist, --full or -j without --verify, and under
    --verify a MODE, --timeline, an unknown workload or one with no
-   matrix cell.  [gen] into a cache directory that is a regular file
-   F is bad input instead (exit 2).
+   matrix cell.  A cache directory that is a regular file F is bad
+   input instead (exit 2, one line of stderr): for [gen], and for
+   [experiment] and [docs], whose lock file it cannot hold (no hint
+   that another process owns the store: none does).
    Each case runs in a fresh directory that holds its --trace,
    --quarantine or -o path and TMPDIR, and must stay empty but for
    F. *)
@@ -323,6 +325,12 @@ let rejected_cells =
       ( "gen",
         "--spec n=1000 --cache-dir F",
         "gen: F: not a writable cache directory" );
+      ( "experiment",
+        "table1 --cache-dir F",
+        "repro: cannot open lock file F/LOCK: Not a directory" );
+      ( "docs",
+        "--check --cache-dir F",
+        "repro: cannot open lock file F/LOCK: Not a directory" );
     ]
 
 let test_cell_rejected (cmd, cell, says) () =
@@ -339,7 +347,8 @@ let test_cell_rejected (cmd, cell, says) () =
     | "record" -> (cmd :: words) @ [ "-o"; "t.trace" ]
     | _ -> cmd :: words
   in
-  let seeded = if cmd = "gen" then [ "F" ] else [] in
+  let bad_input = List.mem "F" words in
+  let seeded = if bad_input then [ "F" ] else [] in
   List.iter (fun f -> close_out (open_out (Filename.concat dir f))) seeded;
   let code =
     Sys.command
@@ -348,7 +357,10 @@ let test_cell_rejected (cmd, cell, says) () =
          (String.concat " " args) (Filename.quote err))
   in
   let msg = In_channel.with_open_bin err In_channel.input_all in
-  check "exit status" (if cmd = "gen" then 2 else 124) code;
+  check "exit status" (if bad_input then 2 else 124) code;
+  if bad_input then
+    check "one line of stderr" 1
+      (List.length (String.split_on_char '\n' (String.trim msg)));
   let rec mentions i =
     i + String.length says <= String.length msg
     && (String.sub msg i (String.length says) = says || mentions (i + 1))

@@ -349,14 +349,16 @@ let test_lockfile_contention () =
   let l =
     match Results.Lockfile.acquire ~owner:"repro-test" path with
     | Ok l -> l
-    | Error e -> Alcotest.failf "first acquire failed: %s" e
+    | Error e ->
+        Alcotest.failf "first acquire failed: %s"
+          (Results.Lockfile.error_message e)
   in
   (* lockf locks are per-process, so contention needs a child *)
   (match Unix.fork () with
   | 0 ->
       let code =
         match Results.Lockfile.acquire ~owner:"child" path with
-        | Error msg
+        | Error (Results.Lockfile.Held msg)
           when String.length msg > 0
                && (let contains hay needle =
                      let n = String.length hay
@@ -384,7 +386,9 @@ let test_lockfile_contention () =
   (* released: the next acquire (same process, fresh fd) succeeds *)
   match Results.Lockfile.acquire ~owner:"again" path with
   | Ok l2 -> Results.Lockfile.release l2
-  | Error e -> Alcotest.failf "acquire after release failed: %s" e
+  | Error e ->
+      Alcotest.failf "acquire after release failed: %s"
+        (Results.Lockfile.error_message e)
 
 let test_cache_key_is_stable () =
   let cache = Results.Cache.create ~dir:(fresh_dir ()) ~build_id:"b" () in

@@ -1061,6 +1061,173 @@ let prop_bulk_reads_match_loads =
       && project ignore all = run (fun m a -> Sim.Memory.charge_loads m a n)
       && project fst scan = run (fun m a -> Sim.Memory.find_nonzero m a n))
 
+(* Every checked primitive, at the addresses a check rejects (an
+   unaligned word, page 0, [limit], [limit + 3]) and at [limit - 8],
+   where a bulk range of 16 bytes or 4 words crosses [limit] and a
+   single access succeeds.  Each case runs on a fresh, warmed memory
+   with no cache, the UltraSparc's direct-mapped one and a 2-way LRU
+   one, and records the [Fault] message (or "ok") and what it charged
+   before returning or raising: instructions, L1 hits, L1 misses, L2
+   misses, stores and cycles.  The reference was taken from the
+   simulator as it was before the checks raised at their own sites;
+   the messages and counts must never move. *)
+let fault_table () =
+  let machines =
+    [
+      ("none", Sim.Machine.ultrasparc_i, false);
+      ("direct", Sim.Machine.ultrasparc_i, true);
+      ("lru", Sim.Machine.with_associativity Sim.Machine.ultrasparc_i ~ways:2, true);
+    ]
+  in
+  let prims =
+    let open Sim.Memory in
+    [
+      ("load", fun m a -> ignore (load m a));
+      ("store", fun m a -> store m a 0x1234);
+      ("load_byte", fun m a -> ignore (load_byte m a));
+      ("store_byte", fun m a -> store_byte m a 0x5A);
+      ("load_signed", fun m a -> ignore (load_signed m a));
+      ("peek", fun m a -> ignore (peek m a));
+      ("poke", fun m a -> poke m a 0x1234);
+      ("clear", fun m a -> clear m a 16);
+      ("store_block", fun m a -> store_block m a [| 1; 2; 3; 4 |]);
+      ("store_bytes", fun m a -> store_bytes m a "0123456789abcdef");
+      ("charge_loads", fun m a -> charge_loads m a 4);
+    ]
+  in
+  (* Each address is a function of the mapped base and [limit]. *)
+  let addrs =
+    [
+      ("unaligned", fun base _ -> base + 4096 + 2);
+      ("page 0", fun _ _ -> 8);
+      ("limit", fun _ limit -> limit);
+      ("limit+3", fun _ limit -> limit + 3);
+      ("limit-8", fun _ limit -> limit - 8);
+    ]
+  in
+  let counters m =
+    let c = Sim.Memory.cost m in
+    let h, l1m, l2m, st =
+      match Sim.Memory.cache m with
+      | Some ca ->
+          ( Sim.Cache.l1_hits ca,
+            Sim.Cache.l1_misses ca,
+            Sim.Cache.l2_misses ca,
+            Sim.Cache.stores ca )
+      | None -> (0, 0, 0, 0)
+    in
+    [ Sim.Cost.total_instrs c; h; l1m; l2m; st; Sim.Cost.cycles c ]
+  in
+  let run (machine, with_cache) f addr =
+    let m = Sim.Memory.create ~machine ~with_cache () in
+    let base = Sim.Memory.map_pages m 6 in
+    for i = 0 to (6 * 4096 / 48) - 1 do
+      Sim.Memory.store m (base + (i * 48)) i;
+      ignore (Sim.Memory.load m (base + (i * 48) + 4))
+    done;
+    let before = counters m in
+    let outcome =
+      match f m (addr base (Sim.Memory.limit m)) with
+      | () -> "ok"
+      | exception Sim.Memory.Fault msg -> msg
+    in
+    let delta = List.map2 ( - ) (counters m) before in
+    (outcome, String.concat "/" (List.map string_of_int delta))
+  in
+  List.concat_map
+    (fun (pname, f) ->
+      List.map
+        (fun (aname, addr) ->
+          let runs = List.map (fun (_, mc, wc) -> run (mc, wc) f addr) machines in
+          let outcomes = List.sort_uniq compare (List.map fst runs) in
+          Printf.sprintf "%s at %s: %s; %s" pname aname
+            (String.concat " / " outcomes)
+            (String.concat " | "
+               (List.map2 (fun (n, _, _) (_, d) -> n ^ " " ^ d) machines runs)))
+        addrs)
+    prims
+
+let fault_table_reference =
+  [
+    "load at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load at limit-8: ok; none 1/0/0/0/0/1 | direct 1/0/1/0/0/7 | lru 1/0/1/0/0/7";
+    "store at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store at limit-8: ok; none 1/0/0/0/0/1 | direct 1/0/0/0/1/5 | lru 1/0/0/0/1/5";
+    "load_byte at unaligned: ok; none 1/0/0/0/0/1 | direct 1/0/1/0/0/7 | lru 1/0/1/0/0/7";
+    "load_byte at page 0: byte access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_byte at limit: byte access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_byte at limit+3: byte access to unmapped address 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_byte at limit-8: ok; none 1/0/0/0/0/1 | direct 1/0/1/0/0/7 | lru 1/0/1/0/0/7";
+    "store_byte at unaligned: ok; none 1/0/0/0/0/1 | direct 1/0/0/0/1/5 | lru 1/0/0/0/1/5";
+    "store_byte at page 0: byte access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_byte at limit: byte access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_byte at limit+3: byte access to unmapped address 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_byte at limit-8: ok; none 1/0/0/0/0/1 | direct 1/0/0/0/1/5 | lru 1/0/0/0/1/5";
+    "load_signed at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_signed at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_signed at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_signed at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "load_signed at limit-8: ok; none 1/0/0/0/0/1 | direct 1/0/1/0/0/7 | lru 1/0/1/0/0/7";
+    "peek at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "peek at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "peek at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "peek at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "peek at limit-8: ok; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "poke at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "poke at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "poke at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "poke at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "poke at limit-8: ok; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "clear at unaligned: unaligned clear at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "clear at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "clear at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "clear at limit+3: unaligned clear at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "clear at limit-8: word access to unmapped address 0x7004; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_block at unaligned: unaligned block store at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_block at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_block at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_block at limit+3: unaligned block store at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_block at limit-8: word access to unmapped address 0x7004; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_bytes at unaligned: ok; none 16/0/0/0/0/16 | direct 16/0/0/0/16/95 | lru 16/0/0/0/16/95";
+    "store_bytes at page 0: byte access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_bytes at limit: byte access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_bytes at limit+3: byte access to unmapped address 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "store_bytes at limit-8: byte access to unmapped address 0x7007; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "charge_loads at unaligned: unaligned word access at 0x2002; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "charge_loads at page 0: word access to unmapped address 0x8; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "charge_loads at limit: word access to unmapped address 0x7000; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "charge_loads at limit+3: unaligned word access at 0x7003; none 0/0/0/0/0/0 | direct 0/0/0/0/0/0 | lru 0/0/0/0/0/0";
+    "charge_loads at limit-8: word access to unmapped address 0x7000; none 2/0/0/0/0/2 | direct 2/1/1/0/0/8 | lru 2/1/1/0/0/8";
+  ]
+
+let test_fault_text_unchanged () =
+  Alcotest.(check (list string))
+    "messages and charges" fault_table_reference (fault_table ())
+
+(* A successful [peek], [poke] or [store_byte] allocates nothing: the
+   [Fault] and its message are built only when a check fails.  10 000
+   calls move the minor heap by at most 10 words (the measurement's
+   own boxed floats). *)
+let test_access_allocates_nothing op () =
+  let m = Sim.Memory.create () in
+  let p = Sim.Memory.map_pages m 1 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    op m p i
+  done;
+  let words = Gc.minor_words () -. before in
+  if words > 10. then Alcotest.failf "%.0f minor words for 10 000 calls" words
+
+let peek m p _ = ignore (Sim.Memory.peek m p)
+let poke m p i = Sim.Memory.poke m p i
+let store_byte m p i = Sim.Memory.store_byte m (p + (i land 3)) i
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "sim"
@@ -1095,6 +1262,11 @@ let () =
           tc "oom hook" `Quick test_memory_oom_hook;
           tc "store buffer wraparound" `Quick test_store_buffer_wraparound;
           tc "find_nonzero block scan" `Quick test_find_nonzero_blockwise;
+          tc "fault text is unchanged" `Quick test_fault_text_unchanged;
+          tc "peek allocates nothing" `Quick (test_access_allocates_nothing peek);
+          tc "poke allocates nothing" `Quick (test_access_allocates_nothing poke);
+          tc "store_byte allocates nothing" `Quick
+            (test_access_allocates_nothing store_byte);
         ] );
       ( "properties",
         [
